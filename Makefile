@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-norace vet bench bench-smoke bench-wall experiments validate results examples trace-demo chaos-demo serve-smoke slo-demo brownout-demo fleet-demo clean
+.PHONY: all build test test-norace vet bench bench-smoke bench-wall experiments validate results examples trace-demo fleet-demo clean
 
 all: build test
 
@@ -79,12 +79,6 @@ experiments:
 validate:
 	$(GO) run ./cmd/aitax-validate
 
-# Fault-injection gate under the race detector: one model per target
-# under a fixed fault plan, byte-identical at any worker-pool width
-# (see docs/FAULTS.md).
-chaos-demo:
-	$(GO) run -race ./cmd/aitax-validate -chaos
-
 # Refresh the committed reference results (docs/RESULTS.txt).
 results:
 	mkdir -p docs
@@ -103,42 +97,6 @@ trace-demo:
 		test -s $$f || { echo "$$f missing or empty"; exit 1; }; done
 	@echo "trace-demo ok: open trace_demo.json in ui.perfetto.dev"
 
-# Serving smoke: the deterministic load simulation diffed against the
-# committed golden report, at two worker-pool widths to prove the
-# report is parallelism-independent (see docs/SERVE.md).
-serve-smoke:
-	$(GO) run ./cmd/aitax-serve -loadgen > serve_smoke.txt
-	diff -u cmd/aitax-serve/testdata/load_report.golden serve_smoke.txt
-	$(GO) run ./cmd/aitax-serve -loadgen -parallel 1 | diff -u cmd/aitax-serve/testdata/load_report.golden -
-	@echo "serve-smoke ok: load report matches golden at any parallelism"
-
-# SLO smoke: the load simulation with burn-rate monitoring enabled,
-# diffed against the committed golden so the SLO report (compliance,
-# budget burn, alert timeline) stays deterministic (see docs/SERVE.md).
-slo-demo:
-	$(GO) run ./cmd/aitax-serve -loadgen -slo "MobileNet 1.0 v1=4ms@95,all=6ms@90" > slo_demo.txt
-	diff -u cmd/aitax-serve/testdata/slo_report.golden slo_demo.txt
-	$(GO) run ./cmd/aitax-serve -loadgen -slo "MobileNet 1.0 v1=4ms@95,all=6ms@90" -parallel 1 | diff -u cmd/aitax-serve/testdata/slo_report.golden -
-	@echo "slo-demo ok: burn-rate report matches golden at any parallelism"
-
-# Brownout smoke: the pinned overload storm with the QoS brownout
-# controller enabled, diffed against the committed golden (the full
-# degradation anatomy stays deterministic), then the aitax-validate
-# graceful-degradation gate — ladder engages and recovers, only
-# best-effort is shed, and the controller holds the interactive p99
-# inside an objective the frozen baseline violates (see docs/QOS.md).
-brownout-demo:
-	$(GO) run ./cmd/aitax-serve -loadgen \
-		-models "MobileNet 1.0 v1,EfficientNet-Lite0" \
-		-slo "EfficientNet-Lite0=350ms@95" \
-		-qos "tick=5ms,hold=6,short=2,long=4,enter=0.1/0.2/0.3,exit=0.04/0.08/0.15" \
-		-downshift "EfficientNet-Lite0=MobileNet 1.0 v1" \
-		-mix "EfficientNet-Lite0=2,EfficientNet-Lite0=2:best-effort,EfficientNet-Lite0=1:interactive" \
-		-ramp 300x300ms,4x3s -seed 11 -queue-depth 64 > brownout_demo.txt
-	diff -u cmd/aitax-serve/testdata/brownout_report.golden brownout_demo.txt
-	$(GO) run ./cmd/aitax-validate -brownout
-	@echo "brownout-demo ok: degradation anatomy matches golden and the gate passed"
-
 # Fleet smoke: the sharded 10k-device population simulation, diffed
 # against the committed golden at three (-parallel, -shards) shapes to
 # prove the report is sharding- and parallelism-independent, then the
@@ -154,4 +112,4 @@ fleet-demo:
 	@echo "fleet-demo ok: population report matches golden at any sharding"
 
 clean:
-	rm -f test_output.txt bench_output.txt bench_smoke.txt BENCH_smoke.json bench_wall.txt BENCH_wall.json trace_demo.json trace_demo.prom trace_demo.jsonl serve_smoke.txt slo_demo.txt brownout_demo.txt fleet_demo.txt fleet_population.jsonl
+	rm -f test_output.txt bench_output.txt bench_smoke.txt BENCH_smoke.json bench_wall.txt BENCH_wall.json trace_demo.json trace_demo.prom trace_demo.jsonl fleet_demo.txt fleet_population.jsonl

@@ -23,6 +23,34 @@ func TestGoldenTable1(t *testing.T) {
 	}
 }
 
+// TestGoldenResultsDocs pins the committed reference results — every
+// table and the Figs. 9–11 histogram rendering — to the generator
+// (`make results`).
+func TestGoldenResultsDocs(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"../../docs/RESULTS.txt", []string{"-runs", "50"}},
+		{"../../docs/RESULTS.md", []string{"-runs", "50", "-format", "markdown"}},
+	} {
+		t.Run(filepath.Base(tc.golden), func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run(tc.args, &out, &errb); code != 0 {
+				t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
+			}
+			want, err := os.ReadFile(tc.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Fatalf("%s diverged from %s; regenerate with `make results` only if the change is intended",
+					strings.Join(tc.args, " "), tc.golden)
+			}
+		})
+	}
+}
+
 func TestParallelOutputByteIdentical(t *testing.T) {
 	// A mixed subset (static tables, app runs, bench-tool runs) rendered
 	// sequentially and 8-wide must be byte-for-byte identical.

@@ -363,6 +363,16 @@ func runLoad(cfg serve.Config, ramp, mixSpec string, seed uint64,
 	return 0
 }
 
+// Connection timeouts for the HTTP frontend: a slow or stalled client
+// cannot hold a connection open indefinitely. No write timeout — a
+// request may legitimately wait out a batch window and a queue, and the
+// pprof endpoints stream for as long as the caller asks.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // runServer starts the wall-clock HTTP frontend and drains it
 // gracefully on SIGINT/SIGTERM: admission flips to 503 + Retry-After,
 // open micro-batch windows flush so queued requests still get served,
@@ -391,7 +401,13 @@ func runServer(cfg serve.Config, addr string, watch, prewarm bool, drainTimeout 
 			}
 		}()
 	}
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
+	hs := &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

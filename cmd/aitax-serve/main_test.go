@@ -21,47 +21,35 @@ import (
 )
 
 func TestGoldenLoadReportAtAnyParallelism(t *testing.T) {
-	var outputs []string
-	for _, par := range []string{"1", "2", "8"} {
-		var out, errb bytes.Buffer
-		if code := run([]string{"-loadgen", "-parallel", par}, &out, &errb); code != 0 {
-			t.Fatalf("-parallel %s: exit %d, stderr:\n%s", par, code, errb.String())
-		}
-		outputs = append(outputs, out.String())
-	}
-	if outputs[0] != outputs[1] || outputs[0] != outputs[2] {
-		t.Fatal("load report differs across -parallel 1/2/8")
-	}
-	want, err := os.ReadFile("testdata/load_report.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outputs[0] != string(want) {
-		t.Fatalf("load report diverged from golden\n--- got ---\n%s\n--- want ---\n%s",
-			outputs[0], string(want))
-	}
+	out := goldenAtAnyParallelism(t, []string{"-loadgen"}, "load_report.golden")
 	// The serving tax the report claims must actually be there: the
 	// overload phase rejects, and queueing shows up in the tax columns.
-	if !strings.Contains(outputs[0], "rejected") || strings.Contains(outputs[0], " 0 of 172 rejected") {
+	if !strings.Contains(out, "rejected") || strings.Contains(out, " 0 of 172 rejected") {
 		t.Fatal("golden run shows no admission rejections under the overload phase")
 	}
 }
 
-// goldenAtAnyParallelism runs args at -parallel 1/2/8 and asserts the
-// stdout is identical across widths and matches the committed golden.
+// goldenAtAnyParallelism runs args at -parallel 1/2/8 and at the
+// default width, and asserts the stdout is identical across widths and
+// matches the committed golden.
 func goldenAtAnyParallelism(t *testing.T, args []string, golden string) string {
 	t.Helper()
 	var outputs []string
-	for _, par := range []string{"1", "2", "8"} {
+	for _, par := range []string{"1", "2", "8", ""} {
 		var out, errb bytes.Buffer
-		full := append(append([]string{}, args...), "-parallel", par)
+		full := append([]string{}, args...)
+		if par != "" {
+			full = append(full, "-parallel", par)
+		}
 		if code := run(full, &out, &errb); code != 0 {
-			t.Fatalf("-parallel %s: exit %d, stderr:\n%s", par, code, errb.String())
+			t.Fatalf("-parallel %q: exit %d, stderr:\n%s", par, code, errb.String())
 		}
 		outputs = append(outputs, out.String())
 	}
-	if outputs[0] != outputs[1] || outputs[0] != outputs[2] {
-		t.Fatalf("%s output differs across -parallel 1/2/8", golden)
+	for _, o := range outputs[1:] {
+		if o != outputs[0] {
+			t.Fatalf("%s output differs across -parallel 1/2/8/default", golden)
+		}
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", golden))
 	if err != nil {
@@ -96,8 +84,8 @@ func TestGoldenWatchSnapshotAtAnyParallelism(t *testing.T) {
 	}
 }
 
-// brownoutArgs is the storm the brownout golden and the Makefile's
-// brownout-demo target share: an overload burst that climbs the full
+// brownoutArgs is the storm the brownout golden pins (aitax-validate
+// -brownout replays the same scenario): an overload burst that climbs the full
 // ladder, then a calm tail it recovers through.
 var brownoutArgs = []string{
 	"-loadgen",

@@ -15,6 +15,7 @@ import (
 	"aitax/internal/obs"
 	"aitax/internal/qos"
 	"aitax/internal/serve"
+	"aitax/internal/stats"
 	"aitax/internal/tensor"
 	"aitax/internal/tflite"
 )
@@ -87,15 +88,8 @@ func classP99(outcomes []serve.Outcome, cls qos.Class) time.Duration {
 			lats = append(lats, o.Latency())
 		}
 	}
-	if len(lats) == 0 {
-		return 0
-	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	idx := int(float64(len(lats))*0.99+0.9999999) - 1
-	if idx >= len(lats) {
-		idx = len(lats) - 1
-	}
-	return lats[idx]
+	return stats.NearestRank(lats, 0.99)
 }
 
 // brownoutRun is the graceful-degradation gate: the pinned storm must

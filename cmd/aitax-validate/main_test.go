@@ -10,14 +10,7 @@ import (
 // between invocations and across worker-pool widths — the end-to-end
 // determinism contract of the fault subsystem.
 func TestChaosGateDeterministic(t *testing.T) {
-	gate := func(parallel string) string {
-		var out, errb bytes.Buffer
-		if code := run([]string{"-chaos", "-parallel", parallel}, &out, &errb); code != 0 {
-			t.Fatalf("chaos gate exited %d: %s%s", code, out.String(), errb.String())
-		}
-		return out.String()
-	}
-	wide := gate("4")
+	wide := runGate(t, "-chaos", "4")
 	if !strings.Contains(wide, "chaos gate PASS") {
 		t.Fatalf("no PASS line in report:\n%s", wide)
 	}
@@ -32,9 +25,26 @@ func TestChaosGateDeterministic(t *testing.T) {
 	// Only the closing PASS line names the -parallel value; every
 	// measured byte before it must match across pool widths.
 	body := func(s string) string { return s[:strings.Index(s, "chaos gate PASS")] }
-	if again := gate("2"); body(again) != body(wide) {
-		t.Fatalf("chaos report differs across invocations/parallelism:\n--- parallel 4 ---\n%s--- parallel 2 ---\n%s", wide, again)
+	for _, par := range []string{"2", ""} {
+		if again := runGate(t, "-chaos", par); body(again) != body(wide) {
+			t.Fatalf("chaos report differs across invocations/parallelism:\n--- parallel 4 ---\n%s--- parallel %q ---\n%s", wide, par, again)
+		}
 	}
+}
+
+// runGate runs one aitax-validate gate at the given -parallel value
+// ("" leaves the flag at its default) and returns its report.
+func runGate(t *testing.T, gate, parallel string) string {
+	t.Helper()
+	args := []string{gate}
+	if parallel != "" {
+		args = append(args, "-parallel", parallel)
+	}
+	var out, errb bytes.Buffer
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("%s gate exited %d: %s%s", gate, code, out.String(), errb.String())
+	}
+	return out.String()
 }
 
 // The brownout gate must pass end to end: ladder engaged and
@@ -42,14 +52,7 @@ func TestChaosGateDeterministic(t *testing.T) {
 // objective the frozen baseline violates, and the report identical
 // across pool widths.
 func TestBrownoutGatePasses(t *testing.T) {
-	gate := func(parallel string) string {
-		var out, errb bytes.Buffer
-		if code := run([]string{"-brownout", "-parallel", parallel}, &out, &errb); code != 0 {
-			t.Fatalf("brownout gate exited %d: %s%s", code, out.String(), errb.String())
-		}
-		return out.String()
-	}
-	wide := gate("4")
+	wide := runGate(t, "-brownout", "4")
 	if !strings.Contains(wide, "brownout gate PASS") {
 		t.Fatalf("no PASS line in report:\n%s", wide)
 	}
@@ -68,8 +71,10 @@ func TestBrownoutGatePasses(t *testing.T) {
 	// Only the first PASS line names the -parallel value; the measured
 	// anatomy before the checks must match across pool widths.
 	body := func(s string) string { return s[:strings.Index(s, "PASS  report byte-identical")] }
-	if again := gate("2"); body(again) != body(wide) {
-		t.Fatalf("brownout report differs across parallelism:\n--- parallel 4 ---\n%s--- parallel 2 ---\n%s", wide, again)
+	for _, par := range []string{"2", ""} {
+		if again := runGate(t, "-brownout", par); body(again) != body(wide) {
+			t.Fatalf("brownout report differs across parallelism:\n--- parallel 4 ---\n%s--- parallel %q ---\n%s", wide, par, again)
+		}
 	}
 }
 

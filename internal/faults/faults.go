@@ -18,6 +18,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -149,7 +150,7 @@ func (p Plan) Validate() error {
 		{"DelegateInitFailRate", p.DelegateInitFailRate},
 		{"StallRate", p.StallRate},
 	} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // also rejects NaN
 			return fmt.Errorf("faults: %s %v outside [0, 1]", r.name, r.v)
 		}
 	}
@@ -169,8 +170,8 @@ func (p Plan) Validate() error {
 	if p.MaxAttempts < 0 {
 		return fmt.Errorf("faults: negative MaxAttempts %d", p.MaxAttempts)
 	}
-	if p.BackoffFactor != 0 && p.BackoffFactor < 1 {
-		return fmt.Errorf("faults: BackoffFactor %v below 1", p.BackoffFactor)
+	if f := p.BackoffFactor; f != 0 && !(f >= 1 && f <= math.MaxFloat64) {
+		return fmt.Errorf("faults: BackoffFactor %v not a finite value >= 1", f)
 	}
 	return nil
 }
@@ -475,7 +476,7 @@ func parseRate(v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if f < 0 || f > 1 {
+	if !(f >= 0 && f <= 1) { // also rejects NaN
 		return 0, fmt.Errorf("rate %v outside [0, 1]", f)
 	}
 	return f, nil

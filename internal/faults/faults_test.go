@@ -255,11 +255,36 @@ func TestParsePlan(t *testing.T) {
 	if p, err := ParsePlan(""); err != nil || p.Enabled() {
 		t.Errorf("empty spec: plan %+v err %v, want disabled/nil", p, err)
 	}
-	for _, bad := range []string{"rpc", "rpc=2", "bogus=1", "deadline=xyz", "rpc=0.2;stall=0.1"} {
+	for _, bad := range []string{
+		"rpc", "rpc=2", "bogus=1", "deadline=xyz", "rpc=0.2;stall=0.1",
+		// Non-finite values: a NaN rate would silently disable injection.
+		"rpc=NaN", "timeout=NaN", "session=nan", "init=-NaN", "stall=Inf",
+		"factor=NaN", "factor=Inf", "factor=+Inf", "factor=-Inf", "factor=0.5",
+	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParsePlan pins the parser's contract: any spec either fails to
+// parse or yields a plan that Validate accepts.
+func FuzzParsePlan(f *testing.F) {
+	for _, seed := range []string{
+		"", "rpc=0.2, timeout=0.1, deadline=40ms", "rpc=NaN", "factor=Inf",
+		"stall=1,stalldur=10ms,trip=2s,seed=7,attempts=5,backoff=3ms,factor=1.5",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		if verr := p.Validate(); verr != nil {
+			t.Fatalf("ParsePlan(%q) = %+v, which Validate rejects: %v", spec, p, verr)
+		}
+	})
 }
 
 func TestNewRejectsInvalid(t *testing.T) {

@@ -9,7 +9,7 @@
 // O(shards × tiers), not O(N). Per-device state is a value (Device),
 // per-device measurement reuses one cached base anatomy per
 // (catalog entry, model) via plan.Cache, and every aggregate is an
-// exactly-mergeable structure (obs.Histogram counts, stats.RegAccum
+// exactly-mergeable structure (stats.Histogram counts, stats.RegAccum
 // integer sums), so the shard merge — performed in submission order on
 // the lab's deterministic fan-in — yields byte-identical reports at any
 // -parallel and any shard count.

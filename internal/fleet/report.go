@@ -6,9 +6,9 @@ import (
 	"io"
 	"strings"
 
-	"aitax/internal/obs"
 	"aitax/internal/sim"
 	"aitax/internal/soc"
+	"aitax/internal/stats"
 	"aitax/internal/trace"
 )
 
@@ -61,7 +61,7 @@ func writeTier(bw *errWriter, name string, a *TierAgg) {
 }
 
 // histLine formats a histogram's exact-mergeable summary fields.
-func histLine(h *obs.Histogram) string {
+func histLine(h *stats.Histogram) string {
 	return fmt.Sprintf("count %d  min %.3f  max %.3f  p50 %.3f  p90 %.3f  p99 %.3f",
 		h.Count(), h.Min(), h.Max(),
 		h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99))

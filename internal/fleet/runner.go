@@ -73,11 +73,11 @@ type TierAgg struct {
 	Devices int64
 	Frames  int64
 	// Total is the per-frame end-to-end latency distribution (ms).
-	Total *obs.Histogram
+	Total *stats.Histogram
 	// Tax is the per-frame AI-tax share distribution (percent).
-	Tax *obs.Histogram
+	Tax *stats.Histogram
 	// Stage holds per-stage share-of-frame distributions (percent).
-	Stage [NumStages]*obs.Histogram
+	Stage [NumStages]*stats.Histogram
 	// Reg regresses per-device mean tax share (percent) on the device
 	// performance index: the "how much worse is the tax on slow parts"
 	// trend line, per tier.
@@ -87,12 +87,12 @@ type TierAgg struct {
 // NewTierAgg returns an empty aggregate.
 func NewTierAgg() *TierAgg {
 	a := &TierAgg{
-		Total: obs.NewHistogram(obs.DefaultBounds),
-		Tax:   obs.NewHistogram(ShareBounds),
+		Total: stats.NewHistogram(obs.DefaultBounds),
+		Tax:   stats.NewHistogram(ShareBounds),
 		Reg:   stats.NewRegAccum(regXScale, regYScale),
 	}
 	for i := range a.Stage {
-		a.Stage[i] = obs.NewHistogram(ShareBounds)
+		a.Stage[i] = stats.NewHistogram(ShareBounds)
 	}
 	return a
 }

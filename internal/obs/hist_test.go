@@ -6,7 +6,7 @@ import (
 )
 
 func TestHistogramQuantileNearExact(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram(DefaultBounds)
 	for i := 0; i < 10000; i++ {
 		h.Observe(float64(i) / 10) // uniform 0..999.9 ms
 	}
@@ -30,7 +30,7 @@ func TestHistogramQuantileNearExact(t *testing.T) {
 
 func TestHistogramMergeOrderInvariant(t *testing.T) {
 	mk := func(vals ...float64) *Histogram {
-		h := NewHistogram(nil)
+		h := NewHistogram(DefaultBounds)
 		for _, v := range vals {
 			h.Observe(v)
 		}
@@ -40,11 +40,11 @@ func TestHistogramMergeOrderInvariant(t *testing.T) {
 	b := mk(0.5, 50, 5000)
 	c := mk(7)
 
-	ab := NewHistogram(nil)
+	ab := NewHistogram(DefaultBounds)
 	ab.Merge(a)
 	ab.Merge(b)
 	ab.Merge(c)
-	ba := NewHistogram(nil)
+	ba := NewHistogram(DefaultBounds)
 	ba.Merge(c)
 	ba.Merge(b)
 	ba.Merge(a)
@@ -59,7 +59,7 @@ func TestHistogramMergeOrderInvariant(t *testing.T) {
 }
 
 func TestHistogramResetKeepsStorage(t *testing.T) {
-	h := NewHistogram(nil)
+	h := NewHistogram(DefaultBounds)
 	h.Observe(42)
 	h.Reset()
 	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
@@ -97,7 +97,7 @@ func TestSparkline(t *testing.T) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram(nil)
+	h := NewHistogram(DefaultBounds)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,11 +9,11 @@ import (
 // boundary must neither corrupt extremes (the empty side's zero min/max
 // must not leak) nor change counts.
 func TestMergeEmptyIntoPopulated(t *testing.T) {
-	pop := NewHistogram(nil)
+	pop := NewHistogram(DefaultBounds)
 	for _, v := range []float64{5, 7, 11} {
 		pop.Observe(v)
 	}
-	empty := NewHistogram(nil)
+	empty := NewHistogram(DefaultBounds)
 
 	// populated.Merge(empty) is a no-op.
 	pop.Merge(empty)
@@ -35,8 +35,8 @@ func TestMergeEmptyIntoPopulated(t *testing.T) {
 	}
 
 	// empty.Merge(empty) stays empty.
-	e2 := NewHistogram(nil)
-	e2.Merge(NewHistogram(nil))
+	e2 := NewHistogram(DefaultBounds)
+	e2.Merge(NewHistogram(DefaultBounds))
 	if e2.Count() != 0 || e2.Min() != 0 || e2.Max() != 0 {
 		t.Fatalf("empty+empty = %+v", e2.Summary())
 	}
@@ -118,7 +118,7 @@ func TestNWayMergeExact(t *testing.T) {
 		return float64((w*perW+i)%977) + 1 // integers: float sums are exact
 	}
 
-	seq := NewHistogram(nil)
+	seq := NewHistogram(DefaultBounds)
 	for w := 0; w < workers; w++ {
 		for i := 0; i < perW; i++ {
 			seq.Observe(value(w, i))
@@ -129,7 +129,7 @@ func TestNWayMergeExact(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
-		parts[w] = NewHistogram(nil)
+		parts[w] = NewHistogram(DefaultBounds)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -140,7 +140,7 @@ func TestNWayMergeExact(t *testing.T) {
 	}
 	wg.Wait()
 
-	merged := NewHistogram(nil)
+	merged := NewHistogram(DefaultBounds)
 	for _, p := range parts {
 		merged.Merge(p)
 	}
@@ -159,7 +159,7 @@ func TestNWayMergeExact(t *testing.T) {
 		}
 	}
 	// Merge order must not matter for any of the above: reverse order.
-	rev := NewHistogram(nil)
+	rev := NewHistogram(DefaultBounds)
 	for i := len(parts) - 1; i >= 0; i-- {
 		rev.Merge(parts[i])
 	}

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"aitax/internal/stats"
 )
 
 // Row is one closed aggregation window, the unit of the time-series
@@ -25,7 +27,7 @@ type Row struct {
 	// this window appear.
 	Counters map[string]float64 `json:"counters,omitempty"`
 	// Hists holds the window's histogram summaries.
-	Hists map[string]HistSummary `json:"hists,omitempty"`
+	Hists map[string]stats.HistSummary `json:"hists,omitempty"`
 }
 
 // RecorderConfig fixes a recorder's windowing policy.
@@ -66,7 +68,7 @@ type counterRing struct {
 
 // histRing is one histogram series' ring of window cells.
 type histRing struct {
-	hists []*Histogram
+	hists []*stats.Histogram
 	tag   []int
 }
 
@@ -183,33 +185,13 @@ func (r *Recorder) Add(at time.Duration, name string, v float64) {
 // Observe records v into the named histogram series for the window
 // containing at.
 func (r *Recorder) Observe(at time.Duration, name string, v float64) {
-	idx := r.windowIndex(at)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.advance(idx)
-	if idx < r.head-r.cfg.Keep+1 || idx < r.closedTo {
+	if h := r.histSlotLocked(at, name); h != nil {
+		h.Observe(v)
+	} else {
 		r.dropped++
-		return
 	}
-	h := r.hists[name]
-	if h == nil {
-		h = &histRing{hists: make([]*Histogram, r.cfg.Keep), tag: make([]int, r.cfg.Keep)}
-		for i := range h.tag {
-			h.tag[i] = -1
-		}
-		r.hists[name] = h
-		r.dirty = true
-	}
-	slot := idx % r.cfg.Keep
-	if h.tag[slot] != idx {
-		h.tag[slot] = idx
-		if h.hists[slot] == nil {
-			h.hists[slot] = NewHistogram(r.cfg.Bounds)
-		} else {
-			h.hists[slot].Reset()
-		}
-	}
-	h.hists[slot].Observe(v)
 }
 
 // Touch creates the named histogram series (with an empty histogram in
@@ -217,16 +199,24 @@ func (r *Recorder) Observe(at time.Duration, name string, v float64) {
 // harness's first window carries the full series set instead of being
 // an outlier missing most of it. Existing series are left untouched.
 func (r *Recorder) Touch(at time.Duration, name string) {
-	idx := r.windowIndex(at)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.histSlotLocked(at, name)
+}
+
+// histSlotLocked advances the ring to at's window and returns the named
+// series' histogram for that window, creating the series or recycling a
+// stale slot as needed; nil when the window is older than the ring.
+// Caller holds r.mu.
+func (r *Recorder) histSlotLocked(at time.Duration, name string) *stats.Histogram {
+	idx := r.windowIndex(at)
 	r.advance(idx)
 	if idx < r.head-r.cfg.Keep+1 || idx < r.closedTo {
-		return
+		return nil
 	}
 	h := r.hists[name]
 	if h == nil {
-		h = &histRing{hists: make([]*Histogram, r.cfg.Keep), tag: make([]int, r.cfg.Keep)}
+		h = &histRing{hists: make([]*stats.Histogram, r.cfg.Keep), tag: make([]int, r.cfg.Keep)}
 		for i := range h.tag {
 			h.tag[i] = -1
 		}
@@ -237,11 +227,12 @@ func (r *Recorder) Touch(at time.Duration, name string) {
 	if h.tag[slot] != idx {
 		h.tag[slot] = idx
 		if h.hists[slot] == nil {
-			h.hists[slot] = NewHistogram(r.cfg.Bounds)
+			h.hists[slot] = stats.NewHistogram(r.cfg.Bounds)
 		} else {
 			h.hists[slot].Reset()
 		}
 	}
+	return h.hists[slot]
 }
 
 // sortedNamesLocked returns the union of series names, sorted.
@@ -278,7 +269,7 @@ func (r *Recorder) buildRowLocked(w int) (Row, bool) {
 		}
 		if h, ok := r.hists[name]; ok && h.tag[slot] == w && h.hists[slot].Count() > 0 {
 			if row.Hists == nil {
-				row.Hists = make(map[string]HistSummary)
+				row.Hists = make(map[string]stats.HistSummary)
 			}
 			row.Hists[name] = h.hists[slot].Summary()
 		}
@@ -306,8 +297,8 @@ func (r *Recorder) Flush() {
 // windows (ending at the head) into one histogram — the rolling
 // percentile read the dashboard uses. Always returns a histogram,
 // possibly empty.
-func (r *Recorder) MergedHist(name string, lastN int) *Histogram {
-	out := NewHistogram(r.cfg.Bounds)
+func (r *Recorder) MergedHist(name string, lastN int) *stats.Histogram {
+	out := stats.NewHistogram(r.cfg.Bounds)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]

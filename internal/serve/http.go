@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -314,6 +315,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
+// maxInferBody caps an inference request body. The body carries only a
+// model name and a class, so anything near the cap is abuse, not input.
+const maxInferBody = 64 << 10
+
 // inferRequest is the request body of the inference endpoints.
 type inferRequest struct {
 	// Model is the Table-I model name; empty picks the endpoint's
@@ -392,8 +397,14 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, task models
 	}
 	var req inferRequest
 	if r.Body != nil {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err.Error() != "EOF" {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+		body := http.MaxBytesReader(w, r.Body, maxInferBody)
+		if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, status, errorResponse{Error: "bad request body: " + err.Error()})
 			return
 		}
 	}

@@ -80,6 +80,25 @@ func TestHTTPTaskMismatchIs400(t *testing.T) {
 	}
 }
 
+func TestHTTPOversizedBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	body := `{"model":"` + strings.Repeat("x", maxInferBody) + `"}`
+	resp, out := postJSON(t, ts.URL+"/v1/classify", body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %v", resp.StatusCode, out)
+	}
+}
+
+func TestHTTPMalformedJSONIs400(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	for _, body := range []string{`{`, `{"model":`, `not json`, `{"model":42}`, `[]`, `{"class":"x"`} {
+		resp, out := postJSON(t, ts.URL+"/v1/classify", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %q: status %d, want 400: %v", body, resp.StatusCode, out)
+		}
+	}
+}
+
 func TestHTTPNotLoadedIs404(t *testing.T) {
 	// Load only the classifier; a catalog model that is not loaded is
 	// still a 404, with a hint at /v1/models.

@@ -8,6 +8,7 @@ import (
 
 	"aitax/internal/qos"
 	"aitax/internal/sim"
+	"aitax/internal/stats"
 	"aitax/internal/tflite"
 	"aitax/internal/thermal"
 )
@@ -320,6 +321,6 @@ func (r *SimResult) writeDegradation(b *strings.Builder, cfg Config) {
 		sort.Slice(a.latencies, func(i, j int) bool { return a.latencies[i] < a.latencies[j] })
 		fmt.Fprintf(b, "%-13s %8d %8d %8d %9d %8.3f %8.3f\n",
 			qos.Class(c).String(), a.offered, a.served, a.shed, a.rejected,
-			ms(quantileDur(a.latencies, 0.50)), ms(quantileDur(a.latencies, 0.99)))
+			ms(stats.NearestRank(a.latencies, 0.50)), ms(stats.NearestRank(a.latencies, 0.99)))
 	}
 }

@@ -5,26 +5,12 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"aitax/internal/stats"
 )
 
 // ms renders a duration in milliseconds for the report's columns.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// quantileDur is the nearest-rank percentile on a sorted slice, the
-// same rule the telemetry registry uses, so report and -metrics agree.
-func quantileDur(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(float64(len(sorted))*q+0.9999999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
 
 // modelAgg is one model's (or the aggregate's) report row.
 type modelAgg struct {
@@ -118,9 +104,9 @@ func (r *SimResult) Report(cfg Config, rampDesc string) string {
 		"model", "p50", "p90", "p99", "infer", "tax", "tax%")
 	for _, a := range rows {
 		sort.Slice(a.latencies, func(i, j int) bool { return a.latencies[i] < a.latencies[j] })
-		p50 := quantileDur(a.latencies, 0.50)
-		p90 := quantileDur(a.latencies, 0.90)
-		p99 := quantileDur(a.latencies, 0.99)
+		p50 := stats.NearestRank(a.latencies, 0.50)
+		p90 := stats.NearestRank(a.latencies, 0.90)
+		p99 := stats.NearestRank(a.latencies, 0.99)
 		taxPct := 0.0
 		if a.infer+a.tax > 0 {
 			taxPct = 100 * float64(a.tax) / float64(a.infer+a.tax)

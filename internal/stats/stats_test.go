@@ -111,40 +111,84 @@ func TestFromDurations(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1, 2.5, 5, 9.9, -1, 10, 11} {
-		h.Add(x)
+	h := NewHistogram([]float64{2, 4, 6, 8, 10})
+	for _, x := range []float64{0, 1, 2, 2.5, 5, 9.9, -1, 10, 11} {
+		h.Observe(x)
 	}
-	if h.Total != 8 {
-		t.Fatalf("total = %d, want 8", h.Total)
+	if h.Count() != 9 {
+		t.Fatalf("count = %d, want 9", h.Count())
 	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under/over = %d/%d, want 1/2", h.Under, h.Over)
+	// Upper-inclusive buckets: -1, 0, 1, 2 land in (-Inf, 2]; 10 in
+	// (8, 10]; 11 overflows into +Inf.
+	want := []int64{4, 1, 1, 0, 2, 1}
+	for i, c := range h.Counts() {
+		if c != want[i] {
+			t.Fatalf("counts = %v, want %v", h.Counts(), want)
+		}
 	}
-	sum := 0
-	for _, c := range h.Counts {
-		sum += c
+	if h.Min() != -1 || h.Max() != 11 {
+		t.Fatalf("min/max = %g/%g, want -1/11", h.Min(), h.Max())
 	}
-	if sum != 5 {
-		t.Fatalf("binned = %d, want 5", sum)
-	}
-	if h.Counts[0] != 2 { // 0 and 1
-		t.Fatalf("bin0 = %d, want 2", h.Counts[0])
+	if q := h.Quantile(1); q != 11 {
+		t.Fatalf("q1 = %g, want the observed max", q)
 	}
 }
 
 func TestHistogramOfCoversAll(t *testing.T) {
 	s := FromFloats([]float64{1, 2, 3, 4, 5})
 	h := HistogramOf(s, 4)
-	sum := h.Under + h.Over
-	for _, c := range h.Counts {
-		sum += c
+	if len(h.Counts()) != 4+1 {
+		t.Fatalf("counts = %v, want 4 equal-width buckets plus overflow", h.Counts())
 	}
-	if sum != 5 || h.Under != 0 || h.Over != 0 {
-		t.Fatalf("histogram lost observations: under=%d over=%d", h.Under, h.Over)
+	var binned int64
+	for _, c := range h.Counts()[:4] {
+		binned += c
 	}
-	if h.Render(20) == "" {
-		t.Fatal("render must produce output")
+	if binned != 5 || h.Counts()[4] != 0 {
+		t.Fatalf("histogram lost observations: counts %v", h.Counts())
+	}
+	got := h.Render(4)
+	want := "      1.00 | #### 2\n" +
+		"      2.00 | ##   1\n" +
+		"      3.00 | ##   1\n" +
+		"      4.00 | ##   1\n"
+	if got != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func TestRenderShowsNonEmptyOverflow(t *testing.T) {
+	h := NewHistogram([]float64{1})
+	h.Observe(0.5)
+	h.Observe(3)
+	if got, want := h.Render(2), "      0.50 | ## 1\n      1.00 | ## 1\n"; got != want {
+		t.Fatalf("render = %q, want %q", got, want)
+	}
+}
+
+func TestNearestRank(t *testing.T) {
+	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, tc := range []struct{ q, want float64 }{
+		{0, 1}, {0.1, 1}, {0.11, 2}, {0.5, 5}, {0.9, 9}, {0.99, 10}, {1, 10},
+	} {
+		if got := NearestRank(xs, tc.q); got != tc.want {
+			t.Errorf("NearestRank(q=%g) = %g, want %g", tc.q, got, tc.want)
+		}
+	}
+	if got := NearestRank([]time.Duration(nil), 0.5); got != 0 {
+		t.Fatalf("empty = %v, want 0", got)
+	}
+	// ceil(q·n) picks the same index as the q·n+0.9999999 formula the
+	// serving and brownout goldens were recorded with, at every
+	// reported quantile.
+	for n := 1; n <= 5000; n++ {
+		for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 0.999} {
+			legacy := int64(float64(n)*q+0.9999999) - 1
+			legacy = min(max(legacy, 0), int64(n)-1)
+			if got := rank(q, int64(n)) - 1; got != legacy {
+				t.Fatalf("n=%d q=%g: index %d, legacy %d", n, q, got, legacy)
+			}
+		}
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 // WritePrometheus renders the registry in the Prometheus text
 // exposition format: counters, then gauges, then histograms (with
 // cumulative _bucket rows over the fixed bounds, _sum and _count), each
-// histogram followed by exact p50/p90/p99 gauges suffixed _p50/_p90/
-// _p99. Series are sorted by name, so output is byte-stable.
+// histogram followed by p50/p90/p99 gauges suffixed _p50/_p90/_p99 —
+// exact nearest-rank in exact mode, bucket-interpolated estimates for
+// streaming series. Series are sorted by name, so output is byte-stable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -27,26 +28,27 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			lastType = base
 		}
 	}
-	for _, k := range sortedKeysF(r.counters) {
+	for _, k := range sortedKeys(r.counters) {
 		emitType(baseName(k), "counter")
 		fmt.Fprintf(bw, "%s %s\n", k, formatFloat(r.counters[k]))
 	}
-	for _, k := range sortedKeysF(r.gauges) {
+	for _, k := range sortedKeys(r.gauges) {
 		emitType(baseName(k), "gauge")
 		fmt.Fprintf(bw, "%s %s\n", k, formatFloat(r.gauges[k]))
 	}
-	for _, k := range sortedKeysH(r.hists) {
+	for _, k := range sortedKeys(r.hists) {
 		h := r.hists[k]
 		emitType(baseName(k), "histogram")
+		counts := h.hist.Counts()
 		cum := int64(0)
 		for i, ub := range DefaultBuckets {
-			cum += h.counts[i]
+			cum += counts[i]
 			fmt.Fprintf(bw, "%s %d\n", spliceLabel(k, "_bucket", "le", formatFloat(ub)), cum)
 		}
-		cum += h.counts[len(DefaultBuckets)]
+		cum += counts[len(DefaultBuckets)]
 		fmt.Fprintf(bw, "%s %d\n", spliceLabel(k, "_bucket", "le", "+Inf"), cum)
-		fmt.Fprintf(bw, "%s %s\n", suffixed(k, "_sum"), formatFloat(h.sum))
-		fmt.Fprintf(bw, "%s %d\n", suffixed(k, "_count"), h.count)
+		fmt.Fprintf(bw, "%s %s\n", suffixed(k, "_sum"), formatFloat(h.hist.Sum()))
+		fmt.Fprintf(bw, "%s %d\n", suffixed(k, "_count"), h.hist.Count())
 		for _, q := range []struct {
 			suffix string
 			q      float64
@@ -103,20 +105,20 @@ func (r *Registry) Snapshot() RegistryJSON {
 	}
 	for k, h := range r.hists {
 		hj := HistogramJSON{
-			Count:   h.count,
-			Sum:     h.sum,
+			Count:   h.hist.Count(),
+			Sum:     h.hist.Sum(),
+			Min:     h.hist.Min(),
+			Max:     h.hist.Max(),
 			P50:     h.quantile(0.5),
 			P90:     h.quantile(0.9),
 			P99:     h.quantile(0.99),
 			Buckets: map[string]int64{},
 		}
-		if h.count > 0 {
-			hj.Min, hj.Max = h.min, h.max
-		}
+		counts := h.hist.Counts()
 		for i, ub := range DefaultBuckets {
-			hj.Buckets["le:"+formatFloat(ub)] = h.counts[i]
+			hj.Buckets["le:"+formatFloat(ub)] = counts[i]
 		}
-		hj.Buckets["le:+Inf"] = h.counts[len(DefaultBuckets)]
+		hj.Buckets["le:+Inf"] = counts[len(DefaultBuckets)]
 		out.Histograms[k] = hj
 	}
 	return out

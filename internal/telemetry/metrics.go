@@ -1,137 +1,59 @@
 package telemetry
 
 import (
-	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+
+	"aitax/internal/stats"
 )
 
 // DefaultBuckets are the fixed histogram bucket upper bounds, in the
 // unit the metric is observed in (milliseconds for every latency metric
 // in this repository). Fixed buckets keep exported bucket rows stable
-// across runs; exact percentiles come from the retained observations,
-// not from bucket interpolation.
+// across runs; in exact mode percentiles come from the retained
+// observations, not from bucket interpolation.
 var DefaultBuckets = []float64{
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000,
 }
 
-// histogram is a fixed-bucket histogram. In the default (exact) mode it
-// also retains every observation in insertion order, so quantiles are
-// exact and merges are deterministic. In streaming mode it keeps only
-// the bucket counts plus count/sum/min/max, so memory stays flat no
-// matter how many observations arrive; quantiles degrade to
-// deterministic bucket interpolation.
-type histogram struct {
-	counts []int64 // per DefaultBuckets bound, plus a final +Inf bucket
+// series is one registry histogram: a stats.Histogram over
+// DefaultBuckets and, in exact mode, every observation in insertion
+// order, so quantiles are exact nearest-rank and merges deterministic.
+// In streaming mode only the bucket counts (plus count/sum/min/max) are
+// kept, so memory stays flat no matter how many observations arrive;
+// quantiles degrade to deterministic bucket interpolation.
+type series struct {
+	hist   *stats.Histogram
 	values []float64
-	count  int64
-	sum    float64
-	min    float64
-	max    float64
 	// streaming disables observation retention (see Registry streaming
-	// mode). A histogram also turns streaming when merged from a
-	// streaming source: the raw values no longer exist to retain.
+	// mode). A series also turns streaming when merged from a streaming
+	// source: the raw values no longer exist to retain.
 	streaming bool
 }
 
-func newHistogram(streaming bool) *histogram {
-	return &histogram{counts: make([]int64, len(DefaultBuckets)+1), streaming: streaming}
-}
-
-func (h *histogram) observe(v float64) {
-	if !h.streaming {
-		h.values = append(h.values, v)
+func (s *series) observe(v float64) {
+	if !s.streaming {
+		s.values = append(s.values, v)
 	}
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	for i, ub := range DefaultBuckets {
-		if v <= ub {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(DefaultBuckets)]++
+	s.hist.Observe(v)
 }
 
 // quantile returns the q-quantile (q in [0,1]): exact nearest-rank when
 // the observations are retained, bucket-interpolated otherwise.
-func (h *histogram) quantile(q float64) float64 {
-	if h.streaming {
-		return QuantileFromBuckets(DefaultBuckets, h.counts, h.count, h.min, h.max, q)
+func (s *series) quantile(q float64) float64 {
+	if s.streaming {
+		return s.hist.Quantile(q)
 	}
-	n := len(h.values)
-	if n == 0 {
-		return 0
-	}
-	sorted := make([]float64, n)
-	copy(sorted, h.values)
+	sorted := append([]float64(nil), s.values...)
 	sort.Float64s(sorted)
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return sorted[idx]
-}
-
-// QuantileFromBuckets estimates the q-quantile of a fixed-bucket
-// histogram by linear interpolation inside the bucket holding the
-// nearest-rank observation. bounds are the bucket upper bounds; counts
-// has len(bounds)+1 entries (the last is the +Inf overflow bucket);
-// total is the observation count and min/max the observed extremes,
-// which clamp the estimate so it never leaves the observed range. The
-// estimate is a pure function of its inputs, so merged histograms
-// report identical quantiles regardless of merge order.
-func QuantileFromBuckets(bounds []float64, counts []int64, total int64, min, max float64, q float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum int64
-	for i, n := range counts {
-		if n == 0 {
-			continue
-		}
-		cum += n
-		if cum < rank {
-			continue
-		}
-		lo := min
-		if i > 0 && bounds[i-1] > lo {
-			lo = bounds[i-1]
-		}
-		hi := max
-		if i < len(bounds) && bounds[i] < hi {
-			hi = bounds[i]
-		}
-		if hi < lo {
-			hi = lo
-		}
-		// Position of the rank within this bucket's occupants.
-		frac := float64(rank-(cum-n)) / float64(n)
-		return lo + (hi-lo)*frac
-	}
-	return max
+	return stats.NearestRank(sorted, q)
 }
 
 // Registry is a deterministic metrics store: counters, gauges, and
-// fixed-bucket histograms with exact percentiles. Metric keys are full
+// fixed-bucket histograms with exact (or, in streaming mode,
+// bucket-interpolated) percentiles. Metric keys are full
 // series names, labels included — use Labeled to build them. All
 // methods are safe on a nil *Registry (they no-op / return zero), so
 // instrumented code records unconditionally. The registry is safe for
@@ -142,7 +64,7 @@ type Registry struct {
 	streaming bool
 	counters  map[string]float64
 	gauges    map[string]float64
-	hists     map[string]*histogram
+	hists     map[string]*series
 }
 
 // NewRegistry returns an empty registry in exact mode: histograms
@@ -152,7 +74,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]float64),
 		gauges:   make(map[string]float64),
-		hists:    make(map[string]*histogram),
+		hists:    make(map[string]*series),
 	}
 }
 
@@ -277,12 +199,7 @@ func (r *Registry) Observe(name string, v float64) {
 		return
 	}
 	r.mu.Lock()
-	h := r.hists[name]
-	if h == nil {
-		h = newHistogram(r.streaming)
-		r.hists[name] = h
-	}
-	h.observe(v)
+	r.seriesLocked(name).observe(v)
 	r.mu.Unlock()
 }
 
@@ -295,10 +212,19 @@ func (r *Registry) TouchHistogram(name string) {
 		return
 	}
 	r.mu.Lock()
-	if r.hists[name] == nil {
-		r.hists[name] = newHistogram(r.streaming)
-	}
+	r.seriesLocked(name)
 	r.mu.Unlock()
+}
+
+// seriesLocked returns the named histogram, creating it in the
+// registry's mode if absent. Caller holds r.mu.
+func (r *Registry) seriesLocked(name string) *series {
+	s := r.hists[name]
+	if s == nil {
+		s = &series{hist: stats.NewHistogram(DefaultBuckets), streaming: r.streaming}
+		r.hists[name] = s
+	}
+	return s
 }
 
 // Counter returns a counter's value (0 when absent or on nil).
@@ -332,7 +258,7 @@ func (r *Registry) Count(name string) int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count
+	return h.hist.Count()
 }
 
 // Sum returns a histogram's observation sum (0 when absent or on nil).
@@ -346,11 +272,11 @@ func (r *Registry) Sum(name string) float64 {
 	if h == nil {
 		return 0
 	}
-	return h.sum
+	return h.hist.Sum()
 }
 
-// Quantile returns the exact nearest-rank quantile of a histogram
-// (0 when absent or empty).
+// Quantile returns a histogram's q-quantile: exact nearest-rank, or
+// bucket-interpolated for a streaming series (0 when absent or empty).
 func (r *Registry) Quantile(name string, q float64) float64 {
 	if r == nil {
 		return 0
@@ -371,7 +297,7 @@ func (r *Registry) CounterNames() []string {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return sortedKeysF(r.counters)
+	return sortedKeys(r.counters)
 }
 
 // HistogramNames returns the histogram series names, sorted.
@@ -381,7 +307,7 @@ func (r *Registry) HistogramNames() []string {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return sortedKeysH(r.hists)
+	return sortedKeys(r.hists)
 }
 
 // Merge folds other into r: counters add, gauges take other's value,
@@ -402,54 +328,26 @@ func (r *Registry) Merge(other *Registry) {
 	defer other.mu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, k := range sortedKeysF(other.counters) {
+	for _, k := range sortedKeys(other.counters) {
 		r.counters[k] += other.counters[k]
 	}
-	for _, k := range sortedKeysF(other.gauges) {
+	for _, k := range sortedKeys(other.gauges) {
 		r.gauges[k] = other.gauges[k]
 	}
-	for _, k := range sortedKeysH(other.hists) {
-		oh := other.hists[k]
-		h := r.hists[k]
-		if h == nil {
-			h = newHistogram(r.streaming)
-			r.hists[k] = h
-		}
-		if oh.streaming && !h.streaming {
-			h.streaming = true
-			h.values = nil
-		}
+	for _, k := range sortedKeys(other.hists) {
+		oh, h := other.hists[k], r.seriesLocked(k)
+		h.streaming = h.streaming || oh.streaming
 		if h.streaming {
 			h.values = nil
 		} else {
 			h.values = append(h.values, oh.values...)
 		}
-		if oh.count > 0 {
-			if h.count == 0 || oh.min < h.min {
-				h.min = oh.min
-			}
-			if h.count == 0 || oh.max > h.max {
-				h.max = oh.max
-			}
-		}
-		h.count += oh.count
-		h.sum += oh.sum
-		for i := range oh.counts {
-			h.counts[i] += oh.counts[i]
-		}
+		h.hist.Merge(oh.hist)
 	}
 }
 
-func sortedKeysF(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysH(m map[string]*histogram) []string {
+// sortedKeys returns a map's keys, sorted.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -33,8 +33,10 @@ bench:
 
 # Packages covered by the CI benchmark gates (the root package carries
 # the pixel kernels and the cold-path benchmarks — ColdStart, DriverFix,
-# DVFSRamp — that the arena work is locked in by).
-BENCH_PKGS = . ./internal/benchfmt/ ./internal/par/ ./internal/obs/ ./internal/qos/ ./internal/telemetry/ ./internal/plan/ ./internal/fleet/
+# DVFSRamp — that the arena work is locked in by). internal/sim and
+# internal/capture are not in the baseline, so their entries are listed
+# but not gated; their AllocsPerRun tests pin the zero-alloc paths.
+BENCH_PKGS = . ./internal/benchfmt/ ./internal/par/ ./internal/obs/ ./internal/qos/ ./internal/telemetry/ ./internal/plan/ ./internal/fleet/ ./internal/sim/ ./internal/capture/
 BENCH_BASELINE ?= BENCH_2026-08-08_fleet.json
 
 # Quick allocation/regression smoke: one iteration per benchmark, parsed

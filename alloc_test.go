@@ -85,6 +85,13 @@ func TestInPlaceKernelsDoNotAllocate(t *testing.T) {
 	}
 	for _, c := range cases {
 		c.fn() // reach steady state: first call may size buffers
+		if raceEnabled {
+			// Race mode drops sync.Pool items at random, so a pooled
+			// kernel's refills show up as allocations. The call above
+			// gives the kernel race coverage; the non-race run pins the
+			// exact count.
+			continue
+		}
 		n := testing.AllocsPerRun(50, c.fn)
 		if n != 0 {
 			// A GC cycle landing inside the measurement window empties the

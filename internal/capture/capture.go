@@ -8,6 +8,7 @@
 package capture
 
 import (
+	"sync"
 	"time"
 
 	"aitax/internal/imaging"
@@ -17,6 +18,8 @@ import (
 
 // Frame is one delivered camera frame.
 type Frame struct {
+	// Image is read-only: without Synthesize it is a preview frame
+	// shared by every camera of the same resolution.
 	Image       *imaging.YUVImage
 	Seq         int
 	DeliveredAt sim.Time
@@ -46,7 +49,7 @@ type Camera struct {
 	// fast default for long experiments).
 	Synthesize bool
 
-	pool    []*imaging.YUVImage
+	pool    []*imaging.YUVImage // shared and read-only: see previewFrames
 	scratch []*imaging.YUVImage // ring reused by the Synthesize path
 	seq     int
 }
@@ -66,12 +69,46 @@ func NewCamera(eng *sim.Engine, rng *sim.RNG, width, height int) *Camera {
 		Readout:  3 * time.Millisecond,
 		JitterCV: 0.18,
 	}
-	// Pregenerate a pool of distinct frames so long runs do not spend
-	// host time on procedural content.
-	for i := 0; i < 4; i++ {
-		c.pool = append(c.pool, imaging.SyntheticFrame(c.Width, c.Height, uint64(1000+i)))
-	}
+	c.pool = previewFrames(c.Width, c.Height)
 	return c
+}
+
+// previewPoolSize is the number of distinct pregenerated preview frames.
+const previewPoolSize = 4
+
+// previewPool holds the pregenerated frames of one preview resolution.
+type previewPool struct {
+	once   sync.Once
+	frames []*imaging.YUVImage
+}
+
+// previewPools maps a [width, height] pair to its *previewPool.
+var previewPools sync.Map
+
+// previewFrames returns the pregenerated preview frames for a width x
+// height camera, painting them on first use. The frames are a pure
+// function of the resolution, so every camera of that size in the
+// process shares one set and long runs spend no host time on
+// procedural content.
+//
+// The frames are read-only: delivered images are only ever read (by
+// ConvertFrame and ConvertFrameInto), and the slice is capped so an
+// append cannot write into the shared backing array.
+func previewFrames(width, height int) []*imaging.YUVImage {
+	key := [2]int{width, height}
+	v, ok := previewPools.Load(key)
+	if !ok {
+		v, _ = previewPools.LoadOrStore(key, new(previewPool))
+	}
+	p := v.(*previewPool)
+	p.once.Do(func() {
+		frames := make([]*imaging.YUVImage, previewPoolSize)
+		for i := range frames {
+			frames[i] = imaging.SyntheticFrame(width, height, uint64(1000+i))
+		}
+		p.frames = frames
+	})
+	return p.frames[:previewPoolSize:previewPoolSize]
 }
 
 // FrameBytes returns the NV21 frame size.

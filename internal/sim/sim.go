@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -54,24 +53,61 @@ type EventID struct {
 	gen uint32
 }
 
+// eventQueue is a binary min-heap ordered by (at, seq). seq is unique,
+// so the order is total and the pop sequence is fully determined. The
+// heap is typed rather than built on container/heap, whose interface
+// dispatch on every comparison and move dominated the engine's host cost.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// before reports whether a fires ahead of b.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+func (q *eventQueue) push(ev *event) {
+	h := append(*q, ev)
+	// Sift the hole at the new leaf up to ev's place.
+	j := len(h) - 1
+	for j > 0 {
+		p := (j - 1) / 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[j] = h[p]
+		j = p
+	}
+	h[j] = ev
+	*q = h
+}
+
+// pop removes and returns the earliest event. The queue must be non-empty.
+func (q *eventQueue) pop() *event {
+	h := *q
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		// Sift the hole at the root down to last's place.
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // Engine is a discrete-event simulator. It is not safe for concurrent use;
@@ -112,7 +148,7 @@ func (e *Engine) Schedule(at Time, fn func()) EventID {
 		ev = &event{at: at, seq: e.seq, fn: fn}
 	}
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return EventID{ev: ev, gen: ev.gen}
 }
 
@@ -145,7 +181,7 @@ func (e *Engine) Cancel(id EventID) {
 // Step fires the next pending event. It reports whether an event fired.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
+		ev := e.queue.pop()
 		if ev.dead {
 			e.recycle(ev)
 			continue
@@ -182,7 +218,7 @@ func (e *Engine) RunUntil(t Time) {
 		// Peek.
 		next := e.queue[0]
 		if next.dead {
-			e.recycle(heap.Pop(&e.queue).(*event))
+			e.recycle(e.queue.pop())
 			continue
 		}
 		if next.at > t {
@@ -215,7 +251,15 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []*resWaiter
+	// waiters[whead:] are the queued requests. Serving advances whead;
+	// Acquire slides the queue to the front of the backing array instead
+	// of growing it while at least half the array is served entries, so
+	// the array is recycled and stays proportional to the longest backlog.
+	waiters []resWaiter
+	whead   int
+	// free holds idle service slots. At most capacity slots exist, each
+	// with its completion callback built once.
+	free []*resSlot
 
 	// Accounting.
 	busyTime    Duration // total slot-seconds of service completed
@@ -229,6 +273,13 @@ type Resource struct {
 type resWaiter struct {
 	hold  Duration
 	ready func(start, end Time)
+}
+
+// resSlot is one request in service.
+type resSlot struct {
+	resWaiter
+	start, end Time
+	done       func()
 }
 
 // NewResource creates a resource with the given parallel capacity.
@@ -249,13 +300,13 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of waiting requests.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return len(r.waiters) - r.whead }
 
 func (r *Resource) account() {
 	now := r.eng.Now()
 	dt := float64(now.Sub(r.lastChange))
 	r.utilAccum += dt * float64(r.inUse) / float64(r.capacity)
-	r.totalQueued += Duration(dt * float64(len(r.waiters)))
+	r.totalQueued += Duration(dt * float64(r.QueueLen()))
 	r.lastChange = now
 }
 
@@ -267,32 +318,55 @@ func (r *Resource) Acquire(hold Duration, ready func(start, end Time)) {
 		panic("sim: negative hold")
 	}
 	r.account()
-	w := &resWaiter{hold: hold, ready: ready}
-	r.waiters = append(r.waiters, w)
-	if len(r.waiters) > r.queuedPeak {
-		r.queuedPeak = len(r.waiters)
+	if len(r.waiters) == cap(r.waiters) && r.whead >= len(r.waiters)/2 {
+		n := copy(r.waiters, r.waiters[r.whead:])
+		clear(r.waiters[n:])
+		r.waiters = r.waiters[:n]
+		r.whead = 0
+	}
+	r.waiters = append(r.waiters, resWaiter{hold: hold, ready: ready})
+	if q := r.QueueLen(); q > r.queuedPeak {
+		r.queuedPeak = q
 	}
 	r.pump()
 }
 
 func (r *Resource) pump() {
-	for r.inUse < r.capacity && len(r.waiters) > 0 {
-		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
+	for r.inUse < r.capacity && r.whead < len(r.waiters) {
+		w := r.waiters[r.whead]
+		r.waiters[r.whead] = resWaiter{} // release the closure
+		r.whead++
 		r.inUse++
-		start := r.eng.Now()
-		end := start.Add(w.hold)
-		r.eng.Schedule(end, func() {
-			r.account()
-			r.inUse--
-			r.busyTime += w.hold
-			r.served++
-			if w.ready != nil {
-				w.ready(start, end)
-			}
-			r.pump()
-		})
+		var s *resSlot
+		if n := len(r.free); n > 0 {
+			s = r.free[n-1]
+			r.free = r.free[:n-1]
+		} else {
+			s = &resSlot{}
+			s.done = func() { r.finish(s) }
+		}
+		s.resWaiter = w
+		s.start = r.eng.Now()
+		s.end = s.start.Add(w.hold)
+		r.eng.Schedule(s.end, s.done)
 	}
+}
+
+// finish completes the request in service on s.
+func (r *Resource) finish(s *resSlot) {
+	r.account()
+	r.inUse--
+	r.busyTime += s.hold
+	r.served++
+	// Free the slot before ready runs: a re-entrant Acquire may reuse
+	// it, so ready gets copies of the slot's state.
+	ready, start, end := s.ready, s.start, s.end
+	s.ready = nil
+	r.free = append(r.free, s)
+	if ready != nil {
+		ready(start, end)
+	}
+	r.pump()
 }
 
 // Utilization returns the time-averaged fraction of capacity in use from

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -412,5 +413,269 @@ func TestZeroSeedRemapped(t *testing.T) {
 	a, b := NewRNG(0), NewRNG(0)
 	if a.Uint64() != b.Uint64() {
 		t.Fatal("zero seed must be deterministic")
+	}
+}
+
+// TestResourceScriptedScenario pins the exact service schedule and
+// accounting of a capacity-2 resource through a zero-hold request, a
+// queued backlog, a re-entrant Acquire from inside a ready callback and
+// a late arrival after an idle gap.
+func TestResourceScriptedScenario(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "dsp", 2)
+	type span struct{ start, end Time }
+	got := map[string]span{}
+	var order []string
+	rec := func(name string) func(start, end Time) {
+		return func(start, end Time) {
+			got[name] = span{start, end}
+			order = append(order, name)
+		}
+	}
+	r.Acquire(100, rec("A"))
+	r.Acquire(0, rec("B"))
+	r.Acquire(50, rec("C"))
+	r.Acquire(30, func(start, end Time) {
+		rec("D")(start, end)
+		// Re-entrant: D's slot was released before ready ran, so E
+		// enters service at once.
+		r.Acquire(20, rec("E"))
+		if r.InUse() != 2 {
+			t.Errorf("in use after re-entrant Acquire = %d, want 2", r.InUse())
+		}
+	})
+	if r.QueueLen() != 2 || r.InUse() != 2 {
+		t.Fatalf("after submit: queue %d in use %d, want 2 and 2", r.QueueLen(), r.InUse())
+	}
+	e.Schedule(150, func() { r.Acquire(10, rec("F")) })
+	e.Run()
+
+	want := map[string]span{
+		"A": {0, 100}, "B": {0, 0}, "C": {0, 50},
+		"D": {50, 80}, "E": {80, 100}, "F": {150, 160},
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s served %v, want %v", name, got[name], w)
+		}
+	}
+	wantOrder := []string{"B", "C", "D", "A", "E", "F"}
+	for i, name := range wantOrder {
+		if i >= len(order) || order[i] != name {
+			t.Fatalf("completion order %v, want %v", order, wantOrder)
+		}
+	}
+	if r.Served() != 6 {
+		t.Errorf("served = %d, want 6", r.Served())
+	}
+	if r.BusyTime() != 210 {
+		t.Errorf("busy = %v, want 210ns", r.BusyTime())
+	}
+	if r.QueuePeak() != 2 {
+		t.Errorf("queue peak = %d, want 2", r.QueuePeak())
+	}
+	if r.QueueLen() != 0 || r.InUse() != 0 {
+		t.Errorf("after run: queue %d in use %d, want 0 and 0", r.QueueLen(), r.InUse())
+	}
+	// Two slots busy over [0,100), one over [150,160): 105/160.
+	if u := r.Utilization(); u != 105.0/160 {
+		t.Errorf("utilization = %v, want %v", u, 105.0/160)
+	}
+	// D waited over [0,50): 50/160.
+	if q := r.MeanQueueLen(); q != 50.0/160 {
+		t.Errorf("mean queue = %v, want %v", q, 50.0/160)
+	}
+}
+
+// TestEngineOrderMatchesStableSort drives the engine with a random
+// interleaving of Schedule (many at equal times, some from inside
+// firing events), Cancel (including stale IDs whose event already fired
+// and was recycled), Step and RunUntil, and checks every firing against
+// a reference: the pending events in scheduling order, stably sorted by
+// time, which is the (at, seq) order the heap must reproduce.
+func TestEngineOrderMatchesStableSort(t *testing.T) {
+	type refEvent struct {
+		at         Time
+		tag        int
+		dead, done bool
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := NewRNG(seed)
+		e := NewEngine()
+		var (
+			ids     []EventID
+			issued  []*refEvent // by tag
+			pending []*refEvent // reference queue, in scheduling order
+			fired   []int       // tags in engine firing order
+			want    []int       // tags in reference order
+			refNow  Time
+		)
+		var schedule func(at Time)
+		schedule = func(at Time) {
+			tag := len(ids)
+			ids = append(ids, e.Schedule(at, func() {
+				fired = append(fired, tag)
+				if tag%4 == 0 {
+					schedule(e.Now().Add(Duration(rng.Intn(3))))
+				}
+			}))
+			ev := &refEvent{at: at, tag: tag}
+			issued = append(issued, ev)
+			pending = append(pending, ev)
+		}
+		// refPeek returns the reference's next live event, or nil when
+		// none remains.
+		refPeek := func() *refEvent {
+			sort.SliceStable(pending, func(i, j int) bool { return pending[i].at < pending[j].at })
+			for len(pending) > 0 && pending[0].dead {
+				pending = pending[1:]
+			}
+			if len(pending) == 0 {
+				return nil
+			}
+			return pending[0]
+		}
+		refFire := func(ev *refEvent) {
+			pending = pending[1:]
+			ev.done = true
+			refNow = ev.at
+			want = append(want, ev.tag)
+		}
+		for op := 0; op < 400; op++ {
+			switch k := rng.Intn(20); {
+			case k < 9:
+				schedule(e.Now().Add(Duration(rng.Intn(4))))
+			case k < 12:
+				if len(ids) > 0 {
+					i := rng.Intn(len(ids))
+					e.Cancel(ids[i])
+					if !issued[i].done {
+						issued[i].dead = true
+					}
+				}
+			case k < 17:
+				stepped := e.Step()
+				ev := refPeek()
+				if stepped != (ev != nil) {
+					t.Fatalf("seed %d op %d: Step = %v, reference has next %v", seed, op, stepped, ev != nil)
+				}
+				if ev != nil {
+					refFire(ev)
+				}
+			default:
+				until := e.Now().Add(Duration(rng.Intn(6)))
+				e.RunUntil(until)
+				for ev := refPeek(); ev != nil && ev.at <= until; ev = refPeek() {
+					refFire(ev)
+				}
+				if refNow < until {
+					refNow = until
+				}
+			}
+			if len(fired) != len(want) {
+				t.Fatalf("seed %d op %d: fired %v, reference %v", seed, op, fired, want)
+			}
+			for i := range want {
+				if fired[i] != want[i] {
+					t.Fatalf("seed %d op %d: fired %v, reference %v", seed, op, fired, want)
+				}
+			}
+			if e.Now() != refNow {
+				t.Fatalf("seed %d op %d: now %v, reference %v", seed, op, e.Now(), refNow)
+			}
+			live := 0
+			for _, ev := range pending {
+				if !ev.dead {
+					live++
+				}
+			}
+			if e.Pending() != live {
+				t.Fatalf("seed %d op %d: pending %d, reference %d", seed, op, e.Pending(), live)
+			}
+		}
+	}
+}
+
+func TestEngineStepDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 16; i++ {
+		e.After(Duration(i), fn)
+	}
+	e.Run()
+	if n := testing.AllocsPerRun(1000, func() {
+		e.After(3, fn)
+		e.Step()
+	}); n != 0 {
+		t.Fatalf("steady-state After+Step allocates %v, want 0", n)
+	}
+}
+
+func TestResourceAcquireDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "dsp", 2)
+	ready := func(start, end Time) {}
+	burst := func() {
+		for i := 0; i < 5; i++ {
+			r.Acquire(Duration(10+i), ready)
+		}
+		e.Run()
+	}
+	burst()
+	if n := testing.AllocsPerRun(100, burst); n != 0 {
+		t.Fatalf("steady-state Acquire allocates %v per burst of 5, want 0", n)
+	}
+}
+
+// BenchmarkEngineStep measures one schedule-and-fire on an engine that
+// keeps 64 events pending, the depth of a busy per-frame simulation.
+func BenchmarkEngineStep(b *testing.B) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.After(Duration(i*7), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(Duration(i%97), fn)
+		e.Step()
+	}
+}
+
+// BenchmarkResourceAcquire measures one request through a contended
+// capacity-1 resource: enqueue, service, completion callback.
+func BenchmarkResourceAcquire(b *testing.B) {
+	e := NewEngine()
+	r := NewResource(e, "dsp", 1)
+	ready := func(start, end Time) {}
+	for i := 0; i < 4; i++ {
+		r.Acquire(10, ready)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Acquire(10, ready)
+		e.Step()
+	}
+}
+
+// A resource whose backlog never drains must not grow its waiter array
+// with the number of requests served.
+func TestResourceBacklogArrayBounded(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "dsp", 1)
+	for i := 0; i < 4; i++ {
+		r.Acquire(10, nil)
+	}
+	for i := 0; i < 10000; i++ {
+		r.Acquire(10, nil)
+		e.Step()
+	}
+	if r.QueueLen() != 3 {
+		t.Fatalf("queue = %d, want 3", r.QueueLen())
+	}
+	if c := cap(r.waiters); c > 16 {
+		t.Fatalf("waiter array cap = %d after 10000 requests at backlog 3", c)
 	}
 }

@@ -30,7 +30,6 @@ package aitax
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"aitax/internal/app"
 	"aitax/internal/bench"
@@ -39,7 +38,6 @@ import (
 	"aitax/internal/faults"
 	"aitax/internal/lab"
 	"aitax/internal/models"
-	"aitax/internal/nnapi"
 	"aitax/internal/sim"
 	"aitax/internal/snpe"
 	"aitax/internal/soc"
@@ -57,8 +55,6 @@ type (
 	Model = models.Model
 	// Task is the model's ML task category.
 	Task = models.Task
-	// Support is the Table-I framework/precision support matrix.
-	Support = models.Support
 )
 
 // Typed lookup failures. The lookup helpers wrap these sentinels, so
@@ -85,13 +81,8 @@ func ModelByName(name string) (*Model, error) { return models.ByName(name) }
 // ModelNames lists the zoo's names in Table-I order.
 func ModelNames() []string { return models.Names() }
 
-// Platforms (paper Table II).
-type (
-	// SoC is one simulated hardware platform.
-	SoC = soc.SoC
-	// Device is one compute unit on a platform.
-	Device = soc.Device
-)
+// SoC is one simulated hardware platform (paper Table II).
+type SoC = soc.SoC
 
 // Platforms returns the four Table-II platforms.
 func Platforms() []*SoC { return soc.Platforms() }
@@ -109,7 +100,6 @@ type DType = tensor.DType
 // Element type constants.
 const (
 	Float32 = tensor.Float32
-	Int8    = tensor.Int8
 	UInt8   = tensor.UInt8
 )
 
@@ -123,8 +113,6 @@ type (
 	InterpreterOptions = tflite.Options
 	// Delegate selects the execution path.
 	Delegate = tflite.Delegate
-	// BenchTool is the TFLite benchmark-utility model.
-	BenchTool = tflite.BenchTool
 	// RunSample is one measured benchmark iteration.
 	RunSample = tflite.RunSample
 	// StdLib selects the C++ standard library the benchmark binary was
@@ -132,22 +120,14 @@ type (
 	StdLib = tflite.StdLib
 	// InvokeReport describes one inference invocation.
 	InvokeReport = tflite.Report
-	// NNAPI is the modeled Android Neural Networks API runtime.
-	NNAPI = nnapi.Framework
-	// SNPE is the modeled vendor (Qualcomm) framework.
-	SNPE = snpe.SDK
 	// SNPERuntime selects an SNPE execution runtime (CPU/GPU/DSP).
 	SNPERuntime = snpe.RuntimeKind
 	// ExecResult describes how a delegate execution spent its time.
 	ExecResult = driver.Result
 )
 
-// SNPE runtime constants.
-const (
-	SNPECPU = snpe.RuntimeCPU
-	SNPEGPU = snpe.RuntimeGPU
-	SNPEDSP = snpe.RuntimeDSP
-)
+// SNPEDSP selects SNPE's Hexagon DSP runtime.
+const SNPEDSP = snpe.RuntimeDSP
 
 // Standard-library constants.
 const (
@@ -167,25 +147,9 @@ const (
 // on the platform.
 func NewStack(platform *SoC, seed uint64) *Runtime { return tflite.NewStack(platform, seed) }
 
-// Application pipeline.
-type (
-	// App is the instrumented Android-application pipeline.
-	App = app.App
-	// AppConfig configures an App.
-	AppConfig = app.Config
-	// FrameStats is one frame's per-stage latency breakdown.
-	FrameStats = app.FrameStats
-	// Background is a set of multi-tenant background inference jobs.
-	Background = workload.Background
-)
-
-// NewApp builds an application on a runtime.
-func NewApp(rt *Runtime, cfg AppConfig) (*App, error) { return app.New(rt, cfg) }
-
-// StartBackground launches background inference jobs (multi-tenancy).
-func StartBackground(rt *Runtime, m *Model, dt DType, d Delegate, count int) (*Background, error) {
-	return workload.Start(rt, m, dt, d, count)
-}
+// FrameStats is one frame of the instrumented Android-application
+// pipeline: its per-stage latency breakdown.
+type FrameStats = app.FrameStats
 
 // AI-tax accounting (paper Fig. 1).
 type (
@@ -245,11 +209,6 @@ type (
 	LabPanicError = lab.PanicError
 )
 
-// ReportSimTime attributes simulated virtual time to the enclosing lab
-// job; outside a lab job it is a no-op. The MeasureApp/MeasureBenchmark
-// context variants call it automatically.
-func ReportSimTime(ctx context.Context, d time.Duration) { lab.ReportSim(ctx, d) }
-
 // Telemetry (pipeline spans, deterministic metrics, Chrome trace).
 type (
 	// Span is one timed region of pipeline work on the virtual clock.
@@ -257,10 +216,6 @@ type (
 	// SpanFlow links two spans across tracks (a FastRPC or GPU
 	// dispatch crossing); Chrome traces render it as a flow arrow.
 	SpanFlow = telemetry.Flow
-	// SpanTrack is the hardware lane a span executes on.
-	SpanTrack = telemetry.Track
-	// SpanAttr is one key/value annotation on a span.
-	SpanAttr = telemetry.Attr
 	// Tracer records spans and flows against a virtual clock.
 	Tracer = telemetry.Tracer
 	// MetricsRegistry is a deterministic counter/gauge/histogram
@@ -273,24 +228,11 @@ type (
 	ChromeTrace = trace.ChromeRecorder
 )
 
-// Span track constants.
-const (
-	TrackCPU = telemetry.TrackCPU
-	TrackDSP = telemetry.TrackDSP
-	TrackGPU = telemetry.TrackGPU
-)
-
 // NewMetricsRegistry creates an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 
 // NewChromeTrace creates an empty Chrome trace-event recorder.
 func NewChromeTrace() *ChromeTrace { return trace.NewChromeRecorder() }
-
-// MergeTelemetryBundles combines bundles deterministically in argument
-// order (span IDs re-based, counters summed, histograms concatenated).
-func MergeTelemetryBundles(bundles ...*TelemetryBundle) *TelemetryBundle {
-	return telemetry.MergeBundles(bundles...)
-}
 
 // ReportTelemetry attaches a telemetry bundle to the enclosing lab job;
 // outside a lab job it is a no-op. MeasureAppTracedCtx calls it

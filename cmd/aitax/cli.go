@@ -1,9 +1,4 @@
-// Package cli holds the flag plumbing the aitax command-line tools
-// share, so every binary registers, parses and validates the common
-// flags identically: the observability exports (-trace, -metrics), the
-// deterministic fault plan (-faults), the lab worker pool (-parallel,
-// -progress), and the dtype/delegate vocabulary.
-package cli
+package main
 
 import (
 	"flag"
@@ -17,10 +12,13 @@ import (
 	"aitax/internal/tflite"
 )
 
-// Common carries the values of the shared flags after parsing. Fields
-// whose flags a command did not register keep their zero value
-// (Parallel defaults to GOMAXPROCS only when registered).
-type Common struct {
+// commonFlags carries the values of the flags the subcommands share, so
+// every subcommand registers, parses and validates them identically: the
+// observability exports (-trace, -metrics), the deterministic fault plan
+// (-faults) and the lab worker pool (-parallel, -progress). Fields whose
+// flags a subcommand did not register keep their zero value (Parallel
+// defaults to GOMAXPROCS only when registered).
+type commonFlags struct {
 	// Trace is the Chrome trace-event JSON output path ("" = off).
 	Trace string
 	// Metrics is the Prometheus-style metrics output path ("" = off).
@@ -33,30 +31,19 @@ type Common struct {
 	Progress bool
 }
 
-// Options selects which shared flags a command registers.
-type Options struct {
-	Trace    bool
-	Metrics  bool
-	Faults   bool
-	Parallel bool
-	Progress bool
-	// TraceAlias registers an extra legacy spelling for -trace writing
-	// the same value (aitax-profile's original -chrome flag).
-	TraceAlias string
+// sharedFlags selects which shared flags a subcommand registers.
+type sharedFlags struct {
+	Trace, Metrics, Faults, Parallel, Progress bool
 }
 
-// Register adds the selected shared flags to fs with their canonical
+// register adds the selected shared flags to fs with their canonical
 // names, descriptions and defaults, and returns the struct their parsed
 // values land in.
-func Register(fs *flag.FlagSet, o Options) *Common {
-	c := &Common{}
+func register(fs *flag.FlagSet, o sharedFlags) *commonFlags {
+	c := &commonFlags{}
 	if o.Trace {
 		fs.StringVar(&c.Trace, "trace",
 			"", "write a Chrome trace-event JSON of the run to this path")
-		if o.TraceAlias != "" {
-			fs.StringVar(&c.Trace, o.TraceAlias,
-				"", "legacy alias for -trace")
-		}
 	}
 	if o.Metrics {
 		fs.StringVar(&c.Metrics, "metrics",
@@ -78,10 +65,18 @@ func Register(fs *flag.FlagSet, o Options) *Common {
 }
 
 // FaultPlan parses the -faults spec. The empty string is the zero plan.
-func (c *Common) FaultPlan() (faults.Plan, error) { return faults.ParsePlan(c.FaultSpec) }
+func (c *commonFlags) FaultPlan() (faults.Plan, error) { return faults.ParsePlan(c.FaultSpec) }
 
-// ParseDType resolves the -dtype vocabulary shared by every command.
-func ParseDType(s string) (tensor.DType, error) {
+// newFlagSet returns the flag set of one subcommand, reporting parse
+// errors and -h usage to stderr.
+func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("aitax "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// parseDType resolves the -dtype vocabulary shared by every subcommand.
+func parseDType(s string) (tensor.DType, error) {
 	switch s {
 	case "fp32", "float32":
 		return tensor.Float32, nil
@@ -92,9 +87,9 @@ func ParseDType(s string) (tensor.DType, error) {
 	}
 }
 
-// ParseDelegate resolves the -delegate vocabulary shared by every
-// command.
-func ParseDelegate(s string) (tflite.Delegate, error) {
+// parseDelegate resolves the -delegate vocabulary shared by every
+// subcommand.
+func parseDelegate(s string) (tflite.Delegate, error) {
 	switch s {
 	case "cpu":
 		return tflite.DelegateCPU, nil
@@ -109,10 +104,10 @@ func ParseDelegate(s string) (tflite.Delegate, error) {
 	}
 }
 
-// WriteFile creates path and streams write into it, closing the file
-// and propagating the first error — the export idiom every command
-// uses for -trace/-metrics outputs.
-func WriteFile(path string, write func(io.Writer) error) error {
+// writeFile creates path and streams write into it, closing the file
+// and propagating the first error — the export idiom every subcommand
+// uses for its output files.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

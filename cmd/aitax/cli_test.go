@@ -1,4 +1,4 @@
-package cli
+package main
 
 import (
 	"flag"
@@ -15,7 +15,7 @@ import (
 
 func TestRegisterSelectsFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	c := Register(fs, Options{Trace: true, Metrics: true, Faults: true, Parallel: true, Progress: true})
+	c := register(fs, sharedFlags{Trace: true, Metrics: true, Faults: true, Parallel: true, Progress: true})
 	if err := fs.Parse([]string{
 		"-trace", "t.json", "-metrics", "m.prom", "-faults", "rpc=0.1", "-parallel", "3", "-progress",
 	}); err != nil {
@@ -34,14 +34,14 @@ func TestRegisterSelectsFlags(t *testing.T) {
 	}
 }
 
-func TestRegisterDefaultsAndAlias(t *testing.T) {
+func TestRegisterDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	c := Register(fs, Options{Trace: true, TraceAlias: "chrome", Parallel: true})
-	if err := fs.Parse([]string{"-chrome", "legacy.json"}); err != nil {
+	c := register(fs, sharedFlags{Trace: true, Parallel: true})
+	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.Trace != "legacy.json" {
-		t.Fatalf("alias did not set Trace: %q", c.Trace)
+	if c.Trace != "" {
+		t.Fatalf("trace default %q, want off", c.Trace)
 	}
 	if c.Parallel != runtime.GOMAXPROCS(0) {
 		t.Fatalf("parallel default %d, want GOMAXPROCS", c.Parallel)
@@ -49,7 +49,7 @@ func TestRegisterDefaultsAndAlias(t *testing.T) {
 	// Unregistered flags stay unknown.
 	fs2 := flag.NewFlagSet("t2", flag.ContinueOnError)
 	fs2.SetOutput(io.Discard)
-	Register(fs2, Options{})
+	register(fs2, sharedFlags{})
 	if err := fs2.Parse([]string{"-trace", "x"}); err == nil {
 		t.Fatal("unregistered -trace parsed")
 	}
@@ -60,32 +60,32 @@ func TestParseDTypeAndDelegate(t *testing.T) {
 		"fp32": tensor.Float32, "float32": tensor.Float32,
 		"int8": tensor.UInt8, "uint8": tensor.UInt8, "quant": tensor.UInt8,
 	} {
-		got, err := ParseDType(s)
+		got, err := parseDType(s)
 		if err != nil || got != want {
-			t.Errorf("ParseDType(%q) = %v, %v", s, got, err)
+			t.Errorf("parseDType(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseDType("bf16"); err == nil {
-		t.Error("ParseDType accepted bf16")
+	if _, err := parseDType("bf16"); err == nil {
+		t.Error("parseDType accepted bf16")
 	}
 	for s, want := range map[string]tflite.Delegate{
 		"cpu": tflite.DelegateCPU, "gpu": tflite.DelegateGPU,
 		"hexagon": tflite.DelegateHexagon, "dsp": tflite.DelegateHexagon,
 		"nnapi": tflite.DelegateNNAPI,
 	} {
-		got, err := ParseDelegate(s)
+		got, err := parseDelegate(s)
 		if err != nil || got != want {
-			t.Errorf("ParseDelegate(%q) = %v, %v", s, got, err)
+			t.Errorf("parseDelegate(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseDelegate("npu"); err == nil {
-		t.Error("ParseDelegate accepted npu")
+	if _, err := parseDelegate("npu"); err == nil {
+		t.Error("parseDelegate accepted npu")
 	}
 }
 
 func TestWriteFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.txt")
-	if err := WriteFile(path, func(w io.Writer) error {
+	if err := writeFile(path, func(w io.Writer) error {
 		_, err := fmt.Fprint(w, "hello")
 		return err
 	}); err != nil {
@@ -95,7 +95,7 @@ func TestWriteFile(t *testing.T) {
 	if err != nil || string(b) != "hello" {
 		t.Fatalf("read %q, %v", b, err)
 	}
-	if err := WriteFile(path, func(io.Writer) error { return fmt.Errorf("boom") }); err == nil {
+	if err := writeFile(path, func(io.Writer) error { return fmt.Errorf("boom") }); err == nil {
 		t.Fatal("write error swallowed")
 	}
 }

@@ -1,49 +1,37 @@
-// Command aitax-experiments regenerates the paper's tables and figures
-// on the simulated platform.
+package main
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"strings"
+
+	"aitax"
+	"aitax/internal/telemetry"
+)
+
+// runExperiments is aitax experiments: it regenerates the paper's tables
+// and figures on the simulated platform.
 //
 // Experiments are independent simulations, so they run concurrently on a
 // worker pool (-parallel, default GOMAXPROCS); results are merged back
 // in paper order, so output is byte-identical at any parallelism.
 //
-// Usage:
-//
-//	aitax-experiments                 # run everything, GOMAXPROCS-wide
-//	aitax-experiments -run fig5       # one experiment
-//	aitax-experiments -list           # list experiment ids
-//	aitax-experiments -parallel 1     # strictly sequential
-//	aitax-experiments -runs 500 -parallel 8 -progress   # paper scale
-//	aitax-experiments -runs 100 -platform "Snapdragon 855" -seed 7
-package main
-
-import (
-	"context"
-	"flag"
-	"fmt"
-	"io"
-	"os"
-	"strings"
-	"time"
-
-	"aitax"
-	"aitax/internal/cli"
-	"aitax/internal/telemetry"
-)
-
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is the testable entry point: flags in, rendered experiments out.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("aitax-experiments", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+//	aitax experiments                 # run everything, GOMAXPROCS-wide
+//	aitax experiments -run fig5       # one experiment
+//	aitax experiments -list           # list experiment ids
+//	aitax experiments -parallel 1     # strictly sequential
+//	aitax experiments -runs 500 -parallel 8 -progress   # paper scale
+//	aitax experiments -runs 100 -platform "Snapdragon 855" -seed 7
+func runExperiments(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("experiments", stderr)
 	runIDs := fs.String("run", "all", "experiment id(s) to run, comma-separated, or 'all'")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	runs := fs.Int("runs", 50, "iterations per configuration (paper: 500)")
 	format := fs.String("format", "text", "output format: text | markdown | csv")
 	platform := fs.String("platform", "Google Pixel 3", "platform name or chipset (Table II)")
 	seed := fs.Uint64("seed", 42, "random seed (0 is a valid seed)")
-	common := cli.Register(fs, cli.Options{
+	common := register(fs, sharedFlags{
 		Trace: true, Metrics: true, Faults: true, Parallel: true, Progress: true,
 	})
 	if err := fs.Parse(args); err != nil {
@@ -59,13 +47,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	p, err := aitax.PlatformByName(*platform)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 	plan, err := common.FaultPlan()
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 	// SeedSet: the flag always carries an explicit value, so -seed 0
 	// really means seed 0.
@@ -78,8 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, id := range strings.Split(*runIDs, ",") {
 			e, err := aitax.ExperimentByID(strings.TrimSpace(id))
 			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
+				return fail(stderr, err)
 			}
 			selected = append(selected, e)
 		}
@@ -131,8 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	if common.Trace != "" || common.Metrics != "" {
 		if err := exportTelemetry(results, common.Trace, common.Metrics, stderr); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return fail(stderr, err)
 		}
 	}
 	if failures > 0 {
@@ -157,10 +141,10 @@ func exportTelemetry(results []aitax.JobResult, tracePath, metricsPath string, s
 			continue
 		}
 		reg.Observe(telemetry.Labeled("aitax_experiment_sim_ms", "id", r.ID),
-			float64(r.Sim)/float64(time.Millisecond))
+			ms(r.Sim))
 	}
 	if metricsPath != "" {
-		if err := cli.WriteFile(metricsPath, reg.WritePrometheus); err != nil {
+		if err := writeFile(metricsPath, reg.WritePrometheus); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "metrics written to %s\n", metricsPath)
@@ -168,7 +152,7 @@ func exportTelemetry(results []aitax.JobResult, tracePath, metricsPath string, s
 	if tracePath != "" {
 		chrome := aitax.NewChromeTrace()
 		chrome.AddTelemetry(bundle.Spans, bundle.Flows)
-		if err := cli.WriteFile(tracePath, chrome.WriteJSON); err != nil {
+		if err := writeFile(tracePath, chrome.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "chrome trace written to %s\n", tracePath)

@@ -1,26 +1,13 @@
 package main
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func TestGoldenTable1(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-run", "table1", "-runs", "5"}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
-	}
-	want, err := os.ReadFile("testdata/table1_runs5.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("output diverged from golden\n--- got ---\n%s\n--- want ---\n%s",
-			out.String(), string(want))
-	}
+	checkGolden(t, runCmd(t, runExperiments, "-run", "table1", "-runs", "5"), "table1_runs5.golden")
 }
 
 // TestGoldenResultsDocs pins the committed reference results — every
@@ -35,15 +22,7 @@ func TestGoldenResultsDocs(t *testing.T) {
 		{"../../docs/RESULTS.md", []string{"-runs", "50", "-format", "markdown"}},
 	} {
 		t.Run(filepath.Base(tc.golden), func(t *testing.T) {
-			var out, errb bytes.Buffer
-			if code := run(tc.args, &out, &errb); code != 0 {
-				t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
-			}
-			want, err := os.ReadFile(tc.golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out.Bytes(), want) {
+			if runCmd(t, runExperiments, tc.args...) != readFile(t, tc.golden) {
 				t.Fatalf("%s diverged from %s; regenerate with `make results` only if the change is intended",
 					strings.Join(tc.args, " "), tc.golden)
 			}
@@ -55,13 +34,8 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	// A mixed subset (static tables, app runs, bench-tool runs) rendered
 	// sequentially and 8-wide must be byte-for-byte identical.
 	render := func(parallel string) string {
-		var out, errb bytes.Buffer
-		args := []string{"-run", "table2,fig5,fig8,coldstart,post",
-			"-runs", "6", "-parallel", parallel}
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("parallel %s: exit %d, stderr:\n%s", parallel, code, errb.String())
-		}
-		return out.String()
+		return runCmd(t, runExperiments, "-run", "table2,fig5,fig8,coldstart,post",
+			"-runs", "6", "-parallel", parallel)
 	}
 	seq, par := render("1"), render("8")
 	if seq != par {
@@ -81,22 +55,15 @@ func TestTelemetryFlagsLeaveStdoutIdenticalAndMergeDeterministically(t *testing.
 		dir := t.TempDir()
 		trace := filepath.Join(dir, "t.json")
 		prom := filepath.Join(dir, "m.prom")
-		var out, errb bytes.Buffer
 		args := append(append([]string{}, base...), extra...)
-		args = append(args, "-trace", trace, "-metrics", prom)
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
-		}
-		return out.String(), readFile(t, trace), readFile(t, prom)
+		out := runCmd(t, runExperiments, append(args, "-trace", trace, "-metrics", prom)...)
+		return out, readFile(t, trace), readFile(t, prom)
 	}
 
-	var plain bytes.Buffer
-	if code := run(base, &plain, &bytes.Buffer{}); code != 0 {
-		t.Fatal("plain run failed")
-	}
+	plain := runCmd(t, runExperiments, base...)
 	outSeq, traceSeq, promSeq := render("-parallel", "1")
 	outPar, tracePar, promPar := render("-parallel", "8")
-	if outSeq != plain.String() || outPar != plain.String() {
+	if outSeq != plain || outPar != plain {
 		t.Fatal("-trace/-metrics changed stdout")
 	}
 	if traceSeq != tracePar {
@@ -112,36 +79,23 @@ func TestTelemetryFlagsLeaveStdoutIdenticalAndMergeDeterministically(t *testing.
 	}
 }
 
-func readFile(t *testing.T, path string) string {
-	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
 func TestListAndErrors(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-list"}, &out, &errb); code != 0 {
-		t.Fatalf("-list exit %d", code)
+	out := runCmd(t, runExperiments, "-list")
+	if !strings.Contains(out, "table1") || !strings.Contains(out, "fig11") {
+		t.Fatalf("-list output:\n%s", out)
 	}
-	if !strings.Contains(out.String(), "table1") || !strings.Contains(out.String(), "fig11") {
-		t.Fatalf("-list output:\n%s", out.String())
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-run", "nope"}, &out, &errb); code != 1 {
+	code, stderr := runCode(runExperiments, "-run", "nope")
+	if code != 1 {
 		t.Fatalf("unknown experiment exit = %d, want 1", code)
 	}
-	if !strings.Contains(errb.String(), "unknown experiment") {
-		t.Fatalf("stderr:\n%s", errb.String())
+	if !strings.Contains(stderr, "unknown experiment") {
+		t.Fatalf("stderr:\n%s", stderr)
 	}
 }
 
 func TestProgressGoesToStderrOnly(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-run", "table2", "-runs", "3", "-progress"}, &out, &errb); code != 0 {
+	var out, errb strings.Builder
+	if code := runExperiments([]string{"-run", "table2", "-runs", "3", "-progress"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d", code)
 	}
 	if !strings.Contains(errb.String(), "done table2") {

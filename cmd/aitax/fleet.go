@@ -1,27 +1,10 @@
-// Command aitax-fleet runs the device-fleet simulation: a seeded
-// sampler expands the Table-II-derived SoC catalog into a heterogeneous
-// device population (silicon binning, thermal state, FastRPC transport
-// jitter), and a sharded runner folds every device's frame anatomy into
-// per-tier mergeable statistics.
-//
-//	aitax-fleet -devices 10000 -seed 42
-//
-// The report is byte-identical for a fixed (catalog, devices, models,
-// dtype, delegate, seed) at any -parallel and any -shards value: every
-// printed figure derives from exactly-mergeable state (integer bucket
-// counts, exact extremes, fixed-point regression sums) merged in shard
-// submission order. Facts that legitimately vary with the run shape —
-// worker counts, plan-cache hit rates — print on stderr only.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
-	"aitax/internal/cli"
 	"aitax/internal/fleet"
 	"aitax/internal/lab"
 	"aitax/internal/models"
@@ -29,19 +12,27 @@ import (
 	"aitax/internal/soc"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
 // defaultModels is the default application mix: the Table-I models with
 // full int8 NNAPI support, so the default configuration exercises the
 // DSP FastRPC path on every catalog entry.
 const defaultModels = "MobileNet 1.0 v1,SSD MobileNet v2,EfficientNet-Lite0"
 
-// run is the testable entry point: flags in, report out.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("aitax-fleet", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// runFleet is aitax fleet, the device-fleet simulation: a seeded
+// sampler expands the Table-II-derived SoC catalog into a heterogeneous
+// device population (silicon binning, thermal state, FastRPC transport
+// jitter), and a sharded runner folds every device's frame anatomy into
+// per-tier mergeable statistics.
+//
+//	aitax fleet -devices 10000 -seed 42
+//
+// The report is byte-identical for a fixed (catalog, devices, models,
+// dtype, delegate, seed) at any -parallel and any -shards value: every
+// printed figure derives from exactly-mergeable state (integer bucket
+// counts, exact extremes, fixed-point regression sums) merged in shard
+// submission order. Facts that legitimately vary with the run shape —
+// worker counts, plan-cache hit rates — print on stderr only.
+func runFleet(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("fleet", stderr)
 	devices := fs.Int("devices", 10000, "fleet size (sampled devices)")
 	shards := fs.Int("shards", 32, "device-index shards; output is byte-identical at any value")
 	modelList := fs.String("models", defaultModels, "comma-separated application mix (devices are assigned one model each by seeded hash)")
@@ -50,26 +41,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 42, "population seed; drives entry choice and every per-device jitter")
 	jsonl := fs.String("jsonl", "", "write population distribution rows (JSONL) to this path")
 	counters := fs.String("counters", "", "write Chrome-trace convergence counters to this path")
-	common := cli.Register(fs, cli.Options{Parallel: true, Progress: true})
+	common := register(fs, sharedFlags{Parallel: true, Progress: true})
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	dt, err := cli.ParseDType(*dtype)
+	dt, err := parseDType(*dtype)
 	if err != nil {
-		fmt.Fprintln(stderr, "aitax-fleet:", err)
+		fmt.Fprintln(stderr, "aitax fleet:", err)
 		return 2
 	}
-	del, err := cli.ParseDelegate(*delegate)
+	del, err := parseDelegate(*delegate)
 	if err != nil {
-		fmt.Fprintln(stderr, "aitax-fleet:", err)
+		fmt.Fprintln(stderr, "aitax fleet:", err)
 		return 2
 	}
 	var mix []*models.Model
 	for _, name := range strings.Split(*modelList, ",") {
 		m, err := models.ByName(strings.TrimSpace(name))
 		if err != nil {
-			fmt.Fprintln(stderr, "aitax-fleet:", err)
+			fmt.Fprintln(stderr, "aitax fleet:", err)
 			return 2
 		}
 		mix = append(mix, m)
@@ -87,38 +78,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if common.Progress {
 		cfg.OnProgress = func(r lab.JobResult) {
-			fmt.Fprintf(stderr, "aitax-fleet: %s done in %v\n", r.ID, r.Wall)
+			fmt.Fprintf(stderr, "aitax fleet: %s done in %v\n", r.ID, r.Wall)
 		}
 	}
 
 	hits0, misses0, _ := plan.Shared.Stats()
 	res, err := fleet.Run(nil, cfg)
 	if err != nil {
-		fmt.Fprintln(stderr, "aitax-fleet:", err)
+		fmt.Fprintln(stderr, "aitax fleet:", err)
 		return 1
 	}
 	if err := fleet.WriteReport(stdout, res); err != nil {
-		fmt.Fprintln(stderr, "aitax-fleet:", err)
+		fmt.Fprintln(stderr, "aitax fleet:", err)
 		return 1
 	}
 	// Run-shape facts: stderr only, outside the byte-identity contract.
 	hits, misses, _ := plan.Shared.Stats()
-	fmt.Fprintf(stderr, "aitax-fleet: %d shards, parallel %d, anatomy cache %d hits / %d misses\n",
+	fmt.Fprintf(stderr, "aitax fleet: %d shards, parallel %d, anatomy cache %d hits / %d misses\n",
 		res.Shards, common.Parallel, hits-hits0, misses-misses0)
 
 	if *jsonl != "" {
-		if err := cli.WriteFile(*jsonl, func(w io.Writer) error {
+		if err := writeFile(*jsonl, func(w io.Writer) error {
 			return fleet.WriteJSONL(w, res)
 		}); err != nil {
-			fmt.Fprintln(stderr, "aitax-fleet:", err)
+			fmt.Fprintln(stderr, "aitax fleet:", err)
 			return 1
 		}
 	}
 	if *counters != "" {
-		if err := cli.WriteFile(*counters, func(w io.Writer) error {
+		if err := writeFile(*counters, func(w io.Writer) error {
 			return fleet.WriteCounters(w, res)
 		}); err != nil {
-			fmt.Fprintln(stderr, "aitax-fleet:", err)
+			fmt.Fprintln(stderr, "aitax fleet:", err)
 			return 1
 		}
 	}

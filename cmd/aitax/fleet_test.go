@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,25 +21,14 @@ func TestGoldenFleetReport(t *testing.T) {
 		{"-parallel", "8", "-shards", "64"},
 		{"-parallel", "4", "-shards", "1"},
 	} {
-		var out, errb bytes.Buffer
-		if code := run(append(append([]string{}, fleetArgs...), v...), &out, &errb); code != 0 {
-			t.Fatalf("%v: exit %d, stderr:\n%s", v, code, errb.String())
-		}
-		outputs = append(outputs, out.String())
+		outputs = append(outputs, runCmd(t, runFleet, append(append([]string{}, fleetArgs...), v...)...))
 	}
 	for i := 1; i < len(outputs); i++ {
 		if outputs[i] != outputs[0] {
 			t.Fatalf("report differs between variant 0 and %d", i)
 		}
 	}
-	want, err := os.ReadFile("testdata/fleet_report.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outputs[0] != string(want) {
-		t.Fatalf("fleet report diverged from golden\n--- got ---\n%s\n--- want ---\n%s",
-			outputs[0], string(want))
-	}
+	checkGolden(t, outputs[0], "fleet_report.golden")
 	// The population must actually be heterogeneous: all three tiers
 	// populated, and the entry tier visibly slower than flagship.
 	for _, tier := range []string{"flagship", "mid", "entry"} {
@@ -58,17 +45,10 @@ func TestFleetJSONLAndCounters(t *testing.T) {
 	render := func(shards string) string {
 		jsonl := filepath.Join(dir, "pop_"+shards+".jsonl")
 		counters := filepath.Join(dir, "counters_"+shards+".json")
-		var out, errb bytes.Buffer
-		args := append(append([]string{}, fleetArgs...),
-			"-shards", shards, "-jsonl", jsonl, "-counters", counters)
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
-		}
-		rows, err := os.ReadFile(jsonl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(strings.TrimSpace(string(rows)), "\n") {
+		runCmd(t, runFleet, append(append([]string{}, fleetArgs...),
+			"-shards", shards, "-jsonl", jsonl, "-counters", counters)...)
+		rows := readFile(t, jsonl)
+		for _, line := range strings.Split(strings.TrimSpace(rows), "\n") {
 			var v map[string]any
 			if err := json.Unmarshal([]byte(line), &v); err != nil {
 				t.Fatalf("bad JSONL line %q: %v", line, err)
@@ -78,14 +58,10 @@ func TestFleetJSONLAndCounters(t *testing.T) {
 			}
 		}
 		var trace map[string]any
-		counterBytes, err := os.ReadFile(counters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(counterBytes, &trace); err != nil {
+		if err := json.Unmarshal([]byte(readFile(t, counters)), &trace); err != nil {
 			t.Fatalf("counters file is not valid JSON: %v", err)
 		}
-		return string(rows)
+		return rows
 	}
 	if render("4") != render("25") {
 		t.Fatal("JSONL differs across shard counts")
@@ -100,8 +76,7 @@ func TestFleetBadFlags(t *testing.T) {
 		{"-models", "No Such Model"},
 		{"-devices", "0"},
 	} {
-		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code == 0 {
+		if code, _ := runCode(runFleet, args...); code == 0 {
 			t.Fatalf("%v accepted", args)
 		}
 	}

@@ -1,22 +1,11 @@
-// Command aitax-profile renders Snapdragon-Profiler-style execution
-// timelines (per-core utilization, DSP occupancy, migrations) for one
-// model/delegate configuration — the Fig. 6 view.
-//
-// Usage:
-//
-//	aitax-profile -model "EfficientNet-Lite0" -dtype int8 -delegate nnapi
-//	aitax-profile -delegate hexagon -chrome out.json -metrics out.prom
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"aitax"
-	"aitax/internal/cli"
 	"aitax/internal/models"
 	"aitax/internal/sim"
 	"aitax/internal/telemetry"
@@ -24,14 +13,14 @@ import (
 	"aitax/internal/trace"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is the testable entry point: flags in, rendered timeline out.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("aitax-profile", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// runProfile is aitax profile: it renders Snapdragon-Profiler-style
+// execution timelines (per-core utilization, DSP occupancy, migrations)
+// for one model/delegate configuration — the Fig. 6 view.
+//
+//	aitax profile -model "EfficientNet-Lite0" -dtype int8 -delegate nnapi
+//	aitax profile -delegate hexagon -trace out.json -metrics out.prom
+func runProfile(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("profile", stderr)
 	model := fs.String("model", "EfficientNet-Lite0", "Table-I model name")
 	dtype := fs.String("dtype", "int8", "precision: fp32 | int8")
 	delegate := fs.String("delegate", "nnapi", "delegate: cpu | gpu | hexagon | nnapi")
@@ -39,31 +28,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bucketMS := fs.Float64("bucket", 2, "timeline bucket in milliseconds")
 	platform := fs.String("platform", "Google Pixel 3", "platform (Table II)")
 	seed := fs.Uint64("seed", 42, "random seed")
-	common := cli.Register(fs, cli.Options{Trace: true, Metrics: true, TraceAlias: "chrome"})
+	common := register(fs, sharedFlags{Trace: true, Metrics: true})
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	dt, err := cli.ParseDType(*dtype)
+	dt, err := parseDType(*dtype)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
-	d, err := cli.ParseDelegate(*delegate)
+	d, err := parseDelegate(*delegate)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 
 	p, err := aitax.PlatformByName(*platform)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 	m, err := models.ByName(*model)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 
 	rt := tflite.NewStack(p, *seed)
@@ -86,8 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	ip, err := rt.NewInterpreter(m, dt, tflite.Options{Delegate: d})
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 
 	horizon := time.Duration(*horizonMS) * time.Millisecond
@@ -119,16 +103,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chrome.AddSpanOccupancy("dsp in flight", spans, telemetry.TrackDSP)
 		chrome.AddSpanOccupancy("gpu in flight", spans, telemetry.TrackGPU)
 		chrome.AddFaultCounters(rt.Metrics, rt.Eng.Now())
-		if err := cli.WriteFile(common.Trace, chrome.WriteJSON); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+		if err := writeFile(common.Trace, chrome.WriteJSON); err != nil {
+			return fail(stderr, err)
 		}
 		fmt.Fprintf(stderr, "chrome trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", common.Trace)
 	}
 	if common.Metrics != "" {
-		if err := cli.WriteFile(common.Metrics, rt.Metrics.WritePrometheus); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+		if err := writeFile(common.Metrics, rt.Metrics.WritePrometheus); err != nil {
+			return fail(stderr, err)
 		}
 		fmt.Fprintf(stderr, "metrics written to %s\n", common.Metrics)
 	}

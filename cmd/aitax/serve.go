@@ -1,24 +1,8 @@
-// Command aitax-serve runs the inference-serving frontend: per-model
-// bounded queues, micro-batching and admission control in front of the
-// simulated mobile stack.
-//
-// Two modes share one serving policy:
-//
-//	aitax-serve -addr :8080
-//	    wall-clock HTTP server (POST /v1/classify|detect|segment,
-//	    GET /v1/models, /healthz, /metrics)
-//
-//	aitax-serve -loadgen -ramp 100x1s,400x500ms -seed 7
-//	    deterministic virtual-time load simulation driven by a seeded
-//	    open-loop Poisson generator; the report (p50/p90/p99 latency,
-//	    AI tax per request, admission and batching counts) is
-//	    byte-identical for a fixed seed at any -parallel value.
 package main
 
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -30,7 +14,6 @@ import (
 
 	"aitax"
 	"aitax/internal/app"
-	"aitax/internal/cli"
 	"aitax/internal/lab"
 	"aitax/internal/loadgen"
 	"aitax/internal/models"
@@ -42,14 +25,46 @@ import (
 	"aitax/internal/trace"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+// runServe is aitax serve, the inference-serving frontend: per-model
+// bounded queues, micro-batching and admission control in front of the
+// simulated mobile stack. Two modes share one serving policy:
+//
+//	aitax serve -addr :8080
+//	    wall-clock HTTP server (POST /v1/classify|detect|segment,
+//	    GET /v1/models, /healthz, /metrics)
+//
+//	aitax serve -loadgen -ramp 100x1s,400x500ms -seed 7
+//	    deterministic virtual-time load simulation driven by a seeded
+//	    open-loop Poisson generator; the report (p50/p90/p99 latency,
+//	    AI tax per request, admission and batching counts) is
+//	    byte-identical for a fixed seed at any -parallel value.
+func runServe(args []string, stdout, stderr io.Writer) int {
+	o, code := parseServe(args, stderr)
+	if o == nil {
+		return code
+	}
+	if o.loadgen {
+		return runLoad(o, stdout, stderr)
+	}
+	return runServer(o, stderr)
 }
 
-// run is the testable entry point: flags in, report (or server) out.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("aitax-serve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// serveOpts is aitax serve's command line resolved into a validated
+// serving config, plus the flags the two run modes read.
+type serveOpts struct {
+	cfg                          serve.Config
+	addr, ramp, mix, qos, obsOut string
+	seed                         uint64
+	loadgen, watch, prewarm      bool
+	drainTimeout                 time.Duration
+	common                       *commonFlags
+}
+
+// parseServe parses aitax serve's flags and builds the serving config
+// they describe. On failure it reports on stderr and returns a nil
+// config with the exit code.
+func parseServe(args []string, stderr io.Writer) (*serveOpts, int) {
+	fs := newFlagSet("serve", stderr)
 	addr := fs.String("addr", ":8080", "HTTP listen address (server mode)")
 	loadMode := fs.Bool("loadgen", false, "run the deterministic load simulation instead of serving HTTP")
 	ramp := fs.String("ramp", "10x1s,150x1s", "open-loop QPS ramp, QPSxDURATION per phase")
@@ -76,23 +91,55 @@ func run(args []string, stdout, stderr io.Writer) int {
 	obsOut := fs.String("obs", "", "write per-window time-series rows (JSONL) to this file (-loadgen mode)")
 	obsWindow := fs.Duration("obs-window", 0, "streaming recorder window (default 250ms)")
 	prewarm := fs.Bool("prewarm", false, "compile all serving plans (and warm server telemetry) before taking traffic; the cold-start tax moved to startup is reported on stderr")
-	common := cli.Register(fs, cli.Options{
+	common := register(fs, sharedFlags{
 		Trace: true, Metrics: true, Faults: true, Parallel: true, Progress: true,
 	})
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return nil, 2
 	}
 
-	cfg, err := buildConfig(*platform, *dtype, *delegate, *entry, *modelList,
-		*workers, *window, *maxBatch, *queueDepth, *dispatch, *seed, common)
+	p, err := aitax.PlatformByName(*platform)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return nil, fail(stderr, err)
+	}
+	dt, err := parseDType(*dtype)
+	if err != nil {
+		return nil, fail(stderr, err)
+	}
+	d, err := parseDelegate(*delegate)
+	if err != nil {
+		return nil, fail(stderr, err)
+	}
+	st, err := app.ParseStage(*entry)
+	if err != nil {
+		return nil, fail(stderr, err)
+	}
+	plan, err := common.FaultPlan()
+	if err != nil {
+		return nil, fail(stderr, err)
+	}
+	var loaded []*models.Model
+	if *modelList != "" {
+		for _, name := range strings.Split(*modelList, ",") {
+			m, err := models.ByName(strings.TrimSpace(name))
+			if err != nil {
+				return nil, fail(stderr, err)
+			}
+			loaded = append(loaded, m)
+		}
+	}
+	cfg := serve.Config{
+		Platform: p, DType: dt, Delegate: d, Models: loaded, Entry: st,
+		Workers: *workers, BatchWindow: *window, MaxBatch: *maxBatch,
+		QueueDepth: *queueDepth, DispatchCost: *dispatch,
+		Seed: *seed, Faults: plan,
+	}.Defaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, fail(stderr, err)
 	}
 	if *sloSpec != "" {
 		if cfg.SLO, err = obs.ParseObjectives(*sloSpec); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return nil, fail(stderr, err)
 		}
 		// An objective for a model that isn't loaded would never match a
 		// request and trivially pass — reject the typo up front.
@@ -105,8 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				loaded = loaded || m.Name == o.Model
 			}
 			if !loaded {
-				fmt.Fprintf(stderr, "slo: model %q is not loaded\n", o.Model)
-				return 1
+				return nil, fail(stderr, fmt.Errorf("slo: model %q is not loaded", o.Model))
 			}
 		}
 	}
@@ -115,26 +161,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *qosSpec != "" {
 		pol, err := buildQoSPolicy(*qosSpec, *downshift, *steer, *thermalSpec, *qosObserve)
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return nil, fail(stderr, err)
 		}
 		cfg.QoS = pol
 		// Re-validate: the QoS policy constrains the SLO set, the steer
 		// delegate and the downshift pairs against the loaded models.
 		cfg = cfg.Defaults()
 		if err := cfg.Validate(); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return nil, fail(stderr, err)
 		}
 	} else if *downshift != "" || *qosObserve || *thermalSpec != "" {
-		fmt.Fprintln(stderr, "serve: -downshift, -qos-observe and -thermal need -qos")
-		return 1
+		return nil, fail(stderr, errors.New("serve: -downshift, -qos-observe and -thermal need -qos"))
 	}
+	return &serveOpts{
+		cfg: cfg, addr: *addr, ramp: *ramp, mix: *mix, qos: *qosSpec, obsOut: *obsOut,
+		seed: *seed, loadgen: *loadMode, watch: *watch, prewarm: *prewarm,
+		drainTimeout: *drainTimeout, common: common,
+	}, 0
+}
 
-	if *loadMode {
-		return runLoad(cfg, *ramp, *mix, *seed, *watch, *obsOut, *prewarm, common, stdout, stderr)
+// arrivals generates the -loadgen arrival schedule from -ramp, -mix and
+// -seed. An empty mix spreads traffic evenly over the loaded models.
+func (o *serveOpts) arrivals() ([]loadgen.Arrival, error) {
+	phases, err := loadgen.ParseRamp(o.ramp)
+	if err != nil {
+		return nil, err
 	}
-	return runServer(cfg, *addr, *watch, *prewarm, *drainTimeout, stderr)
+	var mix []loadgen.Share
+	if o.mix == "" {
+		for _, m := range o.cfg.Models {
+			mix = append(mix, loadgen.Share{Model: m.Name, Weight: 1})
+		}
+	} else if mix, err = loadgen.ParseMix(o.mix); err != nil {
+		return nil, err
+	}
+	return loadgen.Spec{Seed: o.seed, Phases: phases, Mix: mix}.Generate()
 }
 
 // buildQoSPolicy assembles the brownout policy from its flags.
@@ -143,7 +204,7 @@ func buildQoSPolicy(ladderSpec, downshift, steer, thermalSpec string, observe bo
 	if err != nil {
 		return nil, err
 	}
-	sd, err := cli.ParseDelegate(steer)
+	sd, err := parseDelegate(steer)
 	if err != nil {
 		return nil, err
 	}
@@ -161,85 +222,22 @@ func buildQoSPolicy(ladderSpec, downshift, steer, thermalSpec string, observe bo
 	return pol, nil
 }
 
-// buildConfig assembles and validates the serving config from flags.
-func buildConfig(platform, dtype, delegate, entry, modelList string,
-	workers int, window time.Duration, maxBatch, queueDepth int,
-	dispatch time.Duration, seed uint64, common *cli.Common) (serve.Config, error) {
-	p, err := aitax.PlatformByName(platform)
-	if err != nil {
-		return serve.Config{}, err
-	}
-	dt, err := cli.ParseDType(dtype)
-	if err != nil {
-		return serve.Config{}, err
-	}
-	d, err := cli.ParseDelegate(delegate)
-	if err != nil {
-		return serve.Config{}, err
-	}
-	st, err := app.ParseStage(entry)
-	if err != nil {
-		return serve.Config{}, err
-	}
-	plan, err := common.FaultPlan()
-	if err != nil {
-		return serve.Config{}, err
-	}
-	var loaded []*models.Model
-	if modelList != "" {
-		for _, name := range strings.Split(modelList, ",") {
-			m, err := models.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return serve.Config{}, err
-			}
-			loaded = append(loaded, m)
-		}
-	}
-	cfg := serve.Config{
-		Platform: p, DType: dt, Delegate: d, Models: loaded, Entry: st,
-		Workers: workers, BatchWindow: window, MaxBatch: maxBatch,
-		QueueDepth: queueDepth, DispatchCost: dispatch,
-		Seed: seed, Faults: plan,
-	}
-	cfg = cfg.Defaults()
-	return cfg, cfg.Validate()
-}
-
 // runLoad runs the virtual-time load simulation and prints its report.
-func runLoad(cfg serve.Config, ramp, mixSpec string, seed uint64,
-	watch bool, obsOut string, prewarm bool, common *cli.Common, stdout, stderr io.Writer) int {
-	phases, err := loadgen.ParseRamp(ramp)
+func runLoad(o *serveOpts, stdout, stderr io.Writer) int {
+	cfg, common := o.cfg, o.common
+	arrivals, err := o.arrivals()
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	var mix []loadgen.Share
-	if mixSpec == "" {
-		for _, m := range cfg.Models {
-			mix = append(mix, loadgen.Share{Model: m.Name, Weight: 1})
-		}
-	} else {
-		if mix, err = loadgen.ParseMix(mixSpec); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	spec := loadgen.Spec{Seed: seed, Phases: phases, Mix: mix}
-	arrivals, err := spec.Generate()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 
-	if prewarm {
+	if o.prewarm {
 		// Warm the plan cache before the cost-table pass so its measured
 		// walls reflect steady-state serving, not first-compile outliers.
 		// The report goes to stderr: the stdout load report is a pure
 		// function of virtual time and stays byte-identical either way.
 		rep, err := serve.PrewarmConfig(context.Background(), cfg)
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return fail(stderr, err)
 		}
 		fmt.Fprintf(stderr, "prewarm: %s\n", rep)
 	}
@@ -257,13 +255,11 @@ func runLoad(cfg serve.Config, ramp, mixSpec string, seed uint64,
 	}
 	table, err := serve.BuildCostTable(context.Background(), cfg, common.Parallel, onProgress)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 	res, err := serve.Simulate(cfg, table, arrivals, common.Trace != "")
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 
 	names := make([]string, len(cfg.Models))
@@ -271,26 +267,26 @@ func runLoad(cfg serve.Config, ramp, mixSpec string, seed uint64,
 		names[i] = m.Name
 	}
 	fmt.Fprintf(stdout, "platform: %s (%s) | delegate %s | dtype %s | seed %d\n",
-		cfg.Platform.Name, cfg.Platform.Chipset, cfg.Delegate, cfg.DType, seed)
+		cfg.Platform.Name, cfg.Platform.Chipset, cfg.Delegate, cfg.DType, o.seed)
 	fmt.Fprintf(stdout, "models: %s\n", strings.Join(names, ", "))
-	fmt.Fprint(stdout, res.Report(cfg, ramp))
+	fmt.Fprint(stdout, res.Report(cfg, o.ramp))
 
 	// The streaming observability view is built once and shared by the
 	// SLO report, the -watch snapshot, the JSONL export and the Chrome
 	// counter tracks — all derived from the same deterministic replay.
 	var so *serve.SimObs
-	if len(cfg.SLO) > 0 || watch || obsOut != "" || common.Trace != "" {
+	if len(cfg.SLO) > 0 || o.watch || o.obsOut != "" || common.Trace != "" {
 		so = serve.BuildSimObs(cfg, res, cfg.ObsWindow, cfg.SLO)
 	}
 	if so != nil && so.Monitor != nil {
 		so.Monitor.WriteReport(stdout)
 		so.Monitor.Export(res.Metrics)
 	}
-	if watch {
+	if o.watch {
 		fmt.Fprintf(stdout, "\n%s", so.Snapshot())
 	}
-	if obsOut != "" {
-		err := cli.WriteFile(obsOut, func(w io.Writer) error {
+	if o.obsOut != "" {
+		err := writeFile(o.obsOut, func(w io.Writer) error {
 			for _, row := range so.Rows {
 				if err := obs.WriteRowJSONL(w, row); err != nil {
 					return err
@@ -299,16 +295,14 @@ func runLoad(cfg serve.Config, ramp, mixSpec string, seed uint64,
 			return nil
 		})
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return fail(stderr, err)
 		}
-		fmt.Fprintf(stderr, "time-series rows written to %s\n", obsOut)
+		fmt.Fprintf(stderr, "time-series rows written to %s\n", o.obsOut)
 	}
 
 	if common.Metrics != "" {
-		if err := cli.WriteFile(common.Metrics, res.Metrics.WritePrometheus); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+		if err := writeFile(common.Metrics, res.Metrics.WritePrometheus); err != nil {
+			return fail(stderr, err)
 		}
 		fmt.Fprintf(stderr, "metrics written to %s\n", common.Metrics)
 	}
@@ -354,9 +348,8 @@ func runLoad(cfg serve.Config, ramp, mixSpec string, seed uint64,
 					})
 			}
 		}
-		if err := cli.WriteFile(common.Trace, chrome.WriteJSON); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+		if err := writeFile(common.Trace, chrome.WriteJSON); err != nil {
+			return fail(stderr, err)
 		}
 		fmt.Fprintf(stderr, "chrome trace written to %s\n", common.Trace)
 	}
@@ -378,23 +371,22 @@ const (
 // open micro-batch windows flush so queued requests still get served,
 // and in-flight batches have drainTimeout to complete. With watch set
 // it re-renders the live dashboard to stderr every two seconds.
-func runServer(cfg serve.Config, addr string, watch, prewarm bool, drainTimeout time.Duration, stderr io.Writer) int {
+func runServer(o *serveOpts, stderr io.Writer) int {
+	cfg := o.cfg
 	s, err := serve.NewServer(cfg)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
-	if prewarm {
+	if o.prewarm {
 		rep, err := s.Prewarm(context.Background())
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return fail(stderr, err)
 		}
 		fmt.Fprintf(stderr, "prewarm: %s\n", rep)
 	}
-	fmt.Fprintf(stderr, "aitax-serve listening on %s (%s, %s, %s)\n",
-		addr, cfg.Platform.Name, cfg.Delegate, cfg.DType)
-	if watch {
+	fmt.Fprintf(stderr, "aitax serve listening on %s (%s, %s, %s)\n",
+		o.addr, cfg.Platform.Name, cfg.Delegate, cfg.DType)
+	if o.watch {
 		go func() {
 			for range time.Tick(2 * time.Second) {
 				fmt.Fprintf(stderr, "\n%s", s.Watch())
@@ -402,7 +394,7 @@ func runServer(cfg serve.Config, addr string, watch, prewarm bool, drainTimeout 
 		}()
 	}
 	hs := &http.Server{
-		Addr:              addr,
+		Addr:              o.addr,
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       readTimeout,
@@ -416,14 +408,13 @@ func runServer(cfg serve.Config, addr string, watch, prewarm bool, drainTimeout 
 	case err := <-errc:
 		s.Close()
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return fail(stderr, err)
 		}
 		return 0
 	case <-ctx.Done():
 		stop()
-		fmt.Fprintf(stderr, "signal received; draining (timeout %v)\n", drainTimeout)
-		dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		fmt.Fprintf(stderr, "signal received; draining (timeout %v)\n", o.drainTimeout)
+		dctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 		defer cancel()
 		// Drain the serving layer first (flush windows, finish batches),
 		// then let the HTTP listener close idle connections.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -36,29 +35,18 @@ func goldenAtAnyParallelism(t *testing.T, args []string, golden string) string {
 	t.Helper()
 	var outputs []string
 	for _, par := range []string{"1", "2", "8", ""} {
-		var out, errb bytes.Buffer
 		full := append([]string{}, args...)
 		if par != "" {
 			full = append(full, "-parallel", par)
 		}
-		if code := run(full, &out, &errb); code != 0 {
-			t.Fatalf("-parallel %q: exit %d, stderr:\n%s", par, code, errb.String())
-		}
-		outputs = append(outputs, out.String())
+		outputs = append(outputs, runCmd(t, runServe, full...))
 	}
 	for _, o := range outputs[1:] {
 		if o != outputs[0] {
 			t.Fatalf("%s output differs across -parallel 1/2/8/default", golden)
 		}
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", golden))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outputs[0] != string(want) {
-		t.Fatalf("output diverged from %s\n--- got ---\n%s\n--- want ---\n%s",
-			golden, outputs[0], string(want))
-	}
+	checkGolden(t, outputs[0], golden)
 	return outputs[0]
 }
 
@@ -84,21 +72,6 @@ func TestGoldenWatchSnapshotAtAnyParallelism(t *testing.T) {
 	}
 }
 
-// brownoutArgs is the storm the brownout golden pins (aitax-validate
-// -brownout replays the same scenario): an overload burst that climbs the full
-// ladder, then a calm tail it recovers through.
-var brownoutArgs = []string{
-	"-loadgen",
-	"-models", "MobileNet 1.0 v1,EfficientNet-Lite0",
-	"-slo", "EfficientNet-Lite0=350ms@95",
-	"-qos", "tick=5ms,hold=6,short=2,long=4,enter=0.1/0.2/0.3,exit=0.04/0.08/0.15",
-	"-downshift", "EfficientNet-Lite0=MobileNet 1.0 v1",
-	"-mix", "EfficientNet-Lite0=2,EfficientNet-Lite0=2:best-effort,EfficientNet-Lite0=1:interactive",
-	"-ramp", "300x300ms,4x3s",
-	"-seed", "11",
-	"-queue-depth", "64",
-}
-
 func TestGoldenBrownoutReportAtAnyParallelism(t *testing.T) {
 	out := goldenAtAnyParallelism(t, brownoutArgs, "brownout_report.golden")
 	for _, want := range []string{
@@ -119,22 +92,14 @@ func TestGoldenBrownoutReportAtAnyParallelism(t *testing.T) {
 func TestBrownoutTraceHasQoSMarkers(t *testing.T) {
 	dir := t.TempDir()
 	chrome := filepath.Join(dir, "trace.json")
-	args := append(append([]string{}, brownoutArgs...), "-trace", chrome)
-	var out, errb bytes.Buffer
-	if code := run(args, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
-	}
-	tr, err := os.ReadFile(chrome)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runCmd(t, runServe, append(append([]string{}, brownoutArgs...), "-trace", chrome)...)
 	var doc struct {
 		TraceEvents []struct {
 			Name string `json:"name"`
 			Ph   string `json:"ph"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(tr, &doc); err != nil {
+	if err := json.Unmarshal([]byte(readFile(t, chrome)), &doc); err != nil {
 		t.Fatalf("chrome trace invalid: %v", err)
 	}
 	var levelCounters, qosInstants int
@@ -158,19 +123,11 @@ func TestObsExports(t *testing.T) {
 	dir := t.TempDir()
 	jsonl := filepath.Join(dir, "rows.jsonl")
 	chrome := filepath.Join(dir, "trace.json")
-	args := []string{"-loadgen", "-ramp", "40x250ms", "-seed", "9",
-		"-slo", "all=5ms@95", "-obs", jsonl, "-trace", chrome}
-	var out, errb bytes.Buffer
-	if code := run(args, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
-	}
+	runCmd(t, runServe, "-loadgen", "-ramp", "40x250ms", "-seed", "9",
+		"-slo", "all=5ms@95", "-obs", jsonl, "-trace", chrome)
 
-	rows, err := os.ReadFile(jsonl)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sawLatency bool
-	for _, line := range strings.Split(strings.TrimSpace(string(rows)), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(readFile(t, jsonl)), "\n") {
 		var row struct {
 			Window  int                        `json:"window"`
 			EndMS   float64                    `json:"end_ms"`
@@ -188,17 +145,13 @@ func TestObsExports(t *testing.T) {
 		t.Fatal("no aggregate latency histogram in any JSONL row")
 	}
 
-	tr, err := os.ReadFile(chrome)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var doc struct {
 		TraceEvents []struct {
 			Name string `json:"name"`
 			Ph   string `json:"ph"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(tr, &doc); err != nil {
+	if err := json.Unmarshal([]byte(readFile(t, chrome)), &doc); err != nil {
 		t.Fatalf("chrome trace invalid: %v", err)
 	}
 	var taxCounters, sloInstants int
@@ -224,31 +177,19 @@ func TestExportsDoNotPerturbReport(t *testing.T) {
 	prom := filepath.Join(dir, "metrics.prom")
 	base := []string{"-loadgen", "-ramp", "40x250ms", "-seed", "9"}
 
-	var plain bytes.Buffer
-	if code := run(base, &plain, &bytes.Buffer{}); code != 0 {
-		t.Fatal("plain run failed")
-	}
-	var traced bytes.Buffer
-	args := append(append([]string{}, base...), "-trace", chrome, "-metrics", prom)
-	if code := run(args, &traced, &bytes.Buffer{}); code != 0 {
-		t.Fatal("traced run failed")
-	}
-	if plain.String() != traced.String() {
-		t.Fatalf("-trace/-metrics perturbed the report\n--- plain ---\n%s\n--- traced ---\n%s",
-			plain.String(), traced.String())
+	plain := runCmd(t, runServe, base...)
+	traced := runCmd(t, runServe, append(append([]string{}, base...), "-trace", chrome, "-metrics", prom)...)
+	if plain != traced {
+		t.Fatalf("-trace/-metrics perturbed the report\n--- plain ---\n%s\n--- traced ---\n%s", plain, traced)
 	}
 
-	got, err := os.ReadFile(chrome)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var doc struct {
 		TraceEvents []struct {
 			Name string `json:"name"`
 			Ph   string `json:"ph"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(got, &doc); err != nil {
+	if err := json.Unmarshal([]byte(readFile(t, chrome)), &doc); err != nil {
 		t.Fatalf("chrome trace is not valid JSON: %v", err)
 	}
 	var depthCounters int
@@ -261,12 +202,9 @@ func TestExportsDoNotPerturbReport(t *testing.T) {
 		t.Fatal("no queue-depth counter events in the trace")
 	}
 
-	promText, err := os.ReadFile(prom)
-	if err != nil {
-		t.Fatal(err)
-	}
+	promText := readFile(t, prom)
 	for _, want := range []string{"aitax_serve_requests_total", "aitax_serve_latency_ms"} {
-		if !strings.Contains(string(promText), want) {
+		if !strings.Contains(promText, want) {
 			t.Fatalf("metrics file missing %s", want)
 		}
 	}
@@ -296,12 +234,12 @@ func TestBadFlagsFailCleanly(t *testing.T) {
 		{"-loadgen", "-slo", "all=6ms@90", "-qos", "on", "-thermal", "max=10"},
 	}
 	for _, args := range cases {
-		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code == 0 {
-			t.Errorf("run(%v) succeeded, want failure", args)
+		code, stderr := runCode(runServe, args...)
+		if code == 0 {
+			t.Errorf("%v succeeded, want failure", args)
 		}
-		if errb.Len() == 0 {
-			t.Errorf("run(%v) failed silently", args)
+		if stderr == "" {
+			t.Errorf("%v failed silently", args)
 		}
 	}
 }
@@ -385,17 +323,14 @@ func TestPrewarmEliminatesFirstRequestPlanTax(t *testing.T) {
 // without it, and the prewarm accounting lands on stderr.
 func TestPrewarmFlagKeepsReportByteIdentical(t *testing.T) {
 	base := []string{"-loadgen", "-ramp", "40x250ms", "-seed", "9"}
-	var plain, plainErr bytes.Buffer
-	if code := run(base, &plain, &plainErr); code != 0 {
-		t.Fatalf("plain run failed:\n%s", plainErr.String())
-	}
+	plain := runCmd(t, runServe, base...)
 	var warmed, warmedErr bytes.Buffer
-	if code := run(append(append([]string{}, base...), "-prewarm"), &warmed, &warmedErr); code != 0 {
+	if code := runServe(append(append([]string{}, base...), "-prewarm"), &warmed, &warmedErr); code != 0 {
 		t.Fatalf("prewarmed run failed:\n%s", warmedErr.String())
 	}
-	if plain.String() != warmed.String() {
+	if plain != warmed.String() {
 		t.Fatalf("-prewarm perturbed the load report\n--- plain ---\n%s\n--- prewarmed ---\n%s",
-			plain.String(), warmed.String())
+			plain, warmed.String())
 	}
 	if !strings.Contains(warmedErr.String(), "prewarm: compiled") {
 		t.Fatalf("prewarm accounting missing from stderr:\n%s", warmedErr.String())

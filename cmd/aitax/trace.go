@@ -1,36 +1,26 @@
-// Command aitax-trace runs the instrumented application pipeline with
-// the telemetry layer switched on and exports the run as a unified
-// Chrome/Perfetto trace (scheduler slices + pipeline span tree +
-// FastRPC flow arrows + accelerator counter tracks), a Prometheus-style
-// metrics file, and/or a JSONL span log. Stdout gets a deterministic
-// per-stage latency summary with exact p50/p90/p99.
-//
-// Usage:
-//
-//	aitax-trace -model MobileNetV1 -delegate hexagon -frames 20 \
-//	    -chrome out.json -metrics out.prom
-//	aitax-trace -model "Mobile BERT" -dtype fp32 -delegate cpu -jsonl spans.jsonl
-//	aitax-trace -delegate hexagon -probe 0.05   # with the §III-C probe effect
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"aitax"
 	"aitax/internal/telemetry"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is the testable entry point: flags in, summary out, files on disk.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("aitax-trace", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// runTrace is aitax trace: it runs the instrumented application
+// pipeline with the telemetry layer switched on and exports the run as a
+// unified Chrome/Perfetto trace (scheduler slices + pipeline span tree +
+// FastRPC flow arrows + accelerator counter tracks), a Prometheus-style
+// metrics file, and/or a JSONL span log. Stdout gets a deterministic
+// per-stage latency summary with exact p50/p90/p99.
+//
+//	aitax trace -model MobileNetV1 -delegate hexagon -frames 20 \
+//	    -trace out.json -metrics out.prom
+//	aitax trace -model "Mobile BERT" -dtype fp32 -delegate cpu -jsonl spans.jsonl
+//	aitax trace -delegate hexagon -probe 0.05   # with the §III-C probe effect
+func runTrace(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("trace", stderr)
 	model := fs.String("model", "MobileNet 1.0 v1", "Table-I model name (aliases like MobileNetV1 work)")
 	dtype := fs.String("dtype", "int8", "precision: fp32 | int8")
 	delegate := fs.String("delegate", "hexagon", "delegate: cpu | gpu | hexagon | nnapi")
@@ -40,32 +30,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bg := fs.Int("bg", 0, "background inference jobs (multi-tenancy)")
 	bgDelegate := fs.String("bgdelegate", "hexagon", "background delegate")
 	probe := fs.Float64("probe", 0, "probe-effect overhead fraction on accelerators (paper §III-C: 0.04–0.07)")
-	chromePath := fs.String("chrome", "", "write the unified Chrome trace-event JSON to this path")
-	metricsPath := fs.String("metrics", "", "write Prometheus-style metrics text to this path")
 	jsonlPath := fs.String("jsonl", "", "write one JSON span per line to this path")
+	common := register(fs, sharedFlags{Trace: true, Metrics: true})
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	dt, err := parseDType(*dtype)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 	d, err := parseDelegate(*delegate)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 	bgd, err := parseDelegate(*bgDelegate)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 	p, err := aitax.PlatformByName(*platform)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 
 	// WarmupFrames -1: a trace wants every frame it records measured —
@@ -77,8 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ProbeOverhead: *probe,
 	})
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 
 	writeSummary(stdout, tr, *model, dt, d, p.Name, *frames)
@@ -88,16 +72,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		what  string
 		write func(io.Writer) error
 	}{
-		{*chromePath, "chrome trace (open in ui.perfetto.dev or chrome://tracing)", tr.Chrome.WriteJSON},
-		{*metricsPath, "metrics", tr.Metrics.WritePrometheus},
+		{common.Trace, "chrome trace (open in ui.perfetto.dev or chrome://tracing)", tr.Chrome.WriteJSON},
+		{common.Metrics, "metrics", tr.Metrics.WritePrometheus},
 		{*jsonlPath, "span log", func(w io.Writer) error { return telemetry.WriteSpansJSONL(w, tr.Spans) }},
 	} {
 		if out.path == "" {
 			continue
 		}
 		if err := writeFile(out.path, out.write); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
+			return fail(stderr, err)
 		}
 		fmt.Fprintf(stderr, "wrote %s to %s\n", out.what, out.path)
 	}
@@ -129,43 +112,4 @@ func writeSummary(w io.Writer, tr *aitax.TraceRun, model string, dt aitax.DType,
 	}
 	fmt.Fprintf(w, "spans %d  flows %d  migrations %d  context switches %d\n",
 		len(tr.Spans), len(tr.Flows), tr.Migrations, tr.ContextSwitches)
-}
-
-// writeFile creates path and streams write into it.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func parseDType(s string) (aitax.DType, error) {
-	switch s {
-	case "fp32", "float32":
-		return aitax.Float32, nil
-	case "int8", "uint8", "quant":
-		return aitax.UInt8, nil
-	default:
-		return aitax.Float32, fmt.Errorf("unknown dtype %q (fp32|int8)", s)
-	}
-}
-
-func parseDelegate(s string) (aitax.Delegate, error) {
-	switch s {
-	case "cpu":
-		return aitax.DelegateCPU, nil
-	case "gpu":
-		return aitax.DelegateGPU, nil
-	case "hexagon", "dsp":
-		return aitax.DelegateHexagon, nil
-	case "nnapi":
-		return aitax.DelegateNNAPI, nil
-	default:
-		return aitax.DelegateCPU, fmt.Errorf("unknown delegate %q (cpu|gpu|hexagon|nnapi)", s)
-	}
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,12 +9,7 @@ import (
 
 func TestTraceRunDeterministicSummary(t *testing.T) {
 	render := func() string {
-		var out, errb bytes.Buffer
-		args := []string{"-model", "MobileNetV1", "-delegate", "hexagon", "-frames", "5"}
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
-		}
-		return out.String()
+		return runCmd(t, runTrace, "-model", "MobileNetV1", "-delegate", "hexagon", "-frames", "5")
 	}
 	first, second := render(), render()
 	if first != second {
@@ -34,19 +27,11 @@ func TestTraceExportsFiles(t *testing.T) {
 	chrome := filepath.Join(dir, "out.json")
 	prom := filepath.Join(dir, "out.prom")
 	jsonl := filepath.Join(dir, "spans.jsonl")
-	var out, errb bytes.Buffer
-	args := []string{"-model", "MobileNetV1", "-delegate", "hexagon", "-frames", "5",
-		"-chrome", chrome, "-metrics", prom, "-jsonl", jsonl}
-	if code := run(args, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, errb.String())
-	}
+	runCmd(t, runTrace, "-model", "MobileNetV1", "-delegate", "hexagon", "-frames", "5",
+		"-trace", chrome, "-metrics", prom, "-jsonl", jsonl)
 
 	// The chrome file must be valid JSON with sched slices, pipeline
 	// spans on both tracks, and paired flow events.
-	raw, err := os.ReadFile(chrome)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var doc struct {
 		TraceEvents []struct {
 			Ph  string `json:"ph"`
@@ -55,7 +40,7 @@ func TestTraceExportsFiles(t *testing.T) {
 			ID  int64  `json:"id"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	if err := json.Unmarshal([]byte(readFile(t, chrome)), &doc); err != nil {
 		t.Fatalf("chrome trace is not valid JSON: %v", err)
 	}
 	starts, finishes := map[int64]bool{}, map[int64]bool{}
@@ -88,54 +73,44 @@ func TestTraceExportsFiles(t *testing.T) {
 	}
 
 	// The metrics file must carry per-stage exact quantiles.
-	promText, err := os.ReadFile(prom)
-	if err != nil {
-		t.Fatal(err)
-	}
+	promText := readFile(t, prom)
 	for _, want := range []string{
 		`aitax_stage_ms_p50{stage="inference"}`,
 		`aitax_stage_ms_p90{stage="total"}`,
 		`aitax_stage_ms_p99{stage="capture"}`,
 		"aitax_fastrpc_calls_total",
 	} {
-		if !strings.Contains(string(promText), want) {
+		if !strings.Contains(promText, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, promText)
 		}
 	}
 
 	// The span log is one JSON object per line.
-	lines := bytes.Split(bytes.TrimSpace(mustRead(t, jsonl)), []byte("\n"))
+	lines := strings.Split(strings.TrimSpace(readFile(t, jsonl)), "\n")
 	if len(lines) < 5 {
 		t.Fatalf("span log has %d lines", len(lines))
 	}
 	for _, ln := range lines {
 		var row map[string]any
-		if err := json.Unmarshal(ln, &row); err != nil {
+		if err := json.Unmarshal([]byte(ln), &row); err != nil {
 			t.Fatalf("bad JSONL row %q: %v", ln, err)
 		}
 	}
 }
 
-func mustRead(t *testing.T, path string) []byte {
-	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 func TestTraceBadFlags(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-delegate", "npu"}, &out, &errb); code != 1 {
+	code, stderr := runCode(runTrace, "-delegate", "npu")
+	if code != 1 {
 		t.Fatalf("unknown delegate exit = %d, want 1", code)
 	}
-	if !strings.Contains(errb.String(), "unknown delegate") {
-		t.Fatalf("stderr:\n%s", errb.String())
+	if !strings.Contains(stderr, "unknown delegate") {
+		t.Fatalf("stderr:\n%s", stderr)
 	}
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-model", "no-such-model"}, &out, &errb); code != 1 {
+	if code, _ := runCode(runTrace, "-model", "no-such-model"); code != 1 {
 		t.Fatalf("unknown model exit = %d, want 1", code)
+	}
+	// -trace is the only trace-export flag; -chrome is not accepted.
+	if code, _ := runCode(runTrace, "-chrome", "x.json"); code != 2 {
+		t.Fatalf("-chrome exit = %d, want 2 (unknown flag)", code)
 	}
 }

@@ -1,7 +1,19 @@
-// Command aitax-validate runs every experiment and reports the status of
-// each embedded shape check against the paper — a CI-style gate for the
-// reproduction ("did the Fig. 5 cliff regress?") without running the
-// full Go test suite. Experiments run concurrently on a worker pool
+package main
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"runtime"
+	"strings"
+
+	"aitax"
+)
+
+// runValidate is aitax validate: it runs every experiment and reports
+// the status of each embedded shape check against the paper — a
+// CI-style gate for the reproduction ("did the Fig. 5 cliff regress?")
+// without running the full Go test suite. Experiments run concurrently on a worker pool
 // (-parallel, default GOMAXPROCS); the report is always in paper order.
 //
 // With -chaos it instead runs the fault-injection gate: one model per
@@ -19,33 +31,13 @@
 // p99 inside an objective the frozen baseline violates (see
 // docs/QOS.md).
 //
-//	aitax-validate            # exit 0 iff every shape check passes
-//	aitax-validate -runs 100  # higher-precision run
-//	aitax-validate -parallel 1  # strictly sequential
-//	aitax-validate -chaos     # deterministic fault-injection gate
-//	aitax-validate -brownout  # graceful-degradation gate
-package main
-
-import (
-	"context"
-	"flag"
-	"fmt"
-	"io"
-	"os"
-	"runtime"
-	"strings"
-
-	"aitax"
-)
-
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is the testable entry point: flags in, validation report out.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("aitax-validate", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+//	aitax validate            # exit 0 iff every shape check passes
+//	aitax validate -runs 100  # higher-precision run
+//	aitax validate -parallel 1  # strictly sequential
+//	aitax validate -chaos     # deterministic fault-injection gate
+//	aitax validate -brownout  # graceful-degradation gate
+func runValidate(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("validate", stderr)
 	runs := fs.Int("runs", 24, "iterations per configuration")
 	seed := fs.Uint64("seed", 42, "random seed (0 is a valid seed)")
 	platform := fs.String("platform", "Google Pixel 3", "platform (Table II)")
@@ -61,18 +53,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	p, err := aitax.PlatformByName(*platform)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 	if *chaos && *brownout {
-		fmt.Fprintln(stderr, "aitax-validate: -chaos and -brownout are separate gates; pick one")
+		fmt.Fprintln(stderr, "aitax validate: -chaos and -brownout are separate gates; pick one")
 		return 2
 	}
 	if *chaos {
 		return chaosRun(p, *seed, *parallel, stdout, stderr)
 	}
 	if *brownout {
-		return brownoutRun(p, *parallel, stdout, stderr)
+		return brownoutRun(*platform, *parallel, stdout, stderr)
 	}
 	cfg := aitax.ExperimentConfig{Platform: p, Seed: *seed, SeedSet: true, Runs: *runs}
 
@@ -139,8 +130,7 @@ var chaosTargets = []struct {
 func chaosRun(p *aitax.SoC, seed uint64, parallel int, stdout, stderr io.Writer) int {
 	plan, err := aitax.ParseFaultPlan(chaosPlanSpec)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 	measure := func(parallelism int) ([]string, error) {
 		jobs := make([]aitax.Job, len(chaosTargets))
@@ -176,13 +166,11 @@ func chaosRun(p *aitax.SoC, seed uint64, parallel int, stdout, stderr io.Writer)
 	fmt.Fprintf(stdout, "chaos gate: plan %q, seed %d, platform %q\n\n", chaosPlanSpec, seed, p.Name)
 	wide, err := measure(parallel)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 	seq, err := measure(1)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return fail(stderr, err)
 	}
 	failures := 0
 	for i, tgt := range chaosTargets {

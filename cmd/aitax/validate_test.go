@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -32,7 +31,7 @@ func TestChaosGateDeterministic(t *testing.T) {
 	}
 }
 
-// runGate runs one aitax-validate gate at the given -parallel value
+// runGate runs one aitax validate gate at the given -parallel value
 // ("" leaves the flag at its default) and returns its report.
 func runGate(t *testing.T, gate, parallel string) string {
 	t.Helper()
@@ -40,11 +39,7 @@ func runGate(t *testing.T, gate, parallel string) string {
 	if parallel != "" {
 		args = append(args, "-parallel", parallel)
 	}
-	var out, errb bytes.Buffer
-	if code := run(args, &out, &errb); code != 0 {
-		t.Fatalf("%s gate exited %d: %s%s", gate, code, out.String(), errb.String())
-	}
-	return out.String()
+	return runCmd(t, runValidate, args...)
 }
 
 // The brownout gate must pass end to end: ladder engaged and
@@ -69,22 +64,27 @@ func TestBrownoutGatePasses(t *testing.T) {
 		t.Fatalf("gate passed with FAIL lines:\n%s", wide)
 	}
 	// Only the first PASS line names the -parallel value; the measured
-	// anatomy before the checks must match across pool widths.
+	// anatomy before the checks must match across pool widths. The
+	// -parallel 2 report, checks included, is pinned by a golden.
 	body := func(s string) string { return s[:strings.Index(s, "PASS  report byte-identical")] }
 	for _, par := range []string{"2", ""} {
-		if again := runGate(t, "-brownout", par); body(again) != body(wide) {
+		again := runGate(t, "-brownout", par)
+		if body(again) != body(wide) {
 			t.Fatalf("brownout report differs across parallelism:\n--- parallel 4 ---\n%s--- parallel %q ---\n%s", wide, par, again)
+		}
+		if par == "2" {
+			checkGolden(t, again, "validate_brownout_parallel2.golden")
 		}
 	}
 }
 
 // -chaos and -brownout are mutually exclusive gates.
 func TestGateFlagsAreExclusive(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-chaos", "-brownout"}, &out, &errb); code == 0 {
+	code, stderr := runCode(runValidate, "-chaos", "-brownout")
+	if code == 0 {
 		t.Fatal("combined -chaos -brownout succeeded, want an error")
 	}
-	if errb.Len() == 0 {
+	if stderr == "" {
 		t.Fatal("combined gates failed silently")
 	}
 }

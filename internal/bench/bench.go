@@ -1,6 +1,6 @@
 // Package bench is the experiment harness: one experiment per table and
 // figure of the paper's evaluation, each regenerating the corresponding
-// rows/series on the simulated platform. The aitax-experiments binary
+// rows/series on the simulated platform. The aitax experiments command
 // and the root-level Go benchmarks drive this package.
 package bench
 

@@ -6,7 +6,7 @@ import (
 )
 
 // RenderMarkdown draws the result as GitHub-flavored markdown, for
-// report generation (aitax-experiments -format markdown).
+// report generation (aitax experiments -format markdown).
 func (r *Result) RenderMarkdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## %s — %s\n\n", r.ID, r.Title)

@@ -13,7 +13,7 @@ import (
 // output rendered from the slice is byte-identical at any parallelism.
 //
 // A panicking or failing experiment becomes an error Result (its Notes
-// carry a "setup failed" line that aitax-validate and the bench tests
+// carry a "setup failed" line that aitax validate and the bench tests
 // flag) instead of taking the run down. Cancelling ctx skips every
 // experiment that has not started and returns the context's error
 // alongside the partial results.
@@ -47,7 +47,7 @@ func RunExperimentsCtx(ctx context.Context, exps []Experiment, cfg Config, paral
 
 // RunAll regenerates every experiment in paper order across a worker
 // pool of the given size (<= 0 means GOMAXPROCS). It is the library
-// counterpart of `aitax-experiments -run all -parallel N`.
+// counterpart of `aitax experiments -run all -parallel N`.
 func RunAll(cfg Config, parallelism int) []*Result {
 	out, _ := RunExperimentsCtx(context.Background(), Experiments(), cfg, parallelism)
 	return out

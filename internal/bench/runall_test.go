@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// renderAll joins the rendered results the way aitax-experiments does.
+// renderAll joins the rendered results the way aitax experiments does.
 func renderAll(rs []*Result) string {
 	var b strings.Builder
 	for _, r := range rs {

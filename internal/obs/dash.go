@@ -36,7 +36,7 @@ func Sparkline(vals []float64) string {
 }
 
 // Dashboard renders a Recorder (+ optional Monitor) as a terminal text
-// snapshot: the `aitax-serve -watch` screen. Rendering is a pure
+// snapshot: the `aitax serve -watch` screen. Rendering is a pure
 // function of the recorder/monitor state, so the simulator path golden-
 // diffs the exact bytes the live dashboard would show.
 type Dashboard struct {

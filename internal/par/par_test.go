@@ -117,7 +117,15 @@ func TestConcurrentForCallsDoNotInterfere(t *testing.T) {
 func BenchmarkForDispatch(b *testing.B) {
 	defer SetWorkers(SetWorkers(4))
 	c := &countTask{hits: make([]atomic.Int32, 1024)}
-	For(len(c.hits), c) // warm up: first call spins up the worker pool
+	// Warm up: the first call spins up the worker pool, and the rest
+	// fill every P's sudog cache. Each worker parks on its channel
+	// receive once per call, and the runtime allocates a 96-byte sudog
+	// for a park on a P whose cache is empty. The GC that testing runs
+	// before the benchmark empties the central cache, so without this
+	// a single measured iteration at -benchtime=1x can count 1-2 allocs.
+	for i := 0; i < 1000; i++ {
+		For(len(c.hits), c)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -11,87 +11,6 @@ import (
 	"aitax/internal/telemetry"
 )
 
-// Outcome is one request's fate in the virtual-time simulation. All
-// times are on the simulation clock; a rejected request has only
-// Arrival set and everything else zero.
-type Outcome struct {
-	ID    int
-	Model string
-	// Arrival, Flushed, Started, Finished are the request's queueing
-	// milestones: admission, batch flush (window close or max-batch),
-	// executor pickup, completion.
-	Arrival  sim.Time
-	Flushed  sim.Time
-	Started  sim.Time
-	Finished sim.Time
-	// Rejected marks an arrival turned away by admission control.
-	Rejected bool
-	// Class is the request's QoS class (Standard when undeclared).
-	Class qos.Class
-	// Shed marks an arrival turned away by the brownout controller's
-	// class shedding (distinct from a queue-full rejection).
-	Shed bool
-	// ServedAs, when non-empty, is the cheaper model the brownout
-	// controller downshifted this request to.
-	ServedAs string
-	// Steered marks a request whose batch ran on the steer delegate.
-	Steered bool
-	// BatchSize is the size of the batch that served the request.
-	BatchSize int
-	// Infer is the request's share of the batch's inference time — the
-	// useful compute. Everything else in Latency is serving tax.
-	Infer time.Duration
-	// ComputeTax is the request's share of the batch's pipeline tax
-	// plus its share of the per-dispatch overhead.
-	ComputeTax time.Duration
-	// Pre, Post, RPC and Exec are the request's share of the batch's
-	// Table-III stage anatomy (see BatchCost) — the streaming recorder's
-	// per-window tax export.
-	Pre  time.Duration
-	Post time.Duration
-	RPC  time.Duration
-	Exec time.Duration
-}
-
-// Framework is the inference-stage time not attributed to FastRPC
-// overhead or remote kernel execution: the framework/scheduling slice of
-// the Table-III anatomy. On delegates that never cross to the DSP it is
-// zero (all inference time counts as kernel execution).
-func (o Outcome) Framework() time.Duration {
-	if o.Exec == 0 && o.RPC == 0 {
-		return 0
-	}
-	fw := o.Infer - o.RPC - o.Exec
-	if fw < 0 {
-		return 0
-	}
-	return fw
-}
-
-// KernelExec is the useful kernel-execution slice of the anatomy: the
-// measured remote execution when the inference crossed to the DSP, the
-// whole inference stage otherwise.
-func (o Outcome) KernelExec() time.Duration {
-	if o.Exec == 0 && o.RPC == 0 {
-		return o.Infer
-	}
-	return o.Exec
-}
-
-// Latency is the end-to-end time the client observed.
-func (o Outcome) Latency() time.Duration { return o.Finished.Sub(o.Arrival) }
-
-// Tax is the non-inference share of the request's latency: batch wait,
-// dispatch wait, its slice of the batch's pipeline tax and dispatch
-// overhead, and time serialized behind batch co-riders.
-func (o Outcome) Tax() time.Duration { return o.Latency() - o.Infer }
-
-// BatchWait is time spent waiting for the batch window to close.
-func (o Outcome) BatchWait() time.Duration { return o.Flushed.Sub(o.Arrival) }
-
-// DispatchWait is time a flushed batch waited for a free executor.
-func (o Outcome) DispatchWait() time.Duration { return o.Started.Sub(o.Flushed) }
-
 // DepthSample is one step of a model's admitted-queue depth, for the
 // Chrome trace's counter tracks.
 type DepthSample struct {
@@ -126,51 +45,26 @@ type SimResult struct {
 	Degradation *Degradation
 }
 
-// simQueue is one model's serving state inside the simulator.
-type simQueue struct {
-	name    string
-	pending []*simReq
-	window  sim.EventID
-	armed   bool
-	// queued counts admitted requests not yet in service — the
-	// admission-control quantity.
-	queued  int
-	batches int
-}
-
-type simReq struct {
-	out  Outcome
-	span *telemetry.ActiveSpan
-	wait *telemetry.ActiveSpan
-}
-
-type simBatch struct {
-	q    *simQueue
-	reqs []*simReq
-}
-
-// simulator runs the serving policy as a discrete-event simulation:
-// single-threaded on one virtual clock, so one seed produces one
-// history regardless of host parallelism.
+// simulator is the serving core's event adapter: one virtual clock,
+// single-threaded, so one seed produces one history regardless of host
+// parallelism. It prices batches from the cost table and adds the
+// traced run's spans and queue-depth samples.
 type simulator struct {
-	cfg     Config
-	table   *CostTable
-	eng     *sim.Engine
-	tracer  *telemetry.Tracer
-	metrics *telemetry.Registry
-	queues  map[string]*simQueue
-	order   []*simQueue
-	ready   []*simBatch // flushed batches awaiting an executor, FIFO
-	free    int         // idle executors
-	depth   []DepthSample
-	traced  bool
-	// qs is the brownout state (nil without a QoS policy); remaining
-	// counts arrivals not yet resolved and active the batches in
-	// service — together they bound the controller's self-rescheduling
-	// decision tick so the event queue drains.
-	qs        *qosState
-	remaining int
-	active    int
+	core   *core
+	table  *CostTable
+	eng    *sim.Engine
+	tracer *telemetry.Tracer
+	depth  []DepthSample
+	// arrivals counts arrival events not yet fired; the core closes
+	// after the last one.
+	arrivals int
+}
+
+func (s *simulator) now() sim.Time { return s.eng.Now() }
+
+func (s *simulator) after(d time.Duration, f func()) func() {
+	id := s.eng.After(d, f)
+	return func() { s.eng.Cancel(id) }
 }
 
 // Simulate replays the arrival schedule against the serving policy in
@@ -180,362 +74,123 @@ func Simulate(cfg Config, table *CostTable, arrivals []loadgen.Arrival, traced b
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &simulator{
-		cfg:     cfg,
-		table:   table,
-		eng:     sim.NewEngine(),
-		metrics: telemetry.NewRegistry(),
-		queues:  make(map[string]*simQueue),
-		free:    cfg.Workers,
-		traced:  traced,
+	s := &simulator{table: table, eng: sim.NewEngine(), arrivals: len(arrivals)}
+	c, err := newCore(cfg, s, telemetry.NewRegistry(), s.run)
+	if err != nil {
+		return nil, err
 	}
+	s.core = c
 	if traced {
 		s.tracer = telemetry.NewTracer(s.eng.Now)
+		c.onTransition = s.transition
 	}
-	if cfg.QoS != nil {
-		qs, err := newQOSState(cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.qs = qs
-	}
-	for _, m := range cfg.Models {
-		q := &simQueue{name: m.Name}
-		s.queues[m.Name] = q
-		s.order = append(s.order, q)
-	}
-	reqs := make([]*simReq, len(arrivals))
+	reqs := make([]*request, len(arrivals))
 	for i, a := range arrivals {
-		if _, ok := s.queues[a.Model]; !ok {
+		if _, ok := c.queues[a.Model]; !ok {
 			return nil, fmt.Errorf("serve: arrival %d asks for %q, not in the loaded set", a.ID, a.Model)
 		}
 		cls, err := qos.ParseClass(a.Class)
 		if err != nil {
 			return nil, fmt.Errorf("serve: arrival %d: %w", a.ID, err)
 		}
-		r := &simReq{out: Outcome{ID: a.ID, Model: a.Model, Class: cls}}
+		r := &request{out: Outcome{ID: a.ID, Model: a.Model, Class: cls}}
 		reqs[i] = r
-		at := sim.Time(a.At)
-		s.eng.Schedule(at, func() { s.arrive(r) })
+		s.eng.Schedule(sim.Time(a.At), func() { s.arrive(r) })
 	}
-	s.remaining = len(arrivals)
-	if s.qs != nil && s.remaining > 0 {
-		s.armTick()
+	c.start()
+	if len(arrivals) == 0 {
+		c.close()
 	}
 	s.eng.Run()
 	res := &SimResult{
 		Outcomes: make([]Outcome, len(reqs)),
 		End:      s.eng.Now(),
-		Metrics:  s.metrics,
+		Metrics:  c.metrics,
 		Depth:    s.depth,
 	}
 	for i, r := range reqs {
 		res.Outcomes[i] = r.out
 	}
-	for _, q := range s.order {
+	for _, q := range c.order {
 		res.Batches = append(res.Batches, ModelBatches{Model: q.name, Batches: q.batches})
 	}
 	if s.tracer != nil {
 		res.Spans, res.Flows = s.tracer.Spans(), s.tracer.Flows()
 	}
-	if s.qs != nil {
-		res.Degradation = s.qs.finish()
+	if c.qs != nil {
+		res.Degradation = c.qs.finish()
 	}
 	return res, nil
 }
 
-// armTick schedules the next brownout decision.
-func (s *simulator) armTick() {
-	s.qs.tickArmed = true
-	s.qs.tickID = s.eng.After(s.qs.ctl.Ladder().Tick, s.qosTick)
-}
-
-// maybeDisarmTick cancels the pending decision tick once no work
-// remains, so the engine's queue drains — the simulation ends at the
-// last request's completion, not at some later tick.
-func (s *simulator) maybeDisarmTick() {
-	if s.qs != nil && s.qs.tickArmed && s.remaining == 0 && s.active == 0 {
-		s.eng.Cancel(s.qs.tickID)
-		s.qs.tickArmed = false
-	}
-}
-
-// accrueBusy integrates the hot-delegate busy level up to now, for the
-// thermal model's utilization input.
-func (s *simulator) accrueBusy(now sim.Time) {
-	dt := now.Sub(s.qs.lastBusy)
-	if dt > 0 {
-		s.qs.busyInt += time.Duration(s.qs.hot) * dt
-	}
-	s.qs.lastBusy = now
-}
-
-// queueFrac is the fullest admission queue's occupancy in [0, 1].
-func (s *simulator) queueFrac() float64 {
-	max := 0
-	for _, q := range s.order {
-		if q.queued > max {
-			max = q.queued
-		}
-	}
-	return float64(max) / float64(s.cfg.QueueDepth)
-}
-
-// qosTick runs one brownout decision on the virtual clock.
-func (s *simulator) qosTick() {
-	qs := s.qs
-	qs.tickArmed = false
-	now := s.eng.Now()
-	dt := now.Sub(qs.lastTick)
-	qs.lastTick = now
-	s.accrueBusy(now)
-	util := 0.0
-	if dt > 0 {
-		util = float64(qs.busyInt) / (float64(dt) * float64(s.cfg.Workers))
-	}
-	qs.busyInt = 0
-	faultTrip := s.cfg.Faults.ThermalTripAt > 0 && now.Duration() >= s.cfg.Faults.ThermalTripAt
-	t := qs.step(now.Duration(), dt, util, s.queueFrac(), faultTrip)
-	s.metrics.Set("aitax_qos_level", float64(t.Level))
-	s.metrics.Set("aitax_qos_temp_c", qs.therm.TempC())
-	if t.Changed {
-		s.metrics.Inc("aitax_qos_transitions_total")
-		if s.tracer != nil {
-			sp := s.tracer.Instant(fmt.Sprintf("qos L%d->L%d", t.From, t.Level), "qos", telemetry.TrackCPU, nil, now)
-			sp.SetAttr("driver", t.Driver)
-			sp.SetAttr("pressure", fmt.Sprintf("%.2f", t.Pressure))
-		}
-	}
-	if s.remaining > 0 || s.active > 0 {
-		s.armTick()
-	}
-}
-
-func (s *simulator) sampleDepth(q *simQueue) {
-	if s.traced {
+func (s *simulator) sampleDepth(q *queue) {
+	if s.tracer != nil {
 		s.depth = append(s.depth, DepthSample{Model: q.name, At: s.eng.Now(), Depth: q.queued})
 	}
 }
 
-// arrive runs admission control and batch formation for one request.
-func (s *simulator) arrive(r *simReq) {
-	name := r.out.Model
-	now := s.eng.Now()
-	r.out.Arrival = now
-	s.metrics.Inc(telemetry.Labeled("aitax_serve_requests_total", "model", name))
-	// Brownout rung 1: shed best-effort traffic at admission. Shed
-	// outcomes are not fed back into the controller's burn signal — its
-	// own action must not hold its pressure up.
-	if s.qs != nil && s.qs.ctl.Shed(r.out.Class) {
-		r.out.Shed = true
-		s.qs.deg.Shed[r.out.Class]++
-		s.metrics.Inc(telemetry.Labeled("aitax_qos_shed_total", "class", r.out.Class.String()))
-		if s.tracer != nil {
-			sp := s.tracer.Instant("shed", "qos", telemetry.TrackCPU, nil, now)
-			sp.SetAttr("model", name)
-			sp.SetAttr("class", r.out.Class.String())
-			sp.SetAttr("request", strconv.Itoa(r.out.ID))
-		}
-		s.remaining--
-		s.maybeDisarmTick()
-		return
-	}
-	// Brownout rung 2: rewrite the request onto its cheaper fallback
-	// model's queue; it batches, prices and serves as that model.
-	q := s.queues[name]
-	if s.qs != nil && s.qs.ctl.Downshift() {
-		if to, ok := s.cfg.QoS.Downshift[name]; ok {
-			r.out.ServedAs = to
-			q = s.queues[to]
-			s.qs.deg.Downshifted++
-			s.metrics.Inc(telemetry.Labeled("aitax_qos_downshift_total", "model", name))
-		}
-	}
-	if q.queued >= s.cfg.QueueDepth {
-		r.out.Rejected = true
-		s.metrics.Inc(telemetry.Labeled("aitax_serve_rejected_total", "model", name))
-		if s.qs != nil && s.sloCovers(name) {
-			s.qs.ctl.ObserveBad()
-		}
-		if s.tracer != nil {
-			sp := s.tracer.Instant("reject", "serve", telemetry.TrackCPU, nil, now)
-			sp.SetAttr("model", name)
-			sp.SetAttr("request", strconv.Itoa(r.out.ID))
-		}
-		s.remaining--
-		s.maybeDisarmTick()
-		return
-	}
-	q.queued++
-	s.sampleDepth(q)
+// arrive delivers one arrival to the core, tracing its verdict.
+func (s *simulator) arrive(r *request) {
+	verdict := s.core.admit(r)
 	if s.tracer != nil {
-		r.span = s.tracer.Start("request", "serve", telemetry.TrackCPU, nil)
-		r.span.SetAttr("model", q.name)
-		r.span.SetAttr("request", strconv.Itoa(r.out.ID))
-		r.wait = s.tracer.Start("queued", "serve", telemetry.TrackCPU, r.span)
-	}
-	q.pending = append(q.pending, r)
-	switch {
-	case len(q.pending) >= s.cfg.MaxBatch:
-		// Full batch: flush now, the window (if armed) is moot.
-		if q.armed {
-			s.eng.Cancel(q.window)
-			q.armed = false
+		now, id := s.eng.Now(), strconv.Itoa(r.out.ID)
+		switch verdict {
+		case shed:
+			sp := s.tracer.Instant("shed", "qos", telemetry.TrackCPU, nil, now)
+			sp.SetAttr("model", r.out.Model)
+			sp.SetAttr("class", r.out.Class.String())
+			sp.SetAttr("request", id)
+		case rejected:
+			sp := s.tracer.Instant("reject", "serve", telemetry.TrackCPU, nil, now)
+			sp.SetAttr("model", r.out.Model)
+			sp.SetAttr("request", id)
+		case admitted:
+			s.sampleDepth(r.q)
+			r.span = s.tracer.Start("request", "serve", telemetry.TrackCPU, nil)
+			r.span.SetAttr("model", r.q.name)
+			r.span.SetAttr("request", id)
+			r.wait = s.tracer.Start("queued", "serve", telemetry.TrackCPU, r.span)
 		}
-		s.flush(q)
-	case s.cfg.BatchWindow == 0:
-		s.flush(q)
-	case len(q.pending) == 1:
-		// First rider opens the window.
-		q.window = s.eng.After(s.cfg.BatchWindow, func() {
-			q.armed = false
-			s.flush(q)
-		})
-		q.armed = true
+	}
+	if verdict == admitted {
+		s.core.enqueue(r)
+	}
+	if s.arrivals--; s.arrivals == 0 {
+		s.core.close()
 	}
 }
 
-// sloCovers reports whether any configured objective covers model.
-func (s *simulator) sloCovers(model string) bool {
-	for _, obj := range s.cfg.SLO {
-		if covered, _ := obj.Match(model, 0, true); covered {
-			return true
-		}
-	}
-	return false
-}
-
-// observeOutcome feeds one served request's SLO verdict into the
-// controller's burn signal, scored against the model the client asked
-// for (a downshifted request that meets the requested model's objective
-// is a good outcome — that is the point of downshifting).
-func (s *simulator) observeOutcome(model string, latency time.Duration) {
-	covered, breached := false, false
-	for _, obj := range s.cfg.SLO {
-		c, b := obj.Match(model, latency, false)
-		covered = covered || c
-		breached = breached || b
-	}
-	if !covered {
-		return
-	}
-	if breached {
-		s.qs.ctl.ObserveBad()
-	} else {
-		s.qs.ctl.ObserveGood()
-	}
-}
-
-// flush closes the open batch and hands it to the executor pool.
-func (s *simulator) flush(q *simQueue) {
-	if len(q.pending) == 0 {
-		return
-	}
-	now := s.eng.Now()
-	b := &simBatch{q: q, reqs: q.pending}
-	q.pending = nil
-	q.batches++
-	for _, r := range b.reqs {
-		r.out.Flushed = now
-	}
-	s.metrics.Inc(telemetry.Labeled("aitax_serve_batches_total", "model", q.name))
-	s.metrics.Observe(telemetry.Labeled("aitax_serve_batch_size", "model", q.name), float64(len(b.reqs)))
-	s.ready = append(s.ready, b)
-	s.dispatch()
-}
-
-// dispatch starts ready batches on idle executors, FIFO.
-func (s *simulator) dispatch() {
-	for s.free > 0 && len(s.ready) > 0 {
-		b := s.ready[0]
-		s.ready = s.ready[1:]
-		s.free--
-		s.active++
-		now := s.eng.Now()
-		k := len(b.reqs)
-		// Brownout rung 3: steer the batch off the hot delegate. A
-		// steered batch is priced from the steer cost table, does not
-		// heat the die, and escapes DVFS throttling; a non-steered batch
-		// on a hot die is stretched by the throttle factor — that
-		// stretch lands in every rider's latency, and therefore in its
-		// tax (DVFS is AI tax the thermal model charges).
-		steered := s.qs != nil && s.qs.ctl.Steer()
-		var cost BatchCost
-		if steered {
-			cost = s.table.SteerCost(b.q.name, k)
-			s.qs.deg.SteeredBatches++
-			s.metrics.Inc("aitax_qos_steered_batches_total")
-		} else {
-			cost = s.table.Cost(b.q.name, k)
-		}
-		service := s.cfg.DispatchCost + cost.Service
-		if s.qs != nil && !steered {
-			if f := s.qs.therm.ThrottleFactor(); f < 1 {
-				service = s.cfg.DispatchCost + time.Duration(float64(cost.Service)/f)
-				s.qs.deg.ThrottledBatches++
-				s.metrics.Inc("aitax_qos_throttled_batches_total")
-			}
-			s.accrueBusy(now)
-			s.qs.hot++
-		}
-		var span *telemetry.ActiveSpan
-		if s.tracer != nil {
-			span = s.tracer.Start("batch", "serve", telemetry.TrackCPU, nil)
-			span.SetAttr("model", b.q.name)
-			span.SetAttr("size", strconv.Itoa(k))
-			if steered {
-				span.SetAttr("steered", "true")
-			}
+// run prices a dispatched batch from the cost table and completes it
+// after its service time.
+func (s *simulator) run(b *batch) {
+	k := len(b.reqs)
+	if s.tracer != nil {
+		b.span = s.tracer.Start("batch", "serve", telemetry.TrackCPU, nil)
+		b.span.SetAttr("model", b.q.name)
+		b.span.SetAttr("size", strconv.Itoa(k))
+		if b.steered {
+			b.span.SetAttr("steered", "true")
 		}
 		for _, r := range b.reqs {
-			r.out.Started = now
-			r.out.Steered = steered
-			b.q.queued--
-			if r.wait != nil {
-				r.wait.End()
-			}
+			r.wait.End()
 		}
 		s.sampleDepth(b.q)
-		s.eng.After(service, func() {
-			s.complete(b, cost, steered, span)
-		})
 	}
+	cost := s.table.cost(b.q.name, k, b.steered)
+	s.eng.After(s.core.service(b, cost), func() {
+		b.span.End()
+		s.core.complete(b, cost, nil)
+		for _, r := range b.reqs {
+			r.span.End()
+			s.core.metrics.Observe(telemetry.Labeled("aitax_serve_latency_ms", "model", b.q.name), ms(r.out.Latency()))
+			s.core.metrics.Observe(telemetry.Labeled("aitax_serve_tax_ms", "model", b.q.name), ms(r.out.Tax()))
+		}
+	})
 }
 
-// complete finishes a batch: per-request accounting, executor release.
-func (s *simulator) complete(b *simBatch, cost BatchCost, steered bool, span *telemetry.ActiveSpan) {
-	now := s.eng.Now()
-	k := len(b.reqs)
-	if span != nil {
-		span.End()
-	}
-	if s.qs != nil && !steered {
-		s.accrueBusy(now)
-		s.qs.hot--
-	}
-	for _, r := range b.reqs {
-		r.out.Finished = now
-		r.out.BatchSize = k
-		r.out.Infer = cost.Infer / time.Duration(k)
-		r.out.ComputeTax = (cost.Tax + s.cfg.DispatchCost) / time.Duration(k)
-		r.out.Pre = cost.Pre / time.Duration(k)
-		r.out.Post = cost.Post / time.Duration(k)
-		r.out.RPC = cost.RPC / time.Duration(k)
-		r.out.Exec = cost.Exec / time.Duration(k)
-		if r.span != nil {
-			r.span.End()
-		}
-		ms := float64(r.out.Latency()) / float64(time.Millisecond)
-		s.metrics.Observe(telemetry.Labeled("aitax_serve_latency_ms", "model", b.q.name), ms)
-		s.metrics.Observe(telemetry.Labeled("aitax_serve_tax_ms", "model", b.q.name),
-			float64(r.out.Tax())/float64(time.Millisecond))
-		if s.qs != nil {
-			s.observeOutcome(r.out.Model, r.out.Latency())
-		}
-		s.remaining--
-	}
-	s.free++
-	s.active--
-	s.dispatch()
-	s.maybeDisarmTick()
+// transition marks a ladder level change on the trace.
+func (s *simulator) transition(t qos.Tick) {
+	sp := s.tracer.Instant(fmt.Sprintf("qos L%d->L%d", t.From, t.Level), "qos", telemetry.TrackCPU, nil, s.eng.Now())
+	sp.SetAttr("driver", t.Driver)
+	sp.SetAttr("pressure", fmt.Sprintf("%.2f", t.Pressure))
 }

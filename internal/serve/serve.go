@@ -4,9 +4,13 @@
 // (a batch window capped at a maximum batch size), and executes batches
 // on a bounded pool of model executors built from the simulated stack.
 //
-// The same queueing policy runs in two harnesses:
+// The policy — admission, brownout shedding and downshift, batch
+// formation, FIFO dispatch with steering and thermal throttling,
+// completion accounting and the brownout tick — is one clock-driven
+// state machine (core.go), adapted to two clocks:
 //
-//   - a wall-clock HTTP frontend ([Server]) for interactive use, and
+//   - a wall-clock HTTP frontend ([Server]) for interactive use, whose
+//     timers run the core under the server mutex, and
 //   - a virtual-time discrete-event simulator ([Simulate]) driven by
 //     the open-loop generator in internal/loadgen, whose reports are
 //     byte-identical for a fixed seed at any -parallel value.
@@ -14,8 +18,8 @@
 // Serving adds its own AI tax on top of the per-frame pipeline tax:
 // batch-formation wait (the window), dispatch wait (all executors
 // busy), and the per-dispatch overhead amortized across the batch.
-// Both harnesses account these explicitly so the serving tax is
-// visible next to the pipeline's own.
+// The core accounts these once, so both harnesses bill the serving tax
+// identically, next to the pipeline's own.
 package serve
 
 import (

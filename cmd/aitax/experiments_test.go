@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aitax/internal/plan"
 )
 
 func TestGoldenTable1(t *testing.T) {
@@ -28,6 +30,19 @@ func TestGoldenResultsDocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGoldenSD855Seed7 pins the full sweep on a second platform, seed
+// and run count, so a change to the simulated CPU path is checked
+// against more than the Pixel 3 reference results. It compiles into a
+// private plan cache: TestPrewarmEliminatesFirstRequestPlanTax needs the
+// shared cache cold for this platform.
+func TestGoldenSD855Seed7(t *testing.T) {
+	shared := plan.Shared
+	plan.Shared = plan.New()
+	defer func() { plan.Shared = shared }()
+	checkGolden(t, runCmd(t, runExperiments, "-platform", "Snapdragon 855", "-seed", "7", "-runs", "100"),
+		"experiments_sd855_seed7_runs100.golden")
 }
 
 func TestParallelOutputByteIdentical(t *testing.T) {

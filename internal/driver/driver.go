@@ -172,6 +172,9 @@ type CPUTarget struct {
 	Efficiency float64
 	// Tracer, when set, wraps each segment in a span. Nil disables.
 	Tracer *telemetry.Tracer
+
+	// replay memoises quiet segments; built on the first one.
+	replay *cpuReplay
 }
 
 // NewCPUTarget creates a CPU delegate with nThreads worker threads.
@@ -263,6 +266,7 @@ type cpuSegRun struct {
 	i          int // current op index
 	remaining  int // threads still running the current op
 	threadDone func()
+	record     bool // the segment's scheduler effect is being recorded
 }
 
 func (r *cpuSegRun) onThreadDone() {
@@ -277,6 +281,9 @@ func (r *cpuSegRun) runOp() {
 	t := r.t
 	if r.i >= len(r.ops) {
 		r.sp.End()
+		if r.record {
+			t.replay.end(r.res)
+		}
 		if r.done != nil {
 			r.done(r.res)
 		}
@@ -302,14 +309,118 @@ func (r *cpuSegRun) runOp() {
 // ExecuteCosted implements CostedExecutor: identical to ExecuteSpan with
 // each op's device time read from the schedule instead of recomputed.
 func (t *CPUTarget) ExecuteCosted(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
+	record := false
+	if t.Tracer == nil && len(ops) > 0 {
+		if fp, ok := t.sch.Fingerprint(t.threads); ok {
+			if t.replay == nil {
+				t.replay = &cpuReplay{Replayer: t.sch.NewReplayer(t.threads)}
+				t.replay.fire = t.replay.finish
+			}
+			key := segKey{ops: &ops[0], n: len(ops), dt: dt,
+				perOp: t.PerOpOverhead, eff: t.Efficiency, fp: fp}
+			if len(costs) > 0 {
+				key.costs = &costs[0]
+			}
+			if t.replay.start(key, done) {
+				return
+			}
+			record = true
+		}
+	}
 	sp := t.Tracer.Start("cpu-exec", "driver", telemetry.TrackCPU, parent)
 	sp.SetAttr("target", t.name)
 	r := &cpuSegRun{
-		t: t, ops: ops, costs: costs, dt: dt, sp: sp, done: done,
+		t: t, ops: ops, costs: costs, dt: dt, sp: sp, done: done, record: record,
 		eff: parallelEfficiency(len(t.threads)) * t.Efficiency,
 	}
 	r.threadDone = r.onThreadDone
 	r.runOp()
+}
+
+// maxReplayMemo bounds a CPU target's replay memo. A steady loop needs
+// one entry per (segment, scheduler state) it repeats: two or three for
+// a whole-graph CPU invoke, but one per CPU partition when NNAPI splits
+// a graph, which runs to dozens. Lookups stay cheap at this size because
+// a key comparison stops at the op-slice pointer, its first field.
+const maxReplayMemo = 64
+
+// cpuReplay memoises the scheduler effect and result of segments that a
+// CPU target starts on a quiet scheduler (see sched.Replayer) and
+// replays a repeat with one engine event instead of re-simulating it
+// thread by thread. It is off while the target has a Tracer, whose spans
+// need the real events.
+type cpuReplay struct {
+	*sched.Replayer
+	memo []replayEntry // oldest replaced first once full
+	next int           // eviction cursor
+	rec  segKey        // key of the segment being recorded
+
+	// The replay in flight; fire is built once so a replay allocates
+	// nothing.
+	done func(Result)
+	res  Result
+	fire func()
+
+	hits int
+}
+
+// segKey identifies a segment execution: the same op and cost slices at
+// the same precision and target tuning, from the same scheduler state.
+type segKey struct {
+	ops   **nn.Op
+	n     int
+	costs *time.Duration
+	dt    tensor.DType
+	perOp time.Duration
+	eff   float64
+	fp    sched.Fingerprint
+}
+
+type replayEntry struct {
+	key    segKey
+	effect sched.Effect
+	res    Result
+}
+
+// start replays a memoised segment and reports true, or begins recording
+// it and reports false.
+func (c *cpuReplay) start(key segKey, done func(Result)) bool {
+	for i := range c.memo {
+		if e := &c.memo[i]; e.key == key {
+			c.done, c.res = done, e.res
+			c.Replay(&e.effect, c.fire)
+			return true
+		}
+	}
+	c.rec = key
+	c.Begin()
+	return false
+}
+
+// end closes the recording begun by start, memoising the segment when
+// it provably ran alone.
+func (c *cpuReplay) end(res Result) {
+	var eff sched.Effect
+	if !c.End(&eff) {
+		return
+	}
+	e := replayEntry{key: c.rec, effect: eff, res: res}
+	if len(c.memo) < maxReplayMemo {
+		c.memo = append(c.memo, e)
+		return
+	}
+	c.memo[c.next] = e
+	c.next = (c.next + 1) % maxReplayMemo
+}
+
+// finish is the body of the replay event, after the scheduler effect.
+func (c *cpuReplay) finish() {
+	done, res := c.done, c.res
+	c.done = nil
+	c.hits++
+	if done != nil {
+		done(res)
+	}
 }
 
 // --- GPU target ---

@@ -1,0 +1,187 @@
+package driver
+
+import (
+	"testing"
+	"time"
+
+	"aitax/internal/sched"
+	"aitax/internal/sim"
+	"aitax/internal/telemetry"
+	"aitax/internal/tensor"
+)
+
+// nopListener observes nothing; subscribing it turns replay off.
+type nopListener struct{}
+
+func (nopListener) OnRun(*sched.Thread, *sched.Core, sim.Time, time.Duration)   {}
+func (nopListener) OnMigrate(*sched.Thread, *sched.Core, *sched.Core, sim.Time) {}
+
+// cpuRun is the outcome of a benchmark-style loop on one CPU target.
+type cpuRun struct {
+	results    []Result
+	ends       []sim.Time
+	now        sim.Time
+	switches   int
+	migrations int
+	busy       []time.Duration
+	cpu        []time.Duration
+	hits       int
+}
+
+// benchLoop invokes the segment n times on a fresh rig, each time after
+// a short input-generation burst when gen is set (which context-switches
+// a worker's core between invokes, as the benchmark tool does).
+func benchLoop(n int, gen bool, setup func(r *rig, cpu *CPUTarget), mk func(r *rig) *CPUTarget) cpuRun {
+	r := newRig()
+	cpu := mk(r)
+	if setup != nil {
+		setup(r, cpu)
+	}
+	ops := smallGraph().Ops()
+	costs := cpu.OpCosts(ops, tensor.Float32)
+	genT := r.sch.Spawn("bench-gen", sched.BigOnly)
+	var out cpuRun
+	var next func(i int)
+	next = func(i int) {
+		if i == n {
+			return
+		}
+		invoke := func() {
+			cpu.ExecuteCosted(ops, costs, tensor.Float32, nil, func(res Result) {
+				out.results = append(out.results, res)
+				out.ends = append(out.ends, r.eng.Now())
+				next(i + 1)
+			})
+		}
+		if gen {
+			genT.Exec(120*time.Microsecond, invoke)
+			return
+		}
+		invoke()
+	}
+	next(0)
+	out.now = r.eng.Run()
+	out.switches, out.migrations = r.sch.Switches(), r.sch.Migrations()
+	for _, c := range r.sch.Cores() {
+		out.busy = append(out.busy, c.BusyTime())
+	}
+	for _, th := range append(cpu.threads, genT) {
+		out.cpu = append(out.cpu, th.CPUTime())
+	}
+	if cpu.replay != nil {
+		out.hits = cpu.replay.hits
+	}
+	return out
+}
+
+func sameRun(t *testing.T, name string, simd, rep cpuRun) {
+	t.Helper()
+	if simd.now != rep.now || simd.switches != rep.switches || simd.migrations != rep.migrations {
+		t.Errorf("%s: end/switches/migrations simulated %v/%d/%d, replayed %v/%d/%d", name,
+			simd.now, simd.switches, simd.migrations, rep.now, rep.switches, rep.migrations)
+	}
+	for i := range simd.busy {
+		if simd.busy[i] != rep.busy[i] {
+			t.Errorf("%s: core %d busy simulated %v, replayed %v", name, i, simd.busy[i], rep.busy[i])
+		}
+	}
+	for i := range simd.cpu {
+		if simd.cpu[i] != rep.cpu[i] {
+			t.Errorf("%s: thread %d CPU time simulated %v, replayed %v", name, i, simd.cpu[i], rep.cpu[i])
+		}
+	}
+	if len(simd.results) != len(rep.results) {
+		t.Fatalf("%s: %d results simulated, %d replayed", name, len(simd.results), len(rep.results))
+	}
+	for i := range simd.results {
+		if simd.results[i] != rep.results[i] || simd.ends[i] != rep.ends[i] {
+			t.Fatalf("%s: invoke %d simulated %+v at %v, replayed %+v at %v", name, i,
+				simd.results[i], simd.ends[i], rep.results[i], rep.ends[i])
+		}
+	}
+}
+
+func fourThreads(r *rig) *CPUTarget { return NewCPUTarget("cpu", r.sch, &r.p.Big, 4) }
+
+func reference(r *rig) *CPUTarget { return NewReferenceCPUTarget("ref", r.sch, &r.p.Big) }
+
+func subscribeNop(r *rig, _ *CPUTarget) { r.sch.Subscribe(nopListener{}) }
+
+func TestCPUReplayMatchesSimulation(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		gen       bool
+		mk        func(r *rig) *CPUTarget
+		migratory bool
+	}{
+		{"4 sticky threads", false, fourThreads, false},
+		{"4 sticky threads, gen between invokes", true, fourThreads, false},
+		{"reference (migratory)", false, reference, true},
+		{"reference (migratory), gen between invokes", true, reference, true},
+	} {
+		simd := benchLoop(30, tc.gen, subscribeNop, tc.mk)
+		rep := benchLoop(30, tc.gen, nil, tc.mk)
+		sameRun(t, tc.name, simd, rep)
+		if simd.hits != 0 {
+			t.Errorf("%s: %d replays with a listener subscribed", tc.name, simd.hits)
+		}
+		if rep.hits == 0 {
+			t.Errorf("%s: no segment was replayed", tc.name)
+		}
+		if tc.gen && simd.switches == 0 {
+			t.Errorf("%s: no context switch; the case is vacuous", tc.name)
+		}
+		if tc.migratory && simd.migrations == 0 {
+			t.Errorf("%s: no migration; the case is vacuous", tc.name)
+		}
+	}
+}
+
+func TestCPUReplayOffUnlessQuiet(t *testing.T) {
+	dvfs := func(r *rig) *CPUTarget {
+		cfg := sched.DefaultConfig()
+		cfg.DVFS = true
+		r.sch = sched.New(r.eng, cfg)
+		return fourThreads(r)
+	}
+	for _, tc := range []struct {
+		name  string
+		mk    func(r *rig) *CPUTarget
+		setup func(r *rig, cpu *CPUTarget)
+	}{
+		{"listener", fourThreads, subscribeNop},
+		{"tracer", fourThreads, func(r *rig, cpu *CPUTarget) { cpu.Tracer = telemetry.NewTracer(r.eng.Now) }},
+		{"pending event", fourThreads, func(r *rig, _ *CPUTarget) { r.eng.After(time.Hour, func() {}) }},
+		{"busy core", fourThreads, func(r *rig, _ *CPUTarget) {
+			r.sch.Spawn("bg", sched.LittleOnly).Exec(time.Second, nil)
+		}},
+		{"dvfs", dvfs, nil},
+	} {
+		if run := benchLoop(10, true, tc.setup, tc.mk); run.hits != 0 || len(run.results) != 10 {
+			t.Errorf("%s: %d of %d segments replayed, want 0 of 10", tc.name, run.hits, len(run.results))
+		}
+	}
+}
+
+func TestCPUReplayAllocatesNothing(t *testing.T) {
+	r := newRig()
+	cpu := fourThreads(r)
+	ops := smallGraph().Ops()
+	costs := cpu.OpCosts(ops, tensor.Float32)
+	done := func(Result) {}
+	for i := 0; i < 3; i++ {
+		cpu.ExecuteCosted(ops, costs, tensor.Float32, nil, done)
+		r.eng.Run()
+	}
+	hits := cpu.replay.hits
+	allocs := testing.AllocsPerRun(100, func() {
+		cpu.ExecuteCosted(ops, costs, tensor.Float32, nil, done)
+		r.eng.Run()
+	})
+	if cpu.replay.hits <= hits {
+		t.Fatal("the steady segment was not replayed")
+	}
+	if allocs != 0 {
+		t.Fatalf("a replayed segment allocates %.1f times, want 0", allocs)
+	}
+}

@@ -90,7 +90,6 @@ func clampU8(v int) uint8 {
 	return uint8(v)
 }
 
-
 // Fixed-point coefficient tables for the BT.601 conversions. Each table
 // is one term of the original per-pixel integer expressions, precomputed
 // over the 256 possible byte values, so the kernels replace multiplies

@@ -242,7 +242,6 @@ func (t *normalizeTask) Tile(lo, hi int) {
 	}
 }
 
-
 type quantizeTask struct {
 	src *imaging.ARGBImage
 	tab *[256]byte

@@ -116,6 +116,9 @@ type Engine struct {
 	now   Time
 	queue eventQueue
 	seq   uint64
+	// live counts the queued events that are not cancelled, so Pending
+	// is O(1).
+	live int
 	// free recycles fired/cancelled event structs: a simulation schedules
 	// millions of events but only ever has a bounded number pending, so
 	// the freelist caps event allocation at the peak queue depth.
@@ -148,6 +151,7 @@ func (e *Engine) Schedule(at Time, fn func()) EventID {
 		ev = &event{at: at, seq: e.seq, fn: fn}
 	}
 	e.seq++
+	e.live++
 	e.queue.push(ev)
 	return EventID{ev: ev, gen: ev.gen}
 }
@@ -173,8 +177,9 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 // or already-cancelled event is a no-op (the generation check catches IDs
 // whose event struct has since been recycled for a newer event).
 func (e *Engine) Cancel(id EventID) {
-	if id.ev != nil && id.ev.gen == id.gen {
+	if id.ev != nil && id.ev.gen == id.gen && !id.ev.dead {
 		id.ev.dead = true
+		e.live--
 	}
 }
 
@@ -190,6 +195,7 @@ func (e *Engine) Step() bool {
 			panic("sim: time went backwards")
 		}
 		e.now = ev.at
+		e.live--
 		fn := ev.fn
 		// Recycle before firing: fn may schedule new events and reuse
 		// this struct, which is safe once the generation is bumped.
@@ -232,15 +238,12 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // Pending reports the number of live events in the queue.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !ev.dead {
-			n++
-		}
-	}
-	return n
-}
+func (e *Engine) Pending() int { return e.live }
+
+// Scheduled reports how many events have ever been scheduled. A caller
+// that compares two readings learns whether anything was scheduled in
+// between, cancelled or not.
+func (e *Engine) Scheduled() uint64 { return e.seq }
 
 // Resource is a capacity-limited server with FIFO queueing: the building
 // block for modelling a DSP, a memory port, or any other contended unit.

@@ -38,14 +38,12 @@ import (
 	"aitax/internal/faults"
 	"aitax/internal/lab"
 	"aitax/internal/models"
-	"aitax/internal/sim"
 	"aitax/internal/snpe"
 	"aitax/internal/soc"
 	"aitax/internal/telemetry"
 	"aitax/internal/tensor"
 	"aitax/internal/tflite"
 	"aitax/internal/trace"
-	"aitax/internal/workload"
 )
 
 // Model zoo (paper Table I).
@@ -402,12 +400,7 @@ func MeasureBenchmarkCtx(ctx context.Context, opts AppOptions) ([]RunSample, err
 	}
 	bt := tflite.NewBenchTool(rt, ip)
 	bt.StdLib = opts.StdLib
-	var samples []tflite.RunSample
-	bt.Run(opts.Frames, func(s []tflite.RunSample) { samples = s })
-	if err := runEngine(ctx, rt.Eng); err != nil {
-		return nil, err
-	}
-	return samples, nil
+	return bt.Measure(ctx, opts.Frames)
 }
 
 // MeasureAppFrames is MeasureAppFramesCtx with context.Background().
@@ -460,27 +453,8 @@ func measureFrames(ctx context.Context, opts AppOptions, setup func(*tflite.Runt
 	if err != nil {
 		return nil, nil, err
 	}
-	var bg *workload.Background
-	if opts.BackgroundJobs > 0 {
-		bg, err = workload.Start(rt, m, opts.DType, opts.BackgroundDelegate, opts.BackgroundJobs)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	var frames []app.FrameStats
-	a.Init(func() {
-		a.Run(opts.Frames+opts.WarmupFrames, func(sts []app.FrameStats) {
-			frames = sts[opts.WarmupFrames:]
-			a.StopStream()
-			if bg != nil {
-				bg.Stop()
-			}
-		})
-	})
-	if err := runEngine(ctx, rt.Eng); err != nil {
-		return nil, nil, err
-	}
-	return rt, frames, nil
+	frames, err := a.Measure(ctx, opts.WarmupFrames, opts.Frames, opts.BackgroundJobs, opts.BackgroundDelegate)
+	return rt, frames, err
 }
 
 // TraceRun is the full observability record of one traced app run: the
@@ -550,24 +524,4 @@ func MeasureAppTracedCtx(ctx context.Context, opts AppOptions) (*TraceRun, error
 		Migrations:      mig,
 		ContextSwitches: sw,
 	}, nil
-}
-
-// runEngine drains the simulation engine, checking ctx between event
-// batches so a cancelled measurement aborts promptly, and reports the
-// final virtual time to the enclosing lab job (if any).
-func runEngine(ctx context.Context, eng *sim.Engine) error {
-	const batch = 4096
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-		for i := 0; i < batch; i++ {
-			if !eng.Step() {
-				lab.ReportSim(ctx, eng.Now().Duration())
-				return nil
-			}
-		}
-	}
 }

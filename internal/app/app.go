@@ -10,12 +10,14 @@
 package app
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"aitax/internal/capture"
 	"aitax/internal/fastrpc"
 	"aitax/internal/imaging"
+	"aitax/internal/lab"
 	"aitax/internal/models"
 	"aitax/internal/postproc"
 	"aitax/internal/preproc"
@@ -34,6 +36,19 @@ const ManagedEfficiency = 0.11
 // NativeEfficiency applies to support-library pipelines implemented as
 // vectorized native ops (the segmentation demo).
 const NativeEfficiency = 0.9
+
+const (
+	// uiBase is the per-frame result-rendering cost; uiJitterCV spreads
+	// it (compositor alignment, binder).
+	uiBase     = 4 * time.Millisecond
+	uiJitterCV = 0.3
+	// gcPeriod triggers a collector pause of gcPause every gcPeriod
+	// frames.
+	gcPeriod = 17
+	gcPause  = 7 * time.Millisecond
+	// frameInterval paces the background preview stream (30 fps).
+	frameInterval = 33 * time.Millisecond
+)
 
 // Config selects what the app runs.
 type Config struct {
@@ -105,17 +120,6 @@ type App struct {
 	postThread *sched.Thread
 	uiThread   *sched.Thread
 
-	// UIBase is the per-frame result-rendering cost.
-	UIBase time.Duration
-	// UIJitterCV spreads UI time (compositor alignment, binder).
-	UIJitterCV float64
-	// GCPeriod triggers a collector pause every N frames; GCPause is its
-	// length.
-	GCPeriod int
-	GCPause  time.Duration
-	// FrameInterval paces the background preview stream (30 fps).
-	FrameInterval time.Duration
-
 	frames     int
 	streaming  bool
 	preDSPDown bool // the DSP pre-processing path failed; stay on CPU
@@ -170,12 +174,6 @@ func New(rt *tflite.Runtime, cfg Config) (*App, error) {
 		preThread:  rt.Sch.Spawn("app-pre", nil),
 		postThread: rt.Sch.Spawn("app-post", nil),
 		uiThread:   rt.Sch.Spawn("app-ui", nil),
-
-		UIBase:        4 * time.Millisecond,
-		UIJitterCV:    0.3,
-		GCPeriod:      17,
-		GCPause:       7 * time.Millisecond,
-		FrameInterval: 33 * time.Millisecond,
 	}
 	if cfg.PreOnDSP {
 		a.preRPC = fastrpc.NewChannel(rt.Eng, rt.Platform.RPC, rt.DSP)
@@ -242,14 +240,74 @@ func (a *App) startStream() {
 			return
 		}
 		a.camThread.Exec(conv, nil)
-		a.rt.Eng.After(a.FrameInterval, tick)
+		a.rt.Eng.After(frameInterval, tick)
 	}
-	a.rt.Eng.After(a.FrameInterval, tick)
+	a.rt.Eng.After(frameInterval, tick)
 }
 
 // StopStream halts the background preview stream so a bounded experiment
 // can drain its event queue.
 func (a *App) StopStream() { a.streaming = false }
+
+// Measure is the measured run every experiment makes (§III): it starts
+// bgJobs background tenants running the app's own model and dtype on
+// bgDelegate, initializes the app, runs
+// warmup+frames frames, stops the preview stream and the tenants, drains
+// the engine with lab.Drain (which checks ctx and reports the simulated
+// time to an enclosing lab job) and returns the frames after warmup.
+func (a *App) Measure(ctx context.Context, warmup, frames, bgJobs int, bgDelegate tflite.Delegate) ([]FrameStats, error) {
+	bg, err := startTenants(a.rt, a.cfg.Model, a.cfg.DType, bgDelegate, bgJobs)
+	if err != nil {
+		return nil, err
+	}
+	var out []FrameStats
+	a.Init(func() {
+		a.Run(warmup+frames, func(sts []FrameStats) {
+			out = sts[warmup:]
+			a.StopStream()
+			bg.stopped = true
+		})
+	})
+	if err := lab.Drain(ctx, a.rt.Eng); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// tenants are the background inference load of the multi-tenancy
+// experiments (Figs. 9/10): copies of the TFLite benchmark utility
+// invoking in a closed loop, e.g. through the Hexagon path (contending
+// for the single DSP) or on the CPU (contending with the app's capture
+// and pre-processing threads).
+type tenants struct {
+	jobs, completed int
+	stopped         bool
+}
+
+// startTenants builds n jobs of the model on the delegate, each of which
+// initializes and then invokes until stopped (in-flight invocations
+// drain).
+func startTenants(rt *tflite.Runtime, m *models.Model, dt tensor.DType, delegate tflite.Delegate, n int) (*tenants, error) {
+	t := &tenants{}
+	for ; t.jobs < n; t.jobs++ {
+		ip, err := rt.NewInterpreter(m, dt, tflite.Options{Delegate: delegate})
+		if err != nil {
+			return nil, fmt.Errorf("app: background job %d: %w", t.jobs, err)
+		}
+		ip.Init(func() { t.loop(ip) })
+	}
+	return t, nil
+}
+
+func (t *tenants) loop(ip *tflite.Interpreter) {
+	if t.stopped {
+		return
+	}
+	ip.Invoke(func(tflite.Report) {
+		t.completed++
+		t.loop(ip)
+	})
+}
 
 // ProcessFrame runs one capture→pre→infer→post→render cycle and reports
 // the stage breakdown. With the runtime's Tracer set, the cycle yields a

@@ -1,6 +1,7 @@
 package app
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -152,9 +153,10 @@ func TestAppVariabilityExceedsBenchmark(t *testing.T) {
 		t.Fatal(err)
 	}
 	bt := tflite.NewBenchTool(rt2, ip)
-	var runs []tflite.RunSample
-	bt.Run(60, func(s []tflite.RunSample) { runs = s })
-	rt2.Eng.Run()
+	runs, err := bt.Measure(context.Background(), 60)
+	if err != nil {
+		t.Fatal(err)
+	}
 	benchSample := stats.NewSample()
 	for _, r := range runs {
 		benchSample.Add(float64(r.Total) / float64(time.Millisecond))
@@ -202,9 +204,10 @@ func TestBenchToolSamplesComplete(t *testing.T) {
 	m, _ := models.ByName("MobileNet 1.0 v1")
 	ip, _ := rt.NewInterpreter(m, tensor.UInt8, tflite.Options{Delegate: tflite.DelegateCPU})
 	bt := tflite.NewBenchTool(rt, ip)
-	var runs []tflite.RunSample
-	bt.Run(10, func(s []tflite.RunSample) { runs = s })
-	rt.Eng.Run()
+	runs, err := bt.Measure(context.Background(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(runs) != 10 {
 		t.Fatalf("runs = %d", len(runs))
 	}
@@ -227,9 +230,10 @@ func TestBenchToolQuantRandomGenSlower(t *testing.T) {
 		ip, _ := rt.NewInterpreter(m, dt, tflite.Options{Delegate: tflite.DelegateCPU})
 		bt := tflite.NewBenchTool(rt, ip)
 		bt.NoiseCeil = 0
-		var runs []tflite.RunSample
-		bt.Run(5, func(s []tflite.RunSample) { runs = s })
-		rt.Eng.Run()
+		runs, err := bt.Measure(context.Background(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var sum time.Duration
 		for _, r := range runs {
 			sum += r.DataCapture
@@ -247,9 +251,10 @@ func TestBenchAppWrapperAddsUI(t *testing.T) {
 	ip, _ := rt.NewInterpreter(m, tensor.Float32, tflite.Options{Delegate: tflite.DelegateCPU})
 	bt := tflite.NewBenchTool(rt, ip)
 	bt.AppWrapper = true
-	var runs []tflite.RunSample
-	bt.Run(5, func(s []tflite.RunSample) { runs = s })
-	rt.Eng.Run()
+	runs, err := bt.Measure(context.Background(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range runs {
 		if r.UI <= 0 {
 			t.Fatal("app wrapper must render UI")
@@ -266,9 +271,10 @@ func TestFigure3Ordering(t *testing.T) {
 		ip, _ := rt.NewInterpreter(m, tensor.Float32, tflite.Options{Delegate: tflite.DelegateCPU})
 		bt := tflite.NewBenchTool(rt, ip)
 		bt.AppWrapper = appWrapper
-		var runs []tflite.RunSample
-		bt.Run(20, func(s []tflite.RunSample) { runs = s })
-		rt.Eng.Run()
+		runs, err := bt.Measure(context.Background(), 20)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var sum time.Duration
 		for _, r := range runs {
 			sum += r.Total

@@ -201,9 +201,9 @@ func (a *App) stagePost(r *frameRun) {
 func (a *App) stageUI(r *frameRun) {
 	uiStart := a.rt.Eng.Now()
 	uiSpan := a.rt.Tracer.Start("ui", "app", telemetry.TrackCPU, r.frame)
-	ui := a.rt.RNG.Jitter(a.UIBase, a.UIJitterCV)
-	if a.GCPeriod > 0 && r.frameNo%a.GCPeriod == 0 {
-		ui += a.GCPause
+	ui := a.rt.RNG.Jitter(uiBase, uiJitterCV)
+	if r.frameNo%gcPeriod == 0 {
+		ui += gcPause
 		uiSpan.SetAttr("gc", "1")
 		a.rt.Metrics.Inc("aitax_gc_pauses_total")
 	}

@@ -131,7 +131,7 @@ func TestFrameMetricsAggregation(t *testing.T) {
 		t.Fatalf("frames_total = %v", got)
 	}
 	if got := m.Counter("aitax_gc_pauses_total"); got != 1 {
-		t.Fatalf("gc_pauses_total = %v, want 1 in %d frames (period %d)", got, frames, a.GCPeriod)
+		t.Fatalf("gc_pauses_total = %v, want 1 in %d frames (period %d)", got, frames, gcPeriod)
 	}
 	if got := m.Counter("aitax_invocations_total"); got != frames {
 		t.Fatalf("invocations_total = %v", got)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -63,19 +64,17 @@ func FaultTolerance(cfg Config) *Result {
 		if err != nil {
 			return faultRunStats{}, false
 		}
-		var out faultRunStats
-		a.Init(func() {
-			a.Run(frames+2, func(sts []app.FrameStats) {
-				out.breakdown = core.FromFrames(sts[2:])
-				out.frames = len(sts[2:])
-				a.StopStream()
-			})
-		})
-		rt.Eng.Run()
-		out.initTime = a.Interpreter().InitTime
-		out.fellBack = a.Interpreter().FellBack()
-		out.injected = inj.InjectedTotal()
-		return out, true
+		sts, err := a.Measure(context.Background(), warmupFrames, frames, 0, 0)
+		if err != nil {
+			return faultRunStats{}, false
+		}
+		return faultRunStats{
+			breakdown: core.FromFrames(sts),
+			initTime:  a.Interpreter().InitTime,
+			fellBack:  a.Interpreter().FellBack(),
+			injected:  inj.InjectedTotal(),
+			frames:    len(sts),
+		}, true
 	}
 
 	scenarios := []faultScenario{

@@ -28,8 +28,7 @@ func Figure3(cfg Config) *Result {
 		if err != nil {
 			continue
 		}
-		frames, err := appRun(cfg.Platform, cfg.Seed+2, v.M, v.DT, tflite.DelegateCPU,
-			appRunOpts{Frames: cfg.Runs})
+		frames, err := appRun(cfg.Platform, cfg.Seed+2, v.M, v.DT, tflite.DelegateCPU, cfg.Runs, 0, 0)
 		if err != nil {
 			continue
 		}
@@ -65,8 +64,7 @@ func figure4Data(cfg Config) []fig4Row {
 		if err != nil {
 			continue
 		}
-		frames, err := appRun(cfg.Platform, cfg.Seed+1, v.M, v.DT, tflite.DelegateNNAPI,
-			appRunOpts{Frames: cfg.Runs})
+		frames, err := appRun(cfg.Platform, cfg.Seed+1, v.M, v.DT, tflite.DelegateNNAPI, cfg.Runs, 0, 0)
 		if err != nil {
 			continue
 		}

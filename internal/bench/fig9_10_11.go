@@ -29,8 +29,7 @@ func multiTenancy(cfg Config, bgDelegate tflite.Delegate, id, title string) *Res
 	var xs, ys []float64
 	maxBG := 4
 	for n := 0; n <= maxBG; n++ {
-		sts, err := appRun(cfg.Platform, cfg.Seed, m, tensor.UInt8, tflite.DelegateNNAPI,
-			appRunOpts{Frames: frames, Background: n, BGDelegate: bgDelegate, BGDType: tensor.UInt8})
+		sts, err := appRun(cfg.Platform, cfg.Seed, m, tensor.UInt8, tflite.DelegateNNAPI, frames, n, bgDelegate)
 		if err != nil {
 			r.Notes = append(r.Notes, "setup failed: "+err.Error())
 			return r
@@ -107,8 +106,7 @@ func Figure11(cfg Config) *Result {
 		benchSample.Add(ms(s.Total))
 	}
 
-	frames, err := appRun(cfg.Platform, cfg.Seed+1, m, tensor.Float32, tflite.DelegateCPU,
-		appRunOpts{Frames: runs})
+	frames, err := appRun(cfg.Platform, cfg.Seed+1, m, tensor.Float32, tflite.DelegateCPU, runs, 0, 0)
 	if err != nil {
 		r.Notes = append(r.Notes, "setup failed: "+err.Error())
 		return r

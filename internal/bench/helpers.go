@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -9,7 +10,6 @@ import (
 	"aitax/internal/soc"
 	"aitax/internal/tensor"
 	"aitax/internal/tflite"
-	"aitax/internal/workload"
 )
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -50,7 +50,9 @@ func figureModels(nnapiPath bool) []struct {
 }
 
 // benchToolRun executes the TFLite benchmark utility (or its app
-// wrapper) for n measured runs and returns the samples.
+// wrapper) for n measured runs and returns the samples. Experiments
+// measure under context.Background(): a run always completes, and it
+// reports no simulated time to the lab job it runs in.
 func benchToolRun(platform *soc.SoC, seed uint64, m *models.Model, dt tensor.DType,
 	delegate tflite.Delegate, threads, n int, appWrapper bool) ([]tflite.RunSample, error) {
 
@@ -61,62 +63,24 @@ func benchToolRun(platform *soc.SoC, seed uint64, m *models.Model, dt tensor.DTy
 	}
 	bt := tflite.NewBenchTool(rt, ip)
 	bt.AppWrapper = appWrapper
-	var samples []tflite.RunSample
-	bt.Run(n, func(s []tflite.RunSample) { samples = s })
-	rt.Eng.Run()
-	return samples, nil
+	return bt.Measure(context.Background(), n)
 }
 
-// appRunOpts configures appRun.
-type appRunOpts struct {
-	Frames     int
-	SkipWarmup int
-	Background int
-	BGDelegate tflite.Delegate
-	BGModel    *models.Model
-	BGDType    tensor.DType
-}
+// warmupFrames are the cold-start app frames every experiment discards
+// (plan compilation, cache fill).
+const warmupFrames = 2
 
-// appRun executes the instrumented application for the given
-// configuration and returns steady-state frame breakdowns.
+// appRun executes the instrumented application with bgJobs background
+// tenants on bgDelegate and returns its steady-state frame breakdowns.
 func appRun(platform *soc.SoC, seed uint64, m *models.Model, dt tensor.DType,
-	delegate tflite.Delegate, opts appRunOpts) ([]app.FrameStats, error) {
+	delegate tflite.Delegate, frames, bgJobs int, bgDelegate tflite.Delegate) ([]app.FrameStats, error) {
 
 	rt := tflite.NewStack(clonePlatform(platform), seed)
 	a, err := app.New(rt, app.Config{Model: m, DType: dt, Delegate: delegate, Streaming: true})
 	if err != nil {
 		return nil, err
 	}
-	var bg *workload.Background
-	if opts.Background > 0 {
-		bgModel := opts.BGModel
-		if bgModel == nil {
-			bgModel = m
-		}
-		bgDT := opts.BGDType
-		if bgDT == tensor.Float32 && dt != tensor.Float32 {
-			bgDT = dt
-		}
-		bg, err = workload.Start(rt, bgModel, bgDT, opts.BGDelegate, opts.Background)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if opts.SkipWarmup == 0 {
-		opts.SkipWarmup = 2
-	}
-	var out []app.FrameStats
-	a.Init(func() {
-		a.Run(opts.Frames+opts.SkipWarmup, func(sts []app.FrameStats) {
-			out = sts[opts.SkipWarmup:]
-			a.StopStream()
-			if bg != nil {
-				bg.Stop()
-			}
-		})
-	})
-	rt.Eng.Run()
-	return out, nil
+	return a.Measure(context.Background(), warmupFrames, frames, bgJobs, bgDelegate)
 }
 
 // meanSample averages benchmark-tool samples.

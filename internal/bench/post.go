@@ -32,8 +32,7 @@ func PostProcessing(cfg Config) *Result {
 		if !m.Support.NNAPIFP32 {
 			continue
 		}
-		sts, err := appRun(cfg.Platform, cfg.Seed, m, tensor.Float32, tflite.DelegateNNAPI,
-			appRunOpts{Frames: cfg.Runs / 2})
+		sts, err := appRun(cfg.Platform, cfg.Seed, m, tensor.Float32, tflite.DelegateNNAPI, cfg.Runs/2, 0, 0)
 		if err != nil {
 			continue
 		}

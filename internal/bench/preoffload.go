@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,7 +9,6 @@ import (
 	"aitax/internal/models"
 	"aitax/internal/tensor"
 	"aitax/internal/tflite"
-	"aitax/internal/workload"
 )
 
 // PreOffload explores the paper's concluding proposal: "it is necessary
@@ -40,25 +40,8 @@ func PreOffload(cfg Config) *Result {
 		if err != nil {
 			return app.FrameStats{}, false
 		}
-		var bg *workload.Background
-		if bgJobs > 0 {
-			bg, err = workload.Start(rt, m, tensor.UInt8, tflite.DelegateHexagon, bgJobs)
-			if err != nil {
-				return app.FrameStats{}, false
-			}
-		}
-		var mean app.FrameStats
-		a.Init(func() {
-			a.Run(frames+2, func(sts []app.FrameStats) {
-				mean = meanFrames(sts[2:])
-				a.StopStream()
-				if bg != nil {
-					bg.Stop()
-				}
-			})
-		})
-		rt.Eng.Run()
-		return mean, true
+		sts, err := a.Measure(context.Background(), warmupFrames, frames, bgJobs, tflite.DelegateHexagon)
+		return meanFrames(sts), err == nil
 	}
 
 	var cpuPreIdle, dspPreIdle, dspPreLoaded time.Duration

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -47,8 +48,10 @@ func toolRun(t *testing.T, platform *soc.SoC, seed uint64, m *models.Model, dt t
 	bt := tflite.NewBenchTool(rt, ip)
 	bt.AppWrapper = appWrapper
 	var out toolOutcome
-	bt.Run(n, func(s []tflite.RunSample) { out.samples = s })
-	out.now = rt.Eng.Run()
+	if out.samples, err = bt.Measure(context.Background(), n); err != nil {
+		t.Fatal(err)
+	}
+	out.now = rt.Eng.Now()
 	out.switches, out.migrations = rt.Sch.Switches(), rt.Sch.Migrations()
 	for _, c := range rt.Sch.Cores() {
 		out.busy = append(out.busy, c.BusyTime())
@@ -122,7 +125,7 @@ func TestReplayMatchesSimulationAndConserves(t *testing.T) {
 	}{{tflite.DelegateCPU, false}, {tflite.DelegateNNAPI, true}} {
 		for _, v := range figureModels(path.nnapi) {
 			name := variantName(v.M, v.DT) + "/" + path.d.String()
-			sts, err := appRun(cfg.Platform, cfg.Seed, v.M, v.DT, path.d, appRunOpts{Frames: runs})
+			sts, err := appRun(cfg.Platform, cfg.Seed, v.M, v.DT, path.d, runs, 0, 0)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

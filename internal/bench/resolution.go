@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"aitax/internal/app"
@@ -42,14 +43,12 @@ func ResolutionSweep(cfg Config) *Result {
 			return r
 		}
 		a.SetCamera(capture.NewCamera(rt.Eng, rt.RNG, sz.w, sz.h))
-		var mean app.FrameStats
-		a.Init(func() {
-			a.Run(frames+2, func(sts []app.FrameStats) {
-				mean = meanFrames(sts[2:])
-				a.StopStream()
-			})
-		})
-		rt.Eng.Run()
+		sts, err := a.Measure(context.Background(), warmupFrames, frames, 0, 0)
+		if err != nil {
+			r.Notes = append(r.Notes, "run failed: "+err.Error())
+			return r
+		}
+		mean := meanFrames(sts)
 		tax := float64(mean.Total-mean.Inference) / float64(mean.Total)
 		r.AddRow(fmt.Sprintf("%dx%d", sz.w, sz.h), sz.w*sz.h,
 			msf(mean.Capture), msf(mean.Pre), msf(mean.Inference),

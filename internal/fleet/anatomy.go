@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -83,14 +84,12 @@ func measureAnatomy(sp soc.Spec, m *models.Model, dt tensor.DType,
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %s / %s: %w", sp.Name, m.Name, err)
 	}
+	sts, err := a.Measure(context.Background(), anatomyWarmup, anatomySteady, 0, 0)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %s / %s: %w", sp.Name, m.Name, err)
+	}
 	an := &Anatomy{Accel: delegate != tflite.DelegateCPU}
-	a.Init(func() {
-		a.Run(anatomyWarmup+anatomySteady, func(sts []app.FrameStats) {
-			copy(an.Frames[:], sts[anatomyWarmup:])
-			a.StopStream()
-		})
-	})
-	rt.Eng.Run()
+	copy(an.Frames[:], sts)
 
 	if dspBound(delegate, dt) {
 		est := platform.RPC.CallOverhead(rpcPayloadBytes(m, dt))

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"aitax/internal/sim"
 	"aitax/internal/telemetry"
 )
 
@@ -93,6 +94,27 @@ func ReportSim(ctx context.Context, d time.Duration) {
 	acc.mu.Lock()
 	acc.d += d
 	acc.mu.Unlock()
+}
+
+// drainBatch is how many events Drain fires between context checks.
+const drainBatch = 4096
+
+// Drain runs eng until its queue is empty, checking ctx between batches
+// of drainBatch events so a cancelled measurement stops promptly, and
+// reports the final virtual time to the enclosing job (if any) via
+// ReportSim. Unlike sim.Engine.Run it does not enforce eng.Limit.
+func Drain(ctx context.Context, eng *sim.Engine) error {
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for i := 0; i < drainBatch; i++ {
+			if !eng.Step() {
+				ReportSim(ctx, eng.Now().Duration())
+				return nil
+			}
+		}
+	}
 }
 
 // telemetryAccount holds a job's reported telemetry bundle.

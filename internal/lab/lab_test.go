@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -263,4 +264,71 @@ func TestReportTelemetryAndMerge(t *testing.T) {
 
 func TestReportTelemetryOutsideJobIsNoOp(t *testing.T) {
 	ReportTelemetry(context.Background(), &telemetry.Bundle{Registry: telemetry.NewRegistry()})
+}
+
+// ticker schedules n self-rescheduling events 1µs apart on eng,
+// calling at(i) from inside event i.
+func ticker(eng *sim.Engine, n int, at func(i int)) {
+	var tick func(i int)
+	tick = func(i int) {
+		at(i)
+		if i+1 < n {
+			eng.After(time.Microsecond, func() { tick(i + 1) })
+		}
+	}
+	eng.After(time.Microsecond, func() { tick(0) })
+}
+
+func TestDrainCancelsWithinOneBatch(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	eng := sim.NewEngine()
+	const cancelAt = 10_000
+	fired := 0
+	// The stream outlives the cancel by several batches, so a Drain that
+	// ignored ctx would return nil rather than hang.
+	ticker(eng, cancelAt+4*drainBatch, func(i int) {
+		fired++
+		if i == cancelAt {
+			cancel()
+		}
+	})
+	if err := Drain(ctx, eng); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Drain = %v, want context.Canceled", err)
+	}
+	if over := fired - (cancelAt + 1); over < 0 || over >= drainBatch {
+		t.Fatalf("%d events fired after the cancel, want fewer than one %d-event batch", over, drainBatch)
+	}
+}
+
+func TestDrainReportsFinalNowToJob(t *testing.T) {
+	var final sim.Time
+	rs := (&Lab{}).Run(context.Background(), []Job{{ID: "drain", Run: func(ctx context.Context) (any, error) {
+		eng := sim.NewEngine()
+		ticker(eng, 3*drainBatch+5, func(int) {})
+		err := Drain(ctx, eng)
+		final = eng.Now()
+		return nil, err
+	}}})
+	if rs[0].Err != nil {
+		t.Fatal(rs[0].Err)
+	}
+	if want := final.Duration(); want == 0 || rs[0].Sim != want {
+		t.Fatalf("job sim = %v, want the engine's final time %v", rs[0].Sim, want)
+	}
+}
+
+func TestDrainOutsideJobIsPlainDrain(t *testing.T) {
+	const n = drainBatch + 17
+	drained, ran := sim.NewEngine(), sim.NewEngine()
+	var got, want []sim.Time
+	ticker(drained, n, func(int) { got = append(got, drained.Now()) })
+	ticker(ran, n, func(int) { want = append(want, ran.Now()) })
+	if err := Drain(context.Background(), drained); err != nil {
+		t.Fatal(err)
+	}
+	end := ran.Run()
+	if drained.Now() != end || drained.Pending() != 0 || len(got) != n || !slices.Equal(got, want) {
+		t.Fatalf("Drain ended at %v with %d pending after %d events; Run ended at %v after %d",
+			drained.Now(), drained.Pending(), len(got), end, len(want))
+	}
 }

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -224,17 +225,17 @@ func ParseLadder(spec string) (Ladder, error) {
 		case "tick":
 			l.Tick, err = time.ParseDuration(val)
 		case "hold":
-			_, err = fmt.Sscanf(val, "%d", &l.Hold)
+			l.Hold, err = strconv.Atoi(val)
 		case "short":
-			_, err = fmt.Sscanf(val, "%d", &l.ShortTicks)
+			l.ShortTicks, err = strconv.Atoi(val)
 		case "long":
-			_, err = fmt.Sscanf(val, "%d", &l.LongTicks)
+			l.LongTicks, err = strconv.Atoi(val)
 		case "budget":
-			_, err = fmt.Sscanf(val, "%g", &l.Budget)
+			l.Budget, err = strconv.ParseFloat(val, 64)
 		case "page":
-			_, err = fmt.Sscanf(val, "%g", &l.Page)
+			l.Page, err = strconv.ParseFloat(val, 64)
 		case "headroom":
-			_, err = fmt.Sscanf(val, "%g", &l.SteerHeadroomC)
+			l.SteerHeadroomC, err = strconv.ParseFloat(val, 64)
 		case "enter":
 			l.Enter, err = parseRungs(val)
 		case "exit":
@@ -257,9 +258,11 @@ func parseRungs(val string) ([NumRungs]float64, error) {
 		return out, fmt.Errorf("want %d slash-separated values", NumRungs)
 	}
 	for i, p := range parts {
-		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%g", &out[i]); err != nil {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
 			return out, fmt.Errorf("bad threshold %q", p)
 		}
+		out[i] = v
 	}
 	return out, nil
 }

@@ -127,6 +127,9 @@ func TestParseLadder(t *testing.T) {
 		"enter=0.9/0.7/0.95", // non-monotonic enters
 		"exit=NaN/0.4/0.6",   // NaN threshold
 		"turbo=1",            // unknown key
+		"hold=8x",            // trailing text after an integer
+		"budget=0.05%",       // trailing text after a float
+		"enter=0.5/0.7/0.9z", // trailing text after a threshold
 	}
 	for _, in := range bad {
 		if _, err := ParseLadder(in); err == nil {
@@ -135,6 +138,28 @@ func TestParseLadder(t *testing.T) {
 			t.Errorf("ParseLadder(%q): error %v does not wrap ErrBadLadder", in, err)
 		}
 	}
+}
+
+func FuzzParseLadder(f *testing.F) {
+	for _, seed := range []string{
+		"", "on", "tick=100ms,hold=4", "enter=0.4/0.6/0.8,exit=0.2/0.3/0.4",
+		"tick=5ms,hold=6,short=2,long=4,enter=0.1/0.2/0.3,exit=0.04/0.08/0.15",
+		"budget=NaN", "hold=8x",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		l, err := ParseLadder(spec)
+		if err != nil {
+			if !errors.Is(err, ErrBadLadder) {
+				t.Fatalf("ParseLadder(%q): error %v does not wrap ErrBadLadder", spec, err)
+			}
+			return
+		}
+		if verr := l.Validate(); verr != nil {
+			t.Fatalf("ParseLadder(%q) = %+v, which Validate rejects: %v", spec, l, verr)
+		}
+	})
 }
 
 func TestValidateRejectsNaNFields(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"aitax/internal/faults"
 	"aitax/internal/lab"
 	"aitax/internal/models"
-	"aitax/internal/sim"
 	"aitax/internal/telemetry"
 	"aitax/internal/tflite"
 )
@@ -111,30 +110,10 @@ func MeasureBatch(ctx context.Context, cfg Config, m *models.Model, k int) (Batc
 		}
 		next(0)
 	})
-	if err := drain(ctx, rt.Eng); err != nil {
+	if err := lab.Drain(ctx, rt.Eng); err != nil {
 		return BatchCost{}, err
 	}
 	return bc, nil
-}
-
-// drain runs the simulation engine to completion, checking ctx between
-// event batches and reporting the final virtual time to the enclosing
-// lab job (if any).
-func drain(ctx context.Context, eng *sim.Engine) error {
-	const batch = 4096
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-		for i := 0; i < batch; i++ {
-			if !eng.Step() {
-				lab.ReportSim(ctx, eng.Now().Duration())
-				return nil
-			}
-		}
-	}
 }
 
 // CostTable holds the measured batch costs for every (loaded model,

@@ -1,8 +1,10 @@
 package tflite
 
 import (
+	"context"
 	"time"
 
+	"aitax/internal/lab"
 	"aitax/internal/sched"
 	"aitax/internal/work"
 )
@@ -20,8 +22,6 @@ type BenchTool struct {
 	StdLib StdLib
 	// AppWrapper adds the benchmark Android app's UI work per run.
 	AppWrapper bool
-	// UIBase is the app wrapper's per-run rendering cost.
-	UIBase time.Duration
 	// NoiseCeil bounds the per-run OS noise burst (tight distributions
 	// for benchmarks, per Fig. 11).
 	NoiseCeil time.Duration
@@ -29,6 +29,9 @@ type BenchTool struct {
 	genThread *sched.Thread
 	uiThread  *sched.Thread
 }
+
+// benchUIBase is the app wrapper's per-run rendering cost.
+const benchUIBase = 3 * time.Millisecond
 
 // RunSample is one measured benchmark iteration.
 type RunSample struct {
@@ -39,13 +42,12 @@ type RunSample struct {
 	Total       time.Duration
 }
 
-// NewBenchTool wraps an initialized-or-not interpreter; Run initializes
-// it if needed.
+// NewBenchTool wraps an initialized-or-not interpreter; Measure
+// initializes it if needed.
 func NewBenchTool(rt *Runtime, ip *Interpreter) *BenchTool {
 	return &BenchTool{
 		rt: rt, ip: ip,
 		StdLib:    LibCXX,
-		UIBase:    3 * time.Millisecond,
 		NoiseCeil: 300 * time.Microsecond,
 		genThread: rt.Sch.Spawn("bench-gen", sched.BigOnly),
 		uiThread:  rt.Sch.Spawn("bench-ui", nil),
@@ -71,18 +73,16 @@ func (bt *BenchTool) preWork() work.Work {
 	return work.Work{Ops: n, Bytes: 2 * n * int64(bt.ip.DType.Size()), Vectorizable: true}
 }
 
-// Run initializes the interpreter (if necessary), performs one warmup,
+// run initializes the interpreter (if necessary), performs one warmup,
 // then measures n iterations; done receives the per-run samples.
-func (bt *BenchTool) Run(n int, done func([]RunSample)) {
+func (bt *BenchTool) run(n int, done func([]RunSample)) {
 	samples := make([]RunSample, 0, n)
 	big := &bt.rt.Platform.Big
 
 	var iterate func(i int)
 	iterate = func(i int) {
 		if i >= n {
-			if done != nil {
-				done(samples)
-			}
+			done(samples)
 			return
 		}
 		var s RunSample
@@ -113,7 +113,7 @@ func (bt *BenchTool) Run(n int, done func([]RunSample)) {
 					}
 					if bt.AppWrapper {
 						uiStart := bt.rt.Eng.Now()
-						uiDur := bt.rt.RNG.Jitter(bt.UIBase, 0.15)
+						uiDur := bt.rt.RNG.Jitter(benchUIBase, 0.15)
 						bt.uiThread.Exec(uiDur, func() {
 							s.UI = bt.rt.Eng.Now().Sub(uiStart)
 							finish()
@@ -135,4 +135,16 @@ func (bt *BenchTool) Run(n int, done func([]RunSample)) {
 	} else {
 		bt.ip.Init(startRuns)
 	}
+}
+
+// Measure runs the utility for n measured iterations (see run), drains
+// the engine with lab.Drain (which checks ctx and reports the simulated
+// time to an enclosing lab job) and returns the samples.
+func (bt *BenchTool) Measure(ctx context.Context, n int) ([]RunSample, error) {
+	var samples []RunSample
+	bt.run(n, func(s []RunSample) { samples = s })
+	if err := lab.Drain(ctx, bt.rt.Eng); err != nil {
+		return nil, err
+	}
+	return samples, nil
 }

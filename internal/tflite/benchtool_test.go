@@ -19,7 +19,7 @@ func TestBenchToolDirect(t *testing.T) {
 	}
 	bt := NewBenchTool(rt, ip)
 	var runs []RunSample
-	bt.Run(8, func(s []RunSample) { runs = s })
+	bt.run(8, func(s []RunSample) { runs = s })
 	rt.Eng.Run()
 	if len(runs) != 8 {
 		t.Fatalf("runs = %d", len(runs))
@@ -41,7 +41,7 @@ func TestBenchToolLanguageModel(t *testing.T) {
 	}
 	bt := NewBenchTool(rt, ip)
 	var runs []RunSample
-	bt.Run(3, func(s []RunSample) { runs = s })
+	bt.run(3, func(s []RunSample) { runs = s })
 	rt.Eng.Run()
 	if len(runs) != 3 {
 		t.Fatalf("runs = %d", len(runs))
@@ -60,7 +60,7 @@ func TestBenchToolOnAlreadyInitializedInterpreter(t *testing.T) {
 	rt.Eng.Run()
 	bt := NewBenchTool(rt, ip)
 	var runs []RunSample
-	bt.Run(2, func(s []RunSample) { runs = s })
+	bt.run(2, func(s []RunSample) { runs = s })
 	rt.Eng.Run()
 	if len(runs) != 2 {
 		t.Fatal("bench tool must handle pre-initialized interpreters")

@@ -7,8 +7,10 @@
 package thermal
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -120,30 +122,37 @@ func (m *Model) Tripped() bool { return m.TripC > 0 && m.tempC >= m.TripC }
 // i.e. the §III-D precondition for starting a measurement.
 func (m *Model) IsIdle() bool { return m.tempC <= m.AmbientC+0.5 }
 
-// Validate reports the first physically meaningless parameter. NaN and
-// infinities are rejected explicitly: they compare false against every
-// range check and would otherwise produce a silently degenerate model.
+// ErrBadSpec tags every model-configuration error from Parse and
+// Validate, so callers can tell bad input from other failures with
+// errors.Is.
+var ErrBadSpec = errors.New("thermal: bad model spec")
+
+// Validate reports the first physically meaningless parameter, wrapping
+// ErrBadSpec. NaN and infinities are rejected explicitly: they compare
+// false against every range check and would otherwise produce a silently
+// degenerate model.
 func (m *Model) Validate() error {
 	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 	switch {
 	case bad(m.AmbientC) || bad(m.MaxLoadC) || bad(m.ThrottleStartC) || bad(m.ThrottleFloorFactor) || bad(m.TripC):
-		return fmt.Errorf("thermal: parameters must be finite (ambient %g, max %g, start %g, floor %g, trip %g)",
-			m.AmbientC, m.MaxLoadC, m.ThrottleStartC, m.ThrottleFloorFactor, m.TripC)
+		return fmt.Errorf("%w: parameters must be finite (ambient %g, max %g, start %g, floor %g, trip %g)",
+			ErrBadSpec, m.AmbientC, m.MaxLoadC, m.ThrottleStartC, m.ThrottleFloorFactor, m.TripC)
 	case m.MaxLoadC <= m.AmbientC:
-		return fmt.Errorf("thermal: max-load temperature %g must exceed ambient %g", m.MaxLoadC, m.AmbientC)
+		return fmt.Errorf("%w: max-load temperature %g must exceed ambient %g", ErrBadSpec, m.MaxLoadC, m.AmbientC)
 	case m.ThrottleFloorFactor <= 0 || m.ThrottleFloorFactor > 1:
-		return fmt.Errorf("thermal: throttle floor must be in (0,1], got %g", m.ThrottleFloorFactor)
+		return fmt.Errorf("%w: throttle floor must be in (0,1], got %g", ErrBadSpec, m.ThrottleFloorFactor)
 	case m.TimeConstant <= 0:
-		return fmt.Errorf("thermal: time constant must be positive, got %v", m.TimeConstant)
+		return fmt.Errorf("%w: time constant must be positive, got %v", ErrBadSpec, m.TimeConstant)
 	case m.TripC > 0 && m.TripC <= m.AmbientC:
-		return fmt.Errorf("thermal: trip temperature %g must exceed ambient %g", m.TripC, m.AmbientC)
+		return fmt.Errorf("%w: trip temperature %g must exceed ambient %g", ErrBadSpec, m.TripC, m.AmbientC)
 	}
 	return nil
 }
 
 // Parse builds a model from a "key=value,..." spec over the defaults:
 // ambient, max, start (throttle start), floor, tau, trip. "trip=0"
-// disables the trip point. Example: "tau=2s,trip=88,start=70".
+// disables the trip point. Example: "tau=2s,trip=88,start=70". Numbers
+// must be whole (no trailing text), and every error wraps ErrBadSpec.
 func Parse(spec string) (*Model, error) {
 	m := Default()
 	for _, part := range strings.Split(spec, ",") {
@@ -153,29 +162,29 @@ func Parse(spec string) (*Model, error) {
 		}
 		key, val, ok := strings.Cut(part, "=")
 		if !ok {
-			return nil, fmt.Errorf("thermal: %q is not key=value", part)
+			return nil, fmt.Errorf("%w: %q is not key=value", ErrBadSpec, part)
 		}
 		key = strings.ToLower(strings.TrimSpace(key))
 		val = strings.TrimSpace(val)
 		var err error
 		switch key {
 		case "ambient":
-			_, err = fmt.Sscanf(val, "%g", &m.AmbientC)
+			m.AmbientC, err = strconv.ParseFloat(val, 64)
 		case "max":
-			_, err = fmt.Sscanf(val, "%g", &m.MaxLoadC)
+			m.MaxLoadC, err = strconv.ParseFloat(val, 64)
 		case "start":
-			_, err = fmt.Sscanf(val, "%g", &m.ThrottleStartC)
+			m.ThrottleStartC, err = strconv.ParseFloat(val, 64)
 		case "floor":
-			_, err = fmt.Sscanf(val, "%g", &m.ThrottleFloorFactor)
+			m.ThrottleFloorFactor, err = strconv.ParseFloat(val, 64)
 		case "tau":
 			m.TimeConstant, err = time.ParseDuration(val)
 		case "trip":
-			_, err = fmt.Sscanf(val, "%g", &m.TripC)
+			m.TripC, err = strconv.ParseFloat(val, 64)
 		default:
-			return nil, fmt.Errorf("thermal: unknown key %q", key)
+			return nil, fmt.Errorf("%w: unknown key %q", ErrBadSpec, key)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("thermal: %s=%q: %v", key, val, err)
+			return nil, fmt.Errorf("%w: %s=%q: %v", ErrBadSpec, key, val, err)
 		}
 	}
 	m.Reset()

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -285,10 +286,35 @@ func TestParse(t *testing.T) {
 		"trip=10",      // trip below ambient
 		"ambient=-Inf", // infinite
 		"vendor=qcom",  // unknown key
+		"trip=90abc",   // trailing text after a number
+		"floor=0.5%",   // trailing text after a number
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", in)
+		} else if !errors.Is(err, ErrBadSpec) {
+			t.Errorf("Parse(%q): error %v does not wrap ErrBadSpec", in, err)
 		}
 	}
+}
+
+func FuzzThermalParse(f *testing.F) {
+	for _, seed := range []string{
+		"", "tau=2s,trip=88,start=70,floor=0.6,ambient=30,max=96",
+		"tau=150ms,trip=90,start=72", "max=10", "trip=NaN", "trip=90abc",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		m, err := Parse(spec)
+		if err != nil {
+			if !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("Parse(%q): error %v does not wrap ErrBadSpec", spec, err)
+			}
+			return
+		}
+		if verr := m.Validate(); verr != nil {
+			t.Fatalf("Parse(%q) = %+v, which Validate rejects: %v", spec, m, verr)
+		}
+	})
 }

@@ -111,8 +111,9 @@ type (
 	InterpreterOptions = tflite.Options
 	// Delegate selects the execution path.
 	Delegate = tflite.Delegate
-	// RunSample is one measured benchmark iteration.
-	RunSample = tflite.RunSample
+	// RunSample is one measured benchmark iteration: random input
+	// generation is its capture stage, and post stays zero.
+	RunSample = core.StageTimes
 	// StdLib selects the C++ standard library the benchmark binary was
 	// compiled against (libc++ vs libstdc++).
 	StdLib = tflite.StdLib
@@ -146,8 +147,8 @@ const (
 func NewStack(platform *SoC, seed uint64) *Runtime { return tflite.NewStack(platform, seed) }
 
 // FrameStats is one frame of the instrumented Android-application
-// pipeline: its per-stage latency breakdown.
-type FrameStats = app.FrameStats
+// pipeline: its per-stage latency breakdown, indexed by PipelineStage.
+type FrameStats = core.StageTimes
 
 // AI-tax accounting (paper Fig. 1).
 type (
@@ -274,7 +275,8 @@ type AppOptions struct {
 	DType DType
 	// Delegate is the execution path. All calls.
 	Delegate Delegate
-	// Frames is the number of measured frames (default 50). All calls.
+	// Frames is the number of measured frames (default 50; negative is
+	// an error). All calls.
 	Frames int
 	// WarmupFrames are discarded before measuring: 0 selects the default
 	// of 2, a negative value disables warmup. MeasureApp and
@@ -383,6 +385,9 @@ func MeasureBenchmarkCtx(ctx context.Context, opts AppOptions) ([]RunSample, err
 	if opts.BackgroundJobs != 0 {
 		return nil, fmt.Errorf("aitax: MeasureBenchmark does not honour BackgroundJobs (the benchmark utility models a single isolated process); use MeasureApp, or leave it unset")
 	}
+	if err := checkFrames(opts); err != nil {
+		return nil, err
+	}
 	opts = opts.Defaults()
 	m, err := models.ByName(opts.Model)
 	if err != nil {
@@ -422,6 +427,14 @@ func MeasureAppFramesCtx(ctx context.Context, opts AppOptions) ([]FrameStats, er
 	return frames, err
 }
 
+// checkFrames rejects a negative Frames, which no call can run.
+func checkFrames(o AppOptions) error {
+	if o.Frames < 0 {
+		return fmt.Errorf("aitax: negative Frames %d (0 selects the default of 50)", o.Frames)
+	}
+	return nil
+}
+
 // errAppStdLib is the shared rejection for StdLib on app measurements.
 func errAppStdLib() error {
 	return fmt.Errorf("aitax: the application pipeline does not honour StdLib (it processes real frames, not generated random input); use MeasureBenchmark, or leave it unset")
@@ -432,7 +445,10 @@ func errAppStdLib() error {
 // enable telemetry on the fresh runtime before any pipeline component
 // exists, runs the app for opts.Frames measured frames, and returns
 // the runtime alongside the frames. opts must already be defaulted.
-func measureFrames(ctx context.Context, opts AppOptions, setup func(*tflite.Runtime)) (*tflite.Runtime, []app.FrameStats, error) {
+func measureFrames(ctx context.Context, opts AppOptions, setup func(*tflite.Runtime)) (*tflite.Runtime, []FrameStats, error) {
+	if err := checkFrames(opts); err != nil {
+		return nil, nil, err
+	}
 	m, err := models.ByName(opts.Model)
 	if err != nil {
 		return nil, nil, err

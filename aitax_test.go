@@ -98,7 +98,7 @@ func TestMeasureAppWithBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.ModelExecution <= quiet.ModelExecution {
+	if loaded.Mean.Stage[aitax.StageInference] <= quiet.Mean.Stage[aitax.StageInference] {
 		t.Fatal("DSP tenancy must stretch inference")
 	}
 }
@@ -301,8 +301,8 @@ func TestMeasureAppWithFaults(t *testing.T) {
 	if b.N != 10 {
 		t.Fatalf("faulty run completed %d frames, want 10", b.N)
 	}
-	if b.Retry <= 0 || b.Fallback <= 0 {
-		t.Fatalf("retry/fallback not surfaced: retry=%v fallback=%v", b.Retry, b.Fallback)
+	if b.Mean.Retry <= 0 || b.Mean.Fallback <= 0 {
+		t.Fatalf("retry/fallback not surfaced: retry=%v fallback=%v", b.Mean.Retry, b.Mean.Fallback)
 	}
 	if !strings.Contains(b.Render(), "fault recovery") {
 		t.Fatal("render missing the fault recovery line")
@@ -318,5 +318,51 @@ func TestMeasureAppWithFaults(t *testing.T) {
 		Frames: 5, Faults: bad.Faults,
 	}); err == nil {
 		t.Fatal("MeasureBenchmark must reject an invalid plan too")
+	}
+}
+
+// Negative counts are errors at the library boundary, never panics deep
+// in the simulation.
+func TestNegativeCountsRejected(t *testing.T) {
+	opts := aitax.AppOptions{
+		Model: "MobileNet 1.0 v1", DType: aitax.UInt8,
+		Delegate: aitax.DelegateNNAPI, Frames: -2,
+	}
+	fig5, err := aitax.ExperimentByID("fig5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"MeasureApp", func() error { _, err := aitax.MeasureApp(opts); return err }},
+		{"MeasureAppFrames", func() error { _, err := aitax.MeasureAppFrames(opts); return err }},
+		{"MeasureAppTraced", func() error { _, err := aitax.MeasureAppTraced(opts); return err }},
+		{"MeasureBenchmark", func() error { _, err := aitax.MeasureBenchmark(opts); return err }},
+		{"Experiment.RunCtx", func() error {
+			_, err := fig5.RunCtx(context.Background(), aitax.ExperimentConfig{Runs: -1})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		var err error
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s panicked on a negative count: %v", c.name, r)
+				}
+			}()
+			err = c.call()
+		}()
+		if err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%s: error %v, want a negative-count error", c.name, err)
+		}
+	}
+	res := aitax.RunAllExperiments(aitax.ExperimentConfig{Runs: -1}, 2)
+	for _, r := range res {
+		if len(r.Notes) != 1 || !strings.Contains(r.Notes[0], "setup failed: bench: negative Runs") {
+			t.Fatalf("%s: notes %q, want the negative-Runs setup failure", r.ID, r.Notes)
+		}
 	}
 }

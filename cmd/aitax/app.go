@@ -110,9 +110,10 @@ func runApp(args []string, stdout, stderr io.Writer) int {
 		err := writeFile(*csvPath, func(w io.Writer) error {
 			fmt.Fprintln(w, "frame,capture_ms,pre_ms,inference_ms,post_ms,ui_ms,total_ms")
 			for i, st := range perFrame {
+				s := st.Stage
 				if _, err := fmt.Fprintf(w, "%d,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f\n", i,
-					ms(st.Capture), ms(st.Pre), ms(st.Inference),
-					ms(st.Post), ms(st.UI), ms(st.Total)); err != nil {
+					ms(s[aitax.StageCapture]), ms(s[aitax.StagePre]), ms(s[aitax.StageInference]),
+					ms(s[aitax.StagePost]), ms(s[aitax.StageUI]), ms(st.Total)); err != nil {
 					return err
 				}
 			}

@@ -8,7 +8,6 @@ import (
 
 	"aitax"
 	"aitax/internal/benchfmt"
-	"aitax/internal/stats"
 )
 
 // runBench is aitax bench, the analogue of the TFLite command-line
@@ -99,23 +98,14 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 
-	var cap, pre, inf, total time.Duration
-	dist := stats.NewSample()
-	for _, s := range samples {
-		cap += s.DataCapture
-		pre += s.Pre
-		inf += s.Inference
-		total += s.Total
-		dist.Add(ms(s.Total))
-	}
-	n := time.Duration(len(samples))
+	b := aitax.TaxBreakdown(samples)
 	fmt.Fprintf(stdout, "model=%q dtype=%s delegate=%s platform=%q runs=%d\n",
 		*model, dt, d, p.Name, len(samples))
-	fmt.Fprintf(stdout, "  input generation : %8.3f ms\n", ms(cap/n))
-	fmt.Fprintf(stdout, "  pre-processing   : %8.3f ms\n", ms(pre/n))
-	fmt.Fprintf(stdout, "  inference        : %8.3f ms\n", ms(inf/n))
-	fmt.Fprintf(stdout, "  total            : %8.3f ms\n", ms(total/n))
-	fmt.Fprintf(stdout, "  distribution     : %s\n", dist.Summarize())
+	fmt.Fprintf(stdout, "  input generation : %8.3f ms\n", ms(b.Mean.Stage[aitax.StageCapture]))
+	fmt.Fprintf(stdout, "  pre-processing   : %8.3f ms\n", ms(b.Mean.Stage[aitax.StagePre]))
+	fmt.Fprintf(stdout, "  inference        : %8.3f ms\n", ms(b.Mean.Stage[aitax.StageInference]))
+	fmt.Fprintf(stdout, "  total            : %8.3f ms\n", ms(b.Mean.Total))
+	fmt.Fprintf(stdout, "  distribution     : %s\n", b.E2E)
 	return 0
 }
 

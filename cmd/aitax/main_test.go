@@ -81,3 +81,23 @@ func TestGoldenApp(t *testing.T) {
 func TestGoldenBench(t *testing.T) {
 	checkGolden(t, runCmd(t, runBench, "-runs", "10"), "bench_runs10.golden")
 }
+
+// A negative iteration count fails with a clean error and exit 1.
+func TestNegativeCountsFailCleanly(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		fn   func([]string, io.Writer, io.Writer) int
+		args []string
+		want string
+	}{
+		{"bench", runBench, []string{"-runs", "-3"}, "negative Frames -3"},
+		{"trace", runTrace, []string{"-frames", "-2"}, "negative Frames -2"},
+		{"app", runApp, []string{"-frames", "-2"}, "negative Frames -2"},
+		{"experiments", runExperiments, []string{"-run", "fig5", "-runs", "-1"}, "fig5: bench: negative Runs -1"},
+	} {
+		code, stderr := runCode(c.fn, c.args...)
+		if code != 1 || !strings.Contains(stderr, c.want) {
+			t.Errorf("%s %v: exit %d, stderr %q; want exit 1 and %q", c.name, c.args, code, stderr, c.want)
+		}
+	}
+}

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"aitax"
-	"aitax/internal/app"
+	"aitax/internal/core"
 	"aitax/internal/lab"
 	"aitax/internal/loadgen"
 	"aitax/internal/models"
@@ -110,7 +110,7 @@ func parseServe(args []string, stderr io.Writer) (*serveOpts, int) {
 	if err != nil {
 		return nil, fail(stderr, err)
 	}
-	st, err := app.ParseStage(*entry)
+	st, err := core.ParseStage(*entry)
 	if err != nil {
 		return nil, fail(stderr, err)
 	}

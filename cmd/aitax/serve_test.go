@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"aitax"
-	"aitax/internal/app"
+	"aitax/internal/core"
 	"aitax/internal/models"
 	"aitax/internal/plan"
 	"aitax/internal/qos"
@@ -394,7 +394,7 @@ func TestPrewarmEliminatesFirstRequestPlanTax(t *testing.T) {
 		}
 		cfg := serve.Config{
 			Platform: p, DType: tensor.Float32, Delegate: tflite.DelegateGPU,
-			Models: []*models.Model{m}, Entry: app.StagePre,
+			Models: []*models.Model{m}, Entry: core.StagePre,
 			Workers: 1, MaxBatch: 1, QueueDepth: 4, Seed: 7,
 		}
 		cfg = cfg.Defaults()

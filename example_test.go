@@ -21,7 +21,7 @@ func ExampleMeasureApp() {
 	}
 	fmt.Printf("frames measured: %d\n", breakdown.N)
 	fmt.Printf("inference is the smaller share: %v\n",
-		breakdown.ModelExecution < breakdown.Tax())
+		breakdown.Mean.Stage[aitax.StageInference] < breakdown.Tax())
 	// Output:
 	// frames measured: 20
 	// inference is the smaller share: true

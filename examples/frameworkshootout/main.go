@@ -29,7 +29,7 @@ func measureDelegate(m *aitax.Model, dt aitax.DType, d aitax.Delegate) (float64,
 	}
 	var sum time.Duration
 	for _, s := range samples {
-		sum += s.Inference
+		sum += s.Stage[aitax.StageInference]
 	}
 	return ms(sum / time.Duration(len(samples))), true
 }

@@ -41,7 +41,8 @@ func main() {
 	for n := 0; n <= 4; n++ {
 		b := run(n, aitax.DelegateHexagon)
 		fmt.Printf("%-6d %-14.2f %-14.2f %-12.2f\n",
-			n, ms(b.DataCapture), ms(b.PreProcessing), ms(b.ModelExecution))
+			n, ms(b.Mean.Stage[aitax.StageCapture]), ms(b.Mean.Stage[aitax.StagePre]),
+			ms(b.Mean.Stage[aitax.StageInference]))
 	}
 	fmt.Println("-> inference stalls on the single DSP; capture+pre stay flat")
 	fmt.Println()
@@ -51,7 +52,8 @@ func main() {
 	for n := 0; n <= 4; n++ {
 		b := run(n, aitax.DelegateCPU)
 		fmt.Printf("%-6d %-14.2f %-14.2f %-12.2f\n",
-			n, ms(b.DataCapture), ms(b.PreProcessing), ms(b.ModelExecution))
+			n, ms(b.Mean.Stage[aitax.StageCapture]), ms(b.Mean.Stage[aitax.StagePre]),
+			ms(b.Mean.Stage[aitax.StageInference]))
 	}
 	fmt.Println("-> capture+pre stretch under CPU contention; DSP inference stays flat")
 	fmt.Println()

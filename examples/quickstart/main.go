@@ -44,7 +44,7 @@ func main() {
 	}
 	var inf float64
 	for _, s := range samples {
-		inf += float64(s.Inference.Microseconds()) / 1000
+		inf += float64(s.Stage[aitax.StageInference].Microseconds()) / 1000
 	}
 	inf /= float64(len(samples))
 	fmt.Printf("\nthe benchmark utility would have told you: %.2f ms/inference —\n", inf)

@@ -69,5 +69,5 @@ func main() {
 	}
 	fmt.Printf("\nsegmentation app (fp32, NNAPI):\n%s", b.Render())
 	fmt.Printf("pre-processing share: %.1f%% (paper: ~1%%)\n",
-		100*float64(b.PreProcessing)/float64(b.Total()))
+		100*float64(b.Mean.Stage[aitax.StagePre])/float64(b.Total()))
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"aitax/internal/capture"
+	"aitax/internal/core"
 	"aitax/internal/fastrpc"
 	"aitax/internal/imaging"
 	"aitax/internal/lab"
@@ -66,7 +67,7 @@ type Config struct {
 	// RealPreprocess executes the actual pre-processing kernels (bitmap
 	// conversion plus the model's fused resize+normalize/quantize
 	// pipeline) on the captured frame in addition to costing the stage
-	// in virtual time. Host-side only: FrameStats are unchanged.
+	// in virtual time. Host-side only: stage times are unchanged.
 	RealPreprocess bool
 	// PreOnDSP offloads the pre-processing stage to the DSP through
 	// FastRPC (a FastCV-style pipeline) — the jointly-accelerate-the-
@@ -81,30 +82,16 @@ type Config struct {
 	ProbeOverhead float64
 }
 
-// FrameStats is the per-frame stage breakdown an instrumented app
-// reports — the quantities Figs. 4, 9 and 10 plot.
-type FrameStats struct {
-	Capture   time.Duration // sensor latency + bitmap formatting
-	Pre       time.Duration // scale/crop/normalize/rotate/convert
-	Inference time.Duration
-	Post      time.Duration
-	UI        time.Duration
-	Total     time.Duration
-	// Retry is the inference stage's injected-fault recovery time
-	// (failed FastRPC attempts + backoff waits). It is contained in
-	// Inference but is tax, not useful compute. Retries in other stages
-	// (a PreOnDSP pipeline) are already inside those stages' times.
-	Retry time.Duration
-	// Fallback is delegate teardown + CPU re-init time paid inside the
-	// inference stage when the delegate died mid-run.
-	Fallback time.Duration
-}
+// FrameStats, Stage and StagePre alias the core names for the host-time
+// benchmark (hostbench/, a separate module), which compiles against
+// them; all other code uses the core package directly.
+type (
+	FrameStats = core.StageTimes
+	Stage      = core.Stage
+)
 
-// Tax returns the non-inference share of the frame (the AI tax). Fault
-// recovery that happened inside the inference stage — retries and
-// delegate fallback — is tax too, so it is added back; on fault-free
-// frames this is exactly Total - Inference.
-func (f FrameStats) Tax() time.Duration { return f.Total - f.Inference + f.Retry + f.Fallback }
+// StagePre aliases core.StagePre (see FrameStats).
+const StagePre = core.StagePre
 
 // App is one running application instance.
 type App struct {
@@ -255,14 +242,14 @@ func (a *App) StopStream() { a.streaming = false }
 // warmup+frames frames, stops the preview stream and the tenants, drains
 // the engine with lab.Drain (which checks ctx and reports the simulated
 // time to an enclosing lab job) and returns the frames after warmup.
-func (a *App) Measure(ctx context.Context, warmup, frames, bgJobs int, bgDelegate tflite.Delegate) ([]FrameStats, error) {
+func (a *App) Measure(ctx context.Context, warmup, frames, bgJobs int, bgDelegate tflite.Delegate) ([]core.StageTimes, error) {
 	bg, err := startTenants(a.rt, a.cfg.Model, a.cfg.DType, bgDelegate, bgJobs)
 	if err != nil {
 		return nil, err
 	}
-	var out []FrameStats
+	var out []core.StageTimes
 	a.Init(func() {
-		a.Run(warmup+frames, func(sts []FrameStats) {
+		a.Run(warmup+frames, func(sts []core.StageTimes) {
 			out = sts[warmup:]
 			a.StopStream()
 			bg.stopped = true
@@ -312,38 +299,37 @@ func (t *tenants) loop(ip *tflite.Interpreter) {
 // ProcessFrame runs one capture→pre→infer→post→render cycle and reports
 // the stage breakdown. With the runtime's Tracer set, the cycle yields a
 // span tree — a "frame" root whose capture/pre/inference/post/ui
-// children tile it exactly at the FrameStats boundaries, with the
+// children tile it exactly at the stage-time boundaries, with the
 // framework and driver layers nesting beneath "inference". The cycle is
 // the full traversal of the stage graph in stages.go; served requests
 // traverse a subgraph via ProcessRange instead.
-func (a *App) ProcessFrame(done func(FrameStats)) {
-	a.ProcessRange(StageCapture, StageUI, done)
+func (a *App) ProcessFrame(done func(core.StageTimes)) {
+	a.ProcessRange(core.StageCapture, core.StageUI, done)
 }
 
-// stageSeries are the per-stage latency series names, built once: the
-// record path runs per frame and must not rebuild labelled keys.
-var stageSeries = [...]string{
-	telemetry.Labeled("aitax_stage_ms", "stage", "capture"),
-	telemetry.Labeled("aitax_stage_ms", "stage", "pre"),
-	telemetry.Labeled("aitax_stage_ms", "stage", "inference"),
-	telemetry.Labeled("aitax_stage_ms", "stage", "post"),
-	telemetry.Labeled("aitax_stage_ms", "stage", "ui"),
-	telemetry.Labeled("aitax_stage_ms", "stage", "total"),
-}
+// stageSeries are the per-stage latency series names, then the total's,
+// built once: the record path runs per frame and must not rebuild
+// labelled keys.
+var stageSeries = func() (names [core.NumStages + 1]string) {
+	for s := range core.NumStages {
+		names[s] = telemetry.Labeled("aitax_stage_ms", "stage", s.String())
+	}
+	names[core.NumStages] = telemetry.Labeled("aitax_stage_ms", "stage", "total")
+	return names
+}()
 
 // recordFrame aggregates one frame's stage breakdown into the runtime's
 // metrics registry (no-op with metrics off).
-func (a *App) recordFrame(st FrameStats) {
+func (a *App) recordFrame(st core.StageTimes) {
 	m := a.rt.Metrics
 	if m == nil {
 		return
 	}
 	m.Inc("aitax_frames_total")
-	for i, d := range [...]time.Duration{
-		st.Capture, st.Pre, st.Inference, st.Post, st.UI, st.Total,
-	} {
-		m.Observe(stageSeries[i], float64(d)/float64(time.Millisecond))
+	for s, d := range st.Stage {
+		m.Observe(stageSeries[s], float64(d)/float64(time.Millisecond))
 	}
+	m.Observe(stageSeries[core.NumStages], float64(st.Total)/float64(time.Millisecond))
 	m.Observe("aitax_frame_tax_ms", float64(st.Tax())/float64(time.Millisecond))
 	// Fault-recovery series only exist once a fault actually fired, so
 	// fault-free runs export byte-identical metrics.
@@ -440,8 +426,8 @@ func (a *App) runRealPostprocess() {
 }
 
 // Run processes n frames sequentially and reports every breakdown.
-func (a *App) Run(n int, done func([]FrameStats)) {
-	stats := make([]FrameStats, 0, n)
+func (a *App) Run(n int, done func([]core.StageTimes)) {
+	stats := make([]core.StageTimes, 0, n)
 	var loop func(i int)
 	loop = func(i int) {
 		if i >= n {
@@ -450,7 +436,7 @@ func (a *App) Run(n int, done func([]FrameStats)) {
 			}
 			return
 		}
-		a.ProcessFrame(func(st FrameStats) {
+		a.ProcessFrame(func(st core.StageTimes) {
 			stats = append(stats, st)
 			loop(i + 1)
 		})

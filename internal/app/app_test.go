@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aitax/internal/capture"
+	"aitax/internal/core"
 	"aitax/internal/models"
 	"aitax/internal/sim"
 	"aitax/internal/soc"
@@ -28,10 +29,10 @@ func newApp(t *testing.T, model string, dt tensor.DType, d tflite.Delegate, stre
 	return rt, a
 }
 
-func runFrames(rt *tflite.Runtime, a *App, n int) []FrameStats {
-	var out []FrameStats
+func runFrames(rt *tflite.Runtime, a *App, n int) []core.StageTimes {
+	var out []core.StageTimes
 	a.Init(func() {
-		a.Run(n, func(st []FrameStats) {
+		a.Run(n, func(st []core.StageTimes) {
 			out = st
 			a.StopStream()
 		})
@@ -47,13 +48,17 @@ func TestProcessFrameStages(t *testing.T) {
 		t.Fatalf("frames = %d", len(sts))
 	}
 	for _, st := range sts {
-		if st.Capture <= 0 || st.Pre <= 0 || st.Inference <= 0 || st.Post <= 0 || st.UI <= 0 {
-			t.Fatalf("missing stage in %+v", st)
+		var sum time.Duration
+		for _, d := range st.Stage {
+			if d <= 0 {
+				t.Fatalf("missing stage in %+v", st)
+			}
+			sum += d
 		}
-		if st.Total < st.Capture+st.Pre+st.Inference+st.Post+st.UI-time.Millisecond {
+		if st.Total < sum-time.Millisecond {
 			t.Fatalf("total %v below stage sum", st.Total)
 		}
-		if st.Tax() != st.Total-st.Inference {
+		if st.Tax() != st.Total-st.Stage[core.StageInference] {
 			t.Fatal("tax accounting broken")
 		}
 	}
@@ -66,8 +71,8 @@ func TestCapturePlusPreRivalsInferenceForQuantMobileNet(t *testing.T) {
 	sts := runFrames(rt, a, 20)
 	var capPre, inf time.Duration
 	for _, st := range sts {
-		capPre += st.Capture + st.Pre
-		inf += st.Inference
+		capPre += st.Stage[core.StageCapture] + st.Stage[core.StagePre]
+		inf += st.Stage[core.StageInference]
 	}
 	ratio := float64(capPre) / float64(inf)
 	if ratio < 1.0 || ratio > 4.5 {
@@ -81,8 +86,8 @@ func TestInceptionInferenceDominates(t *testing.T) {
 	sts := runFrames(rt, a, 5)
 	var capPre, inf time.Duration
 	for _, st := range sts {
-		capPre += st.Capture + st.Pre
-		inf += st.Inference
+		capPre += st.Stage[core.StageCapture] + st.Stage[core.StagePre]
+		inf += st.Stage[core.StageInference]
 	}
 	if inf < 2*capPre {
 		t.Fatalf("Inception inference (%v) must dominate capture+pre (%v)", inf, capPre)
@@ -95,7 +100,7 @@ func TestDeepLabPreTiny(t *testing.T) {
 	sts := runFrames(rt, a, 5)
 	var pre, total time.Duration
 	for _, st := range sts {
-		pre += st.Pre
+		pre += st.Stage[core.StagePre]
 		total += st.Total
 	}
 	frac := float64(pre) / float64(total)
@@ -110,7 +115,7 @@ func TestPoseNetPreModerate(t *testing.T) {
 	sts := runFrames(rt, a, 5)
 	var pre, total time.Duration
 	for _, st := range sts {
-		pre += st.Pre
+		pre += st.Stage[core.StagePre]
 		total += st.Total
 	}
 	frac := float64(pre) / float64(total)
@@ -126,7 +131,7 @@ func TestStreamingStretchesCPUInference(t *testing.T) {
 		sts := runFrames(rt, a, 3)
 		var inf time.Duration
 		for _, st := range sts {
-			inf += st.Inference
+			inf += st.Stage[core.StageInference]
 		}
 		return inf
 	}
@@ -179,7 +184,7 @@ func TestRealPostprocessRuns(t *testing.T) {
 		}
 		done := false
 		a.Init(func() {
-			a.ProcessFrame(func(FrameStats) { done = true })
+			a.ProcessFrame(func(core.StageTimes) { done = true })
 		})
 		rt.Eng.Run()
 		if !done {
@@ -212,10 +217,10 @@ func TestBenchToolSamplesComplete(t *testing.T) {
 		t.Fatalf("runs = %d", len(runs))
 	}
 	for _, r := range runs {
-		if r.DataCapture <= 0 || r.Inference <= 0 || r.Total <= 0 {
+		if r.Stage[core.StageCapture] <= 0 || r.Stage[core.StageInference] <= 0 || r.Total <= 0 {
 			t.Fatalf("incomplete sample %+v", r)
 		}
-		if r.UI != 0 {
+		if r.Stage[core.StageUI] != 0 {
 			t.Fatal("CLI tool must not render UI")
 		}
 	}
@@ -236,7 +241,7 @@ func TestBenchToolQuantRandomGenSlower(t *testing.T) {
 		}
 		var sum time.Duration
 		for _, r := range runs {
-			sum += r.DataCapture
+			sum += r.Stage[core.StageCapture]
 		}
 		return sum
 	}
@@ -256,7 +261,7 @@ func TestBenchAppWrapperAddsUI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range runs {
-		if r.UI <= 0 {
+		if r.Stage[core.StageUI] <= 0 {
 			t.Fatal("app wrapper must render UI")
 		}
 	}
@@ -301,13 +306,13 @@ func TestLanguageAppSkipsCamera(t *testing.T) {
 	rt, a := newApp(t, "Mobile BERT", tensor.Float32, tflite.DelegateCPU, true)
 	sts := runFrames(rt, a, 5)
 	for _, st := range sts {
-		if st.Capture > time.Millisecond {
-			t.Fatalf("language app capture = %v, want sub-ms text fetch", st.Capture)
+		if st.Stage[core.StageCapture] > time.Millisecond {
+			t.Fatalf("language app capture = %v, want sub-ms text fetch", st.Stage[core.StageCapture])
 		}
-		if st.Pre > st.Inference {
+		if st.Stage[core.StagePre] > st.Stage[core.StageInference] {
 			t.Fatal("tokenization must be negligible next to BERT inference")
 		}
-		if st.Inference <= 0 || st.UI <= 0 {
+		if st.Stage[core.StageInference] <= 0 || st.Stage[core.StageUI] <= 0 {
 			t.Fatalf("incomplete text frame %+v", st)
 		}
 	}
@@ -367,9 +372,9 @@ func TestPreOnDSPFastWhenIdle(t *testing.T) {
 		}
 		var pre time.Duration
 		a.Init(func() {
-			a.Run(6, func(sts []FrameStats) {
+			a.Run(6, func(sts []core.StageTimes) {
 				for _, st := range sts[2:] {
-					pre += st.Pre
+					pre += st.Stage[core.StagePre]
 				}
 			})
 		})
@@ -420,7 +425,7 @@ func TestRealPreprocessRunsAndKeepsStatsIdentical(t *testing.T) {
 		{"Deeplab v3", tensor.Float32},
 		{"PoseNet", tensor.Float32},
 	} {
-		var runs [2][]FrameStats
+		var runs [2][]core.StageTimes
 		for i, real := range []bool{false, true} {
 			rt := tflite.NewStack(soc.Pixel3(), 7)
 			m, _ := models.ByName(tc.name)
@@ -431,7 +436,7 @@ func TestRealPreprocessRunsAndKeepsStatsIdentical(t *testing.T) {
 			}
 			a.cam.Synthesize = true
 			a.Init(func() {
-				a.Run(3, func(st []FrameStats) { runs[i] = st })
+				a.Run(3, func(st []core.StageTimes) { runs[i] = st })
 			})
 			rt.Eng.Run()
 			if len(runs[i]) != 3 {

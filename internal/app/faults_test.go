@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"aitax/internal/core"
 	"aitax/internal/faults"
 	"aitax/internal/models"
 	"aitax/internal/soc"
@@ -61,7 +62,8 @@ func TestRetryBackoffFlowsIntoFrameTax(t *testing.T) {
 	if first.Fallback <= 0 {
 		t.Fatal("frame 1 must pay the delegate teardown + CPU re-init cost")
 	}
-	if got, want := first.Tax(), first.Total-first.Inference+wantRetry+first.Fallback; got != want {
+	inf := first.Stage[core.StageInference]
+	if got, want := first.Tax(), first.Total-inf+wantRetry+first.Fallback; got != want {
 		t.Fatalf("frame 1 Tax = %v, want %v (stage tax + retry + fallback)", got, want)
 	}
 	if !a.Interpreter().FellBack() {
@@ -72,10 +74,10 @@ func TestRetryBackoffFlowsIntoFrameTax(t *testing.T) {
 		if st.Retry != 0 || st.Fallback != 0 {
 			t.Fatalf("frame %d after fallback: retry=%v fallback=%v, want zero", i+2, st.Retry, st.Fallback)
 		}
-		if st.Inference <= 0 {
+		if st.Stage[core.StageInference] <= 0 {
 			t.Fatalf("frame %d did not run inference", i+2)
 		}
-		if st.Tax() != st.Total-st.Inference {
+		if st.Tax() != st.Total-st.Stage[core.StageInference] {
 			t.Fatalf("frame %d tax accounting drifted", i+2)
 		}
 	}
@@ -94,8 +96,8 @@ func TestDelegateInitFailureFallsBackToCPU(t *testing.T) {
 		t.Fatal("delegate-init fault must force the CPU fallback")
 	}
 	for i, st := range sts {
-		if st.Inference <= 0 {
-			t.Fatalf("frame %d inference = %v", i+1, st.Inference)
+		if st.Stage[core.StageInference] <= 0 {
+			t.Fatalf("frame %d inference = %v", i+1, st.Stage[core.StageInference])
 		}
 		if st.Retry != 0 || st.Fallback != 0 {
 			t.Fatalf("init-time fallback must not charge per-frame retry/fallback, frame %d: %+v", i+1, st)
@@ -123,20 +125,20 @@ func TestPreDSPSessionFailureDegradesToCPU(t *testing.T) {
 		t.Fatal("pre-DSP path must be marked down after session failure")
 	}
 	for i, st := range sts {
-		if st.Pre <= 0 {
-			t.Fatalf("frame %d pre = %v, want CPU fallback to run", i+1, st.Pre)
+		if st.Stage[core.StagePre] <= 0 {
+			t.Fatalf("frame %d pre = %v, want CPU fallback to run", i+1, st.Stage[core.StagePre])
 		}
 	}
 	// The first frame ate the failed session attempts inside Pre.
-	if sts[0].Pre <= sts[1].Pre {
+	if sts[0].Stage[core.StagePre] <= sts[1].Stage[core.StagePre] {
 		t.Fatalf("frame 1 pre (%v) must exceed steady-state pre (%v): it paid the failed setup",
-			sts[0].Pre, sts[1].Pre)
+			sts[0].Stage[core.StagePre], sts[1].Stage[core.StagePre])
 	}
 }
 
 // With a fixed seed and plan the whole faulty app run is deterministic.
 func TestFaultyAppRunDeterministic(t *testing.T) {
-	run := func() []FrameStats {
+	run := func() []core.StageTimes {
 		rt, a := newFaultyApp(t, faults.Plan{RPCErrorRate: 0.3, StallRate: 0.3, Seed: 9},
 			Config{DType: tensor.UInt8, Delegate: tflite.DelegateHexagon})
 		return runFrames(rt, a, 5)

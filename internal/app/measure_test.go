@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"aitax/internal/core"
 	"aitax/internal/models"
 	"aitax/internal/soc"
 	"aitax/internal/tensor"
@@ -47,8 +48,8 @@ func appBreakdown(t *testing.T, n int, bgDelegate tflite.Delegate) (capPre, inf 
 		t.Fatal(err)
 	}
 	for _, st := range sts {
-		capPre += st.Capture + st.Pre
-		inf += st.Inference
+		capPre += st.Stage[core.StageCapture] + st.Stage[core.StagePre]
+		inf += st.Stage[core.StageInference]
 	}
 	return capPre / time.Duration(len(sts)), inf / time.Duration(len(sts))
 }

@@ -6,63 +6,20 @@ import (
 	"time"
 
 	"aitax/internal/capture"
+	"aitax/internal/core"
 	"aitax/internal/preproc"
 	"aitax/internal/sim"
 	"aitax/internal/telemetry"
 	"aitax/internal/tflite"
 )
 
-// Stage identifies one node of the application's frame-processing graph.
-// A camera frame traverses the whole graph; a served request enters
-// mid-graph (its payload arrives over the wire, already captured) and
-// exits after post-processing (the server serializes a response instead
-// of rendering UI). See ProcessRange.
-type Stage int
-
-// The pipeline stages in graph order.
-const (
-	StageCapture Stage = iota
-	StagePre
-	StageInference
-	StagePost
-	StageUI
-)
-
-// String names the stage as it appears in spans and reports.
-func (s Stage) String() string {
-	switch s {
-	case StageCapture:
-		return "capture"
-	case StagePre:
-		return "pre"
-	case StageInference:
-		return "inference"
-	case StagePost:
-		return "post"
-	case StageUI:
-		return "ui"
-	}
-	return fmt.Sprintf("Stage(%d)", int(s))
-}
-
-// ParseStage resolves a stage name ("capture", "pre", "inference",
-// "post", "ui") to its Stage.
-func ParseStage(name string) (Stage, error) {
-	for s := StageCapture; s <= StageUI; s++ {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("app: unknown stage %q (capture|pre|inference|post|ui)", name)
-}
-
-// frameRun is one request's traversal of the stage graph: the in-flight
-// FrameStats, the enclosing span, and the capture state later stages
-// consume. A full camera frame and a mid-graph served request share this
-// carrier; stages a run never enters stay zero in its FrameStats.
+// frameRun is one request's traversal of the stage graph (core.Stage):
+// the in-flight stage times, the enclosing span, and the capture state
+// later stages consume. A full camera frame and a mid-graph served
+// request share this carrier; stages a run never enters stay zero.
 type frameRun struct {
 	a     *App
-	st    FrameStats
+	st    core.StageTimes
 	start sim.Time
 	// frameNo is the app-lifetime frame index (GC cadence).
 	frameNo int
@@ -75,27 +32,27 @@ type frameRun struct {
 	capFrame *capture.Frame
 	// srcW/srcH are the pre stage's input dimensions (0 for text).
 	srcW, srcH int
-	to         Stage
-	done       func(FrameStats)
+	to         core.Stage
+	done       func(core.StageTimes)
 }
 
 // advance dispatches the run to stage s, or finishes it when the run's
 // segment is exhausted.
-func (r *frameRun) advance(s Stage) {
-	if s > r.to || s > StageUI {
+func (r *frameRun) advance(s core.Stage) {
+	if s > r.to || s > core.StageUI {
 		r.finish()
 		return
 	}
 	switch s {
-	case StageCapture:
+	case core.StageCapture:
 		r.a.stageCapture(r)
-	case StagePre:
+	case core.StagePre:
 		r.a.stagePre(r)
-	case StageInference:
+	case core.StageInference:
 		r.a.stageInference(r)
-	case StagePost:
+	case core.StagePost:
 		r.a.stagePost(r)
-	case StageUI:
+	case core.StageUI:
 		r.a.stageUI(r)
 	}
 }
@@ -115,12 +72,12 @@ func (r *frameRun) finish() {
 // pay the bitmap formatting on the camera thread; language apps fetch
 // the text input (IME/clipboard, negligible).
 func (a *App) stageCapture(r *frameRun) {
-	capSpan := a.rt.Tracer.Start("capture", "capture", telemetry.TrackCPU, r.frame)
+	capSpan := a.rt.Tracer.Start(core.StageCapture.String(), "capture", telemetry.TrackCPU, r.frame)
 	if r.spec.Tokenize {
 		a.preThread.Exec(a.rt.RNG.Jitter(200*time.Microsecond, 0.2), func() {
-			r.st.Capture = a.rt.Eng.Now().Sub(r.start)
+			r.st.Stage[core.StageCapture] = a.rt.Eng.Now().Sub(r.start)
 			capSpan.End()
-			r.advance(StagePre)
+			r.advance(core.StagePre)
 		})
 		return
 	}
@@ -129,9 +86,9 @@ func (a *App) stageCapture(r *frameRun) {
 		afterFusion := func() {
 			conv := a.stageDuration(a.cam.ConversionWork(), false)
 			a.camThread.Exec(conv, func() {
-				r.st.Capture = a.rt.Eng.Now().Sub(r.start)
+				r.st.Stage[core.StageCapture] = a.rt.Eng.Now().Sub(r.start)
 				capSpan.End()
-				r.advance(StagePre)
+				r.advance(core.StagePre)
 			})
 		}
 		if r.spec.RotateTurns != 0 {
@@ -153,14 +110,14 @@ func (a *App) stageCapture(r *frameRun) {
 func (a *App) stagePre(r *frameRun) {
 	preW := r.spec.Work(r.srcW, r.srcH)
 	preStart := a.rt.Eng.Now()
-	preSpan := a.rt.Tracer.Start("pre", "preproc", telemetry.TrackCPU, r.frame)
+	preSpan := a.rt.Tracer.Start(core.StagePre.String(), "preproc", telemetry.TrackCPU, r.frame)
 	next := func() {
 		if a.cfg.RealPreprocess && r.capFrame != nil {
 			a.runRealPreprocess(r.capFrame, r.spec)
 		}
-		r.st.Pre = a.rt.Eng.Now().Sub(preStart)
+		r.st.Stage[core.StagePre] = a.rt.Eng.Now().Sub(preStart)
 		preSpan.End()
-		r.advance(StageInference)
+		r.advance(core.StageInference)
 	}
 	if r.spec.Tokenize {
 		a.preThread.Exec(a.stageDuration(preW, false), next)
@@ -172,35 +129,35 @@ func (a *App) stagePre(r *frameRun) {
 // stageInference invokes the model through the delegate.
 func (a *App) stageInference(r *frameRun) {
 	invStart := a.rt.Eng.Now()
-	infSpan := a.rt.Tracer.Start("inference", "app", telemetry.TrackCPU, r.frame)
+	infSpan := a.rt.Tracer.Start(core.StageInference.String(), "app", telemetry.TrackCPU, r.frame)
 	a.ip.InvokeTraced(infSpan, func(rep tflite.Report) {
-		r.st.Inference = a.rt.Eng.Now().Sub(invStart)
+		r.st.Stage[core.StageInference] = a.rt.Eng.Now().Sub(invStart)
 		r.st.Retry = rep.Retry
 		r.st.Fallback = rep.FallbackCost
 		infSpan.End()
-		r.advance(StagePost)
+		r.advance(core.StagePost)
 	})
 }
 
 // stagePost runs task-specific post-processing.
 func (a *App) stagePost(r *frameRun) {
 	postStart := a.rt.Eng.Now()
-	postSpan := a.rt.Tracer.Start("post", "postproc", telemetry.TrackCPU, r.frame)
+	postSpan := a.rt.Tracer.Start(core.StagePost.String(), "postproc", telemetry.TrackCPU, r.frame)
 	postW := a.ip.Model.PostWork(a.ip.DType)
 	a.postThread.Exec(a.stageDuration(postW, true), func() {
 		if a.cfg.RealPostprocess {
 			a.runRealPostprocess()
 		}
-		r.st.Post = a.rt.Eng.Now().Sub(postStart)
+		r.st.Stage[core.StagePost] = a.rt.Eng.Now().Sub(postStart)
 		postSpan.End()
-		r.advance(StageUI)
+		r.advance(core.StageUI)
 	})
 }
 
 // stageUI renders the result (plus the periodic GC pause).
 func (a *App) stageUI(r *frameRun) {
 	uiStart := a.rt.Eng.Now()
-	uiSpan := a.rt.Tracer.Start("ui", "app", telemetry.TrackCPU, r.frame)
+	uiSpan := a.rt.Tracer.Start(core.StageUI.String(), "app", telemetry.TrackCPU, r.frame)
 	ui := a.rt.RNG.Jitter(uiBase, uiJitterCV)
 	if r.frameNo%gcPeriod == 0 {
 		ui += gcPause
@@ -208,20 +165,20 @@ func (a *App) stageUI(r *frameRun) {
 		a.rt.Metrics.Inc("aitax_gc_pauses_total")
 	}
 	a.uiThread.Exec(ui, func() {
-		r.st.UI = a.rt.Eng.Now().Sub(uiStart)
+		r.st.Stage[core.StageUI] = a.rt.Eng.Now().Sub(uiStart)
 		uiSpan.End()
-		r.advance(StageUI + 1)
+		r.advance(core.StageUI + 1)
 	})
 }
 
 // ProcessRange runs the stage subgraph [from, to] and reports the stage
 // breakdown of the stages that actually ran (the rest stay zero, so
-// FrameStats.Tax remains exact for the segment). A served request enters
+// StageTimes.Tax remains exact for the segment). A served request enters
 // at StagePre (its payload needs the pixel pipeline) or StageInference
 // (the payload is a ready tensor) and exits after StagePost — the server
 // serializes a response instead of rendering UI.
-func (a *App) ProcessRange(from, to Stage, done func(FrameStats)) {
-	if from < StageCapture || to > StageUI || from > to {
+func (a *App) ProcessRange(from, to core.Stage, done func(core.StageTimes)) {
+	if from < core.StageCapture || to > core.StageUI || from > to {
 		panic(fmt.Sprintf("app: invalid stage range [%v, %v]", from, to))
 	}
 	r := &frameRun{a: a, start: a.rt.Eng.Now(), to: to, done: done}

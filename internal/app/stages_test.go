@@ -4,41 +4,30 @@ import (
 	"testing"
 	"time"
 
+	"aitax/internal/core"
 	"aitax/internal/tensor"
 	"aitax/internal/tflite"
 )
-
-func TestParseStage(t *testing.T) {
-	for s := StageCapture; s <= StageUI; s++ {
-		got, err := ParseStage(s.String())
-		if err != nil || got != s {
-			t.Fatalf("ParseStage(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := ParseStage("render"); err == nil {
-		t.Fatal("ParseStage accepted an unknown stage")
-	}
-}
 
 // A served request enters at pre and exits after post: the stages it
 // never ran stay zero, so Tax() is exact for the traversed segment.
 func TestProcessRangeMidGraphEntry(t *testing.T) {
 	rt, a := newApp(t, "MobileNet 1.0 v1", tensor.UInt8, tflite.DelegateNNAPI, false)
-	var st FrameStats
+	var st core.StageTimes
 	a.Init(func() {
-		a.ProcessRange(StagePre, StagePost, func(s FrameStats) { st = s })
+		a.ProcessRange(core.StagePre, core.StagePost, func(s core.StageTimes) { st = s })
 	})
 	rt.Eng.Run()
-	if st.Capture != 0 || st.UI != 0 {
-		t.Fatalf("skipped stages nonzero: capture %v, ui %v", st.Capture, st.UI)
+	if st.Stage[core.StageCapture] != 0 || st.Stage[core.StageUI] != 0 {
+		t.Fatalf("skipped stages nonzero: capture %v, ui %v", st.Stage[core.StageCapture], st.Stage[core.StageUI])
 	}
-	if st.Pre <= 0 || st.Inference <= 0 || st.Post <= 0 {
+	if st.Stage[core.StagePre] <= 0 || st.Stage[core.StageInference] <= 0 || st.Stage[core.StagePost] <= 0 {
 		t.Fatalf("traversed stages missing: %+v", st)
 	}
-	if st.Total < st.Pre+st.Inference+st.Post {
+	if st.Total < st.Stage[core.StagePre]+st.Stage[core.StageInference]+st.Stage[core.StagePost] {
 		t.Fatalf("total %v below stage sum", st.Total)
 	}
-	if st.Tax() != st.Total-st.Inference {
+	if st.Tax() != st.Total-st.Stage[core.StageInference] {
 		t.Fatal("tax accounting broken for a partial traversal")
 	}
 }
@@ -46,16 +35,16 @@ func TestProcessRangeMidGraphEntry(t *testing.T) {
 // A full-range ProcessRange is exactly ProcessFrame.
 func TestProcessRangeFullMatchesProcessFrame(t *testing.T) {
 	rtA, a := newApp(t, "MobileNet 1.0 v1", tensor.UInt8, tflite.DelegateNNAPI, false)
-	var viaRange FrameStats
+	var viaRange core.StageTimes
 	a.Init(func() {
-		a.ProcessRange(StageCapture, StageUI, func(s FrameStats) { viaRange = s })
+		a.ProcessRange(core.StageCapture, core.StageUI, func(s core.StageTimes) { viaRange = s })
 	})
 	rtA.Eng.Run()
 
 	rtB, b := newApp(t, "MobileNet 1.0 v1", tensor.UInt8, tflite.DelegateNNAPI, false)
-	var viaFrame FrameStats
+	var viaFrame core.StageTimes
 	b.Init(func() {
-		b.ProcessFrame(func(s FrameStats) { viaFrame = s })
+		b.ProcessFrame(func(s core.StageTimes) { viaFrame = s })
 	})
 	rtB.Eng.Run()
 
@@ -66,7 +55,7 @@ func TestProcessRangeFullMatchesProcessFrame(t *testing.T) {
 
 func TestProcessRangeInvalidRangePanics(t *testing.T) {
 	_, a := newApp(t, "MobileNet 1.0 v1", tensor.UInt8, tflite.DelegateNNAPI, false)
-	for _, r := range [][2]Stage{{StagePost, StagePre}, {StageCapture, StageUI + 1}, {-1, StageUI}} {
+	for _, r := range [][2]core.Stage{{core.StagePost, core.StagePre}, {core.StageCapture, core.StageUI + 1}, {-1, core.StageUI}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -82,16 +71,16 @@ func TestProcessRangeInvalidRangePanics(t *testing.T) {
 // skips the capture wait and UI render entirely.
 func TestProcessRangeSkipsStageCosts(t *testing.T) {
 	rtA, a := newApp(t, "MobileNet 1.0 v1", tensor.UInt8, tflite.DelegateNNAPI, false)
-	var partial FrameStats
+	var partial core.StageTimes
 	a.Init(func() {
-		a.ProcessRange(StagePre, StagePost, func(s FrameStats) { partial = s })
+		a.ProcessRange(core.StagePre, core.StagePost, func(s core.StageTimes) { partial = s })
 	})
 	rtA.Eng.Run()
 
 	rtB, b := newApp(t, "MobileNet 1.0 v1", tensor.UInt8, tflite.DelegateNNAPI, false)
-	var full FrameStats
+	var full core.StageTimes
 	b.Init(func() {
-		b.ProcessFrame(func(s FrameStats) { full = s })
+		b.ProcessFrame(func(s core.StageTimes) { full = s })
 	})
 	rtB.Eng.Run()
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"aitax/internal/core"
 	"aitax/internal/models"
 	"aitax/internal/soc"
 	"aitax/internal/telemetry"
@@ -37,13 +38,6 @@ func TestFrameSpanTreeTilesFrameStats(t *testing.T) {
 	if len(roots) != frames {
 		t.Fatalf("root spans = %d, want %d", len(roots), frames)
 	}
-	stageFor := map[string]func(FrameStats) time.Duration{
-		"capture":   func(s FrameStats) time.Duration { return s.Capture },
-		"pre":       func(s FrameStats) time.Duration { return s.Pre },
-		"inference": func(s FrameStats) time.Duration { return s.Inference },
-		"post":      func(s FrameStats) time.Duration { return s.Post },
-		"ui":        func(s FrameStats) time.Duration { return s.UI },
-	}
 	for i, root := range roots {
 		if root.Name != "frame" || root.Duration() != sts[i].Total {
 			t.Fatalf("frame %d root = %+v, want duration %v", i, root, sts[i].Total)
@@ -55,13 +49,13 @@ func TestFrameSpanTreeTilesFrameStats(t *testing.T) {
 		var sum time.Duration
 		cursor := root.Start
 		for _, k := range kids {
-			want, ok := stageFor[k.Name]
-			if !ok {
+			s, err := core.ParseStage(k.Name)
+			if err != nil {
 				t.Fatalf("unexpected stage span %q", k.Name)
 			}
-			if k.Duration() != want(sts[i]) {
-				t.Fatalf("frame %d stage %s span %v != FrameStats %v",
-					i, k.Name, k.Duration(), want(sts[i]))
+			if want := sts[i].Stage[s]; k.Duration() != want {
+				t.Fatalf("frame %d stage %s span %v != stage time %v",
+					i, k.Name, k.Duration(), want)
 			}
 			if k.Start != cursor {
 				t.Fatalf("frame %d stage %s starts at %v, want contiguous %v", i, k.Name, k.Start, cursor)
@@ -70,7 +64,7 @@ func TestFrameSpanTreeTilesFrameStats(t *testing.T) {
 			sum += k.Duration()
 		}
 		if sum != sts[i].Total {
-			t.Fatalf("frame %d stages sum to %v, FrameStats total %v", i, sum, sts[i].Total)
+			t.Fatalf("frame %d stages sum to %v, stage-times total %v", i, sum, sts[i].Total)
 		}
 	}
 }
@@ -157,7 +151,7 @@ func TestFrameMetricsAggregation(t *testing.T) {
 }
 
 func TestTracingDoesNotPerturbRun(t *testing.T) {
-	run := func(traced bool) []FrameStats {
+	run := func(traced bool) []core.StageTimes {
 		rt := tflite.NewStack(soc.Pixel3(), 42)
 		if traced {
 			rt.Tracer = telemetry.NewTracer(rt.Eng.Now)

@@ -148,10 +148,14 @@ type Experiment struct {
 // simulation, so cancellation is observed at experiment granularity: a
 // context cancelled before the experiment starts skips it, one
 // cancelled mid-run lets the experiment finish. The lab runner uses
-// this to drain a cancelled sweep quickly.
+// this to drain a cancelled sweep quickly. A negative cfg.Runs is an
+// error.
 func (e Experiment) RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if cfg.Runs < 0 {
+		return nil, fmt.Errorf("bench: negative Runs %d (0 selects the default of 50)", cfg.Runs)
 	}
 	return e.Run(cfg), nil
 }

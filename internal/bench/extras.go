@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"aitax/internal/core"
 	"aitax/internal/models"
 	"aitax/internal/nnapi"
 	"aitax/internal/soc"
@@ -35,10 +36,10 @@ func PlatformSweep(cfg Config) *Result {
 			r.Notes = append(r.Notes, "setup failed on "+p.Name)
 			continue
 		}
-		cpuMs := ms(meanSample(cpu).Inference)
+		cpuMs := ms(core.Mean(cpu).Stage[core.StageInference])
 		r.AddRow(p.Name, fmt.Sprintf("%.2f", cpuMs),
-			msf(meanSample(nn8).Inference), msf(meanSample(hex).Inference),
-			msf(p.RPC.SessionSetup))
+			msf(core.Mean(nn8).Stage[core.StageInference]),
+			msf(core.Mean(hex).Stage[core.StageInference]), msf(p.RPC.SessionSetup))
 		if prev != 0 && cpuMs >= prev {
 			monotone = false
 		}
@@ -118,7 +119,7 @@ func Thermal(cfg Config) *Result {
 		r.Notes = append(r.Notes, "setup failed: "+err.Error())
 		return r
 	}
-	base := meanSample(samples).Inference
+	base := core.Mean(samples).Stage[core.StageInference]
 
 	th := thermal.Default()
 	var first, last float64
@@ -175,7 +176,7 @@ func PartitionAblation(cfg Config) *Result {
 	}
 	cpu, err := benchToolRun(cfg.Platform, cfg.Seed, m, tensor.UInt8, tflite.DelegateCPU, 1, cfg.Runs, false)
 	if err == nil {
-		r.AddRow("(plain CPU, 1 thread)", "-", 1, msf(meanSample(cpu).Inference))
+		r.AddRow("(plain CPU, 1 thread)", "-", 1, msf(core.Mean(cpu).Stage[core.StageInference]))
 	}
 	r.Notes = append(r.Notes,
 		"whether the driver shatters or retreats, a graph with unsupported interleaved ops loses to staying on the CPU — the Fig. 5 lesson is threshold-independent")

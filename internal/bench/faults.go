@@ -100,9 +100,9 @@ func FaultTolerance(cfg Config) *Result {
 			onCPU = "yes"
 		}
 		b := st.breakdown
-		r.AddRow(sc.label, msf(st.initTime), msf(b.ModelExecution), msf(b.Retry),
-			msf(b.Fallback), msf(b.Total()), fmt.Sprintf("%.1f", 100*b.TaxFraction()),
-			st.injected, onCPU)
+		r.AddRow(sc.label, msf(st.initTime), msf(b.Mean.Stage[core.StageInference]),
+			msf(b.Mean.Retry), msf(b.Mean.Fallback), msf(b.Total()),
+			fmt.Sprintf("%.1f", 100*b.TaxFraction()), st.injected, onCPU)
 	}
 
 	base, initFail, flaky, trip :=
@@ -113,12 +113,12 @@ func FaultTolerance(cfg Config) *Result {
 	switch {
 	case !completed:
 		r.Notes = append(r.Notes, "shape check FAIL: a faulted run did not complete every frame")
-	case base.injected != 0 || base.breakdown.Retry != 0 || base.breakdown.Fallback != 0:
+	case base.injected != 0 || base.breakdown.Mean.Retry != 0 || base.breakdown.Mean.Fallback != 0:
 		r.Notes = append(r.Notes, "shape check FAIL: the baseline must stay fault-free")
 	case !initFail.fellBack || initFail.initTime <= base.initTime ||
-		initFail.breakdown.ModelExecution <= base.breakdown.ModelExecution:
+		initFail.breakdown.Mean.Stage[core.StageInference] <= base.breakdown.Mean.Stage[core.StageInference]:
 		r.Notes = append(r.Notes, "shape check FAIL: delegate-init failure must re-plan onto the slower CPU")
-	case flaky.breakdown.Retry <= 0:
+	case flaky.breakdown.Mean.Retry <= 0:
 		r.Notes = append(r.Notes, "shape check FAIL: flaky FastRPC must surface retry backoff as tax")
 	case !trip.fellBack:
 		r.Notes = append(r.Notes, "shape check FAIL: a thermal trip must end in CPU fallback")
@@ -126,7 +126,7 @@ func FaultTolerance(cfg Config) *Result {
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"shape check PASS: all %d frames completed under every plan; init failure re-planned onto CPU (tax %.1f%% vs %.1f%% baseline), retries added %.2f ms/frame, thermal trip degraded to CPU mid-run",
 			frames, 100*initFail.breakdown.TaxFraction(), 100*base.breakdown.TaxFraction(),
-			ms(flaky.breakdown.Retry)))
+			ms(flaky.breakdown.Mean.Retry)))
 	}
 	r.Notes = append(r.Notes,
 		"recovery is tax: every retry and fallback millisecond lands outside model execution, exactly the time inference-only benchmarks never see (§III)")

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"aitax/internal/core"
 	"aitax/internal/tflite"
 )
 
@@ -32,9 +33,9 @@ func Figure3(cfg Config) *Result {
 		if err != nil {
 			continue
 		}
-		cliMean := meanSample(cli).Total
-		appWrapMean := meanSample(wrapped).Total
-		appMean := meanFrames(frames).Total
+		cliMean := core.Mean(cli).Total
+		appWrapMean := core.Mean(wrapped).Total
+		appMean := core.Mean(frames).Total
 		if !(appMean > appWrapMean && appWrapMean > cliMean) {
 			ordered = false
 		}
@@ -68,12 +69,12 @@ func figure4Data(cfg Config) []fig4Row {
 		if err != nil {
 			continue
 		}
-		bm := meanSample(bench)
-		am := meanFrames(frames)
+		bm := core.Mean(bench).Stage
+		am := core.Mean(frames).Stage
 		rows = append(rows, fig4Row{
 			name:     variantName(v.M, v.DT),
-			benchCap: ms(bm.DataCapture), benchPre: ms(bm.Pre), benchInf: ms(bm.Inference),
-			appCap: ms(am.Capture), appPre: ms(am.Pre), appInf: ms(am.Inference),
+			benchCap: ms(bm[core.StageCapture]), benchPre: ms(bm[core.StagePre]), benchInf: ms(bm[core.StageInference]),
+			appCap: ms(am[core.StageCapture]), appPre: ms(am[core.StagePre]), appInf: ms(am[core.StageInference]),
 		})
 	}
 	return rows

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"aitax/internal/core"
 	"aitax/internal/models"
 	"aitax/internal/sim"
 	"aitax/internal/tensor"
@@ -33,7 +34,7 @@ func fig5Latency(cfg Config, m *models.Model, dt tensor.DType, c fig5Config) (ti
 	if err != nil {
 		return 0, err
 	}
-	return meanSample(samples).Inference, nil
+	return core.Mean(samples).Stage[core.StageInference], nil
 }
 
 // Figure5 regenerates the paper's Fig. 5: quantized EfficientNet-Lite0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"aitax/internal/core"
 	"aitax/internal/models"
 	"aitax/internal/stats"
 	"aitax/internal/tensor"
@@ -34,16 +35,17 @@ func multiTenancy(cfg Config, bgDelegate tflite.Delegate, id, title string) *Res
 			r.Notes = append(r.Notes, "setup failed: "+err.Error())
 			return r
 		}
-		mean := meanFrames(sts)
-		r.AddRow(n, msf(mean.Capture), msf(mean.Pre), msf(mean.Inference),
-			msf(mean.Post), msf(mean.Total))
+		mean := core.Mean(sts)
+		s := mean.Stage
+		r.AddRow(n, msf(s[core.StageCapture]), msf(s[core.StagePre]), msf(s[core.StageInference]),
+			msf(s[core.StagePost]), msf(mean.Total))
 		xs = append(xs, float64(n))
-		ys = append(ys, ms(mean.Inference))
+		ys = append(ys, ms(s[core.StageInference]))
 		if n == 0 {
-			inf0, capPre0 = mean.Inference, mean.Capture+mean.Pre
+			inf0, capPre0 = s[core.StageInference], s[core.StageCapture]+s[core.StagePre]
 		}
 		if n == maxBG {
-			infN, capPreN = mean.Inference, mean.Capture+mean.Pre
+			infN, capPreN = s[core.StageInference], s[core.StageCapture]+s[core.StagePre]
 		}
 	}
 	infGrowth := float64(infN) / float64(inf0)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"aitax/internal/core"
 	"aitax/internal/driver"
 	"aitax/internal/models"
 	"aitax/internal/snpe"
@@ -37,7 +38,7 @@ func Frameworks(cfg Config) *Result {
 		if m.Support.NNAPIInt8 {
 			nn8, err := benchToolRun(cfg.Platform, cfg.Seed, m, tensor.UInt8, tflite.DelegateNNAPI, 4, cfg.Runs, false)
 			if err == nil {
-				nnapiMean = meanSample(nn8).Inference
+				nnapiMean = core.Mean(nn8).Stage[core.StageInference]
 				nnapiCell = msf(nnapiMean)
 			} else {
 				nnapiCell = "n/a"
@@ -49,7 +50,7 @@ func Frameworks(cfg Config) *Result {
 		if err1 != nil || err2 != nil {
 			continue
 		}
-		cpuMean := meanSample(cpu).Inference
+		cpuMean := core.Mean(cpu).Stage[core.StageInference]
 		snpeCell := "n/a"
 		if snpeOK {
 			snpeCell = msf(snpeLat)
@@ -61,7 +62,7 @@ func Frameworks(cfg Config) *Result {
 			nnapiLosses++
 		}
 		rows++
-		r.AddRow(m.Name, msf(cpuMean), msf(meanSample(hex).Inference), nnapiCell, snpeCell)
+		r.AddRow(m.Name, msf(cpuMean), msf(core.Mean(hex).Stage[core.StageInference]), nnapiCell, snpeCell)
 	}
 	if snpeWins == rows {
 		r.Notes = append(r.Notes,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aitax/internal/app"
+	"aitax/internal/core"
 	"aitax/internal/models"
 	"aitax/internal/soc"
 	"aitax/internal/tensor"
@@ -54,7 +55,7 @@ func figureModels(nnapiPath bool) []struct {
 // measure under context.Background(): a run always completes, and it
 // reports no simulated time to the lab job it runs in.
 func benchToolRun(platform *soc.SoC, seed uint64, m *models.Model, dt tensor.DType,
-	delegate tflite.Delegate, threads, n int, appWrapper bool) ([]tflite.RunSample, error) {
+	delegate tflite.Delegate, threads, n int, appWrapper bool) ([]core.StageTimes, error) {
 
 	rt := tflite.NewStack(clonePlatform(platform), seed)
 	ip, err := rt.NewInterpreter(m, dt, tflite.Options{Delegate: delegate, Threads: threads})
@@ -73,7 +74,7 @@ const warmupFrames = 2
 // appRun executes the instrumented application with bgJobs background
 // tenants on bgDelegate and returns its steady-state frame breakdowns.
 func appRun(platform *soc.SoC, seed uint64, m *models.Model, dt tensor.DType,
-	delegate tflite.Delegate, frames, bgJobs int, bgDelegate tflite.Delegate) ([]app.FrameStats, error) {
+	delegate tflite.Delegate, frames, bgJobs int, bgDelegate tflite.Delegate) ([]core.StageTimes, error) {
 
 	rt := tflite.NewStack(clonePlatform(platform), seed)
 	a, err := app.New(rt, app.Config{Model: m, DType: dt, Delegate: delegate, Streaming: true})
@@ -81,56 +82,6 @@ func appRun(platform *soc.SoC, seed uint64, m *models.Model, dt tensor.DType,
 		return nil, err
 	}
 	return a.Measure(context.Background(), warmupFrames, frames, bgJobs, bgDelegate)
-}
-
-// meanSample averages benchmark-tool samples.
-func meanSample(samples []tflite.RunSample) tflite.RunSample {
-	var sum tflite.RunSample
-	if len(samples) == 0 {
-		return sum
-	}
-	for _, s := range samples {
-		sum.DataCapture += s.DataCapture
-		sum.Pre += s.Pre
-		sum.Inference += s.Inference
-		sum.UI += s.UI
-		sum.Total += s.Total
-	}
-	n := time.Duration(len(samples))
-	sum.DataCapture /= n
-	sum.Pre /= n
-	sum.Inference /= n
-	sum.UI /= n
-	sum.Total /= n
-	return sum
-}
-
-// meanFrames averages app frame breakdowns.
-func meanFrames(frames []app.FrameStats) app.FrameStats {
-	var sum app.FrameStats
-	if len(frames) == 0 {
-		return sum
-	}
-	for _, f := range frames {
-		sum.Capture += f.Capture
-		sum.Pre += f.Pre
-		sum.Inference += f.Inference
-		sum.Post += f.Post
-		sum.UI += f.UI
-		sum.Total += f.Total
-		sum.Retry += f.Retry
-		sum.Fallback += f.Fallback
-	}
-	n := time.Duration(len(frames))
-	sum.Capture /= n
-	sum.Pre /= n
-	sum.Inference /= n
-	sum.Post /= n
-	sum.UI /= n
-	sum.Total /= n
-	sum.Retry /= n
-	sum.Fallback /= n
-	return sum
 }
 
 // clonePlatform re-derives a fresh platform value so experiments cannot

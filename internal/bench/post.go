@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"aitax/internal/core"
 	"aitax/internal/models"
 	"aitax/internal/tensor"
 	"aitax/internal/tflite"
@@ -36,9 +37,9 @@ func PostProcessing(cfg Config) *Result {
 		if err != nil {
 			continue
 		}
-		mean := meanFrames(sts)
-		post := ms(mean.Post)
-		share := float64(mean.Post) / float64(mean.Total)
+		mean := core.Mean(sts)
+		post := ms(mean.Stage[core.StagePost])
+		share := float64(mean.Stage[core.StagePost]) / float64(mean.Total)
 		rows = append(rows, row{m.Name, string(m.Task), post, share})
 		switch m.Task {
 		case models.Classification, models.FaceRecognition:

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aitax/internal/app"
+	"aitax/internal/core"
 	"aitax/internal/models"
 	"aitax/internal/tensor"
 	"aitax/internal/tflite"
@@ -31,17 +32,17 @@ func PreOffload(cfg Config) *Result {
 	if frames < 8 {
 		frames = 8
 	}
-	run := func(preDSP bool, bgJobs int) (app.FrameStats, bool) {
+	run := func(preDSP bool, bgJobs int) (core.StageTimes, bool) {
 		rt := tflite.NewStack(clonePlatform(cfg.Platform), cfg.Seed)
 		a, err := app.New(rt, app.Config{
 			Model: m, DType: tensor.UInt8, Delegate: tflite.DelegateNNAPI,
 			Streaming: true, PreOnDSP: preDSP,
 		})
 		if err != nil {
-			return app.FrameStats{}, false
+			return core.StageTimes{}, false
 		}
 		sts, err := a.Measure(context.Background(), warmupFrames, frames, bgJobs, tflite.DelegateHexagon)
-		return meanFrames(sts), err == nil
+		return core.Mean(sts), err == nil
 	}
 
 	var cpuPreIdle, dspPreIdle, dspPreLoaded time.Duration
@@ -60,15 +61,16 @@ func PreOffload(cfg Config) *Result {
 			r.Notes = append(r.Notes, "setup failed")
 			return r
 		}
-		r.AddRow(c.label, c.bg, msf(mean.Capture), msf(mean.Pre),
-			msf(mean.Inference), msf(mean.Total))
+		pre := mean.Stage[core.StagePre]
+		r.AddRow(c.label, c.bg, msf(mean.Stage[core.StageCapture]), msf(pre),
+			msf(mean.Stage[core.StageInference]), msf(mean.Total))
 		switch {
 		case !c.preDSP && c.bg == 0:
-			cpuPreIdle = mean.Pre
+			cpuPreIdle = pre
 		case c.preDSP && c.bg == 0:
-			dspPreIdle = mean.Pre
+			dspPreIdle = pre
 		case c.preDSP && c.bg == 3:
-			dspPreLoaded = mean.Pre
+			dspPreLoaded = pre
 		}
 	}
 	if dspPreIdle < cpuPreIdle && dspPreLoaded > 2*dspPreIdle {

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"aitax/internal/app"
+	"aitax/internal/core"
 	"aitax/internal/models"
 	"aitax/internal/sched"
 	"aitax/internal/sim"
@@ -24,7 +24,7 @@ func (nopListener) OnMigrate(*sched.Thread, *sched.Core, *sched.Core, sim.Time) 
 
 // toolOutcome is everything a benchmark-tool run leaves observable.
 type toolOutcome struct {
-	samples    []tflite.RunSample
+	samples    []core.StageTimes
 	switches   int
 	migrations int
 	busy       []time.Duration
@@ -108,9 +108,7 @@ func TestReplayMatchesSimulationAndConserves(t *testing.T) {
 			t.Fatalf("%s: %d samples, want %d", name, len(on.samples), runs)
 		}
 		for i, s := range on.samples {
-			if sum := s.DataCapture + s.Pre + s.Inference + s.UI; sum != s.Total {
-				t.Errorf("%s run %d: capture+pre+inference+ui = %d ns, total %d ns", name, i, sum, s.Total)
-			}
+			checkConservation(t, name+" run", i, s)
 		}
 		samples += len(on.samples)
 	}
@@ -130,7 +128,7 @@ func TestReplayMatchesSimulationAndConserves(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			for i, f := range sts {
-				checkFrame(t, name, i, f)
+				checkConservation(t, name+" frame", i, f)
 			}
 			frames += len(sts)
 		}
@@ -138,12 +136,22 @@ func TestReplayMatchesSimulationAndConserves(t *testing.T) {
 	t.Logf("replay-on == replay-off and conservation held on %d bench samples and %d app frames", samples, frames)
 }
 
-func checkFrame(t *testing.T, name string, i int, f app.FrameStats) {
+// checkConservation checks the stage laws on one run in integer
+// nanoseconds: the stages sum to Total, no stage is negative, and on a
+// fault-free run the tax is exactly Total minus inference.
+func checkConservation(t *testing.T, name string, i int, st core.StageTimes) {
 	t.Helper()
-	if sum := f.Capture + f.Pre + f.Inference + f.Post + f.UI; sum != f.Total {
-		t.Errorf("%s frame %d: capture+pre+inference+post+ui = %d ns, total %d ns", name, i, sum, f.Total)
+	var sum time.Duration
+	for s, d := range st.Stage {
+		if d < 0 {
+			t.Errorf("%s %d: %v stage is negative (%d ns)", name, i, core.Stage(s), d)
+		}
+		sum += d
 	}
-	if f.Retry == 0 && f.Fallback == 0 && f.Tax() != f.Total-f.Inference {
-		t.Errorf("%s frame %d: tax %d ns, total-inference %d ns", name, i, f.Tax(), f.Total-f.Inference)
+	if sum != st.Total {
+		t.Errorf("%s %d: stages sum to %d ns, total %d ns", name, i, sum, st.Total)
+	}
+	if inf := st.Stage[core.StageInference]; st.Retry == 0 && st.Fallback == 0 && st.Tax() != st.Total-inf {
+		t.Errorf("%s %d: tax %d ns, total-inference %d ns", name, i, st.Tax(), st.Total-inf)
 	}
 }

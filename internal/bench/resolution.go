@@ -3,9 +3,11 @@ package bench
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"aitax/internal/app"
 	"aitax/internal/capture"
+	"aitax/internal/core"
 	"aitax/internal/models"
 	"aitax/internal/tensor"
 	"aitax/internal/tflite"
@@ -31,7 +33,7 @@ func ResolutionSweep(cfg Config) *Result {
 		frames = 8
 	}
 	type res struct{ w, h int }
-	var first, last app.FrameStats
+	var first, last [core.NumStages]time.Duration
 	sizes := []res{{320, 240}, {480, 360}, {640, 480}, {1280, 720}}
 	for i, sz := range sizes {
 		rt := tflite.NewStack(clonePlatform(cfg.Platform), cfg.Seed)
@@ -48,19 +50,20 @@ func ResolutionSweep(cfg Config) *Result {
 			r.Notes = append(r.Notes, "run failed: "+err.Error())
 			return r
 		}
-		mean := meanFrames(sts)
-		tax := float64(mean.Total-mean.Inference) / float64(mean.Total)
+		mean := core.Mean(sts)
+		s := mean.Stage
+		tax := float64(mean.Total-s[core.StageInference]) / float64(mean.Total)
 		r.AddRow(fmt.Sprintf("%dx%d", sz.w, sz.h), sz.w*sz.h,
-			msf(mean.Capture), msf(mean.Pre), msf(mean.Inference),
+			msf(s[core.StageCapture]), msf(s[core.StagePre]), msf(s[core.StageInference]),
 			fmt.Sprintf("%.0f%%", 100*tax))
 		if i == 0 {
-			first = mean
+			first = s
 		}
-		last = mean
+		last = s
 	}
-	capGrowth := float64(last.Capture+last.Pre) / float64(first.Capture+first.Pre)
+	capGrowth := float64(last[core.StageCapture]+last[core.StagePre]) / float64(first[core.StageCapture]+first[core.StagePre])
 	pxGrowth := float64(1280*720) / float64(320*240)
-	infGrowth := float64(last.Inference) / float64(first.Inference)
+	infGrowth := float64(last[core.StageInference]) / float64(first[core.StageInference])
 	if capGrowth > 4 && infGrowth < 1.3 {
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"shape check PASS: %.0fx more pixels cost %.1fx more capture+pre while inference stays flat (%.2fx) — resolution choice is an AI-tax lever (§II-A)",

@@ -1,17 +1,17 @@
 // Package core implements the paper's central abstraction: the AI tax —
 // the time a system spends on tasks that enable ML model execution but
 // are not the model execution itself. It provides the Fig. 1 taxonomy
-// (algorithms / frameworks / hardware), per-stage breakdown accounting,
-// and report rendering used by the experiment harness and the CLI tools.
+// (algorithms / frameworks / hardware), the stage vocabulary and
+// per-run stage times every layer records, their aggregation, and
+// report rendering used by the experiment harness and the CLI tools.
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
-	"aitax/internal/app"
-	"aitax/internal/driver"
 	"aitax/internal/stats"
 )
 
@@ -63,64 +63,143 @@ func RenderTaxonomy() string {
 	return b.String()
 }
 
+// Stage identifies one node of the application's frame-processing graph,
+// the paper's Table III anatomy. A camera frame traverses the whole
+// graph; a served request enters mid-graph (its payload arrives over the
+// wire, already captured) and exits after post-processing (the server
+// serializes a response instead of rendering UI). The benchmark utility
+// fills capture (random input generation), pre and inference, plus UI
+// in its app wrapper.
+type Stage int
+
+// The pipeline stages in graph order.
+const (
+	StageCapture Stage = iota
+	StagePre
+	StageInference
+	StagePost
+	StageUI
+	// NumStages is the number of stages, the length of StageTimes.Stage.
+	NumStages
+)
+
+// stageNames are the stages as they appear in spans, metric series and
+// the -entry flag.
+var stageNames = [NumStages]string{"capture", "pre", "inference", "post", "ui"}
+
+// String names the stage as it appears in spans and reports.
+func (s Stage) String() string {
+	if s >= 0 && s < NumStages {
+		return stageNames[s]
+	}
+	return fmt.Sprintf("Stage(%d)", int(s))
+}
+
+// ErrUnknownStage is wrapped by every ParseStage error.
+var ErrUnknownStage = errors.New("unknown stage")
+
+// ParseStage resolves a stage name ("capture", "pre", "inference",
+// "post", "ui") to its Stage. A failed lookup wraps ErrUnknownStage.
+func ParseStage(name string) (Stage, error) {
+	for s := StageCapture; s < NumStages; s++ {
+		if stageNames[s] == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("app: %w %q (capture|pre|inference|post|ui)", ErrUnknownStage, name)
+}
+
+// StageTimes is one run's stage anatomy: an app frame, a served request's
+// segment of the graph, or one benchmark-utility iteration. Stages a run
+// never entered stay zero.
+type StageTimes struct {
+	Stage [NumStages]time.Duration
+	// Total is the run's end-to-end latency.
+	Total time.Duration
+	// Retry is the inference stage's injected-fault recovery time
+	// (failed FastRPC attempts + backoff waits). It is contained in the
+	// inference stage but is tax, not useful compute. Retries in other
+	// stages (a PreOnDSP pipeline) are already inside those stages' times.
+	Retry time.Duration
+	// Fallback is delegate teardown + CPU re-init time paid inside the
+	// inference stage when the delegate died mid-run.
+	Fallback time.Duration
+}
+
+// Tax returns the non-inference share of the run (the AI tax). Fault
+// recovery that happened inside the inference stage — retries and
+// delegate fallback — is tax too, so it is added back; on fault-free
+// runs this is exactly Total - inference.
+func (t StageTimes) Tax() time.Duration {
+	return t.Total - t.Stage[StageInference] + t.Retry + t.Fallback
+}
+
+// Mean averages runs field by field in integer nanoseconds (zero for no
+// runs). Its Total is the mean of the per-run totals, which can differ by
+// a few nanoseconds of rounding from the sum of the stage means.
+func Mean(runs []StageTimes) StageTimes {
+	var m StageTimes
+	if len(runs) == 0 {
+		return m
+	}
+	for _, r := range runs {
+		for s, d := range r.Stage {
+			m.Stage[s] += d
+		}
+		m.Total += r.Total
+		m.Retry += r.Retry
+		m.Fallback += r.Fallback
+	}
+	n := time.Duration(len(runs))
+	for s := range m.Stage {
+		m.Stage[s] /= n
+	}
+	m.Total /= n
+	m.Retry /= n
+	m.Fallback /= n
+	return m
+}
+
 // Breakdown is an aggregated per-stage latency account over a run.
 type Breakdown struct {
 	N int
-
-	DataCapture    time.Duration
-	PreProcessing  time.Duration
-	ModelExecution time.Duration
-	PostProcessing time.Duration
-	UI             time.Duration
-
-	// Retry and Fallback are mean per-frame fault-recovery times spent
-	// inside the inference stage (they are contained in ModelExecution's
-	// wall time but are tax, not model compute). Zero on fault-free runs.
-	Retry    time.Duration
-	Fallback time.Duration
-
+	// Mean holds the mean stage, total and fault-recovery times.
+	Mean StageTimes
 	// Distribution of end-to-end latency across the run (Fig. 11).
 	E2E stats.Summary
 }
 
-// FromFrames aggregates instrumented app frames into mean stage times.
-func FromFrames(frames []app.FrameStats) Breakdown {
-	b := Breakdown{N: len(frames)}
+// FromFrames aggregates instrumented frames into mean stage times and
+// the end-to-end latency distribution.
+func FromFrames(frames []StageTimes) Breakdown {
+	b := Breakdown{N: len(frames), Mean: Mean(frames)}
 	if len(frames) == 0 {
 		return b
 	}
 	e2e := stats.NewSample()
 	for _, f := range frames {
-		b.DataCapture += f.Capture
-		b.PreProcessing += f.Pre
-		b.ModelExecution += f.Inference
-		b.PostProcessing += f.Post
-		b.UI += f.UI
-		b.Retry += f.Retry
-		b.Fallback += f.Fallback
-		e2e.Add(float64(f.Total) / float64(time.Millisecond))
+		e2e.Add(ms(f.Total))
 	}
-	n := time.Duration(len(frames))
-	b.DataCapture /= n
-	b.PreProcessing /= n
-	b.ModelExecution /= n
-	b.PostProcessing /= n
-	b.UI /= n
-	b.Retry /= n
-	b.Fallback /= n
 	b.E2E = e2e.Summarize()
 	return b
 }
 
-// Total returns the mean end-to-end stage sum.
+// Total returns the sum of the stage means (not Mean.Total, the mean of
+// the per-frame totals).
 func (b Breakdown) Total() time.Duration {
-	return b.DataCapture + b.PreProcessing + b.ModelExecution + b.PostProcessing + b.UI
+	var t time.Duration
+	for _, d := range b.Mean.Stage {
+		t += d
+	}
+	return t
 }
 
 // Tax returns the mean non-inference time. Fault recovery that happened
 // inside the inference stage (retries, delegate fallback) is tax too;
-// on fault-free runs this is exactly Total - ModelExecution.
-func (b Breakdown) Tax() time.Duration { return b.Total() - b.ModelExecution + b.Retry + b.Fallback }
+// on fault-free runs this is exactly Total - the inference mean.
+func (b Breakdown) Tax() time.Duration {
+	return b.Total() - b.Mean.Stage[StageInference] + b.Mean.Retry + b.Mean.Fallback
+}
 
 // TaxFraction returns the AI-tax share of end-to-end time.
 func (b Breakdown) TaxFraction() float64 {
@@ -131,28 +210,26 @@ func (b Breakdown) TaxFraction() float64 {
 	return float64(b.Tax()) / float64(t)
 }
 
+// renderLabels are the stage names of the breakdown table.
+var renderLabels = [NumStages]string{"data capture", "pre-processing", "model execution", "post-processing", "ui/render"}
+
 // Render draws the breakdown as an aligned table.
 func (b Breakdown) Render() string {
 	var sb strings.Builder
 	total := b.Total()
-	row := func(name string, d time.Duration) {
+	fmt.Fprintf(&sb, "stage breakdown over %d frames:\n", b.N)
+	for s, d := range b.Mean.Stage {
 		pct := 0.0
 		if total > 0 {
 			pct = 100 * float64(d) / float64(total)
 		}
-		fmt.Fprintf(&sb, "  %-18s %10.2f ms  %5.1f%%\n", name, ms(d), pct)
+		fmt.Fprintf(&sb, "  %-18s %10.2f ms  %5.1f%%\n", renderLabels[s], ms(d), pct)
 	}
-	fmt.Fprintf(&sb, "stage breakdown over %d frames:\n", b.N)
-	row("data capture", b.DataCapture)
-	row("pre-processing", b.PreProcessing)
-	row("model execution", b.ModelExecution)
-	row("post-processing", b.PostProcessing)
-	row("ui/render", b.UI)
-	if b.Retry > 0 || b.Fallback > 0 {
+	if b.Mean.Retry > 0 || b.Mean.Fallback > 0 {
 		// Only fault-injected runs grow this line, so fault-free output
 		// stays byte-identical.
 		fmt.Fprintf(&sb, "  %-18s %10.2f ms  (retry %.2f ms, fallback %.2f ms, inside inference)\n",
-			"fault recovery", ms(b.Retry+b.Fallback), ms(b.Retry), ms(b.Fallback))
+			"fault recovery", ms(b.Mean.Retry+b.Mean.Fallback), ms(b.Mean.Retry), ms(b.Mean.Fallback))
 	}
 	fmt.Fprintf(&sb, "  %-18s %10.2f ms\n", "end-to-end", ms(total))
 	fmt.Fprintf(&sb, "  AI tax: %.2f ms (%.1f%% of end-to-end)\n", ms(b.Tax()), 100*b.TaxFraction())
@@ -160,25 +237,3 @@ func (b Breakdown) Render() string {
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// InvocationTax splits a single framework invocation result into model
-// time and framework/offload tax.
-type InvocationTax struct {
-	Compute  time.Duration
-	Overhead time.Duration
-	Queue    time.Duration
-}
-
-// FromResult converts a driver result into an invocation tax record.
-func FromResult(r driver.Result) InvocationTax {
-	return InvocationTax{Compute: r.Compute, Overhead: r.Overhead, Queue: r.Queue}
-}
-
-// TaxFraction returns the non-compute share of the invocation.
-func (t InvocationTax) TaxFraction() float64 {
-	total := t.Compute + t.Overhead + t.Queue
-	if total == 0 {
-		return 0
-	}
-	return float64(t.Overhead+t.Queue) / float64(total)
-}

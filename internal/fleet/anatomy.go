@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aitax/internal/app"
+	"aitax/internal/core"
 	"aitax/internal/models"
 	"aitax/internal/plan"
 	"aitax/internal/soc"
@@ -32,7 +33,7 @@ const rpcShareCap = 0.40
 // flat-memory trick that turns a 10k-device run into 10k cheap folds
 // over a handful of cached anatomies.
 type Anatomy struct {
-	Frames [anatomySteady]app.FrameStats
+	Frames [anatomySteady]core.StageTimes
 	// RPC is the analytic per-frame FastRPC transport estimate for
 	// Frames[i] (zero on pure-CPU paths). Always <= rpcShareCap of the
 	// frame's inference stage.
@@ -95,7 +96,7 @@ func measureAnatomy(sp soc.Spec, m *models.Model, dt tensor.DType,
 		est := platform.RPC.CallOverhead(rpcPayloadBytes(m, dt))
 		for i, f := range an.Frames {
 			rpc := est
-			if lim := time.Duration(rpcShareCap * float64(f.Inference)); rpc > lim {
+			if lim := time.Duration(rpcShareCap * float64(f.Stage[core.StageInference])); rpc > lim {
 				rpc = lim
 			}
 			an.RPC[i] = rpc

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"aitax/internal/core"
 	"aitax/internal/lab"
 	"aitax/internal/models"
 	"aitax/internal/obs"
@@ -124,13 +125,13 @@ func (a *TierAgg) Fold(d Device, an *Anatomy) {
 	taxSum := 0.0
 	for i := range an.Frames {
 		f := &an.Frames[i]
-		capture := msf(f.Capture) * cpuScale
-		pre := msf(f.Pre) * cpuScale
-		post := msf(f.Post) * cpuScale
-		ui := msf(f.UI) * cpuScale
+		capture := msf(f.Stage[core.StageCapture]) * cpuScale
+		pre := msf(f.Stage[core.StagePre]) * cpuScale
+		post := msf(f.Stage[core.StagePost]) * cpuScale
+		ui := msf(f.Stage[core.StageUI]) * cpuScale
 		rpcBase := msf(an.RPC[i])
 		rpc := rpcBase * d.RPCMult
-		infer := msf(f.Inference) - rpcBase
+		infer := msf(f.Stage[core.StageInference]) - rpcBase
 		if an.Accel {
 			infer /= d.AccelBin
 		} else {

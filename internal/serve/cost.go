@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"aitax/internal/app"
+	taxcore "aitax/internal/core"
 	"aitax/internal/faults"
 	"aitax/internal/lab"
 	"aitax/internal/models"
@@ -100,11 +101,11 @@ func MeasureBatch(ctx context.Context, cfg Config, m *models.Model, k int) (Batc
 				bc.Exec = execSum() - exec0
 				return
 			}
-			a.ProcessRange(cfg.Entry, app.StagePost, func(st app.FrameStats) {
-				bc.Infer += st.Inference
+			a.ProcessRange(cfg.Entry, taxcore.StagePost, func(st taxcore.StageTimes) {
+				bc.Infer += st.Stage[taxcore.StageInference]
 				bc.Tax += st.Tax()
-				bc.Pre += st.Pre
-				bc.Post += st.Post
+				bc.Pre += st.Stage[taxcore.StagePre]
+				bc.Post += st.Stage[taxcore.StagePost]
 				next(i + 1)
 			})
 		}

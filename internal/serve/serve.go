@@ -26,7 +26,7 @@ import (
 	"fmt"
 	"time"
 
-	"aitax/internal/app"
+	taxcore "aitax/internal/core"
 	"aitax/internal/faults"
 	"aitax/internal/models"
 	"aitax/internal/obs"
@@ -49,7 +49,7 @@ type Config struct {
 	// (the payload is an image needing the pixel pipeline) or
 	// StageInference (the payload arrives as a ready tensor). Requests
 	// always exit after StagePost.
-	Entry app.Stage
+	Entry taxcore.Stage
 	// Workers is the number of model executors; at most this many
 	// batches are in service at once.
 	Workers int
@@ -136,7 +136,7 @@ func (c Config) Validate() error {
 	if len(c.Models) == 0 {
 		return fmt.Errorf("serve: config needs at least one model")
 	}
-	if c.Entry != app.StagePre && c.Entry != app.StageInference {
+	if c.Entry != taxcore.StagePre && c.Entry != taxcore.StageInference {
 		return fmt.Errorf("serve: entry stage must be pre or inference, got %v", c.Entry)
 	}
 	if c.Workers < 1 {

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"aitax/internal/app"
+	taxcore "aitax/internal/core"
 	"aitax/internal/loadgen"
 	"aitax/internal/sim"
 	"aitax/internal/soc"
@@ -27,7 +27,7 @@ func testConfig(t testing.TB) Config {
 		DType:        tensor.UInt8,
 		Delegate:     tflite.DelegateNNAPI,
 		Models:       DefaultModels()[:1], // MobileNet 1.0 v1
-		Entry:        app.StagePre,
+		Entry:        taxcore.StagePre,
 		Workers:      1,
 		BatchWindow:  2 * time.Millisecond,
 		MaxBatch:     4,

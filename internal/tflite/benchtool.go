@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"aitax/internal/core"
 	"aitax/internal/lab"
 	"aitax/internal/sched"
 	"aitax/internal/work"
@@ -13,7 +14,8 @@ import (
 // Android-app wrapper (§III-B): random input tensors stand in for data
 // capture, pre-processing is negligible (the tensor is already the right
 // shape), and each invocation is measured. The app wrapper adds UI
-// rendering per result.
+// rendering per result. Each iteration is a core.StageTimes whose
+// capture stage is the random input generation; post stays zero.
 type BenchTool struct {
 	rt *Runtime
 	ip *Interpreter
@@ -32,15 +34,6 @@ type BenchTool struct {
 
 // benchUIBase is the app wrapper's per-run rendering cost.
 const benchUIBase = 3 * time.Millisecond
-
-// RunSample is one measured benchmark iteration.
-type RunSample struct {
-	DataCapture time.Duration // random input generation
-	Pre         time.Duration
-	Inference   time.Duration
-	UI          time.Duration
-	Total       time.Duration
-}
 
 // NewBenchTool wraps an initialized-or-not interpreter; Measure
 // initializes it if needed.
@@ -75,8 +68,8 @@ func (bt *BenchTool) preWork() work.Work {
 
 // run initializes the interpreter (if necessary), performs one warmup,
 // then measures n iterations; done receives the per-run samples.
-func (bt *BenchTool) run(n int, done func([]RunSample)) {
-	samples := make([]RunSample, 0, n)
+func (bt *BenchTool) run(n int, done func([]core.StageTimes)) {
+	samples := make([]core.StageTimes, 0, n)
 	big := &bt.rt.Platform.Big
 
 	var iterate func(i int)
@@ -85,7 +78,7 @@ func (bt *BenchTool) run(n int, done func([]RunSample)) {
 			done(samples)
 			return
 		}
-		var s RunSample
+		var s core.StageTimes
 		start := bt.rt.Eng.Now()
 
 		// "Data capture": random tensor generation plus a sliver of OS
@@ -96,15 +89,15 @@ func (bt *BenchTool) run(n int, done func([]RunSample)) {
 			genDur += time.Duration(bt.rt.RNG.Float64() * float64(bt.NoiseCeil))
 		}
 		bt.genThread.Exec(genDur, func() {
-			s.DataCapture = bt.rt.Eng.Now().Sub(start)
+			s.Stage[core.StageCapture] = bt.rt.Eng.Now().Sub(start)
 
 			preStart := bt.rt.Eng.Now()
 			bt.genThread.Exec(big.TimeFor(bt.preWork(), bt.ip.DType), func() {
-				s.Pre = bt.rt.Eng.Now().Sub(preStart)
+				s.Stage[core.StagePre] = bt.rt.Eng.Now().Sub(preStart)
 
 				invStart := bt.rt.Eng.Now()
 				bt.ip.Invoke(func(Report) {
-					s.Inference = bt.rt.Eng.Now().Sub(invStart)
+					s.Stage[core.StageInference] = bt.rt.Eng.Now().Sub(invStart)
 
 					finish := func() {
 						s.Total = bt.rt.Eng.Now().Sub(start)
@@ -115,7 +108,7 @@ func (bt *BenchTool) run(n int, done func([]RunSample)) {
 						uiStart := bt.rt.Eng.Now()
 						uiDur := bt.rt.RNG.Jitter(benchUIBase, 0.15)
 						bt.uiThread.Exec(uiDur, func() {
-							s.UI = bt.rt.Eng.Now().Sub(uiStart)
+							s.Stage[core.StageUI] = bt.rt.Eng.Now().Sub(uiStart)
 							finish()
 						})
 					} else {
@@ -140,9 +133,9 @@ func (bt *BenchTool) run(n int, done func([]RunSample)) {
 // Measure runs the utility for n measured iterations (see run), drains
 // the engine with lab.Drain (which checks ctx and reports the simulated
 // time to an enclosing lab job) and returns the samples.
-func (bt *BenchTool) Measure(ctx context.Context, n int) ([]RunSample, error) {
-	var samples []RunSample
-	bt.run(n, func(s []RunSample) { samples = s })
+func (bt *BenchTool) Measure(ctx context.Context, n int) ([]core.StageTimes, error) {
+	var samples []core.StageTimes
+	bt.run(n, func(s []core.StageTimes) { samples = s })
 	if err := lab.Drain(ctx, bt.rt.Eng); err != nil {
 		return nil, err
 	}

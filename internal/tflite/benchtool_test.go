@@ -3,6 +3,7 @@ package tflite
 import (
 	"testing"
 
+	"aitax/internal/core"
 	"aitax/internal/imaging"
 	"aitax/internal/models"
 	"aitax/internal/postproc"
@@ -18,8 +19,8 @@ func TestBenchToolDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	bt := NewBenchTool(rt, ip)
-	var runs []RunSample
-	bt.run(8, func(s []RunSample) { runs = s })
+	var runs []core.StageTimes
+	bt.run(8, func(s []core.StageTimes) { runs = s })
 	rt.Eng.Run()
 	if len(runs) != 8 {
 		t.Fatalf("runs = %d", len(runs))
@@ -40,14 +41,14 @@ func TestBenchToolLanguageModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	bt := NewBenchTool(rt, ip)
-	var runs []RunSample
-	bt.run(3, func(s []RunSample) { runs = s })
+	var runs []core.StageTimes
+	bt.run(3, func(s []core.StageTimes) { runs = s })
 	rt.Eng.Run()
 	if len(runs) != 3 {
 		t.Fatalf("runs = %d", len(runs))
 	}
 	// Token-id generation is tiny compared with image tensors.
-	if runs[0].DataCapture > runs[0].Inference {
+	if runs[0].Stage[core.StageCapture] > runs[0].Stage[core.StageInference] {
 		t.Fatal("BERT input generation should be negligible")
 	}
 }
@@ -59,8 +60,8 @@ func TestBenchToolOnAlreadyInitializedInterpreter(t *testing.T) {
 	ip.Init(nil)
 	rt.Eng.Run()
 	bt := NewBenchTool(rt, ip)
-	var runs []RunSample
-	bt.run(2, func(s []RunSample) { runs = s })
+	var runs []core.StageTimes
+	bt.run(2, func(s []core.StageTimes) { runs = s })
 	rt.Eng.Run()
 	if len(runs) != 2 {
 		t.Fatal("bench tool must handle pre-initialized interpreters")

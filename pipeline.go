@@ -3,7 +3,7 @@ package aitax
 import (
 	"io"
 
-	"aitax/internal/app"
+	"aitax/internal/core"
 	"aitax/internal/imaging"
 	"aitax/internal/postproc"
 	"aitax/internal/preproc"
@@ -17,20 +17,20 @@ import (
 // graph via App.ProcessFrame; a served request enters mid-graph via
 // App.ProcessRange — its payload arrives over the wire already
 // captured — and exits after post-processing.
-type PipelineStage = app.Stage
+type PipelineStage = core.Stage
 
 // The pipeline stages in graph order.
 const (
-	StageCapture   = app.StageCapture
-	StagePre       = app.StagePre
-	StageInference = app.StageInference
-	StagePost      = app.StagePost
-	StageUI        = app.StageUI
+	StageCapture   = core.StageCapture
+	StagePre       = core.StagePre
+	StageInference = core.StageInference
+	StagePost      = core.StagePost
+	StageUI        = core.StageUI
 )
 
 // ParsePipelineStage resolves a stage name ("capture", "pre",
 // "inference", "post", "ui") to its PipelineStage.
-func ParsePipelineStage(name string) (PipelineStage, error) { return app.ParseStage(name) }
+func ParsePipelineStage(name string) (PipelineStage, error) { return core.ParseStage(name) }
 
 // Imaging and pre-processing (paper §II-A/B).
 type (

@@ -104,9 +104,8 @@ func TestProbeOverheadOption(t *testing.T) {
 		return b
 	}
 	base, probed := measure(0), measure(0.07)
-	if probed.ModelExecution <= base.ModelExecution {
-		t.Fatalf("7%% probe did not slow inference: %v vs %v",
-			probed.ModelExecution, base.ModelExecution)
+	if pi, bi := probed.Mean.Stage[aitax.StageInference], base.Mean.Stage[aitax.StageInference]; pi <= bi {
+		t.Fatalf("7%% probe did not slow inference: %v vs %v", pi, bi)
 	}
 
 	o := opts

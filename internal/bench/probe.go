@@ -28,12 +28,12 @@ func probeRun(cfg Config, m *models.Model, dsp bool) (plain, probed time.Duratio
 			target = driver.NewCPUTarget("cpu", sch, &p.Big, 4)
 		}
 		if instrument {
-			target = trace.Instrument(target, eng)
+			target = trace.Instrument(target, eng, trace.DefaultProbeOverhead, nil, nil)
 		}
 		var warm time.Duration
-		target.Execute(m.Graph.Ops(), tensor.UInt8, func(driver.Result) {
+		target.Execute(m.Graph.Ops(), nil, tensor.UInt8, nil, func(driver.Result) {
 			start := eng.Now()
-			target.Execute(m.Graph.Ops(), tensor.UInt8, func(driver.Result) {
+			target.Execute(m.Graph.Ops(), nil, tensor.UInt8, nil, func(driver.Result) {
 				warm = eng.Now().Sub(start)
 			})
 		})

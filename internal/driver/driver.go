@@ -68,7 +68,9 @@ func (r Result) Add(o Result) Result {
 	}
 }
 
-// Target is a delegate capable of running graph segments.
+// Target is a delegate capable of running graph segments: the one
+// interface the frameworks (TFLite, NNAPI, SNPE) run every segment
+// through.
 type Target interface {
 	// Name identifies the target ("cpu", "gpu-delegate", "hexagon", ...).
 	Name() string
@@ -76,55 +78,30 @@ type Target interface {
 	Kind() soc.Kind
 	// Supports reports whether the op can run here at precision dt.
 	Supports(op *nn.Op, dt tensor.DType) bool
-	// Execute runs a contiguous op segment and calls done when finished.
-	Execute(ops []*nn.Op, dt tensor.DType, done func(Result))
-}
-
-// SpanExecutor is implemented by targets that can attribute their
-// execution to a telemetry span tree. ExecuteSpan behaves exactly like
-// Execute (a nil parent is always valid) but parents any spans the
-// target emits under parent.
-type SpanExecutor interface {
-	ExecuteSpan(ops []*nn.Op, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result))
-}
-
-// ExecuteSpan dispatches through a target's SpanExecutor when it has
-// one, falling back to plain Execute otherwise.
-func ExecuteSpan(t Target, ops []*nn.Op, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
-	if se, ok := t.(SpanExecutor); ok {
-		se.ExecuteSpan(ops, dt, parent, done)
-		return
-	}
-	t.Execute(ops, dt, done)
-}
-
-// Coster is implemented by targets that can cost an op segment ahead of
-// execution. The returned schedule (one device time per op, in segment
-// order) feeds ExecuteCosted and must reproduce exactly the per-op
-// times the target's execute loop would compute itself.
-type Coster interface {
+	// OpCosts returns the device time of each op at precision dt, in
+	// segment order: exactly the per-op times Execute computes itself
+	// when it is given no schedule.
 	OpCosts(ops []*nn.Op, dt tensor.DType) []time.Duration
+	// Execute runs a contiguous op segment and calls done (when non-nil)
+	// once finished. costs is either nil, pricing each op as it runs, or
+	// OpCosts(ops, dt), which saves recomputing device times per frame;
+	// the two give identical results. Any spans the target emits are
+	// parented under parent, which may be nil.
+	Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result))
 }
 
-// CostedExecutor is implemented by targets that can execute a segment
-// against a precomputed cost schedule from Coster. Results are
-// identical to ExecuteSpan; only the per-frame recomputation of device
-// times disappears.
-type CostedExecutor interface {
-	ExecuteCosted(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result))
-}
-
-// ExecuteCosted dispatches through a target's CostedExecutor when a
-// matching schedule is supplied, falling back to ExecuteSpan (which
-// recomputes costs per op) otherwise.
-func ExecuteCosted(t Target, ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
-	if len(costs) == len(ops) && len(ops) > 0 {
-		if ce, ok := t.(CostedExecutor); ok {
-			ce.ExecuteCosted(ops, costs, dt, parent, done)
-			return
-		}
+// CachedOpCosts returns t's cost schedule for the whole graph g at dt,
+// built once per (model, dtype, target, platform, graph variant) through
+// the plan cache c. A nil cache or an unnamed model computes it
+// privately, since an empty name cannot tell two graphs apart.
+func CachedOpCosts(c *plan.Cache, platform, model string, g *nn.Graph, dt tensor.DType, t Target) []time.Duration {
+	if model == "" {
+		return t.OpCosts(g.Ops(), dt)
 	}
-	ExecuteSpan(t, ops, dt, parent, done)
+	k := plan.Key{Kind: "op-costs", Model: model, DType: dt, Scope: t.Name(),
+		Platform: platform, Variant: g.NumOps()}
+	costs, _ := c.Get(k, func() any { return t.OpCosts(g.Ops(), dt) }).([]time.Duration)
+	return costs
 }
 
 // segmentTime sums the device time of a segment at 1/efficiency, using
@@ -231,22 +208,9 @@ func parallelEfficiency(n int) float64 {
 	return 1 - 0.067*float64(n-1)
 }
 
-// Execute implements Target: ops run in graph order; each op's work is
-// split across the worker threads, so background CPU load stretches the
-// segment via scheduler contention (the Fig. 10 effect).
-func (t *CPUTarget) Execute(ops []*nn.Op, dt tensor.DType, done func(Result)) {
-	t.ExecuteSpan(ops, dt, nil, done)
-}
-
-// OpCosts implements Coster.
+// OpCosts implements Target.
 func (t *CPUTarget) OpCosts(ops []*nn.Op, dt tensor.DType) []time.Duration {
 	return plan.OpCosts(ops, dt, t.dev)
-}
-
-// ExecuteSpan implements SpanExecutor: the whole segment becomes one
-// "cpu-exec" span on the CPU track.
-func (t *CPUTarget) ExecuteSpan(ops []*nn.Op, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
-	t.ExecuteCosted(ops, nil, dt, parent, done)
 }
 
 // cpuSegRun is the in-flight state of one CPU segment execution. The
@@ -306,9 +270,11 @@ func (r *cpuSegRun) runOp() {
 	}
 }
 
-// ExecuteCosted implements CostedExecutor: identical to ExecuteSpan with
-// each op's device time read from the schedule instead of recomputed.
-func (t *CPUTarget) ExecuteCosted(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
+// Execute implements Target: ops run in graph order; each op's work is
+// split across the worker threads, so background CPU load stretches the
+// segment via scheduler contention (the Fig. 10 effect). The whole
+// segment becomes one "cpu-exec" span on the CPU track.
+func (t *CPUTarget) Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
 	record := false
 	if t.Tracer == nil && len(ops) > 0 {
 		if fp, ok := t.sch.Fingerprint(t.threads); ok {
@@ -474,25 +440,15 @@ func (t *GPUTarget) Kind() soc.Kind { return soc.GPU }
 // Supports implements Target.
 func (t *GPUTarget) Supports(op *nn.Op, dt tensor.DType) bool { return t.supports(op, dt) }
 
-// Execute implements Target.
-func (t *GPUTarget) Execute(ops []*nn.Op, dt tensor.DType, done func(Result)) {
-	t.ExecuteSpan(ops, dt, nil, done)
-}
-
-// OpCosts implements Coster.
+// OpCosts implements Target.
 func (t *GPUTarget) OpCosts(ops []*nn.Op, dt tensor.DType) []time.Duration {
 	return plan.OpCosts(ops, dt, t.dev)
 }
 
-// ExecuteSpan implements SpanExecutor: the buffer map/unmap becomes a
+// Execute implements Target: the buffer map/unmap becomes a
 // "gpu-dispatch" span on the CPU track linked to a "gpu-exec" span on
 // the GPU track.
-func (t *GPUTarget) ExecuteSpan(ops []*nn.Op, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
-	t.ExecuteCosted(ops, nil, dt, parent, done)
-}
-
-// ExecuteCosted implements CostedExecutor.
-func (t *GPUTarget) ExecuteCosted(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
+func (t *GPUTarget) Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
 	compute := segmentTime(ops, costs, dt, t.dev, t.Efficiency)
 	launches := time.Duration(len(ops)) * t.KernelLaunch
 	hold := compute + launches
@@ -577,24 +533,14 @@ type GraphIniter interface {
 	InitGraph(ops []*nn.Op, dt tensor.DType, done func(Result))
 }
 
-// Execute implements Target.
-func (t *DSPTarget) Execute(ops []*nn.Op, dt tensor.DType, done func(Result)) {
-	t.ExecuteSpan(ops, dt, nil, done)
-}
-
-// OpCosts implements Coster.
+// OpCosts implements Target.
 func (t *DSPTarget) OpCosts(ops []*nn.Op, dt tensor.DType) []time.Duration {
 	return plan.OpCosts(ops, dt, t.dev)
 }
 
-// ExecuteSpan implements SpanExecutor: the FastRPC channel records the
+// Execute implements Target: the FastRPC channel records the
 // rpc-down / infer / rpc-up sub-spans and their CPU↔DSP flow links.
-func (t *DSPTarget) ExecuteSpan(ops []*nn.Op, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
-	t.ExecuteCosted(ops, nil, dt, parent, done)
-}
-
-// ExecuteCosted implements CostedExecutor.
-func (t *DSPTarget) ExecuteCosted(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
+func (t *DSPTarget) Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
 	compute := segmentTime(ops, costs, dt, t.dev, t.Efficiency)
 	payload := segmentIOBytes(ops, dt)
 	t.channel.InvokeSpan(payload, compute, parent, "infer", func(b fastrpc.Breakdown) {

@@ -34,7 +34,7 @@ func TestCPUTargetExecutes(t *testing.T) {
 	r := newRig()
 	cpu := NewCPUTarget("cpu", r.sch, &r.p.Big, 4)
 	var res Result
-	cpu.Execute(smallGraph().Ops(), tensor.Float32, func(x Result) { res = x })
+	cpu.Execute(smallGraph().Ops(), nil, tensor.Float32, nil, func(x Result) { res = x })
 	r.eng.Run()
 	if res.Compute <= 0 {
 		t.Fatal("no compute time recorded")
@@ -49,7 +49,7 @@ func TestCPUFourThreadsBeatOne(t *testing.T) {
 	run := func(n int) time.Duration {
 		r := newRig()
 		cpu := NewCPUTarget("cpu", r.sch, &r.p.Big, n)
-		cpu.Execute(ops, tensor.Float32, nil)
+		cpu.Execute(ops, nil, tensor.Float32, nil, nil)
 		return r.eng.Run().Duration()
 	}
 	t1, t4 := run(1), run(4)
@@ -64,7 +64,7 @@ func TestCPUInt8FasterThanFP32(t *testing.T) {
 	run := func(dt tensor.DType) time.Duration {
 		r := newRig()
 		cpu := NewCPUTarget("cpu", r.sch, &r.p.Big, 4)
-		cpu.Execute(ops, dt, nil)
+		cpu.Execute(ops, nil, dt, nil, nil)
 		return r.eng.Run().Duration()
 	}
 	if run(tensor.Int8) >= run(tensor.Float32) {
@@ -89,7 +89,7 @@ func TestGPUTargetExecutes(t *testing.T) {
 	q := sim.NewResource(r.eng, "gpu", 1)
 	gpu := NewGPUTarget("gpu", r.eng, &r.p.GPU, q, GPUDelegateSupports)
 	var res Result
-	gpu.Execute(smallGraph().Ops(), tensor.Float32, func(x Result) { res = x })
+	gpu.Execute(smallGraph().Ops(), nil, tensor.Float32, nil, func(x Result) { res = x })
 	r.eng.Run()
 	if res.Compute <= 0 || res.Overhead <= 0 {
 		t.Fatalf("gpu result = %+v", res)
@@ -101,8 +101,8 @@ func TestGPUQueueContention(t *testing.T) {
 	q := sim.NewResource(r.eng, "gpu", 1)
 	gpu := NewGPUTarget("gpu", r.eng, &r.p.GPU, q, GPUDelegateSupports)
 	var second Result
-	gpu.Execute(smallGraph().Ops(), tensor.Float32, nil)
-	gpu.Execute(smallGraph().Ops(), tensor.Float32, func(x Result) { second = x })
+	gpu.Execute(smallGraph().Ops(), nil, tensor.Float32, nil, nil)
+	gpu.Execute(smallGraph().Ops(), nil, tensor.Float32, nil, func(x Result) { second = x })
 	r.eng.Run()
 	if second.Queue <= 0 {
 		t.Fatal("second submission must queue behind the first")
@@ -115,9 +115,9 @@ func TestDSPTargetColdThenWarm(t *testing.T) {
 	ch := fastrpc.NewChannel(r.eng, r.p.RPC, dspRes)
 	dsp := NewDSPTarget("hexagon", &r.p.DSP, ch, 1.0, HexagonDelegateSupports)
 	var cold, warm Result
-	dsp.Execute(smallGraph().Ops(), tensor.Int8, func(x Result) {
+	dsp.Execute(smallGraph().Ops(), nil, tensor.Int8, nil, func(x Result) {
 		cold = x
-		dsp.Execute(smallGraph().Ops(), tensor.Int8, func(y Result) { warm = y })
+		dsp.Execute(smallGraph().Ops(), nil, tensor.Int8, nil, func(y Result) { warm = y })
 	})
 	r.eng.Run()
 	if cold.Overhead <= warm.Overhead {
@@ -136,7 +136,7 @@ func TestDSPEfficiencyScalesCompute(t *testing.T) {
 		ch := fastrpc.NewChannel(r.eng, r.p.RPC, dspRes)
 		dsp := NewDSPTarget("d", &r.p.DSP, ch, eff, HexagonDelegateSupports)
 		var res Result
-		dsp.Execute(ops, tensor.Int8, func(x Result) { res = x })
+		dsp.Execute(ops, nil, tensor.Int8, nil, func(x Result) { res = x })
 		r.eng.Run()
 		return res.Compute
 	}
@@ -150,20 +150,20 @@ func TestDSPInt8BeatsCPUOnBigModel(t *testing.T) {
 	m, _ := models.ByName("MobileNet 1.0 v1")
 	r1 := newRig()
 	cpu := NewCPUTarget("cpu", r1.sch, &r1.p.Big, 4)
-	cpu.Execute(m.Graph.Ops(), tensor.UInt8, nil)
+	cpu.Execute(m.Graph.Ops(), nil, tensor.UInt8, nil, nil)
 	cpuTime := r1.eng.Run().Duration()
 
 	r2 := newRig()
 	dspRes := sim.NewResource(r2.eng, "dsp", 1)
 	ch := fastrpc.NewChannel(r2.eng, r2.p.RPC, dspRes)
 	dsp := NewDSPTarget("d", &r2.p.DSP, ch, 1.0, SNPESupports)
-	dsp.Execute(m.Graph.Ops(), tensor.UInt8, nil)
+	dsp.Execute(m.Graph.Ops(), nil, tensor.UInt8, nil, nil)
 	dspCold := r2.eng.Run().Duration()
 
 	// Even including the cold start, a full-model DSP run should not be
 	// slower than 2x CPU; warm it must win clearly.
 	var warm Result
-	dsp.Execute(m.Graph.Ops(), tensor.UInt8, func(x Result) { warm = x })
+	dsp.Execute(m.Graph.Ops(), nil, tensor.UInt8, nil, func(x Result) { warm = x })
 	r2.eng.Run()
 	if warm.Total() >= cpuTime {
 		t.Fatalf("warm DSP (%v) must beat CPU 4T (%v)", warm.Total(), cpuTime)
@@ -300,11 +300,11 @@ func TestEnergyScalesWithWork(t *testing.T) {
 	cpu := NewCPUTarget("cpu", r.sch, &r.p.Big, 4)
 	small := smallGraph().Ops()[:1]
 	var eSmall, eAll Result
-	cpu.Execute(small, tensor.Float32, func(x Result) { eSmall = x })
+	cpu.Execute(small, nil, tensor.Float32, nil, func(x Result) { eSmall = x })
 	r.eng.Run()
 	r2 := newRig()
 	cpu2 := NewCPUTarget("cpu", r2.sch, &r2.p.Big, 4)
-	cpu2.Execute(smallGraph().Ops(), tensor.Float32, func(x Result) { eAll = x })
+	cpu2.Execute(smallGraph().Ops(), nil, tensor.Float32, nil, func(x Result) { eAll = x })
 	r2.eng.Run()
 	if eAll.EnergyJ <= eSmall.EnergyJ || eSmall.EnergyJ <= 0 {
 		t.Fatalf("energy must scale with ops: %v vs %v", eSmall.EnergyJ, eAll.EnergyJ)

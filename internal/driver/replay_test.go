@@ -47,7 +47,7 @@ func benchLoop(n int, gen bool, setup func(r *rig, cpu *CPUTarget), mk func(r *r
 			return
 		}
 		invoke := func() {
-			cpu.ExecuteCosted(ops, costs, tensor.Float32, nil, func(res Result) {
+			cpu.Execute(ops, costs, tensor.Float32, nil, func(res Result) {
 				out.results = append(out.results, res)
 				out.ends = append(out.ends, r.eng.Now())
 				next(i + 1)
@@ -170,12 +170,12 @@ func TestCPUReplayAllocatesNothing(t *testing.T) {
 	costs := cpu.OpCosts(ops, tensor.Float32)
 	done := func(Result) {}
 	for i := 0; i < 3; i++ {
-		cpu.ExecuteCosted(ops, costs, tensor.Float32, nil, done)
+		cpu.Execute(ops, costs, tensor.Float32, nil, done)
 		r.eng.Run()
 	}
 	hits := cpu.replay.hits
 	allocs := testing.AllocsPerRun(100, func() {
-		cpu.ExecuteCosted(ops, costs, tensor.Float32, nil, done)
+		cpu.Execute(ops, costs, tensor.Float32, nil, done)
 		r.eng.Run()
 	})
 	if cpu.replay.hits <= hits {

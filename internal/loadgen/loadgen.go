@@ -31,6 +31,10 @@ import (
 // errors.Is instead of matching message text.
 var ErrBadSpec = errors.New("loadgen: bad spec")
 
+// maxQPS is the highest rate a phase may offer: its mean gap is the
+// clock's 1 ns resolution.
+const maxQPS = 1e9
+
 // Phase is one constant-rate segment of the QPS ramp.
 type Phase struct {
 	// QPS is the offered arrival rate in requests per second.
@@ -73,18 +77,27 @@ type Spec struct {
 // Validate reports the first problem with the spec. All errors wrap
 // ErrBadSpec. NaN and infinite rates are rejected explicitly: NaN
 // compares false against every range check and would otherwise produce
-// a silently degenerate (empty or endless) schedule.
+// a silently degenerate (empty or endless) schedule. So are rates above
+// maxQPS, and ramps too long for a time.Duration.
 func (s Spec) Validate() error {
 	if len(s.Phases) == 0 {
 		return fmt.Errorf("%w: needs at least one ramp phase", ErrBadSpec)
 	}
+	var total time.Duration
 	for i, p := range s.Phases {
 		if !(p.QPS > 0) || math.IsInf(p.QPS, 0) {
 			return fmt.Errorf("%w: phase %d: qps must be a positive finite number, got %g", ErrBadSpec, i, p.QPS)
 		}
+		if p.QPS > maxQPS {
+			return fmt.Errorf("%w: phase %d: qps must be at most %g, got %g", ErrBadSpec, i, maxQPS, p.QPS)
+		}
 		if p.Duration <= 0 {
 			return fmt.Errorf("%w: phase %d: duration must be positive, got %v", ErrBadSpec, i, p.Duration)
 		}
+		if p.Duration > math.MaxInt64-total {
+			return fmt.Errorf("%w: phase %d: ramp longer than %v", ErrBadSpec, i, time.Duration(math.MaxInt64))
+		}
+		total += p.Duration
 	}
 	if len(s.Mix) == 0 {
 		return fmt.Errorf("%w: needs at least one model in the mix", ErrBadSpec)
@@ -130,9 +143,12 @@ func (s Spec) Generate() ([]Arrival, error) {
 		end := phaseStart + p.Duration
 		mean := float64(time.Second) / p.QPS // mean gap in ns
 		// Memorylessness: a fresh draw at the phase boundary is exactly
-		// the residual wait under the new rate.
-		t := phaseStart + time.Duration(rng.Exp(mean))
-		for t < end {
+		// the residual wait under the new rate. Each gap is compared with
+		// the time left as a float before it is converted: at a tiny rate
+		// a draw can exceed the range of a time.Duration (or be +Inf).
+		t := phaseStart
+		for gap := rng.Exp(mean); gap < float64(end-t); gap = rng.Exp(mean) {
+			t += time.Duration(gap)
 			pick := rng.Intn(total)
 			model, class := "", ""
 			for _, m := range s.Mix {
@@ -143,7 +159,6 @@ func (s Spec) Generate() ([]Arrival, error) {
 				pick -= m.Weight
 			}
 			out = append(out, Arrival{ID: len(out), At: t, Model: model, Class: class})
-			t += time.Duration(rng.Exp(mean))
 		}
 		phaseStart = end
 	}
@@ -152,9 +167,11 @@ func (s Spec) Generate() ([]Arrival, error) {
 
 // ParseRamp parses a ramp spec of the form "QPSxDURATION[,...]", e.g.
 // "50x2s,200x2s,50x1s": 2 s at 50 QPS, then 2 s at 200, then 1 s back
-// at 50. QPS may be fractional; durations use Go syntax.
+// at 50. QPS may be fractional, up to 1e9 (a 1 ns mean gap); durations
+// use Go syntax.
 func ParseRamp(s string) ([]Phase, error) {
 	var phases []Phase
+	var total time.Duration
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -171,6 +188,9 @@ func ParseRamp(s string) ([]Phase, error) {
 		if !(qps > 0) || math.IsInf(qps, 0) {
 			return nil, fmt.Errorf("%w: ramp phase %q: qps must be a positive finite number, got %g", ErrBadSpec, part, qps)
 		}
+		if qps > maxQPS {
+			return nil, fmt.Errorf("%w: ramp phase %q: qps must be at most %g, got %g", ErrBadSpec, part, maxQPS, qps)
+		}
 		dur, err := time.ParseDuration(durStr)
 		if err != nil {
 			return nil, fmt.Errorf("%w: ramp phase %q: bad duration %q", ErrBadSpec, part, durStr)
@@ -178,6 +198,10 @@ func ParseRamp(s string) ([]Phase, error) {
 		if dur <= 0 {
 			return nil, fmt.Errorf("%w: ramp phase %q: duration must be positive, got %v", ErrBadSpec, part, dur)
 		}
+		if dur > math.MaxInt64-total {
+			return nil, fmt.Errorf("%w: ramp phase %q: ramp longer than %v", ErrBadSpec, part, time.Duration(math.MaxInt64))
+		}
+		total += dur
 		phases = append(phases, Phase{QPS: qps, Duration: dur})
 	}
 	if len(phases) == 0 {

@@ -97,11 +97,12 @@ func TestSeedChangesSchedule(t *testing.T) {
 }
 
 func TestParseRamp(t *testing.T) {
-	phases, err := ParseRamp("50x2s, 12.5x500ms")
+	phases, err := ParseRamp("50x2s, 12.5x500ms, 1e9x1us")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Phase{{QPS: 50, Duration: 2 * time.Second}, {QPS: 12.5, Duration: 500 * time.Millisecond}}
+	want := []Phase{{QPS: 50, Duration: 2 * time.Second}, {QPS: 12.5, Duration: 500 * time.Millisecond},
+		{QPS: 1e9, Duration: time.Microsecond}}
 	if !reflect.DeepEqual(phases, want) {
 		t.Fatalf("got %+v, want %+v", phases, want)
 	}
@@ -140,6 +141,9 @@ func TestValidate(t *testing.T) {
 		func(s *Spec) { s.Mix = nil },
 		func(s *Spec) { s.Mix[0].Weight = 0 },
 		func(s *Spec) { s.Mix[0].Model = "" },
+		// Above 1e9 QPS the mean gap is below the 1 ns clock.
+		func(s *Spec) { s.Phases[1].QPS = 2e9 },
+		func(s *Spec) { s.Phases[0].Duration = math.MaxInt64 },
 	}
 	for i, mutate := range cases {
 		s := spec()
@@ -220,11 +224,103 @@ func TestGeneratePropagatesClass(t *testing.T) {
 }
 
 func TestParseRampRejectsNonPositive(t *testing.T) {
-	for _, bad := range []string{"NaN x1s", "NaNx1s", "0x1s", "-5x1s", "+Infx1s", "5x0s", "5x-1s"} {
+	for _, bad := range []string{"NaN x1s", "NaNx1s", "0x1s", "-5x1s", "+Infx1s", "5x0s", "5x-1s",
+		"2e9x1s", "10x1s,1.5e9x1ms", "1x2562047h,1x2562047h"} {
 		if _, err := ParseRamp(bad); err == nil {
 			t.Errorf("ParseRamp(%q) succeeded, want error", bad)
 		} else if !errors.Is(err, ErrBadSpec) {
 			t.Errorf("ParseRamp(%q): error %v does not wrap ErrBadSpec", bad, err)
 		}
 	}
+}
+
+// TestGenerateTerminatesAtTinyRates: at a tiny QPS an exponential gap
+// can exceed the range of a time.Duration (or be +Inf at 1e-300 QPS).
+// Such a gap must end the phase, not wrap the arrival time negative and
+// loop forever.
+func TestGenerateTerminatesAtTinyRates(t *testing.T) {
+	for _, qps := range []float64{1e-300, 1e-12} {
+		s := spec()
+		s.Phases[0].QPS = qps
+		got := make(chan []Arrival, 1)
+		go func() {
+			arrivals, err := s.Generate()
+			if err != nil {
+				t.Error(err)
+			}
+			got <- arrivals
+		}()
+		select {
+		case arrivals := <-got:
+			for _, a := range arrivals {
+				if a.At < s.Phases[0].Duration {
+					t.Fatalf("%g QPS: arrival %d at %v inside the silent phase", qps, a.ID, a.At)
+				}
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("Generate at %g QPS did not return within 2s", qps)
+		}
+	}
+}
+
+func FuzzParseRamp(f *testing.F) {
+	for _, seed := range []string{
+		"10x1s,150x1s", "50x2s,200x2s,50x1s", "0.5x3s", "1e-300x1s", "1e-12x1s",
+		"1e9x1ns", "2e9x1s", "NaNx1s", "5x-1s", "x", "1x2562047h,1x2562047h", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		phases, err := ParseRamp(in)
+		if err != nil {
+			if !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("ParseRamp(%q): error %v does not wrap ErrBadSpec", in, err)
+			}
+			return
+		}
+		s := Spec{Seed: 1, Phases: phases, Mix: []Share{{Model: "m", Weight: 1}}}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("ParseRamp(%q) = %+v, which Validate rejects: %v", in, phases, err)
+		}
+		// Cap each phase at 1,000 expected arrivals to keep the
+		// schedule small; tiny rates keep their full length.
+		for i, p := range s.Phases {
+			if p.QPS*p.Duration.Seconds() > 1000 {
+				s.Phases[i].Duration = time.Duration(1000 / p.QPS * float64(time.Second))
+			}
+		}
+		arrivals, err := s.Generate()
+		if err != nil {
+			t.Fatalf("Generate(%q): %v", in, err)
+		}
+		last := time.Duration(0)
+		for _, a := range arrivals {
+			if a.At < last || a.At >= s.Duration() {
+				t.Fatalf("ramp %q: arrival %d at %v, previous %v, ramp end %v", in, a.ID, a.At, last, s.Duration())
+			}
+			last = a.At
+		}
+	})
+}
+
+func FuzzParseMix(f *testing.F) {
+	for _, seed := range []string{
+		"MobileNet 1.0 v1=2:interactive,Deeplab-v3 MobileNet-v2:best-effort",
+		"m", "m=0", "m=x", "m=1:vip", ":interactive", "=1", ",", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		mix, err := ParseMix(in)
+		if err != nil {
+			if !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("ParseMix(%q): error %v does not wrap ErrBadSpec", in, err)
+			}
+			return
+		}
+		s := Spec{Phases: []Phase{{QPS: 1, Duration: time.Second}}, Mix: mix}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("ParseMix(%q) = %+v, which Validate rejects: %v", in, mix, err)
+		}
+	})
 }

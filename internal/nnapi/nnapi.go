@@ -234,19 +234,15 @@ func (f *Framework) Compile(g *nn.Graph, dt tensor.DType, pref Preference) *Comp
 	// Materialize per-plan partitions from the shared assignment: the
 	// Partitions slice is this plan's own (execution-time fallbacks
 	// mutate it), only the index ranges and cost schedules are shared.
-	accelCosts := f.opCosts(g, dt, accel)
-	cpuCosts := f.opCosts(g, dt, f.FallbackCPU)
+	accelCosts := driver.CachedOpCosts(f.Plans, f.PlanPlatform, g.Name, g, dt, accel)
+	cpuCosts := driver.CachedOpCosts(f.Plans, f.PlanPlatform, g.Name, g, dt, f.FallbackCPU)
 	cm.Partitions = make([]Partition, 0, len(segs))
 	for _, s := range segs {
 		t, costs := f.FallbackCPU, cpuCosts
 		if s.Accel {
 			t, costs = accel, accelCosts
 		}
-		p := Partition{Target: t, Ops: ops[s.Start:s.End]}
-		if costs != nil {
-			p.Costs = costs[s.Start:s.End]
-		}
-		cm.Partitions = append(cm.Partitions, p)
+		cm.Partitions = append(cm.Partitions, Partition{Target: t, Ops: ops[s.Start:s.End], Costs: costs[s.Start:s.End]})
 	}
 	quant := dt == tensor.Int8 || dt == tensor.UInt8
 	if quant && len(cm.Partitions) > f.MaxQuantPartitions {
@@ -254,7 +250,7 @@ func (f *Framework) Compile(g *nn.Graph, dt tensor.DType, pref Preference) *Comp
 		// to its reference implementation for the whole graph.
 		cm.ReferenceFallback = true
 		cm.Partitions = []Partition{{Target: f.ReferenceCPU, Ops: ops,
-			Costs: f.opCosts(g, dt, f.ReferenceCPU)}}
+			Costs: driver.CachedOpCosts(f.Plans, f.PlanPlatform, g.Name, g, dt, f.ReferenceCPU)}}
 	} else if cm.AccelPartitions() > 0 {
 		// The vendor driver's accelerator bring-up can fail outright
 		// (injected fault); NNAPI re-plans the whole graph onto its CPU
@@ -269,23 +265,6 @@ func (f *Framework) Compile(g *nn.Graph, dt tensor.DType, pref Preference) *Comp
 		}
 	}
 	return cm
-}
-
-// opCosts returns the per-op device-time schedule for the whole graph
-// on target t, shared through the plan cache when one is wired. Nil
-// when t cannot cost segments ahead of execution.
-func (f *Framework) opCosts(g *nn.Graph, dt tensor.DType, t driver.Target) []time.Duration {
-	c, ok := t.(driver.Coster)
-	if !ok {
-		return nil
-	}
-	if f.Plans == nil || g.Name == "" {
-		return c.OpCosts(g.Ops(), dt)
-	}
-	k := plan.Key{Kind: "op-costs", Model: g.Name, DType: dt, Scope: t.Name(),
-		Platform: f.PlanPlatform, Variant: g.NumOps()}
-	costs, _ := f.Plans.Get(k, func() any { return c.OpCosts(g.Ops(), dt) }).([]time.Duration)
-	return costs
 }
 
 // invalidate drops this plan's shared partition entry (if it came from
@@ -341,7 +320,7 @@ func (f *Framework) Execute(cm *CompiledModel, done func(Report)) {
 		}
 		p := cm.Partitions[i]
 		exec := func() {
-			driver.ExecuteCosted(p.Target, p.Ops, p.Costs, cm.DType, nil, func(res driver.Result) {
+			p.Target.Execute(p.Ops, p.Costs, cm.DType, nil, func(res driver.Result) {
 				if res.Err != nil && p.Target != f.FallbackCPU && p.Target != f.ReferenceCPU {
 					// The accelerator gave up on this partition. Absorb
 					// the failed attempt's time (it really passed), pay
@@ -361,7 +340,7 @@ func (f *Framework) Execute(cm *CompiledModel, done func(Report)) {
 					cm.Partitions[i].Costs = nil // accel schedule no longer applies
 					cm.invalidate()
 					f.eng.After(penalty, func() {
-						f.FallbackCPU.Execute(p.Ops, cm.DType, func(res2 driver.Result) {
+						f.FallbackCPU.Execute(p.Ops, nil, cm.DType, nil, func(res2 driver.Result) {
 							rep.Result = rep.Result.Add(res2)
 							rep.PerTarget[f.FallbackCPU.Name()] += res2.Total()
 							runPart(i + 1)

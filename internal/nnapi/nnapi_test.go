@@ -138,7 +138,7 @@ func TestFigure5Shape(t *testing.T) {
 	nnapiTime := r1.eng.Run().Duration()
 
 	r2 := newRig()
-	r2.cpu.Execute(m.Graph.Ops(), tensor.UInt8, nil)
+	r2.cpu.Execute(m.Graph.Ops(), nil, tensor.UInt8, nil, nil)
 	cpu1Time := r2.eng.Run().Duration()
 
 	ratio := float64(nnapiTime) / float64(cpu1Time)

@@ -60,8 +60,9 @@ var ErrBadObjective = errors.New("obs: bad slo spec")
 //
 // LATENCY uses Go duration syntax; TARGET is a percentage (99, 99.9).
 // MODEL "all" or "*" covers every model in aggregate. All errors wrap
-// ErrBadObjective; NaN targets are rejected explicitly (NaN compares
-// false against both range bounds and would otherwise slip through).
+// ErrBadObjective. The range check is on the rounded fraction and
+// written so NaN fails it (NaN compares false against both bounds), so
+// no spec yields a Target outside (0,1).
 func ParseObjectives(spec string) ([]Objective, error) {
 	var out []Objective
 	for _, part := range strings.Split(spec, ",") {
@@ -82,16 +83,16 @@ func ParseObjectives(spec string) ([]Objective, error) {
 			return nil, fmt.Errorf("%w: %q: bad latency %q", ErrBadObjective, part, latStr)
 		}
 		pct, err := strconv.ParseFloat(strings.TrimSpace(pctStr), 64)
-		if err != nil || math.IsNaN(pct) || pct <= 0 || pct >= 100 {
+		// Round so "99.9" yields the same double as the 0.999 literal
+		// (pct/100 alone gives 0.9990000000000001).
+		target := math.Round(pct/100*1e12) / 1e12
+		if err != nil || !(target > 0 && target < 1) {
 			return nil, fmt.Errorf("%w: %q: target must be a percentage in (0,100), got %q", ErrBadObjective, part, pctStr)
 		}
 		model := strings.TrimSpace(name)
 		if model == "all" || model == "*" {
 			model = ""
 		}
-		// Round so "99.9" yields the same double as the 0.999 literal
-		// (pct/100 alone gives 0.9990000000000001).
-		target := math.Round(pct/100*1e12) / 1e12
 		out = append(out, Objective{Model: model, Latency: lat, Target: target})
 	}
 	if len(out) == 0 {

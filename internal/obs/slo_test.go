@@ -30,6 +30,8 @@ func TestParseObjectives(t *testing.T) {
 		// NaN compares false against both range bounds; without the
 		// explicit check it parses into a degenerate objective.
 		"m=1s@NaN", "m=1s@nan", "m=1s@-5", "m=-1s@99",
+		// Percentages that round to a fraction of 0 or 1.
+		"m=1s@99.99999999999999", "m=1s@1e-11",
 	} {
 		if _, err := ParseObjectives(bad); err == nil {
 			t.Errorf("spec %q: want error", bad)
@@ -37,6 +39,29 @@ func TestParseObjectives(t *testing.T) {
 			t.Errorf("spec %q: error %v does not wrap ErrBadObjective", bad, err)
 		}
 	}
+}
+
+func FuzzParseObjectives(f *testing.F) {
+	for _, seed := range []string{
+		"MobileNet 1.0 v1=250ms@99, all=1s@99.9", "*=1h@50", "m=1s@NaN",
+		"m=1s@99.99999999999999", "m=1s@1e-11", "m=0s@99", "m=1s", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		objs, err := ParseObjectives(spec)
+		if err != nil {
+			if !errors.Is(err, ErrBadObjective) {
+				t.Fatalf("ParseObjectives(%q): error %v does not wrap ErrBadObjective", spec, err)
+			}
+			return
+		}
+		for _, o := range objs {
+			if o.Latency <= 0 || !(o.Target > 0 && o.Target < 1) {
+				t.Fatalf("ParseObjectives(%q) yielded out-of-range objective %+v", spec, o)
+			}
+		}
+	})
 }
 
 func TestObjectiveMatch(t *testing.T) {

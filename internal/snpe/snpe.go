@@ -87,5 +87,5 @@ func (s *SDK) Load(g *nn.Graph, dt tensor.DType, k RuntimeKind) (*Net, error) {
 
 // Execute runs one inference on the bound runtime.
 func (n *Net) Execute(done func(driver.Result)) {
-	n.target.Execute(n.Graph.Ops(), n.DType, done)
+	n.target.Execute(n.Graph.Ops(), nil, n.DType, nil, done)
 }

@@ -204,8 +204,7 @@ type segment struct {
 	target driver.Target
 	ops    []*nn.Op
 	// costs is the precomputed per-op device-time schedule for ops on
-	// target (shared through the runtime's plan cache); nil recomputes
-	// per invocation.
+	// target, shared through the runtime's plan cache.
 	costs []time.Duration
 }
 
@@ -278,17 +277,17 @@ func (rt *Runtime) NewInterpreter(m *models.Model, dt tensor.DType, opts Options
 	switch opts.Delegate {
 	case DelegateCPU:
 		ip.segments = []segment{{target: ip.cpu, ops: graph.Ops(),
-			costs: rt.opCosts(m.Name, graph, dt, ip.cpu)}}
+			costs: driver.CachedOpCosts(rt.Plans, rt.Platform.Name, m.Name, graph, dt, ip.cpu)}}
 	case DelegateGPU:
 		gpu := driver.NewGPUTarget("gpu-delegate", rt.Eng, &rt.Platform.GPU, rt.GPUQueue, driver.GPUDelegateSupports)
 		if opts.GPUAllowFP16 {
 			gpu.AllowFP16()
 		}
 		gpu.Tracer = rt.Tracer
-		ip.buildSegments(rt.instrument(gpu, opts.ProbeOverhead))
+		ip.buildSegments(trace.Instrument(gpu, rt.Eng, opts.ProbeOverhead, rt.Tracer, rt.Metrics))
 	case DelegateHexagon:
 		dsp := driver.NewDSPTarget("hexagon-delegate", &rt.Platform.DSP, rt.newChannel(), 0.8, driver.HexagonDelegateSupports)
-		ip.buildSegments(rt.instrument(dsp, opts.ProbeOverhead))
+		ip.buildSegments(trace.Instrument(dsp, rt.Eng, opts.ProbeOverhead, rt.Tracer, rt.Metrics))
 	case DelegateNNAPI:
 		fw := opts.NNAPI
 		if fw == nil {
@@ -299,21 +298,6 @@ func (rt *Runtime) NewInterpreter(m *models.Model, dt tensor.DType, opts Options
 		return nil, fmt.Errorf("tflite: unknown delegate %v", opts.Delegate)
 	}
 	return ip, nil
-}
-
-// opCosts returns the shared per-op cost schedule for running graph g
-// at dt on target t, computing it once per (model, dtype, target,
-// platform, graph variant) through the runtime's plan cache. Returns
-// nil when the target cannot cost segments ahead of execution.
-func (rt *Runtime) opCosts(model string, g *nn.Graph, dt tensor.DType, t driver.Target) []time.Duration {
-	c, ok := t.(driver.Coster)
-	if !ok {
-		return nil
-	}
-	k := plan.Key{Kind: "op-costs", Model: model, DType: dt, Scope: t.Name(),
-		Platform: rt.Platform.Name, Variant: g.NumOps()}
-	costs, _ := rt.Plans.Get(k, func() any { return c.OpCosts(g.Ops(), dt) }).([]time.Duration)
-	return costs
 }
 
 // buildSegments materializes the interpreter's delegate partitioning
@@ -328,32 +312,16 @@ func (ip *Interpreter) buildSegments(accel driver.Target) {
 		return plan.PartitionSegments(graph.Ops(), dt, accel.Supports)
 	}).([]plan.Segment)
 	ops := graph.Ops()
-	accelCosts := rt.opCosts(m.Name, graph, dt, accel)
-	cpuCosts := rt.opCosts(m.Name, graph, dt, ip.cpu)
+	accelCosts := driver.CachedOpCosts(rt.Plans, rt.Platform.Name, m.Name, graph, dt, accel)
+	cpuCosts := driver.CachedOpCosts(rt.Plans, rt.Platform.Name, m.Name, graph, dt, ip.cpu)
 	ip.segments = make([]segment, 0, len(segs))
 	for _, s := range segs {
 		t, costs := driver.Target(ip.cpu), cpuCosts
 		if s.Accel {
 			t, costs = accel, accelCosts
 		}
-		seg := segment{target: t, ops: ops[s.Start:s.End]}
-		if costs != nil {
-			seg.costs = costs[s.Start:s.End]
-		}
-		ip.segments = append(ip.segments, seg)
+		ip.segments = append(ip.segments, segment{target: t, ops: ops[s.Start:s.End], costs: costs[s.Start:s.End]})
 	}
-}
-
-// instrument wraps an accelerator target with the driver probe at the
-// given fractional overhead (zero passes through), wiring the wrapper to
-// the runtime's telemetry.
-func (rt *Runtime) instrument(t driver.Target, overhead float64) driver.Target {
-	w := trace.InstrumentOverhead(t, rt.Eng, overhead)
-	if it, ok := w.(*trace.InstrumentedTarget); ok {
-		it.Tracer = rt.Tracer
-		it.Metrics = rt.Metrics
-	}
-	return w
 }
 
 // Segments returns the number of execution partitions (1 when fully on
@@ -460,7 +428,7 @@ func (ip *Interpreter) FellBack() bool { return ip.fellBack }
 // the CPU, reproducing production TFLite's delegate teardown.
 func (ip *Interpreter) fallBackToCPU(parent *telemetry.ActiveSpan) time.Duration {
 	ip.segments = []segment{{target: ip.cpu, ops: ip.graph.Ops(),
-		costs: ip.rt.opCosts(ip.Model.Name, ip.graph, ip.DType, ip.cpu)}}
+		costs: driver.CachedOpCosts(ip.rt.Plans, ip.rt.Platform.Name, ip.Model.Name, ip.graph, ip.DType, ip.cpu)}}
 	ip.fellBack = true
 	// The delegate plan died; drop the shared entry so the next compile
 	// of this configuration starts from a clean build. Other entries
@@ -518,7 +486,7 @@ func (ip *Interpreter) InvokeTraced(parent *telemetry.ActiveSpan, done func(Repo
 		}
 		s := ip.segments[i]
 		exec := func() {
-			driver.ExecuteCosted(s.target, s.ops, s.costs, ip.DType, fw, func(res driver.Result) {
+			s.target.Execute(s.ops, s.costs, ip.DType, fw, func(res driver.Result) {
 				if res.Err != nil && s.target != driver.Target(ip.cpu) {
 					// The delegate died mid-run (retries exhausted or the
 					// accelerator is down). Absorb the failed attempt's

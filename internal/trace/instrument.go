@@ -30,26 +30,21 @@ type InstrumentedTarget struct {
 	Metrics *telemetry.Registry
 }
 
-// Instrument wraps a target with the default probe overhead. CPU targets
-// are returned unwrapped, matching the paper's observation that the
-// instrumentation "has no effect on pre-processing or inference
-// performed on the CPU".
-func Instrument(t driver.Target, eng *sim.Engine) driver.Target {
-	return InstrumentOverhead(t, eng, DefaultProbeOverhead)
-}
-
-// InstrumentOverhead wraps a target with an explicit fractional probe
-// overhead, covering the paper's 4-7% range. CPU targets are always
-// returned unwrapped, and a non-positive overhead disables wrapping
-// entirely.
-func InstrumentOverhead(t driver.Target, eng *sim.Engine, overhead float64) driver.Target {
+// Instrument wraps an accelerator target with the driver probe at a
+// fractional overhead (DefaultProbeOverhead covers the paper's 4-7%
+// range), recording probe spans on tracer and observations in metrics
+// (either may be nil). CPU targets are returned unwrapped, matching the
+// paper's observation that the instrumentation "has no effect on
+// pre-processing or inference performed on the CPU", and a non-positive
+// overhead disables wrapping entirely.
+func Instrument(t driver.Target, eng *sim.Engine, overhead float64, tracer *telemetry.Tracer, metrics *telemetry.Registry) driver.Target {
 	if overhead <= 0 {
 		return t
 	}
 	if t.Kind() == soc.CPUBig || t.Kind() == soc.CPULittle {
 		return t
 	}
-	return &InstrumentedTarget{Inner: t, Eng: eng, Overhead: overhead}
+	return &InstrumentedTarget{Inner: t, Eng: eng, Overhead: overhead, Tracer: tracer, Metrics: metrics}
 }
 
 // Name implements driver.Target.
@@ -63,33 +58,17 @@ func (t *InstrumentedTarget) Supports(op *nn.Op, dt tensor.DType) bool {
 	return t.Inner.Supports(op, dt)
 }
 
-// Execute implements driver.Target: the inner execution runs, then the
-// probe's logging/timestamping cost is charged proportionally.
-func (t *InstrumentedTarget) Execute(ops []*nn.Op, dt tensor.DType, done func(driver.Result)) {
-	t.ExecuteSpan(ops, dt, nil, done)
-}
-
-// OpCosts implements driver.Coster when the inner target does: the
-// probe charge is proportional to measured compute, so the schedule is
-// the inner target's unchanged.
+// OpCosts implements driver.Target: the probe charge is proportional to
+// measured compute, so the schedule is the inner target's unchanged.
 func (t *InstrumentedTarget) OpCosts(ops []*nn.Op, dt tensor.DType) []time.Duration {
-	if c, ok := t.Inner.(driver.Coster); ok {
-		return c.OpCosts(ops, dt)
-	}
-	return nil
+	return t.Inner.OpCosts(ops, dt)
 }
 
-// ExecuteSpan implements driver.SpanExecutor: the parent span flows
-// through to the inner target, and the probe charge itself becomes a
-// "probe" span under it.
-func (t *InstrumentedTarget) ExecuteSpan(ops []*nn.Op, dt tensor.DType, parent *telemetry.ActiveSpan, done func(driver.Result)) {
-	t.ExecuteCosted(ops, nil, dt, parent, done)
-}
-
-// ExecuteCosted implements driver.CostedExecutor, forwarding the
-// schedule to the inner target.
-func (t *InstrumentedTarget) ExecuteCosted(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(driver.Result)) {
-	driver.ExecuteCosted(t.Inner, ops, costs, dt, parent, func(res driver.Result) {
+// Execute implements driver.Target: the inner execution runs under the
+// same parent span, then the probe's logging/timestamping cost is
+// charged proportionally as a "probe" span.
+func (t *InstrumentedTarget) Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(driver.Result)) {
+	t.Inner.Execute(ops, costs, dt, parent, func(res driver.Result) {
 		extra := time.Duration(float64(res.Compute) * t.Overhead)
 		start := t.Eng.Now()
 		t.Eng.After(extra, func() {

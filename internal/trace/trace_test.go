@@ -117,12 +117,12 @@ func TestInstrumentAddsProbeOverheadOnDSP(t *testing.T) {
 		ch := fastrpc.NewChannel(eng, p.RPC, dspRes)
 		var target driver.Target = driver.NewDSPTarget("dsp", &p.DSP, ch, 0.95, driver.SNPESupports)
 		if instr {
-			target = Instrument(target, eng)
+			target = Instrument(target, eng, DefaultProbeOverhead, nil, nil)
 		}
 		var warm time.Duration
-		target.Execute(m.Graph.Ops(), tensor.UInt8, func(driver.Result) {
+		target.Execute(m.Graph.Ops(), nil, tensor.UInt8, nil, func(driver.Result) {
 			s := eng.Now()
-			target.Execute(m.Graph.Ops(), tensor.UInt8, func(driver.Result) {
+			target.Execute(m.Graph.Ops(), nil, tensor.UInt8, nil, func(driver.Result) {
 				warm = eng.Now().Sub(s)
 			})
 		})
@@ -141,7 +141,7 @@ func TestInstrumentLeavesCPUUntouched(t *testing.T) {
 	sch := sched.New(eng, sched.DefaultConfig())
 	p := soc.Pixel3()
 	cpu := driver.NewCPUTarget("cpu", sch, &p.Big, 4)
-	if Instrument(cpu, eng) != driver.Target(cpu) {
+	if Instrument(cpu, eng, DefaultProbeOverhead, nil, nil) != driver.Target(cpu) {
 		t.Fatal("CPU target must pass through uninstrumented")
 	}
 }
@@ -152,7 +152,7 @@ func TestInstrumentedTargetDelegatesSupport(t *testing.T) {
 	dspRes := sim.NewResource(eng, "dsp", 1)
 	ch := fastrpc.NewChannel(eng, p.RPC, dspRes)
 	inner := driver.NewDSPTarget("dsp", &p.DSP, ch, 0.95, driver.SNPESupports)
-	w := Instrument(inner, eng)
+	w := Instrument(inner, eng, DefaultProbeOverhead, nil, nil)
 	if w.Kind() != soc.DSP {
 		t.Fatal("kind must pass through")
 	}
@@ -217,11 +217,11 @@ func TestInstrumentOverheadConfigurable(t *testing.T) {
 		dspRes := sim.NewResource(eng, "dsp", 1)
 		ch := fastrpc.NewChannel(eng, p.RPC, dspRes)
 		var target driver.Target = driver.NewDSPTarget("dsp", &p.DSP, ch, 0.95, driver.SNPESupports)
-		target = InstrumentOverhead(target, eng, overhead)
+		target = Instrument(target, eng, overhead, nil, nil)
 		var warm time.Duration
-		target.Execute(m.Graph.Ops(), tensor.UInt8, func(driver.Result) {
+		target.Execute(m.Graph.Ops(), nil, tensor.UInt8, nil, func(driver.Result) {
 			s := eng.Now()
-			target.Execute(m.Graph.Ops(), tensor.UInt8, func(driver.Result) {
+			target.Execute(m.Graph.Ops(), nil, tensor.UInt8, nil, func(driver.Result) {
 				warm = eng.Now().Sub(s)
 			})
 		})
@@ -245,7 +245,7 @@ func TestInstrumentOverheadCPUAlwaysUnwrapped(t *testing.T) {
 	p := soc.Pixel3()
 	cpu := driver.NewCPUTarget("cpu", sch, &p.Big, 4)
 	for _, ov := range []float64{0.04, 0.055, 0.07, 0.25} {
-		if InstrumentOverhead(cpu, eng, ov) != driver.Target(cpu) {
+		if Instrument(cpu, eng, ov, nil, nil) != driver.Target(cpu) {
 			t.Fatalf("CPU target wrapped at overhead %v", ov)
 		}
 	}
@@ -253,7 +253,7 @@ func TestInstrumentOverheadCPUAlwaysUnwrapped(t *testing.T) {
 	dspRes := sim.NewResource(eng, "dsp", 1)
 	ch := fastrpc.NewChannel(eng, p.RPC, dspRes)
 	dsp := driver.NewDSPTarget("dsp", &p.DSP, ch, 0.95, driver.SNPESupports)
-	if InstrumentOverhead(dsp, eng, 0) != driver.Target(dsp) {
+	if Instrument(dsp, eng, 0, nil, nil) != driver.Target(dsp) {
 		t.Fatal("zero overhead must pass through unwrapped")
 	}
 }
@@ -265,10 +265,8 @@ func TestInstrumentedTargetRecordsTelemetry(t *testing.T) {
 	dspRes := sim.NewResource(eng, "dsp", 1)
 	ch := fastrpc.NewChannel(eng, p.RPC, dspRes)
 	inner := driver.NewDSPTarget("dsp", &p.DSP, ch, 0.95, driver.SNPESupports)
-	w := InstrumentOverhead(inner, eng, 0.055).(*InstrumentedTarget)
-	w.Tracer = telemetry.NewTracer(eng.Now)
-	w.Metrics = telemetry.NewRegistry()
-	w.Execute(m.Graph.Ops(), tensor.UInt8, nil)
+	w := Instrument(inner, eng, 0.055, telemetry.NewTracer(eng.Now), telemetry.NewRegistry()).(*InstrumentedTarget)
+	w.Execute(m.Graph.Ops(), nil, tensor.UInt8, nil, nil)
 	eng.Run()
 	if w.Metrics.Count("aitax_probe_overhead_ms") != 1 {
 		t.Fatal("probe overhead not recorded in metrics")

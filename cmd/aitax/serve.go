@@ -318,7 +318,7 @@ func runLoad(o *serveOpts, stdout, stderr io.Writer) int {
 			at := sim.Time(row.EndMS * 1e6)
 			for _, st := range obs.Stages {
 				if v, ok := row.Counters[obs.StageSeries(st)]; ok {
-					chrome.AddCounter("tax "+st+" ms/window", at, v)
+					chrome.AddCounter("tax "+st.String()+" ms/window", at, v)
 				}
 			}
 			if h, ok := row.Hists[obs.LatencySeries(obs.AllModels)]; ok {

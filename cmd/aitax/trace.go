@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"aitax"
+	"aitax/internal/core"
 	"aitax/internal/telemetry"
 )
 
@@ -94,11 +95,15 @@ func writeSummary(w io.Writer, tr *aitax.TraceRun, model string, dt aitax.DType,
 		model, dt, d, platform, frames)
 	fmt.Fprintf(w, "%-10s %7s %10s %10s %10s\n", "stage", "count", "p50 ms", "p90 ms", "p99 ms")
 	m := tr.Metrics
-	for _, stage := range []string{"capture", "pre", "inference", "post", "ui", "total"} {
+	row := func(stage string) {
 		name := telemetry.Labeled("aitax_stage_ms", "stage", stage)
 		fmt.Fprintf(w, "%-10s %7d %10.4f %10.4f %10.4f\n", stage,
 			m.Count(name), m.Quantile(name, 0.50), m.Quantile(name, 0.90), m.Quantile(name, 0.99))
 	}
+	for s := core.StageCapture; s < core.NumStages; s++ {
+		row(s.String())
+	}
+	row("total")
 	fmt.Fprintf(w, "\nai tax per frame:  p50 %.4fms  p90 %.4fms  p99 %.4fms\n",
 		m.Quantile("aitax_frame_tax_ms", 0.50),
 		m.Quantile("aitax_frame_tax_ms", 0.90),

@@ -52,9 +52,13 @@ func Figure3(cfg Config) *Result {
 
 // fig4Row holds one model's benchmark-vs-app stage means.
 type fig4Row struct {
-	name                         string
-	benchCap, benchPre, benchInf float64
-	appCap, appPre, appInf       float64
+	name       string
+	bench, app core.StageTimes
+}
+
+// capPre is a run's capture plus pre-processing time in ms.
+func capPre(st core.StageTimes) float64 {
+	return ms(st.Stage[core.StageCapture]) + ms(st.Stage[core.StagePre])
 }
 
 func figure4Data(cfg Config) []fig4Row {
@@ -69,13 +73,7 @@ func figure4Data(cfg Config) []fig4Row {
 		if err != nil {
 			continue
 		}
-		bm := core.Mean(bench).Stage
-		am := core.Mean(frames).Stage
-		rows = append(rows, fig4Row{
-			name:     variantName(v.M, v.DT),
-			benchCap: ms(bm[core.StageCapture]), benchPre: ms(bm[core.StagePre]), benchInf: ms(bm[core.StageInference]),
-			appCap: ms(am[core.StageCapture]), appPre: ms(am[core.StagePre]), appInf: ms(am[core.StageInference]),
-		})
+		rows = append(rows, fig4Row{name: variantName(v.M, v.DT), bench: core.Mean(bench), app: core.Mean(frames)})
 	}
 	return rows
 }
@@ -91,11 +89,12 @@ func Figure4a(cfg Config) *Result {
 	}
 	var appHeavy, total int
 	for _, row := range figure4Data(cfg) {
+		b, a := row.bench.Stage, row.app.Stage
 		r.AddRow(row.name,
-			fmt.Sprintf("%.2f", row.benchCap), fmt.Sprintf("%.2f", row.benchPre), fmt.Sprintf("%.2f", row.benchInf),
-			fmt.Sprintf("%.2f", row.appCap), fmt.Sprintf("%.2f", row.appPre), fmt.Sprintf("%.2f", row.appInf))
+			msf(b[core.StageCapture]), msf(b[core.StagePre]), msf(b[core.StageInference]),
+			msf(a[core.StageCapture]), msf(a[core.StagePre]), msf(a[core.StageInference]))
 		total++
-		if row.appCap+row.appPre > row.benchCap+row.benchPre {
+		if capPre(row.app) > capPre(row.bench) {
 			appHeavy++
 		}
 	}
@@ -114,8 +113,8 @@ func Figure4b(cfg Config) *Result {
 		Headers: []string{"Model", "bench (cap+pre)/inf", "app (cap+pre)/inf"},
 	}
 	for _, row := range figure4Data(cfg) {
-		br := (row.benchCap + row.benchPre) / row.benchInf
-		ar := (row.appCap + row.appPre) / row.appInf
+		br := capPre(row.bench) / ms(row.bench.Stage[core.StageInference])
+		ar := capPre(row.app) / ms(row.app.Stage[core.StageInference])
 		r.AddRow(row.name, fmt.Sprintf("%.2f", br), fmt.Sprintf("%.2f", ar))
 		switch row.name {
 		case "MobileNet 1.0 v1-int8":

@@ -72,7 +72,7 @@ func RenderTaxonomy() string {
 // in its app wrapper.
 type Stage int
 
-// The pipeline stages in graph order.
+// The pipeline stages in graph order, then the sub-stages of inference.
 const (
 	StageCapture Stage = iota
 	StagePre
@@ -83,13 +83,28 @@ const (
 	NumStages
 )
 
-// stageNames are the stages as they appear in spans, metric series and
-// the -entry flag.
-var stageNames = [NumStages]string{"capture", "pre", "inference", "post", "ui"}
+// The sub-stages of the inference stage, read with StageTimes.Of: the
+// framework's own time (interpreter, partition handoffs, scheduling),
+// the FastRPC crossings' overhead, and the kernel's execution.
+const (
+	StageFramework Stage = NumStages + iota
+	StageRPC
+	StageKernel
+)
+
+// stageNames spells every stage and sub-stage the one way spans, metric
+// series, the -entry flag and the fleet report print it. Outputs that
+// spell a stage otherwise: the FastRPC spans split StageRPC into
+// "rpc-down" and "rpc-up" around the kernel span; a pre-processing
+// pipeline offloaded to the DSP runs its kernel as a "pre-dsp" span;
+// fleet's "infer" row is inference minus the FastRPC estimate, so it
+// includes framework time, while the serving "infer" series is kernel
+// time alone.
+var stageNames = [...]string{"capture", "pre", "inference", "post", "ui", "framework", "rpc", "infer"}
 
 // String names the stage as it appears in spans and reports.
 func (s Stage) String() string {
-	if s >= 0 && s < NumStages {
+	if s >= 0 && int(s) < len(stageNames) {
 		return stageNames[s]
 	}
 	return fmt.Sprintf("Stage(%d)", int(s))
@@ -124,6 +139,11 @@ type StageTimes struct {
 	// Fallback is delegate teardown + CPU re-init time paid inside the
 	// inference stage when the delegate died mid-run.
 	Fallback time.Duration
+	// RPC is the FastRPC overhead (transport, queue, cache flush) and
+	// Exec the remote kernel execution inside the inference stage. Both
+	// stay zero when the run measured no such split.
+	RPC  time.Duration
+	Exec time.Duration
 }
 
 // Tax returns the non-inference share of the run (the AI tax). Fault
@@ -132,6 +152,53 @@ type StageTimes struct {
 // runs this is exactly Total - inference.
 func (t StageTimes) Tax() time.Duration {
 	return t.Total - t.Stage[StageInference] + t.Retry + t.Fallback
+}
+
+// Of returns the time of stage s, a stage or a sub-stage of inference.
+// Without an RPC/Exec split the whole inference stage is kernel time;
+// with one, framework time is what the split leaves of inference,
+// clamped at zero.
+func (t StageTimes) Of(s Stage) time.Duration {
+	if s < NumStages {
+		return t.Stage[s]
+	}
+	if t.RPC == 0 && t.Exec == 0 {
+		t.Exec = t.Stage[StageInference]
+	}
+	switch s {
+	case StageFramework:
+		return max(t.Stage[StageInference]-t.RPC-t.Exec, 0)
+	case StageRPC:
+		return t.RPC
+	}
+	return t.Exec
+}
+
+// Add returns the field-by-field sum of t and u.
+func (t StageTimes) Add(u StageTimes) StageTimes {
+	for s, d := range u.Stage {
+		t.Stage[s] += d
+	}
+	t.Total += u.Total
+	t.Retry += u.Retry
+	t.Fallback += u.Fallback
+	t.RPC += u.RPC
+	t.Exec += u.Exec
+	return t
+}
+
+// Div returns t with every field divided by n in integer nanoseconds.
+func (t StageTimes) Div(n int) StageTimes {
+	k := time.Duration(n)
+	for s := range t.Stage {
+		t.Stage[s] /= k
+	}
+	t.Total /= k
+	t.Retry /= k
+	t.Fallback /= k
+	t.RPC /= k
+	t.Exec /= k
+	return t
 }
 
 // Mean averages runs field by field in integer nanoseconds (zero for no
@@ -143,21 +210,9 @@ func Mean(runs []StageTimes) StageTimes {
 		return m
 	}
 	for _, r := range runs {
-		for s, d := range r.Stage {
-			m.Stage[s] += d
-		}
-		m.Total += r.Total
-		m.Retry += r.Retry
-		m.Fallback += r.Fallback
+		m = m.Add(r)
 	}
-	n := time.Duration(len(runs))
-	for s := range m.Stage {
-		m.Stage[s] /= n
-	}
-	m.Total /= n
-	m.Retry /= n
-	m.Fallback /= n
-	return m
+	return m.Div(len(runs))
 }
 
 // Breakdown is an aggregated per-stage latency account over a run.

@@ -102,10 +102,42 @@ func TestMeanTotalVersusStageSum(t *testing.T) {
 	if m.Tax() != 10 || b.Tax() != 8 {
 		t.Fatalf("tax: Mean(...).Tax() = %d ns, Breakdown.Tax() = %d ns, want 10 and 8", m.Tax(), b.Tax())
 	}
-	// Retry and fallback average alongside, and count as tax.
-	runs[0].Retry, runs[1].Fallback = 3, 6
-	if m := Mean(runs); m.Retry != 1 || m.Fallback != 2 || m.Tax() != 13 {
+	// Retry, fallback and the FastRPC split average alongside; only
+	// fault recovery counts as tax.
+	runs[0].Retry, runs[1].Fallback, runs[2].RPC, runs[0].Exec = 3, 6, 4, 7
+	if m := Mean(runs); m.Retry != 1 || m.Fallback != 2 || m.RPC != 1 || m.Exec != 2 || m.Tax() != 13 {
 		t.Fatalf("fault recovery means: %+v, tax %d ns", m, m.Tax())
+	}
+}
+
+// TestOfSubStages: framework, FastRPC and kernel time tile the inference
+// stage whenever the measured split fits inside it.
+func TestOfSubStages(t *testing.T) {
+	cases := []struct {
+		name              string
+		infer, rpc, exec  time.Duration
+		framework, kernel time.Duration
+	}{
+		{"split inside inference", 10, 2, 5, 3, 5},
+		{"split fills inference", 10, 4, 6, 0, 6},
+		{"rpc without exec", 10, 3, 0, 7, 0},
+		{"no split: all kernel", 10, 0, 0, 0, 10},
+		{"split past inference: framework clamps at 0", 10, 6, 7, 0, 7},
+	}
+	for _, tc := range cases {
+		var st StageTimes
+		st.Stage[StageInference], st.RPC, st.Exec = tc.infer, tc.rpc, tc.exec
+		fw, rpc, kernel := st.Of(StageFramework), st.Of(StageRPC), st.Of(StageKernel)
+		if fw != tc.framework || rpc != tc.rpc || kernel != tc.kernel {
+			t.Errorf("%s: framework/rpc/kernel = %v/%v/%v, want %v/%v/%v",
+				tc.name, fw, rpc, kernel, tc.framework, tc.rpc, tc.kernel)
+		}
+		if tc.rpc+tc.exec <= tc.infer && fw+rpc+kernel != tc.infer {
+			t.Errorf("%s: sub-stages sum to %v, not the inference stage %v", tc.name, fw+rpc+kernel, tc.infer)
+		}
+		if got := st.Of(StageInference); got != tc.infer {
+			t.Errorf("%s: Of(inference) = %v, want %v", tc.name, got, tc.infer)
+		}
 	}
 }
 
@@ -142,8 +174,14 @@ func TestParseStage(t *testing.T) {
 	if want := `app: unknown stage "render" (capture|pre|inference|post|ui)`; err.Error() != want {
 		t.Fatalf("message %q, want %q", err.Error(), want)
 	}
-	if got := NumStages.String(); got != "Stage(5)" {
+	if got := (StageKernel + 1).String(); got != "Stage(8)" {
 		t.Fatalf("out-of-range stage prints %q", got)
+	}
+	// Sub-stages have names but are not pipeline stages.
+	for s := StageFramework; s <= StageKernel; s++ {
+		if _, err := ParseStage(s.String()); !errors.Is(err, ErrUnknownStage) {
+			t.Fatalf("sub-stage %q parses as a stage (error %v)", s, err)
+		}
 	}
 }
 

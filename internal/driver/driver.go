@@ -14,6 +14,7 @@ package driver
 import (
 	"time"
 
+	"aitax/internal/core"
 	"aitax/internal/fastrpc"
 	"aitax/internal/nn"
 	"aitax/internal/plan"
@@ -543,7 +544,7 @@ func (t *DSPTarget) OpCosts(ops []*nn.Op, dt tensor.DType) []time.Duration {
 func (t *DSPTarget) Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
 	compute := segmentTime(ops, costs, dt, t.dev, t.Efficiency)
 	payload := segmentIOBytes(ops, dt)
-	t.channel.InvokeSpan(payload, compute, parent, "infer", func(b fastrpc.Breakdown) {
+	t.channel.InvokeSpan(payload, compute, parent, core.StageKernel.String(), func(b fastrpc.Breakdown) {
 		if done != nil {
 			done(Result{
 				Compute:  b.Exec,

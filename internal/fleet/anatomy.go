@@ -27,17 +27,14 @@ const (
 const rpcShareCap = 0.40
 
 // Anatomy is the base Table-III tax anatomy of one (catalog entry,
-// model) pair: steady-state frame breakdowns from the instrumented app
-// plus the per-frame FastRPC transport slice carved out of each frame's
-// inference stage. The runner scales these by per-device jitter — the
-// flat-memory trick that turns a 10k-device run into 10k cheap folds
-// over a handful of cached anatomies.
+// model) pair: steady-state frame breakdowns from the instrumented app.
+// Each frame's RPC is the analytic FastRPC transport estimate carved out
+// of its inference stage (zero on pure-CPU paths, never above
+// rpcShareCap of the inference stage). The runner scales these by
+// per-device jitter — the flat-memory trick that turns a 10k-device run
+// into 10k cheap folds over a handful of cached anatomies.
 type Anatomy struct {
 	Frames [anatomySteady]core.StageTimes
-	// RPC is the analytic per-frame FastRPC transport estimate for
-	// Frames[i] (zero on pure-CPU paths). Always <= rpcShareCap of the
-	// frame's inference stage.
-	RPC [anatomySteady]time.Duration
 	// Accel records whether inference ran on an accelerator (so device
 	// folds scale it by accelerator binning instead of CPU thermals).
 	Accel bool
@@ -94,12 +91,9 @@ func measureAnatomy(sp soc.Spec, m *models.Model, dt tensor.DType,
 
 	if dspBound(delegate, dt) {
 		est := platform.RPC.CallOverhead(rpcPayloadBytes(m, dt))
-		for i, f := range an.Frames {
-			rpc := est
-			if lim := time.Duration(rpcShareCap * float64(f.Stage[core.StageInference])); rpc > lim {
-				rpc = lim
-			}
-			an.RPC[i] = rpc
+		for i := range an.Frames {
+			f := &an.Frames[i]
+			f.RPC = min(est, time.Duration(rpcShareCap*float64(f.Stage[core.StageInference])))
 		}
 	}
 	return an, nil

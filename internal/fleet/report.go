@@ -50,8 +50,8 @@ func writeTier(bw *errWriter, name string, a *TierAgg) {
 	bw.printf("frame total ms   %s\n", histLine(a.Total))
 	bw.printf("tax share %%      %s\n", histLine(a.Tax))
 	bw.printf("stage share %%        p50      p90      p99\n")
-	for s := Stage(0); s < NumStages; s++ {
-		h := a.Stage[s]
+	for i, s := range reportStages {
+		h := a.Stage[i]
 		bw.printf("  %-10s %9.3f%9.3f%9.3f\n",
 			s, h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99))
 	}
@@ -124,8 +124,8 @@ func WriteJSONL(w io.Writer, r *Result) error {
 		}); err != nil {
 			return err
 		}
-		for s := Stage(0); s < NumStages; s++ {
-			h := a.Stage[s]
+		for i, s := range reportStages {
+			h := a.Stage[i]
 			if err := enc.Encode(stageRow{
 				Kind: "stage", Tier: name, Stage: s.String(),
 				Count: h.Count(), Min: h.Min(), Max: h.Max(),

@@ -16,41 +16,13 @@ import (
 	"aitax/internal/tflite"
 )
 
-// Stage indexes the fleet report's Table-III-shaped frame anatomy. RPC
-// is broken out of the inference stage: it is transport tax, and the
+// reportStages are the fleet report's rows, in frame order. RPC is
+// broken out of the inference stage: it is transport tax, and the
 // paper's cross-SoC comparison (older parts pay proportionally more per
-// FastRPC crossing) is exactly what the per-tier split shows.
-type Stage int
-
-// Report stages, in frame order.
-const (
-	StageCapture Stage = iota
-	StagePre
-	StageRPC
-	StageInfer
-	StagePost
-	StageUI
-	NumStages
-)
-
-// String names the stage the way the report prints it.
-func (s Stage) String() string {
-	switch s {
-	case StageCapture:
-		return "capture"
-	case StagePre:
-		return "pre"
-	case StageRPC:
-		return "rpc"
-	case StageInfer:
-		return "infer"
-	case StagePost:
-		return "post"
-	case StageUI:
-		return "ui"
-	}
-	return fmt.Sprintf("stage-%d", int(s))
-}
+// FastRPC crossing) is exactly what the per-tier split shows. The
+// kernel row ("infer") is the rest of inference, framework time
+// included.
+var reportStages = [...]core.Stage{core.StageCapture, core.StagePre, core.StageRPC, core.StageKernel, core.StagePost, core.StageUI}
 
 // ShareBounds are the histogram bucket bounds for percent-share series
 // (stage share of frame, tax share of frame). One shared slice: every
@@ -77,8 +49,9 @@ type TierAgg struct {
 	Total *stats.Histogram
 	// Tax is the per-frame AI-tax share distribution (percent).
 	Tax *stats.Histogram
-	// Stage holds per-stage share-of-frame distributions (percent).
-	Stage [NumStages]*stats.Histogram
+	// Stage holds per-stage share-of-frame distributions (percent),
+	// one per reportStages row.
+	Stage [len(reportStages)]*stats.Histogram
 	// Reg regresses per-device mean tax share (percent) on the device
 	// performance index: the "how much worse is the tax on slow parts"
 	// trend line, per tier.
@@ -129,7 +102,7 @@ func (a *TierAgg) Fold(d Device, an *Anatomy) {
 		pre := msf(f.Stage[core.StagePre]) * cpuScale
 		post := msf(f.Stage[core.StagePost]) * cpuScale
 		ui := msf(f.Stage[core.StageUI]) * cpuScale
-		rpcBase := msf(an.RPC[i])
+		rpcBase := msf(f.RPC)
 		rpc := rpcBase * d.RPCMult
 		infer := msf(f.Stage[core.StageInference]) - rpcBase
 		if an.Accel {
@@ -143,12 +116,9 @@ func (a *TierAgg) Fold(d Device, an *Anatomy) {
 		a.Frames++
 		a.Total.Observe(total)
 		a.Tax.Observe(taxPct)
-		a.Stage[StageCapture].Observe(capture / total * 100)
-		a.Stage[StagePre].Observe(pre / total * 100)
-		a.Stage[StageRPC].Observe(rpc / total * 100)
-		a.Stage[StageInfer].Observe(infer / total * 100)
-		a.Stage[StagePost].Observe(post / total * 100)
-		a.Stage[StageUI].Observe(ui / total * 100)
+		for s, v := range [len(reportStages)]float64{capture, pre, rpc, infer, post, ui} {
+			a.Stage[s].Observe(v / total * 100)
+		}
 		taxSum += taxPct
 	}
 	a.Reg.Add(d.Perf, taxSum/float64(len(an.Frames)))

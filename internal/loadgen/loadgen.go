@@ -102,6 +102,7 @@ func (s Spec) Validate() error {
 	if len(s.Mix) == 0 {
 		return fmt.Errorf("%w: needs at least one model in the mix", ErrBadSpec)
 	}
+	weights := 0 // Generate draws a model from [0, weights)
 	for i, m := range s.Mix {
 		if m.Model == "" {
 			return fmt.Errorf("%w: mix entry %d has no model name", ErrBadSpec, i)
@@ -109,6 +110,10 @@ func (s Spec) Validate() error {
 		if m.Weight <= 0 {
 			return fmt.Errorf("%w: mix entry %d (%s): weight must be positive, got %d", ErrBadSpec, i, m.Model, m.Weight)
 		}
+		if m.Weight > math.MaxInt-weights {
+			return fmt.Errorf("%w: mix entry %d (%s): weights sum past %d", ErrBadSpec, i, m.Model, math.MaxInt)
+		}
+		weights += m.Weight
 		if _, err := qos.ParseClass(m.Class); err != nil {
 			return fmt.Errorf("%w: mix entry %d (%s): %v", ErrBadSpec, i, m.Model, err)
 		}
@@ -216,6 +221,7 @@ func ParseRamp(s string) ([]Phase, error) {
 // name contains a colon, so the class suffix is unambiguous.
 func ParseMix(s string) ([]Share, error) {
 	var mix []Share
+	weights := 0
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -248,6 +254,10 @@ func ParseMix(s string) ([]Share, error) {
 		if class != "" {
 			class = cls.String() // canonical spelling
 		}
+		if weight > math.MaxInt-weights {
+			return nil, fmt.Errorf("%w: mix entry %q: weights sum past %d", ErrBadSpec, part, math.MaxInt)
+		}
+		weights += weight
 		mix = append(mix, Share{Model: name, Weight: weight, Class: class})
 	}
 	if len(mix) == 0 {

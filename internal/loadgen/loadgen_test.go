@@ -122,7 +122,7 @@ func TestParseMix(t *testing.T) {
 	if !reflect.DeepEqual(mix, want) {
 		t.Fatalf("got %+v, want %+v", mix, want)
 	}
-	for _, bad := range []string{"", "m=x", "m=", ","} {
+	for _, bad := range []string{"", "m=x", "m=", ",", "a=9223372036854775807,b=9223372036854775807"} {
 		if _, err := ParseMix(bad); err == nil {
 			t.Errorf("ParseMix(%q) succeeded, want error", bad)
 		}
@@ -144,6 +144,8 @@ func TestValidate(t *testing.T) {
 		// Above 1e9 QPS the mean gap is below the 1 ns clock.
 		func(s *Spec) { s.Phases[1].QPS = 2e9 },
 		func(s *Spec) { s.Phases[0].Duration = math.MaxInt64 },
+		// Generate draws from [0, sum of weights): the sum must fit an int.
+		func(s *Spec) { s.Mix[0].Weight, s.Mix[1].Weight = math.MaxInt, math.MaxInt },
 	}
 	for i, mutate := range cases {
 		s := spec()
@@ -307,6 +309,7 @@ func FuzzParseMix(f *testing.F) {
 	for _, seed := range []string{
 		"MobileNet 1.0 v1=2:interactive,Deeplab-v3 MobileNet-v2:best-effort",
 		"m", "m=0", "m=x", "m=1:vip", ":interactive", "=1", ",", "",
+		"a=9223372036854775807,b=9223372036854775807", "a=9223372036854775806,b=1",
 	} {
 		f.Add(seed)
 	}
@@ -318,9 +321,18 @@ func FuzzParseMix(f *testing.F) {
 			}
 			return
 		}
-		s := Spec{Phases: []Phase{{QPS: 1, Duration: time.Second}}, Mix: mix}
+		s := Spec{Seed: 1, Phases: []Phase{{QPS: 1000, Duration: 10 * time.Millisecond}}, Mix: mix}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("ParseMix(%q) = %+v, which Validate rejects: %v", in, mix, err)
+		}
+		arrivals, err := s.Generate()
+		if err != nil {
+			t.Fatalf("Generate(%q): %v", in, err)
+		}
+		for _, a := range arrivals {
+			if a.Model == "" {
+				t.Fatalf("mix %q: arrival %d drew no model", in, a.ID)
+			}
 		}
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"aitax/internal/core"
 )
 
 // seedRecorder replays a tiny deterministic run into a recorder using
@@ -23,9 +25,9 @@ func seedRecorder() *Recorder {
 			r.Observe(at, BatchWaitSeries(m), 2.5)
 			r.Observe(at, DispatchWaitSeries(m), 0.5)
 		}
-		r.Add(at, StageSeries("pre"), 1.5)
-		r.Add(at, StageSeries("infer"), 8)
-		r.Add(at, StageSeries("post"), 0.5)
+		r.Add(at, StageSeries(core.StagePre), 1.5)
+		r.Add(at, StageSeries(core.StageKernel), 8)
+		r.Add(at, StageSeries(core.StagePost), 0.5)
 	}
 	r.Add(3900*time.Millisecond, RejectedSeries(model), 3)
 	r.Add(3900*time.Millisecond, RejectedSeries(AllModels), 3)

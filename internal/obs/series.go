@@ -1,6 +1,9 @@
 package obs
 
-import "aitax/internal/telemetry"
+import (
+	"aitax/internal/core"
+	"aitax/internal/telemetry"
+)
 
 // Series-name contract shared by the two serving bridges (the
 // virtual-time simulator and the wall-clock HTTP frontend) and their
@@ -68,11 +71,12 @@ func DispatchWaitSeries(model string) string {
 }
 
 // Stages are the Table-III tax-anatomy stages the recorder tracks as
-// per-window ms sums, in display order.
-var Stages = []string{"pre", "framework", "rpc", "infer", "post"}
+// per-window ms sums, in display order: inference split into its
+// framework, FastRPC and kernel sub-stages.
+var Stages = []core.Stage{core.StagePre, core.StageFramework, core.StageRPC, core.StageKernel, core.StagePost}
 
 // StageSeries is the per-stage time counter (ms summed over the
 // window's served requests), aggregated across models.
-func StageSeries(stage string) string {
-	return telemetry.Labeled("stage_ms", "stage", stage)
+func StageSeries(stage core.Stage) string {
+	return telemetry.Labeled("stage_ms", "stage", stage.String())
 }

@@ -140,6 +140,26 @@ func TestParseLadder(t *testing.T) {
 	}
 }
 
+// FuzzParseClass: an input either fails with an error wrapping
+// ErrBadLadder or yields a class whose name parses back to it.
+func FuzzParseClass(f *testing.F) {
+	for _, seed := range []string{"", "standard", "std", "Interactive", " best-effort ", "be", "vip", "class(3)"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		c, err := ParseClass(in)
+		if err != nil {
+			if !errors.Is(err, ErrBadLadder) {
+				t.Fatalf("ParseClass(%q): error %v does not wrap ErrBadLadder", in, err)
+			}
+			return
+		}
+		if back, err := ParseClass(c.String()); err != nil || back != c {
+			t.Fatalf("ParseClass(%q) = %v, whose name parses to %v, %v", in, c, back, err)
+		}
+	})
+}
+
 func FuzzParseLadder(f *testing.F) {
 	for _, seed := range []string{
 		"", "on", "tick=100ms,hold=4", "enter=0.4/0.6/0.8,exit=0.2/0.3/0.4",

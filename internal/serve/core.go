@@ -3,6 +3,7 @@ package serve
 import (
 	"time"
 
+	taxcore "aitax/internal/core"
 	"aitax/internal/qos"
 	"aitax/internal/sim"
 	"aitax/internal/telemetry"
@@ -35,44 +36,13 @@ type Outcome struct {
 	Steered bool
 	// BatchSize is the size of the batch that served the request.
 	BatchSize int
-	// Infer is the request's share of the batch's inference time — the
-	// useful compute. Everything else in Latency is serving tax.
-	Infer time.Duration
+	// Stages is the request's share of the batch's stage anatomy (see
+	// BatchCost): its inference stage is the useful compute, everything
+	// else in Latency is serving tax.
+	Stages taxcore.StageTimes
 	// ComputeTax is the request's share of the batch's pipeline tax
 	// plus its share of the per-dispatch overhead.
 	ComputeTax time.Duration
-	// Pre, Post, RPC and Exec are the request's share of the batch's
-	// Table-III stage anatomy (see BatchCost) — the streaming recorder's
-	// per-window tax export.
-	Pre  time.Duration
-	Post time.Duration
-	RPC  time.Duration
-	Exec time.Duration
-}
-
-// Framework is the inference-stage time not attributed to FastRPC
-// overhead or remote kernel execution: the framework/scheduling slice of
-// the Table-III anatomy. On delegates that never cross to the DSP it is
-// zero (all inference time counts as kernel execution).
-func (o Outcome) Framework() time.Duration {
-	if o.Exec == 0 && o.RPC == 0 {
-		return 0
-	}
-	fw := o.Infer - o.RPC - o.Exec
-	if fw < 0 {
-		return 0
-	}
-	return fw
-}
-
-// KernelExec is the useful kernel-execution slice of the anatomy: the
-// measured remote execution when the inference crossed to the DSP, the
-// whole inference stage otherwise.
-func (o Outcome) KernelExec() time.Duration {
-	if o.Exec == 0 && o.RPC == 0 {
-		return o.Infer
-	}
-	return o.Exec
 }
 
 // Latency is the end-to-end time the client observed.
@@ -81,7 +51,7 @@ func (o Outcome) Latency() time.Duration { return o.Finished.Sub(o.Arrival) }
 // Tax is the non-inference share of the request's latency: batch wait,
 // dispatch wait, its slice of the batch's pipeline tax and dispatch
 // overhead, and time serialized behind batch co-riders.
-func (o Outcome) Tax() time.Duration { return o.Latency() - o.Infer }
+func (o Outcome) Tax() time.Duration { return o.Latency() - o.Stages.Stage[taxcore.StageInference] }
 
 // BatchWait is time spent waiting for the batch window to close.
 func (o Outcome) BatchWait() time.Duration { return o.Flushed.Sub(o.Arrival) }
@@ -377,17 +347,13 @@ func (c *core) complete(b *batch, cost BatchCost, err error) {
 		c.qs.hot--
 	}
 	if err == nil {
-		k, svc := time.Duration(len(b.reqs)), c.service(b, cost)
+		k, svc := len(b.reqs), c.service(b, cost)
 		for _, r := range b.reqs {
 			o := &r.out
 			o.Finished = o.Started.Add(svc)
-			o.BatchSize = len(b.reqs)
-			o.Infer = cost.Infer / k
-			o.ComputeTax = (cost.Tax + c.cfg.DispatchCost) / k
-			o.Pre = cost.Pre / k
-			o.Post = cost.Post / k
-			o.RPC = cost.RPC / k
-			o.Exec = cost.Exec / k
+			o.BatchSize = k
+			o.Stages = cost.Sum.Div(k)
+			o.ComputeTax = (cost.Sum.Tax() + c.cfg.DispatchCost) / time.Duration(k)
 			c.burn(o.Model, o.Latency(), false)
 		}
 	}

@@ -23,22 +23,10 @@ type BatchCost struct {
 	// Service is the executor's busy time for the whole batch (virtual),
 	// excluding the per-dispatch overhead (Config.DispatchCost).
 	Service time.Duration
-	// Infer is the summed inference-stage time across the batch — the
-	// useful compute the clients paid for.
-	Infer time.Duration
-	// Tax is the summed per-frame pipeline tax across the batch
-	// (pre/post processing, fault retries, delegate fallback).
-	Tax time.Duration
-	// Pre and Post are the summed pre-/post-processing stage times — the
-	// Table-III anatomy the streaming recorder exports per window.
-	Pre  time.Duration
-	Post time.Duration
-	// RPC is the summed FastRPC overhead inside the inference stage
-	// (transport + queue + cache flush) and Exec the summed remote
-	// kernel execution, both measured from the stack's fastrpc metrics.
-	// Zero on delegates that never cross to the DSP.
-	RPC  time.Duration
-	Exec time.Duration
+	// Sum is the batch's stage anatomy summed over its k requests. Its
+	// RPC and Exec are measured from the stack's fastrpc metrics, and
+	// stay zero on delegates that never cross to the DSP.
+	Sum taxcore.StageTimes
 }
 
 // batchSeed derives the executor-stack seed for one (model, batch-size)
@@ -78,34 +66,30 @@ func MeasureBatch(ctx context.Context, cfg Config, m *models.Model, k int) (Batc
 	if err != nil {
 		return BatchCost{}, err
 	}
-	rpcSum := func() time.Duration {
+	// split scrapes the FastRPC overhead and remote kernel time so far.
+	split := func() (rpc, exec time.Duration) {
 		ms := mreg.Sum("aitax_fastrpc_transport_ms") +
 			mreg.Sum("aitax_fastrpc_queue_ms") +
 			mreg.Sum("aitax_fastrpc_cache_flush_ms")
-		return time.Duration(ms * float64(time.Millisecond))
-	}
-	execSum := func() time.Duration {
-		return time.Duration(mreg.Sum("aitax_fastrpc_exec_ms") * float64(time.Millisecond))
+		return time.Duration(ms * float64(time.Millisecond)),
+			time.Duration(mreg.Sum("aitax_fastrpc_exec_ms") * float64(time.Millisecond))
 	}
 	bc := BatchCost{Batch: k}
 	a.Init(func() {
 		start := rt.Eng.Now()
 		// Baselines taken after init: model load / plan compilation RPC
 		// traffic is setup cost, not part of the batch's anatomy.
-		rpc0, exec0 := rpcSum(), execSum()
+		rpc0, exec0 := split()
 		var next func(i int)
 		next = func(i int) {
 			if i == k {
 				bc.Service = rt.Eng.Now().Sub(start)
-				bc.RPC = rpcSum() - rpc0
-				bc.Exec = execSum() - exec0
+				rpc, exec := split()
+				bc.Sum.RPC, bc.Sum.Exec = rpc-rpc0, exec-exec0
 				return
 			}
 			a.ProcessRange(cfg.Entry, taxcore.StagePost, func(st taxcore.StageTimes) {
-				bc.Infer += st.Stage[taxcore.StageInference]
-				bc.Tax += st.Tax()
-				bc.Pre += st.Stage[taxcore.StagePre]
-				bc.Post += st.Stage[taxcore.StagePost]
+				bc.Sum = bc.Sum.Add(st)
 				next(i + 1)
 			})
 		}

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	taxcore "aitax/internal/core"
 	"aitax/internal/lab"
 	"aitax/internal/models"
 	"aitax/internal/obs"
@@ -386,7 +387,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, req *http.Request, task mode
 			Batch:     o.BatchSize,
 			QueueMS:   ms(queue),
 			ServiceMS: ms(o.Finished.Sub(o.Started)),
-			InferMS:   ms(o.Infer),
+			InferMS:   ms(o.Stages.Stage[taxcore.StageInference]),
 			TaxMS:     ms(queue + o.ComputeTax),
 			ServedBy:  o.ServedAs,
 		})

@@ -166,11 +166,9 @@ func recordServed(rec *obs.Recorder, o Outcome, at time.Duration) {
 		rec.Observe(at, obs.BatchWaitSeries(m), ms(o.BatchWait()))
 		rec.Observe(at, obs.DispatchWaitSeries(m), ms(o.DispatchWait()))
 	}
-	rec.Add(at, obs.StageSeries("pre"), ms(o.Pre))
-	rec.Add(at, obs.StageSeries("framework"), ms(o.Framework()))
-	rec.Add(at, obs.StageSeries("rpc"), ms(o.RPC))
-	rec.Add(at, obs.StageSeries("infer"), ms(o.KernelExec()))
-	rec.Add(at, obs.StageSeries("post"), ms(o.Post))
+	for _, st := range obs.Stages {
+		rec.Add(at, obs.StageSeries(st), ms(o.Stages.Of(st)))
+	}
 }
 
 // Snapshot renders the end-of-run -watch dashboard: the exact text a

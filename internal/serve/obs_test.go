@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	taxcore "aitax/internal/core"
 	"aitax/internal/loadgen"
 	"aitax/internal/obs"
 )
@@ -84,17 +85,17 @@ func TestBuildSimObsStageAnatomyMatchesOutcomes(t *testing.T) {
 	var wantPre, wantPost time.Duration
 	for _, o := range res.Outcomes {
 		if !o.Rejected {
-			wantPre += o.Pre
-			wantPost += o.Post
+			wantPre += o.Stages.Stage[taxcore.StagePre]
+			wantPost += o.Stages.Stage[taxcore.StagePost]
 		}
 	}
 	var gotPre, gotPost float64
 	for _, row := range so.Rows {
-		gotPre += row.Counters[obs.StageSeries("pre")]
-		gotPost += row.Counters[obs.StageSeries("post")]
+		gotPre += row.Counters[obs.StageSeries(taxcore.StagePre)]
+		gotPost += row.Counters[obs.StageSeries(taxcore.StagePost)]
 	}
 	if wantPre == 0 {
-		t.Fatal("outcomes carry no pre-processing time; BatchCost.Pre not plumbed")
+		t.Fatal("outcomes carry no pre-processing time; BatchCost.Sum not plumbed")
 	}
 	tol := 1e-6
 	if diff := gotPre - ms(wantPre); diff > tol || diff < -tol {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	taxcore "aitax/internal/core"
 	"aitax/internal/stats"
 )
 
@@ -41,7 +42,7 @@ func (a *modelAgg) add(o Outcome) {
 	}
 	a.served++
 	a.latencies = append(a.latencies, o.Latency())
-	a.infer += o.Infer
+	a.infer += o.Stages.Stage[taxcore.StageInference]
 	a.tax += o.Tax()
 	a.batchWait += o.BatchWait()
 	a.dispWait += o.DispatchWait()

@@ -55,7 +55,7 @@ func TestCostTableParallelismIndependent(t *testing.T) {
 		t.Fatal("cost table differs between parallel 1 and 4")
 	}
 	c1 := seq.cost(cfg.Models[0].Name, 1, false)
-	if c1.Service <= 0 || c1.Infer <= 0 || c1.Infer >= c1.Service {
+	if infer := c1.Sum.Stage[taxcore.StageInference]; c1.Service <= 0 || infer <= 0 || infer >= c1.Service {
 		t.Fatalf("implausible batch-1 cost: %+v", c1)
 	}
 	c4 := seq.cost(cfg.Models[0].Name, 4, false)

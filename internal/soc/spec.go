@@ -3,6 +3,7 @@ package soc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -114,6 +115,13 @@ func (sp Spec) Validate() error {
 	if sp.Name == "" {
 		return fmt.Errorf("%w: unnamed spec", ErrBadSpec)
 	}
+	// NaN passes every range check below, and Build turns an infinite
+	// clock or scale into infinite device throughput.
+	for _, v := range []float64{sp.BigGHz, sp.LittleGHz, sp.Gen, sp.GPUScale, sp.DSPScale, sp.IdleTempC, sp.MaxTempC} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: %s: parameters must be finite, got %g", ErrBadSpec, sp.Name, v)
+		}
+	}
 	if sp.BigCores <= 0 {
 		return fmt.Errorf("%w: %s: missing big cluster (BigCores %d)", ErrBadSpec, sp.Name, sp.BigCores)
 	}
@@ -137,9 +145,11 @@ func (sp Spec) Validate() error {
 	if sp.IdleTempC < 0 || sp.MaxTempC < 0 {
 		return fmt.Errorf("%w: %s: negative thermal envelope", ErrBadSpec, sp.Name)
 	}
-	if sp.MaxTempC != 0 && sp.IdleTempC != 0 && sp.MaxTempC <= sp.IdleTempC {
+	// Build fills a zero temperature with its default, so the envelope
+	// is checked as Build will use it.
+	if d := sp.Defaults(); d.MaxTempC <= d.IdleTempC {
 		return fmt.Errorf("%w: %s: MaxTempC %.1f must exceed IdleTempC %.1f",
-			ErrBadSpec, sp.Name, sp.MaxTempC, sp.IdleTempC)
+			ErrBadSpec, sp.Name, d.MaxTempC, d.IdleTempC)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package soc
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -43,6 +44,12 @@ func TestSpecValidateTable(t *testing.T) {
 		{"negative rpc wakeup", func(s *Spec) { s.RPC.DSPWakeup = -time.Microsecond }, "negative RPC"},
 		{"negative idle temp", func(s *Spec) { s.IdleTempC = -5 }, "thermal"},
 		{"inverted envelope", func(s *Spec) { s.IdleTempC = 50; s.MaxTempC = 40 }, "must exceed"},
+		{"idle above default max", func(s *Spec) { s.IdleTempC = 95 }, "must exceed"},
+		{"max below default idle", func(s *Spec) { s.MaxTempC = 20 }, "must exceed"},
+		{"NaN gen", func(s *Spec) { s.Gen = math.NaN() }, "finite"},
+		{"NaN dsp scale", func(s *Spec) { s.DSPScale = math.NaN() }, "finite"},
+		{"NaN max temp", func(s *Spec) { s.MaxTempC = math.NaN() }, "finite"},
+		{"infinite big clock", func(s *Spec) { s.BigGHz = math.Inf(1) }, "finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -220,4 +227,31 @@ func TestMidTierIsSlower(t *testing.T) {
 	if entry.RPC.KernelCrossing <= flag.RPC.KernelCrossing {
 		t.Fatal("entry kernel crossings must be costlier")
 	}
+}
+
+// FuzzSpecValidate: a spec either fails Validate with an error wrapping
+// ErrBadSpec or builds. Build runs only up to 16 cores, to keep each
+// input small.
+func FuzzSpecValidate(f *testing.F) {
+	f.Add(2, 6, 2.2, 1.8, 0.7, 0.5, 0.5, 0.0, 0.0, int64(0), int64(0))
+	f.Add(4, 0, 2.8, 0.0, 1.2, 1.0, 1.0, 33.0, 95.0, int64(time.Millisecond), int64(time.Microsecond))
+	f.Add(2, 6, math.Inf(1), 1.8, math.NaN(), 0.5, 0.5, 0.0, 10.0, int64(0), int64(-1))
+	f.Fuzz(func(t *testing.T, big, little int, bigGHz, littleGHz, gen, gpu, dsp, idle, max float64, setup, crossing int64) {
+		sp := goodSpec()
+		sp.BigCores, sp.LittleCores, sp.BigGHz, sp.LittleGHz = big, little, bigGHz, littleGHz
+		sp.Gen, sp.GPUScale, sp.DSPScale, sp.IdleTempC, sp.MaxTempC = gen, gpu, dsp, idle, max
+		sp.RPC.SessionSetup, sp.RPC.KernelCrossing = time.Duration(setup), time.Duration(crossing)
+		if err := sp.Validate(); err != nil {
+			if !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("Validate(%+v): error %v does not wrap ErrBadSpec", sp, err)
+			}
+			return
+		}
+		if big > 16 || little > 16-big {
+			return
+		}
+		if _, err := sp.Build(); err != nil {
+			t.Fatalf("Validate accepts %+v, which Build rejects: %v", sp, err)
+		}
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"time"
 
+	"aitax/internal/core"
 	"aitax/internal/driver"
 	"aitax/internal/fastrpc"
 	"aitax/internal/faults"
@@ -458,7 +459,7 @@ func (ip *Interpreter) InvokeTraced(parent *telemetry.ActiveSpan, done func(Repo
 	if !ip.initialized {
 		panic("tflite: Invoke before Init")
 	}
-	fw := ip.rt.Tracer.Start("framework", "tflite", telemetry.TrackCPU, parent)
+	fw := ip.rt.Tracer.Start(core.StageFramework.String(), "tflite", telemetry.TrackCPU, parent)
 	fw.SetAttr("model", ip.Model.Name)
 	fw.SetAttr("delegate", ip.opts.Delegate.String())
 	finish := func(rep Report) {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-norace vet bench bench-smoke bench-wall experiments validate results examples fleet-demo clean
+.PHONY: all build test test-norace vet loc bench bench-smoke bench-wall experiments validate results examples fleet-demo clean
 
 all: build test
 
@@ -9,6 +9,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Size of the program: non-test Go lines outside hostbench/ (blank and
+# comment-only lines excluded), then the package count.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './hostbench/*' ! -path './.bench_build/*' | xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l
+	@$(GO) list ./... | wc -l
 
 # vet + race so the concurrent lab runner is race-checked on every run.
 test: vet

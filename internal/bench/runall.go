@@ -53,11 +53,6 @@ func RunAll(cfg Config, parallelism int) []*Result {
 	return out
 }
 
-// RunAllCtx is RunAll with cancellation.
-func RunAllCtx(ctx context.Context, cfg Config, parallelism int) ([]*Result, error) {
-	return RunExperimentsCtx(ctx, Experiments(), cfg, parallelism)
-}
-
 // errorResult packages a failed experiment as a renderable Result whose
 // note matches the "setup failed" convention the validation gate scans
 // for.

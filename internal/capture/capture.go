@@ -92,7 +92,7 @@ var previewPools sync.Map
 // procedural content.
 //
 // The frames are read-only: delivered images are only ever read (by
-// ConvertFrame and ConvertFrameInto), and the slice is capped so an
+// ConvertFrameInto), and the slice is capped so an
 // append cannot write into the shared backing array.
 func previewFrames(width, height int) []*imaging.YUVImage {
 	key := [2]int{width, height}
@@ -124,7 +124,7 @@ func (c *Camera) ConversionWork() work.Work {
 
 // Capture delivers the next frame after the sensor-side latency. The
 // CPU-side conversion is the caller's job (it belongs to the app's
-// threads); ConvertFrame performs it for real.
+// threads); ConvertFrameInto performs it for real.
 func (c *Camera) Capture(done func(*Frame)) {
 	base := c.Exposure + c.Readout
 	lat := c.rng.Jitter(base, c.JitterCV)
@@ -150,13 +150,8 @@ func (c *Camera) Capture(done func(*Frame)) {
 	})
 }
 
-// ConvertFrame performs the real NV21→ARGB conversion of a frame.
-func ConvertFrame(f *Frame) *imaging.ARGBImage {
-	return imaging.YUVToARGB(f.Image)
-}
-
-// ConvertFrameInto is the scratch-reusing variant of ConvertFrame: the
-// bitmap is decoded into dst, which steady-state callers recycle every
+// ConvertFrameInto performs the real NV21→ARGB conversion of a frame:
+// the bitmap is decoded into dst, which steady-state callers recycle every
 // frame so the conversion allocates nothing. Returns dst.
 func ConvertFrameInto(dst *imaging.ARGBImage, f *Frame) *imaging.ARGBImage {
 	return imaging.YUVToARGBInto(dst, f.Image)

@@ -77,7 +77,7 @@ func TestSequenceNumbers(t *testing.T) {
 func TestConvertFrame(t *testing.T) {
 	eng, cam := newCam()
 	cam.Capture(func(f *Frame) {
-		img := ConvertFrame(f)
+		img := ConvertFrameInto(new(imaging.ARGBImage), f)
 		if img.Width != cam.Width || img.Height != cam.Height {
 			t.Errorf("converted dims = %dx%d", img.Width, img.Height)
 		}

@@ -217,29 +217,6 @@ func TestNNAPIVendorLagsOnQuantizedAdd(t *testing.T) {
 	}
 }
 
-func TestInceptionHalfOffloadsUnderNNAPI(t *testing.T) {
-	// §IV-A: Inception v3 "only partially able to be offloaded by NNAPI
-	// and runs around half of its inference on the CPU".
-	m, _ := models.ByName("Inception v3")
-	frac := SupportedFraction(m.Graph, tensor.Float32, NNAPIVendorSupports)
-	if frac < 0.3 || frac > 0.75 {
-		t.Fatalf("Inception v3 NNAPI-supported fraction = %.2f, want ~half", frac)
-	}
-	mob, _ := models.ByName("MobileNet 1.0 v1")
-	if f := SupportedFraction(mob.Graph, tensor.UInt8, NNAPIVendorSupports); f < 0.95 {
-		t.Fatalf("MobileNet int8 must offload nearly fully, got %.2f", f)
-	}
-}
-
-func TestEfficientNetShattersUnderNNAPIInt8(t *testing.T) {
-	m, _ := models.ByName("EfficientNet-Lite0")
-	frac := SupportedFraction(m.Graph, tensor.UInt8, NNAPIVendorSupports)
-	full := SupportedFraction(m.Graph, tensor.UInt8, HexagonDelegateSupports)
-	if frac >= full {
-		t.Fatal("vendor NNAPI int8 must cover less of EfficientNet than the Hexagon delegate")
-	}
-}
-
 func TestSNPESupportsLRN(t *testing.T) {
 	lrn := &nn.Op{Name: "l", Kind: nn.LocalResponseNorm}
 	if !SNPESupports(lrn, tensor.Float32) {

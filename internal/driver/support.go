@@ -92,21 +92,3 @@ func SNPESupports(op *nn.Op, dt tensor.DType) bool {
 		return false
 	}
 }
-
-// SupportedFraction reports the fraction of a graph's MACs that a
-// support matrix covers — a quick measure of how much of a model can
-// offload (Inception v3 sits near one half under NNAPI).
-func SupportedFraction(g *nn.Graph, dt tensor.DType, supports func(*nn.Op, tensor.DType) bool) float64 {
-	var total, ok int64
-	for _, op := range g.Ops() {
-		f := op.FLOPs()
-		total += f
-		if supports(op, dt) {
-			ok += f
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(ok) / float64(total)
-}

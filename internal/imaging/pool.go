@@ -10,23 +10,7 @@ import "sync"
 // not touch it. Returning a buffer is always optional: an un-Put image
 // is simply garbage-collected.
 
-var yuvPool = sync.Pool{New: func() any { return new(YUVImage) }}
 var argbPool = sync.Pool{New: func() any { return new(ARGBImage) }}
-
-// GetYUV returns a pooled NV21 frame of the given (even) dimensions.
-// Contents are undefined; the caller must overwrite every byte.
-func GetYUV(width, height int) *YUVImage {
-	img := yuvPool.Get().(*YUVImage)
-	img.Resize(width, height)
-	return img
-}
-
-// PutYUV returns a frame to the pool. nil is ignored.
-func PutYUV(img *YUVImage) {
-	if img != nil {
-		yuvPool.Put(img)
-	}
-}
 
 // GetARGB returns a pooled ARGB bitmap of the given dimensions.
 // Contents are undefined; the caller must overwrite every pixel.

@@ -69,15 +69,6 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OP(%d)", int(k))
 }
 
-// AllOpKinds lists every kind, in declaration order.
-func AllOpKinds() []OpKind {
-	out := make([]OpKind, 0, len(opKindNames))
-	for k := Conv2D; k <= LocalResponseNorm; k++ {
-		out = append(out, k)
-	}
-	return out
-}
-
 // Op is one operation in a model graph. Spatial ops use the H/W/C fields;
 // transformer ops use Seq/Hidden/Inner. Params is the weight element
 // count; MACs is the multiply-accumulate count, both set by the layer

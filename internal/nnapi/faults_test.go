@@ -96,8 +96,14 @@ func TestExecuteFallbackOnPartitionFailure(t *testing.T) {
 	if rep.Retry <= 0 {
 		t.Fatal("the failed attempts' retry time must be reported")
 	}
-	if _, ok := rep.PerTarget["nnapi-cpu-fallback"]; !ok {
-		t.Fatalf("CPU fallback never ran: %v", rep.PerTarget)
+	moved := 0
+	for _, p := range cm.Partitions {
+		if p.Target == r.fw.FallbackCPU && p.Costs == nil {
+			moved++
+		}
+	}
+	if moved != rep.Fallbacks {
+		t.Fatalf("%d partitions moved to the CPU fallback, want one per fallback (%d)", moved, rep.Fallbacks)
 	}
 	if cm.AccelPartitions() != 0 {
 		t.Fatal("failed partition must move to the CPU for good")

@@ -47,22 +47,13 @@ func (p Preference) String() string {
 	}
 }
 
-// Partition is a contiguous op segment assigned to one target.
-type Partition struct {
-	Target driver.Target
-	Ops    []*nn.Op
-	// Costs is the precomputed per-op device-time schedule for Ops on
-	// Target (from the shared plan cache); nil recomputes per execution.
-	Costs []time.Duration
-}
-
 // CompiledModel is the result of model compilation: the partition plan
 // plus bookkeeping, computed once per model load (§II-D).
 type CompiledModel struct {
 	Graph      *nn.Graph
 	DType      tensor.DType
 	Preference Preference
-	Partitions []Partition
+	Partitions []driver.Partition
 	// CompileTime is the one-time compilation/partitioning cost.
 	CompileTime time.Duration
 	// ReferenceFallback marks plans NNAPI abandoned for the reference
@@ -217,39 +208,27 @@ func (f *Framework) Compile(g *nn.Graph, dt tensor.DType, pref Preference) *Comp
 		CompileTime: time.Duration(g.NumOps()) * f.CompilePerOp,
 	}
 	ops := g.Ops()
-	assign := func() any {
-		return plan.PartitionSegments(ops, dt, func(op *nn.Op, dt tensor.DType) bool {
-			return f.Supports(op, dt) && accel.Supports(op, dt)
-		})
-	}
-	var segs []plan.Segment
-	if f.Plans != nil && g.Name != "" {
+	if g.Name != "" {
 		cm.plans = f.Plans
 		cm.planKey = plan.Key{Kind: "nnapi-partition", Model: g.Name, DType: dt,
 			Scope: accel.Name(), Platform: f.PlanPlatform, Variant: g.NumOps()}
-		segs = f.Plans.Get(cm.planKey, assign).([]plan.Segment)
-	} else {
-		segs = assign().([]plan.Segment)
 	}
-	// Materialize per-plan partitions from the shared assignment: the
-	// Partitions slice is this plan's own (execution-time fallbacks
-	// mutate it), only the index ranges and cost schedules are shared.
+	segs := cm.plans.Get(cm.planKey, func() any {
+		return plan.PartitionSegments(ops, dt, func(op *nn.Op, dt tensor.DType) bool {
+			return f.Supports(op, dt) && accel.Supports(op, dt)
+		})
+	}).([]plan.Segment)
+	// The Partitions slice is this plan's own (execution-time fallbacks
+	// mutate it); only the index ranges and cost schedules are shared.
 	accelCosts := driver.CachedOpCosts(f.Plans, f.PlanPlatform, g.Name, g, dt, accel)
 	cpuCosts := driver.CachedOpCosts(f.Plans, f.PlanPlatform, g.Name, g, dt, f.FallbackCPU)
-	cm.Partitions = make([]Partition, 0, len(segs))
-	for _, s := range segs {
-		t, costs := f.FallbackCPU, cpuCosts
-		if s.Accel {
-			t, costs = accel, accelCosts
-		}
-		cm.Partitions = append(cm.Partitions, Partition{Target: t, Ops: ops[s.Start:s.End], Costs: costs[s.Start:s.End]})
-	}
+	cm.Partitions = driver.Partitions(ops, segs, accel, accelCosts, f.FallbackCPU, cpuCosts)
 	quant := dt == tensor.Int8 || dt == tensor.UInt8
 	if quant && len(cm.Partitions) > f.MaxQuantPartitions {
 		// The vendor driver rejects the shattered plan; NNAPI retreats
 		// to its reference implementation for the whole graph.
 		cm.ReferenceFallback = true
-		cm.Partitions = []Partition{{Target: f.ReferenceCPU, Ops: ops,
+		cm.Partitions = []driver.Partition{{Target: f.ReferenceCPU, Ops: ops,
 			Costs: driver.CachedOpCosts(f.Plans, f.PlanPlatform, g.Name, g, dt, f.ReferenceCPU)}}
 	} else if cm.AccelPartitions() > 0 {
 		// The vendor driver's accelerator bring-up can fail outright
@@ -257,8 +236,8 @@ func (f *Framework) Compile(g *nn.Graph, dt tensor.DType, pref Preference) *Comp
 		// fallback and eats the second planning pass.
 		if err := f.Faults.DelegateInit(accel.Name()); err != nil {
 			cm.DriverInitFailed = true
-			cm.Partitions = []Partition{{Target: f.FallbackCPU, Ops: ops, Costs: cpuCosts}}
-			cm.invalidate()
+			cm.Partitions = []driver.Partition{{Target: f.FallbackCPU, Ops: ops, Costs: cpuCosts}}
+			cm.plans.Invalidate(cm.planKey)
 			cm.CompileTime += time.Duration(g.NumOps()) * f.CompilePerOp / 2
 			f.Metrics.Inc(telemetry.Labeled("aitax_faults_injected_total", "site", faults.SiteDelegateInit.String()))
 			f.Metrics.Inc(telemetry.Labeled("aitax_faults_fallbacks_total", "layer", "nnapi-compile"))
@@ -267,28 +246,9 @@ func (f *Framework) Compile(g *nn.Graph, dt tensor.DType, pref Preference) *Comp
 	return cm
 }
 
-// invalidate drops this plan's shared partition entry (if it came from
-// the cache) after a fault-driven re-plan; other entries stay warm.
-func (cm *CompiledModel) invalidate() {
-	if cm.plans != nil {
-		cm.plans.Invalidate(cm.planKey)
-	}
-}
-
-// Report aggregates one NNAPI execution.
-type Report struct {
-	driver.Result
-	// Transitions counts partition boundaries crossed.
-	Transitions int
-	// PerTarget accumulates wall time by target name.
-	PerTarget map[string]time.Duration
-	// Fallbacks counts partitions that failed on the accelerator and
-	// were re-run on the CPU fallback this execution.
-	Fallbacks int
-	// FallbackCost is the extra handoff/re-planning time those
-	// fallbacks burned (the failed attempts' retry time is in Retry).
-	FallbackCost time.Duration
-}
+// Report aggregates one NNAPI execution; Fallbacks counts partitions
+// that failed on the accelerator and were re-run on the CPU fallback.
+type Report = driver.PlanReport
 
 // Execute runs a compiled plan: partitions execute in order, each
 // boundary paying the transition overhead. A partition that fails on
@@ -309,57 +269,22 @@ func (f *Framework) Execute(cm *CompiledModel, done func(Report)) {
 			return
 		}
 	}
-	rep := Report{PerTarget: make(map[string]time.Duration)}
-	var runPart func(i int)
-	runPart = func(i int) {
-		if i >= len(cm.Partitions) {
-			if done != nil {
-				done(rep)
+	driver.RunPlan(f.eng, &cm.Partitions, cm.DType, f.TransitionOverhead, nil,
+		func(i int, resume func(int)) (time.Duration, bool) {
+			p := &cm.Partitions[i]
+			if p.Target == f.FallbackCPU || p.Target == f.ReferenceCPU {
+				return 0, false
 			}
-			return
-		}
-		p := cm.Partitions[i]
-		exec := func() {
-			p.Target.Execute(p.Ops, p.Costs, cm.DType, nil, func(res driver.Result) {
-				if res.Err != nil && p.Target != f.FallbackCPU && p.Target != f.ReferenceCPU {
-					// The accelerator gave up on this partition. Absorb
-					// the failed attempt's time (it really passed), pay
-					// the handoff + re-planning penalty, move the
-					// partition to the CPU fallback for good, and re-run.
-					res.Err = nil
-					rep.Result = rep.Result.Add(res)
-					rep.PerTarget[p.Target.Name()] += res.Total()
-					penalty := f.TransitionOverhead + time.Duration(len(p.Ops))*f.CompilePerOp/2
-					rep.Fallbacks++
-					rep.FallbackCost += penalty
-					rep.Overhead += penalty
-					f.Tracer.Instant("nnapi-fallback", "faults", telemetry.TrackCPU, nil, f.eng.Now())
-					f.Metrics.Inc(telemetry.Labeled("aitax_faults_fallbacks_total", "layer", "nnapi"))
-					f.Metrics.Observe("aitax_faults_fallback_ms", float64(penalty)/float64(time.Millisecond))
-					cm.Partitions[i].Target = f.FallbackCPU
-					cm.Partitions[i].Costs = nil // accel schedule no longer applies
-					cm.invalidate()
-					f.eng.After(penalty, func() {
-						f.FallbackCPU.Execute(p.Ops, nil, cm.DType, nil, func(res2 driver.Result) {
-							rep.Result = rep.Result.Add(res2)
-							rep.PerTarget[f.FallbackCPU.Name()] += res2.Total()
-							runPart(i + 1)
-						})
-					})
-					return
-				}
-				rep.Result = rep.Result.Add(res)
-				rep.PerTarget[p.Target.Name()] += res.Total()
-				runPart(i + 1)
-			})
-		}
-		if i > 0 {
-			rep.Transitions++
-			rep.Overhead += f.TransitionOverhead
-			f.eng.After(f.TransitionOverhead, exec)
-		} else {
-			exec()
-		}
-	}
-	runPart(0)
+			// The accelerator gave up on this partition. Pay the handoff
+			// + re-planning penalty, move the partition to the CPU
+			// fallback for good, and re-run it there.
+			penalty := f.TransitionOverhead + time.Duration(len(p.Ops))*f.CompilePerOp/2
+			f.Tracer.Instant("nnapi-fallback", "faults", telemetry.TrackCPU, nil, f.eng.Now())
+			f.Metrics.Inc(telemetry.Labeled("aitax_faults_fallbacks_total", "layer", "nnapi"))
+			f.Metrics.Observe("aitax_faults_fallback_ms", float64(penalty)/float64(time.Millisecond))
+			*p = driver.Partition{Target: f.FallbackCPU, Ops: p.Ops} // the accel schedule no longer applies
+			cm.plans.Invalidate(cm.planKey)
+			f.eng.After(penalty, func() { resume(i) })
+			return penalty, true
+		}, done)
 }

@@ -119,8 +119,12 @@ func TestExecutePartitionedPlan(t *testing.T) {
 	if rep.Transitions != len(cm.Partitions)-1 {
 		t.Fatalf("transitions = %d, want %d", rep.Transitions, len(cm.Partitions)-1)
 	}
-	if rep.PerTarget["nnapi-gpu"] <= 0 || rep.PerTarget["nnapi-cpu-fallback"] <= 0 {
-		t.Fatalf("per-target times = %v, want both targets used", rep.PerTarget)
+	used := map[string]bool{}
+	for _, p := range cm.Partitions {
+		used[p.Target.Name()] = true
+	}
+	if !used["nnapi-gpu"] || !used["nnapi-cpu-fallback"] {
+		t.Fatalf("partition targets = %v, want both targets used", used)
 	}
 	if rep.Total() <= 0 {
 		t.Fatal("no total time")

@@ -48,6 +48,9 @@ func MeasureBatch(ctx context.Context, cfg Config, m *models.Model, k int) (Batc
 	if k < 1 {
 		return BatchCost{}, fmt.Errorf("serve: batch size must be at least 1, got %d", k)
 	}
+	if cfg.Platform == nil {
+		return BatchCost{}, ErrNoPlatform
+	}
 	rt := tflite.NewStack(cfg.Platform, batchSeed(cfg.Seed, m.Name, k))
 	inj, err := faults.New(cfg.Faults.Resolved(cfg.Seed))
 	if err != nil {

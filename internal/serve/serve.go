@@ -23,6 +23,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -128,10 +129,14 @@ func (c Config) Defaults() Config {
 	return c
 }
 
+// ErrNoPlatform is the error for a config without a platform: there is
+// no SoC to build an executor stack on.
+var ErrNoPlatform = errors.New("serve: config needs a platform")
+
 // Validate reports the first problem with the config.
 func (c Config) Validate() error {
 	if c.Platform == nil {
-		return fmt.Errorf("serve: config needs a platform")
+		return ErrNoPlatform
 	}
 	if len(c.Models) == 0 {
 		return fmt.Errorf("serve: config needs at least one model")

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -223,5 +224,13 @@ func TestSimulateRejectsUnknownArrivalModel(t *testing.T) {
 	_, err := Simulate(cfg, table, at("No Such Model", 0), false)
 	if err == nil {
 		t.Fatal("Simulate accepted an arrival for an unloaded model")
+	}
+	// A config without a platform fails with a typed error, not a panic
+	// deep in the stack it would build.
+	if _, err := MeasureBatch(context.Background(), Config{}.Defaults(), cfg.Models[0], 1); !errors.Is(err, ErrNoPlatform) {
+		t.Fatalf("MeasureBatch without a platform: err = %v, want ErrNoPlatform", err)
+	}
+	if err := (Config{}).Defaults().Validate(); !errors.Is(err, ErrNoPlatform) {
+		t.Fatalf("Validate without a platform: err = %v, want ErrNoPlatform", err)
 	}
 }

@@ -199,30 +199,6 @@ func (sm Summary) String() string {
 		sm.N, sm.Mean, sm.StdDev, sm.CV*100, sm.Min, sm.Median, sm.P90, sm.P99, sm.Max, sm.MaxDevFromMedian*100)
 }
 
-// GeoMean returns the geometric mean of positive values; zero or negative
-// inputs are skipped.
-func GeoMean(xs []float64) float64 {
-	acc, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			acc += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(acc / float64(n))
-}
-
-// Ratio returns a/b, or 0 when b is 0.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
 // MeanDuration returns the arithmetic mean of durations.
 func MeanDuration(ds []time.Duration) time.Duration {
 	if len(ds) == 0 {

@@ -192,24 +192,6 @@ func TestNearestRank(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); !almost(g, 10, 1e-9) {
-		t.Fatalf("geomean = %v, want 10", g)
-	}
-	if g := GeoMean([]float64{0, -5}); g != 0 {
-		t.Fatalf("geomean of non-positive = %v, want 0", g)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(10, 4) != 2.5 {
-		t.Fatal("ratio wrong")
-	}
-	if Ratio(1, 0) != 0 {
-		t.Fatal("ratio by zero must be 0")
-	}
-}
-
 func TestMeanDuration(t *testing.T) {
 	if MeanDuration(nil) != 0 {
 		t.Fatal("empty mean duration must be 0")

@@ -187,27 +187,10 @@ type Options struct {
 	ProbeOverhead float64
 }
 
-// Report describes one inference invocation.
-type Report struct {
-	driver.Result
-	// Transitions counts delegate partition boundaries crossed.
-	Transitions int
-	// FellBack reports that the delegate failed mid-run during this
-	// invocation and the graph was re-planned onto the CPU interpreter
-	// (production TFLite's graceful degradation).
-	FellBack bool
-	// FallbackCost is the delegate teardown + CPU re-init time this
-	// invocation paid for that degradation.
-	FallbackCost time.Duration
-}
-
-type segment struct {
-	target driver.Target
-	ops    []*nn.Op
-	// costs is the precomputed per-op device-time schedule for ops on
-	// target, shared through the runtime's plan cache.
-	costs []time.Duration
-}
+// Report describes one inference invocation: the summed result of the
+// partitioned plan, its boundary crossings, and any mid-run CPU
+// fallback's teardown + re-init cost.
+type Report = driver.PlanReport
 
 // Interpreter executes one model with one delegate configuration.
 type Interpreter struct {
@@ -217,7 +200,7 @@ type Interpreter struct {
 	opts  Options
 
 	cpu        *driver.CPUTarget
-	segments   []segment
+	segments   []driver.Partition
 	nnapiFW    *nnapi.Framework
 	compiled   *nnapi.CompiledModel
 	input      *tensor.Tensor
@@ -277,8 +260,8 @@ func (rt *Runtime) NewInterpreter(m *models.Model, dt tensor.DType, opts Options
 	ip.graph = graph
 	switch opts.Delegate {
 	case DelegateCPU:
-		ip.segments = []segment{{target: ip.cpu, ops: graph.Ops(),
-			costs: driver.CachedOpCosts(rt.Plans, rt.Platform.Name, m.Name, graph, dt, ip.cpu)}}
+		ip.segments = []driver.Partition{{Target: ip.cpu, Ops: graph.Ops(),
+			Costs: driver.CachedOpCosts(rt.Plans, rt.Platform.Name, m.Name, graph, dt, ip.cpu)}}
 	case DelegateGPU:
 		gpu := driver.NewGPUTarget("gpu-delegate", rt.Eng, &rt.Platform.GPU, rt.GPUQueue, driver.GPUDelegateSupports)
 		if opts.GPUAllowFP16 {
@@ -312,17 +295,9 @@ func (ip *Interpreter) buildSegments(accel driver.Target) {
 	segs := rt.Plans.Get(ip.planKey, func() any {
 		return plan.PartitionSegments(graph.Ops(), dt, accel.Supports)
 	}).([]plan.Segment)
-	ops := graph.Ops()
-	accelCosts := driver.CachedOpCosts(rt.Plans, rt.Platform.Name, m.Name, graph, dt, accel)
-	cpuCosts := driver.CachedOpCosts(rt.Plans, rt.Platform.Name, m.Name, graph, dt, ip.cpu)
-	ip.segments = make([]segment, 0, len(segs))
-	for _, s := range segs {
-		t, costs := driver.Target(ip.cpu), cpuCosts
-		if s.Accel {
-			t, costs = accel, accelCosts
-		}
-		ip.segments = append(ip.segments, segment{target: t, ops: ops[s.Start:s.End], costs: costs[s.Start:s.End]})
-	}
+	ip.segments = driver.Partitions(graph.Ops(), segs,
+		accel, driver.CachedOpCosts(rt.Plans, rt.Platform.Name, m.Name, graph, dt, accel),
+		ip.cpu, driver.CachedOpCosts(rt.Plans, rt.Platform.Name, m.Name, graph, dt, ip.cpu))
 }
 
 // Segments returns the number of execution partitions (1 when fully on
@@ -428,8 +403,8 @@ func (ip *Interpreter) FellBack() bool { return ip.fellBack }
 // time. The re-planning is permanent: subsequent invocations stay on
 // the CPU, reproducing production TFLite's delegate teardown.
 func (ip *Interpreter) fallBackToCPU(parent *telemetry.ActiveSpan) time.Duration {
-	ip.segments = []segment{{target: ip.cpu, ops: ip.graph.Ops(),
-		costs: driver.CachedOpCosts(ip.rt.Plans, ip.rt.Platform.Name, ip.Model.Name, ip.graph, ip.DType, ip.cpu)}}
+	ip.segments = []driver.Partition{{Target: ip.cpu, Ops: ip.graph.Ops(),
+		Costs: driver.CachedOpCosts(ip.rt.Plans, ip.rt.Platform.Name, ip.Model.Name, ip.graph, ip.DType, ip.cpu)}}
 	ip.fellBack = true
 	// The delegate plan died; drop the shared entry so the next compile
 	// of this configuration starts from a clean build. Other entries
@@ -472,53 +447,25 @@ func (ip *Interpreter) InvokeTraced(parent *telemetry.ActiveSpan, done func(Repo
 		}
 	}
 	if ip.opts.Delegate == DelegateNNAPI {
-		ip.nnapiFW.Execute(ip.compiled, func(r nnapi.Report) {
-			finish(Report{Result: r.Result, Transitions: r.Transitions,
-				FellBack: r.Fallbacks > 0, FallbackCost: r.FallbackCost})
-		})
+		ip.nnapiFW.Execute(ip.compiled, finish)
 		return
 	}
-	var rep Report
-	var runSeg func(i int)
-	runSeg = func(i int) {
-		if i >= len(ip.segments) {
-			finish(rep)
-			return
-		}
-		s := ip.segments[i]
-		exec := func() {
-			s.target.Execute(s.ops, s.costs, ip.DType, fw, func(res driver.Result) {
-				if res.Err != nil && s.target != driver.Target(ip.cpu) {
-					// The delegate died mid-run (retries exhausted or the
-					// accelerator is down). Absorb the failed attempt's
-					// time, tear the delegate down, and re-run the whole
-					// graph on the CPU interpreter — the frame completes.
-					res.Err = nil
-					rep.Result = rep.Result.Add(res)
-					t0 := ip.rt.Eng.Now()
-					cost := ip.fallBackToCPU(fw)
-					rep.FellBack = true
-					rep.FallbackCost += cost
-					rep.Overhead += cost
-					ip.rt.Eng.After(cost, func() {
-						ip.rt.Tracer.Emit("fallback", "faults", telemetry.TrackCPU, fw, t0, ip.rt.Eng.Now())
-						runSeg(0) // segments are now the single CPU plan
-					})
-					return
-				}
-				rep.Result = rep.Result.Add(res)
-				runSeg(i + 1)
+	driver.RunPlan(ip.rt.Eng, &ip.segments, ip.DType, ip.TransitionOverhead, fw,
+		func(i int, resume func(int)) (time.Duration, bool) {
+			if ip.segments[i].Target == driver.Target(ip.cpu) {
+				return 0, false
+			}
+			// The delegate died mid-run (retries exhausted or the
+			// accelerator is down). Tear it down and re-run the whole
+			// graph on the CPU interpreter — the frame completes.
+			t0 := ip.rt.Eng.Now()
+			cost := ip.fallBackToCPU(fw)
+			ip.rt.Eng.After(cost, func() {
+				ip.rt.Tracer.Emit("fallback", "faults", telemetry.TrackCPU, fw, t0, ip.rt.Eng.Now())
+				resume(0) // segments are now the single CPU plan
 			})
-		}
-		if i > 0 {
-			rep.Transitions++
-			rep.Overhead += ip.TransitionOverhead
-			ip.rt.Eng.After(ip.TransitionOverhead, exec)
-		} else {
-			exec()
-		}
-	}
-	runSeg(0)
+			return cost, true
+		}, finish)
 }
 
 // StdLib selects the C++ standard library the benchmark binary was

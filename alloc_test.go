@@ -1,8 +1,7 @@
 // Allocation pins for the in-place kernel variants: every *Into kernel
-// on the per-frame hot path must reach steady state at zero heap
-// allocations per call, so the application loop's host cost stays flat
-// no matter how many frames run. A regression here silently re-inflates
-// BenchmarkAppPipeline's allocs/op, so the pins fail fast and by name.
+// must reach steady state at zero heap allocations per call, so a
+// per-frame caller's host cost stays flat no matter how many frames run.
+// The pins fail fast and by name.
 package aitax_test
 
 import (

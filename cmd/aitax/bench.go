@@ -86,9 +86,9 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 
-	lib := aitax.LibCXX
-	if *stdlib == "libstdc++" {
-		lib = aitax.LibStdCXX
+	lib, err := parseStdLib(*stdlib)
+	if err != nil {
+		return fail(stderr, err)
 	}
 	samples, err := aitax.MeasureBenchmark(aitax.AppOptions{
 		Model: *model, DType: dt, Delegate: d,

@@ -104,6 +104,18 @@ func parseDelegate(s string) (tflite.Delegate, error) {
 	}
 }
 
+// parseStdLib resolves bench's -stdlib vocabulary.
+func parseStdLib(s string) (tflite.StdLib, error) {
+	switch s {
+	case "libc++":
+		return tflite.LibCXX, nil
+	case "libstdc++":
+		return tflite.LibStdCXX, nil
+	default:
+		return tflite.LibCXX, fmt.Errorf("unknown stdlib %q (libc++|libstdc++)", s)
+	}
+}
+
 // writeFile creates path and streams write into it, closing the file
 // and propagating the first error — the export idiom every subcommand
 // uses for its output files.

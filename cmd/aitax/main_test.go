@@ -82,6 +82,18 @@ func TestGoldenBench(t *testing.T) {
 	checkGolden(t, runCmd(t, runBench, "-runs", "10"), "bench_runs10.golden")
 }
 
+// -stdlib accepts only the two libraries it names; anything else is an
+// error, not a silent libc++ run.
+func TestBenchStdLibFlag(t *testing.T) {
+	if code, stderr := runCode(runBench, "-runs", "2", "-stdlib", "libstdc++"); code != 0 {
+		t.Fatalf("-stdlib libstdc++: exit %d, stderr %q", code, stderr)
+	}
+	code, stderr := runCode(runBench, "-runs", "2", "-stdlib", "foo")
+	if code != 1 || !strings.Contains(stderr, `unknown stdlib "foo"`) {
+		t.Fatalf("-stdlib foo: exit %d, stderr %q; want exit 1 naming the library", code, stderr)
+	}
+}
+
 // A negative iteration count fails with a clean error and exit 1.
 func TestNegativeCountsFailCleanly(t *testing.T) {
 	for _, c := range []struct {

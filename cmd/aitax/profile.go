@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"aitax"
@@ -33,6 +34,14 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// NaN fails both comparisons, so it is rejected with the infinities.
+	bucketNS := *bucketMS * float64(time.Millisecond)
+	if !(bucketNS >= 1 && bucketNS < math.MaxInt64) {
+		return fail(stderr, fmt.Errorf("-bucket %v: want a finite bucket of at least 1ns", *bucketMS))
+	}
+	if maxMS := int64(math.MaxInt64 / time.Millisecond); *horizonMS <= 0 || int64(*horizonMS) > maxMS {
+		return fail(stderr, fmt.Errorf("-horizon %d: want a positive window of at most %d ms", *horizonMS, maxMS))
+	}
 	dt, err := parseDType(*dtype)
 	if err != nil {
 		return fail(stderr, err)
@@ -59,7 +68,7 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 		rt.Tracer = telemetry.NewTracer(rt.Eng.Now)
 		rt.Metrics = telemetry.NewRegistry()
 	}
-	prof := trace.NewProfiler(rt.Eng, time.Duration(*bucketMS*float64(time.Millisecond)))
+	prof := trace.NewProfiler(rt.Eng, time.Duration(bucketNS))
 	prof.Attach(rt.Sch)
 	var chrome *trace.ChromeRecorder
 	if common.Trace != "" {

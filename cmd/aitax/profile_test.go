@@ -59,6 +59,18 @@ func TestProfileBadFlags(t *testing.T) {
 	if code, _ := runCode(runProfile, "-model", "nope"); code != 1 {
 		t.Fatalf("unknown model exit = %d, want 1", code)
 	}
+	// A bucket below 1ns or not finite, or a window that is non-positive
+	// or overflows a time.Duration, is a usage error, not a panic or a
+	// report over a negative window.
+	for _, args := range [][]string{
+		{"-bucket", "0"}, {"-bucket", "-1"}, {"-bucket", "NaN"}, {"-bucket", "1e-7"},
+		{"-bucket", "Inf"}, {"-horizon", "0"}, {"-horizon", "-5"},
+		{"-horizon", "10000000000000"},
+	} {
+		if code, stderr := runCode(runProfile, args...); code != 1 || stderr == "" {
+			t.Errorf("%v exit = %d, stderr %q; want exit 1 with a message", args, code, stderr)
+		}
+	}
 	// -trace is the only trace-export flag; -chrome is not accepted.
 	if code, _ := runCode(runProfile, "-chrome", "x.json"); code != 2 {
 		t.Fatalf("-chrome exit = %d, want 2 (unknown flag)", code)

@@ -77,11 +77,11 @@ func TestTiledKernelsBitExactAtEveryWorkerCount(t *testing.T) {
 			return append([]uint8(nil), out.U8...)
 		}},
 		{"ResizeNormalizeInto", func() any {
-			out := preproc.ResizeNormalize(scene, 224, 224, 127.5, 127.5)
+			out := preproc.ResizeNormalizeInto(nil, scene, 224, 224, 127.5, 127.5)
 			return append([]float32(nil), out.F32...)
 		}},
 		{"ResizeQuantizeInto", func() any {
-			out := preproc.ResizeQuantize(scene, 224, 224, tensor.UInt8, quant)
+			out := preproc.ResizeQuantizeInto(nil, scene, 224, 224, tensor.UInt8, quant)
 			return append([]uint8(nil), out.U8...)
 		}},
 		{"SpecRunInto", func() any {

@@ -17,11 +17,8 @@ import (
 	"aitax/internal/capture"
 	"aitax/internal/core"
 	"aitax/internal/fastrpc"
-	"aitax/internal/imaging"
 	"aitax/internal/lab"
 	"aitax/internal/models"
-	"aitax/internal/postproc"
-	"aitax/internal/preproc"
 	"aitax/internal/sched"
 	"aitax/internal/telemetry"
 	"aitax/internal/tensor"
@@ -56,19 +53,9 @@ type Config struct {
 	Model    *models.Model
 	DType    tensor.DType
 	Delegate tflite.Delegate
-	Threads  int
 	// Streaming keeps the camera-conversion thread busy in the
 	// background, the default for a preview app.
 	Streaming bool
-	// RealPostprocess executes the actual post-processing algorithms on
-	// fabricated model outputs in addition to costing them in virtual
-	// time (used by the runnable examples).
-	RealPostprocess bool
-	// RealPreprocess executes the actual pre-processing kernels (bitmap
-	// conversion plus the model's fused resize+normalize/quantize
-	// pipeline) on the captured frame in addition to costing the stage
-	// in virtual time. Host-side only: stage times are unchanged.
-	RealPreprocess bool
 	// PreOnDSP offloads the pre-processing stage to the DSP through
 	// FastRPC (a FastCV-style pipeline) — the jointly-accelerate-the-
 	// mundane-stages direction the paper's conclusion proposes. The DSP
@@ -110,29 +97,6 @@ type App struct {
 	frames     int
 	streaming  bool
 	preDSPDown bool // the DSP pre-processing path failed; stay on CPU
-
-	post postScratch
-	pre  preScratch
-}
-
-// preScratch holds the buffers runRealPreprocess recycles across
-// frames: the decoded ARGB bitmap and the preproc pipeline's scratch.
-type preScratch struct {
-	argb *imaging.ARGBImage
-	run  preproc.RunScratch
-}
-
-// postScratch holds the buffers runRealPostprocess recycles across
-// frames. The stage's results are inspected and discarded each frame, so
-// every buffer is safely overwritten by the next one.
-type postScratch struct {
-	deq0, deq1 *tensor.Tensor
-	classes    []postproc.Class
-	mask       []int
-	boxes      []postproc.Box
-	nms, kept  []postproc.Box
-	keypoints  []postproc.Keypoint
-	anchors    []postproc.Anchor
 }
 
 // New builds an app around a runtime.
@@ -142,7 +106,6 @@ func New(rt *tflite.Runtime, cfg Config) (*App, error) {
 	}
 	ip, err := rt.NewInterpreter(cfg.Model, cfg.DType, tflite.Options{
 		Delegate:      cfg.Delegate,
-		Threads:       cfg.Threads,
 		ProbeOverhead: cfg.ProbeOverhead,
 	})
 	if err != nil {
@@ -173,9 +136,6 @@ func New(rt *tflite.Runtime, cfg Config) (*App, error) {
 
 // Interpreter exposes the app's interpreter (for init-time inspection).
 func (a *App) Interpreter() *tflite.Interpreter { return a.ip }
-
-// Camera exposes the app's camera.
-func (a *App) Camera() *capture.Camera { return a.cam }
 
 // SetCamera replaces the camera session (e.g. to request a different
 // preview resolution). Must be called before Init.
@@ -371,58 +331,6 @@ func (a *App) runPre(w work.Work, native bool, parent *telemetry.ActiveSpan, don
 		}
 		done()
 	})
-}
-
-// runRealPreprocess executes the genuine pre-processing kernels on the
-// delivered frame: the NV21→ARGB bitmap conversion followed by the
-// model's pipeline (fused resize+convert). All buffers come from the
-// app's scratch, so steady state allocates nothing; the input tensor is
-// discarded — model I/O is fabricated separately, as in post.
-func (a *App) runRealPreprocess(f *capture.Frame, spec preproc.Spec) {
-	s := &a.pre
-	if s.argb == nil {
-		s.argb = &imaging.ARGBImage{}
-	}
-	capture.ConvertFrameInto(s.argb, f)
-	spec.RunInto(&s.run, s.argb)
-}
-
-// runRealPostprocess executes the genuine algorithms on fabricated
-// outputs so example binaries produce inspectable results.
-func (a *App) runRealPostprocess() {
-	m := a.ip.Model
-	s := &a.post
-	outs := a.ip.FabricateOutputs()
-	switch m.Task {
-	case models.Classification, models.FaceRecognition, models.LanguageProcessing:
-		out := outs[0]
-		if a.ip.DType != tensor.Float32 {
-			s.deq0 = postproc.DequantizeInto(s.deq0, out)
-			out = s.deq0
-		}
-		s.classes = postproc.TopKInto(s.classes[:0], out, 5)
-	case models.Segmentation:
-		s.mask = postproc.FlattenMaskInto(s.mask[:0], outs[0])
-	case models.ObjectDetection:
-		n := m.OutputShapes[0][1]
-		locs, scores := outs[0], outs[1]
-		if a.ip.DType != tensor.Float32 {
-			s.deq0 = postproc.DequantizeInto(s.deq0, locs)
-			s.deq1 = postproc.DequantizeInto(s.deq1, scores)
-			locs, scores = s.deq0, s.deq1
-		}
-		if len(s.anchors) < n {
-			grid := 1
-			for grid*grid*3 < n {
-				grid++
-			}
-			s.anchors = postproc.DefaultAnchors(grid)
-		}
-		s.boxes = postproc.DecodeBoxesInto(s.boxes[:0], locs, scores, s.anchors[:n], 0.5)
-		s.kept = postproc.NMSInto(s.kept[:0], &s.nms, s.boxes, 0.5, 10)
-	case models.PoseEstimation:
-		s.keypoints = postproc.DecodeKeypointsInto(s.keypoints[:0], outs[0], outs[1], m.PoseOutputStride)
-	}
 }
 
 // Run processes n frames sequentially and reports every breakdown.

@@ -173,26 +173,6 @@ func TestAppVariabilityExceedsBenchmark(t *testing.T) {
 	}
 }
 
-func TestRealPostprocessRuns(t *testing.T) {
-	rt := tflite.NewStack(soc.Pixel3(), 7)
-	for _, name := range []string{"MobileNet 1.0 v1", "SSD MobileNet v2", "PoseNet"} {
-		m, _ := models.ByName(name)
-		a, err := New(rt, Config{Model: m, DType: tensor.Float32,
-			Delegate: tflite.DelegateCPU, RealPostprocess: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := false
-		a.Init(func() {
-			a.ProcessFrame(func(core.StageTimes) { done = true })
-		})
-		rt.Eng.Run()
-		if !done {
-			t.Fatalf("%s frame did not complete", name)
-		}
-	}
-}
-
 func TestNewRejectsBadConfig(t *testing.T) {
 	rt := tflite.NewStack(soc.Pixel3(), 1)
 	if _, err := New(rt, Config{}); err == nil {
@@ -336,7 +316,7 @@ func TestSetCameraBeforeInit(t *testing.T) {
 	rt, a := newApp(t, "MobileNet 1.0 v1", tensor.UInt8, tflite.DelegateNNAPI, false)
 	cam := capture.NewCamera(rt.Eng, rt.RNG, 320, 240)
 	a.SetCamera(cam)
-	if a.Camera() != cam {
+	if a.cam != cam {
 		t.Fatal("camera not replaced")
 	}
 	sts := runFrames(rt, a, 3)
@@ -412,44 +392,5 @@ func TestAppSoak(t *testing.T) {
 	drift := float64(late) / float64(early)
 	if drift < 0.9 || drift > 1.1 {
 		t.Fatalf("steady-state drift %.3fx over 600 frames", drift)
-	}
-}
-
-func TestRealPreprocessRunsAndKeepsStatsIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		dt   tensor.DType
-	}{
-		{"MobileNet 1.0 v1", tensor.UInt8},
-		{"MobileNet 1.0 v1", tensor.Float32},
-		{"Deeplab v3", tensor.Float32},
-		{"PoseNet", tensor.Float32},
-	} {
-		var runs [2][]core.StageTimes
-		for i, real := range []bool{false, true} {
-			rt := tflite.NewStack(soc.Pixel3(), 7)
-			m, _ := models.ByName(tc.name)
-			a, err := New(rt, Config{Model: m, DType: tc.dt,
-				Delegate: tflite.DelegateCPU, RealPreprocess: real})
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.cam.Synthesize = true
-			a.Init(func() {
-				a.Run(3, func(st []core.StageTimes) { runs[i] = st })
-			})
-			rt.Eng.Run()
-			if len(runs[i]) != 3 {
-				t.Fatalf("%s real=%v: %d frames", tc.name, real, len(runs[i]))
-			}
-		}
-		// The real kernels run on the host only; the simulated stage
-		// breakdown must not notice them.
-		for f := range runs[0] {
-			if runs[0][f] != runs[1][f] {
-				t.Fatalf("%s frame %d: stats differ with RealPreprocess: %+v vs %+v",
-					tc.name, f, runs[0][f], runs[1][f])
-			}
-		}
 	}
 }

@@ -27,9 +27,6 @@ type frameRun struct {
 	// spec is the model's pre-processing pipeline; capture's sensor
 	// fusion may rewrite its rotation before pre runs.
 	spec preproc.Spec
-	// capFrame is the delivered camera frame (nil when the run entered
-	// the graph past capture: the payload arrived over the wire).
-	capFrame *capture.Frame
 	// srcW/srcH are the pre stage's input dimensions (0 for text).
 	srcW, srcH int
 	to         core.Stage
@@ -81,8 +78,7 @@ func (a *App) stageCapture(r *frameRun) {
 		})
 		return
 	}
-	a.cam.Capture(func(f *capture.Frame) {
-		r.capFrame = f
+	a.cam.Capture(func(*capture.Frame) {
 		afterFusion := func() {
 			conv := a.stageDuration(a.cam.ConversionWork(), false)
 			a.camThread.Exec(conv, func() {
@@ -112,9 +108,6 @@ func (a *App) stagePre(r *frameRun) {
 	preStart := a.rt.Eng.Now()
 	preSpan := a.rt.Tracer.Start(core.StagePre.String(), "preproc", telemetry.TrackCPU, r.frame)
 	next := func() {
-		if a.cfg.RealPreprocess && r.capFrame != nil {
-			a.runRealPreprocess(r.capFrame, r.spec)
-		}
 		r.st.Stage[core.StagePre] = a.rt.Eng.Now().Sub(preStart)
 		preSpan.End()
 		r.advance(core.StageInference)
@@ -145,9 +138,6 @@ func (a *App) stagePost(r *frameRun) {
 	postSpan := a.rt.Tracer.Start(core.StagePost.String(), "postproc", telemetry.TrackCPU, r.frame)
 	postW := a.ip.Model.PostWork(a.ip.DType)
 	a.postThread.Exec(a.stageDuration(postW, true), func() {
-		if a.cfg.RealPostprocess {
-			a.runRealPostprocess()
-		}
 		r.st.Stage[core.StagePost] = a.rt.Eng.Now().Sub(postStart)
 		postSpan.End()
 		r.advance(core.StageUI)

@@ -1,12 +1,9 @@
 package capture
 
 import (
-	"bytes"
-	"sync"
 	"testing"
 	"time"
 
-	"aitax/internal/imaging"
 	"aitax/internal/sim"
 )
 
@@ -22,9 +19,6 @@ func TestCaptureDeliversFrame(t *testing.T) {
 	eng.Run()
 	if f == nil {
 		t.Fatal("no frame delivered")
-	}
-	if f.Image.Width != DefaultPreviewW || f.Image.Height != DefaultPreviewH {
-		t.Fatalf("frame dims = %dx%d", f.Image.Width, f.Image.Height)
 	}
 	if f.SensorLatency <= 0 {
 		t.Fatal("sensor latency missing")
@@ -74,17 +68,6 @@ func TestSequenceNumbers(t *testing.T) {
 	}
 }
 
-func TestConvertFrame(t *testing.T) {
-	eng, cam := newCam()
-	cam.Capture(func(f *Frame) {
-		img := ConvertFrameInto(new(imaging.ARGBImage), f)
-		if img.Width != cam.Width || img.Height != cam.Height {
-			t.Errorf("converted dims = %dx%d", img.Width, img.Height)
-		}
-	})
-	eng.Run()
-}
-
 func TestConversionWorkScalesWithResolution(t *testing.T) {
 	eng := sim.NewEngine()
 	small := NewCamera(eng, sim.NewRNG(1), 320, 240)
@@ -101,37 +84,6 @@ func TestFrameBytes(t *testing.T) {
 	_, cam := newCam()
 	if cam.FrameBytes() != DefaultPreviewW*DefaultPreviewH*3/2 {
 		t.Fatalf("frame bytes = %d", cam.FrameBytes())
-	}
-}
-
-func TestSynthesizeMode(t *testing.T) {
-	eng, cam := newCam()
-	cam.Synthesize = true
-	var a, b *Frame
-	cam.Capture(func(f *Frame) { a = f })
-	cam.Capture(func(f *Frame) { b = f })
-	eng.Run()
-	diff := false
-	for i := range a.Image.Y {
-		if a.Image.Y[i] != b.Image.Y[i] {
-			diff = true
-			break
-		}
-	}
-	if !diff {
-		t.Fatal("synthesized frames must differ")
-	}
-}
-
-func TestPoolModeCyclesDistinctFrames(t *testing.T) {
-	eng, cam := newCam()
-	imgs := map[*Frame]bool{}
-	for i := 0; i < 8; i++ {
-		cam.Capture(func(f *Frame) { imgs[f] = true })
-	}
-	eng.Run()
-	if len(imgs) != 8 {
-		t.Fatalf("frames = %d", len(imgs))
 	}
 }
 
@@ -181,101 +133,10 @@ func TestIMUReadLatencyPositive(t *testing.T) {
 	}
 }
 
-func TestPreviewPoolMatchesSyntheticFrames(t *testing.T) {
-	_, cam := newCam()
-	if len(cam.pool) != previewPoolSize || cap(cam.pool) != previewPoolSize {
-		t.Fatalf("pool len %d cap %d, want %d", len(cam.pool), cap(cam.pool), previewPoolSize)
-	}
-	for i, img := range cam.pool {
-		want := imaging.SyntheticFrame(cam.Width, cam.Height, uint64(1000+i))
-		if img.Width != want.Width || img.Height != want.Height ||
-			!bytes.Equal(img.Y, want.Y) || !bytes.Equal(img.VU, want.VU) {
-			t.Fatalf("pool frame %d differs from SyntheticFrame(%d, %d, %d)", i, cam.Width, cam.Height, 1000+i)
-		}
-	}
-}
-
-func TestPreviewPoolSharedPerResolution(t *testing.T) {
-	eng := sim.NewEngine()
-	a := NewCamera(eng, sim.NewRNG(1), 320, 240)
-	b := NewCamera(eng, sim.NewRNG(2), 321, 241) // floors to 320x240
-	c := NewCamera(eng, sim.NewRNG(3), 640, 480)
-	for i := range a.pool {
-		if a.pool[i] != b.pool[i] {
-			t.Fatalf("same-size cameras do not share pool frame %d", i)
-		}
-		for j := range c.pool {
-			if a.pool[i] == c.pool[j] {
-				t.Fatalf("320x240 frame %d aliases 640x480 frame %d", i, j)
-			}
-		}
-	}
-	// An append through one camera's slice must copy, never write into
-	// the shared backing array.
-	if grown := append(a.pool, c.pool[0]); &grown[0] == &b.pool[0] {
-		t.Fatal("append wrote into the shared pool")
-	}
-}
-
-// Lab experiments build cameras in parallel; -race checks the pool.
-func TestNewCameraConcurrent(t *testing.T) {
-	const n = 8
-	cams := make([]*Camera, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Half the goroutines race for a resolution no other test uses.
-			w := DefaultPreviewW
-			if i%2 == 1 {
-				w = 200
-			}
-			cams[i] = NewCamera(sim.NewEngine(), sim.NewRNG(uint64(i)), w, 150)
-		}(i)
-	}
-	wg.Wait()
-	for i := 2; i < n; i++ {
-		if cams[i].pool[0] != cams[i%2].pool[0] {
-			t.Fatalf("camera %d did not share its resolution's pool", i)
-		}
-	}
-	if cams[0].pool[0] == cams[1].pool[0] {
-		t.Fatal("different resolutions share a pool")
-	}
-}
-
-func TestSynthesizeNeverAliasesPool(t *testing.T) {
-	eng, cam := newCam()
-	cam.Synthesize = true
-	pooled := map[*imaging.YUVImage]bool{}
-	for _, img := range cam.pool {
-		pooled[img] = true
-	}
-	want := make([][]byte, len(cam.pool))
-	for i, img := range cam.pool {
-		want[i] = bytes.Clone(img.Y)
-	}
-	for i := 0; i < 2*previewPoolSize; i++ {
-		cam.Capture(func(f *Frame) {
-			if pooled[f.Image] {
-				t.Errorf("synthesized frame %d is a shared pool frame", f.Seq)
-			}
-		})
-	}
-	eng.Run()
-	for i, img := range cam.pool {
-		if !bytes.Equal(img.Y, want[i]) {
-			t.Fatalf("synthesis wrote into pool frame %d", i)
-		}
-	}
-}
-
-// BenchmarkNewCamera measures opening a default-resolution camera once
-// its preview pool exists, the cost every app.New pays.
+// BenchmarkNewCamera measures opening a default-resolution camera, the
+// cost every app.New pays.
 func BenchmarkNewCamera(b *testing.B) {
 	eng, rng := sim.NewEngine(), sim.NewRNG(1)
-	NewCamera(eng, rng, DefaultPreviewW, DefaultPreviewH)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

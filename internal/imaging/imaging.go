@@ -212,8 +212,7 @@ func YUVToARGBInto(dst *ARGBImage, src *YUVImage) *ARGBImage {
 }
 
 // ARGBToYUV converts a bitmap back to NV21 (BT.601). Used by tests to
-// verify the conversion round-trips within quantization error, and by the
-// capture pipeline to synthesize sensor frames from procedural bitmaps.
+// verify the conversion round-trips within quantization error.
 func ARGBToYUV(src *ARGBImage) *YUVImage {
 	return ARGBToYUVInto(NewYUV(src.Width&^1, src.Height&^1), src)
 }

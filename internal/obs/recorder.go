@@ -107,14 +107,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 // Window returns the configured window width.
 func (r *Recorder) Window() time.Duration { return r.cfg.Window }
 
-// Head returns the highest window index observed so far (-1 when
-// nothing has been recorded).
-func (r *Recorder) Head() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.head
-}
-
 // Dropped reports observations discarded for being older than the ring.
 func (r *Recorder) Dropped() int64 {
 	r.mu.Lock()

@@ -393,16 +393,11 @@ func (t *fusedQuantTask) Tile(lo, hi int) {
 	}
 }
 
-// ResizeNormalize scales src to dstW×dstH and normalizes the result to
-// an NHWC FP32 tensor in a single pass (no intermediate image).
-// Bit-identical to ResizeBilinear followed by Normalize.
-func ResizeNormalize(src *imaging.ARGBImage, dstW, dstH int, mean, std float64) *tensor.Tensor {
-	return ResizeNormalizeInto(nil, src, dstW, dstH, mean, std)
-}
-
-// ResizeNormalizeInto is the scratch-reusing variant of ResizeNormalize:
-// dst (which may be nil) is recycled through tensor.Ensure, so a
-// steady-state caller allocates nothing. Returns the tensor.
+// ResizeNormalizeInto scales src to dstW×dstH and normalizes the result
+// to an NHWC FP32 tensor in a single pass (no intermediate image),
+// bit-identical to ResizeBilinear followed by Normalize. dst (which may
+// be nil) is recycled through tensor.Ensure, so a steady-state caller
+// allocates nothing. Returns the tensor.
 func ResizeNormalizeInto(dst *tensor.Tensor, src *imaging.ARGBImage, dstW, dstH int, mean, std float64) *tensor.Tensor {
 	if dstW <= 0 || dstH <= 0 {
 		panic("preproc: invalid resize target")
@@ -422,16 +417,10 @@ func ResizeNormalizeInto(dst *tensor.Tensor, src *imaging.ARGBImage, dstW, dstH 
 	return t
 }
 
-// ResizeQuantize scales src to dstW×dstH and quantizes the result to an
-// NHWC tensor in a single pass (no intermediate image). Bit-identical
-// to ResizeBilinear followed by QuantizeInput.
-func ResizeQuantize(src *imaging.ARGBImage, dstW, dstH int, dt tensor.DType, q tensor.QuantParams) *tensor.Tensor {
-	return ResizeQuantizeInto(nil, src, dstW, dstH, dt, q)
-}
-
-// ResizeQuantizeInto is the scratch-reusing variant of ResizeQuantize:
-// dst (which may be nil) is recycled through tensor.Ensure. Returns the
-// tensor.
+// ResizeQuantizeInto scales src to dstW×dstH and quantizes the result to
+// an NHWC tensor in a single pass (no intermediate image), bit-identical
+// to ResizeBilinear followed by QuantizeInput. dst (which may be nil) is
+// recycled through tensor.Ensure. Returns the tensor.
 func ResizeQuantizeInto(dst *tensor.Tensor, src *imaging.ARGBImage, dstW, dstH int, dt tensor.DType, q tensor.QuantParams) *tensor.Tensor {
 	if dstW <= 0 || dstH <= 0 {
 		panic("preproc: invalid resize target")

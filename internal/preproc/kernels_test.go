@@ -103,7 +103,7 @@ func TestFusedKernelsMatchUnfused(t *testing.T) {
 	mid := ResizeBilinear(src, 224, 224)
 
 	wantN := Normalize(mid, 127.5, 127.5)
-	gotN := ResizeNormalize(src, 224, 224, 127.5, 127.5)
+	gotN := ResizeNormalizeInto(nil, src, 224, 224, 127.5, 127.5)
 	for i := range wantN.F32 {
 		if gotN.F32[i] != wantN.F32[i] {
 			t.Fatalf("fused normalize elem %d = %v, want %v", i, gotN.F32[i], wantN.F32[i])
@@ -112,7 +112,7 @@ func TestFusedKernelsMatchUnfused(t *testing.T) {
 
 	q := tensor.QuantParams{Scale: 1, ZeroPoint: 0}
 	wantQ := QuantizeInput(mid, tensor.UInt8, q)
-	gotQ := ResizeQuantize(src, 224, 224, tensor.UInt8, q)
+	gotQ := ResizeQuantizeInto(nil, src, 224, 224, tensor.UInt8, q)
 	for i := range wantQ.U8 {
 		if gotQ.U8[i] != wantQ.U8[i] {
 			t.Fatalf("fused quantize elem %d = %d, want %d", i, gotQ.U8[i], wantQ.U8[i])
@@ -121,7 +121,7 @@ func TestFusedKernelsMatchUnfused(t *testing.T) {
 
 	qi := tensor.QuantParams{Scale: 0.5, ZeroPoint: -10}
 	wantI := QuantizeInput(mid, tensor.Int8, qi)
-	gotI := ResizeQuantize(src, 224, 224, tensor.Int8, qi)
+	gotI := ResizeQuantizeInto(nil, src, 224, 224, tensor.Int8, qi)
 	for i := range wantI.I8 {
 		if gotI.I8[i] != wantI.I8[i] {
 			t.Fatalf("fused int8 quantize elem %d = %d, want %d", i, gotI.I8[i], wantI.I8[i])

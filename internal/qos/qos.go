@@ -337,9 +337,6 @@ func (c *Controller) Ladder() Ladder { return c.lad }
 // is the observe-only baseline the storm comparison runs.
 func (c *Controller) Freeze() { c.frozen = true }
 
-// Frozen reports whether the controller is observe-only.
-func (c *Controller) Frozen() bool { return c.frozen }
-
 // ObserveGood and ObserveBad feed one SLO-scored request outcome into
 // the open tick. Shed requests are not fed back — the controller's own
 // action must not hold its pressure up, or it never recovers.

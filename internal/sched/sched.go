@@ -37,9 +37,6 @@ type Core struct {
 // BusyTime returns the cumulative time this core spent executing threads.
 func (c *Core) BusyTime() time.Duration { return c.busyTime }
 
-// Running returns the thread currently on the core, or nil.
-func (c *Core) Running() *Thread { return c.current }
-
 // Listener observes scheduling events (the trace package implements it
 // to render Fig. 6-style timelines).
 type Listener interface {

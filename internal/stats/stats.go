@@ -48,13 +48,6 @@ func (s *Sample) Add(x float64) {
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 
-// Values returns a copy of the observations in insertion order.
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
-
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
 		sort.Float64s(s.xs)

@@ -300,16 +300,6 @@ func (r *Registry) CounterNames() []string {
 	return sortedKeys(r.counters)
 }
 
-// HistogramNames returns the histogram series names, sorted.
-func (r *Registry) HistogramNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return sortedKeys(r.hists)
-}
-
 // Merge folds other into r: counters add, gauges take other's value,
 // histograms concatenate observations in other's insertion order.
 // Merging the same registries in the same order always reproduces the

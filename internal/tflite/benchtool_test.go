@@ -85,19 +85,6 @@ func TestNewSNPEWiredToSharedDSP(t *testing.T) {
 	}
 }
 
-func TestInterpreterFabricateOutputsMethod(t *testing.T) {
-	rt := stack()
-	m, _ := models.ByName("PoseNet")
-	ip, _ := rt.NewInterpreter(m, tensor.Float32, Options{Delegate: DelegateCPU})
-	outs := ip.FabricateOutputs()
-	if len(outs) != 2 {
-		t.Fatalf("outputs = %d", len(outs))
-	}
-	if !outs[0].Shape.Equal(m.OutputShapes[0]) {
-		t.Fatalf("shape = %v", outs[0].Shape)
-	}
-}
-
 func TestSegmentsNNAPI(t *testing.T) {
 	rt := stack()
 	m, _ := models.ByName("Inception v3")
@@ -165,7 +152,7 @@ func TestEndToEndRealPipelineIntoInterpreter(t *testing.T) {
 	classes := 0
 	ip.Init(func() {
 		ip.Invoke(func(Report) {
-			outs := ip.FabricateOutputs()
+			outs := FabricateOutputs(m, tensor.Float32, rt.RNG)
 			classes = len(postproc.TopK(outs[0], 5))
 		})
 	})

@@ -6,83 +6,48 @@ import (
 	"aitax/internal/tensor"
 )
 
-// OutputScratch holds the reusable tensors behind fabricated model
-// outputs, so a per-frame caller (the app's real post-processing path)
-// stops allocating after the first frame. The zero value is ready to
-// use. Tensors returned from FabricateOutputsInto alias the scratch and
-// are valid until the next call with the same scratch.
-type OutputScratch struct {
-	f32   []*tensor.Tensor // fp32 generator outputs
-	quant []*tensor.Tensor // quantized views (quantized dtypes only)
-	outs  []*tensor.Tensor // returned slice
-}
-
-// FabricateOutputs synthesizes plausible raw output tensors for the
-// interpreter's model so that the real post-processing implementations
-// (topK, NMS, keypoint decode, mask flattening) have non-trivial inputs.
-// The simulator costs inference in virtual time; tensors' numerical
-// contents come from this seeded generator. The returned tensors are
-// scratch owned by the interpreter: valid until the next call.
-func (ip *Interpreter) FabricateOutputs() []*tensor.Tensor {
-	if ip.outScratch == nil {
-		ip.outScratch = &OutputScratch{}
-	}
-	return FabricateOutputsInto(ip.outScratch, ip.Model, ip.DType, ip.rt.RNG)
-}
-
-// FabricateOutputs is the model-level generator behind
-// Interpreter.FabricateOutputs.
+// FabricateOutputs synthesizes plausible raw output tensors for a model
+// so that the real post-processing implementations (topK, NMS, keypoint
+// decode, mask flattening) have non-trivial inputs. The simulator costs
+// inference in virtual time; tensors' numerical contents come from this
+// seeded generator.
 func FabricateOutputs(m *models.Model, dt tensor.DType, rng *sim.RNG) []*tensor.Tensor {
-	return FabricateOutputsInto(&OutputScratch{}, m, dt, rng)
-}
-
-// FabricateOutputsInto is the scratch-reusing generator: values (and the
-// random stream consumed) are identical to FabricateOutputs, but all
-// buffers are recycled from s.
-func FabricateOutputsInto(s *OutputScratch, m *models.Model, dt tensor.DType, rng *sim.RNG) []*tensor.Tensor {
 	quant := dt == tensor.Int8 || dt == tensor.UInt8
-	for len(s.f32) < len(m.OutputShapes) {
-		s.f32 = append(s.f32, nil)
-		s.quant = append(s.quant, nil)
-	}
-	s.outs = s.outs[:0]
+	outs := make([]*tensor.Tensor, 0, len(m.OutputShapes))
 	for oi, shape := range m.OutputShapes {
 		var t *tensor.Tensor
 		switch m.Task {
 		case models.Classification, models.FaceRecognition, models.LanguageProcessing:
-			t = classScores(s.f32[oi], shape, rng)
+			t = classScores(shape, rng)
 		case models.Segmentation:
-			t = segScores(s.f32[oi], shape, rng)
+			t = segScores(shape, rng)
 		case models.ObjectDetection:
 			if oi == 0 {
-				t = boxRegressions(s.f32[oi], shape, rng)
+				t = boxRegressions(shape, rng)
 			} else {
-				t = detScores(s.f32[oi], shape, rng)
+				t = detScores(shape, rng)
 			}
 		case models.PoseEstimation:
 			if oi == 0 {
-				t = heatmaps(s.f32[oi], shape, rng)
+				t = heatmaps(shape, rng)
 			} else {
-				t = offsets(s.f32[oi], shape, rng)
+				t = offsets(shape, rng)
 			}
 		default:
-			t = tensor.Ensure(s.f32[oi], tensor.Float32, shape)
-			clear(t.F32)
+			t = tensor.New(tensor.Float32, shape)
 		}
-		s.f32[oi] = t
 		if quant {
-			s.quant[oi] = tensor.QuantizeTensorInto(s.quant[oi], t, dt)
-			t = s.quant[oi]
+			t = tensor.QuantizeTensor(t, dt)
 		}
-		s.outs = append(s.outs, t)
+		outs = append(outs, t)
 	}
-	return s.outs
+	return outs
 }
 
 // classScores builds a probability-like vector with a handful of strong
 // peaks over low background noise.
-func classScores(dst *tensor.Tensor, shape tensor.Shape, rng *sim.RNG) *tensor.Tensor {
-	t := tensor.Ensure(dst, tensor.Float32, shape)
+func classScores(shape tensor.Shape, rng *sim.RNG) *tensor.Tensor {
+	t := tensor.New(tensor.Float32, shape)
 	n := t.Elems()
 	for i := 0; i < n; i++ {
 		t.F32[i] = float32(rng.Float64() * 0.01)
@@ -95,8 +60,8 @@ func classScores(dst *tensor.Tensor, shape tensor.Shape, rng *sim.RNG) *tensor.T
 
 // segScores builds per-pixel class scores with spatially coherent
 // regions (vertical bands) so argmax masks are structured.
-func segScores(dst *tensor.Tensor, shape tensor.Shape, rng *sim.RNG) *tensor.Tensor {
-	t := tensor.Ensure(dst, tensor.Float32, shape)
+func segScores(shape tensor.Shape, rng *sim.RNG) *tensor.Tensor {
+	t := tensor.New(tensor.Float32, shape)
 	h, w, c := shape[1], shape[2], shape[3]
 	bands := 2 + rng.Intn(3)
 	for y := 0; y < h; y++ {
@@ -115,16 +80,16 @@ func segScores(dst *tensor.Tensor, shape tensor.Shape, rng *sim.RNG) *tensor.Ten
 	return t
 }
 
-func boxRegressions(dst *tensor.Tensor, shape tensor.Shape, rng *sim.RNG) *tensor.Tensor {
-	t := tensor.Ensure(dst, tensor.Float32, shape)
+func boxRegressions(shape tensor.Shape, rng *sim.RNG) *tensor.Tensor {
+	t := tensor.New(tensor.Float32, shape)
 	for i := range t.F32 {
 		t.F32[i] = float32(rng.Norm(0, 0.6))
 	}
 	return t
 }
 
-func detScores(dst *tensor.Tensor, shape tensor.Shape, rng *sim.RNG) *tensor.Tensor {
-	t := tensor.Ensure(dst, tensor.Float32, shape)
+func detScores(shape tensor.Shape, rng *sim.RNG) *tensor.Tensor {
+	t := tensor.New(tensor.Float32, shape)
 	n, c := shape[1], shape[2]
 	for i := range t.F32 {
 		t.F32[i] = float32(rng.Float64() * 0.1)
@@ -138,8 +103,8 @@ func detScores(dst *tensor.Tensor, shape tensor.Shape, rng *sim.RNG) *tensor.Ten
 	return t
 }
 
-func heatmaps(dst *tensor.Tensor, shape tensor.Shape, rng *sim.RNG) *tensor.Tensor {
-	t := tensor.Ensure(dst, tensor.Float32, shape)
+func heatmaps(shape tensor.Shape, rng *sim.RNG) *tensor.Tensor {
+	t := tensor.New(tensor.Float32, shape)
 	h, w, k := shape[1], shape[2], shape[3]
 	for i := range t.F32 {
 		t.F32[i] = float32(rng.Norm(-3, 1)) // low logits everywhere
@@ -151,8 +116,8 @@ func heatmaps(dst *tensor.Tensor, shape tensor.Shape, rng *sim.RNG) *tensor.Tens
 	return t
 }
 
-func offsets(dst *tensor.Tensor, shape tensor.Shape, rng *sim.RNG) *tensor.Tensor {
-	t := tensor.Ensure(dst, tensor.Float32, shape)
+func offsets(shape tensor.Shape, rng *sim.RNG) *tensor.Tensor {
+	t := tensor.New(tensor.Float32, shape)
 	for i := range t.F32 {
 		t.F32[i] = float32(rng.Norm(0, 4))
 	}

@@ -199,14 +199,13 @@ type Interpreter struct {
 	DType tensor.DType
 	opts  Options
 
-	cpu        *driver.CPUTarget
-	segments   []driver.Partition
-	nnapiFW    *nnapi.Framework
-	compiled   *nnapi.CompiledModel
-	input      *tensor.Tensor
-	graph      *nn.Graph // possibly fused view of Model.Graph
-	outScratch *OutputScratch
-	planKey    plan.Key // partition-plan cache key (zero when uncached)
+	cpu      *driver.CPUTarget
+	segments []driver.Partition
+	nnapiFW  *nnapi.Framework
+	compiled *nnapi.CompiledModel
+	input    *tensor.Tensor
+	graph    *nn.Graph // possibly fused view of Model.Graph
+	planKey  plan.Key  // partition-plan cache key (zero when uncached)
 
 	initialized bool
 	fellBack    bool

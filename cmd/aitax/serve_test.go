@@ -134,6 +134,25 @@ func TestGoldenBrownoutExports(t *testing.T) {
 	checkGolden(t, readFile(t, chrome), "brownout_trace.golden")
 }
 
+// The -obs JSONL rows pin every recorder series name and each
+// window's counter sums and histogram summaries, which neither the text
+// report nor the -metrics export covers: the brownout storm (shed,
+// downshifted and interactive traffic) and an overloaded default run
+// (rejections against an objective).
+func TestGoldenObsExports(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		golden string
+	}{
+		{brownoutArgs, "brownout_obs.golden"},
+		{[]string{"-loadgen", "-slo", "all=150ms@90"}, "load_slo_obs.golden"},
+	} {
+		rows := filepath.Join(t.TempDir(), "rows.jsonl")
+		runCmd(t, runServe, append(append([]string{}, c.args...), "-obs", rows)...)
+		checkGolden(t, readFile(t, rows), c.golden)
+	}
+}
+
 // The brownout storm conserves requests: per model, offered = served +
 // rejected + shed, and the registry's request, rejection, shed and
 // batch counters agree with the outcomes they summarize.

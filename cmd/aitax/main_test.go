@@ -106,6 +106,7 @@ func TestNegativeCountsFailCleanly(t *testing.T) {
 		{"trace", runTrace, []string{"-frames", "-2"}, "negative Frames -2"},
 		{"app", runApp, []string{"-frames", "-2"}, "negative Frames -2"},
 		{"experiments", runExperiments, []string{"-run", "fig5", "-runs", "-1"}, "fig5: bench: negative Runs -1"},
+		{"serve", runServe, []string{"-loadgen", "-obs-window", "-5s"}, "serve: obs window must be non-negative, got -5s"},
 	} {
 		code, stderr := runCode(c.fn, c.args...)
 		if code != 1 || !strings.Contains(stderr, c.want) {

@@ -132,7 +132,7 @@ func parseServe(args []string, stderr io.Writer) (*serveOpts, int) {
 		Platform: p, DType: dt, Delegate: d, Models: loaded, Entry: st,
 		Workers: *workers, BatchWindow: *window, MaxBatch: *maxBatch,
 		QueueDepth: *queueDepth, DispatchCost: *dispatch,
-		Seed: *seed, Faults: plan,
+		Seed: *seed, Faults: plan, ObsWindow: *obsWindow,
 	}.Defaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, fail(stderr, err)
@@ -156,7 +156,6 @@ func parseServe(args []string, stderr io.Writer) (*serveOpts, int) {
 			}
 		}
 	}
-	cfg.ObsWindow = *obsWindow
 
 	if *qosSpec != "" {
 		pol, err := buildQoSPolicy(*qosSpec, *downshift, *steer, *thermalSpec, *qosObserve)
@@ -314,17 +313,18 @@ func runLoad(o *serveOpts, stdout, stderr io.Writer) int {
 		}
 		// Per-window tax anatomy and latency percentiles as counter
 		// tracks, so Perfetto shows the tax evolving over the run.
+		all := obs.SeriesFor(obs.AllModels)
 		for _, row := range so.Rows {
 			at := sim.Time(row.EndMS * 1e6)
-			for _, st := range obs.Stages {
-				if v, ok := row.Counters[obs.StageSeries(st)]; ok {
+			for i, st := range obs.Stages {
+				if v, ok := row.Counters[obs.StageSeries[i]]; ok {
 					chrome.AddCounter("tax "+st.String()+" ms/window", at, v)
 				}
 			}
-			if h, ok := row.Hists[obs.LatencySeries(obs.AllModels)]; ok {
+			if h, ok := row.Hists[all.Latency]; ok {
 				chrome.AddCounter("latency p99 ms (all)", at, h.P99)
 			}
-			if v, ok := row.Counters[obs.RejectedSeries(obs.AllModels)]; ok {
+			if v, ok := row.Counters[all.Rejected]; ok {
 				chrome.AddCounter("rejected/window (all)", at, v)
 			}
 		}

@@ -73,12 +73,13 @@ func (d *Dashboard) Render(now time.Duration) string {
 
 	rows := append(append([]string{}, d.Models...), AllModels)
 	for _, m := range rows {
-		lat := d.Rec.MergedHist(LatencySeries(m), windows)
-		offered := d.Rec.SumCounter(OfferedSeries(m), windows)
-		served := d.Rec.SumCounter(ServedSeries(m), windows)
-		rejected := d.Rec.SumCounter(RejectedSeries(m), windows)
-		batch := d.Rec.MergedHist(BatchSeries(m), windows)
-		depth := d.Rec.MergedHist(DepthSeries(m), windows)
+		s := SeriesFor(m)
+		lat := d.Rec.MergedHist(s.Latency, windows)
+		offered := d.Rec.SumCounter(s.Offered, windows)
+		served := d.Rec.SumCounter(s.Served, windows)
+		rejected := d.Rec.SumCounter(s.Rejected, windows)
+		batch := d.Rec.MergedHist(s.Batch, windows)
+		depth := d.Rec.MergedHist(s.Depth, windows)
 		qps := 0.0
 		if secs := span.Seconds(); secs > 0 {
 			qps = served / secs
@@ -93,20 +94,21 @@ func (d *Dashboard) Render(now time.Duration) string {
 	}
 
 	// Table-III anatomy: mean ms/request per stage over the horizon.
-	served := d.Rec.SumCounter(ServedSeries(AllModels), windows)
+	all := SeriesFor(AllModels)
+	served := d.Rec.SumCounter(all.Served, windows)
 	sb.WriteString("tax anatomy ms/req:")
-	for _, st := range Stages {
+	for i, st := range Stages {
 		per := 0.0
 		if served > 0 {
-			per = d.Rec.SumCounter(StageSeries(st), windows) / served
+			per = d.Rec.SumCounter(StageSeries[i], windows) / served
 		}
 		fmt.Fprintf(&sb, "  %s %.2f", st, per)
 	}
-	bw := d.Rec.MergedHist(BatchWaitSeries(AllModels), windows)
-	dw := d.Rec.MergedHist(DispatchWaitSeries(AllModels), windows)
+	bw := d.Rec.MergedHist(all.BatchWait, windows)
+	dw := d.Rec.MergedHist(all.DispatchWait, windows)
 	fmt.Fprintf(&sb, "  batch-wait %.2f  dispatch-wait %.2f\n", bw.Mean(), dw.Mean())
 
-	fmt.Fprintf(&sb, "p99 trend  %s\n", Sparkline(d.Rec.RecentQuantiles(LatencySeries(AllModels), 0.99, spark)))
+	fmt.Fprintf(&sb, "p99 trend  %s\n", Sparkline(d.Rec.RecentQuantiles(all.Latency, 0.99, spark)))
 
 	if d.Mon != nil {
 		burns := d.Mon.CurrentBurn()

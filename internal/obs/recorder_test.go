@@ -120,11 +120,12 @@ func TestRecorderJSONLDeterministic(t *testing.T) {
 // the ring recycles windows, histograms are fixed-bucket.
 func TestRecorderMemoryFlat(t *testing.T) {
 	r := NewRecorder(RecorderConfig{Window: ms(100), Keep: 32})
-	series := LatencySeries("MobileNet 1.0 v1")
+	mobilenet := SeriesFor("MobileNet 1.0 v1")
+	series := mobilenet.Latency
 	// Touch every ring slot first so steady state is reached.
 	for i := 0; i < 64; i++ {
 		r.Observe(ms(i*100), series, 1)
-		r.Add(ms(i*100), ServedSeries("MobileNet 1.0 v1"), 1)
+		r.Add(ms(i*100), mobilenet.Served, 1)
 	}
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -132,7 +133,7 @@ func TestRecorderMemoryFlat(t *testing.T) {
 	for i := 0; i < 1_000_000; i++ {
 		at := ms(6400 + i/100*100)
 		r.Observe(at, series, float64(i%1000))
-		r.Add(at, ServedSeries("MobileNet 1.0 v1"), 1)
+		r.Add(at, mobilenet.Served, 1)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -177,8 +178,8 @@ func TestRecorderConcurrentHammer(t *testing.T) {
 
 func BenchmarkRecorderSteadyState(b *testing.B) {
 	r := NewRecorder(RecorderConfig{Window: ms(100), Keep: 32})
-	series := LatencySeries(AllModels)
-	served := ServedSeries(AllModels)
+	all := SeriesFor(AllModels)
+	series, served := all.Latency, all.Served
 	for i := 0; i < 64; i++ { // reach steady state before measuring
 		r.Observe(ms(i*100), series, 1)
 		r.Add(ms(i*100), served, 1)

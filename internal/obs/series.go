@@ -13,61 +13,38 @@ import (
 // aggregate each bridge records alongside the per-model series.
 const AllModels = "all"
 
-// LatencySeries is the per-model end-to-end latency histogram (ms).
-func LatencySeries(model string) string {
-	return telemetry.Labeled("latency_ms", "model", model)
+// ModelSeries is one model's recorder series names, each labelled
+// model="…". A harness renders them once per model with SeriesFor and
+// records under the resolved strings, so the per-request path builds no
+// names.
+type ModelSeries struct {
+	// Counters: Offered counts arrivals (served + rejected + shed +
+	// cancelled) and Served completed requests. Rejected counts
+	// admission rejections at a full queue. Shed counts requests the
+	// brownout controller turned away by QoS class at admission —
+	// deliberate load shedding, kept apart from queue-full rejections so
+	// the degradation is attributable. Cancelled counts queued requests
+	// whose caller abandoned them before dispatch — removed from the
+	// batch, not served, not rejected.
+	Offered, Served, Rejected, Shed, Cancelled string
+	// Histograms: Latency is the end-to-end latency (ms). Batch is the
+	// batch size (one observation per served request, valued at its
+	// batch's size), Depth the queue depth at arrival. BatchWait is the
+	// time in queue until the batch is flushed (ms) — the batching half
+	// of the serving tax — and DispatchWait the flush-to-start wait
+	// (ms): contention for the accelerator.
+	Latency, Batch, Depth, BatchWait, DispatchWait string
 }
 
-// OfferedSeries counts arrivals (served + rejected) per model.
-func OfferedSeries(model string) string {
-	return telemetry.Labeled("offered", "model", model)
-}
-
-// ServedSeries counts completed requests per model.
-func ServedSeries(model string) string {
-	return telemetry.Labeled("served", "model", model)
-}
-
-// RejectedSeries counts admission rejections per model.
-func RejectedSeries(model string) string {
-	return telemetry.Labeled("rejected", "model", model)
-}
-
-// ShedSeries counts requests the brownout controller turned away by
-// QoS class at admission — deliberate load shedding, kept apart from
-// queue-full rejections so the degradation is attributable.
-func ShedSeries(model string) string {
-	return telemetry.Labeled("shed", "model", model)
-}
-
-// CancelledSeries counts queued requests whose caller abandoned them
-// before dispatch (context cancellation) — removed from the batch, not
-// served, not rejected.
-func CancelledSeries(model string) string {
-	return telemetry.Labeled("cancelled", "model", model)
-}
-
-// BatchSeries is the batch-size histogram (one observation per served
-// request, valued at its batch's size).
-func BatchSeries(model string) string {
-	return telemetry.Labeled("batch", "model", model)
-}
-
-// DepthSeries is the queue-depth-at-arrival histogram.
-func DepthSeries(model string) string {
-	return telemetry.Labeled("depth", "model", model)
-}
-
-// BatchWaitSeries is the time-in-queue-until-batch-dispatch histogram
-// (ms) — the batching half of the serving tax.
-func BatchWaitSeries(model string) string {
-	return telemetry.Labeled("batch_wait_ms", "model", model)
-}
-
-// DispatchWaitSeries is the dispatch-to-start wait histogram (ms) —
-// contention for the accelerator.
-func DispatchWaitSeries(model string) string {
-	return telemetry.Labeled("dispatch_wait_ms", "model", model)
+// SeriesFor renders model's series names.
+func SeriesFor(model string) ModelSeries {
+	n := func(base string) string { return telemetry.Labeled(base, "model", model) }
+	return ModelSeries{
+		Offered: n("offered"), Served: n("served"), Rejected: n("rejected"),
+		Shed: n("shed"), Cancelled: n("cancelled"),
+		Latency: n("latency_ms"), Batch: n("batch"), Depth: n("depth"),
+		BatchWait: n("batch_wait_ms"), DispatchWait: n("dispatch_wait_ms"),
+	}
 }
 
 // Stages are the Table-III tax-anatomy stages the recorder tracks as
@@ -75,8 +52,13 @@ func DispatchWaitSeries(model string) string {
 // framework, FastRPC and kernel sub-stages.
 var Stages = []core.Stage{core.StagePre, core.StageFramework, core.StageRPC, core.StageKernel, core.StagePost}
 
-// StageSeries is the per-stage time counter (ms summed over the
-// window's served requests), aggregated across models.
-func StageSeries(stage core.Stage) string {
-	return telemetry.Labeled("stage_ms", "stage", stage.String())
-}
+// StageSeries parallels Stages: StageSeries[i] is the time counter of
+// Stages[i] (ms summed over the window's served requests), aggregated
+// across models.
+var StageSeries = func() []string {
+	names := make([]string, len(Stages))
+	for i, st := range Stages {
+		names[i] = telemetry.Labeled("stage_ms", "stage", st.String())
+	}
+	return names
+}()

@@ -156,6 +156,9 @@ type objState struct {
 	// lastShort/lastLong are the most recent horizon burn rates — the
 	// dashboard's live read.
 	lastShort, lastLong float64
+	// goodSeries and badSeries are obj's GoodSeries and BadSeries
+	// names, rendered once, when the monitor starts.
+	goodSeries, badSeries string
 }
 
 // Monitor evaluates SLO error-budget burn rates over two horizons — the
@@ -218,7 +221,7 @@ func (m *Monitor) initLocked() {
 		for i := range ring {
 			ring[i].tag = -1
 		}
-		m.states = append(m.states, &objState{obj: o, ring: ring})
+		m.states = append(m.states, &objState{obj: o, ring: ring, goodSeries: GoodSeries(o), badSeries: BadSeries(o)})
 	}
 }
 
@@ -240,8 +243,8 @@ func (m *Monitor) OnRow(row Row) {
 	defer m.mu.Unlock()
 	m.initLocked()
 	for _, st := range m.states {
-		good := row.Counters[GoodSeries(st.obj)]
-		bad := row.Counters[BadSeries(st.obj)]
+		good := row.Counters[st.goodSeries]
+		bad := row.Counters[st.badSeries]
 		st.good += good
 		st.bad += bad
 		slot := row.Index % m.Long

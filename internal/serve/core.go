@@ -92,6 +92,7 @@ type request struct {
 // queue is one model's admission queue and open batch.
 type queue struct {
 	name    string
+	series  queueSeries
 	pending []*request
 	// queued counts admitted requests not yet in service — the
 	// admission-control quantity.
@@ -103,6 +104,21 @@ type queue struct {
 	stop func()
 	gen  int
 }
+
+// queueSeries is one model's registry series names, each labelled
+// model="…". newCore renders them once per queue, so admission,
+// batching and completion build no names.
+type queueSeries struct {
+	requests, rejected, cancelled, downshift, batches, batchSize, latency, tax, service string
+}
+
+// shedSeries are the brownout shed counter's names, one per QoS class.
+var shedSeries = func() (names [qos.NumClasses]string) {
+	for c := range names {
+		names[c] = telemetry.Labeled("aitax_qos_shed_total", "class", qos.Class(c).String())
+	}
+	return names
+}()
 
 // batch is one flushed batch. steered and factor are fixed at
 // dispatch: the delegate it runs on, and the DVFS throttle (1 = none)
@@ -150,7 +166,13 @@ func newCore(cfg Config, clk clock, metrics *telemetry.Registry, run func(*batch
 		free:   cfg.Workers,
 	}
 	for _, m := range cfg.Models {
-		q := &queue{name: m.Name}
+		n := func(base string) string { return telemetry.Labeled(base, "model", m.Name) }
+		q := &queue{name: m.Name, series: queueSeries{
+			requests: n("aitax_serve_requests_total"), rejected: n("aitax_serve_rejected_total"),
+			cancelled: n("aitax_serve_cancelled_total"), downshift: n("aitax_qos_downshift_total"),
+			batches: n("aitax_serve_batches_total"), batchSize: n("aitax_serve_batch_size"),
+			latency: n("aitax_serve_latency_ms"), tax: n("aitax_serve_tax_ms"), service: n("aitax_serve_service_ms"),
+		}}
 		c.queues[m.Name] = q
 		c.order = append(c.order, q)
 	}
@@ -211,31 +233,34 @@ func (c *core) admit(r *request) admission {
 		return draining
 	}
 	name := r.out.Model
+	// asked is the requested model's queue: the request's counters stay
+	// with it even when a downshift moves the request elsewhere.
+	asked := c.queues[name]
 	r.out.Arrival = c.clk.now()
-	c.metrics.Inc(telemetry.Labeled("aitax_serve_requests_total", "model", name))
+	c.metrics.Inc(asked.series.requests)
 	// Brownout rung 1: shed best-effort traffic at admission. Shed
 	// outcomes are not fed back into the controller's burn signal — its
 	// own action must not hold its pressure up.
 	if c.qs != nil && c.qs.ctl.Shed(r.out.Class) {
 		r.out.Shed = true
 		c.qs.deg.Shed[r.out.Class]++
-		c.metrics.Inc(telemetry.Labeled("aitax_qos_shed_total", "class", r.out.Class.String()))
+		c.metrics.Inc(shedSeries[r.out.Class])
 		return shed
 	}
 	// Brownout rung 2: rewrite the request onto its cheaper fallback
 	// model's queue; it batches, prices and serves as that model.
-	r.q = c.queues[name]
+	r.q = asked
 	if c.qs != nil && c.qs.ctl.Downshift() {
 		if to, ok := c.cfg.QoS.Downshift[name]; ok {
 			r.out.ServedAs = to
 			r.q = c.queues[to]
 			c.qs.deg.Downshifted++
-			c.metrics.Inc(telemetry.Labeled("aitax_qos_downshift_total", "model", name))
+			c.metrics.Inc(asked.series.downshift)
 		}
 	}
 	if r.q.queued >= c.cfg.QueueDepth {
 		r.out.Rejected = true
-		c.metrics.Inc(telemetry.Labeled("aitax_serve_rejected_total", "model", name))
+		c.metrics.Inc(asked.series.rejected)
 		c.burn(name, 0, true)
 		return rejected
 	}
@@ -284,8 +309,8 @@ func (c *core) flush(q *queue) {
 	for _, r := range b.reqs {
 		r.out.Flushed = now
 	}
-	c.metrics.Inc(telemetry.Labeled("aitax_serve_batches_total", "model", q.name))
-	c.metrics.Observe(telemetry.Labeled("aitax_serve_batch_size", "model", q.name), float64(len(b.reqs)))
+	c.metrics.Inc(q.series.batches)
+	c.metrics.Observe(q.series.batchSize, float64(len(b.reqs)))
 	c.ready = append(c.ready, b)
 	c.dispatch()
 }
@@ -375,7 +400,7 @@ func (c *core) cancel(r *request) bool {
 			if len(q.pending) == 0 {
 				q.closeWindow()
 			}
-			c.metrics.Inc(telemetry.Labeled("aitax_serve_cancelled_total", "model", r.out.Model))
+			c.metrics.Inc(c.queues[r.out.Model].series.cancelled)
 			c.maybeStopTick()
 			return true
 		}

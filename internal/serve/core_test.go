@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"aitax/internal/models"
+	"aitax/internal/qos"
 	"aitax/internal/sim"
 	"aitax/internal/telemetry"
 )
@@ -123,5 +125,39 @@ func TestTickRearmsUntilClosedAndIdle(t *testing.T) {
 	clk.cbs[len(clk.cbs)-1]() // a tick stopped after it fired is a no-op
 	if c.qs.deg.Ticks != 1 {
 		t.Fatalf("stopped tick ran: %d ticks", c.qs.deg.Ticks)
+	}
+}
+
+// newCore renders each queue's registry names exactly as
+// telemetry.Labeled does, model names that need escaping included, and
+// the shed counter's per-class names likewise.
+func TestQueueSeriesMatchesLabeled(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Models = nil
+	for _, name := range []string{"MobileNet 1.0 v1", `quote"d`, `back\slash`, "new\nline"} {
+		cfg.Models = append(cfg.Models, &models.Model{Name: name})
+	}
+	c, _, _ := fakeCore(t, cfg)
+	for _, q := range c.order {
+		for _, n := range []struct{ got, base string }{
+			{q.series.requests, "aitax_serve_requests_total"},
+			{q.series.rejected, "aitax_serve_rejected_total"},
+			{q.series.cancelled, "aitax_serve_cancelled_total"},
+			{q.series.downshift, "aitax_qos_downshift_total"},
+			{q.series.batches, "aitax_serve_batches_total"},
+			{q.series.batchSize, "aitax_serve_batch_size"},
+			{q.series.latency, "aitax_serve_latency_ms"},
+			{q.series.tax, "aitax_serve_tax_ms"},
+			{q.series.service, "aitax_serve_service_ms"},
+		} {
+			if want := telemetry.Labeled(n.base, "model", q.name); n.got != want {
+				t.Errorf("queue %q %s = %q, want %q", q.name, n.base, n.got, want)
+			}
+		}
+	}
+	for cls := qos.Class(0); cls < qos.NumClasses; cls++ {
+		if want := telemetry.Labeled("aitax_qos_shed_total", "class", cls.String()); shedSeries[cls] != want {
+			t.Errorf("shed series %v = %q, want %q", cls, shedSeries[cls], want)
+		}
 	}
 }

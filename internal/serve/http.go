@@ -49,6 +49,9 @@ type Server struct {
 	start time.Time
 	rec   *obs.Recorder
 	mon   *obs.Monitor
+	// series is the recorder's series names. Nothing writes to it after
+	// NewServer, so the handlers share it without holding mu.
+	series *seriesTable
 
 	mu   sync.Mutex
 	core *core // guarded by mu
@@ -74,6 +77,7 @@ func NewServer(cfg Config) (*Server, error) {
 		lab:        &lab.Lab{Parallelism: 1},
 		retryAfter: retryAfterSeconds(cfg.BatchWindow),
 		start:      time.Now(),
+		series:     newSeriesTable(cfg, cfg.SLO),
 	}
 	c, err := newCore(cfg, s, s.metrics, s.run)
 	if err != nil {
@@ -352,7 +356,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, req *http.Request, task mode
 
 	at := offered.Arrival.Duration()
 	if verdict != draining {
-		recordOffered(s.rec, s.cfg.SLO, offered, at)
+		s.series.recordOffered(s.rec, offered, at)
 	}
 	if verdict != admitted {
 		// Every refusal tells the client when to come back, not just to
@@ -369,7 +373,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, req *http.Request, task mode
 		writeJSON(w, status, errorResponse{Error: msg})
 		return
 	}
-	s.rec.Observe(at, obs.DepthSeries(r.q.name), float64(depth))
+	s.rec.Observe(at, s.series.models[r.q.name].Depth, float64(depth))
 
 	select {
 	case err := <-r.done:
@@ -379,8 +383,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, req *http.Request, task mode
 		}
 		o := r.out
 		done := s.now().Duration()
-		recordServed(s.rec, o, done)
-		recordBurn(s.rec, s.cfg.SLO, o, done)
+		s.series.recordServed(s.rec, o, done)
+		s.series.recordBurn(s.rec, o, done)
 		queue := o.Started.Sub(o.Arrival)
 		writeJSON(w, http.StatusOK, inferResponse{
 			Model:     o.Model,
@@ -401,8 +405,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, req *http.Request, task mode
 		s.mu.Unlock()
 		if removed {
 			now := s.now().Duration()
-			s.rec.Add(now, obs.CancelledSeries(m.Name), 1)
-			s.rec.Add(now, obs.CancelledSeries(obs.AllModels), 1)
+			s.rec.Add(now, s.series.models[m.Name].Cancelled, 1)
+			s.rec.Add(now, s.series.all.Cancelled, 1)
 		}
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "client cancelled"})
 	}
@@ -432,7 +436,7 @@ func (s *Server) run(b *batch) {
 		s.core.complete(b, cost, res.Err)
 		s.mu.Unlock()
 		if res.Err == nil {
-			s.metrics.Observe(telemetry.Labeled("aitax_serve_service_ms", "model", m.Name), ms(s.core.service(b, cost)))
+			s.metrics.Observe(b.q.series.service, ms(s.core.service(b, cost)))
 		}
 		for _, r := range b.reqs {
 			r.done <- res.Err

@@ -305,9 +305,9 @@ func TestHTTPRecordsBatchAndDispatchWait(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %v", resp.StatusCode, out)
 	}
-	model := "MobileNet 1.0 v1"
-	bw := srv.rec.MergedHist(obs.BatchWaitSeries(model), 1)
-	dw := srv.rec.MergedHist(obs.DispatchWaitSeries(model), 1)
+	mobilenet := obs.SeriesFor("MobileNet 1.0 v1")
+	bw := srv.rec.MergedHist(mobilenet.BatchWait, 1)
+	dw := srv.rec.MergedHist(mobilenet.DispatchWait, 1)
 	if bw.Count() != 1 || dw.Count() != 1 {
 		t.Fatalf("batch-wait %d and dispatch-wait %d observations, want 1 each", bw.Count(), dw.Count())
 	}
@@ -332,7 +332,7 @@ func TestHTTPDrainingRefusalIsNotCounted(t *testing.T) {
 	if got := srv.Metrics().Counter(`aitax_serve_requests_total{model="MobileNet 1.0 v1"}`); got != 0 {
 		t.Fatalf("draining refusal counted in requests_total: %v", got)
 	}
-	if got := srv.rec.SumCounter(obs.OfferedSeries(obs.AllModels), 1); got != 0 {
+	if got := srv.rec.SumCounter(obs.SeriesFor(obs.AllModels).Offered, 1); got != 0 {
 		t.Fatalf("draining refusal counted as offered: %v", got)
 	}
 }
@@ -367,7 +367,7 @@ func TestHTTPConservesRequests(t *testing.T) {
 		t.Fatalf("cancelled request finished with %d", code)
 	}
 	tally[-1]++
-	for deadline := time.Now().Add(5 * time.Second); srv.rec.SumCounter(obs.CancelledSeries(model), 1) != 1; {
+	for deadline := time.Now().Add(5 * time.Second); srv.rec.SumCounter(obs.SeriesFor(model).Cancelled, 1) != 1; {
 		if time.Now().After(deadline) {
 			t.Fatal("cancelled request never recorded")
 		}
@@ -403,9 +403,10 @@ func TestHTTPConservesRequests(t *testing.T) {
 	if total != 7 {
 		t.Fatalf("requests_total %v, client saw 7 admission verdicts", total)
 	}
-	sum := func(series func(string) string) float64 { return srv.rec.SumCounter(series(obs.AllModels), 1) }
-	offered := sum(obs.OfferedSeries)
-	parts := sum(obs.ServedSeries) + sum(obs.RejectedSeries) + sum(obs.ShedSeries) + sum(obs.CancelledSeries)
+	all := obs.SeriesFor(obs.AllModels)
+	sum := func(series string) float64 { return srv.rec.SumCounter(series, 1) }
+	offered := sum(all.Offered)
+	parts := sum(all.Served) + sum(all.Rejected) + sum(all.Shed) + sum(all.Cancelled)
 	if offered != 7 || parts != offered {
 		t.Fatalf("recorder offered %v, served+rejected+shed+cancelled %v, want 7 each", offered, parts)
 	}

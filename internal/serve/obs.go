@@ -95,61 +95,93 @@ func BuildSimObs(cfg Config, res *SimResult, window time.Duration, objectives []
 		return res.Outcomes[a.idx].ID < res.Outcomes[b.idx].ID
 	})
 
+	series := newSeriesTable(cfg, objectives)
 	depth := make(map[string]int, len(so.Models))
 	depthAll := 0
 	for _, ev := range events {
 		o := res.Outcomes[ev.idx]
 		switch ev.kind {
 		case evArrive:
-			recordOffered(rec, objectives, o, ev.at)
+			series.recordOffered(rec, o, ev.at)
 			depth[o.Model]++
 			depthAll++
-			rec.Observe(ev.at, obs.DepthSeries(o.Model), float64(depth[o.Model]))
-			rec.Observe(ev.at, obs.DepthSeries(obs.AllModels), float64(depthAll))
+			rec.Observe(ev.at, series.models[o.Model].Depth, float64(depth[o.Model]))
+			rec.Observe(ev.at, series.all.Depth, float64(depthAll))
 		case evRefuse:
-			recordOffered(rec, objectives, o, ev.at)
+			series.recordOffered(rec, o, ev.at)
 		case evStart:
 			depth[o.Model]--
 			depthAll--
 		case evFinish:
-			recordServed(rec, o, ev.at)
-			recordBurn(rec, objectives, o, ev.at)
+			series.recordServed(rec, o, ev.at)
+			series.recordBurn(rec, o, ev.at)
 		}
 	}
 	rec.Flush()
 	return so
 }
 
+// seriesTable is every recorder series name one serving harness
+// writes, rendered once when the harness starts: each loaded model's
+// and the all-models aggregate's names, and each objective's good/bad
+// counters. Nothing writes to it afterwards, so the HTTP handlers read
+// it without a lock. A model outside the loaded set never reaches a
+// record call: Simulate and resolveModel reject it first.
+type seriesTable struct {
+	models map[string]*obs.ModelSeries
+	all    obs.ModelSeries
+	// good[i] and bad[i] are slo[i]'s compliance counters.
+	slo       []obs.Objective
+	good, bad []string
+}
+
+func newSeriesTable(cfg Config, objectives []obs.Objective) *seriesTable {
+	t := &seriesTable{
+		models: make(map[string]*obs.ModelSeries, len(cfg.Models)),
+		all:    obs.SeriesFor(obs.AllModels),
+		slo:    objectives,
+	}
+	for _, m := range cfg.Models {
+		s := obs.SeriesFor(m.Name)
+		t.models[m.Name] = &s
+	}
+	for _, o := range objectives {
+		t.good = append(t.good, obs.GoodSeries(o))
+		t.bad = append(t.bad, obs.BadSeries(o))
+	}
+	return t
+}
+
 // recordOffered counts one arrival as offered and, when it was turned
 // away, in its refusal series and against every objective covering its
 // model: shedding is honest about the traffic it sacrifices.
-func recordOffered(rec *obs.Recorder, objectives []obs.Objective, o Outcome, at time.Duration) {
-	for _, m := range []string{o.Model, obs.AllModels} {
-		rec.Add(at, obs.OfferedSeries(m), 1)
+func (t *seriesTable) recordOffered(rec *obs.Recorder, o Outcome, at time.Duration) {
+	for _, s := range [...]*obs.ModelSeries{t.models[o.Model], &t.all} {
+		rec.Add(at, s.Offered, 1)
 		switch {
 		case o.Shed:
-			rec.Add(at, obs.ShedSeries(m), 1)
+			rec.Add(at, s.Shed, 1)
 		case o.Rejected:
-			rec.Add(at, obs.RejectedSeries(m), 1)
+			rec.Add(at, s.Rejected, 1)
 		}
 	}
 	if o.Shed || o.Rejected {
-		recordBurn(rec, objectives, o, at)
+		t.recordBurn(rec, o, at)
 	}
 }
 
 // recordBurn scores one resolved request against every objective
 // covering its model: a refused request is bad, a served one by its
 // latency.
-func recordBurn(rec *obs.Recorder, objectives []obs.Objective, o Outcome, at time.Duration) {
-	for _, obj := range objectives {
+func (t *seriesTable) recordBurn(rec *obs.Recorder, o Outcome, at time.Duration) {
+	for i, obj := range t.slo {
 		covered, breached := obj.Match(o.Model, o.Latency(), o.Shed || o.Rejected)
 		switch {
 		case !covered:
 		case breached:
-			rec.Add(at, obs.BadSeries(obj), 1)
+			rec.Add(at, t.bad[i], 1)
 		default:
-			rec.Add(at, obs.GoodSeries(obj), 1)
+			rec.Add(at, t.good[i], 1)
 		}
 	}
 }
@@ -157,17 +189,17 @@ func recordBurn(rec *obs.Recorder, objectives []obs.Objective, o Outcome, at tim
 // recordServed records one completed request's latency, batching and
 // Table-III stage anatomy under the shared series-name contract — the
 // single write path both harnesses use.
-func recordServed(rec *obs.Recorder, o Outcome, at time.Duration) {
+func (t *seriesTable) recordServed(rec *obs.Recorder, o Outcome, at time.Duration) {
 	latMS := ms(o.Latency())
-	for _, m := range []string{o.Model, obs.AllModels} {
-		rec.Add(at, obs.ServedSeries(m), 1)
-		rec.Observe(at, obs.LatencySeries(m), latMS)
-		rec.Observe(at, obs.BatchSeries(m), float64(o.BatchSize))
-		rec.Observe(at, obs.BatchWaitSeries(m), ms(o.BatchWait()))
-		rec.Observe(at, obs.DispatchWaitSeries(m), ms(o.DispatchWait()))
+	for _, s := range [...]*obs.ModelSeries{t.models[o.Model], &t.all} {
+		rec.Add(at, s.Served, 1)
+		rec.Observe(at, s.Latency, latMS)
+		rec.Observe(at, s.Batch, float64(o.BatchSize))
+		rec.Observe(at, s.BatchWait, ms(o.BatchWait()))
+		rec.Observe(at, s.DispatchWait, ms(o.DispatchWait()))
 	}
-	for _, st := range obs.Stages {
-		rec.Add(at, obs.StageSeries(st), ms(o.Stages.Of(st)))
+	for i, st := range obs.Stages {
+		rec.Add(at, obs.StageSeries[i], ms(o.Stages.Of(st)))
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	taxcore "aitax/internal/core"
 	"aitax/internal/loadgen"
 	"aitax/internal/obs"
+	"aitax/internal/sim"
 )
 
 // simObsFixture runs a small overloaded load simulation and builds its
@@ -47,10 +48,11 @@ func TestBuildSimObsAccountsEveryRequest(t *testing.T) {
 	res, so, _ := simObsFixture(t, objs)
 
 	var offered, served, rejected, good, bad float64
+	all := obs.SeriesFor(obs.AllModels)
 	for _, row := range so.Rows {
-		offered += row.Counters[obs.OfferedSeries(obs.AllModels)]
-		served += row.Counters[obs.ServedSeries(obs.AllModels)]
-		rejected += row.Counters[obs.RejectedSeries(obs.AllModels)]
+		offered += row.Counters[all.Offered]
+		served += row.Counters[all.Served]
+		rejected += row.Counters[all.Rejected]
 		good += row.Counters[obs.GoodSeries(objs[0])]
 		bad += row.Counters[obs.BadSeries(objs[0])]
 	}
@@ -91,8 +93,14 @@ func TestBuildSimObsStageAnatomyMatchesOutcomes(t *testing.T) {
 	}
 	var gotPre, gotPost float64
 	for _, row := range so.Rows {
-		gotPre += row.Counters[obs.StageSeries(taxcore.StagePre)]
-		gotPost += row.Counters[obs.StageSeries(taxcore.StagePost)]
+		for i, st := range obs.Stages {
+			switch st {
+			case taxcore.StagePre:
+				gotPre += row.Counters[obs.StageSeries[i]]
+			case taxcore.StagePost:
+				gotPost += row.Counters[obs.StageSeries[i]]
+			}
+		}
 	}
 	if wantPre == 0 {
 		t.Fatal("outcomes carry no pre-processing time; BatchCost.Sum not plumbed")
@@ -209,5 +217,36 @@ func TestHTTPWatchRendersLiveTraffic(t *testing.T) {
 		if !strings.Contains(watch, want) {
 			t.Fatalf("watch output missing %q:\n%s", want, watch)
 		}
+	}
+}
+
+// The record path both harnesses share resolves every series name up
+// front: once the recorder holds its series, recording a served, a
+// rejected and a shed request allocates nothing.
+func TestRecordPathDoesNotAllocate(t *testing.T) {
+	cfg := testConfig(t)
+	model := cfg.Models[0].Name
+	series := newSeriesTable(cfg, []obs.Objective{
+		{Latency: 5 * time.Millisecond, Target: 0.95},
+		{Model: model, Latency: time.Millisecond, Target: 0.99},
+	})
+	rec := obs.NewRecorder(obs.RecorderConfig{})
+	served := Outcome{
+		Model: model, BatchSize: 2, Flushed: sim.Time(time.Millisecond),
+		Started: sim.Time(2 * time.Millisecond), Finished: sim.Time(9 * time.Millisecond),
+	}
+	rejected := Outcome{Model: model, Rejected: true}
+	shed := Outcome{Model: model, Shed: true}
+	at := 100 * time.Millisecond
+	record := func() {
+		series.recordOffered(rec, served, at)
+		series.recordServed(rec, served, at)
+		series.recordBurn(rec, served, at)
+		series.recordOffered(rec, rejected, at)
+		series.recordOffered(rec, shed, at)
+	}
+	record() // create every series
+	if n := testing.AllocsPerRun(100, record); n != 0 {
+		t.Fatalf("record path allocates %v times per call, want 0", n)
 	}
 }

@@ -6,8 +6,6 @@ import (
 
 	"aitax/internal/obs"
 	"aitax/internal/plan"
-	"aitax/internal/qos"
-	"aitax/internal/telemetry"
 	"aitax/internal/tflite"
 )
 
@@ -75,37 +73,35 @@ func (s *Server) Prewarm(ctx context.Context) (plan.Report, error) {
 // nothing a later scrape or window reports is fabricated.
 func (s *Server) warmTelemetry() {
 	at := s.now().Duration()
-	names := make([]string, 0, len(s.cfg.Models))
-	for _, m := range s.cfg.Models {
-		names = append(names, m.Name)
+	models := make([]*obs.ModelSeries, 0, len(s.cfg.Models))
+	for _, q := range s.core.order {
+		s.metrics.Add(q.series.requests, 0)
+		s.metrics.Add(q.series.rejected, 0)
+		s.metrics.Add(q.series.cancelled, 0)
+		s.metrics.Add(q.series.batches, 0)
+		s.metrics.TouchHistogram(q.series.batchSize)
+		s.metrics.TouchHistogram(q.series.service)
+		models = append(models, s.series.models[q.name])
 	}
-	for _, name := range names {
-		s.metrics.Add(telemetry.Labeled("aitax_serve_requests_total", "model", name), 0)
-		s.metrics.Add(telemetry.Labeled("aitax_serve_rejected_total", "model", name), 0)
-		s.metrics.Add(telemetry.Labeled("aitax_serve_cancelled_total", "model", name), 0)
-		s.metrics.Add(telemetry.Labeled("aitax_serve_batches_total", "model", name), 0)
-		s.metrics.TouchHistogram(telemetry.Labeled("aitax_serve_batch_size", "model", name))
-		s.metrics.TouchHistogram(telemetry.Labeled("aitax_serve_service_ms", "model", name))
+	for _, ser := range append(models, &s.series.all) {
+		s.rec.Add(at, ser.Offered, 0)
+		s.rec.Add(at, ser.Served, 0)
+		s.rec.Add(at, ser.Rejected, 0)
+		s.rec.Add(at, ser.Cancelled, 0)
+		s.rec.Touch(at, ser.Latency)
+		s.rec.Touch(at, ser.Batch)
+		s.rec.Touch(at, ser.BatchWait)
+		s.rec.Touch(at, ser.DispatchWait)
 	}
-	for _, name := range append(names, obs.AllModels) {
-		s.rec.Add(at, obs.OfferedSeries(name), 0)
-		s.rec.Add(at, obs.ServedSeries(name), 0)
-		s.rec.Add(at, obs.RejectedSeries(name), 0)
-		s.rec.Add(at, obs.CancelledSeries(name), 0)
-		s.rec.Touch(at, obs.LatencySeries(name))
-		s.rec.Touch(at, obs.BatchSeries(name))
-		s.rec.Touch(at, obs.BatchWaitSeries(name))
-		s.rec.Touch(at, obs.DispatchWaitSeries(name))
+	for _, ser := range models {
+		s.rec.Touch(at, ser.Depth)
 	}
-	for _, name := range names {
-		s.rec.Touch(at, obs.DepthSeries(name))
+	for _, name := range obs.StageSeries {
+		s.rec.Add(at, name, 0)
 	}
-	for _, st := range obs.Stages {
-		s.rec.Add(at, obs.StageSeries(st), 0)
-	}
-	for _, obj := range s.cfg.SLO {
-		s.rec.Add(at, obs.GoodSeries(obj), 0)
-		s.rec.Add(at, obs.BadSeries(obj), 0)
+	for i := range s.series.slo {
+		s.rec.Add(at, s.series.good[i], 0)
+		s.rec.Add(at, s.series.bad[i], 0)
 	}
 	if s.core.qs != nil {
 		s.mu.Lock()
@@ -116,12 +112,12 @@ func (s *Server) warmTelemetry() {
 		s.metrics.Add("aitax_qos_transitions_total", 0)
 		s.metrics.Add("aitax_qos_steered_batches_total", 0)
 		s.metrics.Add("aitax_qos_throttled_batches_total", 0)
-		for c := qos.Class(0); c < qos.NumClasses; c++ {
-			s.metrics.Add(telemetry.Labeled("aitax_qos_shed_total", "class", c.String()), 0)
+		for _, name := range shedSeries {
+			s.metrics.Add(name, 0)
 		}
-		for _, name := range names {
-			if _, ok := s.cfg.QoS.Downshift[name]; ok {
-				s.metrics.Add(telemetry.Labeled("aitax_qos_downshift_total", "model", name), 0)
+		for _, q := range s.core.order {
+			if _, ok := s.cfg.QoS.Downshift[q.name]; ok {
+				s.metrics.Add(q.series.downshift, 0)
 			}
 		}
 	}

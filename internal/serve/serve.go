@@ -153,11 +153,13 @@ func (c Config) Validate() error {
 	if c.QueueDepth < 1 {
 		return fmt.Errorf("serve: queue depth must be at least 1, got %d", c.QueueDepth)
 	}
-	if c.BatchWindow < 0 {
-		return fmt.Errorf("serve: batch window must be non-negative, got %v", c.BatchWindow)
-	}
-	if c.DispatchCost < 0 {
-		return fmt.Errorf("serve: dispatch cost must be non-negative, got %v", c.DispatchCost)
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{{"batch window", c.BatchWindow}, {"obs window", c.ObsWindow}, {"dispatch cost", c.DispatchCost}} {
+		if d.v < 0 {
+			return fmt.Errorf("serve: %s must be non-negative, got %v", d.name, d.v)
+		}
 	}
 	if c.QoS != nil {
 		if err := c.validateQoS(); err != nil {

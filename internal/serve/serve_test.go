@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -232,5 +233,26 @@ func TestSimulateRejectsUnknownArrivalModel(t *testing.T) {
 	}
 	if err := (Config{}).Defaults().Validate(); !errors.Is(err, ErrNoPlatform) {
 		t.Fatalf("Validate without a platform: err = %v, want ErrNoPlatform", err)
+	}
+}
+
+// Every duration knob rejects a negative value instead of quietly
+// running at a default; zero stays valid (no delay, free dispatch, the
+// recorder's default window).
+func TestValidateRejectsNegativeDurations(t *testing.T) {
+	for name, set := range map[string]func(*Config, time.Duration){
+		"batch window":  func(c *Config, d time.Duration) { c.BatchWindow = d },
+		"dispatch cost": func(c *Config, d time.Duration) { c.DispatchCost = d },
+		"obs window":    func(c *Config, d time.Duration) { c.ObsWindow = d },
+	} {
+		cfg := testConfig(t)
+		set(&cfg, 0)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("zero %s: %v", name, err)
+		}
+		set(&cfg, -5*time.Second)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("negative %s: err = %v, want one naming the %s", name, err, name)
+		}
 	}
 }

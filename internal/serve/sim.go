@@ -182,8 +182,8 @@ func (s *simulator) run(b *batch) {
 		s.core.complete(b, cost, nil)
 		for _, r := range b.reqs {
 			r.span.End()
-			s.core.metrics.Observe(telemetry.Labeled("aitax_serve_latency_ms", "model", b.q.name), ms(r.out.Latency()))
-			s.core.metrics.Observe(telemetry.Labeled("aitax_serve_tax_ms", "model", b.q.name), ms(r.out.Tax()))
+			s.core.metrics.Observe(b.q.series.latency, ms(r.out.Latency()))
+			s.core.metrics.Observe(b.q.series.tax, ms(r.out.Tax()))
 		}
 	})
 }

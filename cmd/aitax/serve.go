@@ -261,13 +261,9 @@ func runLoad(o *serveOpts, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 
-	names := make([]string, len(cfg.Models))
-	for i, m := range cfg.Models {
-		names[i] = m.Name
-	}
 	fmt.Fprintf(stdout, "platform: %s (%s) | delegate %s | dtype %s | seed %d\n",
 		cfg.Platform.Name, cfg.Platform.Chipset, cfg.Delegate, cfg.DType, o.seed)
-	fmt.Fprintf(stdout, "models: %s\n", strings.Join(names, ", "))
+	fmt.Fprintf(stdout, "models: %s\n", strings.Join(cfg.ModelNames(), ", "))
 	fmt.Fprint(stdout, res.Report(cfg, o.ramp))
 
 	// The streaming observability view is built once and shared by the

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -58,18 +57,21 @@ func (c RecorderConfig) withDefaults() RecorderConfig {
 	return c
 }
 
-// counterRing is one counter series' ring of window cells. tag[i] names
-// the window index occupying cell i, so stale cells are detected and
-// lazily zeroed instead of sweeping the ring on every advance.
-type counterRing struct {
-	vals []float64
-	tag  []int
-}
-
-// histRing is one histogram series' ring of window cells.
-type histRing struct {
+// ring is one series' window cells: a counter's sums in vals, or a
+// histogram's in hists. tag[i] names the window index occupying cell
+// i, so stale cells are detected and lazily reset instead of sweeping
+// the ring on every advance.
+type ring struct {
+	name  string
+	vals  []float64
 	hists []*stats.Histogram
 	tag   []int
+}
+
+// seriesKey names a series: a counter and a histogram may share a name.
+type seriesKey struct {
+	name string
+	hist bool
 }
 
 // Recorder aggregates observations into fixed-width time windows held
@@ -78,30 +80,36 @@ type histRing struct {
 // flat — Keep windows per series, fixed-bucket histograms — no matter
 // how long the run. Steady-state recording into existing series does
 // not allocate. Safe for concurrent use; determinism of the contents
-// comes from deterministic inputs (the simulator replays outcomes in a
-// fixed order).
+// comes from deterministic inputs (the simulator records its events in
+// a fixed order).
 type Recorder struct {
 	cfg RecorderConfig
 
 	mu       sync.Mutex
 	head     int // highest window index observed; -1 before first obs
 	closedTo int // windows below this have been closed (or skipped)
-	counters map[string]*counterRing
-	hists    map[string]*histRing
-	names    []string // sorted union of series names, rebuilt when dirty
-	dirty    bool
-	dropped  int64 // observations older than the ring
+	// series is indexed by handle; index resolves names to handles.
+	series  []ring
+	index   map[seriesKey]int
+	dropped int64 // observations older than the ring
+}
+
+// Counter is a handle to one counter series of a Recorder: recording
+// through it does no name lookup.
+type Counter struct {
+	r *Recorder
+	i int
+}
+
+// Hist is a handle to one histogram series of a Recorder.
+type Hist struct {
+	r *Recorder
+	i int
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder(cfg RecorderConfig) *Recorder {
-	cfg = cfg.withDefaults()
-	return &Recorder{
-		cfg:      cfg,
-		head:     -1,
-		counters: make(map[string]*counterRing),
-		hists:    make(map[string]*histRing),
-	}
+	return &Recorder{cfg: cfg.withDefaults(), head: -1, index: make(map[seriesKey]int)}
 }
 
 // Window returns the configured window width.
@@ -112,6 +120,35 @@ func (r *Recorder) Dropped() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
+}
+
+// Counter returns the handle of the named counter series, creating the
+// series if absent. A new series holds no data until recorded into.
+func (r *Recorder) Counter(name string) Counter { return Counter{r, r.resolve(seriesKey{name, false})} }
+
+// Hist returns the handle of the named histogram series, creating the
+// series if absent.
+func (r *Recorder) Hist(name string) Hist { return Hist{r, r.resolve(seriesKey{name, true})} }
+
+func (r *Recorder) resolve(k seriesKey) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i, ok := r.index[k]
+	if !ok {
+		i = len(r.series)
+		s := ring{name: k.name, tag: make([]int, r.cfg.Keep)}
+		for j := range s.tag {
+			s.tag[j] = -1
+		}
+		if k.hist {
+			s.hists = make([]*stats.Histogram, r.cfg.Keep)
+		} else {
+			s.vals = make([]float64, r.cfg.Keep)
+		}
+		r.series = append(r.series, s)
+		r.index[k] = i
+	}
+	return i
 }
 
 // windowIndex maps a timestamp to its window ordinal.
@@ -146,105 +183,73 @@ func (r *Recorder) advance(idx int) {
 	r.head = idx
 }
 
-// Add accumulates v into the named counter series for the window
-// containing at.
-func (r *Recorder) Add(at time.Duration, name string, v float64) {
+// cellLocked advances the ring to at's window and returns series i's
+// cell for it, reset if it held an older window; ok is false when the
+// window is older than the ring. Caller holds r.mu.
+func (r *Recorder) cellLocked(at time.Duration, i int) (s *ring, slot int, ok bool) {
 	idx := r.windowIndex(at)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.advance(idx)
 	if idx < r.head-r.cfg.Keep+1 || idx < r.closedTo {
-		r.dropped++
-		return
+		return nil, 0, false
 	}
-	c := r.counters[name]
-	if c == nil {
-		c = &counterRing{vals: make([]float64, r.cfg.Keep), tag: make([]int, r.cfg.Keep)}
-		for i := range c.tag {
-			c.tag[i] = -1
+	s, slot = &r.series[i], idx%r.cfg.Keep
+	if s.tag[slot] != idx {
+		s.tag[slot] = idx
+		switch {
+		case s.vals != nil:
+			s.vals[slot] = 0
+		case s.hists[slot] == nil:
+			s.hists[slot] = stats.NewHistogram(r.cfg.Bounds)
+		default:
+			s.hists[slot].Reset()
 		}
-		r.counters[name] = c
-		r.dirty = true
 	}
-	slot := idx % r.cfg.Keep
-	if c.tag[slot] != idx {
-		c.tag[slot] = idx
-		c.vals[slot] = 0
-	}
-	c.vals[slot] += v
+	return s, slot, true
 }
+
+// Add accumulates v into the named counter series for the window
+// containing at.
+func (r *Recorder) Add(at time.Duration, name string, v float64) { r.Counter(name).Add(at, v) }
 
 // Observe records v into the named histogram series for the window
 // containing at.
-func (r *Recorder) Observe(at time.Duration, name string, v float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h := r.histSlotLocked(at, name); h != nil {
-		h.Observe(v)
+func (r *Recorder) Observe(at time.Duration, name string, v float64) { r.Hist(name).Observe(at, v) }
+
+// Add accumulates v into the counter for the window containing at.
+func (c Counter) Add(at time.Duration, v float64) {
+	c.r.mu.Lock()
+	defer c.r.mu.Unlock()
+	if s, slot, ok := c.r.cellLocked(at, c.i); ok {
+		s.vals[slot] += v
 	} else {
-		r.dropped++
+		c.r.dropped++
 	}
 }
 
-// Touch creates the named histogram series (with an empty histogram in
-// at's window) without recording an observation, so a prewarmed
-// harness's first window carries the full series set instead of being
-// an outlier missing most of it. Existing series are left untouched.
-func (r *Recorder) Touch(at time.Duration, name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.histSlotLocked(at, name)
+// Observe records v into the histogram for the window containing at.
+func (h Hist) Observe(at time.Duration, v float64) {
+	h.r.mu.Lock()
+	defer h.r.mu.Unlock()
+	if s, slot, ok := h.r.cellLocked(at, h.i); ok {
+		s.hists[slot].Observe(v)
+	} else {
+		h.r.dropped++
+	}
 }
 
-// histSlotLocked advances the ring to at's window and returns the named
-// series' histogram for that window, creating the series or recycling a
-// stale slot as needed; nil when the window is older than the ring.
-// Caller holds r.mu.
-func (r *Recorder) histSlotLocked(at time.Duration, name string) *stats.Histogram {
-	idx := r.windowIndex(at)
-	r.advance(idx)
-	if idx < r.head-r.cfg.Keep+1 || idx < r.closedTo {
-		return nil
-	}
-	h := r.hists[name]
-	if h == nil {
-		h = &histRing{hists: make([]*stats.Histogram, r.cfg.Keep), tag: make([]int, r.cfg.Keep)}
-		for i := range h.tag {
-			h.tag[i] = -1
-		}
-		r.hists[name] = h
-		r.dirty = true
-	}
-	slot := idx % r.cfg.Keep
-	if h.tag[slot] != idx {
-		h.tag[slot] = idx
-		if h.hists[slot] == nil {
-			h.hists[slot] = stats.NewHistogram(r.cfg.Bounds)
-		} else {
-			h.hists[slot].Reset()
-		}
-	}
-	return h.hists[slot]
-}
-
-// sortedNamesLocked returns the union of series names, sorted.
-func (r *Recorder) sortedNamesLocked() []string {
-	if r.dirty {
-		r.names = r.names[:0]
-		for k := range r.counters {
-			r.names = append(r.names, k)
-		}
-		for k := range r.hists {
-			r.names = append(r.names, k)
-		}
-		sort.Strings(r.names)
-		r.dirty = false
-	}
-	return r.names
+// Touch gives the histogram an empty cell for at's window without
+// recording an observation, so a prewarmed harness's first window
+// carries the full series set instead of being an outlier missing most
+// of it. A cell already holding observations is left as it is.
+func (h Hist) Touch(at time.Duration) {
+	h.r.mu.Lock()
+	defer h.r.mu.Unlock()
+	h.r.cellLocked(at, h.i)
 }
 
 // buildRowLocked assembles the export row for window w; ok is false
-// when no series observed into w.
+// when no series observed into w. The row's maps are sized once, from a
+// first pass over the series.
 func (r *Recorder) buildRowLocked(w int) (Row, bool) {
 	slot := w % r.cfg.Keep
 	row := Row{
@@ -252,21 +257,34 @@ func (r *Recorder) buildRowLocked(w int) (Row, bool) {
 		StartMS: float64(w) * float64(r.cfg.Window) / float64(time.Millisecond),
 		EndMS:   float64(w+1) * float64(r.cfg.Window) / float64(time.Millisecond),
 	}
-	for _, name := range r.sortedNamesLocked() {
-		if c, ok := r.counters[name]; ok && c.tag[slot] == w {
-			if row.Counters == nil {
-				row.Counters = make(map[string]float64)
-			}
-			row.Counters[name] = c.vals[slot]
-		}
-		if h, ok := r.hists[name]; ok && h.tag[slot] == w && h.hists[slot].Count() > 0 {
-			if row.Hists == nil {
-				row.Hists = make(map[string]stats.HistSummary)
-			}
-			row.Hists[name] = h.hists[slot].Summary()
+	// A row holds the counters touched in w and the histograms
+	// observed into it.
+	nc, nh := 0, 0
+	for i := range r.series {
+		switch s := &r.series[i]; {
+		case s.tag[slot] != w:
+		case s.vals != nil:
+			nc++
+		case s.hists[slot].Count() > 0:
+			nh++
 		}
 	}
-	return row, row.Counters != nil || row.Hists != nil
+	if nc > 0 {
+		row.Counters = make(map[string]float64, nc)
+	}
+	if nh > 0 {
+		row.Hists = make(map[string]stats.HistSummary, nh)
+	}
+	for i := range r.series {
+		switch s := &r.series[i]; {
+		case s.tag[slot] != w:
+		case s.vals != nil:
+			row.Counters[s.name] = s.vals[slot]
+		case s.hists[slot].Count() > 0:
+			row.Hists[s.name] = s.hists[slot].Summary()
+		}
+	}
+	return row, nc+nh > 0
 }
 
 // Flush closes every remaining window in index order. Call once at the
@@ -285,43 +303,45 @@ func (r *Recorder) Flush() {
 	r.closedTo = r.head + 1
 }
 
+// recent calls f for each of the lastN windows ending at the head,
+// oldest first, with the named series' cell for it: s is nil where the
+// series holds no data for the window.
+func (r *Recorder) recent(k seriesKey, lastN int, f func(s *ring, slot int)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i, ok := r.index[k]
+	for w := max(r.head-lastN+1, 0); w <= r.head; w++ {
+		var s *ring
+		slot := w % r.cfg.Keep
+		if ok && r.series[i].tag[slot] == w {
+			s = &r.series[i]
+		}
+		f(s, slot)
+	}
+}
+
 // MergedHist merges the named histogram series over the lastN live
 // windows (ending at the head) into one histogram — the rolling
 // percentile read the dashboard uses. Always returns a histogram,
 // possibly empty.
 func (r *Recorder) MergedHist(name string, lastN int) *stats.Histogram {
 	out := stats.NewHistogram(r.cfg.Bounds)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok || r.head < 0 {
-		return out
-	}
-	for w := max(r.head-lastN+1, 0); w <= r.head; w++ {
-		slot := w % r.cfg.Keep
-		if h.tag[slot] == w {
-			out.Merge(h.hists[slot])
+	r.recent(seriesKey{name, true}, lastN, func(s *ring, slot int) {
+		if s != nil {
+			out.Merge(s.hists[slot])
 		}
-	}
+	})
 	return out
 }
 
 // SumCounter sums the named counter series over the lastN live windows
 // ending at the head.
-func (r *Recorder) SumCounter(name string, lastN int) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok || r.head < 0 {
-		return 0
-	}
-	var sum float64
-	for w := max(r.head-lastN+1, 0); w <= r.head; w++ {
-		slot := w % r.cfg.Keep
-		if c.tag[slot] == w {
-			sum += c.vals[slot]
+func (r *Recorder) SumCounter(name string, lastN int) (sum float64) {
+	r.recent(seriesKey{name, false}, lastN, func(s *ring, slot int) {
+		if s != nil {
+			sum += s.vals[slot]
 		}
-	}
+	})
 	return sum
 }
 
@@ -329,23 +349,14 @@ func (r *Recorder) SumCounter(name string, lastN int) float64 {
 // the lastN windows ending at the head, oldest first — the dashboard's
 // trend sparkline. Empty windows yield 0.
 func (r *Recorder) RecentQuantiles(name string, q float64, lastN int) []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]float64, 0, lastN)
-	h, ok := r.hists[name]
-	if r.head < 0 {
-		return out
-	}
-	for w := max(r.head-lastN+1, 0); w <= r.head; w++ {
+	r.recent(seriesKey{name, true}, lastN, func(s *ring, slot int) {
 		v := 0.0
-		if ok {
-			slot := w % r.cfg.Keep
-			if h.tag[slot] == w {
-				v = h.hists[slot].Quantile(q)
-			}
+		if s != nil {
+			v = s.hists[slot].Quantile(q)
 		}
 		out = append(out, v)
-	}
+	})
 	return out
 }
 

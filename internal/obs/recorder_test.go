@@ -192,3 +192,23 @@ func BenchmarkRecorderSteadyState(b *testing.B) {
 		r.Add(at, served, 1)
 	}
 }
+
+// Recording through handles into existing series allocates nothing,
+// window advances included, once every ring cell holds its histogram.
+func TestHandleRecordDoesNotAllocate(t *testing.T) {
+	r := NewRecorder(RecorderConfig{Window: ms(100), Keep: 8})
+	served, lat := r.Counter("served"), r.Hist("lat")
+	i := 0
+	record := func() {
+		at := ms(i * 50)
+		served.Add(at, 1)
+		lat.Observe(at, float64(i%100))
+		i++
+	}
+	for i < 2*8 { // fill every ring cell
+		record()
+	}
+	if n := testing.AllocsPerRun(200, record); n != 0 {
+		t.Fatalf("handle record path allocates %v times per call, want 0", n)
+	}
+}

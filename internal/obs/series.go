@@ -62,3 +62,20 @@ var StageSeries = func() []string {
 	}
 	return names
 }()
+
+// ModelHandles is a ModelSeries resolved in one recorder: the handles a
+// harness records through, field for field.
+type ModelHandles struct {
+	Offered, Served, Rejected, Shed, Cancelled     Counter
+	Latency, Batch, Depth, BatchWait, DispatchWait Hist
+}
+
+// Handles resolves s's series in r, creating them.
+func (s ModelSeries) Handles(r *Recorder) ModelHandles {
+	return ModelHandles{
+		Offered: r.Counter(s.Offered), Served: r.Counter(s.Served), Rejected: r.Counter(s.Rejected),
+		Shed: r.Counter(s.Shed), Cancelled: r.Counter(s.Cancelled),
+		Latency: r.Hist(s.Latency), Batch: r.Hist(s.Batch), Depth: r.Hist(s.Depth),
+		BatchWait: r.Hist(s.BatchWait), DispatchWait: r.Hist(s.DispatchWait),
+	}
+}

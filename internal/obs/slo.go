@@ -130,15 +130,6 @@ type Alert struct {
 	Short, Long float64
 }
 
-// BurnSample is one window's burn-rate evaluation, kept when the
-// monitor is asked to retain history (the simulator path, for Chrome
-// counter tracks).
-type BurnSample struct {
-	Window      int
-	Objective   string
-	Short, Long float64
-}
-
 // winCount is one window's good/bad tally inside an objState ring.
 type winCount struct {
 	tag       int
@@ -177,14 +168,10 @@ type Monitor struct {
 	// Page and Warn are the burn-rate thresholds (defaults 10, 2): page
 	// when both horizons burn ≥ Page, warn at ≥ Warn.
 	Page, Warn float64
-	// KeepHistory retains per-window burn samples (Burns) — bounded by
-	// run length, so enable it only on the finite simulator path.
-	KeepHistory bool
 
 	mu     sync.Mutex
 	states []*objState
 	alerts []Alert
-	burns  []BurnSample
 }
 
 // NewMonitor returns a monitor over the given objectives with the
@@ -253,11 +240,6 @@ func (m *Monitor) OnRow(row Row) {
 		short := m.burnLocked(st, row.Index, m.Short)
 		long := m.burnLocked(st, row.Index, m.Long)
 		st.lastShort, st.lastLong = short, long
-		if m.KeepHistory {
-			m.burns = append(m.burns, BurnSample{
-				Window: row.Index, Objective: st.obj.Name(), Short: short, Long: long,
-			})
-		}
 		level := 0
 		switch {
 		case short >= m.Page && long >= m.Page:
@@ -355,13 +337,6 @@ func (m *Monitor) Alerts() []Alert {
 	return append([]Alert(nil), m.alerts...)
 }
 
-// Burns returns the retained per-window burn samples (KeepHistory).
-func (m *Monitor) Burns() []BurnSample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]BurnSample(nil), m.burns...)
-}
-
 // CurrentBurn returns the latest evaluated burn rates per objective
 // name — the dashboard's live read. Objectives with no evaluated
 // windows yet report zeros.
@@ -377,16 +352,18 @@ func (m *Monitor) CurrentBurn() map[string][2]float64 {
 }
 
 // Export writes the monitor's state into a metrics registry as
-// aitax_slo_* series.
+// aitax_slo_* series. The counters are raised to the monitor's running
+// totals, so exporting again (the HTTP frontend does on every /metrics
+// scrape) moves them only by what the monitor counted since.
 func (m *Monitor) Export(reg *telemetry.Registry) {
 	for _, s := range m.Summaries() {
 		name := s.Objective.Name()
-		reg.Add(telemetry.Labeled("aitax_slo_good_total", "objective", name), s.Good)
-		reg.Add(telemetry.Labeled("aitax_slo_bad_total", "objective", name), s.Bad)
+		reg.Raise(telemetry.Labeled("aitax_slo_good_total", "objective", name), s.Good)
+		reg.Raise(telemetry.Labeled("aitax_slo_bad_total", "objective", name), s.Bad)
 		reg.Set(telemetry.Labeled("aitax_slo_compliance", "objective", name), s.Compliance)
 		reg.Set(telemetry.Labeled("aitax_slo_budget_used", "objective", name), s.BudgetUsed)
-		reg.Add(telemetry.Labeled("aitax_slo_alerts_total", "objective", name, "severity", "page"), float64(s.Pages))
-		reg.Add(telemetry.Labeled("aitax_slo_alerts_total", "objective", name, "severity", "warn"), float64(s.Warns))
+		reg.Raise(telemetry.Labeled("aitax_slo_alerts_total", "objective", name, "severity", "page"), float64(s.Pages))
+		reg.Raise(telemetry.Labeled("aitax_slo_alerts_total", "objective", name, "severity", "warn"), float64(s.Warns))
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"time"
 
 	taxcore "aitax/internal/core"
@@ -61,12 +62,21 @@ func (o Outcome) DispatchWait() time.Duration { return o.Started.Sub(o.Flushed) 
 
 // clock is the time base a serving core runs on: the simulator's event
 // engine, or wall timers in the HTTP frontend. after runs f once, d
-// from now, holding whatever guards the core, and returns a function
-// that cancels it. A stop can lose the race with a callback that has
+// from now, holding whatever guards the core, and returns the timer
+// that stop cancels. A stop can lose the race with a callback that has
 // already fired, so the core makes every callback check it is current.
 type clock interface {
 	now() sim.Time
-	after(d time.Duration, f func()) (stop func())
+	after(d time.Duration, f func()) timer
+	stop(timer)
+}
+
+// timer is one armed clock callback: an engine event in the simulator,
+// a wall timer in the HTTP frontend; the zero timer is none. Stopping
+// one that already fired does nothing.
+type timer struct {
+	ev   sim.EventID
+	wall *time.Timer
 }
 
 // admission is the core's verdict on an arriving request.
@@ -83,7 +93,9 @@ const (
 // to the harness: the simulator's trace spans, and the HTTP handler's
 // completion signal (the batch's error, nil once Outcome is final).
 type request struct {
-	out        Outcome
+	out Outcome
+	// idx is the request's index in the simulator's arrival list.
+	idx        int
 	q          *queue
 	span, wait *telemetry.ActiveSpan
 	done       chan error
@@ -98,11 +110,11 @@ type queue struct {
 	// admission-control quantity.
 	queued  int
 	batches int
-	// stop cancels the open batch window. gen tags the window, so a
-	// callback that fires after its batch was flushed (or emptied by
+	// window is the open batch window's timer. gen tags the window, so
+	// a callback that fires after its batch was flushed (or emptied by
 	// cancellation) cannot flush a later batch.
-	stop func()
-	gen  int
+	window timer
+	gen    int
 }
 
 // queueSeries is one model's registry series names, each labelled
@@ -155,8 +167,11 @@ type core struct {
 	active int       // batches in service
 	closed bool      // no more admissions
 	qs     *qosState // nil without a QoS policy
-	// stopTick cancels the armed decision tick; nil when none is armed.
-	stopTick func()
+	// tickTimer is the armed decision tick, when ticking; tickFn is the
+	// tick method value, bound once.
+	tickTimer timer
+	ticking   bool
+	tickFn    func()
 }
 
 func newCore(cfg Config, clk clock, metrics *telemetry.Registry, run func(*batch)) (*core, error) {
@@ -182,6 +197,7 @@ func newCore(cfg Config, clk clock, metrics *telemetry.Registry, run func(*batch
 			return nil, err
 		}
 		c.qs = qs
+		c.tickFn = c.tick
 	}
 	return c, nil
 }
@@ -190,7 +206,8 @@ func newCore(cfg Config, clk clock, metrics *telemetry.Registry, run func(*batch
 // it again while the core is open or holds work.
 func (c *core) start() {
 	if c.qs != nil {
-		c.stopTick = c.clk.after(c.qs.ctl.Ladder().Tick, c.tick)
+		c.tickTimer = c.clk.after(c.qs.ctl.Ladder().Tick, c.tickFn)
+		c.ticking = true
 	}
 }
 
@@ -203,24 +220,14 @@ func (c *core) close() {
 
 // busy reports whether any admitted request is still queued or in
 // service.
-func (c *core) busy() bool {
-	if c.active > 0 {
-		return true
-	}
-	for _, q := range c.order {
-		if q.queued > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (c *core) busy() bool { return c.active > 0 || c.queueFrac() > 0 }
 
 // maybeStopTick cancels the decision tick once the core is closed and
 // idle, so a simulation ends at its last completion, not a later tick.
 func (c *core) maybeStopTick() {
-	if c.stopTick != nil && c.closed && !c.busy() {
-		c.stopTick()
-		c.stopTick = nil
+	if c.ticking && c.closed && !c.busy() {
+		c.clk.stop(c.tickTimer)
+		c.ticking = false
 	}
 }
 
@@ -273,13 +280,18 @@ func (c *core) admit(r *request) admission {
 // opens the window.
 func (c *core) enqueue(r *request) {
 	q := r.q
+	if len(q.pending) == cap(q.pending) {
+		// flush hands each batch its region of the array and keeps the
+		// rest, so a full array grows by room for many batches at once.
+		q.pending = slices.Grow(q.pending, 64)
+	}
 	q.pending = append(q.pending, r)
 	switch {
 	case len(q.pending) >= c.cfg.MaxBatch || c.cfg.BatchWindow == 0:
 		c.flush(q)
 	case len(q.pending) == 1:
 		gen := q.gen
-		q.stop = c.clk.after(c.cfg.BatchWindow, func() {
+		q.window = c.clk.after(c.cfg.BatchWindow, func() {
 			if q.gen == gen {
 				c.flush(q)
 			}
@@ -288,11 +300,11 @@ func (c *core) enqueue(r *request) {
 }
 
 // closeWindow cancels q's batch window and retires its generation.
-func (q *queue) closeWindow() {
-	if q.stop != nil {
-		q.stop()
-		q.stop = nil
+func (c *core) closeWindow(q *queue) {
+	if q.window != (timer{}) {
+		c.clk.stop(q.window)
 	}
+	q.window = timer{}
 	q.gen++
 }
 
@@ -301,10 +313,10 @@ func (c *core) flush(q *queue) {
 	if len(q.pending) == 0 {
 		return
 	}
-	q.closeWindow()
+	c.closeWindow(q)
 	now := c.clk.now()
-	b := &batch{q: q, reqs: q.pending, factor: 1}
-	q.pending = nil
+	b := &batch{q: q, reqs: slices.Clip(q.pending), factor: 1}
+	q.pending = q.pending[len(q.pending):]
 	q.batches++
 	for _, r := range b.reqs {
 		r.out.Flushed = now
@@ -398,7 +410,7 @@ func (c *core) cancel(r *request) bool {
 			q.pending = append(q.pending[:i], q.pending[i+1:]...)
 			q.queued--
 			if len(q.pending) == 0 {
-				q.closeWindow()
+				c.closeWindow(q)
 			}
 			c.metrics.Inc(c.queues[r.out.Model].series.cancelled)
 			c.maybeStopTick()
@@ -435,22 +447,20 @@ func (c *core) burn(model string, latency time.Duration, refused bool) {
 
 // queueFrac is the fullest admission queue's occupancy in [0, 1].
 func (c *core) queueFrac() float64 {
-	max := 0
+	fullest := 0
 	for _, q := range c.order {
-		if q.queued > max {
-			max = q.queued
-		}
+		fullest = max(fullest, q.queued)
 	}
-	return float64(max) / float64(c.cfg.QueueDepth)
+	return float64(fullest) / float64(c.cfg.QueueDepth)
 }
 
 // tick runs one brownout decision and re-arms while the core is open
 // or holds work.
 func (c *core) tick() {
-	if c.stopTick == nil {
+	if !c.ticking {
 		return // stopped after it fired
 	}
-	c.stopTick = nil
+	c.ticking = false
 	t := c.qs.step(c.clk.now(), c.cfg.Workers, c.queueFrac(), c.cfg.Faults.ThermalTripAt)
 	c.metrics.Set("aitax_qos_level", float64(t.Level))
 	c.metrics.Set("aitax_qos_temp_c", c.qs.therm.TempC())

@@ -21,10 +21,12 @@ type fakeClock struct {
 
 func (f *fakeClock) now() sim.Time { return f.t }
 
-func (f *fakeClock) after(d time.Duration, fn func()) func() {
+func (f *fakeClock) after(d time.Duration, fn func()) timer {
 	f.cbs = append(f.cbs, fn)
-	return func() {}
+	return timer{}
 }
+
+func (f *fakeClock) stop(timer) {}
 
 // fakeCore builds a core on a fake clock whose executor only records
 // the batches it is handed.
@@ -111,15 +113,15 @@ func TestTickRearmsUntilClosedAndIdle(t *testing.T) {
 	name := cfg.Models[0].Name
 	arrive(t, c, name)
 	c.close()
-	if c.stopTick == nil {
+	if !c.ticking {
 		t.Fatal("tick disarmed while a batch is in service")
 	}
 	clk.cbs[0]()
-	if c.stopTick == nil || c.qs.deg.Ticks != 1 {
+	if !c.ticking || c.qs.deg.Ticks != 1 {
 		t.Fatalf("busy core did not re-arm its tick (ticks %d)", c.qs.deg.Ticks)
 	}
 	c.complete((*ran)[0], BatchCost{Batch: 1, Service: time.Millisecond}, nil)
-	if c.stopTick != nil {
+	if c.ticking {
 		t.Fatal("closed idle core kept its tick armed")
 	}
 	clk.cbs[len(clk.cbs)-1]() // a tick stopped after it fired is a no-op

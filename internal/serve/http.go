@@ -49,8 +49,8 @@ type Server struct {
 	start time.Time
 	rec   *obs.Recorder
 	mon   *obs.Monitor
-	// series is the recorder's series names. Nothing writes to it after
-	// NewServer, so the handlers share it without holding mu.
+	// series is the recorder's series handles. Nothing writes to it
+	// after NewServer, so the handlers share it without holding mu.
 	series *seriesTable
 
 	mu   sync.Mutex
@@ -77,7 +77,6 @@ func NewServer(cfg Config) (*Server, error) {
 		lab:        &lab.Lab{Parallelism: 1},
 		retryAfter: retryAfterSeconds(cfg.BatchWindow),
 		start:      time.Now(),
-		series:     newSeriesTable(cfg, cfg.SLO),
 	}
 	c, err := newCore(cfg, s, s.metrics, s.run)
 	if err != nil {
@@ -95,6 +94,7 @@ func NewServer(cfg Config) (*Server, error) {
 			}
 		},
 	})
+	s.series = newSeriesTable(s.rec, cfg, cfg.SLO)
 	if len(cfg.SLO) > 0 {
 		s.mon = obs.NewMonitor(cfg.SLO, s.rec.Window())
 	}
@@ -149,23 +149,20 @@ func (s *Server) now() sim.Time { return sim.Time(time.Since(s.start)) }
 
 // after runs f under the server mutex once d has passed: the serving
 // core's batch windows and decision ticks on the wall clock.
-func (s *Server) after(d time.Duration, f func()) func() {
-	t := time.AfterFunc(d, func() {
+func (s *Server) after(d time.Duration, f func()) timer {
+	return timer{wall: time.AfterFunc(d, func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		f()
-	})
-	return func() { t.Stop() }
+	})}
 }
+
+func (s *Server) stop(t timer) { t.wall.Stop() }
 
 // Watch renders the live terminal dashboard from the server's streaming
 // recorder (the -watch flag's refresh body).
 func (s *Server) Watch() string {
-	models := make([]string, 0, len(s.cfg.Models))
-	for _, m := range s.cfg.Models {
-		models = append(models, m.Name)
-	}
-	d := &obs.Dashboard{Rec: s.rec, Mon: s.mon, Models: models}
+	d := &obs.Dashboard{Rec: s.rec, Mon: s.mon, Models: s.cfg.ModelNames()}
 	return d.Render(s.now().Duration().Round(time.Millisecond))
 }
 
@@ -356,7 +353,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, req *http.Request, task mode
 
 	at := offered.Arrival.Duration()
 	if verdict != draining {
-		s.series.recordOffered(s.rec, offered, at)
+		s.series.recordOffered(s.series.model(offered.Model), &offered, at)
 	}
 	if verdict != admitted {
 		// Every refusal tells the client when to come back, not just to
@@ -373,7 +370,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, req *http.Request, task mode
 		writeJSON(w, status, errorResponse{Error: msg})
 		return
 	}
-	s.rec.Observe(at, s.series.models[r.q.name].Depth, float64(depth))
+	s.series.model(r.q.name).Depth.Observe(at, float64(depth))
 
 	select {
 	case err := <-r.done:
@@ -383,8 +380,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, req *http.Request, task mode
 		}
 		o := r.out
 		done := s.now().Duration()
-		s.series.recordServed(s.rec, o, done)
-		s.series.recordBurn(s.rec, o, done)
+		s.series.recordServed(s.series.model(o.Model), &o, done)
+		s.series.recordBurn(&o, done)
 		queue := o.Started.Sub(o.Arrival)
 		writeJSON(w, http.StatusOK, inferResponse{
 			Model:     o.Model,
@@ -405,8 +402,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, req *http.Request, task mode
 		s.mu.Unlock()
 		if removed {
 			now := s.now().Duration()
-			s.rec.Add(now, s.series.models[m.Name].Cancelled, 1)
-			s.rec.Add(now, s.series.all.Cancelled, 1)
+			s.series.model(m.Name).Cancelled.Add(now, 1)
+			s.series.all.Cancelled.Add(now, 1)
 		}
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "client cancelled"})
 	}

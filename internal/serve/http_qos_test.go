@@ -214,9 +214,9 @@ func TestHTTPCancelledRequestLeavesQueue(t *testing.T) {
 	// freed, window timer stopped, and it counts as cancelled.
 	for {
 		srv.mu.Lock()
-		queued, pending, window := q.queued, len(q.pending), q.stop
+		queued, pending, window := q.queued, len(q.pending), q.window
 		srv.mu.Unlock()
-		if queued == 0 && pending == 0 && window == nil {
+		if queued == 0 && pending == 0 && window == (timer{}) {
 			break
 		}
 		if time.Now().After(deadline) {

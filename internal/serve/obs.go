@@ -1,17 +1,19 @@
 package serve
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"aitax/internal/obs"
+	"aitax/internal/sim"
 )
 
 // SimObs is the streaming-observability view of a finished load
 // simulation: the windowed recorder, the closed rows (for JSONL and
 // Chrome counter export), and the SLO monitor's verdicts. It is built
-// by replaying the simulator's outcome list — already byte-identical at
-// any parallelism — through the same obs layer the wall-clock HTTP
+// by walking the simulator's step log — already byte-identical at any
+// parallelism — through the same record path the wall-clock HTTP
 // frontend feeds live, so reports, goldens and dashboards come from one
 // code path.
 type SimObs struct {
@@ -26,37 +28,19 @@ type SimObs struct {
 	End time.Duration
 }
 
-// obsEvent is one replay step; kind orders simultaneous events
-// deterministically (admission before refusal before completion before
-// executor pickup).
-type obsEvent struct {
-	at   time.Duration
-	kind int
-	idx  int // index into res.Outcomes
-}
-
-const (
-	evArrive = iota
-	evRefuse
-	evFinish
-	evStart
-)
-
-// BuildSimObs replays a finished simulation into the streaming
+// BuildSimObs feeds a finished simulation into the streaming
 // observability layer. window is the aggregation window width (zero =
 // the recorder default); objectives, when non-empty, attach an SLO
 // burn-rate monitor fed by the closed windows.
 func BuildSimObs(cfg Config, res *SimResult, window time.Duration, objectives []obs.Objective) *SimObs {
-	so := &SimObs{End: res.End.Duration()}
-	for _, m := range cfg.Models {
-		so.Models = append(so.Models, m.Name)
-	}
+	so := &SimObs{End: res.End.Duration(), Models: cfg.ModelNames()}
 
 	var mon *obs.Monitor
 	rec := obs.NewRecorder(obs.RecorderConfig{
 		Window: window,
-		// The replay is ordered, so every window beyond the horizon is
-		// final: keep just enough live for the dashboard's rolling view.
+		// The steps arrive in time order, so every window beyond the
+		// horizon is final: keep just enough live for the dashboard's
+		// rolling view.
 		Keep: 64,
 		OnClose: func(row obs.Row) {
 			so.Rows = append(so.Rows, row)
@@ -67,121 +51,135 @@ func BuildSimObs(cfg Config, res *SimResult, window time.Duration, objectives []
 	})
 	if len(objectives) > 0 {
 		mon = obs.NewMonitor(objectives, rec.Window())
-		mon.KeepHistory = true
 	}
-	so.Recorder = rec
-	so.Monitor = mon
+	so.Recorder, so.Monitor = rec, mon
 
-	events := make([]obsEvent, 0, 4*len(res.Outcomes))
-	for i, o := range res.Outcomes {
-		if o.Shed || o.Rejected {
-			events = append(events, obsEvent{o.Arrival.Duration(), evRefuse, i})
-			continue
-		}
-		events = append(events,
-			obsEvent{o.Arrival.Duration(), evArrive, i},
-			obsEvent{o.Started.Duration(), evStart, i},
-			obsEvent{o.Finished.Duration(), evFinish, i},
-		)
-	}
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		return res.Outcomes[a.idx].ID < res.Outcomes[b.idx].ID
-	})
-
-	series := newSeriesTable(cfg, objectives)
-	depth := make(map[string]int, len(so.Models))
+	series := newSeriesTable(rec, cfg, objectives)
+	depth := make([]int, len(series.models))
 	depthAll := 0
-	for _, ev := range events {
-		o := res.Outcomes[ev.idx]
-		switch ev.kind {
+	for _, st := range res.steps {
+		at, o := res.stepTime(st), &res.Outcomes[st.idx]
+		i := series.index[o.Model]
+		m := &series.models[i]
+		switch st.kind {
 		case evArrive:
-			series.recordOffered(rec, o, ev.at)
-			depth[o.Model]++
+			series.recordOffered(m, o, at)
+			depth[i]++
 			depthAll++
-			rec.Observe(ev.at, series.models[o.Model].Depth, float64(depth[o.Model]))
-			rec.Observe(ev.at, series.all.Depth, float64(depthAll))
+			m.Depth.Observe(at, float64(depth[i]))
+			series.all.Depth.Observe(at, float64(depthAll))
 		case evRefuse:
-			series.recordOffered(rec, o, ev.at)
+			series.recordOffered(m, o, at)
 		case evStart:
-			depth[o.Model]--
+			depth[i]--
 			depthAll--
 		case evFinish:
-			series.recordServed(rec, o, ev.at)
-			series.recordBurn(rec, o, ev.at)
+			series.recordServed(m, o, at)
+			series.recordBurn(o, at)
 		}
 	}
 	rec.Flush()
 	return so
 }
 
-// seriesTable is every recorder series name one serving harness
-// writes, rendered once when the harness starts: each loaded model's
-// and the all-models aggregate's names, and each objective's good/bad
-// counters. Nothing writes to it afterwards, so the HTTP handlers read
-// it without a lock. A model outside the loaded set never reaches a
-// record call: Simulate and resolveModel reject it first.
-type seriesTable struct {
-	models map[string]*obs.ModelSeries
-	all    obs.ModelSeries
-	// good[i] and bad[i] are slo[i]'s compliance counters.
-	slo       []obs.Objective
-	good, bad []string
+// orderSteps puts the step log in (time, kind, ID) order. The engine
+// fires steps in time order, so only each run of simultaneous steps
+// needs sorting.
+func (r *SimResult) orderSteps() {
+	for i := 0; i < len(r.steps); {
+		at, j := r.stepTime(r.steps[i]), i+1
+		for j < len(r.steps) && r.stepTime(r.steps[j]) == at {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(r.steps[i:j], func(a, b step) int {
+				return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(r.Outcomes[a.idx].ID, r.Outcomes[b.idx].ID), cmp.Compare(a.idx, b.idx))
+			})
+		}
+		i = j
+	}
 }
 
-func newSeriesTable(cfg Config, objectives []obs.Objective) *seriesTable {
+// stepTime is when st fired.
+func (r *SimResult) stepTime(st step) time.Duration {
+	o := &r.Outcomes[st.idx]
+	return [...]sim.Time{evArrive: o.Arrival, evRefuse: o.Arrival, evFinish: o.Finished, evStart: o.Started}[st.kind].Duration()
+}
+
+// seriesTable is every recorder series one serving harness writes,
+// resolved to handles when the harness starts: each loaded model's and
+// the all-models aggregate's series, the stage anatomy counters, and
+// each objective's good/bad counters. Nothing writes to it afterwards,
+// so the HTTP handlers read it without a lock. A model outside the
+// loaded set never reaches a record call: Simulate and resolveModel
+// reject it first.
+type seriesTable struct {
+	// models are the loaded models' series in Config.Models order;
+	// index maps a model name to its position.
+	models []obs.ModelHandles
+	index  map[string]int
+	all    obs.ModelHandles
+	// stages[i] is obs.Stages[i]'s time counter.
+	stages []obs.Counter
+	// good[i] and bad[i] are slo[i]'s compliance counters.
+	slo       []obs.Objective
+	good, bad []obs.Counter
+}
+
+func newSeriesTable(rec *obs.Recorder, cfg Config, objectives []obs.Objective) *seriesTable {
 	t := &seriesTable{
-		models: make(map[string]*obs.ModelSeries, len(cfg.Models)),
-		all:    obs.SeriesFor(obs.AllModels),
-		slo:    objectives,
+		index: make(map[string]int, len(cfg.Models)),
+		all:   obs.SeriesFor(obs.AllModels).Handles(rec),
+		slo:   objectives,
 	}
-	for _, m := range cfg.Models {
-		s := obs.SeriesFor(m.Name)
-		t.models[m.Name] = &s
+	for i, m := range cfg.Models {
+		t.models = append(t.models, obs.SeriesFor(m.Name).Handles(rec))
+		t.index[m.Name] = i
+	}
+	for _, name := range obs.StageSeries {
+		t.stages = append(t.stages, rec.Counter(name))
 	}
 	for _, o := range objectives {
-		t.good = append(t.good, obs.GoodSeries(o))
-		t.bad = append(t.bad, obs.BadSeries(o))
+		t.good = append(t.good, rec.Counter(obs.GoodSeries(o)))
+		t.bad = append(t.bad, rec.Counter(obs.BadSeries(o)))
 	}
 	return t
 }
 
+// model returns the named loaded model's series.
+func (t *seriesTable) model(name string) *obs.ModelHandles { return &t.models[t.index[name]] }
+
 // recordOffered counts one arrival as offered and, when it was turned
 // away, in its refusal series and against every objective covering its
-// model: shedding is honest about the traffic it sacrifices.
-func (t *seriesTable) recordOffered(rec *obs.Recorder, o Outcome, at time.Duration) {
-	for _, s := range [...]*obs.ModelSeries{t.models[o.Model], &t.all} {
-		rec.Add(at, s.Offered, 1)
+// model: shedding is honest about the traffic it sacrifices. m is the
+// series of the model the request asked for.
+func (t *seriesTable) recordOffered(m *obs.ModelHandles, o *Outcome, at time.Duration) {
+	for _, s := range [...]*obs.ModelHandles{m, &t.all} {
+		s.Offered.Add(at, 1)
 		switch {
 		case o.Shed:
-			rec.Add(at, s.Shed, 1)
+			s.Shed.Add(at, 1)
 		case o.Rejected:
-			rec.Add(at, s.Rejected, 1)
+			s.Rejected.Add(at, 1)
 		}
 	}
 	if o.Shed || o.Rejected {
-		t.recordBurn(rec, o, at)
+		t.recordBurn(o, at)
 	}
 }
 
 // recordBurn scores one resolved request against every objective
 // covering its model: a refused request is bad, a served one by its
 // latency.
-func (t *seriesTable) recordBurn(rec *obs.Recorder, o Outcome, at time.Duration) {
+func (t *seriesTable) recordBurn(o *Outcome, at time.Duration) {
 	for i, obj := range t.slo {
 		covered, breached := obj.Match(o.Model, o.Latency(), o.Shed || o.Rejected)
 		switch {
 		case !covered:
 		case breached:
-			rec.Add(at, t.bad[i], 1)
+			t.bad[i].Add(at, 1)
 		default:
-			rec.Add(at, t.good[i], 1)
+			t.good[i].Add(at, 1)
 		}
 	}
 }
@@ -189,17 +187,17 @@ func (t *seriesTable) recordBurn(rec *obs.Recorder, o Outcome, at time.Duration)
 // recordServed records one completed request's latency, batching and
 // Table-III stage anatomy under the shared series-name contract — the
 // single write path both harnesses use.
-func (t *seriesTable) recordServed(rec *obs.Recorder, o Outcome, at time.Duration) {
+func (t *seriesTable) recordServed(m *obs.ModelHandles, o *Outcome, at time.Duration) {
 	latMS := ms(o.Latency())
-	for _, s := range [...]*obs.ModelSeries{t.models[o.Model], &t.all} {
-		rec.Add(at, s.Served, 1)
-		rec.Observe(at, s.Latency, latMS)
-		rec.Observe(at, s.Batch, float64(o.BatchSize))
-		rec.Observe(at, s.BatchWait, ms(o.BatchWait()))
-		rec.Observe(at, s.DispatchWait, ms(o.DispatchWait()))
+	for _, s := range [...]*obs.ModelHandles{m, &t.all} {
+		s.Served.Add(at, 1)
+		s.Latency.Observe(at, latMS)
+		s.Batch.Observe(at, float64(o.BatchSize))
+		s.BatchWait.Observe(at, ms(o.BatchWait()))
+		s.DispatchWait.Observe(at, ms(o.DispatchWait()))
 	}
 	for i, st := range obs.Stages {
-		rec.Add(at, obs.StageSeries[i], ms(o.Stages.Of(st)))
+		t.stages[i].Add(at, ms(o.Stages.Of(st)))
 	}
 }
 

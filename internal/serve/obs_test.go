@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -147,6 +148,69 @@ func TestHTTPMetricsContentTypeAndRuntime(t *testing.T) {
 	}
 }
 
+// /metrics publishes counters as Prometheus counters: a scrape must not
+// move one. Two scrapes with no traffic between them read the same
+// serving and SLO counters, no _total ever decreases, and the SLO
+// totals equal the monitor's (each scrape used to add them again).
+func TestHTTPMetricsScrapesAreIdempotent(t *testing.T) {
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.SLO = []obs.Objective{{Latency: 10 * time.Second, Target: 0.5}}
+		c.ObsWindow = 10 * time.Millisecond
+	})
+	scrape := func() map[string]float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		totals := make(map[string]float64)
+		for _, line := range strings.Split(string(body), "\n") {
+			i := strings.LastIndexByte(line, ' ')
+			if strings.HasPrefix(line, "#") || i < 0 || !strings.Contains(line[:i], "_total") {
+				continue
+			}
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("bad sample line %q: %v", line, err)
+			}
+			totals[line[:i]] = v
+		}
+		return totals
+	}
+	good := `aitax_slo_good_total{objective="all models"}`
+	var last map[string]float64
+	served := 0
+	for _, requests := range []int{3, 1} {
+		// Flushed windows take no more observations: start a new one.
+		time.Sleep(2 * srv.rec.Window())
+		for ; requests > 0; requests-- {
+			served++
+			if _, out := postJSON(t, ts.URL+"/v1/classify", `{}`); out["error"] != nil {
+				t.Fatalf("classify failed: %v", out["error"])
+			}
+		}
+		srv.rec.Flush() // close the windows, so the monitor counts them
+		first, second := scrape(), scrape()
+		for name, v := range first {
+			if !strings.HasPrefix(name, "aitax_runtime_") && second[name] != v {
+				t.Errorf("%s: %g, then %g with no traffic between the scrapes", name, v, second[name])
+			}
+			if v < last[name] {
+				t.Errorf("%s decreased from %g to %g", name, last[name], v)
+			}
+		}
+		if want := srv.mon.Summaries()[0].Good; second[good] != want || want != float64(served) {
+			t.Errorf("%s = %g after two scrapes; the monitor counted %g of %d served", good, second[good], want, served)
+		}
+		last = second
+	}
+}
+
 func TestHTTPRetryAfterDerivedFromWindow(t *testing.T) {
 	if got := retryAfterSeconds(0); got != "1" {
 		t.Fatalf("zero window Retry-After = %s, want 1", got)
@@ -226,11 +290,12 @@ func TestHTTPWatchRendersLiveTraffic(t *testing.T) {
 func TestRecordPathDoesNotAllocate(t *testing.T) {
 	cfg := testConfig(t)
 	model := cfg.Models[0].Name
-	series := newSeriesTable(cfg, []obs.Objective{
+	rec := obs.NewRecorder(obs.RecorderConfig{})
+	series := newSeriesTable(rec, cfg, []obs.Objective{
 		{Latency: 5 * time.Millisecond, Target: 0.95},
 		{Model: model, Latency: time.Millisecond, Target: 0.99},
 	})
-	rec := obs.NewRecorder(obs.RecorderConfig{})
+	m := series.model(model)
 	served := Outcome{
 		Model: model, BatchSize: 2, Flushed: sim.Time(time.Millisecond),
 		Started: sim.Time(2 * time.Millisecond), Finished: sim.Time(9 * time.Millisecond),
@@ -239,11 +304,11 @@ func TestRecordPathDoesNotAllocate(t *testing.T) {
 	shed := Outcome{Model: model, Shed: true}
 	at := 100 * time.Millisecond
 	record := func() {
-		series.recordOffered(rec, served, at)
-		series.recordServed(rec, served, at)
-		series.recordBurn(rec, served, at)
-		series.recordOffered(rec, rejected, at)
-		series.recordOffered(rec, shed, at)
+		series.recordOffered(m, &served, at)
+		series.recordServed(m, &served, at)
+		series.recordBurn(&served, at)
+		series.recordOffered(m, &rejected, at)
+		series.recordOffered(m, &shed, at)
 	}
 	record() // create every series
 	if n := testing.AllocsPerRun(100, record); n != 0 {

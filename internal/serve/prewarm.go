@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"aitax/internal/obs"
 	"aitax/internal/plan"
@@ -73,35 +74,23 @@ func (s *Server) Prewarm(ctx context.Context) (plan.Report, error) {
 // nothing a later scrape or window reports is fabricated.
 func (s *Server) warmTelemetry() {
 	at := s.now().Duration()
-	models := make([]*obs.ModelSeries, 0, len(s.cfg.Models))
 	for _, q := range s.core.order {
-		s.metrics.Add(q.series.requests, 0)
-		s.metrics.Add(q.series.rejected, 0)
-		s.metrics.Add(q.series.cancelled, 0)
-		s.metrics.Add(q.series.batches, 0)
+		for _, name := range []string{q.series.requests, q.series.rejected, q.series.cancelled, q.series.batches} {
+			s.metrics.Add(name, 0)
+		}
 		s.metrics.TouchHistogram(q.series.batchSize)
 		s.metrics.TouchHistogram(q.series.service)
-		models = append(models, s.series.models[q.name])
 	}
-	for _, ser := range append(models, &s.series.all) {
-		s.rec.Add(at, ser.Offered, 0)
-		s.rec.Add(at, ser.Served, 0)
-		s.rec.Add(at, ser.Rejected, 0)
-		s.rec.Add(at, ser.Cancelled, 0)
-		s.rec.Touch(at, ser.Latency)
-		s.rec.Touch(at, ser.Batch)
-		s.rec.Touch(at, ser.BatchWait)
-		s.rec.Touch(at, ser.DispatchWait)
+	for _, ser := range append(slices.Clip(s.series.models), s.series.all) {
+		for _, c := range []obs.Counter{ser.Offered, ser.Served, ser.Rejected, ser.Cancelled} {
+			c.Add(at, 0)
+		}
+		for _, h := range []obs.Hist{ser.Latency, ser.Batch, ser.Depth, ser.BatchWait, ser.DispatchWait} {
+			h.Touch(at)
+		}
 	}
-	for _, ser := range models {
-		s.rec.Touch(at, ser.Depth)
-	}
-	for _, name := range obs.StageSeries {
-		s.rec.Add(at, name, 0)
-	}
-	for i := range s.series.slo {
-		s.rec.Add(at, s.series.good[i], 0)
-		s.rec.Add(at, s.series.bad[i], 0)
+	for _, c := range slices.Concat(s.series.stages, s.series.good, s.series.bad) {
+		c.Add(at, 0)
 	}
 	if s.core.qs != nil {
 		s.mu.Lock()
@@ -109,10 +98,8 @@ func (s *Server) warmTelemetry() {
 		s.mu.Unlock()
 		s.metrics.Set("aitax_qos_level", 0)
 		s.metrics.Set("aitax_qos_temp_c", temp)
-		s.metrics.Add("aitax_qos_transitions_total", 0)
-		s.metrics.Add("aitax_qos_steered_batches_total", 0)
-		s.metrics.Add("aitax_qos_throttled_batches_total", 0)
-		for _, name := range shedSeries {
+		for _, name := range append([]string{"aitax_qos_transitions_total", "aitax_qos_steered_batches_total",
+			"aitax_qos_throttled_batches_total"}, shedSeries[:]...) {
 			s.metrics.Add(name, 0)
 		}
 		for _, q := range s.core.order {

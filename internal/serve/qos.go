@@ -2,7 +2,7 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -317,15 +317,15 @@ func (r *SimResult) writeDegradation(b *strings.Builder, cfg Config) {
 	}
 
 	agg := make([]modelAgg, qos.NumClasses)
-	for _, o := range r.Outcomes {
-		agg[o.Class].add(o)
+	for i := range r.Outcomes {
+		agg[r.Outcomes[i].Class].add(&r.Outcomes[i])
 	}
 	fmt.Fprintf(b, "\nper-class latency (virtual ms)\n")
 	fmt.Fprintf(b, "%-13s %8s %8s %8s %9s %8s %8s\n",
 		"class", "offered", "served", "shed", "rejected", "p50", "p99")
 	for c := 0; c < qos.NumClasses; c++ {
 		a := agg[c]
-		sort.Slice(a.latencies, func(i, j int) bool { return a.latencies[i] < a.latencies[j] })
+		slices.Sort(a.latencies)
 		fmt.Fprintf(b, "%-13s %8d %8d %8d %9d %8.3f %8.3f\n",
 			qos.Class(c).String(), a.offered, a.served, a.shed, a.rejected,
 			ms(stats.NearestRank(a.latencies, 0.50)), ms(stats.NearestRank(a.latencies, 0.99)))

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -30,7 +30,7 @@ type modelAgg struct {
 	batchSum  int
 }
 
-func (a *modelAgg) add(o Outcome) {
+func (a *modelAgg) add(o *Outcome) {
 	a.offered++
 	if o.Shed {
 		a.shed++
@@ -70,7 +70,8 @@ func (r *SimResult) Report(cfg Config, rampDesc string) string {
 		order = append(order, a)
 	}
 	all := &modelAgg{name: "all models"}
-	for _, o := range r.Outcomes {
+	for i := range r.Outcomes {
+		o := &r.Outcomes[i]
 		perModel[o.Model].add(o)
 		all.add(o)
 	}
@@ -104,7 +105,7 @@ func (r *SimResult) Report(cfg Config, rampDesc string) string {
 	fmt.Fprintf(&b, "%-24s %8s %8s %8s %8s %8s %6s\n",
 		"model", "p50", "p90", "p99", "infer", "tax", "tax%")
 	for _, a := range rows {
-		sort.Slice(a.latencies, func(i, j int) bool { return a.latencies[i] < a.latencies[j] })
+		slices.Sort(a.latencies)
 		p50 := stats.NearestRank(a.latencies, 0.50)
 		p90 := stats.NearestRank(a.latencies, 0.90)
 		p99 := stats.NearestRank(a.latencies, 0.99)

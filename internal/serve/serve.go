@@ -169,6 +169,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// ModelNames lists the loaded models' names, in config order.
+func (c Config) ModelNames() []string {
+	names := make([]string, len(c.Models))
+	for i, m := range c.Models {
+		names[i] = m.Name
+	}
+	return names
+}
+
 // modelByName resolves name within the loaded set.
 func (c Config) modelByName(name string) (*models.Model, bool) {
 	for _, m := range c.Models {

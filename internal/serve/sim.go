@@ -43,6 +43,22 @@ type SimResult struct {
 	// Degradation is the brownout controller's run accounting, nil when
 	// the config carried no QoS policy.
 	Degradation *Degradation
+	// steps are the run's admissions, refusals, executor pickups and
+	// completions, in (time, kind, ID) order (see orderSteps).
+	steps []step
+}
+
+// Step kinds, in the order simultaneous steps are logged (see
+// orderSteps): admission before refusal before completion before
+// executor pickup.
+const evArrive, evRefuse, evFinish, evStart = 0, 1, 2, 3
+
+// step is one event of a run the obs layer reads: its kind and the
+// request's index in SimResult.Outcomes. Its time is the engine's clock
+// when it fired, which is the Outcome's Arrival, Started or Finished.
+type step struct {
+	idx  uint32
+	kind uint8
 }
 
 // simulator is the serving core's event adapter: one virtual clock,
@@ -55,17 +71,25 @@ type simulator struct {
 	eng    *sim.Engine
 	tracer *telemetry.Tracer
 	depth  []DepthSample
-	// arrivals counts arrival events not yet fired; the core closes
-	// after the last one.
-	arrivals int
+	// reqs are the requests in arrival order; reqs[next] arrives next.
+	// The core closes after the last.
+	reqs     []request
+	arrivals []loadgen.Arrival
+	next     int
+	// seq0 is the engine sequence number of arrivals[0]; fire is the
+	// arrival events' one callback.
+	seq0  uint64
+	fire  func()
+	steps []step
 }
 
 func (s *simulator) now() sim.Time { return s.eng.Now() }
 
-func (s *simulator) after(d time.Duration, f func()) func() {
-	id := s.eng.After(d, f)
-	return func() { s.eng.Cancel(id) }
-}
+func (s *simulator) after(d time.Duration, f func()) timer { return timer{ev: s.eng.After(d, f)} }
+
+func (s *simulator) stop(t timer) { s.eng.Cancel(t.ev) }
+
+func (s *simulator) log(kind uint8, r *request) { s.steps = append(s.steps, step{uint32(r.idx), kind}) }
 
 // Simulate replays the arrival schedule against the serving policy in
 // virtual time, pricing batches from the cost table. With traced set it
@@ -74,7 +98,7 @@ func Simulate(cfg Config, table *CostTable, arrivals []loadgen.Arrival, traced b
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &simulator{table: table, eng: sim.NewEngine(), arrivals: len(arrivals)}
+	s := &simulator{table: table, eng: sim.NewEngine(), reqs: make([]request, len(arrivals)), steps: make([]step, 0, 3*len(arrivals))}
 	c, err := newCore(cfg, s, telemetry.NewRegistry(), s.run)
 	if err != nil {
 		return nil, err
@@ -84,8 +108,14 @@ func Simulate(cfg Config, table *CostTable, arrivals []loadgen.Arrival, traced b
 		s.tracer = telemetry.NewTracer(s.eng.Now)
 		c.onTransition = s.transition
 	}
-	reqs := make([]*request, len(arrivals))
+	// One arrival is pending at a time, under the sequence number that
+	// scheduling all of them up front gives it, so arrivals fire ahead of
+	// simultaneous events the run schedules, in list order.
+	s.arrivals, s.seq0, s.fire = arrivals, s.eng.Reserve(len(arrivals)), s.arriveNext
 	for i, a := range arrivals {
+		if i > 0 && a.At < arrivals[i-1].At {
+			return nil, fmt.Errorf("serve: arrival %d at %v precedes the one before it; arrivals must be sorted by time", a.ID, a.At)
+		}
 		if _, ok := c.queues[a.Model]; !ok {
 			return nil, fmt.Errorf("serve: arrival %d asks for %q, not in the loaded set", a.ID, a.Model)
 		}
@@ -93,24 +123,26 @@ func Simulate(cfg Config, table *CostTable, arrivals []loadgen.Arrival, traced b
 		if err != nil {
 			return nil, fmt.Errorf("serve: arrival %d: %w", a.ID, err)
 		}
-		r := &request{out: Outcome{ID: a.ID, Model: a.Model, Class: cls}}
-		reqs[i] = r
-		s.eng.Schedule(sim.Time(a.At), func() { s.arrive(r) })
+		s.reqs[i] = request{idx: i, out: Outcome{ID: a.ID, Model: a.Model, Class: cls}}
 	}
-	c.start()
 	if len(arrivals) == 0 {
 		c.close()
+	} else {
+		s.scheduleNext()
 	}
+	c.start()
 	s.eng.Run()
 	res := &SimResult{
-		Outcomes: make([]Outcome, len(reqs)),
+		Outcomes: make([]Outcome, len(s.reqs)),
 		End:      s.eng.Now(),
 		Metrics:  c.metrics,
 		Depth:    s.depth,
+		steps:    s.steps,
 	}
-	for i, r := range reqs {
-		res.Outcomes[i] = r.out
+	for i := range s.reqs {
+		res.Outcomes[i] = s.reqs[i].out
 	}
+	res.orderSteps()
 	for _, q := range c.order {
 		res.Batches = append(res.Batches, ModelBatches{Model: q.name, Batches: q.batches})
 	}
@@ -129,8 +161,18 @@ func (s *simulator) sampleDepth(q *queue) {
 	}
 }
 
-// arrive delivers one arrival to the core, tracing its verdict.
-func (s *simulator) arrive(r *request) {
+// scheduleNext arms the next arrival.
+func (s *simulator) scheduleNext() {
+	s.eng.ScheduleSeq(sim.Time(s.arrivals[s.next].At), s.seq0+uint64(s.next), s.fire)
+}
+
+// arriveNext delivers the next arrival to the core, logging and tracing
+// its verdict, and arms the one after it.
+func (s *simulator) arriveNext() {
+	r := &s.reqs[s.next]
+	if s.next++; s.next < len(s.reqs) {
+		s.scheduleNext()
+	}
 	verdict := s.core.admit(r)
 	if s.tracer != nil {
 		now, id := s.eng.Now(), strconv.Itoa(r.out.ID)
@@ -152,10 +194,15 @@ func (s *simulator) arrive(r *request) {
 			r.wait = s.tracer.Start("queued", "serve", telemetry.TrackCPU, r.span)
 		}
 	}
+	// Every arrival is admitted or refused: the core closes only after
+	// the last.
 	if verdict == admitted {
+		s.log(evArrive, r)
 		s.core.enqueue(r)
+	} else {
+		s.log(evRefuse, r)
 	}
-	if s.arrivals--; s.arrivals == 0 {
+	if s.next == len(s.reqs) {
 		s.core.close()
 	}
 }
@@ -176,11 +223,15 @@ func (s *simulator) run(b *batch) {
 		}
 		s.sampleDepth(b.q)
 	}
+	for _, r := range b.reqs {
+		s.log(evStart, r)
+	}
 	cost := s.table.cost(b.q.name, k, b.steered)
 	s.eng.After(s.core.service(b, cost), func() {
 		b.span.End()
 		s.core.complete(b, cost, nil)
 		for _, r := range b.reqs {
+			s.log(evFinish, r)
 			r.span.End()
 			s.core.metrics.Observe(b.q.series.latency, ms(r.out.Latency()))
 			s.core.metrics.Observe(b.q.series.tax, ms(r.out.Tax()))

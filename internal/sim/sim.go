@@ -138,6 +138,24 @@ func (e *Engine) Now() Time { return e.now }
 // Schedule runs fn at absolute virtual time at. Scheduling in the past
 // panics: it always indicates a modelling bug.
 func (e *Engine) Schedule(at Time, fn func()) EventID {
+	e.seq++
+	return e.ScheduleSeq(at, e.seq-1, fn)
+}
+
+// Reserve sets aside the next n sequence numbers and returns the first.
+// An event scheduled later under a reserved number (ScheduleSeq) fires
+// among simultaneous events as if it had been scheduled at the
+// reservation, so a long list of future events, such as a load
+// generator's arrivals, can keep one pending at a time and still fire
+// in the order scheduling them all up front gives. Reserved numbers
+// count as scheduled.
+func (e *Engine) Reserve(n int) uint64 {
+	e.seq += uint64(n)
+	return e.seq - uint64(n)
+}
+
+// ScheduleSeq is Schedule under a sequence number from Reserve.
+func (e *Engine) ScheduleSeq(at Time, seq uint64, fn func()) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
@@ -146,11 +164,10 @@ func (e *Engine) Schedule(at Time, fn func()) EventID {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.fn, ev.dead = at, e.seq, fn, false
+		ev.at, ev.seq, ev.fn, ev.dead = at, seq, fn, false
 	} else {
-		ev = &event{at: at, seq: e.seq, fn: fn}
+		ev = &event{at: at, seq: seq, fn: fn}
 	}
-	e.seq++
 	e.live++
 	e.queue.push(ev)
 	return EventID{ev: ev, gen: ev.gen}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -34,6 +35,28 @@ func TestEngineFIFOAmongSimultaneous(t *testing.T) {
 		if v != i {
 			t.Fatalf("simultaneous events not FIFO: %v", order)
 		}
+	}
+}
+
+// An event scheduled late under a reserved sequence number fires among
+// simultaneous events where scheduling it at the reservation would
+// have: ahead of events scheduled after the reservation, in reserved
+// order.
+func TestReserveKeepsScheduleOrder(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	first := e.Reserve(2)
+	e.Schedule(100, func() { order = append(order, "later") })
+	e.Schedule(50, func() {
+		e.ScheduleSeq(100, first+1, func() { order = append(order, "reserved 1") })
+		e.ScheduleSeq(100, first, func() { order = append(order, "reserved 0") })
+	})
+	e.Run()
+	if want := []string{"reserved 0", "reserved 1", "later"}; !slices.Equal(order, want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	if e.Scheduled() != 4 {
+		t.Fatalf("Scheduled() = %d, want 4 (reserved numbers count)", e.Scheduled())
 	}
 }
 

@@ -180,6 +180,17 @@ func (r *Registry) Add(name string, v float64) {
 	r.mu.Unlock()
 }
 
+// Raise lifts a counter to the running total v; a counter already at or
+// above v is left as it is, so a counter published from a total never
+// decreases, however often or concurrently it is published.
+func (r *Registry) Raise(name string, v float64) {
+	if r != nil {
+		r.mu.Lock()
+		r.counters[name] = max(r.counters[name], v)
+		r.mu.Unlock()
+	}
+}
+
 // Inc increments a counter by one.
 func (r *Registry) Inc(name string) { r.Add(name, 1) }
 

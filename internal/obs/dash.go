@@ -12,17 +12,23 @@ var sparkRunes = []rune("▁▂▃▄▅▆▇█")
 // Sparkline renders vals as a fixed-height bar chart, scaled to the
 // series' own maximum (an all-zero series renders as all-minimum bars).
 func Sparkline(vals []float64) string {
-	var top float64
+	var max float64
 	for _, v := range vals {
-		if v > top {
-			top = v
+		if v > max {
+			max = v
 		}
 	}
 	var sb strings.Builder
 	for _, v := range vals {
 		i := 0
-		if top > 0 {
-			i = min(max(int(v/top*float64(len(sparkRunes)-1)), 0), len(sparkRunes)-1)
+		if max > 0 {
+			i = int(v / max * float64(len(sparkRunes)-1))
+			if i < 0 {
+				i = 0
+			}
+			if i > len(sparkRunes)-1 {
+				i = len(sparkRunes) - 1
+			}
 		}
 		sb.WriteRune(sparkRunes[i])
 	}

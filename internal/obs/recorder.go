@@ -109,7 +109,12 @@ type Hist struct {
 
 // NewRecorder returns an empty recorder.
 func NewRecorder(cfg RecorderConfig) *Recorder {
-	return &Recorder{cfg: cfg.withDefaults(), head: -1, index: make(map[seriesKey]int)}
+	cfg = cfg.withDefaults()
+	return &Recorder{
+		cfg:   cfg,
+		head:  -1,
+		index: make(map[seriesKey]int),
+	}
 }
 
 // Window returns the configured window width.
@@ -124,11 +129,15 @@ func (r *Recorder) Dropped() int64 {
 
 // Counter returns the handle of the named counter series, creating the
 // series if absent. A new series holds no data until recorded into.
-func (r *Recorder) Counter(name string) Counter { return Counter{r, r.resolve(seriesKey{name, false})} }
+func (r *Recorder) Counter(name string) Counter {
+	return Counter{r, r.resolve(seriesKey{name, false})}
+}
 
 // Hist returns the handle of the named histogram series, creating the
 // series if absent.
-func (r *Recorder) Hist(name string) Hist { return Hist{r, r.resolve(seriesKey{name, true})} }
+func (r *Recorder) Hist(name string) Hist {
+	return Hist{r, r.resolve(seriesKey{name, true})}
+}
 
 func (r *Recorder) resolve(k seriesKey) int {
 	r.mu.Lock()
@@ -209,11 +218,15 @@ func (r *Recorder) cellLocked(at time.Duration, i int) (s *ring, slot int, ok bo
 
 // Add accumulates v into the named counter series for the window
 // containing at.
-func (r *Recorder) Add(at time.Duration, name string, v float64) { r.Counter(name).Add(at, v) }
+func (r *Recorder) Add(at time.Duration, name string, v float64) {
+	r.Counter(name).Add(at, v)
+}
 
 // Observe records v into the named histogram series for the window
 // containing at.
-func (r *Recorder) Observe(at time.Duration, name string, v float64) { r.Hist(name).Observe(at, v) }
+func (r *Recorder) Observe(at time.Duration, name string, v float64) {
+	r.Hist(name).Observe(at, v)
+}
 
 // Add accumulates v into the counter for the window containing at.
 func (c Counter) Add(at time.Duration, v float64) {

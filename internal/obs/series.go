@@ -73,9 +73,15 @@ type ModelHandles struct {
 // Handles resolves s's series in r, creating them.
 func (s ModelSeries) Handles(r *Recorder) ModelHandles {
 	return ModelHandles{
-		Offered: r.Counter(s.Offered), Served: r.Counter(s.Served), Rejected: r.Counter(s.Rejected),
-		Shed: r.Counter(s.Shed), Cancelled: r.Counter(s.Cancelled),
-		Latency: r.Hist(s.Latency), Batch: r.Hist(s.Batch), Depth: r.Hist(s.Depth),
-		BatchWait: r.Hist(s.BatchWait), DispatchWait: r.Hist(s.DispatchWait),
+		Offered:      r.Counter(s.Offered),
+		Served:       r.Counter(s.Served),
+		Rejected:     r.Counter(s.Rejected),
+		Shed:         r.Counter(s.Shed),
+		Cancelled:    r.Counter(s.Cancelled),
+		Latency:      r.Hist(s.Latency),
+		Batch:        r.Hist(s.Batch),
+		Depth:        r.Hist(s.Depth),
+		BatchWait:    r.Hist(s.BatchWait),
+		DispatchWait: r.Hist(s.DispatchWait),
 	}
 }

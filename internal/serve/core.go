@@ -220,7 +220,17 @@ func (c *core) close() {
 
 // busy reports whether any admitted request is still queued or in
 // service.
-func (c *core) busy() bool { return c.active > 0 || c.queueFrac() > 0 }
+func (c *core) busy() bool {
+	if c.active > 0 {
+		return true
+	}
+	for _, q := range c.order {
+		if q.queued > 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // maybeStopTick cancels the decision tick once the core is closed and
 // idle, so a simulation ends at its last completion, not a later tick.
@@ -447,11 +457,13 @@ func (c *core) burn(model string, latency time.Duration, refused bool) {
 
 // queueFrac is the fullest admission queue's occupancy in [0, 1].
 func (c *core) queueFrac() float64 {
-	fullest := 0
+	max := 0
 	for _, q := range c.order {
-		fullest = max(fullest, q.queued)
+		if q.queued > max {
+			max = q.queued
+		}
 	}
-	return float64(fullest) / float64(c.cfg.QueueDepth)
+	return float64(max) / float64(c.cfg.QueueDepth)
 }
 
 // tick runs one brownout decision and re-arms while the core is open

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"aitax/internal/obs"
-	"aitax/internal/sim"
 )
 
 // SimObs is the streaming-observability view of a finished load
@@ -52,12 +51,13 @@ func BuildSimObs(cfg Config, res *SimResult, window time.Duration, objectives []
 	if len(objectives) > 0 {
 		mon = obs.NewMonitor(objectives, rec.Window())
 	}
-	so.Recorder, so.Monitor = rec, mon
+	so.Recorder = rec
+	so.Monitor = mon
 
 	series := newSeriesTable(rec, cfg, objectives)
 	depth := make([]int, len(series.models))
 	depthAll := 0
-	for _, st := range res.steps {
+	for _, st := range res.orderedSteps() {
 		at, o := res.stepTime(st), &res.Outcomes[st.idx]
 		i := series.index[o.Model]
 		m := &series.models[i]
@@ -82,28 +82,40 @@ func BuildSimObs(cfg Config, res *SimResult, window time.Duration, objectives []
 	return so
 }
 
-// orderSteps puts the step log in (time, kind, ID) order. The engine
-// fires steps in time order, so only each run of simultaneous steps
-// needs sorting.
-func (r *SimResult) orderSteps() {
-	for i := 0; i < len(r.steps); {
-		at, j := r.stepTime(r.steps[i]), i+1
-		for j < len(r.steps) && r.stepTime(r.steps[j]) == at {
-			j++
-		}
-		if j-i > 1 {
+// orderedSteps returns the step log in (time, kind, ID) order, sorting
+// it in place on first use. The engine fires steps in time order, so
+// only each run of simultaneous steps needs sorting.
+func (r *SimResult) orderedSteps() []step {
+	r.ordered.Do(func() {
+		for i := 0; i < len(r.steps); {
+			at, j := r.stepTime(r.steps[i]), i+1
+			for j < len(r.steps) && r.stepTime(r.steps[j]) == at {
+				j++
+			}
 			slices.SortFunc(r.steps[i:j], func(a, b step) int {
-				return cmp.Or(cmp.Compare(a.kind, b.kind), cmp.Compare(r.Outcomes[a.idx].ID, r.Outcomes[b.idx].ID), cmp.Compare(a.idx, b.idx))
+				return cmp.Or(
+					cmp.Compare(a.kind, b.kind),
+					cmp.Compare(r.Outcomes[a.idx].ID, r.Outcomes[b.idx].ID),
+					cmp.Compare(a.idx, b.idx),
+				)
 			})
+			i = j
 		}
-		i = j
-	}
+	})
+	return r.steps
 }
 
 // stepTime is when st fired.
 func (r *SimResult) stepTime(st step) time.Duration {
 	o := &r.Outcomes[st.idx]
-	return [...]sim.Time{evArrive: o.Arrival, evRefuse: o.Arrival, evFinish: o.Finished, evStart: o.Started}[st.kind].Duration()
+	switch st.kind {
+	case evFinish:
+		return o.Finished.Duration()
+	case evStart:
+		return o.Started.Duration()
+	default:
+		return o.Arrival.Duration()
+	}
 }
 
 // seriesTable is every recorder series one serving harness writes,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"aitax/internal/obs"
 	"aitax/internal/plan"
 	"aitax/internal/tflite"
 )
@@ -75,22 +74,32 @@ func (s *Server) Prewarm(ctx context.Context) (plan.Report, error) {
 func (s *Server) warmTelemetry() {
 	at := s.now().Duration()
 	for _, q := range s.core.order {
-		for _, name := range []string{q.series.requests, q.series.rejected, q.series.cancelled, q.series.batches} {
-			s.metrics.Add(name, 0)
-		}
+		s.metrics.Add(q.series.requests, 0)
+		s.metrics.Add(q.series.rejected, 0)
+		s.metrics.Add(q.series.cancelled, 0)
+		s.metrics.Add(q.series.batches, 0)
 		s.metrics.TouchHistogram(q.series.batchSize)
 		s.metrics.TouchHistogram(q.series.service)
 	}
 	for _, ser := range append(slices.Clip(s.series.models), s.series.all) {
-		for _, c := range []obs.Counter{ser.Offered, ser.Served, ser.Rejected, ser.Cancelled} {
-			c.Add(at, 0)
-		}
-		for _, h := range []obs.Hist{ser.Latency, ser.Batch, ser.Depth, ser.BatchWait, ser.DispatchWait} {
-			h.Touch(at)
-		}
+		ser.Offered.Add(at, 0)
+		ser.Served.Add(at, 0)
+		ser.Rejected.Add(at, 0)
+		ser.Cancelled.Add(at, 0)
+		ser.Latency.Touch(at)
+		ser.Batch.Touch(at)
+		ser.BatchWait.Touch(at)
+		ser.DispatchWait.Touch(at)
 	}
-	for _, c := range slices.Concat(s.series.stages, s.series.good, s.series.bad) {
+	for _, ser := range s.series.models {
+		ser.Depth.Touch(at)
+	}
+	for _, c := range s.series.stages {
 		c.Add(at, 0)
+	}
+	for i := range s.series.slo {
+		s.series.good[i].Add(at, 0)
+		s.series.bad[i].Add(at, 0)
 	}
 	if s.core.qs != nil {
 		s.mu.Lock()
@@ -98,8 +107,10 @@ func (s *Server) warmTelemetry() {
 		s.mu.Unlock()
 		s.metrics.Set("aitax_qos_level", 0)
 		s.metrics.Set("aitax_qos_temp_c", temp)
-		for _, name := range append([]string{"aitax_qos_transitions_total", "aitax_qos_steered_batches_total",
-			"aitax_qos_throttled_batches_total"}, shedSeries[:]...) {
+		s.metrics.Add("aitax_qos_transitions_total", 0)
+		s.metrics.Add("aitax_qos_steered_batches_total", 0)
+		s.metrics.Add("aitax_qos_throttled_batches_total", 0)
+		for _, name := range shedSeries {
 			s.metrics.Add(name, 0)
 		}
 		for _, q := range s.core.order {

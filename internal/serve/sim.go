@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"aitax/internal/loadgen"
@@ -44,14 +45,21 @@ type SimResult struct {
 	// the config carried no QoS policy.
 	Degradation *Degradation
 	// steps are the run's admissions, refusals, executor pickups and
-	// completions, in (time, kind, ID) order (see orderSteps).
-	steps []step
+	// completions, in the order the engine fired them; orderedSteps
+	// sorts them once, on first read.
+	steps   []step
+	ordered sync.Once
 }
 
-// Step kinds, in the order simultaneous steps are logged (see
-// orderSteps): admission before refusal before completion before
+// Step kinds, in the order simultaneous steps are read (see
+// orderedSteps): admission before refusal before completion before
 // executor pickup.
-const evArrive, evRefuse, evFinish, evStart = 0, 1, 2, 3
+const (
+	evArrive = iota
+	evRefuse
+	evFinish
+	evStart
+)
 
 // step is one event of a run the obs layer reads: its kind and the
 // request's index in SimResult.Outcomes. Its time is the engine's clock
@@ -76,20 +84,27 @@ type simulator struct {
 	reqs     []request
 	arrivals []loadgen.Arrival
 	next     int
-	// seq0 is the engine sequence number of arrivals[0]; fire is the
-	// arrival events' one callback.
-	seq0  uint64
-	fire  func()
-	steps []step
+	// pending holds the arrivals' sequence numbers, so the one arrival
+	// event pending at a time fires among simultaneous events where
+	// scheduling every arrival up front would have; fire is its one
+	// callback.
+	pending *sim.Reservation
+	fire    func()
+	steps   []step
 }
 
 func (s *simulator) now() sim.Time { return s.eng.Now() }
 
-func (s *simulator) after(d time.Duration, f func()) timer { return timer{ev: s.eng.After(d, f)} }
+func (s *simulator) after(d time.Duration, f func()) timer {
+	return timer{ev: s.eng.After(d, f)}
+}
 
 func (s *simulator) stop(t timer) { s.eng.Cancel(t.ev) }
 
-func (s *simulator) log(kind uint8, r *request) { s.steps = append(s.steps, step{uint32(r.idx), kind}) }
+// log appends one step for r to the run's step log.
+func (s *simulator) log(kind uint8, r *request) {
+	s.steps = append(s.steps, step{uint32(r.idx), kind})
+}
 
 // Simulate replays the arrival schedule against the serving policy in
 // virtual time, pricing batches from the cost table. With traced set it
@@ -98,7 +113,12 @@ func Simulate(cfg Config, table *CostTable, arrivals []loadgen.Arrival, traced b
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &simulator{table: table, eng: sim.NewEngine(), reqs: make([]request, len(arrivals)), steps: make([]step, 0, 3*len(arrivals))}
+	s := &simulator{
+		table: table,
+		eng:   sim.NewEngine(),
+		reqs:  make([]request, len(arrivals)),
+		steps: make([]step, 0, 3*len(arrivals)),
+	}
 	c, err := newCore(cfg, s, telemetry.NewRegistry(), s.run)
 	if err != nil {
 		return nil, err
@@ -108,10 +128,9 @@ func Simulate(cfg Config, table *CostTable, arrivals []loadgen.Arrival, traced b
 		s.tracer = telemetry.NewTracer(s.eng.Now)
 		c.onTransition = s.transition
 	}
-	// One arrival is pending at a time, under the sequence number that
-	// scheduling all of them up front gives it, so arrivals fire ahead of
-	// simultaneous events the run schedules, in list order.
-	s.arrivals, s.seq0, s.fire = arrivals, s.eng.Reserve(len(arrivals)), s.arriveNext
+	s.arrivals = arrivals
+	s.pending = s.eng.Reserve(len(arrivals))
+	s.fire = s.arriveNext
 	for i, a := range arrivals {
 		if i > 0 && a.At < arrivals[i-1].At {
 			return nil, fmt.Errorf("serve: arrival %d at %v precedes the one before it; arrivals must be sorted by time", a.ID, a.At)
@@ -125,12 +144,12 @@ func Simulate(cfg Config, table *CostTable, arrivals []loadgen.Arrival, traced b
 		}
 		s.reqs[i] = request{idx: i, out: Outcome{ID: a.ID, Model: a.Model, Class: cls}}
 	}
+	c.start()
 	if len(arrivals) == 0 {
 		c.close()
 	} else {
-		s.scheduleNext()
+		s.pending.Schedule(sim.Time(arrivals[0].At), s.fire)
 	}
-	c.start()
 	s.eng.Run()
 	res := &SimResult{
 		Outcomes: make([]Outcome, len(s.reqs)),
@@ -142,7 +161,6 @@ func Simulate(cfg Config, table *CostTable, arrivals []loadgen.Arrival, traced b
 	for i := range s.reqs {
 		res.Outcomes[i] = s.reqs[i].out
 	}
-	res.orderSteps()
 	for _, q := range c.order {
 		res.Batches = append(res.Batches, ModelBatches{Model: q.name, Batches: q.batches})
 	}
@@ -161,17 +179,12 @@ func (s *simulator) sampleDepth(q *queue) {
 	}
 }
 
-// scheduleNext arms the next arrival.
-func (s *simulator) scheduleNext() {
-	s.eng.ScheduleSeq(sim.Time(s.arrivals[s.next].At), s.seq0+uint64(s.next), s.fire)
-}
-
 // arriveNext delivers the next arrival to the core, logging and tracing
 // its verdict, and arms the one after it.
 func (s *simulator) arriveNext() {
 	r := &s.reqs[s.next]
 	if s.next++; s.next < len(s.reqs) {
-		s.scheduleNext()
+		s.pending.Schedule(sim.Time(s.arrivals[s.next].At), s.fire)
 	}
 	verdict := s.core.admit(r)
 	if s.tracer != nil {

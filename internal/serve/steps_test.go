@@ -109,7 +109,7 @@ type stepAt struct {
 // walked is the step log as BuildSimObs reads it.
 func walked(res *SimResult) []stepAt {
 	var out []stepAt
-	for _, st := range res.steps {
+	for _, st := range res.orderedSteps() {
 		out = append(out, stepAt{res.stepTime(st), st.kind, res.Outcomes[st.idx].ID})
 	}
 	return out
@@ -247,5 +247,19 @@ func TestSimulateRejectsUnsortedArrivals(t *testing.T) {
 	arrivals[3], arrivals[4] = arrivals[4], arrivals[3]
 	if _, err := Simulate(cfg, buildTable(t, cfg, 0), arrivals, false); err == nil {
 		t.Fatal("arrivals out of time order simulated")
+	}
+}
+
+// A QoS run offered no arrivals ends at time zero without a single
+// controller decision: the tick armed at start is cancelled when the
+// idle core closes.
+func TestSimulateWithoutArrivalsTakesNoTick(t *testing.T) {
+	cfg := qosConfig(t).Defaults()
+	res, err := Simulate(cfg, buildTable(t, cfg, 0), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.End != 0 || res.Degradation == nil || res.Degradation.Ticks != 0 {
+		t.Fatalf("End = %v, Degradation = %+v; want End 0 and 0 ticks", res.End, res.Degradation)
 	}
 }

@@ -139,23 +139,38 @@ func (e *Engine) Now() Time { return e.now }
 // panics: it always indicates a modelling bug.
 func (e *Engine) Schedule(at Time, fn func()) EventID {
 	e.seq++
-	return e.ScheduleSeq(at, e.seq-1, fn)
+	return e.schedule(at, e.seq-1, fn)
 }
 
-// Reserve sets aside the next n sequence numbers and returns the first.
-// An event scheduled later under a reserved number (ScheduleSeq) fires
-// among simultaneous events as if it had been scheduled at the
-// reservation, so a long list of future events, such as a load
-// generator's arrivals, can keep one pending at a time and still fire
-// in the order scheduling them all up front gives. Reserved numbers
-// count as scheduled.
-func (e *Engine) Reserve(n int) uint64 {
+// Reservation is a block of sequence numbers set aside by Reserve.
+// Events scheduled through it fire among simultaneous events as if
+// they had been scheduled at the reservation, in reservation order, so
+// a long list of future events, such as a load generator's arrivals,
+// can keep one pending at a time and still fire in the order
+// scheduling them all up front gives.
+type Reservation struct {
+	e         *Engine
+	next, end uint64
+}
+
+// Reserve sets aside the next n sequence numbers. They count as
+// scheduled.
+func (e *Engine) Reserve(n int) *Reservation {
 	e.seq += uint64(n)
-	return e.seq - uint64(n)
+	return &Reservation{e: e, next: e.seq - uint64(n), end: e.seq}
 }
 
-// ScheduleSeq is Schedule under a sequence number from Reserve.
-func (e *Engine) ScheduleSeq(at Time, seq uint64, fn func()) EventID {
+// Schedule is Engine.Schedule under the reservation's next sequence
+// number. Scheduling past the end of the reservation panics.
+func (r *Reservation) Schedule(at Time, fn func()) EventID {
+	if r.next == r.end {
+		panic("sim: reservation used up")
+	}
+	r.next++
+	return r.e.schedule(at, r.next-1, fn)
+}
+
+func (e *Engine) schedule(at Time, seq uint64, fn func()) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}

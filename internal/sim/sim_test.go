@@ -38,18 +38,18 @@ func TestEngineFIFOAmongSimultaneous(t *testing.T) {
 	}
 }
 
-// An event scheduled late under a reserved sequence number fires among
-// simultaneous events where scheduling it at the reservation would
-// have: ahead of events scheduled after the reservation, in reserved
-// order.
-func TestReserveKeepsScheduleOrder(t *testing.T) {
+// Events scheduled late through a reservation fire among simultaneous
+// events where scheduling them at the reservation would have: ahead of
+// events scheduled after it, in reservation order. A reservation hands
+// out each of its numbers once.
+func TestReservationKeepsScheduleOrder(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	first := e.Reserve(2)
+	res := e.Reserve(2)
 	e.Schedule(100, func() { order = append(order, "later") })
 	e.Schedule(50, func() {
-		e.ScheduleSeq(100, first+1, func() { order = append(order, "reserved 1") })
-		e.ScheduleSeq(100, first, func() { order = append(order, "reserved 0") })
+		res.Schedule(100, func() { order = append(order, "reserved 0") })
+		res.Schedule(100, func() { order = append(order, "reserved 1") })
 	})
 	e.Run()
 	if want := []string{"reserved 0", "reserved 1", "later"}; !slices.Equal(order, want) {
@@ -58,6 +58,12 @@ func TestReserveKeepsScheduleOrder(t *testing.T) {
 	if e.Scheduled() != 4 {
 		t.Fatalf("Scheduled() = %d, want 4 (reserved numbers count)", e.Scheduled())
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a used-up reservation scheduled an event")
+		}
+	}()
+	res.Schedule(200, func() {})
 }
 
 func TestEngineNestedScheduling(t *testing.T) {

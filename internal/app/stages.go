@@ -127,6 +127,7 @@ func (a *App) stageInference(r *frameRun) {
 		r.st.Stage[core.StageInference] = a.rt.Eng.Now().Sub(invStart)
 		r.st.Retry = rep.Retry
 		r.st.Fallback = rep.FallbackCost
+		r.st.RPC, r.st.Exec = rep.RPC, rep.Exec
 		infSpan.End()
 		r.advance(core.StagePost)
 	})

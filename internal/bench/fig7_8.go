@@ -72,8 +72,8 @@ func Figure8(cfg Config) *Result {
 					return
 				}
 				ip.Invoke(func(rep tflite.Report) {
-					offload += rep.Overhead + rep.Queue
-					exec += rep.Compute
+					offload += rep.RPC
+					exec += rep.Exec
 					loop(i + 1)
 				})
 			}

@@ -42,6 +42,12 @@ type Result struct {
 	Retry time.Duration
 	// Faults counts injected faults absorbed while executing.
 	Faults int
+	// RPC is the FastRPC split's overhead (session setup, transport
+	// including cache flush, and DSP queue) and Exec the DSP hold of the
+	// calls behind this result. Only a DSP target sets them; they are a
+	// second view of time already in Compute, Overhead and Queue.
+	RPC  time.Duration
+	Exec time.Duration
 	// Err is set when the segment ultimately failed (retries exhausted
 	// or the accelerator is down); the framework above decides whether
 	// to fall back to another target.
@@ -65,6 +71,8 @@ func (r Result) Add(o Result) Result {
 		EnergyJ:  r.EnergyJ + o.EnergyJ,
 		Retry:    r.Retry + o.Retry,
 		Faults:   r.Faults + o.Faults,
+		RPC:      r.RPC + o.RPC,
+		Exec:     r.Exec + o.Exec,
 		Err:      err,
 	}
 }
@@ -522,8 +530,7 @@ func (t *DSPTarget) InitGraph(ops []*nn.Op, dt tensor.DType, done func(Result)) 
 		time.Duration(len(ops))*120*time.Microsecond
 	t.channel.InvokeSpan(weights, hold, nil, "graph-init", func(b fastrpc.Breakdown) {
 		if done != nil {
-			done(Result{Compute: b.Exec, Overhead: b.Setup + b.Transport, Queue: b.Queue,
-				Retry: b.Retry, Faults: b.Faults, Err: b.Err})
+			done(resultOf(b))
 		}
 	})
 }
@@ -546,15 +553,16 @@ func (t *DSPTarget) Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType
 	payload := segmentIOBytes(ops, dt)
 	t.channel.InvokeSpan(payload, compute, parent, core.StageKernel.String(), func(b fastrpc.Breakdown) {
 		if done != nil {
-			done(Result{
-				Compute:  b.Exec,
-				Overhead: b.Setup + b.Transport,
-				Queue:    b.Queue,
-				EnergyJ:  t.dev.ActivePowerW * b.Exec.Seconds(),
-				Retry:    b.Retry,
-				Faults:   b.Faults,
-				Err:      b.Err,
-			})
+			res := resultOf(b)
+			res.EnergyJ = t.dev.ActivePowerW * b.Exec.Seconds()
+			done(res)
 		}
 	})
+}
+
+// resultOf is the Result of one FastRPC call, with its FastRPC split:
+// RPC is everything but the DSP hold and the retry time.
+func resultOf(b fastrpc.Breakdown) Result {
+	return Result{Compute: b.Exec, Overhead: b.Setup + b.Transport, Queue: b.Queue,
+		Retry: b.Retry, Faults: b.Faults, RPC: b.Setup + b.Transport + b.Queue, Exec: b.Exec, Err: b.Err}
 }

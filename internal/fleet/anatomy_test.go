@@ -9,7 +9,9 @@ import (
 	"aitax/internal/app"
 	"aitax/internal/core"
 	"aitax/internal/models"
+	"aitax/internal/sim"
 	"aitax/internal/soc"
+	"aitax/internal/telemetry"
 	"aitax/internal/tensor"
 	"aitax/internal/tflite"
 )
@@ -17,14 +19,16 @@ import (
 // TestAnatomyGridConservation checks every base anatomy of fleet's
 // default configuration (NNAPI, int8, seed 42): over every catalog entry
 // and every model with NNAPI int8 support, each frame's stages sum to its
-// Total, no stage is negative, and the FastRPC estimate stays within its
-// cap. A Table-II entry's anatomy equals an app.Measure on the Table-II
-// platform, and folding any anatomy on a unit device (no jitter) keeps
-// the frame total and stage shares that add up to 100%.
+// Total, no stage is negative, and each frame's RPC is the FastRPC time
+// its inference stage recorded in spans — zero on every frame of a pair
+// whose plan never reaches the DSP. A Table-II entry's anatomy equals an
+// app.Measure on the Table-II platform field for field, and folding any
+// anatomy on a unit device (no jitter) keeps the frame total and stage
+// shares that add up to 100%.
 func TestAnatomyGridConservation(t *testing.T) {
 	const seed = 42
 	unit := Device{CPUBin: 1, AccelBin: 1, RPCMult: 1, CPUDerate: 1, Perf: 1}
-	tableII := 0
+	tableII, crossed := 0, 0
 	for _, e := range soc.DefaultCatalog() {
 		for _, m := range models.All() {
 			if !m.Support.NNAPIInt8 {
@@ -34,6 +38,7 @@ func TestAnatomyGridConservation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s / %s: %v", e.Spec.Name, m.Name, err)
 			}
+			rpc := tracedFrameRPC(t, e.Spec, m, an, seed)
 			for i, f := range an.Frames {
 				var sum time.Duration
 				for s, d := range f.Stage {
@@ -45,9 +50,14 @@ func TestAnatomyGridConservation(t *testing.T) {
 				if sum != f.Total {
 					t.Errorf("%s / %s frame %d: stages sum to %v, Total %v", e.Spec.Name, m.Name, i, sum, f.Total)
 				}
-				if f.RPC < 0 || float64(f.RPC) > rpcShareCap*float64(f.Stage[core.StageInference]) {
-					t.Errorf("%s / %s frame %d: rpc %v outside [0, %g × inference %v]",
-						e.Spec.Name, m.Name, i, f.RPC, rpcShareCap, f.Stage[core.StageInference])
+				if f.RPC != rpc[i] {
+					t.Errorf("%s / %s frame %d: rpc %v, FastRPC spans %v", e.Spec.Name, m.Name, i, f.RPC, rpc[i])
+				}
+				if !an.Accel && f.RPC != 0 {
+					t.Errorf("%s / %s frame %d: rpc %v on a plan that never reaches the DSP", e.Spec.Name, m.Name, i, f.RPC)
+				}
+				if f.RPC > 0 {
+					crossed++
 				}
 				checkUnitFold(t, unit, an, i)
 			}
@@ -59,6 +69,9 @@ func TestAnatomyGridConservation(t *testing.T) {
 	}
 	if tableII == 0 {
 		t.Fatal("no catalog entry names a Table-II platform")
+	}
+	if crossed == 0 {
+		t.Fatal("no frame of the grid crossed FastRPC")
 	}
 }
 
@@ -86,8 +99,7 @@ func checkUnitFold(t *testing.T, unit Device, an *Anatomy, i int) {
 }
 
 // checkTableII measures m on the Table-II platform p the way
-// measureAnatomy does and requires the same frames, FastRPC estimate
-// aside.
+// measureAnatomy does and requires the same frames.
 func checkTableII(t *testing.T, p *soc.SoC, m *models.Model, an *Anatomy, seed uint64) {
 	t.Helper()
 	a, err := app.New(tflite.NewStack(p, seed), app.Config{Model: m, DType: tensor.UInt8, Delegate: tflite.DelegateNNAPI, Streaming: true})
@@ -99,9 +111,70 @@ func checkTableII(t *testing.T, p *soc.SoC, m *models.Model, an *Anatomy, seed u
 		t.Fatal(err)
 	}
 	for i, f := range an.Frames {
-		f.RPC = 0
 		if f != sts[i] {
 			t.Errorf("%s / %s frame %d: fleet anatomy %+v, app.Measure %+v", p.Name, m.Name, i, f, sts[i])
 		}
 	}
+}
+
+// tracedFrameRPC reruns measureAnatomy's simulation with a tracer and
+// prices each steady frame's FastRPC calls from their spans alone: the
+// session-setup spans plus each call's rpc-down start to rpc-up end,
+// less its DSP hold, over the calls begun inside the frame's inference
+// span. The rerun must give an's frames: tracing changes no virtual
+// time.
+func tracedFrameRPC(t *testing.T, sp soc.Spec, m *models.Model, an *Anatomy, seed uint64) [anatomySteady]time.Duration {
+	t.Helper()
+	platform, err := sp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := tflite.NewStack(platform, seed)
+	rt.Tracer = telemetry.NewTracer(rt.Eng.Now)
+	a, err := app.New(rt, app.Config{Model: m, DType: tensor.UInt8, Delegate: tflite.DelegateNNAPI, Streaming: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sts, err := a.Measure(context.Background(), anatomyWarmup, anatomySteady, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range an.Frames {
+		if f != sts[i] {
+			t.Fatalf("%s / %s frame %d: traced rerun %+v, anatomy %+v", sp.Name, m.Name, i, sts[i], f)
+		}
+	}
+	var infers []telemetry.Span
+	spans := rt.Tracer.Spans()
+	for _, s := range spans {
+		if s.Name == core.StageInference.String() && s.Component == "app" {
+			infers = append(infers, s)
+		}
+	}
+	if len(infers) != anatomyWarmup+anatomySteady {
+		t.Fatalf("%s / %s: %d inference spans", sp.Name, m.Name, len(infers))
+	}
+	var rpc [anatomySteady]time.Duration
+	for i := range rpc {
+		inf := infers[anatomyWarmup+i]
+		var down sim.Time
+		for _, s := range spans {
+			if s.Component != "fastrpc" || s.Start < inf.Start || s.Start > inf.End {
+				continue
+			}
+			switch {
+			case s.Name == "rpc-setup":
+				rpc[i] += s.Duration()
+			case s.Name == "rpc-down":
+				down = s.Start
+			case s.Name == "rpc-up":
+				// Calls on one stack run one at a time, so each
+				// rpc-up closes the latest rpc-down.
+				rpc[i] += s.End.Sub(down)
+			case s.Track == telemetry.TrackDSP:
+				rpc[i] -= s.Duration()
+			}
+		}
+	}
+	return rpc
 }

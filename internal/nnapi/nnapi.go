@@ -260,11 +260,18 @@ func (f *Framework) Execute(cm *CompiledModel, done func(Report)) {
 	if cm.ReferenceFallback && !cm.probed {
 		// The driver's one-time attempt to bring the graph up on the
 		// DSP before rejecting it — the brief CDSP utilization spike at
-		// the start of the paper's Fig. 6 NNAPI profile.
+		// the start of the paper's Fig. 6 NNAPI profile. Its time is
+		// part of this execution; its failure, if any, is not.
 		cm.probed = true
 		if gi, ok := f.AccelInt8.(driver.GraphIniter); ok {
-			gi.InitGraph(cm.Graph.Ops(), cm.DType, func(driver.Result) {
-				f.Execute(cm, done)
+			gi.InitGraph(cm.Graph.Ops(), cm.DType, func(probe driver.Result) {
+				probe.Err = nil
+				f.Execute(cm, func(rep Report) {
+					rep.Result = probe.Add(rep.Result)
+					if done != nil {
+						done(rep)
+					}
+				})
 			})
 			return
 		}

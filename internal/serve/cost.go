@@ -11,7 +11,6 @@ import (
 	"aitax/internal/faults"
 	"aitax/internal/lab"
 	"aitax/internal/models"
-	"aitax/internal/telemetry"
 	"aitax/internal/tflite"
 )
 
@@ -24,8 +23,8 @@ type BatchCost struct {
 	// excluding the per-dispatch overhead (Config.DispatchCost).
 	Service time.Duration
 	// Sum is the batch's stage anatomy summed over its k requests. Its
-	// RPC and Exec are measured from the stack's fastrpc metrics, and
-	// stay zero on delegates that never cross to the DSP.
+	// RPC and Exec are what the invokes' FastRPC calls charged, and stay
+	// zero on delegates that never cross to the DSP.
 	Sum taxcore.StageTimes
 }
 
@@ -57,38 +56,19 @@ func MeasureBatch(ctx context.Context, cfg Config, m *models.Model, k int) (Batc
 		return BatchCost{}, err
 	}
 	rt.Faults = inj
-	// A streaming (bounded-memory) registry on the stack captures the
-	// FastRPC split for the anatomy export. Metrics recording is
-	// host-side only: virtual timing, and therefore every golden, is
-	// unchanged by the attachment.
-	mreg := telemetry.NewStreamingRegistry()
-	rt.Metrics = mreg
 	a, err := app.New(rt, app.Config{
 		Model: m, DType: cfg.DType, Delegate: cfg.Delegate, Streaming: false,
 	})
 	if err != nil {
 		return BatchCost{}, err
 	}
-	// split scrapes the FastRPC overhead and remote kernel time so far.
-	split := func() (rpc, exec time.Duration) {
-		ms := mreg.Sum("aitax_fastrpc_transport_ms") +
-			mreg.Sum("aitax_fastrpc_queue_ms") +
-			mreg.Sum("aitax_fastrpc_cache_flush_ms")
-		return time.Duration(ms * float64(time.Millisecond)),
-			time.Duration(mreg.Sum("aitax_fastrpc_exec_ms") * float64(time.Millisecond))
-	}
 	bc := BatchCost{Batch: k}
 	a.Init(func() {
 		start := rt.Eng.Now()
-		// Baselines taken after init: model load / plan compilation RPC
-		// traffic is setup cost, not part of the batch's anatomy.
-		rpc0, exec0 := split()
 		var next func(i int)
 		next = func(i int) {
 			if i == k {
 				bc.Service = rt.Eng.Now().Sub(start)
-				rpc, exec := split()
-				bc.Sum.RPC, bc.Sum.Exec = rpc-rpc0, exec-exec0
 				return
 			}
 			a.ProcessRange(cfg.Entry, taxcore.StagePost, func(st taxcore.StageTimes) {

@@ -21,13 +21,6 @@ type RPCParams struct {
 	DSPWakeup time.Duration
 }
 
-// CallOverhead is the per-call (post-setup) transport cost for a payload
-// of the given size.
-func (p RPCParams) CallOverhead(payloadBytes int64) time.Duration {
-	kb := (payloadBytes + 1023) / 1024
-	return 4*p.KernelCrossing + time.Duration(kb)*p.CacheFlushPerKB + p.DSPWakeup
-}
-
 // SoC describes one Table-II platform.
 type SoC struct {
 	Name    string // product name, e.g. "Google Pixel 3"

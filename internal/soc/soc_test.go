@@ -129,19 +129,6 @@ func TestSpeedup(t *testing.T) {
 	}
 }
 
-func TestRPCCallOverhead(t *testing.T) {
-	p := Pixel3()
-	small := p.RPC.CallOverhead(1024)
-	large := p.RPC.CallOverhead(10 * 1024 * 1024)
-	if large <= small {
-		t.Fatal("larger payloads must cost more cache maintenance")
-	}
-	// Setup dominates a single call by orders of magnitude (Fig. 8).
-	if p.RPC.SessionSetup < 50*small {
-		t.Fatalf("session setup (%v) must dwarf per-call overhead (%v)", p.RPC.SessionSetup, small)
-	}
-}
-
 func TestIdleTemp(t *testing.T) {
 	for _, p := range Platforms() {
 		if p.IdleTempC != 33 {

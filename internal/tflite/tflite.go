@@ -311,6 +311,22 @@ func (ip *Interpreter) Segments() int {
 	return len(ip.segments)
 }
 
+// Accelerated reports whether the current plan runs any partition off
+// the CPU. It is false for the CPU delegate, for an NNAPI plan that
+// retreated to a CPU path, and after a fallback to the CPU interpreter.
+func (ip *Interpreter) Accelerated() bool {
+	parts := ip.segments
+	if ip.compiled != nil {
+		parts = ip.compiled.Partitions
+	}
+	for _, p := range parts {
+		if k := p.Target.Kind(); k != soc.CPUBig && k != soc.CPULittle {
+			return true
+		}
+	}
+	return false
+}
+
 // SetInput binds a pre-processed input tensor, validating its shape and
 // precision against the model the way TFLite's type-checked input API
 // does. Inference cost is simulated, so binding is optional; the value

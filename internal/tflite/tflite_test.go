@@ -162,6 +162,37 @@ func TestSegments(t *testing.T) {
 	}
 }
 
+// TestAccelerated reports the plan that will run, not the delegate
+// asked for: NNAPI sends quantized EfficientNet-Lite0 to its reference
+// CPU path (Fig. 5), and a fallback leaves a delegate on the CPU.
+func TestAccelerated(t *testing.T) {
+	for _, c := range []struct {
+		model string
+		dt    tensor.DType
+		d     Delegate
+		want  bool
+	}{
+		{"MobileNet 1.0 v1", tensor.Float32, DelegateCPU, false},
+		{"MobileNet 1.0 v1", tensor.UInt8, DelegateHexagon, true},
+		{"MobileNet 1.0 v1", tensor.UInt8, DelegateNNAPI, true},
+		{"EfficientNet-Lite0", tensor.UInt8, DelegateNNAPI, false},
+	} {
+		rt := stack()
+		ip := mustInterpreter(t, rt, c.model, c.dt, Options{Delegate: c.d})
+		ip.Init(nil)
+		rt.Eng.Run()
+		if got := ip.Accelerated(); got != c.want {
+			t.Errorf("%s %v %v: Accelerated() = %v, want %v", c.model, c.dt, c.d, got, c.want)
+		}
+		if c.d == DelegateHexagon {
+			ip.fallBackToCPU(nil)
+			if ip.Accelerated() {
+				t.Errorf("%s %v %v: Accelerated() after a fallback to the CPU", c.model, c.dt, c.d)
+			}
+		}
+	}
+}
+
 func TestRandomInputWorkQuirk(t *testing.T) {
 	elems := 224 * 224 * 3
 	fp32LibCXX := RandomInputWork(elems, tensor.Float32, LibCXX)

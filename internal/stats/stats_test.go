@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"time"
@@ -131,6 +132,46 @@ func TestHistogram(t *testing.T) {
 	}
 	if q := h.Quantile(1); q != 11 {
 		t.Fatalf("q1 = %g, want the observed max", q)
+	}
+}
+
+// TestSummaryMatchesQuantile: Summary's one bucket walk gives the three
+// Quantile calls' percentiles bit for bit, on random histograms (several
+// ranks often share a bucket), an empty one and single-bucket ones.
+func TestSummaryMatchesQuantile(t *testing.T) {
+	bounds := []float64{0.5, 1, 2, 4, 8, 16, 32, 64}
+	var hs []*Histogram
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 200; i++ {
+		h := NewHistogram(bounds)
+		sigma := 0.1 + 2*rng.Float64()
+		for n := rng.IntN(400); n >= 0; n-- {
+			h.Observe(math.Exp(rng.NormFloat64()*sigma + 1.5))
+		}
+		hs = append(hs, h)
+	}
+	hs = append(hs, NewHistogram(bounds))
+	one := NewHistogram(bounds)
+	for _, v := range []float64{2.5, 3, 3.5, 4} {
+		one.Observe(v)
+	}
+	overflow := NewHistogram(nil)
+	overflow.Observe(7)
+	overflow.Observe(-3)
+	hs = append(hs, one, overflow)
+	for i, h := range hs {
+		s := h.Summary()
+		for _, c := range []struct {
+			q   float64
+			got float64
+		}{{0.50, s.P50}, {0.90, s.P90}, {0.99, s.P99}} {
+			if want := h.Quantile(c.q); math.Float64bits(c.got) != math.Float64bits(want) {
+				t.Errorf("histogram %d (counts %v): summary p%g = %v, Quantile = %v", i, h.Counts(), 100*c.q, c.got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { hs[0].Summary() }); n != 0 {
+		t.Errorf("Summary allocates %v times", n)
 	}
 }
 

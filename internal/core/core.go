@@ -97,9 +97,9 @@ const (
 // spell a stage otherwise: the FastRPC spans split StageRPC into
 // "rpc-down" and "rpc-up" around the kernel span; a pre-processing
 // pipeline offloaded to the DSP runs its kernel as a "pre-dsp" span;
-// fleet's "infer" row is inference minus the FastRPC estimate, so it
-// includes framework time, while the serving "infer" series is kernel
-// time alone.
+// fleet's "infer" row is inference minus the invoke's FastRPC time, so
+// it includes framework time, while the serving "infer" series is
+// kernel time alone.
 var stageNames = [...]string{"capture", "pre", "inference", "post", "ui", "framework", "rpc", "infer"}
 
 // String names the stage as it appears in spans and reports.
@@ -139,9 +139,10 @@ type StageTimes struct {
 	// Fallback is delegate teardown + CPU re-init time paid inside the
 	// inference stage when the delegate died mid-run.
 	Fallback time.Duration
-	// RPC is the FastRPC overhead (transport, queue, cache flush) and
-	// Exec the remote kernel execution inside the inference stage. Both
-	// stay zero when the run measured no such split.
+	// RPC is what the inference stage's FastRPC calls charged (session
+	// setup, transport including cache flush, and DSP queue) and Exec
+	// their DSP hold, both as the invoke recorded them. Both stay zero
+	// when inference never crossed to the DSP.
 	RPC  time.Duration
 	Exec time.Duration
 }

@@ -81,11 +81,9 @@ type Channel struct {
 	Faults *faults.Injector
 
 	// Accounting.
-	calls          int
-	setupPaid      bool
-	transportTotal time.Duration
-	retryTotal     time.Duration
-	failedCalls    int
+	calls       int
+	retryTotal  time.Duration
+	failedCalls int
 }
 
 const (
@@ -188,7 +186,6 @@ func (c *Channel) beginSetup(attempt int) {
 			return
 		}
 		c.state = stateReady
-		c.setupPaid = true
 		ws := c.waiters
 		c.waiters = nil
 		for _, w := range ws {
@@ -286,7 +283,6 @@ func (c *Channel) invokeAttempt(attempt int, retryAccum time.Duration, payloadBy
 				up := c.Tracer.Emit("rpc-up", "fastrpc", telemetry.TrackCPU, parent, end, c.eng.Now())
 				c.Tracer.Link("fastrpc", exec, up)
 				c.calls++
-				c.transportTotal += outbound + inbound
 				c.retryTotal += retryAccum
 				c.Metrics.Inc("aitax_fastrpc_calls_total")
 				c.Metrics.Observe("aitax_fastrpc_transport_ms", float64(outbound+inbound)/float64(time.Millisecond))

@@ -86,8 +86,8 @@ type Device struct {
 	// CPUBin and AccelBin are silicon-binning speed multipliers
 	// (>1 = faster than the catalog part).
 	CPUBin, AccelBin float64
-	// RPCMult scales FastRPC transport cost (>=~1; transport only
-	// degrades relative to the catalog figure).
+	// RPCMult scales each frame's recorded FastRPC time (>=~1;
+	// transport only degrades relative to the catalog figure).
 	RPCMult float64
 	// TempC is the device's sampled operating temperature.
 	TempC float64

@@ -7,7 +7,6 @@ package imaging
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"aitax/internal/par"
 	"aitax/internal/sim"
@@ -143,7 +142,7 @@ type yuvToARGBTask struct {
 	src *YUVImage
 }
 
-var yuvToARGBTasks = sync.Pool{New: func() any { return new(yuvToARGBTask) }}
+var yuvToARGBTasks par.Spare[yuvToARGBTask]
 
 func (t *yuvToARGBTask) Tile(lo, hi int) {
 	src, dst := t.src, t.dst
@@ -203,7 +202,7 @@ func (t *yuvToARGBTask) Tile(lo, hi int) {
 // to the scalar BT.601 reference at any worker count. Returns dst.
 func YUVToARGBInto(dst *ARGBImage, src *YUVImage) *ARGBImage {
 	dst.Resize(src.Width, src.Height)
-	t := yuvToARGBTasks.Get().(*yuvToARGBTask)
+	t := yuvToARGBTasks.Get()
 	t.dst, t.src = dst, src
 	par.For(src.Height, t)
 	t.dst, t.src = nil, nil
@@ -225,7 +224,7 @@ type argbToYUVTask struct {
 	src *ARGBImage
 }
 
-var argbToYUVTasks = sync.Pool{New: func() any { return new(argbToYUVTask) }}
+var argbToYUVTasks par.Spare[argbToYUVTask]
 
 // lumaByte computes one pixel's NV21 luma byte (BT.601, +16 offset).
 // No clamp is needed: over all 2^24 RGB inputs the result stays within
@@ -305,7 +304,7 @@ func (t *argbToYUVTask) Tile(lo, hi int) {
 // reference at any worker count. Returns dst.
 func ARGBToYUVInto(dst *YUVImage, src *ARGBImage) *YUVImage {
 	dst.Resize(src.Width&^1, src.Height&^1)
-	t := argbToYUVTasks.Get().(*argbToYUVTask)
+	t := argbToYUVTasks.Get()
 	t.dst, t.src = dst, src
 	par.For(dst.Height/2, t)
 	t.dst, t.src = nil, nil
@@ -341,7 +340,7 @@ func (t *gradientTask) Tile(lo, hi int) {
 	}
 }
 
-var gradientTasks = sync.Pool{New: func() any { return new(gradientTask) }}
+var gradientTasks par.Spare[gradientTask]
 
 // SyntheticSceneInto paints the procedural scene into dst, overwriting
 // every pixel. The pixel content for a given (dimensions, seed) pair is
@@ -354,7 +353,7 @@ func SyntheticSceneInto(dst *ARGBImage, seed uint64) *ARGBImage {
 	// (r), row (g) and diagonal (b), so the integer divisions are hoisted
 	// into per-axis tables (recycled across frames) and each pixel is an
 	// OR of prepacked parts, painted row-tiled.
-	grad := gradientTasks.Get().(*gradientTask)
+	grad := gradientTasks.Get()
 	grad.img = img
 	grad.rCol = growUint32(grad.rCol, width)
 	grad.bDiag = growUint32(grad.bDiag, width+height)

@@ -7,10 +7,11 @@
 // identical at any worker count; parallelism changes wall-clock only.
 //
 // The dispatch path allocates nothing at steady state: tasks are
-// interface values over caller-pooled structs, jobs travel by value
-// through a buffered channel, and the per-call WaitGroup is recycled
-// through a sync.Pool. Tasks must not call For themselves (no nesting) —
-// a kernel tile that blocked on the pool could deadlock it.
+// interface values over structs the callers keep in a Spare, jobs
+// travel by value through a buffered channel, and the per-call
+// WaitGroup is recycled through a Spare. Tasks must not call For
+// themselves (no nesting) — a kernel tile that blocked on the pool
+// could deadlock it.
 //
 // The pool is sized from GOMAXPROCS at init. AITAX_KERNEL_WORKERS
 // overrides it (AITAX_KERNEL_WORKERS=1 opts out of parallelism
@@ -55,8 +56,26 @@ var (
 	poolMu sync.Mutex
 	jobs   chan job // buffered dispatch queue
 
-	wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+	wgPool Spare[sync.WaitGroup]
 )
+
+// Spare caches one *T between calls of a kernel: its per-call task, or
+// For's WaitGroup. Unlike a sync.Pool it belongs to no P and no garbage
+// collection empties it, so a warm caller gets its value back on
+// whichever P it resumes and allocates nothing; a caller that runs
+// while another holds the value allocates. The zero value is ready.
+type Spare[T any] struct{ v atomic.Pointer[T] }
+
+// Get returns the cached value, or a new one if there is none.
+func (s *Spare[T]) Get() *T {
+	if v := s.v.Swap(nil); v != nil {
+		return v
+	}
+	return new(T)
+}
+
+// Put caches v for the next Get.
+func (s *Spare[T]) Put(v *T) { s.v.Store(v) }
 
 func init() {
 	w := runtime.GOMAXPROCS(0)
@@ -139,7 +158,7 @@ func ForGrain(n, grain int, t Task) {
 		return
 	}
 	ensureWorkers(w - 1)
-	wg := wgPool.Get().(*sync.WaitGroup)
+	wg := wgPool.Get()
 	wg.Add(w - 1)
 	for i := 1; i < w; i++ {
 		jobs <- job{t: t, lo: i * n / w, hi: (i + 1) * n / w, wg: wg}

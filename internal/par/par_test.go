@@ -1,6 +1,7 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -111,6 +112,24 @@ func TestConcurrentForCallsDoNotInterfere(t *testing.T) {
 	}
 	for g := 0; g < 8; g++ {
 		<-done
+	}
+}
+
+// TestSpareSurvivesGC pins why the kernels keep their per-call values
+// in a Spare rather than a sync.Pool: garbage collection and a move to
+// another P both hide a sync.Pool's value from the next Get, so a warm
+// kernel could allocate in a one-iteration benchmark run.
+func TestSpareSurvivesGC(t *testing.T) {
+	var s Spare[countTask]
+	v := s.Get()
+	s.Put(v)
+	runtime.GC()
+	runtime.GC()
+	if s.Get() != v {
+		t.Fatal("the spare value did not survive two garbage collections")
+	}
+	if s.Get() == v {
+		t.Fatal("a value already handed out was handed out again")
 	}
 }
 

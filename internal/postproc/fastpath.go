@@ -22,6 +22,7 @@ import (
 	"math"
 	"sync"
 
+	"aitax/internal/par"
 	"aitax/internal/tensor"
 )
 
@@ -53,7 +54,7 @@ type maskTask struct {
 	mask []int
 }
 
-var maskTaskPool = sync.Pool{New: func() any { return new(maskTask) }}
+var maskTaskPool par.Spare[maskTask]
 
 func (mt *maskTask) Tile(lo, hi int) {
 	t, c := mt.t, mt.c
@@ -128,7 +129,7 @@ type boxScanTask struct {
 	bestS  []float64
 }
 
-var boxScanTaskPool = sync.Pool{New: func() any { return new(boxScanTask) }}
+var boxScanTaskPool par.Spare[boxScanTask]
 
 func (bt *boxScanTask) Tile(lo, hi int) {
 	t, c := bt.scores, bt.c
@@ -166,7 +167,7 @@ type kpTask struct {
 	out               []Keypoint
 }
 
-var kpTaskPool = sync.Pool{New: func() any { return new(kpTask) }}
+var kpTaskPool par.Spare[kpTask]
 
 func (t *kpTask) Tile(lo, hi int) {
 	h, w, k := t.h, t.w, t.k

@@ -166,7 +166,7 @@ func FlattenMaskInto(dst []int, t *tensor.Tensor) []int {
 	if c == 0 {
 		return mask
 	}
-	task := maskTaskPool.Get().(*maskTask)
+	task := maskTaskPool.Get()
 	*task = maskTask{t: t, c: c, mask: mask}
 	par.For(h*w, task)
 	*task = maskTask{}
@@ -210,7 +210,7 @@ func DecodeKeypointsInto(dst []Keypoint, heatmaps, offsets *tensor.Tensor, outpu
 		out = make([]Keypoint, k)
 	}
 	out = out[:k]
-	task := kpTaskPool.Get().(*kpTask)
+	task := kpTaskPool.Get()
 	*task = kpTask{heatmaps: heatmaps, offsets: offsets, h: h, w: w, k: k, stride: outputStride, out: out}
 	par.ForGrain(k, 1, task)
 	*task = kpTask{}
@@ -307,7 +307,7 @@ func DecodeBoxesInto(dst []Box, locs, scores *tensor.Tensor, anchors []Anchor, t
 	sc := ssdScratchPool.Get().(*ssdScratch)
 	sc.bestC = growInt32(sc.bestC, n)
 	sc.bestS = growFloat64(sc.bestS, n)
-	task := boxScanTaskPool.Get().(*boxScanTask)
+	task := boxScanTaskPool.Get()
 	*task = boxScanTask{scores: scores, c: c, bestC: sc.bestC, bestS: sc.bestS}
 	par.For(n, task)
 	*task = boxScanTask{}

@@ -105,7 +105,7 @@ type resizeTask struct {
 	src, dst *imaging.ARGBImage
 }
 
-var resizeTaskPool = sync.Pool{New: func() any { return new(resizeTask) }}
+var resizeTaskPool par.Spare[resizeTask]
 
 func (t *resizeTask) Tile(lo, hi int) {
 	p, src := t.plan, t.src
@@ -212,7 +212,7 @@ type normalizeTask struct {
 	out []float32
 }
 
-var normalizeTaskPool = sync.Pool{New: func() any { return new(normalizeTask) }}
+var normalizeTaskPool par.Spare[normalizeTask]
 
 func (t *normalizeTask) Tile(lo, hi int) {
 	w := t.src.Width
@@ -249,7 +249,7 @@ type quantizeTask struct {
 	i8  []int8
 }
 
-var quantizeTaskPool = sync.Pool{New: func() any { return new(quantizeTask) }}
+var quantizeTaskPool par.Spare[quantizeTask]
 
 func (t *quantizeTask) Tile(lo, hi int) {
 	w := t.src.Width
@@ -318,7 +318,7 @@ type fusedNormTask struct {
 	dstW int
 }
 
-var fusedNormTaskPool = sync.Pool{New: func() any { return new(fusedNormTask) }}
+var fusedNormTaskPool par.Spare[fusedNormTask]
 
 func (t *fusedNormTask) Tile(lo, hi int) {
 	p, src, tab, dstW := t.plan, t.src, t.tab, t.dstW
@@ -352,7 +352,7 @@ type fusedQuantTask struct {
 	dstW int
 }
 
-var fusedQuantTaskPool = sync.Pool{New: func() any { return new(fusedQuantTask) }}
+var fusedQuantTaskPool par.Spare[fusedQuantTask]
 
 func (t *fusedQuantTask) Tile(lo, hi int) {
 	p, src, tab, dstW := t.plan, t.src, t.tab, t.dstW
@@ -406,7 +406,7 @@ func ResizeNormalizeInto(dst *tensor.Tensor, src *imaging.ARGBImage, dstW, dstH 
 		panic("preproc: zero normalization std")
 	}
 	t := tensor.Ensure(dst, tensor.Float32, tensor.Shape{1, dstH, dstW, 3})
-	task := fusedNormTaskPool.Get().(*fusedNormTask)
+	task := fusedNormTaskPool.Get()
 	*task = fusedNormTask{
 		plan: planFor(src.Width, src.Height, dstW, dstH),
 		src:  src, tab: normTabFor(mean, std), out: t.F32, dstW: dstW,
@@ -436,7 +436,7 @@ func ResizeQuantizeInto(dst *tensor.Tensor, src *imaging.ARGBImage, dstW, dstH i
 	}
 	t := tensor.Ensure(dst, dt, tensor.Shape{1, dstH, dstW, 3})
 	t.Quant = q
-	task := fusedQuantTaskPool.Get().(*fusedQuantTask)
+	task := fusedQuantTaskPool.Get()
 	*task = fusedQuantTask{
 		plan: planFor(src.Width, src.Height, dstW, dstH),
 		src:  src, tab: quantTabFor(dt, q), dstW: dstW,

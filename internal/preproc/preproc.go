@@ -36,7 +36,7 @@ func ResizeBilinearInto(dst *imaging.ARGBImage, src *imaging.ARGBImage, dstW, ds
 		panic(fmt.Sprintf("preproc: invalid resize target %dx%d", dstW, dstH))
 	}
 	dst.Resize(dstW, dstH)
-	task := resizeTaskPool.Get().(*resizeTask)
+	task := resizeTaskPool.Get()
 	*task = resizeTask{plan: planFor(src.Width, src.Height, dstW, dstH), src: src, dst: dst}
 	par.For(dstH, task)
 	*task = resizeTask{}
@@ -166,7 +166,7 @@ func NormalizeInto(dst *tensor.Tensor, src *imaging.ARGBImage, mean, std float64
 		panic("preproc: zero normalization std")
 	}
 	t := tensor.Ensure(dst, tensor.Float32, tensor.Shape{1, src.Height, src.Width, 3})
-	task := normalizeTaskPool.Get().(*normalizeTask)
+	task := normalizeTaskPool.Get()
 	*task = normalizeTask{src: src, tab: normTabFor(mean, std), out: t.F32}
 	par.For(src.Height, task)
 	*task = normalizeTask{}
@@ -196,7 +196,7 @@ func QuantizeInputInto(dst *tensor.Tensor, src *imaging.ARGBImage, dt tensor.DTy
 	if dt == tensor.UInt8 || dt == tensor.Int8 {
 		// Byte targets collapse to a cached 256-entry table built with
 		// the same Quantize call the scalar loop made per channel.
-		task := quantizeTaskPool.Get().(*quantizeTask)
+		task := quantizeTaskPool.Get()
 		*task = quantizeTask{src: src, tab: quantTabFor(dt, q)}
 		if dt == tensor.UInt8 {
 			task.u8 = t.U8

@@ -220,8 +220,6 @@ type (
 	// MetricsRegistry is a deterministic counter/gauge/histogram
 	// registry with exact quantiles and Prometheus/JSON export.
 	MetricsRegistry = telemetry.Registry
-	// TelemetryBundle carries one run's spans, flows and metrics.
-	TelemetryBundle = telemetry.Bundle
 	// ChromeTrace merges scheduler slices, pipeline spans and counter
 	// tracks into one Chrome/Perfetto trace-event file.
 	ChromeTrace = trace.ChromeRecorder
@@ -232,15 +230,6 @@ func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 
 // NewChromeTrace creates an empty Chrome trace-event recorder.
 func NewChromeTrace() *ChromeTrace { return trace.NewChromeRecorder() }
-
-// ReportTelemetry attaches a telemetry bundle to the enclosing lab job;
-// outside a lab job it is a no-op. MeasureAppTracedCtx calls it
-// automatically.
-func ReportTelemetry(ctx context.Context, b *TelemetryBundle) { lab.ReportTelemetry(ctx, b) }
-
-// MergeJobTelemetry combines lab results' telemetry bundles in
-// submission order, so the aggregate is identical at any parallelism.
-func MergeJobTelemetry(results []JobResult) *TelemetryBundle { return lab.MergeTelemetry(results) }
 
 // Fault injection (deterministic offload-failure modeling).
 type (
@@ -505,9 +494,7 @@ func MeasureAppTraced(opts AppOptions) (*TraceRun, error) {
 // MeasureAppTracedCtx is MeasureAppFramesCtx with the telemetry layer
 // switched on: the same deterministic run (traced and untraced runs of
 // one seed produce identical FrameStats) additionally yields spans,
-// flows, metrics and a Chrome trace. It is the canonical form: inside a
-// lab job it reports both the simulated time and the telemetry bundle,
-// so merged aggregates are parallelism-independent.
+// flows, metrics and a Chrome trace. The context cancels the run.
 func MeasureAppTracedCtx(ctx context.Context, opts AppOptions) (*TraceRun, error) {
 	if opts.StdLib != LibCXX {
 		return nil, errAppStdLib()
@@ -530,7 +517,6 @@ func MeasureAppTracedCtx(ctx context.Context, opts AppOptions) (*TraceRun, error
 	chrome.AddSpanOccupancy("dsp in flight", spans, telemetry.TrackDSP)
 	chrome.AddSpanOccupancy("gpu in flight", spans, telemetry.TrackGPU)
 	chrome.AddFaultCounters(rt.Metrics, rt.Eng.Now())
-	lab.ReportTelemetry(ctx, &telemetry.Bundle{Spans: spans, Flows: flows, Registry: rt.Metrics})
 	return &TraceRun{
 		Frames:          frames,
 		Spans:           spans,

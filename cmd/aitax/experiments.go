@@ -7,15 +7,18 @@ import (
 	"strings"
 
 	"aitax"
-	"aitax/internal/telemetry"
+	"aitax/internal/bench"
+	"aitax/internal/lab"
 )
 
 // runExperiments is aitax experiments: it regenerates the paper's tables
 // and figures on the simulated platform.
 //
-// Experiments are independent simulations, so they run concurrently on a
-// worker pool (-parallel, default GOMAXPROCS); results are merged back
-// in paper order, so output is byte-identical at any parallelism.
+// The selected experiments declare the configurations they measure; each
+// distinct one is measured once, concurrently on a worker pool
+// (-parallel, default GOMAXPROCS), and the experiments render from the
+// shared measurements in paper order, so output is byte-identical at
+// any parallelism.
 //
 //	aitax experiments                 # run everything, GOMAXPROCS-wide
 //	aitax experiments -run fig5       # one experiment
@@ -31,9 +34,7 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "text", "output format: text | markdown | csv")
 	platform := fs.String("platform", "Google Pixel 3", "platform name or chipset (Table II)")
 	seed := fs.Uint64("seed", 42, "random seed (0 is a valid seed)")
-	common := register(fs, sharedFlags{
-		Trace: true, Metrics: true, Faults: true, Parallel: true, Progress: true,
-	})
+	common := register(fs, sharedFlags{Faults: true, Parallel: true, Progress: true})
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -75,19 +76,9 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 			p.Name, p.Chipset, *seed, *runs)
 	}
 
-	jobs := make([]aitax.Job, len(selected))
-	for i, e := range selected {
-		e := e
-		jobs[i] = aitax.Job{
-			ID: e.ID,
-			Run: func(ctx context.Context) (any, error) {
-				return e.RunCtx(ctx, cfg)
-			},
-		}
-	}
-	l := &aitax.Lab{Parallelism: common.Parallel}
+	var onProgress func(lab.JobResult)
 	if common.Progress {
-		l.OnProgress = func(r aitax.JobResult) {
+		onProgress = func(r lab.JobResult) {
 			status := "done"
 			if r.Err != nil {
 				status = "FAIL"
@@ -97,14 +88,14 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	results, _ := bench.RunExperimentsCtx(context.Background(), selected, cfg, common.Parallel, onProgress)
 	failures := 0
-	results := l.RunEmit(context.Background(), jobs, func(r aitax.JobResult) {
-		if r.Err != nil {
+	for _, res := range results {
+		if err := res.Err(); err != nil {
 			failures++
-			fmt.Fprintf(stderr, "%s: %v\n", r.ID, r.Err)
-			return
+			fmt.Fprintf(stderr, "%s: %v\n", res.ID, err)
+			continue
 		}
-		res := r.Value.(*aitax.ExperimentResult)
 		switch *format {
 		case "markdown":
 			fmt.Fprint(stdout, res.RenderMarkdown())
@@ -113,49 +104,9 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 		default:
 			fmt.Fprintln(stdout, res.Render())
 		}
-	})
-	if common.Trace != "" || common.Metrics != "" {
-		if err := exportTelemetry(results, common.Trace, common.Metrics, stderr); err != nil {
-			return fail(stderr, err)
-		}
 	}
 	if failures > 0 {
 		return 1
 	}
 	return 0
-}
-
-// exportTelemetry merges the jobs' telemetry bundles in submission order
-// and folds in the harness's own accounting — all on virtual time, so
-// both files are byte-identical at any -parallel value.
-func exportTelemetry(results []aitax.JobResult, tracePath, metricsPath string, stderr io.Writer) error {
-	bundle := aitax.MergeJobTelemetry(results)
-	reg := bundle.Registry
-	if reg == nil {
-		reg = aitax.NewMetricsRegistry()
-	}
-	for _, r := range results {
-		reg.Inc("aitax_experiments_total")
-		if r.Err != nil {
-			reg.Inc("aitax_experiment_failures_total")
-			continue
-		}
-		reg.Observe(telemetry.Labeled("aitax_experiment_sim_ms", "id", r.ID),
-			ms(r.Sim))
-	}
-	if metricsPath != "" {
-		if err := writeFile(metricsPath, reg.WritePrometheus); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "metrics written to %s\n", metricsPath)
-	}
-	if tracePath != "" {
-		chrome := aitax.NewChromeTrace()
-		chrome.AddTelemetry(bundle.Spans, bundle.Flows)
-		if err := writeFile(tracePath, chrome.WriteJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "chrome trace written to %s\n", tracePath)
-	}
-	return nil
 }

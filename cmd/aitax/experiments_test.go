@@ -2,9 +2,11 @@ package main
 
 import (
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
+	"aitax/internal/bench"
 	"aitax/internal/plan"
 )
 
@@ -61,39 +63,6 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	}
 }
 
-func TestTelemetryFlagsLeaveStdoutIdenticalAndMergeDeterministically(t *testing.T) {
-	// The telemetry flags must be strictly additive: stdout with
-	// -trace/-metrics set is byte-identical to stdout without them, and
-	// the exported files are byte-identical at any -parallel value.
-	base := []string{"-run", "table2,fig5,post", "-runs", "4"}
-	render := func(extra ...string) (string, string, string) {
-		dir := t.TempDir()
-		trace := filepath.Join(dir, "t.json")
-		prom := filepath.Join(dir, "m.prom")
-		args := append(append([]string{}, base...), extra...)
-		out := runCmd(t, runExperiments, append(args, "-trace", trace, "-metrics", prom)...)
-		return out, readFile(t, trace), readFile(t, prom)
-	}
-
-	plain := runCmd(t, runExperiments, base...)
-	outSeq, traceSeq, promSeq := render("-parallel", "1")
-	outPar, tracePar, promPar := render("-parallel", "8")
-	if outSeq != plain || outPar != plain {
-		t.Fatal("-trace/-metrics changed stdout")
-	}
-	if traceSeq != tracePar {
-		t.Fatal("trace file depends on -parallel")
-	}
-	if promSeq != promPar {
-		t.Fatal("metrics file depends on -parallel")
-	}
-	for _, want := range []string{"aitax_experiments_total 3", `aitax_experiment_sim_ms_count{id="fig5"} 1`} {
-		if !strings.Contains(promSeq, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, promSeq)
-		}
-	}
-}
-
 func TestListAndErrors(t *testing.T) {
 	out := runCmd(t, runExperiments, "-list")
 	if !strings.Contains(out, "table1") || !strings.Contains(out, "fig11") {
@@ -118,5 +87,71 @@ func TestProgressGoesToStderrOnly(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "done table2") {
 		t.Fatal("progress leaked into stdout")
+	}
+}
+
+// TestExperimentsMeasureEachRunOnce reads the sweep's jobs off
+// -progress: every experiment renders once and no measurement runs
+// twice, although fig4a/fig4b and fig9/fig10 declare shared ones.
+func TestExperimentsMeasureEachRunOnce(t *testing.T) {
+	var out, errb strings.Builder
+	if code := runExperiments([]string{"-runs", "4", "-parallel", "2", "-progress"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, errb.String())
+	}
+	jobs := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(errb.String()), "\n") {
+		id, ok := strings.CutPrefix(line, "done ")
+		if i := strings.LastIndex(id, " wall "); !ok || i < 0 {
+			t.Fatalf("progress line %q", line)
+		} else {
+			jobs[strings.TrimSpace(id[:i])]++
+		}
+	}
+	for id, n := range jobs {
+		if n != 1 {
+			t.Errorf("job %q ran %d times", id, n)
+		}
+	}
+	for _, id := range bench.IDs() {
+		if jobs[id] != 1 {
+			t.Errorf("experiment %s rendered %d times", id, jobs[id])
+		}
+	}
+	if measured := len(jobs) - len(bench.IDs()); measured < 100 {
+		t.Errorf("%d measurement jobs; the sweep declares over 100 distinct runs", measured)
+	}
+}
+
+// TestDocumentedExperimentIDsExist checks every `aitax experiments -run
+// <ids>` command the user documentation gives: an id that names no
+// experiment makes the command exit 1. ROADMAP.md and CHANGES.md are
+// history and may quote commands as they once were, so they are not
+// scanned.
+func TestDocumentedExperimentIDsExist(t *testing.T) {
+	var docs []string
+	for _, pat := range []string{"../../README.md", "../../DESIGN.md", "../../EXPERIMENTS.md", "../../docs/*.md"} {
+		m, err := filepath.Glob(pat)
+		if err != nil || len(m) == 0 {
+			t.Fatalf("%s: %v", pat, err)
+		}
+		docs = append(docs, m...)
+	}
+	cmd := regexp.MustCompile("aitax experiments[^`\n|]*?-run[ =]([\\w,.-]+)")
+	found := 0
+	for _, path := range docs {
+		for _, m := range cmd.FindAllStringSubmatch(readFile(t, path), -1) {
+			found++
+			if m[1] == "all" {
+				continue
+			}
+			for _, id := range strings.Split(m[1], ",") {
+				if _, err := bench.ByID(id); err != nil {
+					t.Errorf("%s: `%s`: %v", filepath.Base(path), m[0], err)
+				}
+			}
+		}
+	}
+	if found < 5 {
+		t.Fatalf("found %d documented commands; the pattern no longer matches the docs", found)
 	}
 }

@@ -13,6 +13,16 @@ func smallCfg() Config {
 	return Config{Platform: soc.Pixel3(), Seed: 42, Runs: 12}
 }
 
+// runID runs the experiment with the given id.
+func runID(t *testing.T, id string, cfg Config) *Result {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Run(cfg)
+}
+
 func TestRegistryCoversAllArtifacts(t *testing.T) {
 	ids := IDs()
 	want := []string{"table1", "table2", "fig3", "fig4a", "fig4b", "fig5",
@@ -91,7 +101,7 @@ func TestTableIIHasFourPlatforms(t *testing.T) {
 }
 
 func TestFigure5RatioInBand(t *testing.T) {
-	res := Figure5(smallCfg())
+	res := runID(t, "fig5", smallCfg())
 	found := false
 	for _, n := range res.Notes {
 		if strings.Contains(n, "degradation vs CPU-1T") {
@@ -145,7 +155,7 @@ func TestFigure8AmortizationMonotone(t *testing.T) {
 }
 
 func TestFigure9InferenceGrows(t *testing.T) {
-	res := Figure9(smallCfg())
+	res := runID(t, "fig9", smallCfg())
 	var first, last float64
 	for i, row := range res.Rows {
 		v, err := strconv.ParseFloat(row[3], 64)
@@ -163,7 +173,7 @@ func TestFigure9InferenceGrows(t *testing.T) {
 }
 
 func TestFigure10CapturePreGrows(t *testing.T) {
-	res := Figure10(smallCfg())
+	res := runID(t, "fig10", smallCfg())
 	capPre := func(row []string) float64 {
 		c, _ := strconv.ParseFloat(row[1], 64)
 		p, _ := strconv.ParseFloat(row[2], 64)
@@ -195,8 +205,8 @@ func TestColdStartDominatedBySetup(t *testing.T) {
 }
 
 func TestDeterministicResults(t *testing.T) {
-	a := Figure5(smallCfg()).Render()
-	b := Figure5(smallCfg()).Render()
+	a := runID(t, "fig5", smallCfg()).Render()
+	b := runID(t, "fig5", smallCfg()).Render()
 	if a != b {
 		t.Fatal("experiment output is nondeterministic")
 	}

@@ -22,7 +22,6 @@ import (
 // machinery produces a clean single-partition DSP plan and the 7x cliff
 // becomes a 5x win.
 func DriverFix(cfg Config) *Result {
-	cfg = cfg.Defaults()
 	m, _ := models.ByName("EfficientNet-Lite0")
 	r := &Result{
 		ID:      "driverfix",

@@ -17,7 +17,6 @@ import (
 // run at the lowest frequency step and ramp over the first tens of
 // milliseconds.
 func DVFSRamp(cfg Config) *Result {
-	cfg = cfg.Defaults()
 	m, _ := models.ByName("MobileNet 1.0 v1")
 	r := &Result{
 		ID:      "dvfs",

@@ -14,7 +14,6 @@ import (
 // model compilation dominate; both amortize only if the model stays
 // loaded.
 func InitTimes(cfg Config) *Result {
-	cfg = cfg.Defaults()
 	r := &Result{
 		ID:      "init",
 		Title:   "Model initialization time by delegate (one-time, per load)",
@@ -55,7 +54,6 @@ func InitTimes(cfg Config) *Result {
 // generation is expensive, silently distorting the "data capture" stage
 // of inference-only benchmarks.
 func StdlibQuirk(cfg Config) *Result {
-	cfg = cfg.Defaults()
 	m, _ := models.ByName("MobileNet 1.0 v1")
 	elems := m.InputW * m.InputH * 3
 	p := clonePlatform(cfg.Platform)

@@ -38,7 +38,6 @@ type faultRunStats struct {
 // invokes that stretch frames with retry backoff, and a thermal trip
 // that kills the accelerator mid-run.
 func FaultTolerance(cfg Config) *Result {
-	cfg = cfg.Defaults()
 	m, _ := models.ByName("MobileNet 1.0 v1")
 	r := &Result{
 		ID:    "faults",

@@ -16,7 +16,6 @@ import (
 // CPU and DSP, itemized by boundary crossing, plus the one-time session
 // setup.
 func Figure7(cfg Config) *Result {
-	cfg = cfg.Defaults()
 	p := clonePlatform(cfg.Platform)
 	eng := sim.NewEngine()
 	dsp := sim.NewResource(eng, "dsp", 1)
@@ -47,7 +46,6 @@ func Figure7(cfg Config) *Result {
 // over consecutive inferences through the Hexagon delegate. For one
 // inference the session setup dominates; over hundreds it vanishes.
 func Figure8(cfg Config) *Result {
-	cfg = cfg.Defaults()
 	m, _ := models.ByName("MobileNet 1.0 v1")
 	r := &Result{
 		ID:    "fig8",
@@ -105,7 +103,6 @@ func Figure8(cfg Config) *Result {
 // ColdStart isolates §IV-C's cold-start penalty: the first accelerated
 // inference versus a warm one, broken down.
 func ColdStart(cfg Config) *Result {
-	cfg = cfg.Defaults()
 	m, _ := models.ByName("MobileNet 1.0 v1")
 	r := &Result{
 		ID:      "coldstart",

@@ -17,7 +17,6 @@ import (
 // choice DESIGN.md calls out: how much of the framework tax is pure op
 // bookkeeping?
 func FusionAblation(cfg Config) *Result {
-	cfg = cfg.Defaults()
 	r := &Result{
 		ID:    "fusion",
 		Title: "Activation-fusion ablation: per-op overhead share",

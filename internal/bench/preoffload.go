@@ -20,7 +20,6 @@ import (
 // the experiment exposes both the win (pixel math at HVX rate) and the
 // new cost (the stage queues behind inference on the same DSP).
 func PreOffload(cfg Config) *Result {
-	cfg = cfg.Defaults()
 	m, _ := models.ByName("MobileNet 1.0 v1")
 	r := &Result{
 		ID:    "preoffload",

@@ -20,7 +20,6 @@ import (
 // camera preview resolutions; inference is untouched while the
 // capture+pre tax grows with the pixel count.
 func ResolutionSweep(cfg Config) *Result {
-	cfg = cfg.Defaults()
 	m, _ := models.ByName("MobileNet 1.0 v1")
 	r := &Result{
 		ID:    "resolution",

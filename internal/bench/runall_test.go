@@ -31,11 +31,11 @@ func TestRunExperimentsParallelByteIdentical(t *testing.T) {
 	}
 	cfg := Config{Seed: 42, Runs: 8}
 
-	seqRes, err := RunExperimentsCtx(context.Background(), subset, cfg, 1)
+	seqRes, err := RunExperimentsCtx(context.Background(), subset, cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := RunExperimentsCtx(context.Background(), subset, cfg, 8)
+	parRes, err := RunExperimentsCtx(context.Background(), subset, cfg, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +50,13 @@ func TestRunExperimentsParallelByteIdentical(t *testing.T) {
 
 func TestRunExperimentsPanicBecomesErrorResult(t *testing.T) {
 	exps := []Experiment{
-		{ID: "ok-before", Title: "healthy", Run: TableII},
-		{ID: "boom", Title: "exploding experiment", Run: func(Config) *Result {
+		{ID: "ok-before", Title: "healthy", Plan: own(TableII)},
+		{ID: "boom", Title: "exploding experiment", Plan: own(func(Config) *Result {
 			panic("synthetic failure")
-		}},
-		{ID: "ok-after", Title: "healthy", Run: TableII},
+		})},
+		{ID: "ok-after", Title: "healthy", Plan: own(TableII)},
 	}
-	rs, err := RunExperimentsCtx(context.Background(), exps, Config{Runs: 5}, 3)
+	rs, err := RunExperimentsCtx(context.Background(), exps, Config{Runs: 5}, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRunExperimentsPanicBecomesErrorResult(t *testing.T) {
 func TestRunExperimentsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rs, err := RunExperimentsCtx(ctx, Experiments()[:3], Config{Runs: 5}, 1)
+	rs, err := RunExperimentsCtx(ctx, Experiments()[:3], Config{Runs: 5}, 1, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,7 +1,6 @@
 package lab
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"aitax/internal/sim"
-	"aitax/internal/telemetry"
 )
 
 // staggeredJobs builds n jobs whose completion order under a concurrent
@@ -183,26 +181,6 @@ func TestErrorsPassThrough(t *testing.T) {
 	}
 }
 
-func TestReportSim(t *testing.T) {
-	l := &Lab{}
-	rs := l.Run(context.Background(), []Job{
-		{ID: "sim", Run: func(ctx context.Context) (any, error) {
-			ReportSim(ctx, 3*time.Millisecond)
-			ReportSim(ctx, 2*time.Millisecond)
-			return nil, nil
-		}},
-		{ID: "silent", Run: func(ctx context.Context) (any, error) { return nil, nil }},
-	})
-	if rs[0].Sim != 5*time.Millisecond {
-		t.Fatalf("sim time = %v, want 5ms", rs[0].Sim)
-	}
-	if rs[1].Sim != 0 {
-		t.Fatalf("silent job sim time = %v, want 0", rs[1].Sim)
-	}
-	// Outside a job, ReportSim must be a harmless no-op.
-	ReportSim(context.Background(), time.Second)
-}
-
 func TestZeroJobsAndDefaults(t *testing.T) {
 	l := &Lab{}
 	if rs := l.Run(nil, nil); len(rs) != 0 {
@@ -214,56 +192,6 @@ func TestZeroJobsAndDefaults(t *testing.T) {
 	if got := (&Lab{Parallelism: 16}).workers(3); got != 3 {
 		t.Fatalf("workers capped = %d, want 3", got)
 	}
-}
-
-func TestReportTelemetryAndMerge(t *testing.T) {
-	mkJob := func(id string, calls float64) Job {
-		return Job{ID: id, Run: func(ctx context.Context) (any, error) {
-			eng := sim.NewEngine()
-			tr := telemetry.NewTracer(eng.Now)
-			sp := tr.Start(id, "test", telemetry.TrackCPU, nil)
-			sp.End()
-			reg := telemetry.NewRegistry()
-			reg.Add("calls_total", calls)
-			reg.Observe("lat_ms", calls)
-			ReportTelemetry(ctx, &telemetry.Bundle{Spans: tr.Spans(), Registry: reg})
-			return id, nil
-		}}
-	}
-	jobs := []Job{mkJob("a", 1), mkJob("b", 2), mkJob("c", 3)}
-
-	merged := func(parallelism int) *telemetry.Bundle {
-		l := &Lab{Parallelism: parallelism}
-		return MergeTelemetry(l.Run(context.Background(), jobs))
-	}
-	seq, par := merged(1), merged(8)
-	if len(seq.Spans) != 3 || len(par.Spans) != 3 {
-		t.Fatalf("merged spans = %d/%d, want 3", len(seq.Spans), len(par.Spans))
-	}
-	// Submission-order merge: span order must match job order at any
-	// parallelism.
-	for i, want := range []string{"a", "b", "c"} {
-		if seq.Spans[i].Name != want || par.Spans[i].Name != want {
-			t.Fatalf("span %d = %q/%q, want %q", i, seq.Spans[i].Name, par.Spans[i].Name, want)
-		}
-	}
-	var w1, w2 bytes.Buffer
-	if err := seq.Registry.WritePrometheus(&w1); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Registry.WritePrometheus(&w2); err != nil {
-		t.Fatal(err)
-	}
-	if w1.String() != w2.String() {
-		t.Fatal("metrics merge depends on parallelism")
-	}
-	if seq.Registry.Counter("calls_total") != 6 {
-		t.Fatalf("merged counter = %v", seq.Registry.Counter("calls_total"))
-	}
-}
-
-func TestReportTelemetryOutsideJobIsNoOp(t *testing.T) {
-	ReportTelemetry(context.Background(), &telemetry.Bundle{Registry: telemetry.NewRegistry()})
 }
 
 // ticker schedules n self-rescheduling events 1µs apart on eng,
@@ -297,23 +225,6 @@ func TestDrainCancelsWithinOneBatch(t *testing.T) {
 	}
 	if over := fired - (cancelAt + 1); over < 0 || over >= drainBatch {
 		t.Fatalf("%d events fired after the cancel, want fewer than one %d-event batch", over, drainBatch)
-	}
-}
-
-func TestDrainReportsFinalNowToJob(t *testing.T) {
-	var final sim.Time
-	rs := (&Lab{}).Run(context.Background(), []Job{{ID: "drain", Run: func(ctx context.Context) (any, error) {
-		eng := sim.NewEngine()
-		ticker(eng, 3*drainBatch+5, func(int) {})
-		err := Drain(ctx, eng)
-		final = eng.Now()
-		return nil, err
-	}}})
-	if rs[0].Err != nil {
-		t.Fatal(rs[0].Err)
-	}
-	if want := final.Duration(); want == 0 || rs[0].Sim != want {
-		t.Fatalf("job sim = %v, want the engine's final time %v", rs[0].Sim, want)
 	}
 }
 

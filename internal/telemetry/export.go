@@ -171,49 +171,3 @@ func WriteSpansJSONL(w io.Writer, spans []Span) error {
 	}
 	return bw.Flush()
 }
-
-// Bundle packages one measurement's telemetry for transport between
-// layers (a lab job reports a Bundle; the lab merges them in submission
-// order).
-type Bundle struct {
-	Spans    []Span
-	Flows    []Flow
-	Registry *Registry
-}
-
-// MergeBundles combines bundles in argument order into a fresh bundle.
-// Span and flow IDs are re-based so they stay unique across the merge;
-// registries merge deterministically (see Registry.Merge). Nil bundles
-// are skipped.
-func MergeBundles(bundles ...*Bundle) *Bundle {
-	out := &Bundle{Registry: NewRegistry()}
-	var spanOff, flowOff int64
-	for _, b := range bundles {
-		if b == nil {
-			continue
-		}
-		var maxSpan, maxFlow int64
-		for _, s := range b.Spans {
-			s.ID += spanOff
-			if s.Parent != 0 {
-				s.Parent += spanOff
-			}
-			out.Spans = append(out.Spans, s)
-			if s.ID > maxSpan {
-				maxSpan = s.ID
-			}
-		}
-		for _, f := range b.Flows {
-			f.ID += flowOff
-			f.From += spanOff
-			f.To += spanOff
-			out.Flows = append(out.Flows, f)
-			if f.ID > maxFlow {
-				maxFlow = f.ID
-			}
-		}
-		spanOff, flowOff = maxSpan, maxFlow
-		out.Registry.Merge(b.Registry)
-	}
-	return out
-}

@@ -211,39 +211,3 @@ func TestRegistryJSONAndSpansJSONL(t *testing.T) {
 		t.Fatalf("JSONL row: %v", row)
 	}
 }
-
-func TestMergeBundlesRebasesIDs(t *testing.T) {
-	mkBundle := func() *Bundle {
-		eng := sim.NewEngine()
-		tr := NewTracer(eng.Now)
-		a := tr.Start("a", "x", TrackCPU, nil)
-		b := tr.Start("b", "x", TrackDSP, a)
-		tr.Link("f", a, b)
-		b.End()
-		a.End()
-		reg := NewRegistry()
-		reg.Inc("jobs_total")
-		return &Bundle{Spans: tr.Spans(), Flows: tr.Flows(), Registry: reg}
-	}
-	m := MergeBundles(mkBundle(), nil, mkBundle())
-	if len(m.Spans) != 4 || len(m.Flows) != 2 {
-		t.Fatalf("merged: %d spans, %d flows", len(m.Spans), len(m.Flows))
-	}
-	seen := map[int64]bool{}
-	for _, s := range m.Spans {
-		if seen[s.ID] {
-			t.Fatalf("duplicate span ID %d", s.ID)
-		}
-		seen[s.ID] = true
-	}
-	// The second bundle's child must point at the second bundle's root.
-	if m.Spans[3].Parent != m.Spans[2].ID {
-		t.Fatalf("rebased parent = %d, want %d", m.Spans[3].Parent, m.Spans[2].ID)
-	}
-	if m.Flows[1].From != m.Spans[2].ID || m.Flows[1].To != m.Spans[3].ID {
-		t.Fatalf("rebased flow = %+v", m.Flows[1])
-	}
-	if m.Registry.Counter("jobs_total") != 2 {
-		t.Fatal("registries not merged")
-	}
-}

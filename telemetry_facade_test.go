@@ -2,7 +2,6 @@ package aitax_test
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 
@@ -72,23 +71,6 @@ func TestMeasureAppTracedSpanTreeAndExports(t *testing.T) {
 	}
 	if !strings.Contains(prom.String(), `aitax_stage_ms_p99{stage="total"}`) {
 		t.Fatalf("metrics export missing stage quantiles:\n%s", prom.String())
-	}
-}
-
-func TestMeasureAppTracedInsideLabReportsBundle(t *testing.T) {
-	l := &aitax.Lab{Parallelism: 1}
-	rs := l.Run(context.Background(), []aitax.Job{{
-		ID: "traced",
-		Run: func(ctx context.Context) (any, error) {
-			return aitax.MeasureAppTracedCtx(ctx, tracedOpts())
-		},
-	}})
-	if rs[0].Err != nil {
-		t.Fatal(rs[0].Err)
-	}
-	bundle := aitax.MergeJobTelemetry(rs)
-	if len(bundle.Spans) == 0 || bundle.Registry.Counter("aitax_frames_total") != 8 {
-		t.Fatalf("job did not report its telemetry bundle: %d spans", len(bundle.Spans))
 	}
 }
 

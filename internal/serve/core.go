@@ -341,7 +341,8 @@ func (c *core) flush(q *queue) {
 func (c *core) dispatch() {
 	for c.free > 0 && len(c.ready) > 0 {
 		b := c.ready[0]
-		c.ready = c.ready[1:]
+		// Shift rather than reslice, so flush's append keeps the array.
+		c.ready = slices.Delete(c.ready, 0, 1)
 		c.free--
 		c.active++
 		now := c.clk.now()
@@ -457,13 +458,11 @@ func (c *core) burn(model string, latency time.Duration, refused bool) {
 
 // queueFrac is the fullest admission queue's occupancy in [0, 1].
 func (c *core) queueFrac() float64 {
-	max := 0
+	n := 0
 	for _, q := range c.order {
-		if q.queued > max {
-			max = q.queued
-		}
+		n = max(n, q.queued)
 	}
-	return float64(max) / float64(c.cfg.QueueDepth)
+	return float64(n) / float64(c.cfg.QueueDepth)
 }
 
 // tick runs one brownout decision and re-arms while the core is open

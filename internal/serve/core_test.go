@@ -120,7 +120,7 @@ func TestTickRearmsUntilClosedAndIdle(t *testing.T) {
 	if !c.ticking || c.qs.deg.Ticks != 1 {
 		t.Fatalf("busy core did not re-arm its tick (ticks %d)", c.qs.deg.Ticks)
 	}
-	c.complete((*ran)[0], BatchCost{Batch: 1, Service: time.Millisecond}, nil)
+	c.complete((*ran)[0], BatchCost{Service: time.Millisecond}, nil)
 	if c.ticking {
 		t.Fatal("closed idle core kept its tick armed")
 	}

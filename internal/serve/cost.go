@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"time"
 
 	"aitax/internal/app"
@@ -15,10 +16,11 @@ import (
 )
 
 // BatchCost is the measured virtual-time cost of executing one batch of
-// a model: k requests run back-to-back on a warm executor stack.
+// a model: k requests run back-to-back on a fresh executor stack whose
+// model is loaded and plan compiled, but whose FastRPC session is not
+// yet open. On a DSP config the first invoke opens it, so Service and
+// Sum.RPC include the session setup.
 type BatchCost struct {
-	// Batch is the batch size k.
-	Batch int
 	// Service is the executor's busy time for the whole batch (virtual),
 	// excluding the per-dispatch overhead (Config.DispatchCost).
 	Service time.Duration
@@ -62,7 +64,7 @@ func MeasureBatch(ctx context.Context, cfg Config, m *models.Model, k int) (Batc
 	if err != nil {
 		return BatchCost{}, err
 	}
-	bc := BatchCost{Batch: k}
+	var bc BatchCost
 	a.Init(func() {
 		start := rt.Eng.Now()
 		var next func(i int)
@@ -84,30 +86,62 @@ func MeasureBatch(ctx context.Context, cfg Config, m *models.Model, k int) (Batc
 	return bc, nil
 }
 
-// CostTable holds the measured batch costs for every (loaded model,
-// batch size 1..MaxBatch) pair. The virtual-time simulator prices
-// batches from it, so queueing decisions and service times decouple:
-// the table is built once, in parallel, and the queueing simulation
-// replays it sequentially.
+// CostTable holds the measured batch costs of one config, keyed by
+// (model, batch size, steered). Every serving batch is priced from it:
+// the virtual-time simulator reads a table BuildCostTable filled up
+// front, and the HTTP frontend fills its own on first use. An entry is
+// a pure function of the config and its key (see batchSeed), so one
+// measurement per key serves both clocks.
 type CostTable struct {
-	entries map[string][]BatchCost
-	// steer holds the same grid measured on the QoS steer delegate;
-	// populated only when the config carries a QoS policy.
-	steer map[string][]BatchCost
+	mu      sync.RWMutex
+	entries map[costKey]BatchCost
 }
 
-// cost returns the measured cost of a k-request batch of model, on the
-// steer delegate when steered.
+// costKey names one table entry; steered entries are priced on the QoS
+// steer delegate.
+type costKey struct {
+	model   string
+	k       int
+	steered bool
+}
+
+func newCostTable() *CostTable {
+	return &CostTable{entries: make(map[costKey]BatchCost)}
+}
+
+// cost returns the entry for a k-request batch of model from a table
+// BuildCostTable has filled: the simulator's. Nothing writes that table
+// any more, so cost reads it without the lock, and a miss is a bug.
 func (t *CostTable) cost(model string, k int, steered bool) BatchCost {
-	grid := t.entries
-	if steered {
-		grid = t.steer
-	}
-	row, ok := grid[model]
-	if !ok || k < 1 || k > len(row) {
+	bc, ok := t.entries[costKey{model, k, steered}]
+	if !ok {
 		panic(fmt.Sprintf("serve: no cost entry for %q batch %d (steered %v)", model, k, steered))
 	}
-	return row[k-1]
+	return bc
+}
+
+// entry returns the cost of a k-request batch of m under cfg, measuring
+// it on a miss. Only a successful measurement is stored, so a cancelled
+// ctx, an error or a panic never becomes an entry. Two callers racing
+// on one miss both measure and store the same value.
+func (t *CostTable) entry(ctx context.Context, cfg Config, m *models.Model, k int, steered bool) (BatchCost, error) {
+	key := costKey{m.Name, k, steered}
+	t.mu.RLock()
+	bc, ok := t.entries[key]
+	t.mu.RUnlock()
+	if ok {
+		return bc, nil
+	}
+	if steered {
+		cfg = cfg.steered()
+	}
+	bc, err := MeasureBatch(ctx, cfg, m, k)
+	if err == nil {
+		t.mu.Lock()
+		t.entries[key] = bc
+		t.mu.Unlock()
+	}
+	return bc, err
 }
 
 // BuildCostTable measures every (model, batch size) pair on the lab
@@ -118,42 +152,29 @@ func BuildCostTable(ctx context.Context, cfg Config, parallel int, onProgress fu
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := &CostTable{
-		entries: make(map[string][]BatchCost),
-		steer:   make(map[string][]BatchCost),
-	}
+	t := newCostTable()
 	var jobs []lab.Job
-	var cells []*BatchCost // jobs[i] measures *cells[i]
-	add := func(id string, cfg Config, m *models.Model, k int, cell *BatchCost) {
-		cells = append(cells, cell)
+	add := func(id string, m *models.Model, k int, steered bool) {
 		jobs = append(jobs, lab.Job{ID: id, Run: func(ctx context.Context) (any, error) {
-			return MeasureBatch(ctx, cfg, m, k)
+			return t.entry(ctx, cfg, m, k, steered)
 		}})
 	}
 	// The steer grid prices batches on the QoS steer delegate — the
 	// level-3 fail-over path — with the same per-entry seeds, so adding a
 	// policy never perturbs the primary grid.
 	for _, m := range cfg.Models {
-		row := make([]BatchCost, cfg.MaxBatch)
-		t.entries[m.Name] = row
-		var steerRow []BatchCost
-		if cfg.QoS != nil {
-			steerRow = make([]BatchCost, cfg.MaxBatch)
-			t.steer[m.Name] = steerRow
-		}
 		for k := 1; k <= cfg.MaxBatch; k++ {
-			add(fmt.Sprintf("%s/b%d", m.Name, k), cfg, m, k, &row[k-1])
-			if steerRow != nil {
-				add(fmt.Sprintf("%s/steer/b%d", m.Name, k), cfg.steered(), m, k, &steerRow[k-1])
+			add(fmt.Sprintf("%s/b%d", m.Name, k), m, k, false)
+			if cfg.QoS != nil {
+				add(fmt.Sprintf("%s/steer/b%d", m.Name, k), m, k, true)
 			}
 		}
 	}
 	l := &lab.Lab{Parallelism: parallel, OnProgress: onProgress}
-	for i, r := range l.Run(ctx, jobs) {
+	for _, r := range l.Run(ctx, jobs) {
 		if r.Err != nil {
 			return nil, fmt.Errorf("serve: measuring %s: %w", r.ID, r.Err)
 		}
-		*cells[i] = r.Value.(BatchCost)
 	}
 	return t, nil
 }

@@ -114,3 +114,30 @@ func TestMeasureBatchSplitMatchesFastRPCSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestCostTableHitDoesNotAllocate pins the table's read path, which
+// prices every HTTP batch after the first of its key: a present entry
+// comes back without allocating. A cancelled measurement stores nothing.
+func TestCostTableHitDoesNotAllocate(t *testing.T) {
+	cfg := testConfig(t)
+	m := cfg.Models[0]
+	table := newCostTable()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := table.entry(cancelled, cfg, m, 1, false); err == nil || len(table.entries) != 0 {
+		t.Fatalf("cancelled measurement: err %v, %d entries stored", err, len(table.entries))
+	}
+	ctx := context.Background()
+	want, err := table.entry(ctx, cfg, m, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, err := table.entry(ctx, cfg, m, 1, false); err != nil || got != want {
+			t.Fatalf("hit returned %+v, %v; want %+v", got, err, want)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cost-table hit: %v allocs/op, want 0", allocs)
+	}
+}

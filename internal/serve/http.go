@@ -33,11 +33,13 @@ var endpointTask = []struct {
 }
 
 // Server is the wall-clock HTTP frontend: the serving core behind
-// real requests on real time. Batches execute as lab jobs on simulated
-// executor stacks (compiled plans shared process-wide via plan.Shared),
-// at most Config.Workers at once.
+// real requests on real time. Batches are priced as lab jobs from the
+// server's cost table, at most Config.Workers at once; a batch whose
+// (model, size, steered) entry is missing measures it on a simulated
+// executor stack first.
 type Server struct {
 	cfg     Config
+	table   *CostTable
 	mux     *http.ServeMux
 	metrics *telemetry.Registry
 	lab     *lab.Lab
@@ -58,18 +60,18 @@ type Server struct {
 	wg   sync.WaitGroup
 }
 
-// NewServer validates the config and builds the frontend. The cost of
-// each batch is measured live when the batch executes, so no warmup
-// pass is needed; the first batch per (model, size) pays the plan
-// compilation that later ones reuse from the shared cache.
+// NewServer validates the config and builds the frontend with an empty
+// cost table, so no warmup pass is needed: the first batch per (model,
+// size, steered) measures its entry, and later ones read it.
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg: cfg,
-		mux: http.NewServeMux(),
+		cfg:   cfg,
+		table: newCostTable(),
+		mux:   http.NewServeMux(),
 		// A long-running server takes unbounded traffic: the streaming
 		// registry keeps /metrics memory flat (bucketed quantiles
 		// instead of retained samples).
@@ -136,11 +138,7 @@ func NewServer(cfg Config) (*Server, error) {
 // retryAfterSeconds renders the batch window as a whole-second
 // Retry-After value (minimum 1s, the header's resolution floor).
 func retryAfterSeconds(window time.Duration) string {
-	secs := int(math.Ceil(window.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
+	return strconv.Itoa(max(1, int(math.Ceil(window.Seconds()))))
 }
 
 // now is the server's position on its clock: time since start, the
@@ -409,25 +407,17 @@ func (s *Server) handleInfer(w http.ResponseWriter, req *http.Request, task mode
 	}
 }
 
-// run executes one dispatched batch as a lab job measuring it on a
-// fresh simulated stack (plans cached process-wide), then completes it
+// run prices one dispatched batch from the server's cost table as a
+// lab job (measuring it on the table's first miss), then completes it
 // in the core and wakes its riders.
 func (s *Server) run(b *batch) {
-	cfg := s.cfg
-	if b.steered {
-		cfg = cfg.steered()
-	}
 	m, _ := s.cfg.modelByName(b.q.name)
-	k := len(b.reqs)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		res := s.lab.Run(context.Background(), []lab.Job{{
-			ID: fmt.Sprintf("%s/b%d", m.Name, k),
-			Run: func(ctx context.Context) (any, error) {
-				return MeasureBatch(ctx, cfg, m, k)
-			},
-		}})[0]
+		res := s.lab.Run(context.Background(), []lab.Job{{ID: m.Name, Run: func(ctx context.Context) (any, error) {
+			return s.table.entry(ctx, s.cfg, m, len(b.reqs), b.steered)
+		}}})[0]
 		cost, _ := res.Value.(BatchCost)
 		s.mu.Lock()
 		s.core.complete(b, cost, res.Err)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net/http"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	taxcore "aitax/internal/core"
 	"aitax/internal/models"
 	"aitax/internal/obs"
 	"aitax/internal/qos"
@@ -409,5 +411,50 @@ func TestHTTPConservesRequests(t *testing.T) {
 	parts := sum(all.Served) + sum(all.Rejected) + sum(all.Shed) + sum(all.Cancelled)
 	if offered != 7 || parts != offered {
 		t.Fatalf("recorder offered %v, served+rejected+shed+cancelled %v, want 7 each", offered, parts)
+	}
+}
+
+// TestHTTPLoneRequestMatchesCostTable is the batch-1 harness agreement:
+// a lone HTTP request is priced exactly as the simulator's table prices
+// a batch of one — service is the dispatch overhead plus the entry's
+// service, inference the entry's inference stage — on the serving
+// delegate and, at the top brownout rung, on the steer delegate. The
+// server's own table then holds that same entry.
+func TestHTTPLoneRequestMatchesCostTable(t *testing.T) {
+	for _, steered := range []bool{false, true} {
+		srv, ts := newTestServer(t, func(c *Config) {
+			c.Models = DefaultModels()[:1]
+			qosServerConfig(c, t)
+		})
+		table := buildTable(t, srv.cfg, 0)
+		if steered {
+			forceLevel(t, srv, qos.NumRungs)
+		}
+		for _, m := range srv.cfg.Models {
+			resp, out := postJSON(t, ts.URL+"/v1/classify", fmt.Sprintf(`{"model":%q}`, m.Name))
+			if resp.StatusCode != http.StatusOK || out["batch_size"] != 1.0 {
+				t.Fatalf("%s (steered %v): status %d, %v", m.Name, steered, resp.StatusCode, out)
+			}
+			served := m.Name
+			if by, ok := out["served_by"].(string); ok {
+				served = by
+			}
+			want := table.cost(served, 1, steered)
+			srv.table.mu.RLock()
+			got, ok := srv.table.entries[costKey{served, 1, steered}]
+			srv.table.mu.RUnlock()
+			if !ok || got != want {
+				t.Errorf("%s (steered %v): server table entry %+v (present %v), want %+v", m.Name, steered, got, ok, want)
+			}
+			if got := out["service_ms"]; got != ms(srv.cfg.DispatchCost+want.Service) {
+				t.Errorf("%s (steered %v): service_ms %v, want %v", m.Name, steered, got, ms(srv.cfg.DispatchCost+want.Service))
+			}
+			if got := out["infer_ms"]; got != ms(want.Sum.Stage[taxcore.StageInference]) {
+				t.Errorf("%s (steered %v): infer_ms %v, want %v", m.Name, steered, got, ms(want.Sum.Stage[taxcore.StageInference]))
+			}
+		}
+		if n := srv.Metrics().Counter("aitax_qos_steered_batches_total"); (n > 0) != steered {
+			t.Fatalf("steered %v, but %v batches ran on the steer delegate", steered, n)
+		}
 	}
 }

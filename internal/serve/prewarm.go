@@ -14,22 +14,29 @@ import (
 // when a QoS policy can steer, per model on the steer delegate too), so
 // the exact plan keys serving touches — partition assignments, op-cost
 // schedules, NNAPI compilations — are warm before the first request.
-// The batches run in virtual time on throwaway stacks; only the cached
-// plans survive, so results are byte-identical with or without the
-// pass. The report prices the pass as cold-start AI tax moved from the
-// first requests to startup.
+// It fills a throwaway cost table; only the cached plans survive, so
+// results are byte-identical with or without the pass. The report
+// prices the pass as cold-start AI tax moved from the first requests to
+// startup.
 func PrewarmConfig(ctx context.Context, cfg Config) (plan.Report, error) {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
 		return plan.Report{}, err
 	}
+	return newCostTable().prewarm(ctx, cfg)
+}
+
+// prewarm fills t's batch-1 entries for cfg's loaded models (and their
+// steered entries under a QoS policy) as plan-cache prewarm jobs.
+func (t *CostTable) prewarm(ctx context.Context, cfg Config) (plan.Report, error) {
 	var firstErr error
+	// grid[1], when present, is the steer delegate's.
 	grid := []Config{cfg}
 	if cfg.QoS != nil {
 		grid = append(grid, cfg.steered())
 	}
 	var jobs []plan.Job
-	for _, c := range grid {
+	for i, c := range grid {
 		for _, m := range c.Models {
 			if !tflite.Supported(m, c.DType, c.Delegate) {
 				// A loaded model outside the Table-I support matrix for this
@@ -37,11 +44,10 @@ func PrewarmConfig(ctx context.Context, cfg Config) (plan.Report, error) {
 				// way warmed or not, so skip it rather than abort the pass.
 				continue
 			}
-			c, m := c, m
 			jobs = append(jobs, plan.Job{
 				Label: fmt.Sprintf("%s/%s/%v/%v", c.Platform.Name, m.Name, c.DType, c.Delegate),
 				Compile: func() {
-					if _, err := MeasureBatch(ctx, c, m, 1); err != nil && firstErr == nil {
+					if _, err := t.entry(ctx, cfg, m, 1, i == 1); err != nil && firstErr == nil {
 						firstErr = err
 					}
 				},
@@ -52,19 +58,19 @@ func PrewarmConfig(ctx context.Context, cfg Config) (plan.Report, error) {
 	return rep, firstErr
 }
 
-// Prewarm readies the HTTP frontend before it takes traffic: it runs
-// PrewarmConfig so the first batch per model pays no plan compilation,
-// then warms the harness's own state — every metric and recorder series
-// the handlers touch is pre-created (empty, no fabricated samples) and
-// the QoS gauges are published — so the first /metrics scrape and the
-// first recorder window aren't outliers missing most of the series set.
+// Prewarm readies the HTTP frontend before it takes traffic: it fills
+// the server's batch-1 cost entries, compiling their plans on the way,
+// so the first batch per model measures nothing, then warms the
+// harness's own state — every metric and recorder series the handlers
+// touch is pre-created (empty, no fabricated samples) and the QoS
+// gauges are published — so the first /metrics scrape and the first
+// recorder window aren't outliers missing most of the series set.
 func (s *Server) Prewarm(ctx context.Context) (plan.Report, error) {
-	rep, err := PrewarmConfig(ctx, s.cfg)
-	if err != nil {
-		return rep, err
+	rep, err := s.table.prewarm(ctx, s.cfg)
+	if err == nil {
+		s.warmTelemetry()
 	}
-	s.warmTelemetry()
-	return rep, nil
+	return rep, err
 }
 
 // warmTelemetry pre-creates the serving series in the registry and the

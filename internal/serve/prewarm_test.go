@@ -2,12 +2,14 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 
 	"aitax/internal/plan"
+	"aitax/internal/tensor"
 	"aitax/internal/tflite"
 )
 
@@ -105,4 +107,56 @@ func TestPrewarmConfigCoversTheSteerDelegate(t *testing.T) {
 	if want := 2 * len(qcfg.Models); qrep.Jobs != want {
 		t.Fatalf("QoS config ran %d prewarm jobs, want %d (serving + steer delegate)", qrep.Jobs, want)
 	}
+}
+
+// TestPrewarmFillsTheServerCostTable pins that Prewarm keeps what it
+// measures: it leaves exactly one entry per (model, 1, unsteered), and
+// a lone request to each loaded model and a repeat of it read those
+// entries, adding none and carrying identical accounting.
+func TestPrewarmFillsTheServerCostTable(t *testing.T) {
+	// Float32 runs all three default models on NNAPI; Deeplab has no
+	// quantized variant.
+	s, ts := newTestServer(t, func(c *Config) { c.DType = tensor.Float32 })
+	if _, err := s.Prewarm(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var want []costKey
+	for _, m := range s.cfg.Models {
+		want = append(want, costKey{m.Name, 1, false})
+	}
+	checkKeys := func(when string) {
+		t.Helper()
+		s.table.mu.RLock()
+		defer s.table.mu.RUnlock()
+		for _, key := range want {
+			if _, ok := s.table.entries[key]; !ok {
+				t.Fatalf("%s: no entry for %+v", when, key)
+			}
+		}
+		if len(s.table.entries) != len(want) {
+			t.Fatalf("%s: table holds %d entries, want %d", when, len(s.table.entries), len(want))
+		}
+	}
+	checkKeys("after prewarm")
+	for _, m := range s.cfg.Models {
+		var path string
+		for _, ep := range endpointTask {
+			if ep.task == m.Task {
+				path = ep.path
+			}
+		}
+		var first map[string]any
+		for i := 0; i < 2; i++ {
+			resp, out := postJSON(t, ts.URL+path, fmt.Sprintf(`{"model":%q}`, m.Name))
+			if resp.StatusCode != http.StatusOK || out["batch_size"] != 1.0 {
+				t.Fatalf("%s request %d: status %d, %v", m.Name, i, resp.StatusCode, out)
+			}
+			if i == 0 {
+				first = out
+			} else if out["service_ms"] != first["service_ms"] || out["infer_ms"] != first["infer_ms"] {
+				t.Fatalf("%s repeat priced differently: %v, then %v", m.Name, first, out)
+			}
+		}
+	}
+	checkKeys("after two requests per model")
 }

@@ -229,12 +229,13 @@ func runLoad(o *serveOpts, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 
+	table := serve.NewCostTable()
 	if o.prewarm {
-		// Warm the plan cache before the cost-table pass so its measured
-		// walls reflect steady-state serving, not first-compile outliers.
-		// The report goes to stderr: the stdout load report is a pure
-		// function of virtual time and stays byte-identical either way.
-		rep, err := serve.PrewarmConfig(context.Background(), cfg)
+		// Warm the plan cache and the batch-1 entries before the
+		// cost-table pass, which then measures only the rest. The report
+		// goes to stderr: the stdout load report is a pure function of
+		// virtual time and stays byte-identical either way.
+		rep, err := table.Prewarm(context.Background(), cfg)
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -252,8 +253,7 @@ func runLoad(o *serveOpts, stdout, stderr io.Writer) int {
 				status, r.ID, float64(r.Wall.Microseconds())/1000)
 		}
 	}
-	table, err := serve.BuildCostTable(context.Background(), cfg, common.Parallel, onProgress)
-	if err != nil {
+	if err := table.Fill(context.Background(), cfg, common.Parallel, onProgress); err != nil {
 		return fail(stderr, err)
 	}
 	res, err := serve.Simulate(cfg, table, arrivals, common.Trace != "")

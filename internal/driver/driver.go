@@ -161,6 +161,7 @@ type CPUTarget struct {
 
 	// replay memoises quiet segments; built on the first one.
 	replay *cpuReplay
+	idle   *cpuSegRun // finished segment runs, kept for reuse
 }
 
 // NewCPUTarget creates a CPU delegate with nThreads worker threads.
@@ -223,9 +224,8 @@ func (t *CPUTarget) OpCosts(ops []*nn.Op, dt tensor.DType) []time.Duration {
 }
 
 // cpuSegRun is the in-flight state of one CPU segment execution. The
-// per-op fan-out reuses two closures built once per segment (the
-// thread-completion callback and nothing else), so a segment costs O(1)
-// allocations instead of one closure per thread per op.
+// per-op fan-out reuses one thread-completion callback, and the target
+// keeps finished runs, so a steady segment loop allocates none.
 type cpuSegRun struct {
 	t     *CPUTarget
 	ops   []*nn.Op
@@ -239,7 +239,8 @@ type cpuSegRun struct {
 	i          int // current op index
 	remaining  int // threads still running the current op
 	threadDone func()
-	record     bool // the segment's scheduler effect is being recorded
+	record     bool       // the segment's scheduler effect is being recorded
+	next       *cpuSegRun // in the target's idle list
 }
 
 func (r *cpuSegRun) onThreadDone() {
@@ -257,8 +258,11 @@ func (r *cpuSegRun) runOp() {
 		if r.record {
 			t.replay.end(r.res)
 		}
-		if r.done != nil {
-			r.done(r.res)
+		done, res := r.done, r.res
+		*r = cpuSegRun{t: t, threadDone: r.threadDone, next: t.idle}
+		t.idle = r
+		if done != nil {
+			done(res)
 		}
 		return
 	}
@@ -288,7 +292,7 @@ func (t *CPUTarget) Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType
 	if t.Tracer == nil && len(ops) > 0 {
 		if fp, ok := t.sch.Fingerprint(t.threads); ok {
 			if t.replay == nil {
-				t.replay = &cpuReplay{Replayer: t.sch.NewReplayer(t.threads)}
+				t.replay = &cpuReplay{Replayer: t.sch.NewReplayer(t.threads), index: make(map[segIndex]int)}
 				t.replay.fire = t.replay.finish
 			}
 			key := segKey{ops: &ops[0], n: len(ops), dt: dt,
@@ -296,7 +300,7 @@ func (t *CPUTarget) Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType
 			if len(costs) > 0 {
 				key.costs = &costs[0]
 			}
-			if t.replay.start(key, done) {
+			if t.replay.start(&key, done) {
 				return
 			}
 			record = true
@@ -304,19 +308,22 @@ func (t *CPUTarget) Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType
 	}
 	sp := t.Tracer.Start("cpu-exec", "driver", telemetry.TrackCPU, parent)
 	sp.SetAttr("target", t.name)
-	r := &cpuSegRun{
-		t: t, ops: ops, costs: costs, dt: dt, sp: sp, done: done, record: record,
-		eff: parallelEfficiency(len(t.threads)) * t.Efficiency,
+	r := t.idle
+	if r == nil {
+		r = &cpuSegRun{t: t}
+		r.threadDone = r.onThreadDone
+	} else {
+		t.idle = r.next
 	}
-	r.threadDone = r.onThreadDone
+	r.ops, r.costs, r.dt, r.sp, r.done, r.record = ops, costs, dt, sp, done, record
+	r.eff = parallelEfficiency(len(t.threads)) * t.Efficiency
 	r.runOp()
 }
 
 // maxReplayMemo bounds a CPU target's replay memo. A steady loop needs
 // one entry per (segment, scheduler state) it repeats: two or three for
 // a whole-graph CPU invoke, but one per CPU partition when NNAPI splits
-// a graph, which runs to dozens. Lookups stay cheap at this size because
-// a key comparison stops at the op-slice pointer, its first field.
+// a graph, which runs to dozens.
 const maxReplayMemo = 64
 
 // cpuReplay memoises the scheduler effect and result of segments that a
@@ -328,7 +335,12 @@ type cpuReplay struct {
 	*sched.Replayer
 	memo []replayEntry // oldest replaced first once full
 	next int           // eviction cursor
-	rec  segKey        // key of the segment being recorded
+	// index finds a key's memo slot by a small hashable summary; the
+	// slot's full key is compared before a replay, so two keys with one
+	// summary cost a hit but never give a wrong one. It holds only
+	// summaries of keys in memo.
+	index map[segIndex]int
+	rec   segKey // key of the segment being recorded
 
 	// The replay in flight; fire is built once so a replay allocates
 	// nothing.
@@ -351,23 +363,34 @@ type segKey struct {
 	fp    sched.Fingerprint
 }
 
+// segIndex summarises a segKey for the memo index: the segment and the
+// hash of the scheduler state.
+type segIndex struct {
+	ops **nn.Op
+	n   int
+	fp  uint64
+}
+
+func (k *segKey) index() segIndex { return segIndex{ops: k.ops, n: k.n, fp: k.fp.Hash()} }
+
 type replayEntry struct {
 	key    segKey
+	ix     segIndex
 	effect sched.Effect
 	res    Result
 }
 
 // start replays a memoised segment and reports true, or begins recording
 // it and reports false.
-func (c *cpuReplay) start(key segKey, done func(Result)) bool {
-	for i := range c.memo {
-		if e := &c.memo[i]; e.key == key {
+func (c *cpuReplay) start(key *segKey, done func(Result)) bool {
+	if i, ok := c.index[key.index()]; ok {
+		if e := &c.memo[i]; e.key == *key {
 			c.done, c.res = done, e.res
 			c.Replay(&e.effect, c.fire)
 			return true
 		}
 	}
-	c.rec = key
+	c.rec = *key
 	c.Begin()
 	return false
 }
@@ -379,13 +402,19 @@ func (c *cpuReplay) end(res Result) {
 	if !c.End(&eff) {
 		return
 	}
-	e := replayEntry{key: c.rec, effect: eff, res: res}
-	if len(c.memo) < maxReplayMemo {
+	e := replayEntry{key: c.rec, ix: c.rec.index(), effect: eff, res: res}
+	slot := len(c.memo)
+	if slot < maxReplayMemo {
 		c.memo = append(c.memo, e)
-		return
+	} else {
+		slot = c.next
+		c.next = (c.next + 1) % maxReplayMemo
+		if old := c.memo[slot].ix; c.index[old] == slot {
+			delete(c.index, old)
+		}
+		c.memo[slot] = e
 	}
-	c.memo[c.next] = e
-	c.next = (c.next + 1) % maxReplayMemo
+	c.index[e.ix] = slot
 }
 
 // finish is the body of the replay event, after the scheduler effect.
@@ -417,6 +446,7 @@ type GPUTarget struct {
 	// disables.
 	Tracer   *telemetry.Tracer
 	supports func(op *nn.Op, dt tensor.DType) bool
+	idle     *gpuCall // finished calls, kept for reuse
 }
 
 // NewGPUTarget creates a GPU delegate over a shared GPU queue resource.
@@ -458,26 +488,62 @@ func (t *GPUTarget) OpCosts(ops []*nn.Op, dt tensor.DType) []time.Duration {
 // "gpu-dispatch" span on the CPU track linked to a "gpu-exec" span on
 // the GPU track.
 func (t *GPUTarget) Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
-	compute := segmentTime(ops, costs, dt, t.dev, t.Efficiency)
-	launches := time.Duration(len(ops)) * t.KernelLaunch
-	hold := compute + launches
-	t0 := t.eng.Now()
-	t.eng.After(t.DispatchOverhead, func() {
-		enqueued := t.eng.Now()
-		disp := t.Tracer.Emit("gpu-dispatch", "driver", telemetry.TrackCPU, parent, t0, enqueued)
-		t.queue.Acquire(hold, func(start, end sim.Time) {
-			exec := t.Tracer.Emit("gpu-exec", "driver", telemetry.TrackGPU, parent, start, end)
-			t.Tracer.Link("gpu", disp, exec)
-			if done != nil {
-				done(Result{
-					Compute:  compute,
-					Overhead: t.DispatchOverhead + launches,
-					Queue:    start.Sub(enqueued),
-					EnergyJ:  t.dev.ActivePowerW * hold.Seconds(),
-				})
-			}
-		})
-	})
+	c := t.idle
+	if c == nil {
+		c = &gpuCall{t: t}
+		c.dispatchFn, c.execFn = c.dispatched, c.executed
+	} else {
+		t.idle = c.next
+	}
+	c.parent, c.done = parent, done
+	c.compute = segmentTime(ops, costs, dt, t.dev, t.Efficiency)
+	c.launches = time.Duration(len(ops)) * t.KernelLaunch
+	c.t0 = t.eng.Now()
+	t.eng.After(t.DispatchOverhead, c.dispatchFn)
+}
+
+// gpuCall is the in-flight state of one GPU segment. Its callbacks are
+// built once and the target keeps finished calls, so a steady segment
+// loop allocates none.
+type gpuCall struct {
+	t                 *GPUTarget
+	parent, disp      *telemetry.ActiveSpan
+	done              func(Result)
+	compute, launches time.Duration
+	t0, enqueued      sim.Time
+
+	dispatchFn func()
+	execFn     func(start, end sim.Time)
+	next       *gpuCall // in the target's idle list
+}
+
+// dispatched runs when the buffer map/unmap is done: the segment joins
+// the GPU queue.
+func (c *gpuCall) dispatched() {
+	t := c.t
+	c.enqueued = t.eng.Now()
+	c.disp = t.Tracer.Emit("gpu-dispatch", "driver", telemetry.TrackCPU, c.parent, c.t0, c.enqueued)
+	t.queue.Acquire(c.compute+c.launches, c.execFn)
+}
+
+// executed runs when the GPU has run the segment.
+func (c *gpuCall) executed(start, end sim.Time) {
+	t := c.t
+	exec := t.Tracer.Emit("gpu-exec", "driver", telemetry.TrackGPU, c.parent, start, end)
+	t.Tracer.Link("gpu", c.disp, exec)
+	hold := c.compute + c.launches
+	res := Result{
+		Compute:  c.compute,
+		Overhead: t.DispatchOverhead + c.launches,
+		Queue:    start.Sub(c.enqueued),
+		EnergyJ:  t.dev.ActivePowerW * hold.Seconds(),
+	}
+	done := c.done
+	c.parent, c.disp, c.done = nil, nil, nil
+	c.next, t.idle = t.idle, c
+	if done != nil {
+		done(res)
+	}
 }
 
 // --- DSP (Hexagon) target ---
@@ -494,6 +560,7 @@ type DSPTarget struct {
 	// sit near 1.0, generic NNAPI drivers lower (§IV-B).
 	Efficiency float64
 	supports   func(op *nn.Op, dt tensor.DType) bool
+	idle       *dspCall // finished calls, kept for reuse
 }
 
 // NewDSPTarget creates a DSP delegate over a FastRPC channel.
@@ -549,15 +616,39 @@ func (t *DSPTarget) OpCosts(ops []*nn.Op, dt tensor.DType) []time.Duration {
 // Execute implements Target: the FastRPC channel records the
 // rpc-down / infer / rpc-up sub-spans and their CPU↔DSP flow links.
 func (t *DSPTarget) Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
+	c := t.idle
+	if c == nil {
+		c = &dspCall{t: t}
+		c.fn = c.returned
+	} else {
+		t.idle = c.next
+	}
+	c.done = done
 	compute := segmentTime(ops, costs, dt, t.dev, t.Efficiency)
 	payload := segmentIOBytes(ops, dt)
-	t.channel.InvokeSpan(payload, compute, parent, core.StageKernel.String(), func(b fastrpc.Breakdown) {
-		if done != nil {
-			res := resultOf(b)
-			res.EnergyJ = t.dev.ActivePowerW * b.Exec.Seconds()
-			done(res)
-		}
-	})
+	t.channel.InvokeSpan(payload, compute, parent, core.StageKernel.String(), c.fn)
+}
+
+// dspCall is the in-flight state of one DSP segment. Its callback is
+// built once and the target keeps finished calls, so a steady segment
+// loop allocates none.
+type dspCall struct {
+	t    *DSPTarget
+	done func(Result)
+	fn   func(fastrpc.Breakdown)
+	next *dspCall // in the target's idle list
+}
+
+// returned runs when the segment's FastRPC call has returned.
+func (c *dspCall) returned(b fastrpc.Breakdown) {
+	t, done := c.t, c.done
+	c.done = nil
+	c.next, t.idle = t.idle, c
+	if done != nil {
+		res := resultOf(b)
+		res.EnergyJ = t.dev.ActivePowerW * b.Exec.Seconds()
+		done(res)
+	}
 }
 
 // resultOf is the Result of one FastRPC call, with its FastRPC split:

@@ -59,42 +59,98 @@ type PlanReport struct {
 // plan at partition j with no transition charged.
 type Fallback func(i int, resume func(j int)) (cost time.Duration, ok bool)
 
-// RunPlan executes *parts in order at precision dt, parenting the
-// targets' spans under parent. The first partition starts at once;
-// every later one starts after a transition delay on eng, counted in
-// the report. A failed partition goes to fallback when it is non-nil.
-// parts is read at each step, so a policy may replace the plan. done
+// PlanRunner executes partitioned plans on eng, failed partitions going
+// to its fallback when that is non-nil. Its callbacks are built once, so
+// a plan run allocates nothing per partition, and a framework that keeps
+// its runner allocates nothing per run. A run started while another is
+// in flight goes to a spare runner.
+type PlanRunner struct {
+	eng      *sim.Engine
+	fallback Fallback
+	spare    *PlanRunner
+
+	// The plan in flight; parts is nil when the runner is idle.
+	parts      *[]Partition
+	dt         tensor.DType
+	transition time.Duration
+	parent     *telemetry.ActiveSpan
+	done       func(PlanReport)
+	rep        PlanReport
+	i          int
+
+	onResult func(Result)
+	step     func()
+	resume   func(int)
+}
+
+// NewPlanRunner returns an idle runner on eng with the given fallback
+// policy, which may be nil.
+func NewPlanRunner(eng *sim.Engine, fallback Fallback) *PlanRunner {
+	r := &PlanRunner{eng: eng, fallback: fallback}
+	r.onResult, r.step, r.resume = r.result, r.next, r.run
+	return r
+}
+
+// Run executes *parts in order at precision dt, parenting the targets'
+// spans under parent. The first partition starts at once; every later
+// one starts after a transition delay, counted in the report. parts is
+// read at each step, so a fallback policy may replace the plan. done
 // receives the summed report.
-func RunPlan(eng *sim.Engine, parts *[]Partition, dt tensor.DType, transition time.Duration,
-	parent *telemetry.ActiveSpan, fallback Fallback, done func(PlanReport)) {
-	var rep PlanReport
-	var run func(i int)
-	run = func(i int) {
-		p := (*parts)[i]
-		p.Target.Execute(p.Ops, p.Costs, dt, parent, func(res Result) {
-			if res.Err != nil && fallback != nil {
-				if cost, ok := fallback(i, run); ok {
-					res.Err = nil
-					rep.Result = rep.Result.Add(res)
-					rep.Fallbacks++
-					rep.FallbackCost += cost
-					rep.Overhead += cost
-					return
-				}
-			}
-			rep.Result = rep.Result.Add(res)
-			if i+1 < len(*parts) {
-				rep.Transitions++
-				rep.Overhead += transition
-				eng.After(transition, func() { run(i + 1) })
-			} else if done != nil {
-				done(rep)
-			}
-		})
+func (r *PlanRunner) Run(parts *[]Partition, dt tensor.DType, transition time.Duration,
+	parent *telemetry.ActiveSpan, done func(PlanReport)) {
+	if r.parts != nil {
+		if r.spare == nil {
+			r.spare = NewPlanRunner(r.eng, r.fallback)
+		}
+		r.spare.Run(parts, dt, transition, parent, done)
+		return
 	}
-	if len(*parts) > 0 {
-		run(0)
-	} else if done != nil {
-		done(rep)
+	if len(*parts) == 0 {
+		if done != nil {
+			done(PlanReport{})
+		}
+		return
+	}
+	r.parts, r.dt, r.transition, r.parent, r.done = parts, dt, transition, parent, done
+	r.rep = PlanReport{}
+	r.run(0)
+}
+
+// run starts partition i.
+func (r *PlanRunner) run(i int) {
+	r.i = i
+	p := (*r.parts)[i]
+	p.Target.Execute(p.Ops, p.Costs, r.dt, r.parent, r.onResult)
+}
+
+// next starts the partition after a transition.
+func (r *PlanRunner) next() { r.run(r.i + 1) }
+
+// result accounts partition r.i's result, then moves on: to the next
+// partition, to the fallback, or to done after the last.
+func (r *PlanRunner) result(res Result) {
+	rep := &r.rep
+	if res.Err != nil && r.fallback != nil {
+		if cost, ok := r.fallback(r.i, r.resume); ok {
+			res.Err = nil
+			rep.Result = rep.Result.Add(res)
+			rep.Fallbacks++
+			rep.FallbackCost += cost
+			rep.Overhead += cost
+			return
+		}
+	}
+	rep.Result = rep.Result.Add(res)
+	if r.i+1 < len(*r.parts) {
+		rep.Transitions++
+		rep.Overhead += r.transition
+		r.eng.After(r.transition, r.step)
+		return
+	}
+	// Idle before done, which may start the next run on this runner.
+	out, done := *rep, r.done
+	r.parts, r.parent, r.done = nil, nil, nil
+	if done != nil {
+		done(out)
 	}
 }

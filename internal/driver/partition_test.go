@@ -98,7 +98,7 @@ func TestRunPlan(t *testing.T) {
 			}
 			var got PlanReport
 			calls := 0
-			RunPlan(eng, &parts, tensor.Float32, transition, nil, policy, func(r PlanReport) { got = r; calls++ })
+			NewPlanRunner(eng, policy).Run(&parts, tensor.Float32, transition, nil, func(r PlanReport) { got = r; calls++ })
 			eng.Run()
 			if calls != 1 {
 				t.Fatalf("done called %d times, want 1", calls)
@@ -110,6 +110,42 @@ func TestRunPlan(t *testing.T) {
 				t.Errorf("report = %+v, want %+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestPlanRunnerOverlap starts a second plan on a runner whose first is
+// still in flight, and a third from the first's done: each must report
+// as if it ran on a runner of its own.
+func TestPlanRunnerOverlap(t *testing.T) {
+	const ms = time.Millisecond
+	eng := sim.NewEngine()
+	var log []string
+	plan := func(name string, n int) []Partition {
+		parts := make([]Partition, n)
+		for i := range parts {
+			parts[i].Target = &fakeTarget{name: name, eng: eng, d: ms, log: &log}
+		}
+		return parts
+	}
+	a, b, c := plan("a", 3), plan("b", 2), plan("c", 1)
+	r := NewPlanRunner(eng, nil)
+	var reps []PlanReport
+	r.Run(&a, tensor.Float32, ms, nil, func(rep PlanReport) {
+		reps = append(reps, rep)
+		r.Run(&c, tensor.Float32, ms, nil, func(rep PlanReport) { reps = append(reps, rep) })
+	})
+	r.Run(&b, tensor.Float32, ms, nil, func(rep PlanReport) { reps = append(reps, rep) })
+	eng.Run()
+	want := []PlanReport{
+		{Result: Result{Compute: 2 * ms, Overhead: ms}, Transitions: 1},
+		{Result: Result{Compute: 3 * ms, Overhead: 2 * ms}, Transitions: 2},
+		{Result: Result{Compute: ms}},
+	}
+	if !reflect.DeepEqual(reps, want) {
+		t.Fatalf("reports = %+v, want %+v", reps, want)
+	}
+	if starts := []string{"a@0s", "b@0s", "a@2ms", "b@2ms", "a@4ms", "c@5ms"}; !reflect.DeepEqual(log, starts) {
+		t.Fatalf("starts = %v, want %v", log, starts)
 	}
 }
 

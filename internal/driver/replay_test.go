@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"aitax/internal/nn"
 	"aitax/internal/sched"
 	"aitax/internal/sim"
 	"aitax/internal/telemetry"
@@ -61,17 +62,23 @@ func benchLoop(n int, gen bool, setup func(r *rig, cpu *CPUTarget), mk func(r *r
 	}
 	next(0)
 	out.now = r.eng.Run()
+	out.account(r, cpu, genT)
+	return out
+}
+
+// account fills in the scheduler's accounting and the replay hits after
+// the engine has run dry.
+func (out *cpuRun) account(r *rig, cpu *CPUTarget, others ...*sched.Thread) {
 	out.switches, out.migrations = r.sch.Switches(), r.sch.Migrations()
 	for _, c := range r.sch.Cores() {
 		out.busy = append(out.busy, c.BusyTime())
 	}
-	for _, th := range append(cpu.threads, genT) {
+	for _, th := range append(cpu.threads, others...) {
 		out.cpu = append(out.cpu, th.CPUTime())
 	}
 	if cpu.replay != nil {
 		out.hits = cpu.replay.hits
 	}
-	return out
 }
 
 func sameRun(t *testing.T, name string, simd, rep cpuRun) {
@@ -183,5 +190,78 @@ func TestCPUReplayAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("a replayed segment allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestCPUReplayMemoEviction runs more distinct segments than the memo
+// holds, so the first ones are evicted, then revisits the evicted ones
+// twice and some that stayed. Every result and all the scheduler
+// accounting must equal a run with replay off, and the memo index must
+// hold exactly the keys in the memo after every segment.
+func TestCPUReplayMemoEviction(t *testing.T) {
+	b := nn.NewBuilder("deep", 8, 8, 8)
+	for i := 0; i < maxReplayMemo; i++ {
+		b.Conv(8, 3, 1).ReLU6()
+	}
+	ops := b.Graph().Ops()
+	const evicted = 8
+	var order []int
+	for j := 0; j < maxReplayMemo+evicted; j++ {
+		order = append(order, j)
+	}
+	for _, from := range []int{0, 0, 3 * evicted} {
+		for j := from; j < from+evicted; j++ {
+			order = append(order, j)
+		}
+	}
+	run := func(replay bool) cpuRun {
+		r := newRig()
+		cpu := fourThreads(r)
+		if !replay {
+			r.sch.Subscribe(nopListener{})
+		}
+		costs := cpu.OpCosts(ops, tensor.Float32)
+		var out cpuRun
+		var next func(i int)
+		next = func(i int) {
+			if i == len(order) {
+				return
+			}
+			j := order[i]
+			cpu.Execute(ops[j:j+1], costs[j:j+1], tensor.Float32, nil, func(res Result) {
+				out.results = append(out.results, res)
+				out.ends = append(out.ends, r.eng.Now())
+				if c := cpu.replay; c != nil {
+					checkMemoIndex(t, c)
+				}
+				next(i + 1)
+			})
+		}
+		next(0)
+		out.now = r.eng.Run()
+		out.account(r, cpu)
+		return out
+	}
+	simd, rep := run(false), run(true)
+	sameRun(t, "memo eviction", simd, rep)
+	// The second revisit of the evicted segments and the visit to the
+	// ones that stayed must replay.
+	if rep.hits < 2*evicted {
+		t.Fatalf("%d replays, want at least %d", rep.hits, 2*evicted)
+	}
+}
+
+// checkMemoIndex fails unless c's index maps exactly the summaries of
+// the keys in its memo, each to its own slot.
+func checkMemoIndex(t *testing.T, c *cpuReplay) {
+	t.Helper()
+	if len(c.memo) > maxReplayMemo || len(c.index) != len(c.memo) {
+		t.Fatalf("memo holds %d entries and its index %d, want equal and at most %d",
+			len(c.memo), len(c.index), maxReplayMemo)
+	}
+	for ix, i := range c.index {
+		if e := &c.memo[i]; e.ix != ix || e.key.index() != ix {
+			t.Fatalf("index entry %+v points at slot %d, which holds %+v", ix, i, e.ix)
+		}
 	}
 }

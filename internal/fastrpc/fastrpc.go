@@ -84,6 +84,8 @@ type Channel struct {
 	calls       int
 	retryTotal  time.Duration
 	failedCalls int
+
+	idle *call // finished calls, kept for reuse
 }
 
 const (
@@ -129,31 +131,81 @@ func (c *Channel) InvokeSpan(payloadBytes int64, execTime time.Duration, parent 
 	if execTime < 0 || payloadBytes < 0 {
 		panic("fastrpc: negative invoke arguments")
 	}
-	issued := c.eng.Now()
-	start := func(err error) {
-		if err != nil {
-			// Session setup never came up: the call fails without an
-			// invoke attempt. The wait is pure retry tax.
-			wasted := c.eng.Now().Sub(issued)
-			c.failCall(Breakdown{Retry: wasted, Err: err}, parent, onDone)
-			return
-		}
-		setupShare := c.eng.Now().Sub(issued)
-		if setupShare > 0 {
-			c.Tracer.Emit("rpc-setup", "fastrpc", telemetry.TrackCPU, parent, issued, c.eng.Now())
-		}
-		c.invokeAttempt(1, 0, payloadBytes, execTime, setupShare, parent, label, onDone)
+	k := c.idle
+	if k == nil {
+		k = &call{c: c}
+		k.startFn, k.sentFn, k.ranFn, k.returnedFn = k.start, k.sent, k.ran, k.returned
+	} else {
+		c.idle = k.next
 	}
+	k.payloadBytes, k.execTime, k.parent, k.label, k.onDone = payloadBytes, execTime, parent, label, onDone
+	k.issued = c.eng.Now()
 	switch c.state {
 	case stateReady:
-		start(nil)
+		k.start(nil)
 	case stateSettingUp:
-		c.waiters = append(c.waiters, start)
+		c.waiters = append(c.waiters, k.startFn)
 	case stateCold:
 		c.state = stateSettingUp
-		c.waiters = append(c.waiters, start)
+		c.waiters = append(c.waiters, k.startFn)
 		c.beginSetup(1)
 	}
+}
+
+// call is the in-flight state of one invocation. Its fault-free steps
+// are callbacks built once, and the channel keeps finished calls, so a
+// steady call loop allocates none.
+type call struct {
+	c            *Channel
+	payloadBytes int64
+	execTime     time.Duration
+	parent       *telemetry.ActiveSpan
+	label        string
+	onDone       func(Breakdown)
+	issued       sim.Time
+	setupShare   time.Duration
+
+	// The attempt in flight.
+	attempt                  int
+	retryAccum               time.Duration
+	t0, enqueued, end        sim.Time
+	outbound, inbound, flush time.Duration
+	hold, queue, stall       time.Duration
+	down, exec               *telemetry.ActiveSpan
+
+	startFn    func(error)
+	sentFn     func()
+	ranFn      func(start, end sim.Time)
+	returnedFn func()
+	next       *call // in the channel's idle list
+}
+
+// finish releases k to the channel, then hands b to its caller.
+func (k *call) finish(b Breakdown) {
+	c, onDone := k.c, k.onDone
+	k.parent, k.onDone, k.down, k.exec = nil, nil, nil, nil
+	k.next, c.idle = c.idle, k
+	if onDone != nil {
+		onDone(b)
+	}
+}
+
+// start runs once the session is up (err nil) or failed to come up.
+func (k *call) start(err error) {
+	c := k.c
+	if err != nil {
+		// Session setup never came up: the call fails without an
+		// invoke attempt. The wait is pure retry tax.
+		wasted := c.eng.Now().Sub(k.issued)
+		c.failCall(Breakdown{Retry: wasted, Err: err}, k)
+		return
+	}
+	k.setupShare = c.eng.Now().Sub(k.issued)
+	if k.setupShare > 0 {
+		c.Tracer.Emit("rpc-setup", "fastrpc", telemetry.TrackCPU, k.parent, k.issued, c.eng.Now())
+	}
+	k.attempt, k.retryAccum = 1, 0
+	k.invokeAttempt()
 }
 
 // beginSetup runs one session-setup attempt. Setup failures are retried
@@ -194,35 +246,38 @@ func (c *Channel) beginSetup(attempt int) {
 	})
 }
 
-// invokeAttempt runs one invoke attempt; retryAccum carries the virtual
-// time already burned by earlier failed attempts and backoffs.
-func (c *Channel) invokeAttempt(attempt int, retryAccum time.Duration, payloadBytes int64, execTime, setupShare time.Duration, parent *telemetry.ActiveSpan, label string, onDone func(Breakdown)) {
+// invokeAttempt runs attempt k.attempt; k.retryAccum carries the
+// virtual time already burned by earlier failed attempts and backoffs.
+func (k *call) invokeAttempt() {
+	c := k.c
+	attempt, retryAccum, label := k.attempt, k.retryAccum, k.label
 	// Outbound: user→kernel crossing ×2 (submit + driver signal), cache
 	// flush for the payload, DSP wakeup.
-	kb := (payloadBytes + 1023) / 1024
-	flush := time.Duration(kb) * c.params.CacheFlushPerKB
-	outbound := 2*c.params.KernelCrossing + flush + c.params.DSPWakeup
-	inbound := 2 * c.params.KernelCrossing // completion signal + return
+	kb := (k.payloadBytes + 1023) / 1024
+	k.flush = time.Duration(kb) * c.params.CacheFlushPerKB
+	k.outbound = 2*c.params.KernelCrossing + k.flush + c.params.DSPWakeup
+	k.inbound = 2 * c.params.KernelCrossing // completion signal + return
 
 	t0 := c.eng.Now()
+	k.t0 = t0
 	out := c.Faults.RPCAttempt(t0)
 	switch out.Kind {
 	case faults.RPCAccelDown:
 		// Thermal trip: the driver rejects the submit ioctl. Not
 		// retryable — the accelerator is not coming back this run.
 		if out.TripFirst {
-			c.Tracer.Instant("thermal-trip", "faults", telemetry.TrackDSP, parent, t0)
+			c.Tracer.Instant("thermal-trip", "faults", telemetry.TrackDSP, k.parent, t0)
 			c.Metrics.Inc(telemetry.Labeled("aitax_faults_injected_total", "site", faults.SiteThermalTrip.String()))
 		}
 		cost := 2 * c.params.KernelCrossing
 		c.eng.After(cost, func() {
 			c.failCall(Breakdown{
-				Setup:    setupShare,
+				Setup:    k.setupShare,
 				Retry:    retryAccum + cost,
 				Attempts: attempt,
 				Faults:   attempt - 1,
 				Err:      &faults.Error{Site: faults.SiteThermalTrip, Attempts: attempt, Target: label},
-			}, parent, onDone)
+			}, k)
 		})
 		return
 	case faults.RPCTransportError, faults.RPCTimeout:
@@ -231,7 +286,7 @@ func (c *Channel) invokeAttempt(attempt int, retryAccum time.Duration, payloadBy
 		if out.Kind == faults.RPCTransportError {
 			// The submit path completes, then the driver signals the
 			// failure back with one more kernel crossing.
-			cost = outbound + c.params.KernelCrossing
+			cost = k.outbound + c.params.KernelCrossing
 			site = faults.SiteRPCTransport
 		} else {
 			// The call is lost; the caller waits out its deadline.
@@ -242,79 +297,90 @@ func (c *Channel) invokeAttempt(attempt int, retryAccum time.Duration, payloadBy
 		if attempt < c.Faults.MaxAttempts() {
 			backoff := c.Faults.BackoffFor(attempt)
 			c.eng.After(cost+backoff, func() {
-				c.Tracer.Emit("rpc-retry", "faults", telemetry.TrackCPU, parent, t0, c.eng.Now())
+				c.Tracer.Emit("rpc-retry", "faults", telemetry.TrackCPU, k.parent, t0, c.eng.Now())
 				c.Metrics.Inc("aitax_faults_retries_total")
 				c.Metrics.Observe("aitax_faults_retry_ms", float64(cost+backoff)/float64(time.Millisecond))
-				c.invokeAttempt(attempt+1, retryAccum+cost+backoff, payloadBytes, execTime, setupShare, parent, label, onDone)
+				k.attempt, k.retryAccum = attempt+1, retryAccum+cost+backoff
+				k.invokeAttempt()
 			})
 		} else {
 			c.eng.After(cost, func() {
 				c.failCall(Breakdown{
-					Setup:    setupShare,
+					Setup:    k.setupShare,
 					Retry:    retryAccum + cost,
 					Attempts: attempt,
 					Faults:   attempt,
 					Err:      &faults.Error{Site: site, Attempts: attempt, Target: label},
-				}, parent, onDone)
+				}, k)
 			})
 		}
 		return
 	}
 
 	// Fault-free attempt (possibly stretched by a driver stall).
-	hold := execTime + out.Stall
+	k.stall = out.Stall
+	k.hold = k.execTime + out.Stall
+	c.eng.After(k.outbound, k.sentFn)
+}
+
+// sent runs when the submit has reached the DSP queue.
+func (k *call) sent() {
+	c := k.c
+	k.enqueued = c.eng.Now()
+	k.down = c.Tracer.Emit("rpc-down", "fastrpc", telemetry.TrackCPU, k.parent, k.t0, k.enqueued)
+	c.dsp.Acquire(k.hold, k.ranFn)
+}
+
+// ran runs when the DSP has executed the call.
+func (k *call) ran(start, end sim.Time) {
+	c := k.c
+	k.queue = start.Sub(k.enqueued)
+	k.end = end
+	k.exec = c.Tracer.Emit(k.label, "fastrpc", telemetry.TrackDSP, k.parent, start, end)
+	c.Tracer.Link("fastrpc", k.down, k.exec)
+	if k.stall > 0 {
+		c.Tracer.Emit("driver-stall", "faults", telemetry.TrackDSP, k.exec, end.Add(-k.stall), end)
+		c.Metrics.Inc(telemetry.Labeled("aitax_faults_injected_total", "site", faults.SiteDriverStall.String()))
+		c.Metrics.Observe("aitax_faults_stall_ms", float64(k.stall)/float64(time.Millisecond))
+	}
+	c.eng.After(k.inbound, k.returnedFn)
+}
+
+// returned runs when the completion is back in the caller.
+func (k *call) returned() {
+	c := k.c
+	up := c.Tracer.Emit("rpc-up", "fastrpc", telemetry.TrackCPU, k.parent, k.end, c.eng.Now())
+	c.Tracer.Link("fastrpc", k.exec, up)
+	c.calls++
+	c.retryTotal += k.retryAccum
+	c.Metrics.Inc("aitax_fastrpc_calls_total")
+	c.Metrics.Observe("aitax_fastrpc_transport_ms", float64(k.outbound+k.inbound)/float64(time.Millisecond))
+	c.Metrics.Observe("aitax_fastrpc_queue_ms", float64(k.queue)/float64(time.Millisecond))
+	c.Metrics.Observe("aitax_fastrpc_exec_ms", float64(k.execTime)/float64(time.Millisecond))
+	c.Metrics.Observe("aitax_fastrpc_cache_flush_ms", float64(k.flush)/float64(time.Millisecond))
 	stallFault := 0
-	if out.Stall > 0 {
+	if k.stall > 0 {
 		stallFault = 1
 	}
-	c.eng.After(outbound, func() {
-		enqueued := c.eng.Now()
-		down := c.Tracer.Emit("rpc-down", "fastrpc", telemetry.TrackCPU, parent, t0, enqueued)
-		c.dsp.Acquire(hold, func(start, end sim.Time) {
-			queue := start.Sub(enqueued)
-			exec := c.Tracer.Emit(label, "fastrpc", telemetry.TrackDSP, parent, start, end)
-			c.Tracer.Link("fastrpc", down, exec)
-			if out.Stall > 0 {
-				c.Tracer.Emit("driver-stall", "faults", telemetry.TrackDSP, exec, end.Add(-out.Stall), end)
-				c.Metrics.Inc(telemetry.Labeled("aitax_faults_injected_total", "site", faults.SiteDriverStall.String()))
-				c.Metrics.Observe("aitax_faults_stall_ms", float64(out.Stall)/float64(time.Millisecond))
-			}
-			c.eng.After(inbound, func() {
-				up := c.Tracer.Emit("rpc-up", "fastrpc", telemetry.TrackCPU, parent, end, c.eng.Now())
-				c.Tracer.Link("fastrpc", exec, up)
-				c.calls++
-				c.retryTotal += retryAccum
-				c.Metrics.Inc("aitax_fastrpc_calls_total")
-				c.Metrics.Observe("aitax_fastrpc_transport_ms", float64(outbound+inbound)/float64(time.Millisecond))
-				c.Metrics.Observe("aitax_fastrpc_queue_ms", float64(queue)/float64(time.Millisecond))
-				c.Metrics.Observe("aitax_fastrpc_exec_ms", float64(execTime)/float64(time.Millisecond))
-				c.Metrics.Observe("aitax_fastrpc_cache_flush_ms", float64(flush)/float64(time.Millisecond))
-				if onDone != nil {
-					onDone(Breakdown{
-						Setup:     setupShare,
-						Transport: outbound + inbound,
-						Queue:     queue,
-						Exec:      hold,
-						Retry:     retryAccum,
-						Attempts:  attempt,
-						Faults:    attempt - 1 + stallFault,
-					})
-				}
-			})
-		})
+	k.finish(Breakdown{
+		Setup:     k.setupShare,
+		Transport: k.outbound + k.inbound,
+		Queue:     k.queue,
+		Exec:      k.hold,
+		Retry:     k.retryAccum,
+		Attempts:  k.attempt,
+		Faults:    k.attempt - 1 + stallFault,
 	})
 }
 
-// failCall finishes a call that gave up, recording the failure before
+// failCall finishes call k, which gave up, recording the failure before
 // handing the breakdown to the caller.
-func (c *Channel) failCall(b Breakdown, parent *telemetry.ActiveSpan, onDone func(Breakdown)) {
+func (c *Channel) failCall(b Breakdown, k *call) {
 	c.failedCalls++
 	c.retryTotal += b.Retry
-	c.Tracer.Instant("rpc-failed", "faults", telemetry.TrackCPU, parent, c.eng.Now())
+	c.Tracer.Instant("rpc-failed", "faults", telemetry.TrackCPU, k.parent, c.eng.Now())
 	c.Metrics.Inc("aitax_faults_failed_calls_total")
-	if onDone != nil {
-		onDone(b)
-	}
+	k.finish(b)
 }
 
 // CallStages itemizes the Fig. 7 flow for a payload of the given size on

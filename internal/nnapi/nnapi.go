@@ -65,6 +65,8 @@ type CompiledModel struct {
 	DriverInitFailed bool
 
 	probed bool // the one-time DSP attempt of a fallback plan happened
+	// run executes Partitions; built by the first Execute.
+	run *driver.PlanRunner
 
 	// plans/planKey identify the shared cache entry this plan's
 	// partition assignment came from, so a fault-driven re-plan can
@@ -276,22 +278,29 @@ func (f *Framework) Execute(cm *CompiledModel, done func(Report)) {
 			return
 		}
 	}
-	driver.RunPlan(f.eng, &cm.Partitions, cm.DType, f.TransitionOverhead, nil,
-		func(i int, resume func(int)) (time.Duration, bool) {
-			p := &cm.Partitions[i]
-			if p.Target == f.FallbackCPU || p.Target == f.ReferenceCPU {
-				return 0, false
-			}
-			// The accelerator gave up on this partition. Pay the handoff
-			// + re-planning penalty, move the partition to the CPU
-			// fallback for good, and re-run it there.
-			penalty := f.TransitionOverhead + time.Duration(len(p.Ops))*f.CompilePerOp/2
-			f.Tracer.Instant("nnapi-fallback", "faults", telemetry.TrackCPU, nil, f.eng.Now())
-			f.Metrics.Inc(telemetry.Labeled("aitax_faults_fallbacks_total", "layer", "nnapi"))
-			f.Metrics.Observe("aitax_faults_fallback_ms", float64(penalty)/float64(time.Millisecond))
-			*p = driver.Partition{Target: f.FallbackCPU, Ops: p.Ops} // the accel schedule no longer applies
-			cm.plans.Invalidate(cm.planKey)
-			f.eng.After(penalty, func() { resume(i) })
-			return penalty, true
-		}, done)
+	if cm.run == nil {
+		cm.run = driver.NewPlanRunner(f.eng, func(i int, resume func(int)) (time.Duration, bool) {
+			return f.fallback(cm, i, resume)
+		})
+	}
+	cm.run.Run(&cm.Partitions, cm.DType, f.TransitionOverhead, nil, done)
+}
+
+// fallback is Execute's policy for partition i of cm failing.
+func (f *Framework) fallback(cm *CompiledModel, i int, resume func(int)) (time.Duration, bool) {
+	p := &cm.Partitions[i]
+	if p.Target == f.FallbackCPU || p.Target == f.ReferenceCPU {
+		return 0, false
+	}
+	// The accelerator gave up on this partition. Pay the handoff
+	// + re-planning penalty, move the partition to the CPU
+	// fallback for good, and re-run it there.
+	penalty := f.TransitionOverhead + time.Duration(len(p.Ops))*f.CompilePerOp/2
+	f.Tracer.Instant("nnapi-fallback", "faults", telemetry.TrackCPU, nil, f.eng.Now())
+	f.Metrics.Inc(telemetry.Labeled("aitax_faults_fallbacks_total", "layer", "nnapi"))
+	f.Metrics.Observe("aitax_faults_fallback_ms", float64(penalty)/float64(time.Millisecond))
+	*p = driver.Partition{Target: f.FallbackCPU, Ops: p.Ops} // the accel schedule no longer applies
+	cm.plans.Invalidate(cm.planKey)
+	f.eng.After(penalty, func() { resume(i) })
+	return penalty, true
 }

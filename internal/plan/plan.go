@@ -212,9 +212,6 @@ func (c *Cache) Stats() (hits, misses, invalidations int64) {
 // so jobs carry opaque closures; internal/tflite enumerates the Table-I
 // grid into jobs, internal/serve enumerates a serving config's.
 type Job struct {
-	// Label identifies the configuration for progress reporting
-	// ("Google Pixel 3/MobileNet 1.0 v1/int8/nnapi").
-	Label string
 	// Compile builds the configuration's plans. Skipping an unsupported
 	// combination by returning early is fine — it simply adds no entries.
 	Compile func()

@@ -229,9 +229,9 @@ func TestPrewarmPricesThePass(t *testing.T) {
 	c := New()
 	build := func() any { time.Sleep(200 * time.Microsecond); return 1 }
 	jobs := []Job{
-		{Label: "a", Compile: func() { c.Get(testKey(0), build) }},
-		{Label: "b", Compile: func() { c.Get(testKey(1), build) }},
-		{Label: "unsupported", Compile: func() {}}, // skipped combo: no entries
+		{Compile: func() { c.Get(testKey(0), build) }},
+		{Compile: func() { c.Get(testKey(1), build) }},
+		{Compile: func() {}}, // skipped combo: no entries
 	}
 	rep := c.Prewarm(jobs)
 	if rep.Jobs != 3 || rep.Entries != 2 {

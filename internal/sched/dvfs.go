@@ -99,14 +99,7 @@ func (d *DVFS) tick() {
 		adjust(&d.litIdx, litPeak)
 		d.snapshot()
 
-		busy := false
-		for _, c := range d.s.cores {
-			if c.busy {
-				busy = true
-				break
-			}
-		}
-		if busy || len(d.s.ready) > 0 {
+		if !d.s.allIdle() || len(d.s.ready) > 0 {
 			d.tick()
 			return
 		}

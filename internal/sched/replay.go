@@ -124,10 +124,8 @@ func (s *Scheduler) quiet(workers []*Thread) bool {
 		len(s.cores) > maxReplayCores || len(workers) == 0 || len(workers) > maxReplayWorkers {
 		return false
 	}
-	for _, c := range s.cores {
-		if c.busy {
-			return false
-		}
+	if !s.allIdle() {
+		return false
 	}
 	for _, t := range workers {
 		if t.s != s || t.running || t.queued || t.remaining != 0 || t.qhead != len(t.queue) {
@@ -138,9 +136,7 @@ func (s *Scheduler) quiet(workers []*Thread) bool {
 }
 
 // Fingerprint reports whether the scheduler is quiet for a stretch the
-// workers start now and, if it is, the state that stretch depends on. A
-// Thread's Affinity is read into the Fingerprint and must be a pure
-// function of the core.
+// workers start now and, if it is, the state that stretch depends on.
 func (s *Scheduler) Fingerprint(workers []*Thread) (fp Fingerprint, ok bool) {
 	if !s.quiet(workers) {
 		return fp, false
@@ -151,15 +147,30 @@ func (s *Scheduler) Fingerprint(workers []*Thread) (fp Fingerprint, ok bool) {
 		fp.cores[i] = coreKey{speed: c.Speed, last: threadCode(workers, c.lastThread), big: c.Big}
 	}
 	for i, t := range workers {
-		k := workerKey{priority: t.Priority, lastCore: s.coreCode(t.lastCore), sticky: t.Sticky}
-		for j, c := range s.cores {
-			if t.Affinity == nil || t.Affinity(c) {
-				k.affinity |= 1 << j
-			}
-		}
-		fp.workers[i] = k
+		fp.workers[i] = workerKey{priority: t.Priority, affinity: uint16(t.affinity),
+			lastCore: s.coreCode(t.lastCore), sticky: t.Sticky}
 	}
 	return fp, true
+}
+
+// Hash returns a hash of the fields of fp that a running scheduler
+// changes: the round-robin cursor and every placement. Equal
+// fingerprints hash equal; a memo indexed by Hash must still compare
+// whole fingerprints, since unequal ones may collide.
+func (fp *Fingerprint) Hash() uint64 {
+	var w [3]uint64
+	for i := range fp.cores {
+		w[i/8] |= uint64(uint8(fp.cores[i].last)) << (8 * (i % 8))
+	}
+	for i := range fp.workers {
+		w[2] |= uint64(uint8(fp.workers[i].lastCore)) << (8 * i)
+	}
+	h := uint64(fp.rrNext)
+	for _, x := range w {
+		h = (h ^ x) * 0x9E3779B97F4A7C15
+		h ^= h >> 29
+	}
+	return h
 }
 
 func threadCode(workers []*Thread, t *Thread) int8 {

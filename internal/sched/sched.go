@@ -8,6 +8,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"aitax/internal/sim"
@@ -20,7 +21,6 @@ type Core struct {
 	Big   bool
 	Speed float64
 
-	busy    bool
 	current *Thread
 	// Reusable end-of-slice callback state: a core runs at most one
 	// slice at a time, so one closure per core (built at construction)
@@ -49,8 +49,7 @@ type Listener interface {
 // Thread is a schedulable entity. Work is submitted as bursts; the
 // scheduler timeslices bursts across cores.
 type Thread struct {
-	Name     string
-	Affinity func(*Core) bool // nil = any core
+	Name string
 	// Sticky threads prefer their previous core (cache affinity), the
 	// normal CFS behaviour. Non-sticky threads are placed round-robin
 	// across idle cores — the energy-aware bouncing that NNAPI's CPU
@@ -63,6 +62,7 @@ type Thread struct {
 	Priority int
 
 	s         *Scheduler
+	affinity  uint64        // bit i set: the thread may run on core i
 	remaining time.Duration // of the current burst
 	onDone    func()
 	// queue[qhead:] are the pending bursts. Popping advances qhead
@@ -119,7 +119,8 @@ type Scheduler struct {
 	MigrationPenalty time.Duration
 
 	listeners []Listener
-	rrNext    int // round-robin cursor for non-sticky placement
+	rrNext    int    // round-robin cursor for non-sticky placement
+	idle      uint64 // bit i set: core i runs no slice
 	dvfs      *DVFS
 
 	// Accounting.
@@ -161,6 +162,9 @@ func New(eng *sim.Engine, cfg Config) *Scheduler {
 	if cfg.Timeslice <= 0 {
 		panic("sched: timeslice must be positive")
 	}
+	if cfg.BigCores+cfg.LittleCores > 64 {
+		panic("sched: at most 64 cores")
+	}
 	s := &Scheduler{
 		eng:              eng,
 		Timeslice:        cfg.Timeslice,
@@ -179,6 +183,7 @@ func New(eng *sim.Engine, cfg Config) *Scheduler {
 	for _, c := range s.cores {
 		c := c
 		c.sliceEnd = func() { s.finishSlice(c) }
+		s.idle |= 1 << c.ID
 	}
 	if cfg.DVFS {
 		s.dvfs = newDVFS(s)
@@ -202,16 +207,28 @@ func (s *Scheduler) Switches() int { return s.switches }
 func (s *Scheduler) Migrations() int { return s.migrations }
 
 // Spawn creates a (sticky) thread. affinity of nil allows all cores;
-// BigOnly and LittleOnly are common masks.
+// BigOnly and LittleOnly are common masks. affinity is asked once per
+// core here and kept as a core bitmask.
 func (s *Scheduler) Spawn(name string, affinity func(*Core) bool) *Thread {
-	return &Thread{Name: name, Affinity: affinity, Sticky: true, s: s}
+	return &Thread{Name: name, Sticky: true, s: s, affinity: s.mask(affinity)}
 }
 
 // SpawnMigratory creates a non-sticky thread that is placed round-robin
 // across idle cores, migrating (and paying the penalty) nearly every
 // slice when the system is otherwise idle.
 func (s *Scheduler) SpawnMigratory(name string, affinity func(*Core) bool) *Thread {
-	return &Thread{Name: name, Affinity: affinity, Sticky: false, s: s}
+	return &Thread{Name: name, Sticky: false, s: s, affinity: s.mask(affinity)}
+}
+
+// mask is the core bitmask of the cores affinity allows.
+func (s *Scheduler) mask(affinity func(*Core) bool) uint64 {
+	var m uint64
+	for _, c := range s.cores {
+		if affinity == nil || affinity(c) {
+			m |= 1 << c.ID
+		}
+	}
+	return m
 }
 
 // BigOnly pins a thread to the big cluster.
@@ -265,7 +282,8 @@ func (s *Scheduler) activate(t *Thread) {
 // dispatch assigns ready threads to idle compatible cores: the
 // highest-priority placeable thread first, arrival order within a
 // priority class. Core preference: the thread's last core (no
-// migration), then idle big cores, then idle little cores.
+// migration), then idle big cores, then idle little cores. New numbers
+// the big cores first, so "big before little" is "lowest ID first".
 func (s *Scheduler) dispatch() {
 	for {
 		best := -1
@@ -290,43 +308,32 @@ func (s *Scheduler) dispatch() {
 }
 
 func (s *Scheduler) pickCore(t *Thread) *Core {
+	free := s.idle & t.affinity
+	if free == 0 {
+		return nil
+	}
 	if !t.Sticky {
-		return s.pickRoundRobin(t)
+		return s.pickRoundRobin(free)
 	}
-	var best *Core
-	for _, c := range s.cores {
-		if c.busy {
-			continue
-		}
-		if t.Affinity != nil && !t.Affinity(c) {
-			continue
-		}
-		if c == t.lastCore {
-			return c // staying put is always best
-		}
-		if best == nil || (c.Big && !best.Big) {
-			best = c
-		}
+	if l := t.lastCore; l != nil && free&(1<<l.ID) != 0 {
+		return l // staying put is always best
 	}
-	return best
+	return s.cores[bits.TrailingZeros64(free)]
 }
 
-// pickRoundRobin cycles non-sticky threads across idle compatible cores.
-func (s *Scheduler) pickRoundRobin(t *Thread) *Core {
-	n := len(s.cores)
-	for i := 0; i < n; i++ {
-		c := s.cores[(s.rrNext+i)%n]
-		if c.busy {
-			continue
-		}
-		if t.Affinity != nil && !t.Affinity(c) {
-			continue
-		}
-		s.rrNext = (s.rrNext + i + 1) % n
-		return c
+// pickRoundRobin cycles non-sticky threads across the idle compatible
+// cores free (not empty): the first at or after the cursor, wrapping.
+func (s *Scheduler) pickRoundRobin(free uint64) *Core {
+	i := bits.TrailingZeros64(free >> s.rrNext << s.rrNext)
+	if i == 64 {
+		i = bits.TrailingZeros64(free)
 	}
-	return nil
+	s.rrNext = (i + 1) % len(s.cores)
+	return s.cores[i]
 }
+
+// allIdle reports whether no core is running a slice.
+func (s *Scheduler) allIdle() bool { return s.idle == 1<<len(s.cores)-1 }
 
 // run executes one timeslice of t on core.
 func (s *Scheduler) run(t *Thread, core *Core) {
@@ -355,7 +362,7 @@ func (s *Scheduler) run(t *Thread, core *Core) {
 	}
 	execTime := time.Duration(float64(slice)/speed) + overhead
 
-	core.busy = true
+	s.idle &^= 1 << core.ID
 	core.current = t
 	core.lastThread = t
 	t.running = true
@@ -375,7 +382,7 @@ func (s *Scheduler) run(t *Thread, core *Core) {
 func (s *Scheduler) finishSlice(core *Core) {
 	t, execTime, slice := core.sliceT, core.sliceExec, core.sliceLen
 	core.sliceT = nil
-	core.busy = false
+	s.idle |= 1 << core.ID
 	core.current = nil
 	core.busyTime += execTime
 	t.running = false

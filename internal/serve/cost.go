@@ -88,9 +88,9 @@ func MeasureBatch(ctx context.Context, cfg Config, m *models.Model, k int) (Batc
 
 // CostTable holds the measured batch costs of one config, keyed by
 // (model, batch size, steered). Every serving batch is priced from it:
-// the virtual-time simulator reads a table BuildCostTable filled up
-// front, and the HTTP frontend fills its own on first use. An entry is
-// a pure function of the config and its key (see batchSeed), so one
+// the virtual-time simulator reads a table Fill filled up front, and
+// the HTTP frontend fills its own on first use. An entry is a pure
+// function of the config and its key (see batchSeed), so one
 // measurement per key serves both clocks.
 type CostTable struct {
 	mu      sync.RWMutex
@@ -105,13 +105,14 @@ type costKey struct {
 	steered bool
 }
 
-func newCostTable() *CostTable {
+// NewCostTable returns an empty table.
+func NewCostTable() *CostTable {
 	return &CostTable{entries: make(map[costKey]BatchCost)}
 }
 
 // cost returns the entry for a k-request batch of model from a table
-// BuildCostTable has filled: the simulator's. Nothing writes that table
-// any more, so cost reads it without the lock, and a miss is a bug.
+// Fill has filled: the simulator's. Nothing writes that table any more,
+// so cost reads it without the lock, and a miss is a bug.
 func (t *CostTable) cost(model string, k int, steered bool) BatchCost {
 	bc, ok := t.entries[costKey{model, k, steered}]
 	if !ok {
@@ -144,15 +145,25 @@ func (t *CostTable) entry(ctx context.Context, cfg Config, m *models.Model, k in
 	return bc, err
 }
 
-// BuildCostTable measures every (model, batch size) pair on the lab
-// worker pool. Each entry is an independent deterministic simulation,
-// so the table is byte-identical at any parallelism; onProgress (when
-// non-nil) observes per-entry completion.
+// BuildCostTable fills a new table for cfg (see Fill).
 func BuildCostTable(ctx context.Context, cfg Config, parallel int, onProgress func(lab.JobResult)) (*CostTable, error) {
-	if err := cfg.Validate(); err != nil {
+	t := NewCostTable()
+	if err := t.Fill(ctx, cfg, parallel, onProgress); err != nil {
 		return nil, err
 	}
-	t := newCostTable()
+	return t, nil
+}
+
+// Fill gives t an entry for every (model, batch size) pair of cfg,
+// measuring on the lab worker pool only the ones it does not hold yet
+// (Prewarm's, say). Each entry is an independent deterministic
+// simulation, so the table is byte-identical at any parallelism;
+// onProgress (when non-nil) observes per-entry completion, held entries
+// included.
+func (t *CostTable) Fill(ctx context.Context, cfg Config, parallel int, onProgress func(lab.JobResult)) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	var jobs []lab.Job
 	add := func(id string, m *models.Model, k int, steered bool) {
 		jobs = append(jobs, lab.Job{ID: id, Run: func(ctx context.Context) (any, error) {
@@ -173,8 +184,8 @@ func BuildCostTable(ctx context.Context, cfg Config, parallel int, onProgress fu
 	l := &lab.Lab{Parallelism: parallel, OnProgress: onProgress}
 	for _, r := range l.Run(ctx, jobs) {
 		if r.Err != nil {
-			return nil, fmt.Errorf("serve: measuring %s: %w", r.ID, r.Err)
+			return fmt.Errorf("serve: measuring %s: %w", r.ID, r.Err)
 		}
 	}
-	return t, nil
+	return nil
 }

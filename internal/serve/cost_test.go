@@ -121,7 +121,7 @@ func TestMeasureBatchSplitMatchesFastRPCSpans(t *testing.T) {
 func TestCostTableHitDoesNotAllocate(t *testing.T) {
 	cfg := testConfig(t)
 	m := cfg.Models[0]
-	table := newCostTable()
+	table := NewCostTable()
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := table.entry(cancelled, cfg, m, 1, false); err == nil || len(table.entries) != 0 {
@@ -139,5 +139,34 @@ func TestCostTableHitDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("cost-table hit: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestFillMeasuresOnlyMissingEntries pins that a table Prewarm filled is
+// not measured again: Fill keeps the entries it holds, so a planted
+// batch-1 entry survives, and measures the rest, whose values equal a
+// fresh BuildCostTable's.
+func TestFillMeasuresOnlyMissingEntries(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MaxBatch = 2
+	m := cfg.Models[0]
+	planted := BatchCost{Service: 42 * time.Second}
+	table := NewCostTable()
+	table.entries[costKey{m.Name, 1, false}] = planted
+	if err := table.Fill(context.Background(), cfg, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := BuildCostTable(context.Background(), cfg, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := table.cost(m.Name, 1, false); got != planted {
+		t.Fatalf("held batch-1 entry re-measured: %+v", got)
+	}
+	if got, want := table.cost(m.Name, 2, false), fresh.cost(m.Name, 2, false); got != want {
+		t.Fatalf("batch-2 entry %+v, want %+v", got, want)
+	}
+	if len(table.entries) != 2 {
+		t.Fatalf("table holds %d entries, want 2", len(table.entries))
 	}
 }

@@ -70,7 +70,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:   cfg,
-		table: newCostTable(),
+		table: NewCostTable(),
 		mux:   http.NewServeMux(),
 		// A long-running server takes unbounded traffic: the streaming
 		// registry keeps /metrics memory flat (bucketed quantiles

@@ -2,33 +2,25 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"slices"
 
 	"aitax/internal/plan"
 	"aitax/internal/tflite"
 )
 
-// PrewarmConfig compiles the serving plans for every loaded model into
-// the process-shared cache: one single-request batch per model (and,
-// when a QoS policy can steer, per model on the steer delegate too), so
-// the exact plan keys serving touches — partition assignments, op-cost
-// schedules, NNAPI compilations — are warm before the first request.
-// It fills a throwaway cost table; only the cached plans survive, so
-// results are byte-identical with or without the pass. The report
-// prices the pass as cold-start AI tax moved from the first requests to
-// startup.
-func PrewarmConfig(ctx context.Context, cfg Config) (plan.Report, error) {
+// Prewarm fills t's batch-1 entries for cfg's loaded models (and, when
+// a QoS policy can steer, their entries on the steer delegate too) as
+// plan-cache prewarm jobs, so the exact plan keys serving touches —
+// partition assignments, op-cost schedules, NNAPI compilations — are
+// warm before the first request, and Fill or a server finds those
+// entries measured. An entry is a pure function of its key, so results
+// are byte-identical with or without the pass. The report prices the
+// pass as cold-start AI tax moved from the first requests to startup.
+func (t *CostTable) Prewarm(ctx context.Context, cfg Config) (plan.Report, error) {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
 		return plan.Report{}, err
 	}
-	return newCostTable().prewarm(ctx, cfg)
-}
-
-// prewarm fills t's batch-1 entries for cfg's loaded models (and their
-// steered entries under a QoS policy) as plan-cache prewarm jobs.
-func (t *CostTable) prewarm(ctx context.Context, cfg Config) (plan.Report, error) {
 	var firstErr error
 	// grid[1], when present, is the steer delegate's.
 	grid := []Config{cfg}
@@ -44,14 +36,11 @@ func (t *CostTable) prewarm(ctx context.Context, cfg Config) (plan.Report, error
 				// way warmed or not, so skip it rather than abort the pass.
 				continue
 			}
-			jobs = append(jobs, plan.Job{
-				Label: fmt.Sprintf("%s/%s/%v/%v", c.Platform.Name, m.Name, c.DType, c.Delegate),
-				Compile: func() {
-					if _, err := t.entry(ctx, cfg, m, 1, i == 1); err != nil && firstErr == nil {
-						firstErr = err
-					}
-				},
-			})
+			jobs = append(jobs, plan.Job{Compile: func() {
+				if _, err := t.entry(ctx, cfg, m, 1, i == 1); err != nil && firstErr == nil {
+					firstErr = err
+				}
+			}})
 		}
 	}
 	rep := plan.Shared.Prewarm(jobs)
@@ -66,7 +55,7 @@ func (t *CostTable) prewarm(ctx context.Context, cfg Config) (plan.Report, error
 // gauges are published — so the first /metrics scrape and the first
 // recorder window aren't outliers missing most of the series set.
 func (s *Server) Prewarm(ctx context.Context) (plan.Report, error) {
-	rep, err := s.table.prewarm(ctx, s.cfg)
+	rep, err := s.table.Prewarm(ctx, s.cfg)
 	if err == nil {
 		s.warmTelemetry()
 	}

@@ -92,7 +92,7 @@ func TestPrewarmWarmsFirstScrapeAndFirstRequest(t *testing.T) {
 // compilation in the middle of an overload it exists to relieve.
 func TestPrewarmConfigCoversTheSteerDelegate(t *testing.T) {
 	cfg := testConfig(t)
-	rep, err := PrewarmConfig(context.Background(), cfg)
+	rep, err := NewCostTable().Prewarm(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestPrewarmConfigCoversTheSteerDelegate(t *testing.T) {
 		t.Fatalf("plain config ran %d jobs, want %d", rep.Jobs, len(cfg.Models))
 	}
 	qcfg := qosConfig(t)
-	qrep, err := PrewarmConfig(context.Background(), qcfg)
+	qrep, err := NewCostTable().Prewarm(context.Background(), qcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"aitax/internal/core"
 	"aitax/internal/lab"
 	"aitax/internal/sched"
+	"aitax/internal/sim"
 	"aitax/internal/work"
 )
 
@@ -69,65 +70,90 @@ func (bt *BenchTool) preWork() work.Work {
 // run initializes the interpreter (if necessary), performs one warmup,
 // then measures n iterations; done receives the per-run samples.
 func (bt *BenchTool) run(n int, done func([]core.StageTimes)) {
-	samples := make([]core.StageTimes, 0, n)
-	big := &bt.rt.Platform.Big
-
-	var iterate func(i int)
-	iterate = func(i int) {
-		if i >= n {
-			done(samples)
-			return
-		}
-		var s core.StageTimes
-		start := bt.rt.Eng.Now()
-
-		// "Data capture": random tensor generation plus a sliver of OS
-		// noise (interrupts, logging).
-		genW := RandomInputWork(bt.inputElems(), bt.ip.DType, bt.StdLib)
-		genDur := big.TimeFor(genW, bt.ip.DType)
-		if bt.NoiseCeil > 0 {
-			genDur += time.Duration(bt.rt.RNG.Float64() * float64(bt.NoiseCeil))
-		}
-		bt.genThread.Exec(genDur, func() {
-			s.Stage[core.StageCapture] = bt.rt.Eng.Now().Sub(start)
-
-			preStart := bt.rt.Eng.Now()
-			bt.genThread.Exec(big.TimeFor(bt.preWork(), bt.ip.DType), func() {
-				s.Stage[core.StagePre] = bt.rt.Eng.Now().Sub(preStart)
-
-				invStart := bt.rt.Eng.Now()
-				bt.ip.Invoke(func(Report) {
-					s.Stage[core.StageInference] = bt.rt.Eng.Now().Sub(invStart)
-
-					finish := func() {
-						s.Total = bt.rt.Eng.Now().Sub(start)
-						samples = append(samples, s)
-						iterate(i + 1)
-					}
-					if bt.AppWrapper {
-						uiStart := bt.rt.Eng.Now()
-						uiDur := bt.rt.RNG.Jitter(benchUIBase, 0.15)
-						bt.uiThread.Exec(uiDur, func() {
-							s.Stage[core.StageUI] = bt.rt.Eng.Now().Sub(uiStart)
-							finish()
-						})
-					} else {
-						finish()
-					}
-				})
-			})
-		})
-	}
-
-	startRuns := func() {
-		// Warmup run, as the utility performs before measuring.
-		bt.ip.Invoke(func(Report) { iterate(0) })
-	}
+	r := &benchRun{bt: bt, n: n, done: done, samples: make([]core.StageTimes, 0, n)}
+	r.genDone, r.preDone, r.invoked, r.uiDone = r.captured, r.staged, r.inferred, r.rendered
 	if bt.ip.initialized {
-		startRuns()
+		r.warmup()
 	} else {
-		bt.ip.Init(startRuns)
+		bt.ip.Init(r.warmup)
 	}
+}
+
+// benchRun is the state of one BenchTool.run. Its callbacks are built
+// once, so an iteration allocates nothing here.
+type benchRun struct {
+	bt      *BenchTool
+	n, i    int
+	done    func([]core.StageTimes)
+	samples []core.StageTimes
+
+	// The iteration in flight.
+	s                                  core.StageTimes
+	start, preStart, invStart, uiStart sim.Time
+
+	genDone, preDone, uiDone func()
+	invoked                  func(Report)
+}
+
+// warmup runs the utility's unmeasured invoke, then the iterations.
+func (r *benchRun) warmup() { r.bt.ip.Invoke(func(Report) { r.iterate() }) }
+
+// iterate starts iteration r.i, or hands over the samples after the
+// last.
+func (r *benchRun) iterate() {
+	bt := r.bt
+	if r.i >= r.n {
+		r.done(r.samples)
+		return
+	}
+	r.s = core.StageTimes{}
+	r.start = bt.rt.Eng.Now()
+
+	// "Data capture": random tensor generation plus a sliver of OS
+	// noise (interrupts, logging).
+	genW := RandomInputWork(bt.inputElems(), bt.ip.DType, bt.StdLib)
+	genDur := bt.rt.Platform.Big.TimeFor(genW, bt.ip.DType)
+	if bt.NoiseCeil > 0 {
+		genDur += time.Duration(bt.rt.RNG.Float64() * float64(bt.NoiseCeil))
+	}
+	bt.genThread.Exec(genDur, r.genDone)
+}
+
+func (r *benchRun) captured() {
+	bt := r.bt
+	r.s.Stage[core.StageCapture] = bt.rt.Eng.Now().Sub(r.start)
+	r.preStart = bt.rt.Eng.Now()
+	bt.genThread.Exec(bt.rt.Platform.Big.TimeFor(bt.preWork(), bt.ip.DType), r.preDone)
+}
+
+func (r *benchRun) staged() {
+	bt := r.bt
+	r.s.Stage[core.StagePre] = bt.rt.Eng.Now().Sub(r.preStart)
+	r.invStart = bt.rt.Eng.Now()
+	bt.ip.Invoke(r.invoked)
+}
+
+func (r *benchRun) inferred(Report) {
+	bt := r.bt
+	r.s.Stage[core.StageInference] = bt.rt.Eng.Now().Sub(r.invStart)
+	if !bt.AppWrapper {
+		r.finish()
+		return
+	}
+	r.uiStart = bt.rt.Eng.Now()
+	bt.uiThread.Exec(bt.rt.RNG.Jitter(benchUIBase, 0.15), r.uiDone)
+}
+
+func (r *benchRun) rendered() {
+	r.s.Stage[core.StageUI] = r.bt.rt.Eng.Now().Sub(r.uiStart)
+	r.finish()
+}
+
+func (r *benchRun) finish() {
+	r.s.Total = r.bt.rt.Eng.Now().Sub(r.start)
+	r.samples = append(r.samples, r.s)
+	r.i++
+	r.iterate()
 }
 
 // Measure runs the utility for n measured iterations (see run), drains

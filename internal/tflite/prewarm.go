@@ -1,8 +1,6 @@
 package tflite
 
 import (
-	"fmt"
-
 	"aitax/internal/models"
 	"aitax/internal/plan"
 	"aitax/internal/soc"
@@ -54,20 +52,17 @@ func PrewarmJobs(c *plan.Cache, platforms []*soc.SoC, ms []*models.Model,
 						continue
 					}
 					m, dt, d := m, dt, d
-					jobs = append(jobs, plan.Job{
-						Label: fmt.Sprintf("%s/%s/%v/%v", p.Name, m.Name, dt, d),
-						Compile: func() {
-							ip, err := rt.NewInterpreter(m, dt, Options{Delegate: d})
-							if err != nil {
-								return
-							}
-							if d == DelegateNNAPI {
-								// Segment plans for direct delegates compile in
-								// NewInterpreter; NNAPI partitions at Init.
-								ip.Init(nil)
-							}
-						},
-					})
+					jobs = append(jobs, plan.Job{Compile: func() {
+						ip, err := rt.NewInterpreter(m, dt, Options{Delegate: d})
+						if err != nil {
+							return
+						}
+						if d == DelegateNNAPI {
+							// Segment plans for direct delegates compile in
+							// NewInterpreter; NNAPI partitions at Init.
+							ip.Init(nil)
+						}
+					}})
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package tflite
 
 import (
-	"strings"
 	"testing"
 
 	"aitax/internal/models"
@@ -59,10 +58,20 @@ func TestPrewarmJobsWarmEveryServingKey(t *testing.T) {
 	if len(jobs) == 0 {
 		t.Fatal("empty prewarm grid")
 	}
-	for _, j := range jobs {
-		if strings.Contains(j.Label, "Deeplab") && strings.Contains(j.Label, "int8") {
-			t.Fatalf("grid enumerated unsupported combination %q", j.Label)
+	supported, all := 0, 0
+	for _, m := range ms {
+		for _, dt := range GridDTypes {
+			for _, d := range AllDelegates {
+				all++
+				if Supported(m, dt, d) {
+					supported++
+				}
+			}
 		}
+	}
+	if len(jobs) != supported || supported == all {
+		t.Fatalf("%d jobs for %d supported of %d combinations, want one per supported combination and some unsupported",
+			len(jobs), supported, all)
 	}
 	rep := c.Prewarm(jobs)
 	if rep.Jobs != len(jobs) || rep.Entries == 0 {

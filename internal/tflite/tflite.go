@@ -204,8 +204,9 @@ type Interpreter struct {
 	nnapiFW  *nnapi.Framework
 	compiled *nnapi.CompiledModel
 	input    *tensor.Tensor
-	graph    *nn.Graph // possibly fused view of Model.Graph
-	planKey  plan.Key  // partition-plan cache key (zero when uncached)
+	graph    *nn.Graph   // possibly fused view of Model.Graph
+	planKey  plan.Key    // partition-plan cache key (zero when uncached)
+	idle     *invocation // finished invocations, kept for reuse
 
 	initialized bool
 	fellBack    bool
@@ -449,38 +450,67 @@ func (ip *Interpreter) InvokeTraced(parent *telemetry.ActiveSpan, done func(Repo
 	if !ip.initialized {
 		panic("tflite: Invoke before Init")
 	}
-	fw := ip.rt.Tracer.Start(core.StageFramework.String(), "tflite", telemetry.TrackCPU, parent)
-	fw.SetAttr("model", ip.Model.Name)
-	fw.SetAttr("delegate", ip.opts.Delegate.String())
-	finish := func(rep Report) {
-		fw.End()
-		ip.rt.Metrics.Inc("aitax_invocations_total")
-		ip.rt.Metrics.Add("aitax_delegate_transitions_total", float64(rep.Transitions))
-		ip.rt.Metrics.Observe("aitax_invoke_ms", float64(rep.Total())/float64(time.Millisecond))
-		if done != nil {
-			done(rep)
-		}
+	inv := ip.idle
+	if inv == nil {
+		inv = &invocation{ip: ip}
+		inv.run = driver.NewPlanRunner(ip.rt.Eng, inv.fallback)
+		inv.finish = inv.end
+	} else {
+		ip.idle = inv.next
 	}
+	inv.done = done
+	inv.fw = ip.rt.Tracer.Start(core.StageFramework.String(), "tflite", telemetry.TrackCPU, parent)
+	inv.fw.SetAttr("model", ip.Model.Name)
+	inv.fw.SetAttr("delegate", ip.opts.Delegate.String())
 	if ip.opts.Delegate == DelegateNNAPI {
-		ip.nnapiFW.Execute(ip.compiled, finish)
+		ip.nnapiFW.Execute(ip.compiled, inv.finish)
 		return
 	}
-	driver.RunPlan(ip.rt.Eng, &ip.segments, ip.DType, ip.TransitionOverhead, fw,
-		func(i int, resume func(int)) (time.Duration, bool) {
-			if ip.segments[i].Target == driver.Target(ip.cpu) {
-				return 0, false
-			}
-			// The delegate died mid-run (retries exhausted or the
-			// accelerator is down). Tear it down and re-run the whole
-			// graph on the CPU interpreter — the frame completes.
-			t0 := ip.rt.Eng.Now()
-			cost := ip.fallBackToCPU(fw)
-			ip.rt.Eng.After(cost, func() {
-				ip.rt.Tracer.Emit("fallback", "faults", telemetry.TrackCPU, fw, t0, ip.rt.Eng.Now())
-				resume(0) // segments are now the single CPU plan
-			})
-			return cost, true
-		}, finish)
+	inv.run.Run(&ip.segments, ip.DType, ip.TransitionOverhead, inv.fw, inv.finish)
+}
+
+// invocation is the in-flight state of one Invoke. Its callbacks are
+// built once and the interpreter keeps finished invocations, so a
+// steady invoke loop allocates none.
+type invocation struct {
+	ip     *Interpreter
+	fw     *telemetry.ActiveSpan
+	done   func(Report)
+	run    *driver.PlanRunner
+	finish func(Report)
+	next   *invocation // in the interpreter's idle list
+}
+
+// end closes the invocation and hands rep to its caller.
+func (inv *invocation) end(rep Report) {
+	ip, fw, done := inv.ip, inv.fw, inv.done
+	inv.fw, inv.done = nil, nil
+	inv.next, ip.idle = ip.idle, inv
+	fw.End()
+	ip.rt.Metrics.Inc("aitax_invocations_total")
+	ip.rt.Metrics.Add("aitax_delegate_transitions_total", float64(rep.Transitions))
+	ip.rt.Metrics.Observe("aitax_invoke_ms", float64(rep.Total())/float64(time.Millisecond))
+	if done != nil {
+		done(rep)
+	}
+}
+
+// fallback is the delegate plan's policy for partition i failing.
+func (inv *invocation) fallback(i int, resume func(int)) (time.Duration, bool) {
+	ip, fw := inv.ip, inv.fw
+	if ip.segments[i].Target == driver.Target(ip.cpu) {
+		return 0, false
+	}
+	// The delegate died mid-run (retries exhausted or the
+	// accelerator is down). Tear it down and re-run the whole
+	// graph on the CPU interpreter — the frame completes.
+	t0 := ip.rt.Eng.Now()
+	cost := ip.fallBackToCPU(fw)
+	ip.rt.Eng.After(cost, func() {
+		ip.rt.Tracer.Emit("fallback", "faults", telemetry.TrackCPU, fw, t0, ip.rt.Eng.Now())
+		resume(0) // segments are now the single CPU plan
+	})
+	return cost, true
 }
 
 // StdLib selects the C++ standard library the benchmark binary was

@@ -67,6 +67,9 @@ type Config struct {
 	// inference at the given fractional cost (the paper's 4-7% probe
 	// effect; zero disables). Passed through to the interpreter.
 	ProbeOverhead float64
+	// PreviewW and PreviewH are the camera preview resolution; a zero
+	// size selects capture.DefaultPreviewW x DefaultPreviewH.
+	PreviewW, PreviewH int
 }
 
 // FrameStats, Stage and StagePre alias the core names for the host-time
@@ -111,9 +114,12 @@ func New(rt *tflite.Runtime, cfg Config) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.PreviewW == 0 || cfg.PreviewH == 0 {
+		cfg.PreviewW, cfg.PreviewH = capture.DefaultPreviewW, capture.DefaultPreviewH
+	}
 	a := &App{
 		rt:  rt,
-		cam: capture.NewCamera(rt.Eng, rt.RNG, capture.DefaultPreviewW, capture.DefaultPreviewH),
+		cam: capture.NewCamera(rt.Eng, rt.RNG, cfg.PreviewW, cfg.PreviewH),
 		imu: capture.NewIMU(rt.Eng, rt.RNG),
 		ip:  ip,
 		cfg: cfg,
@@ -136,15 +142,6 @@ func New(rt *tflite.Runtime, cfg Config) (*App, error) {
 
 // Interpreter exposes the app's interpreter (for init-time inspection).
 func (a *App) Interpreter() *tflite.Interpreter { return a.ip }
-
-// SetCamera replaces the camera session (e.g. to request a different
-// preview resolution). Must be called before Init.
-func (a *App) SetCamera(c *capture.Camera) {
-	if a.streaming {
-		panic("app: SetCamera after the preview stream started")
-	}
-	a.cam = c
-}
 
 // stageDuration converts stage work into a CPU burst length, applying
 // the managed-code penalty unless the pipeline is native.

@@ -8,7 +8,6 @@ import (
 	"aitax/internal/capture"
 	"aitax/internal/core"
 	"aitax/internal/models"
-	"aitax/internal/sim"
 	"aitax/internal/soc"
 	"aitax/internal/stats"
 	"aitax/internal/tensor"
@@ -312,33 +311,28 @@ func TestPoseAppFusesIMU(t *testing.T) {
 	}
 }
 
-func TestSetCameraBeforeInit(t *testing.T) {
-	rt, a := newApp(t, "MobileNet 1.0 v1", tensor.UInt8, tflite.DelegateNNAPI, false)
-	cam := capture.NewCamera(rt.Eng, rt.RNG, 320, 240)
-	a.SetCamera(cam)
-	if a.cam != cam {
-		t.Fatal("camera not replaced")
-	}
-	sts := runFrames(rt, a, 3)
-	if len(sts) != 3 {
-		t.Fatal("frames incomplete with replaced camera")
-	}
-}
-
-func TestSetCameraAfterStreamPanics(t *testing.T) {
-	rt, a := newApp(t, "MobileNet 1.0 v1", tensor.UInt8, tflite.DelegateNNAPI, true)
-	started := false
-	a.Init(func() { started = true })
-	rt.Eng.RunUntil(sim.Time(0).Add(200 * time.Millisecond))
-	if !started {
-		t.Fatal("init incomplete")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetCamera after streaming must panic")
+// TestConfigPreviewSize checks that the preview size in Config builds
+// the camera: a zero size keeps the demo apps' default, and a smaller
+// preview still runs every frame.
+func TestConfigPreviewSize(t *testing.T) {
+	m, _ := models.ByName("MobileNet 1.0 v1")
+	for _, c := range []struct{ w, h, wantW, wantH int }{
+		{0, 0, capture.DefaultPreviewW, capture.DefaultPreviewH},
+		{320, 240, 320, 240},
+	} {
+		rt := tflite.NewStack(soc.Pixel3(), 42)
+		a, err := New(rt, Config{Model: m, DType: tensor.UInt8, Delegate: tflite.DelegateNNAPI,
+			PreviewW: c.w, PreviewH: c.h})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	a.SetCamera(capture.NewCamera(rt.Eng, rt.RNG, 320, 240))
+		if a.cam.Width != c.wantW || a.cam.Height != c.wantH {
+			t.Errorf("preview %dx%d built a %dx%d camera, want %dx%d", c.w, c.h, a.cam.Width, a.cam.Height, c.wantW, c.wantH)
+		}
+		if sts := runFrames(rt, a, 3); len(sts) != 3 {
+			t.Errorf("preview %dx%d: %d frames, want 3", c.w, c.h, len(sts))
+		}
+	}
 }
 
 func TestPreOnDSPFastWhenIdle(t *testing.T) {

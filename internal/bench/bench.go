@@ -210,10 +210,10 @@ func Experiments() []Experiment {
 		{"dvfs", "DVFS cold ramp on consecutive CPU inferences", own(DVFSRamp)},
 		{"post", "Post-processing latency by task", PostProcessing},
 		{"fusion", "Activation-fusion ablation", own(FusionAblation)},
-		{"preoffload", "Pre-processing placement: CPU vs DSP offload", own(PreOffload)},
+		{"preoffload", "Pre-processing placement: CPU vs DSP offload", PreOffload},
 		{"driverfix", "Fig. 5 counterfactual: fixed vendor driver", own(DriverFix)},
-		{"resolution", "Camera preview resolution vs AI tax", own(ResolutionSweep)},
-		{"faults", "Fault tolerance: offload failures, retries, CPU fallback", own(FaultTolerance)},
+		{"resolution", "Camera preview resolution vs AI tax", ResolutionSweep},
+		{"faults", "Fault tolerance: offload failures, retries, CPU fallback", FaultTolerance},
 	}
 }
 

@@ -268,9 +268,9 @@ func TestShapesHoldAcrossChipsets(t *testing.T) {
 
 func TestFaultToleranceCustomScenario(t *testing.T) {
 	cfg := smallCfg()
-	base := FaultTolerance(cfg)
+	base := runID(t, "faults", cfg)
 	cfg.Faults = faults.Plan{RPCErrorRate: 0.5, Seed: 3}
-	custom := FaultTolerance(cfg)
+	custom := runID(t, "faults", cfg)
 	if len(custom.Rows) != len(base.Rows)+1 {
 		t.Fatalf("custom plan must add exactly one scenario row: %d vs %d",
 			len(custom.Rows), len(base.Rows))

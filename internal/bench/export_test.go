@@ -9,6 +9,6 @@ import (
 )
 
 // Frames exposes frames to the external tests.
-func (r Run) Frames(ctx context.Context, m *models.Model, configured *soc.SoC) ([]core.StageTimes, error) {
+func (r Run) Frames(ctx context.Context, m *models.Model, configured *soc.SoC) ([]core.StageTimes, Sample, error) {
 	return r.frames(ctx, m, configured)
 }

@@ -22,7 +22,7 @@ func Figure3(cfg Config, p *Planner) func() *Result {
 		rows = append(rows, row{variantName(v.M, v.DT),
 			p.tool(HarnessTool, pl, cfg.Seed, v.M, v.DT, tflite.DelegateCPU, 4, cfg.Runs),
 			p.tool(HarnessWrapper, pl, cfg.Seed+1, v.M, v.DT, tflite.DelegateCPU, 4, cfg.Runs),
-			p.app(pl, cfg.Seed+2, v.M, v.DT, tflite.DelegateCPU, cfg.Runs, 0, 0)})
+			p.app(Run{Platform: pl, Seed: cfg.Seed + 2, DType: v.DT, Delegate: tflite.DelegateCPU, N: cfg.Runs}, v.M)})
 	}
 	return func() *Result {
 		r := &Result{
@@ -73,7 +73,7 @@ func figure4Data(cfg Config, p *Planner) []fig4Row {
 	for _, v := range figureModels(true) {
 		rows = append(rows, fig4Row{variantName(v.M, v.DT),
 			p.tool(HarnessTool, cfg.Platform.Name, cfg.Seed, v.M, v.DT, tflite.DelegateNNAPI, 4, cfg.Runs),
-			p.app(cfg.Platform.Name, cfg.Seed+1, v.M, v.DT, tflite.DelegateNNAPI, cfg.Runs, 0, 0)})
+			p.app(Run{Platform: cfg.Platform.Name, Seed: cfg.Seed + 1, DType: v.DT, Delegate: tflite.DelegateNNAPI, N: cfg.Runs}, v.M)})
 	}
 	return rows
 }

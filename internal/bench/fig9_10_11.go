@@ -18,13 +18,10 @@ const maxBG = 4
 // 0..maxBG background inference jobs on the given delegate.
 func multiTenancy(cfg Config, p *Planner, bgDelegate tflite.Delegate, id, title, shape string) func() *Result {
 	m, _ := models.ByName("MobileNet 1.0 v1")
-	frames := cfg.Runs / 2
-	if frames < 8 {
-		frames = 8
-	}
 	var samples []*Sample
 	for n := 0; n <= maxBG; n++ {
-		samples = append(samples, p.app(cfg.Platform.Name, cfg.Seed, m, tensor.UInt8, tflite.DelegateNNAPI, frames, n, bgDelegate))
+		samples = append(samples, p.app(Run{Platform: cfg.Platform.Name, Seed: cfg.Seed, DType: tensor.UInt8,
+			Delegate: tflite.DelegateNNAPI, N: max(cfg.Runs/2, 8), BGJobs: n, BGDelegate: bgDelegate}, m))
 	}
 	return func() *Result {
 		r := &Result{
@@ -94,7 +91,7 @@ func Figure11(cfg Config, p *Planner) func() *Result {
 	runs := cfg.Runs * 2
 	samples := []*Sample{
 		p.tool(HarnessTool, cfg.Platform.Name, cfg.Seed, m, tensor.Float32, tflite.DelegateCPU, 4, runs),
-		p.app(cfg.Platform.Name, cfg.Seed+1, m, tensor.Float32, tflite.DelegateCPU, runs, 0, 0),
+		p.app(Run{Platform: cfg.Platform.Name, Seed: cfg.Seed + 1, DType: tensor.Float32, Delegate: tflite.DelegateCPU, N: runs}, m),
 	}
 	return func() *Result {
 		r := &Result{

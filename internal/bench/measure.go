@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"aitax/internal/app"
+	"aitax/internal/capture"
 	"aitax/internal/core"
+	"aitax/internal/faults"
 	"aitax/internal/models"
 	"aitax/internal/soc"
 	"aitax/internal/tensor"
@@ -31,7 +33,8 @@ const (
 // Run is the key of one measurement: a (model, dtype, delegate,
 // threads) configuration on a platform and seed, measured N times
 // through one harness, for the application with BGJobs background
-// tenants on BGDelegate. Experiments declare the Runs they read; a
+// tenants on BGDelegate, its camera preview size, its pre-processing
+// placement and a fault plan. Experiments declare the Runs they read; a
 // sweep measures each distinct Run once and every experiment renders
 // from the same Sample.
 type Run struct {
@@ -47,11 +50,29 @@ type Run struct {
 	// BGDelegate is zero when BGJobs is, so a run without tenants has
 	// one key.
 	BGDelegate tflite.Delegate
+	// PreviewW and PreviewH are the app's camera preview size, zero for
+	// the default one.
+	PreviewW, PreviewH int
+	// PreOnDSP offloads the app's pre-processing to the DSP.
+	PreOnDSP bool
+	// Faults is the plan injected into the stack; the zero plan when it
+	// injects nothing.
+	Faults faults.Plan
 }
 
 func (r Run) String() string {
-	return fmt.Sprintf("%s %s seed %d %s-%s %s x%d n%d bg %d %s", [...]string{"tool", "tool-app", "app"}[r.Harness],
+	s := fmt.Sprintf("%s %s seed %d %s-%s %s x%d n%d bg %d %s", [...]string{"tool", "tool-app", "app"}[r.Harness],
 		r.Platform, r.Seed, r.Model, r.DType, r.Delegate, r.Threads, r.N, r.BGJobs, r.BGDelegate)
+	if r.PreviewW != 0 {
+		s += fmt.Sprintf(" preview %dx%d", r.PreviewW, r.PreviewH)
+	}
+	if r.PreOnDSP {
+		s += " pre-dsp"
+	}
+	if r.Faults != (faults.Plan{}) {
+		s += fmt.Sprintf(" faults %+v", r.Faults)
+	}
+	return s
 }
 
 // warmupFrames are the cold-start app frames every measurement discards
@@ -59,50 +80,70 @@ func (r Run) String() string {
 const warmupFrames = 2
 
 // frames measures r, whose model m is, on a fresh stack and returns its
-// per-run breakdowns. The stack runs on a fresh copy of the catalog platform
-// r names, so runs share no device state; a name outside the catalog
-// is the configured platform's, copied.
-func (r Run) frames(ctx context.Context, m *models.Model, configured *soc.SoC) ([]core.StageTimes, error) {
+// per-run breakdowns and a Sample holding what they do not: the
+// interpreter's init time and CPU fallback, and the injected fault
+// count. The stack runs on a fresh copy of the catalog platform r
+// names, so runs share no device state; a name outside the catalog is
+// the configured platform's, copied. Faults are injected as
+// aitax.MeasureAppFrames injects them.
+func (r Run) frames(ctx context.Context, m *models.Model, configured *soc.SoC) ([]core.StageTimes, Sample, error) {
 	p, err := soc.PlatformByName(r.Platform)
 	if err != nil {
 		cp := *configured
 		p = &cp
 	}
 	rt := tflite.NewStack(p, r.Seed)
+	inj, err := faults.New(r.Faults.Resolved(r.Seed))
+	if err != nil {
+		return nil, Sample{}, err
+	}
+	rt.Faults = inj
 	if r.Harness == HarnessApp {
-		a, err := app.New(rt, app.Config{Model: m, DType: r.DType, Delegate: r.Delegate, Streaming: true})
+		a, err := app.New(rt, app.Config{Model: m, DType: r.DType, Delegate: r.Delegate, Streaming: true,
+			PreOnDSP: r.PreOnDSP, PreviewW: r.PreviewW, PreviewH: r.PreviewH})
 		if err != nil {
-			return nil, err
+			return nil, Sample{}, err
 		}
-		return a.Measure(ctx, warmupFrames, r.N, r.BGJobs, r.BGDelegate)
+		sts, err := a.Measure(ctx, warmupFrames, r.N, r.BGJobs, r.BGDelegate)
+		return sts, facts(a.Interpreter(), inj), err
 	}
 	ip, err := rt.NewInterpreter(m, r.DType, tflite.Options{Delegate: r.Delegate, Threads: r.Threads})
 	if err != nil {
-		return nil, err
+		return nil, Sample{}, err
 	}
 	bt := tflite.NewBenchTool(rt, ip)
 	bt.AppWrapper = r.Harness == HarnessWrapper
-	return bt.Measure(ctx, r.N)
+	sts, err := bt.Measure(ctx, r.N)
+	return sts, facts(ip, inj), err
+}
+
+// facts is the Sample of what a run's frames do not hold.
+func facts(ip *tflite.Interpreter, inj *faults.Injector) Sample {
+	return Sample{InitTime: ip.InitTime, FellBack: ip.FellBack(), Injected: inj.InjectedTotal()}
 }
 
 // Sample is what the renders read of one measured Run: the mean
 // breakdown and every run's end-to-end latency (Fig. 11's
-// distributions), or the error that stopped the measurement. The
-// per-run breakdowns are not kept: a sweep holds every Sample until it
-// renders.
+// distributions), the interpreter's init time, whether it fell back to
+// the CPU, and how many faults were injected, or the error that stopped
+// the measurement. The per-run breakdowns are not kept: a sweep holds
+// every Sample until it renders.
 type Sample struct {
-	Mean   core.StageTimes
-	Totals []time.Duration
-	Err    error
+	Mean     core.StageTimes
+	Totals   []time.Duration
+	InitTime time.Duration
+	FellBack bool
+	Injected int
+	Err      error
 }
 
 // measure runs r and keeps its Sample.
 func measure(ctx context.Context, r Run, m *models.Model, configured *soc.SoC) Sample {
-	sts, err := r.frames(ctx, m, configured)
+	sts, s, err := r.frames(ctx, m, configured)
 	if err != nil {
 		return Sample{Err: err}
 	}
-	s := Sample{Mean: core.Mean(sts), Totals: make([]time.Duration, len(sts))}
+	s.Mean, s.Totals = core.Mean(sts), make([]time.Duration, len(sts))
 	for i, st := range sts {
 		s.Totals[i] = st.Total
 	}
@@ -131,15 +172,23 @@ func (p *Planner) tool(h Harness, pl string, seed uint64, m *models.Model, dt te
 	return p.want(Run{Platform: pl, Seed: seed, Model: m.Name, DType: dt, Delegate: d, Threads: threads, N: n, Harness: h}, m)
 }
 
-// app declares n steady application frames with bgJobs background
-// tenants on bgDelegate, and returns the Sample they will be measured
-// into.
-func (p *Planner) app(pl string, seed uint64, m *models.Model, dt tensor.DType, d tflite.Delegate, n, bgJobs int, bgDelegate tflite.Delegate) *Sample {
-	if bgJobs == 0 {
-		bgDelegate = 0
+// app declares the application Run r of model m (r's Model and Harness
+// are set here) and returns the Sample it will be measured into. Runs
+// that measure the same frames share one key: a run without tenants
+// keys no tenant delegate, the default preview size keys as zero, and a
+// plan that injects nothing keys as the zero plan.
+func (p *Planner) app(r Run, m *models.Model) *Sample {
+	r.Model, r.Harness = m.Name, HarnessApp
+	if r.BGJobs == 0 {
+		r.BGDelegate = 0
 	}
-	return p.want(Run{Platform: pl, Seed: seed, Model: m.Name, DType: dt, Delegate: d, N: n, Harness: HarnessApp,
-		BGJobs: bgJobs, BGDelegate: bgDelegate}, m)
+	if r.PreviewW == capture.DefaultPreviewW && r.PreviewH == capture.DefaultPreviewH {
+		r.PreviewW, r.PreviewH = 0, 0
+	}
+	if !r.Faults.Enabled() {
+		r.Faults = faults.Plan{}
+	}
+	return p.want(r, m)
 }
 
 func (p *Planner) want(r Run, m *models.Model) *Sample {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"aitax/internal/faults"
 	"aitax/internal/lab"
 	"aitax/internal/soc"
 	"aitax/internal/tensor"
@@ -26,18 +27,26 @@ func planOf(cfg Config, ids ...string) *Planner {
 }
 
 // TestSweepPlan pins the paper-scale Pixel 3 sweep: its experiments
-// declare 172 Runs, of which 121 are distinct. Fig. 4a and 4b read the
+// declare 184 Runs, of which 130 are distinct. Fig. 4a and 4b read the
 // same grid, and Figs. 9 and 10 share their zero-tenant row.
+// Resolution's default-preview row and preoffload's two CPU rows are
+// Fig. 9 and 10 rows.
 func TestSweepPlan(t *testing.T) {
 	cfg := Config{Seed: 1, SeedSet: true, Runs: 500}.Defaults()
-	if p := planOf(cfg); p.declared != 172 || len(p.runs) != 121 {
-		t.Fatalf("sweep declares %d Runs, %d distinct; want 172 and 121", p.declared, len(p.runs))
+	if p := planOf(cfg); p.declared != 184 || len(p.runs) != 130 {
+		t.Fatalf("sweep declares %d Runs, %d distinct; want 184 and 130", p.declared, len(p.runs))
 	}
 	if p := planOf(cfg, "fig4a", "fig4b"); p.declared != 2*len(p.runs) || len(p.runs) != len(planOf(cfg, "fig4a").runs) {
 		t.Fatalf("fig4a+fig4b declare %d Runs, %d distinct; want one grid twice", p.declared, len(p.runs))
 	}
 	if p := planOf(cfg, "fig9", "fig10"); p.declared != 10 || len(p.runs) != 9 {
 		t.Fatalf("fig9+fig10 declare %d Runs, %d distinct; want 10 and 9", p.declared, len(p.runs))
+	}
+	tenancy := len(planOf(cfg, "fig9", "fig10").runs)
+	for id, want := range map[string]int{"resolution": 1, "preoffload": 2} {
+		if shared := tenancy + len(planOf(cfg, id).runs) - len(planOf(cfg, "fig9", "fig10", id).runs); shared != want {
+			t.Errorf("%s shares %d Runs with fig9+fig10, want %d", id, shared, want)
+		}
 	}
 }
 
@@ -78,7 +87,8 @@ func TestSweepMeasuresEachRunOnce(t *testing.T) {
 }
 
 // TestWholeGridConserves measures every Run of the default Pixel 3
-// sweep at 5 runs and checks the stage laws on each frame before the
+// sweep at 5 runs, faulted, DSP pre-processing and non-default preview
+// keys included, and checks the stage laws on each frame before the
 // Sample drops it. Exactly one Run fails, on purpose: Fig. 5's Hexagon
 // delegate bar in fp32.
 func TestWholeGridConserves(t *testing.T) {
@@ -86,9 +96,18 @@ func TestWholeGridConserves(t *testing.T) {
 	p := planOf(cfg)
 	wantErr := Run{Platform: cfg.Platform.Name, Seed: cfg.Seed, Model: "EfficientNet-Lite0", DType: tensor.Float32,
 		Delegate: tflite.DelegateHexagon, Threads: 4, N: cfg.Runs}
-	frames, failed := 0, 0
+	frames, failed, faulted, preDSP, preview := 0, 0, 0, 0, 0
 	for _, r := range p.runs {
-		sts, err := r.frames(context.Background(), p.models[r.Model], cfg.Platform)
+		if r.Faults.Enabled() {
+			faulted++
+		}
+		if r.PreOnDSP {
+			preDSP++
+		}
+		if r.PreviewW != 0 {
+			preview++
+		}
+		sts, _, err := r.frames(context.Background(), p.models[r.Model], cfg.Platform)
 		if err != nil {
 			failed++
 			if r != wantErr || !strings.Contains(err.Error(), "requires a quantized model") {
@@ -107,32 +126,45 @@ func TestWholeGridConserves(t *testing.T) {
 	if failed != 1 {
 		t.Errorf("%d Runs failed, want only %s", failed, wantErr)
 	}
-	t.Logf("%d Runs, %d frames conserved", len(p.runs), frames)
+	if faulted == 0 || preDSP == 0 || preview == 0 {
+		t.Errorf("the grid walked %d faulted, %d DSP-pre and %d non-default preview Runs; want some of each", faulted, preDSP, preview)
+	}
+	t.Logf("%d Runs, %d frames checked", len(p.runs), frames)
 }
 
 // TestSweepMatchesStandaloneRuns renders every experiment through the
 // sweep runner and through its own RunCtx, at three seeds on two
-// platforms, and requires byte-identical output.
+// platforms and once with a custom fault plan, and requires
+// byte-identical output.
 func TestSweepMatchesStandaloneRuns(t *testing.T) {
+	var cfgs []Config
 	for _, name := range []string{"Google Pixel 3", "Snapdragon 855"} {
 		p, err := soc.PlatformByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, seed := range []uint64{1, 7, 42} {
-			cfg := Config{Platform: p, Seed: seed, Runs: 6}
-			swept, err := RunExperimentsCtx(context.Background(), Experiments(), cfg, 2, nil)
+			cfgs = append(cfgs, Config{Platform: p, Seed: seed, Runs: 6})
+		}
+	}
+	plan, err := faults.ParsePlan("rpc=0.3,seed=9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs = append(cfgs, Config{Platform: soc.Pixel3(), Seed: 1, Runs: 6, Faults: plan})
+	for _, cfg := range cfgs {
+		swept, err := RunExperimentsCtx(context.Background(), Experiments(), cfg, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range Experiments() {
+			alone, err := e.RunCtx(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, e := range Experiments() {
-				alone, err := e.RunCtx(context.Background(), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if a, b := alone.Render(), swept[i].Render(); a != b {
-					t.Errorf("%s seed %d %s: sweep diverged from RunCtx\n--- RunCtx ---\n%s\n--- sweep ---\n%s", name, seed, e.ID, a, b)
-				}
+			if a, b := alone.Render(), swept[i].Render(); a != b {
+				t.Errorf("%s seed %d faults %+v %s: sweep diverged from RunCtx\n--- RunCtx ---\n%s\n--- sweep ---\n%s",
+					cfg.Platform.Name, cfg.Seed, cfg.Faults, e.ID, a, b)
 			}
 		}
 	}

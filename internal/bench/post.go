@@ -21,7 +21,7 @@ func PostProcessing(cfg Config, p *Planner) func() *Result {
 	for _, m := range models.All() {
 		if m.Support.NNAPIFP32 {
 			fp32 = append(fp32, m)
-			samples = append(samples, p.app(cfg.Platform.Name, cfg.Seed, m, tensor.Float32, tflite.DelegateNNAPI, cfg.Runs/2, 0, 0))
+			samples = append(samples, p.app(Run{Platform: cfg.Platform.Name, Seed: cfg.Seed, DType: tensor.Float32, Delegate: tflite.DelegateNNAPI, N: cfg.Runs / 2}, m))
 		}
 	}
 	return func() *Result {

@@ -105,7 +105,7 @@ func TestReplayMatchesSimulationAndConserves(t *testing.T) {
 			h = HarnessWrapper
 		}
 		key := Run{Platform: cfg.Platform.Name, Seed: cfg.Seed, Model: v.m.Name, DType: v.dt, Delegate: v.d, Threads: 4, N: runs, Harness: h}
-		if prod, err := key.frames(context.Background(), v.m, cfg.Platform); err != nil ||
+		if prod, _, err := key.frames(context.Background(), v.m, cfg.Platform); err != nil ||
 			!reflect.DeepEqual(prod, on.samples) {
 			t.Fatalf("%s: inspectTool no longer mirrors Run.frames (err %v)", name, err)
 		}
@@ -129,7 +129,7 @@ func TestReplayMatchesSimulationAndConserves(t *testing.T) {
 		for _, v := range figureModels(path.nnapi) {
 			name := variantName(v.M, v.DT) + "/" + path.d.String()
 			key := Run{Platform: cfg.Platform.Name, Seed: cfg.Seed, Model: v.M.Name, DType: v.DT, Delegate: path.d, N: runs, Harness: HarnessApp}
-			sts, err := key.frames(context.Background(), v.M, cfg.Platform)
+			sts, _, err := key.frames(context.Background(), v.M, cfg.Platform)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -143,8 +143,10 @@ func TestReplayMatchesSimulationAndConserves(t *testing.T) {
 }
 
 // checkConservation checks the stage laws on one run in integer
-// nanoseconds: the stages sum to Total, no stage is negative, and on a
-// fault-free run the tax is exactly Total minus inference.
+// nanoseconds: the stages sum to Total, no stage is negative, fault
+// recovery (retry and fallback) is non-negative and fits inside the
+// inference stage, and on a fault-free run the tax is exactly Total
+// minus inference.
 func checkConservation(t *testing.T, name string, i int, st core.StageTimes) {
 	t.Helper()
 	var sum time.Duration
@@ -157,7 +159,11 @@ func checkConservation(t *testing.T, name string, i int, st core.StageTimes) {
 	if sum != st.Total {
 		t.Errorf("%s %d: stages sum to %d ns, total %d ns", name, i, sum, st.Total)
 	}
-	if inf := st.Stage[core.StageInference]; st.Retry == 0 && st.Fallback == 0 && st.Tax() != st.Total-inf {
+	inf := st.Stage[core.StageInference]
+	if st.Retry < 0 || st.Fallback < 0 || st.Retry+st.Fallback > inf {
+		t.Errorf("%s %d: retry %d ns and fallback %d ns must be non-negative and fit in inference %d ns", name, i, st.Retry, st.Fallback, inf)
+	}
+	if st.Retry == 0 && st.Fallback == 0 && st.Tax() != st.Total-inf {
 		t.Errorf("%s %d: tax %d ns, total-inference %d ns", name, i, st.Tax(), st.Total-inf)
 	}
 }

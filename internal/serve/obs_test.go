@@ -141,7 +141,8 @@ func TestHTTPMetricsContentTypeAndRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"aitax_runtime_heap_alloc_bytes", "aitax_runtime_goroutines"} {
+	for _, want := range []string{"aitax_runtime_heap_alloc_bytes", "aitax_runtime_goroutines",
+		"# TYPE aitax_runtime_gc_total counter", "# TYPE aitax_runtime_gc_pause_total_ms counter"} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %s", want)
 		}

@@ -82,22 +82,32 @@ const warmupFrames = 2
 // frames measures r, whose model m is, on a fresh stack and returns its
 // per-run breakdowns and a Sample holding what they do not: the
 // interpreter's init time and CPU fallback, and the injected fault
-// count. The stack runs on a fresh copy of the catalog platform r
-// names, so runs share no device state; a name outside the catalog is
-// the configured platform's, copied. Faults are injected as
-// aitax.MeasureAppFrames injects them.
+// count.
 func (r Run) frames(ctx context.Context, m *models.Model, configured *soc.SoC) ([]core.StageTimes, Sample, error) {
+	rt, err := r.stack(configured)
+	if err != nil {
+		return nil, Sample{}, err
+	}
+	return r.measureOn(ctx, rt, m)
+}
+
+// stack builds the fresh stack r runs on, over a fresh copy of the
+// catalog platform r names, so runs share no device state; a name
+// outside the catalog is the configured platform's, copied. Faults are
+// injected as aitax.MeasureAppFrames injects them.
+func (r Run) stack(configured *soc.SoC) (*tflite.Runtime, error) {
 	p, err := soc.PlatformByName(r.Platform)
 	if err != nil {
 		cp := *configured
 		p = &cp
 	}
 	rt := tflite.NewStack(p, r.Seed)
-	inj, err := faults.New(r.Faults.Resolved(r.Seed))
-	if err != nil {
-		return nil, Sample{}, err
-	}
-	rt.Faults = inj
+	rt.Faults, err = faults.New(r.Faults.Resolved(r.Seed))
+	return rt, err
+}
+
+// measureOn measures r, whose model m is, on the stack rt.
+func (r Run) measureOn(ctx context.Context, rt *tflite.Runtime, m *models.Model) ([]core.StageTimes, Sample, error) {
 	if r.Harness == HarnessApp {
 		a, err := app.New(rt, app.Config{Model: m, DType: r.DType, Delegate: r.Delegate, Streaming: true,
 			PreOnDSP: r.PreOnDSP, PreviewW: r.PreviewW, PreviewH: r.PreviewH})
@@ -105,7 +115,7 @@ func (r Run) frames(ctx context.Context, m *models.Model, configured *soc.SoC) (
 			return nil, Sample{}, err
 		}
 		sts, err := a.Measure(ctx, warmupFrames, r.N, r.BGJobs, r.BGDelegate)
-		return sts, facts(a.Interpreter(), inj), err
+		return sts, facts(a.Interpreter(), rt.Faults), err
 	}
 	ip, err := rt.NewInterpreter(m, r.DType, tflite.Options{Delegate: r.Delegate, Threads: r.Threads})
 	if err != nil {
@@ -114,7 +124,7 @@ func (r Run) frames(ctx context.Context, m *models.Model, configured *soc.SoC) (
 	bt := tflite.NewBenchTool(rt, ip)
 	bt.AppWrapper = r.Harness == HarnessWrapper
 	sts, err := bt.Measure(ctx, r.N)
-	return sts, facts(ip, inj), err
+	return sts, facts(ip, rt.Faults), err
 }
 
 // facts is the Sample of what a run's frames do not hold.

@@ -15,42 +15,40 @@ import (
 	"aitax/internal/tflite"
 )
 
-// nopListener observes nothing; subscribing it keeps the CPU delegate's
-// steady-state replay off.
+// nopListener observes nothing; subscribing it turns the scheduler's
+// host-time shortcuts off: steady-state replay and the CPU delegate's
+// fast path.
 type nopListener struct{}
 
 func (nopListener) OnRun(*sched.Thread, *sched.Core, sim.Time, time.Duration)   {}
 func (nopListener) OnMigrate(*sched.Thread, *sched.Core, *sched.Core, sim.Time) {}
 
-// toolOutcome is everything a benchmark-tool run leaves observable.
-type toolOutcome struct {
+// outcome is everything a measured Run leaves observable.
+type outcome struct {
 	samples    []core.StageTimes
+	facts      Sample
+	err        error
 	switches   int
 	migrations int
 	busy       []time.Duration
 	now        sim.Time
 }
 
-// inspectTool measures a benchmark-utility Run on a stack it inspects
-// afterwards; replayOff subscribes a no-op scheduler listener first. It
-// also returns how many engine events the run scheduled.
-func inspectTool(t *testing.T, platform *soc.SoC, seed uint64, m *models.Model, dt tensor.DType,
-	delegate tflite.Delegate, n int, appWrapper, replayOff bool) (toolOutcome, uint64) {
+// inspect measures r, whose model m is, on the stack Run.frames builds
+// and inspects the stack afterwards; shortcutsOff subscribes a no-op
+// scheduler listener first. It also returns how many engine events the
+// run scheduled.
+func inspect(t *testing.T, r Run, m *models.Model, configured *soc.SoC, shortcutsOff bool) (outcome, uint64) {
 	t.Helper()
-	rt := tflite.NewStack(clonePlatform(platform), seed)
-	if replayOff {
-		rt.Sch.Subscribe(nopListener{})
-	}
-	ip, err := rt.NewInterpreter(m, dt, tflite.Options{Delegate: delegate, Threads: 4})
+	rt, err := r.stack(configured)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt := tflite.NewBenchTool(rt, ip)
-	bt.AppWrapper = appWrapper
-	var out toolOutcome
-	if out.samples, err = bt.Measure(context.Background(), n); err != nil {
-		t.Fatal(err)
+	if shortcutsOff {
+		rt.Sch.Subscribe(nopListener{})
 	}
+	var out outcome
+	out.samples, out.facts, out.err = r.measureOn(context.Background(), rt, m)
 	out.now = rt.Eng.Now()
 	out.switches, out.migrations = rt.Sch.Switches(), rt.Sch.Migrations()
 	for _, c := range rt.Sch.Cores() {
@@ -85,39 +83,32 @@ func TestReplayMatchesSimulationAndConserves(t *testing.T) {
 	var nnapiSaved uint64
 	for _, v := range variants {
 		name := variantName(v.m, v.dt) + "/" + v.d.String()
+		h := HarnessTool
 		if v.wrapper {
 			name += "/app-wrapper"
+			h = HarnessWrapper
 		}
-		on, onEvents := inspectTool(t, cfg.Platform, cfg.Seed, v.m, v.dt, v.d, runs, v.wrapper, false)
-		off, offEvents := inspectTool(t, cfg.Platform, cfg.Seed, v.m, v.dt, v.d, runs, v.wrapper, true)
+		key := Run{Platform: cfg.Platform.Name, Seed: cfg.Seed, Model: v.m.Name, DType: v.dt, Delegate: v.d, Threads: 4, N: runs, Harness: h}
+		on, onEvents := inspect(t, key, v.m, cfg.Platform, false)
+		off, offEvents := inspect(t, key, v.m, cfg.Platform, true)
 		if !reflect.DeepEqual(on, off) {
 			t.Errorf("%s: replay changed the run\n on: %+v\noff: %+v", name, on, off)
 		}
-		if v.d == tflite.DelegateCPU && onEvents >= offEvents {
+		if sched.Shortcuts && v.d == tflite.DelegateCPU && onEvents >= offEvents {
 			t.Errorf("%s: replay saved no events (%d on, %d off); the comparison is vacuous", name, onEvents, offEvents)
 		}
 		if v.d == tflite.DelegateNNAPI {
 			nnapiSaved += offEvents - onEvents
 		}
-		// The mirror above must stay what the experiments run.
-		h := HarnessTool
-		if v.wrapper {
-			h = HarnessWrapper
-		}
-		key := Run{Platform: cfg.Platform.Name, Seed: cfg.Seed, Model: v.m.Name, DType: v.dt, Delegate: v.d, Threads: 4, N: runs, Harness: h}
-		if prod, _, err := key.frames(context.Background(), v.m, cfg.Platform); err != nil ||
-			!reflect.DeepEqual(prod, on.samples) {
-			t.Fatalf("%s: inspectTool no longer mirrors Run.frames (err %v)", name, err)
-		}
-		if len(on.samples) != runs {
-			t.Fatalf("%s: %d samples, want %d", name, len(on.samples), runs)
+		if on.err != nil || len(on.samples) != runs {
+			t.Fatalf("%s: %d samples (err %v), want %d", name, len(on.samples), on.err, runs)
 		}
 		for i, s := range on.samples {
 			checkConservation(t, name+" run", i, s)
 		}
 		samples += len(on.samples)
 	}
-	if nnapiSaved == 0 {
+	if sched.Shortcuts && nnapiSaved == 0 {
 		t.Error("no NNAPI CPU partition was replayed; the NNAPI comparison is vacuous")
 	}
 
@@ -140,6 +131,42 @@ func TestReplayMatchesSimulationAndConserves(t *testing.T) {
 		}
 	}
 	t.Logf("replay-on == replay-off and conservation held on %d bench samples and %d app frames", samples, frames)
+}
+
+// TestShortcutsMatchSimulationOnEveryKey measures every key of the
+// Pixel 3 and Snapdragon 855 HDK sweeps at seeds 1, 7 and 42 twice: as
+// is, and with a no-op scheduler listener, which turns replay and the
+// CPU fast path off. Both must give equal frames, facts and errors,
+// scheduler accounting and final clock. Application keys are where the
+// fast path runs: their camera and pre/post threads keep replay off.
+func TestShortcutsMatchSimulationOnEveryKey(t *testing.T) {
+	keys, appSaved := 0, uint64(0)
+	for _, platform := range []string{"Google Pixel 3", "Snapdragon 855 HDK"} {
+		p, err := soc.PlatformByName(platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []uint64{1, 7, 42} {
+			cfg := Config{Platform: p, Seed: seed, SeedSet: true, Runs: 8}.Defaults()
+			pl := planOf(cfg)
+			for _, r := range pl.runs {
+				m := pl.models[r.Model]
+				on, onEvents := inspect(t, r, m, cfg.Platform, false)
+				off, offEvents := inspect(t, r, m, cfg.Platform, true)
+				if !reflect.DeepEqual(on, off) {
+					t.Errorf("%s: the shortcuts changed the run\n on: %+v\noff: %+v", r, on, off)
+				}
+				if r.Harness == HarnessApp && onEvents < offEvents {
+					appSaved += offEvents - onEvents
+				}
+				keys++
+			}
+		}
+	}
+	if sched.Shortcuts && appSaved == 0 {
+		t.Error("the shortcuts saved no events on an application key; the comparison is vacuous")
+	}
+	t.Logf("%d keys equal with the shortcuts on and off; %d events saved on application keys", keys, appSaved)
 }
 
 // checkConservation checks the stage laws on one run in integer

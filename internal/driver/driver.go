@@ -161,7 +161,7 @@ type CPUTarget struct {
 
 	// replay memoises quiet segments; built on the first one.
 	replay *cpuReplay
-	idle   *cpuSegRun // finished segment runs, kept for reuse
+	idle   sim.Free[cpuSegRun] // finished segment runs, kept for reuse
 }
 
 // NewCPUTarget creates a CPU delegate with nThreads worker threads.
@@ -239,47 +239,98 @@ type cpuSegRun struct {
 	i          int // current op index
 	remaining  int // threads still running the current op
 	threadDone func()
-	record     bool       // the segment's scheduler effect is being recorded
-	next       *cpuSegRun // in the target's idle list
+	record     bool // the segment's scheduler effect is being recorded
+	// resumeFn, built once, is the event that closes a run of ops
+	// applied at once; seqEnd is the engine's schedule count just after
+	// it was scheduled.
+	resumeFn func()
+	seqEnd   uint64
 }
 
 func (r *cpuSegRun) onThreadDone() {
 	r.remaining--
 	if r.remaining == 0 {
 		r.i++
-		r.runOp()
+		r.runOp(true)
 	}
 }
 
-func (r *cpuSegRun) runOp() {
-	t := r.t
-	if r.i >= len(r.ops) {
-		r.sp.End()
-		if r.record {
-			t.replay.end(r.res)
-		}
-		done, res := r.done, r.res
-		*r = cpuSegRun{t: t, threadDone: r.threadDone, next: t.idle}
-		t.idle = r
-		if done != nil {
-			done(res)
-		}
-		return
+// resume carries on at the last barrier a run of ops applied at once
+// reached.
+func (r *cpuSegRun) resume() {
+	if r.t.sch.Engine().Scheduled() != r.seqEnd {
+		panic("driver: an event was scheduled inside a run of CPU ops applied at once")
 	}
+	r.runOp(true)
+}
+
+// burst is op i's share for each worker thread.
+func (r *cpuSegRun) burst() time.Duration {
+	t := r.t
 	var opTime time.Duration
 	if r.costs != nil {
 		opTime = r.costs[r.i]
 	} else {
 		opTime = t.dev.TimeFor(r.ops[r.i].Work(r.dt), r.dt)
 	}
-	n := len(t.threads)
-	perThread := time.Duration(float64(opTime)/(float64(n)*r.eff)) + t.PerOpOverhead
-	r.res.Compute += time.Duration(float64(opTime) / (float64(n) * r.eff))
+	return time.Duration(float64(opTime)/(float64(len(t.threads))*r.eff)) + t.PerOpOverhead
+}
+
+// charge adds an op whose per-thread burst is d to the result.
+func (r *cpuSegRun) charge(d time.Duration) {
+	t := r.t
+	r.res.Compute += d - t.PerOpOverhead
 	r.res.Overhead += t.PerOpOverhead
-	r.res.EnergyJ += t.dev.ActivePowerW * float64(n) * perThread.Seconds()
-	r.remaining = n
+	r.res.EnergyJ += t.dev.ActivePowerW * float64(len(t.threads)) * d.Seconds()
+}
+
+// runOp starts op i, or ends the segment after its last op. At a
+// barrier (the previous op ended in one of the segment's own events, and
+// nothing follows in that event) it first applies every next op the
+// workers run alone (sched.RunAlone) at once and carries on from a
+// resume event at the last barrier so reached. An op started from
+// Execute runs inside its caller's event, which may go on to start other
+// threads, so it always takes the per-op path. So does a segment being
+// recorded for replay, whose recording counts one event per slice, and
+// one with a Tracer.
+func (r *cpuSegRun) runOp(barrier bool) {
+	t := r.t
+	if barrier && !r.record && t.Tracer == nil {
+		from, at := r.i, t.sch.Engine().Now()
+		for ; r.i < len(r.ops); r.i++ {
+			d := r.burst()
+			end, ok := t.sch.RunAlone(t.threads, at, d)
+			if !ok {
+				break
+			}
+			r.charge(d)
+			at = end
+		}
+		if r.i > from {
+			eng := t.sch.Engine()
+			eng.Schedule(at, r.resumeFn)
+			r.seqEnd = eng.Scheduled()
+			return
+		}
+	}
+	if r.i >= len(r.ops) {
+		r.sp.End()
+		if r.record {
+			t.replay.end(r.res)
+		}
+		done, res := r.done, r.res
+		*r = cpuSegRun{t: t, threadDone: r.threadDone, resumeFn: r.resumeFn}
+		t.idle.Put(r)
+		if done != nil {
+			done(res)
+		}
+		return
+	}
+	d := r.burst()
+	r.charge(d)
+	r.remaining = len(t.threads)
 	for _, th := range t.threads {
-		th.Exec(perThread, r.threadDone)
+		th.Exec(d, r.threadDone)
 	}
 }
 
@@ -308,16 +359,14 @@ func (t *CPUTarget) Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType
 	}
 	sp := t.Tracer.Start("cpu-exec", "driver", telemetry.TrackCPU, parent)
 	sp.SetAttr("target", t.name)
-	r := t.idle
+	r := t.idle.Get()
 	if r == nil {
 		r = &cpuSegRun{t: t}
-		r.threadDone = r.onThreadDone
-	} else {
-		t.idle = r.next
+		r.threadDone, r.resumeFn = r.onThreadDone, r.resume
 	}
 	r.ops, r.costs, r.dt, r.sp, r.done, r.record = ops, costs, dt, sp, done, record
 	r.eff = parallelEfficiency(len(t.threads)) * t.Efficiency
-	r.runOp()
+	r.runOp(false)
 }
 
 // maxReplayMemo bounds a CPU target's replay memo. A steady loop needs
@@ -446,7 +495,7 @@ type GPUTarget struct {
 	// disables.
 	Tracer   *telemetry.Tracer
 	supports func(op *nn.Op, dt tensor.DType) bool
-	idle     *gpuCall // finished calls, kept for reuse
+	idle     sim.Free[gpuCall] // finished calls, kept for reuse
 }
 
 // NewGPUTarget creates a GPU delegate over a shared GPU queue resource.
@@ -488,12 +537,10 @@ func (t *GPUTarget) OpCosts(ops []*nn.Op, dt tensor.DType) []time.Duration {
 // "gpu-dispatch" span on the CPU track linked to a "gpu-exec" span on
 // the GPU track.
 func (t *GPUTarget) Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
-	c := t.idle
+	c := t.idle.Get()
 	if c == nil {
 		c = &gpuCall{t: t}
 		c.dispatchFn, c.execFn = c.dispatched, c.executed
-	} else {
-		t.idle = c.next
 	}
 	c.parent, c.done = parent, done
 	c.compute = segmentTime(ops, costs, dt, t.dev, t.Efficiency)
@@ -514,7 +561,6 @@ type gpuCall struct {
 
 	dispatchFn func()
 	execFn     func(start, end sim.Time)
-	next       *gpuCall // in the target's idle list
 }
 
 // dispatched runs when the buffer map/unmap is done: the segment joins
@@ -540,7 +586,7 @@ func (c *gpuCall) executed(start, end sim.Time) {
 	}
 	done := c.done
 	c.parent, c.disp, c.done = nil, nil, nil
-	c.next, t.idle = t.idle, c
+	t.idle.Put(c)
 	if done != nil {
 		done(res)
 	}
@@ -560,7 +606,7 @@ type DSPTarget struct {
 	// sit near 1.0, generic NNAPI drivers lower (§IV-B).
 	Efficiency float64
 	supports   func(op *nn.Op, dt tensor.DType) bool
-	idle       *dspCall // finished calls, kept for reuse
+	idle       sim.Free[dspCall] // finished calls, kept for reuse
 }
 
 // NewDSPTarget creates a DSP delegate over a FastRPC channel.
@@ -616,12 +662,10 @@ func (t *DSPTarget) OpCosts(ops []*nn.Op, dt tensor.DType) []time.Duration {
 // Execute implements Target: the FastRPC channel records the
 // rpc-down / infer / rpc-up sub-spans and their CPU↔DSP flow links.
 func (t *DSPTarget) Execute(ops []*nn.Op, costs []time.Duration, dt tensor.DType, parent *telemetry.ActiveSpan, done func(Result)) {
-	c := t.idle
+	c := t.idle.Get()
 	if c == nil {
 		c = &dspCall{t: t}
 		c.fn = c.returned
-	} else {
-		t.idle = c.next
 	}
 	c.done = done
 	compute := segmentTime(ops, costs, dt, t.dev, t.Efficiency)
@@ -636,14 +680,13 @@ type dspCall struct {
 	t    *DSPTarget
 	done func(Result)
 	fn   func(fastrpc.Breakdown)
-	next *dspCall // in the target's idle list
 }
 
 // returned runs when the segment's FastRPC call has returned.
 func (c *dspCall) returned(b fastrpc.Breakdown) {
 	t, done := c.t, c.done
 	c.done = nil
-	c.next, t.idle = t.idle, c
+	t.idle.Put(c)
 	if done != nil {
 		res := resultOf(b)
 		res.EnergyJ = t.dev.ActivePowerW * b.Exec.Seconds()

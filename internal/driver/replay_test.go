@@ -17,6 +17,15 @@ type nopListener struct{}
 func (nopListener) OnRun(*sched.Thread, *sched.Core, sim.Time, time.Duration)   {}
 func (nopListener) OnMigrate(*sched.Thread, *sched.Core, *sched.Core, sim.Time) {}
 
+// skipWithoutShortcuts skips a test of a shortcut's own mechanism in a
+// noshortcuts build, where it cannot run.
+func skipWithoutShortcuts(t *testing.T) {
+	t.Helper()
+	if !sched.Shortcuts {
+		t.Skip("built with the noshortcuts tag")
+	}
+}
+
 // cpuRun is the outcome of a benchmark-style loop on one CPU target.
 type cpuRun struct {
 	results    []Result
@@ -27,6 +36,7 @@ type cpuRun struct {
 	busy       []time.Duration
 	cpu        []time.Duration
 	hits       int
+	events     uint64
 }
 
 // benchLoop invokes the segment n times on a fresh rig, each time after
@@ -79,6 +89,7 @@ func (out *cpuRun) account(r *rig, cpu *CPUTarget, others ...*sched.Thread) {
 	if cpu.replay != nil {
 		out.hits = cpu.replay.hits
 	}
+	out.events = r.eng.Scheduled()
 }
 
 func sameRun(t *testing.T, name string, simd, rep cpuRun) {
@@ -132,7 +143,7 @@ func TestCPUReplayMatchesSimulation(t *testing.T) {
 		if simd.hits != 0 {
 			t.Errorf("%s: %d replays with a listener subscribed", tc.name, simd.hits)
 		}
-		if rep.hits == 0 {
+		if sched.Shortcuts && rep.hits == 0 {
 			t.Errorf("%s: no segment was replayed", tc.name)
 		}
 		if tc.gen && simd.switches == 0 {
@@ -171,6 +182,7 @@ func TestCPUReplayOffUnlessQuiet(t *testing.T) {
 }
 
 func TestCPUReplayAllocatesNothing(t *testing.T) {
+	skipWithoutShortcuts(t)
 	r := newRig()
 	cpu := fourThreads(r)
 	ops := smallGraph().Ops()
@@ -246,7 +258,7 @@ func TestCPUReplayMemoEviction(t *testing.T) {
 	sameRun(t, "memo eviction", simd, rep)
 	// The second revisit of the evicted segments and the visit to the
 	// ones that stayed must replay.
-	if rep.hits < 2*evicted {
+	if sched.Shortcuts && rep.hits < 2*evicted {
 		t.Fatalf("%d replays, want at least %d", rep.hits, 2*evicted)
 	}
 }
@@ -263,5 +275,87 @@ func checkMemoIndex(t *testing.T, c *cpuReplay) {
 		if e := &c.memo[i]; e.ix != ix || e.key.index() != ix {
 			t.Fatalf("index entry %+v points at slot %d, which holds %+v", ix, i, e.ix)
 		}
+	}
+}
+
+// TestCPUFastForwardMatchesSimulation runs segments that replay cannot
+// take but whose ops run alone at their barriers: behind a far pending
+// event, and beside a thread on a little core whose slice ends cut each
+// run of ops short. Every result and all scheduler accounting must
+// equal a run with both shortcuts off.
+func TestCPUFastForwardMatchesSimulation(t *testing.T) {
+	far := func(r *rig, _ *CPUTarget) { r.eng.After(time.Hour, func() {}) }
+	little := func(r *rig, _ *CPUTarget) { r.sch.Spawn("bg", sched.LittleOnly).Exec(time.Second, nil) }
+	for _, tc := range []struct {
+		name  string
+		gen   bool
+		setup func(r *rig, cpu *CPUTarget)
+	}{
+		{"far pending event", false, far},
+		{"far pending event, gen between invokes", true, far},
+		{"busy little core, gen between invokes", true, little},
+	} {
+		on := benchLoop(30, tc.gen, tc.setup, fourThreads)
+		off := benchLoop(30, tc.gen, func(r *rig, cpu *CPUTarget) { tc.setup(r, cpu); subscribeNop(r, cpu) }, fourThreads)
+		sameRun(t, tc.name, off, on)
+		if on.hits != 0 {
+			t.Errorf("%s: %d segments replayed; the case does not reach the fast path", tc.name, on.hits)
+		}
+		if sched.Shortcuts && on.events >= off.events {
+			t.Errorf("%s: the fast path saved no events (%d on, %d off); the comparison is vacuous", tc.name, on.events, off.events)
+		}
+	}
+}
+
+// An event scheduled inside a run of ops applied at once could see the
+// workers' cores mid-run: the window must fail loudly.
+func TestCPUFastForwardPanicsWhenOverlapped(t *testing.T) {
+	skipWithoutShortcuts(t)
+	r := newRig()
+	cpu := fourThreads(r)
+	ops := smallGraph().Ops()
+	r.eng.After(time.Hour, func() {}) // keeps replay off
+	cpu.Execute(ops, cpu.OpCosts(ops, tensor.Float32), tensor.Float32, nil, nil)
+	for range cpu.threads {
+		r.eng.Step() // the first op's slices; its barrier applies the rest
+	}
+	if p := r.eng.Pending(); p != 2 {
+		t.Fatalf("%d events pending after the first op, want the far one and the window's", p)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an overlapped run of ops did not panic")
+		}
+	}()
+	r.eng.After(time.Nanosecond, func() {})
+	r.eng.Run()
+}
+
+func TestCPUFastForwardAllocatesNothing(t *testing.T) {
+	skipWithoutShortcuts(t)
+	r := newRig()
+	cpu := fourThreads(r)
+	ops := smallGraph().Ops()
+	costs := cpu.OpCosts(ops, tensor.Float32)
+	r.eng.After(time.Hour, func() {}) // keeps replay off
+	finished := false
+	done := func(Result) { finished = true }
+	segment := func() {
+		finished = false
+		cpu.Execute(ops, costs, tensor.Float32, nil, done)
+		for !finished {
+			r.eng.Step()
+		}
+	}
+	for i := 0; i < 3; i++ {
+		segment()
+	}
+	seq := r.eng.Scheduled()
+	allocs := testing.AllocsPerRun(100, segment)
+	if events := r.eng.Scheduled() - seq; events >= 101*uint64(len(ops)*len(cpu.threads)) {
+		t.Fatalf("101 segments scheduled %d events; the fast path was not taken", events)
+	}
+	if allocs != 0 {
+		t.Fatalf("a fast-forwarded segment allocates %.1f times, want 0", allocs)
 	}
 }

@@ -85,7 +85,7 @@ type Channel struct {
 	retryTotal  time.Duration
 	failedCalls int
 
-	idle *call // finished calls, kept for reuse
+	idle sim.Free[call] // finished calls, kept for reuse
 }
 
 const (
@@ -131,12 +131,10 @@ func (c *Channel) InvokeSpan(payloadBytes int64, execTime time.Duration, parent 
 	if execTime < 0 || payloadBytes < 0 {
 		panic("fastrpc: negative invoke arguments")
 	}
-	k := c.idle
+	k := c.idle.Get()
 	if k == nil {
 		k = &call{c: c}
 		k.startFn, k.sentFn, k.ranFn, k.returnedFn = k.start, k.sent, k.ran, k.returned
-	} else {
-		c.idle = k.next
 	}
 	k.payloadBytes, k.execTime, k.parent, k.label, k.onDone = payloadBytes, execTime, parent, label, onDone
 	k.issued = c.eng.Now()
@@ -177,14 +175,13 @@ type call struct {
 	sentFn     func()
 	ranFn      func(start, end sim.Time)
 	returnedFn func()
-	next       *call // in the channel's idle list
 }
 
 // finish releases k to the channel, then hands b to its caller.
 func (k *call) finish(b Breakdown) {
 	c, onDone := k.c, k.onDone
 	k.parent, k.onDone, k.down, k.exec = nil, nil, nil, nil
-	k.next, c.idle = c.idle, k
+	c.idle.Put(k)
 	if onDone != nil {
 		onDone(b)
 	}

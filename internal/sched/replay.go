@@ -120,19 +120,29 @@ func (s *Scheduler) NewReplayer(workers []*Thread) *Replayer {
 
 // quiet reports whether a stretch the workers start now would run alone.
 func (s *Scheduler) quiet(workers []*Thread) bool {
-	if len(s.listeners) > 0 || s.dvfs != nil || len(s.ready) > 0 || s.eng.Pending() > 0 ||
-		len(s.cores) > maxReplayCores || len(workers) == 0 || len(workers) > maxReplayWorkers {
-		return false
-	}
-	if !s.allIdle() {
+	if !s.unwatched() || s.eng.Pending() > 0 || len(s.cores) > maxReplayCores ||
+		len(workers) == 0 || len(workers) > maxReplayWorkers || !s.allIdle() {
 		return false
 	}
 	for _, t := range workers {
-		if t.s != s || t.running || t.queued || t.remaining != 0 || t.qhead != len(t.queue) {
+		if !t.idleOn(s) {
 			return false
 		}
 	}
 	return true
+}
+
+// unwatched reports whether a shortcut may skip slices: it is compiled
+// in, no Listener or governor sees or retimes each slice, and no thread
+// waits for a core.
+func (s *Scheduler) unwatched() bool {
+	return Shortcuts && len(s.listeners) == 0 && s.dvfs == nil && len(s.ready) == 0
+}
+
+// idleOn reports whether t is a thread of s with no burst running,
+// queued or pending.
+func (t *Thread) idleOn(s *Scheduler) bool {
+	return t.s == s && !t.running && !t.queued && t.remaining == 0 && t.qhead == len(t.queue)
 }
 
 // Fingerprint reports whether the scheduler is quiet for a stretch the

@@ -13,6 +13,16 @@ type nopListener struct{}
 func (nopListener) OnRun(*Thread, *Core, sim.Time, time.Duration) {}
 func (nopListener) OnMigrate(*Thread, *Core, *Core, sim.Time)     {}
 
+// skipWithoutShortcuts skips a test of a shortcut's own mechanism in a
+// noshortcuts build, where it cannot run. The tests that compare a
+// shortcut with the simulation still run there.
+func skipWithoutShortcuts(t *testing.T) {
+	t.Helper()
+	if !Shortcuts {
+		t.Skip("built with the noshortcuts tag")
+	}
+}
+
 // stretchRig runs "invokes": each op fans one burst out to every worker
 // and joins before the next. With a Replayer it memoises every quiet
 // invoke by Fingerprint, the way the CPU delegate does.
@@ -160,7 +170,7 @@ func TestReplayMatchesSimulationStickyWorkers(t *testing.T) {
 		if rigs[0].hits != 0 {
 			t.Fatalf("replay ran with a listener subscribed (%d hits)", rigs[0].hits)
 		}
-		if rigs[1].hits == 0 {
+		if Shortcuts && rigs[1].hits == 0 {
 			t.Fatalf("other=%v: no invoke was replayed", withOther)
 		}
 	}
@@ -175,7 +185,7 @@ func TestReplayMatchesSimulationMigratoryThread(t *testing.T) {
 	if simd.s.migrations == 0 {
 		t.Fatal("the migratory thread never migrated; the case is vacuous")
 	}
-	if rep.hits == 0 {
+	if Shortcuts && rep.hits == 0 {
 		t.Fatal("no invoke was replayed")
 	}
 }
@@ -226,12 +236,13 @@ func TestReplayRecordsOnlyClosedStretches(t *testing.T) {
 	}
 	simd, rep := run(false), run(true)
 	sameState(t, simd, rep)
-	if rep.hits == 0 {
+	if Shortcuts && rep.hits == 0 {
 		t.Fatal("no invoke was replayed")
 	}
 }
 
 func TestReplayOffUnlessQuiet(t *testing.T) {
+	skipWithoutShortcuts(t)
 	cases := map[string]func(eng *sim.Engine, s *Scheduler){
 		"listener":      func(_ *sim.Engine, s *Scheduler) { s.Subscribe(nopListener{}) },
 		"pending event": func(eng *sim.Engine, _ *Scheduler) { eng.After(time.Second, func() {}) },
@@ -260,6 +271,7 @@ func TestReplayOffUnlessQuiet(t *testing.T) {
 // A replay that something else overlaps cannot be exact: it must fail
 // loudly rather than report the wrong timeline.
 func TestReplayPanicsWhenOverlapped(t *testing.T) {
+	skipWithoutShortcuts(t)
 	g := newStretchRig(true, func(s *Scheduler, i int) *Thread { return s.Spawn("w", BigOnly) }, 2)
 	g.loop(4, replayOps, nil)
 	if g.hits == 0 {
@@ -276,6 +288,7 @@ func TestReplayPanicsWhenOverlapped(t *testing.T) {
 }
 
 func TestReplayAllocatesNothing(t *testing.T) {
+	skipWithoutShortcuts(t)
 	g := newStretchRig(true, func(s *Scheduler, i int) *Thread { return s.Spawn("w", BigOnly) }, 4)
 	g.loop(3, replayOps, nil)
 	fp, ok := g.s.Fingerprint(g.workers)

@@ -191,6 +191,9 @@ func New(eng *sim.Engine, cfg Config) *Scheduler {
 	return s
 }
 
+// Engine returns the engine the scheduler runs on.
+func (s *Scheduler) Engine() *sim.Engine { return s.eng }
+
 // Governor returns the DVFS governor, or nil when disabled.
 func (s *Scheduler) Governor() *DVFS { return s.dvfs }
 

@@ -122,7 +122,7 @@ type Engine struct {
 	// free recycles fired/cancelled event structs: a simulation schedules
 	// millions of events but only ever has a bounded number pending, so
 	// the freelist caps event allocation at the peak queue depth.
-	free []*event
+	free Free[event]
 	// Limit guards against runaway simulations; zero means no limit.
 	Limit Time
 }
@@ -174,15 +174,11 @@ func (e *Engine) schedule(at Time, seq uint64, fn func()) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.fn, ev.dead = at, seq, fn, false
-	} else {
-		ev = &event{at: at, seq: seq, fn: fn}
+	ev := e.free.Get()
+	if ev == nil {
+		ev = &event{}
 	}
+	ev.at, ev.seq, ev.fn = at, seq, fn
 	e.live++
 	e.queue.push(ev)
 	return EventID{ev: ev, gen: ev.gen}
@@ -194,7 +190,7 @@ func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.dead = false
-	e.free = append(e.free, ev)
+	e.free.Put(ev)
 }
 
 // After runs fn d from now. Negative d panics.
@@ -252,16 +248,7 @@ func (e *Engine) Run() Time {
 // RunUntil fires events up to and including time t, leaving later events
 // pending. The clock is advanced to t even if no event lands exactly there.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.queue) > 0 {
-		// Peek.
-		next := e.queue[0]
-		if next.dead {
-			e.recycle(e.queue.pop())
-			continue
-		}
-		if next.at > t {
-			break
-		}
+	for at, ok := e.Next(); ok && at <= t; at, ok = e.Next() {
 		e.Step()
 	}
 	if e.now < t {
@@ -269,8 +256,42 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
+// Next reports when the earliest live event is due, or false when none
+// is pending. Cancelled events ahead of it are dropped from the queue.
+func (e *Engine) Next() (Time, bool) {
+	for len(e.queue) > 0 {
+		if ev := e.queue[0]; !ev.dead {
+			return ev.at, true
+		}
+		e.recycle(e.queue.pop())
+	}
+	return 0, false
+}
+
 // Pending reports the number of live events in the queue.
 func (e *Engine) Pending() int { return e.live }
+
+// Free is a LIFO free list of reusable values, such as the state of an
+// in-flight call whose callbacks are built once. Get returns the value
+// Put last, so a steady loop reuses one value and allocates none. The
+// zero value is empty.
+type Free[T any] struct{ s []*T }
+
+// Get removes and returns the value put last, or nil when the list is
+// empty.
+func (f *Free[T]) Get() *T {
+	n := len(f.s) - 1
+	if n < 0 {
+		return nil
+	}
+	v := f.s[n]
+	f.s[n] = nil
+	f.s = f.s[:n]
+	return v
+}
+
+// Put adds v to the list.
+func (f *Free[T]) Put(v *T) { f.s = append(f.s, v) }
 
 // Scheduled reports how many events have ever been scheduled. A caller
 // that compares two readings learns whether anything was scheduled in
@@ -294,7 +315,7 @@ type Resource struct {
 	whead   int
 	// free holds idle service slots. At most capacity slots exist, each
 	// with its completion callback built once.
-	free []*resSlot
+	free Free[resSlot]
 
 	// Accounting.
 	busyTime    Duration // total slot-seconds of service completed
@@ -372,11 +393,8 @@ func (r *Resource) pump() {
 		r.waiters[r.whead] = resWaiter{} // release the closure
 		r.whead++
 		r.inUse++
-		var s *resSlot
-		if n := len(r.free); n > 0 {
-			s = r.free[n-1]
-			r.free = r.free[:n-1]
-		} else {
+		s := r.free.Get()
+		if s == nil {
 			s = &resSlot{}
 			s.done = func() { r.finish(s) }
 		}
@@ -397,7 +415,7 @@ func (r *Resource) finish(s *resSlot) {
 	// it, so ready gets copies of the slot's state.
 	ready, start, end := s.ready, s.start, s.end
 	s.ready = nil
-	r.free = append(r.free, s)
+	r.free.Put(s)
 	if ready != nil {
 		ready(start, end)
 	}

@@ -392,6 +392,38 @@ func TestCancelledEventsSkippedInRunUntil(t *testing.T) {
 	}
 }
 
+// Next reports the earliest live event: it skips cancelled ones,
+// whichever way the heap holds them, and reports an empty queue.
+func TestNextSkipsCancelledEvents(t *testing.T) {
+	e := NewEngine()
+	if _, ok := e.Next(); ok {
+		t.Fatal("a new engine reports a pending event")
+	}
+	early := e.Schedule(3, func() {})
+	tie := e.Schedule(7, func() {})
+	e.Schedule(7, func() {})
+	e.Schedule(9, func() {})
+	for _, want := range []struct {
+		cancel EventID
+		at     Time
+	}{{EventID{}, 3}, {early, 7}, {tie, 7}} {
+		e.Cancel(want.cancel)
+		if at, ok := e.Next(); !ok || at != want.at {
+			t.Fatalf("Next = %v, %v; want %v", at, ok, want.at)
+		}
+	}
+	e.Step()
+	if at, ok := e.Next(); !ok || at != 9 || e.Now() != 7 {
+		t.Fatalf("after one step Next = %v, %v at now %v; want 9 at 7", at, ok, e.Now())
+	}
+	e.Run()
+	id := e.Schedule(20, func() {})
+	e.Cancel(id)
+	if _, ok := e.Next(); ok || e.Pending() != 0 {
+		t.Fatal("a queue of cancelled events reports a pending one")
+	}
+}
+
 func TestTimeAccessors(t *testing.T) {
 	tm := Time(1500)
 	if tm.Nanoseconds() != 1500 {

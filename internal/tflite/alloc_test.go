@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"aitax/internal/models"
+	"aitax/internal/sched"
 	"aitax/internal/soc"
 	"aitax/internal/tensor"
 )
@@ -69,7 +70,7 @@ func TestSteadyInvokeDoesNotAllocate(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, invoke); allocs != 0 {
 			t.Errorf("%s: a warm invoke of %d partitions allocates %.1f times, want 0", name, parts, allocs)
 		}
-		if tc.d == DelegateCPU {
+		if tc.d == DelegateCPU && sched.Shortcuts {
 			if events := rt.Eng.Scheduled() - seq; events != 51 {
 				t.Errorf("%s: 51 warm invokes scheduled %d events, want one replay each", name, events)
 			}

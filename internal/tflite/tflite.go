@@ -204,9 +204,9 @@ type Interpreter struct {
 	nnapiFW  *nnapi.Framework
 	compiled *nnapi.CompiledModel
 	input    *tensor.Tensor
-	graph    *nn.Graph   // possibly fused view of Model.Graph
-	planKey  plan.Key    // partition-plan cache key (zero when uncached)
-	idle     *invocation // finished invocations, kept for reuse
+	graph    *nn.Graph            // possibly fused view of Model.Graph
+	planKey  plan.Key             // partition-plan cache key (zero when uncached)
+	idle     sim.Free[invocation] // finished invocations, kept for reuse
 
 	initialized bool
 	fellBack    bool
@@ -450,13 +450,11 @@ func (ip *Interpreter) InvokeTraced(parent *telemetry.ActiveSpan, done func(Repo
 	if !ip.initialized {
 		panic("tflite: Invoke before Init")
 	}
-	inv := ip.idle
+	inv := ip.idle.Get()
 	if inv == nil {
 		inv = &invocation{ip: ip}
 		inv.run = driver.NewPlanRunner(ip.rt.Eng, inv.fallback)
 		inv.finish = inv.end
-	} else {
-		ip.idle = inv.next
 	}
 	inv.done = done
 	inv.fw = ip.rt.Tracer.Start(core.StageFramework.String(), "tflite", telemetry.TrackCPU, parent)
@@ -478,14 +476,13 @@ type invocation struct {
 	done   func(Report)
 	run    *driver.PlanRunner
 	finish func(Report)
-	next   *invocation // in the interpreter's idle list
 }
 
 // end closes the invocation and hands rep to its caller.
 func (inv *invocation) end(rep Report) {
 	ip, fw, done := inv.ip, inv.fw, inv.done
 	inv.fw, inv.done = nil, nil
-	inv.next, ip.idle = ip.idle, inv
+	ip.idle.Put(inv)
 	fw.End()
 	ip.rt.Metrics.Inc("aitax_invocations_total")
 	ip.rt.Metrics.Add("aitax_delegate_transitions_total", float64(rep.Transitions))

@@ -5,9 +5,6 @@ import (
 	"io"
 
 	"aitax"
-	"aitax/internal/models"
-	"aitax/internal/soc"
-	"aitax/internal/tflite"
 )
 
 // runApp is aitax app: it runs the instrumented Android-application
@@ -27,7 +24,6 @@ func runApp(args []string, stdout, stderr io.Writer) int {
 	bg := fs.Int("bg", 0, "background inference jobs (multi-tenancy)")
 	bgDelegate := fs.String("bgdelegate", "hexagon", "background delegate")
 	taxonomy := fs.Bool("taxonomy", false, "print the Fig. 1 AI-tax taxonomy and exit")
-	prewarm := fs.Bool("prewarm", false, "compile the Table-I plan grid for this platform before measuring; the cold-start tax moved to startup is reported on stderr")
 	csvPath := fs.String("csv", "", "write per-frame stage breakdowns to this CSV file")
 	common := register(fs, sharedFlags{Trace: true, Metrics: true, Faults: true})
 	if err := fs.Parse(args); err != nil {
@@ -58,14 +54,6 @@ func runApp(args []string, stdout, stderr io.Writer) int {
 	plan, err := common.FaultPlan()
 	if err != nil {
 		return fail(stderr, err)
-	}
-
-	if *prewarm {
-		// Stdout (the breakdown) is a pure function of virtual time, so
-		// warming the host-side plan cache cannot change it; the report
-		// goes to stderr like the other side notes.
-		rep := tflite.Prewarm([]*soc.SoC{p}, models.All())
-		fmt.Fprintf(stderr, "prewarm: %s\n", rep)
 	}
 
 	opts := aitax.AppOptions{

@@ -87,17 +87,8 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 	invocations := 0
 	ip.Init(func() {
 		prof.StartSampling(horizon)
-		var loop func()
-		loop = func() {
-			if rt.Eng.Now().Duration() >= horizon {
-				return
-			}
-			ip.Invoke(func(tflite.Report) {
-				invocations++
-				loop()
-			})
-		}
-		loop()
+		ip.InvokeWhile(func(int) bool { return rt.Eng.Now().Duration() < horizon },
+			func(tflite.Report, time.Duration) { invocations++ })
 	})
 	rt.Eng.RunUntil(sim.Time(0).Add(horizon))
 

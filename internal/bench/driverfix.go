@@ -8,8 +8,6 @@ import (
 	"aitax/internal/fastrpc"
 	"aitax/internal/nn"
 	"aitax/internal/nnapi"
-	"aitax/internal/sched"
-	"aitax/internal/sim"
 	"aitax/internal/tensor"
 
 	"aitax/internal/models"
@@ -45,18 +43,15 @@ func DriverFix(cfg Config) *Result {
 		{"lagging (as measured)", driver.NNAPIVendorSupports},
 		{"fixed (quantized ADD implemented)", fixedSupports},
 	} {
-		eng := sim.NewEngine()
-		sch := sched.New(eng, sched.DefaultConfig())
-		p := clonePlatform(cfg.Platform)
-		dspRes := sim.NewResource(eng, "dsp", 1)
-		gpuQ := sim.NewResource(eng, "gpu", 1)
-		ch := fastrpc.NewChannel(eng, p.RPC, dspRes)
+		rt := cfg.stack()
+		p := rt.Platform
+		ch := fastrpc.NewChannel(rt.Eng, p.RPC, rt.DSP)
 		fw := nnapi.New(nnapi.Config{
-			Engine:       eng,
-			AccelFP32:    driver.NewGPUTarget("nnapi-gpu", eng, &p.GPU, gpuQ, c.supports),
+			Engine:       rt.Eng,
+			AccelFP32:    driver.NewGPUTarget("nnapi-gpu", rt.Eng, &p.GPU, rt.GPUQueue, c.supports),
 			AccelInt8:    driver.NewDSPTarget("nnapi-dsp", &p.DSP, ch, 0.6, c.supports),
-			FallbackCPU:  driver.NewCPUTarget("nnapi-cpu-fallback", sch, &p.Big, 4),
-			ReferenceCPU: driver.NewReferenceCPUTarget("nnapi-ref", sch, &p.Big),
+			FallbackCPU:  driver.NewCPUTarget("nnapi-cpu-fallback", rt.Sch, &p.Big, 4),
+			ReferenceCPU: driver.NewReferenceCPUTarget("nnapi-ref", rt.Sch, &p.Big),
 			Supports:     c.supports,
 		})
 		cm := fw.Compile(m.Graph, tensor.UInt8, nnapi.FastSingleAnswer)
@@ -64,11 +59,7 @@ func DriverFix(cfg Config) *Result {
 		if cm.ReferenceFallback {
 			plan = "reference CPU fallback"
 		}
-		var warm nnapi.Report
-		fw.Execute(cm, func(nnapi.Report) {
-			fw.Execute(cm, func(rep nnapi.Report) { warm = rep })
-		})
-		eng.Run()
+		warm, _ := warmRun(rt, func(done func(nnapi.Report)) { fw.Execute(cm, done) })
 		r.AddRow(c.label, plan, len(cm.Partitions), msf(warm.Total()))
 		if c.label[0] == 'l' {
 			lagging = warm.Total()

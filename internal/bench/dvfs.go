@@ -29,25 +29,16 @@ func DVFSRamp(cfg Config) *Result {
 		schedCfg := sched.DefaultConfig()
 		schedCfg.DVFS = dvfs
 		sch := sched.New(eng, schedCfg)
-		rt := tflite.NewRuntime(eng, sch, clonePlatform(cfg.Platform), cfg.Seed)
+		rt := tflite.NewRuntime(eng, sch, Run{Platform: cfg.Platform.Name}.platform(cfg.Platform), cfg.Seed)
 		ip, err := rt.NewInterpreter(m, tensor.Float32, tflite.Options{Delegate: tflite.DelegateCPU})
 		if err != nil {
 			return nil
 		}
 		var lats []time.Duration
 		ip.Init(func() {
-			var loop func(i int)
-			loop = func(i int) {
-				if i >= 6 {
-					return
-				}
-				start := eng.Now()
-				ip.Invoke(func(tflite.Report) {
-					lats = append(lats, eng.Now().Sub(start))
-					loop(i + 1)
-				})
-			}
-			loop(0)
+			ip.InvokeWhile(func(i int) bool { return i < 6 }, func(_ tflite.Report, d time.Duration) {
+				lats = append(lats, d)
+			})
 		})
 		eng.Run()
 		return lats

@@ -75,18 +75,14 @@ func Preferences(cfg Config) *Result {
 	}
 	var fastW, lowW, fastL, lowL float64
 	for _, pref := range []nnapi.Preference{nnapi.FastSingleAnswer, nnapi.SustainedSpeed, nnapi.LowPower} {
-		rt := tflite.NewStack(clonePlatform(cfg.Platform), cfg.Seed)
+		rt := cfg.stack()
 		fw := rt.NewNNAPI()
 		cm := fw.Compile(m.Graph, tensor.Float32, pref)
 		device := "?"
 		if len(cm.Partitions) > 0 {
 			device = cm.Partitions[0].Target.Name()
 		}
-		var warm nnapi.Report
-		fw.Execute(cm, func(nnapi.Report) { // warm the accelerator path
-			fw.Execute(cm, func(rep nnapi.Report) { warm = rep })
-		})
-		rt.Eng.Run()
+		warm, _ := warmRun(rt, func(done func(nnapi.Report)) { fw.Execute(cm, done) })
 		lat := ms(warm.Total())
 		energy := warm.EnergyJ * 1000
 		watts := warm.EnergyJ / warm.Total().Seconds()
@@ -170,7 +166,7 @@ func PartitionAblation(cfg Config, p *Planner) func() *Result {
 			Headers: []string{"MaxQuantPartitions", "plan", "partitions", "warm latency (ms)"},
 		}
 		for _, limit := range []int{4, 12, 24, 1000} {
-			rt := tflite.NewStack(clonePlatform(cfg.Platform), cfg.Seed)
+			rt := cfg.stack()
 			fw := rt.NewNNAPI()
 			fw.MaxQuantPartitions = limit
 			cm := fw.Compile(m.Graph, tensor.UInt8, nnapi.FastSingleAnswer)
@@ -178,11 +174,7 @@ func PartitionAblation(cfg Config, p *Planner) func() *Result {
 			if cm.ReferenceFallback {
 				plan = "reference CPU fallback"
 			}
-			var warm nnapi.Report
-			fw.Execute(cm, func(nnapi.Report) {
-				fw.Execute(cm, func(rep nnapi.Report) { warm = rep })
-			})
-			rt.Eng.Run()
+			warm, _ := warmRun(rt, func(done func(nnapi.Report)) { fw.Execute(cm, done) })
 			r.AddRow(limit, plan, len(cm.Partitions), msf(warm.Total()))
 		}
 		if cpu.Err == nil {

@@ -32,7 +32,7 @@ func InitTimes(cfg Config) *Result {
 			{tflite.DelegateHexagon, tensor.UInt8},
 			{tflite.DelegateNNAPI, tensor.Float32},
 		} {
-			rt := tflite.NewStack(clonePlatform(cfg.Platform), cfg.Seed)
+			rt := cfg.stack()
 			ip, err := rt.NewInterpreter(m, c.dt, tflite.Options{Delegate: c.delegate})
 			if err != nil {
 				cells = append(cells, "n/a")
@@ -56,7 +56,7 @@ func InitTimes(cfg Config) *Result {
 func StdlibQuirk(cfg Config) *Result {
 	m, _ := models.ByName("MobileNet 1.0 v1")
 	elems := m.InputW * m.InputH * 3
-	p := clonePlatform(cfg.Platform)
+	p := Run{Platform: cfg.Platform.Name}.platform(cfg.Platform)
 	r := &Result{
 		ID:      "stdlib",
 		Title:   "Random input generation cost by C++ standard library (MobileNet input)",

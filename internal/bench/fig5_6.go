@@ -103,7 +103,7 @@ func Figure6(cfg Config) *Result {
 		{"TFLite Hexagon delegate", tflite.DelegateHexagon},
 		{"NNAPI automatic device selection", tflite.DelegateNNAPI},
 	} {
-		rt := tflite.NewStack(clonePlatform(cfg.Platform), cfg.Seed)
+		rt := cfg.stack()
 		prof := trace.NewProfiler(rt.Eng, 2*time.Millisecond)
 		prof.Attach(rt.Sch)
 		prof.TrackResource("cdsp", rt.DSP)
@@ -123,14 +123,7 @@ func Figure6(cfg Config) *Result {
 		const horizon = 600 * time.Millisecond
 		ip.Init(func() {
 			prof.StartSampling(horizon)
-			var loop func()
-			loop = func() {
-				if rt.Eng.Now().Duration() >= horizon {
-					return
-				}
-				ip.Invoke(func(tflite.Report) { loop() })
-			}
-			loop()
+			ip.InvokeWhile(func(int) bool { return rt.Eng.Now().Duration() < horizon }, nil)
 		})
 		rt.Eng.RunUntil(sim.Time(0).Add(horizon))
 		block := fmt.Sprintf("--- %s ---\n%s", pr.label, prof.Render())

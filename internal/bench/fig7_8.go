@@ -6,7 +6,6 @@ import (
 
 	"aitax/internal/fastrpc"
 	"aitax/internal/models"
-	"aitax/internal/sim"
 	"aitax/internal/tensor"
 	"aitax/internal/tflite"
 	"aitax/internal/work"
@@ -16,10 +15,8 @@ import (
 // CPU and DSP, itemized by boundary crossing, plus the one-time session
 // setup.
 func Figure7(cfg Config) *Result {
-	p := clonePlatform(cfg.Platform)
-	eng := sim.NewEngine()
-	dsp := sim.NewResource(eng, "dsp", 1)
-	ch := fastrpc.NewChannel(eng, p.RPC, dsp)
+	rt := cfg.stack()
+	ch := fastrpc.NewChannel(rt.Eng, rt.Platform.RPC, rt.DSP)
 
 	m, _ := models.ByName("MobileNet 1.0 v1")
 	payload := int64(m.InputW*m.InputH*3 + m.NumClasses)
@@ -56,7 +53,7 @@ func Figure8(cfg Config) *Result {
 	counts := []int{1, 2, 5, 10, 20, 50, 100, 200, 500}
 	var first, last float64
 	for _, n := range counts {
-		rt := tflite.NewStack(clonePlatform(cfg.Platform), cfg.Seed)
+		rt := cfg.stack()
 		ip, err := rt.NewInterpreter(m, tensor.UInt8, tflite.Options{Delegate: tflite.DelegateHexagon})
 		if err != nil {
 			r.Notes = append(r.Notes, "setup failed: "+err.Error())
@@ -64,18 +61,10 @@ func Figure8(cfg Config) *Result {
 		}
 		var offload, exec time.Duration
 		ip.Init(func() {
-			var loop func(i int)
-			loop = func(i int) {
-				if i >= n {
-					return
-				}
-				ip.Invoke(func(rep tflite.Report) {
-					offload += rep.RPC
-					exec += rep.Exec
-					loop(i + 1)
-				})
-			}
-			loop(0)
+			ip.InvokeWhile(func(i int) bool { return i < n }, func(rep tflite.Report, _ time.Duration) {
+				offload += rep.RPC
+				exec += rep.Exec
+			})
 		})
 		rt.Eng.Run()
 		share := float64(offload) / float64(offload+exec)
@@ -109,11 +98,9 @@ func ColdStart(cfg Config) *Result {
 		Title:   "Cold start: first vs warm DSP inference (MobileNet v1 int8)",
 		Headers: []string{"Invocation", "setup (ms)", "transport (ms)", "exec (ms)", "total (ms)"},
 	}
-	p := clonePlatform(cfg.Platform)
-	eng := sim.NewEngine()
-	dspRes := sim.NewResource(eng, "dsp", 1)
-	ch := fastrpc.NewChannel(eng, p.RPC, dspRes)
-	execTime := p.DSP.TimeFor(sumWork(m), tensor.UInt8)
+	rt := cfg.stack()
+	ch := fastrpc.NewChannel(rt.Eng, rt.Platform.RPC, rt.DSP)
+	execTime := rt.Platform.DSP.TimeFor(sumWork(m), tensor.UInt8)
 	payload := int64(m.InputW*m.InputH*3 + m.NumClasses)
 
 	var cold, warm fastrpc.Breakdown
@@ -121,7 +108,7 @@ func ColdStart(cfg Config) *Result {
 		cold = b
 		ch.Invoke(payload, execTime, func(b2 fastrpc.Breakdown) { warm = b2 })
 	})
-	eng.Run()
+	rt.Eng.Run()
 	for _, row := range []struct {
 		label string
 		b     fastrpc.Breakdown

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"aitax/internal/core"
-	"aitax/internal/driver"
 	"aitax/internal/models"
 	"aitax/internal/snpe"
 	"aitax/internal/tensor"
@@ -91,17 +90,11 @@ func Frameworks(cfg Config, p *Planner) func() *Result {
 // snpeWarmLatency loads the model under the SNPE DSP runtime and
 // measures the second (warm) execution.
 func snpeWarmLatency(cfg Config, m *models.Model) (time.Duration, bool) {
-	rt := tflite.NewStack(clonePlatform(cfg.Platform), cfg.Seed)
-	sdk := rt.NewSNPE()
-	net, err := sdk.Load(m.Graph, tensor.UInt8, snpe.RuntimeDSP)
+	rt := cfg.stack()
+	net, err := rt.NewSNPE().Load(m.Graph, tensor.UInt8, snpe.RuntimeDSP)
 	if err != nil {
 		return 0, false
 	}
-	var warm time.Duration
-	net.Execute(func(driver.Result) {
-		start := rt.Eng.Now()
-		net.Execute(func(driver.Result) { warm = rt.Eng.Now().Sub(start) })
-	})
-	rt.Eng.Run()
+	_, warm := warmRun(rt, net.Execute)
 	return warm, true
 }

@@ -36,26 +36,21 @@ func FusionAblation(cfg Config) *Result {
 		{"EfficientNet-Lite0", tflite.DelegateHexagon, tensor.UInt8},
 	} {
 		m, _ := models.ByName(c.model)
-		measure := func(fuse bool) (time.Duration, int) {
-			rt := tflite.NewStack(clonePlatform(cfg.Platform), cfg.Seed)
+		measure := func(fuse bool) time.Duration {
+			rt := cfg.stack()
 			ip, err := rt.NewInterpreter(m, c.dt, tflite.Options{
 				Delegate: c.delegate, FuseActivations: fuse,
 			})
 			if err != nil {
-				return 0, 0
+				return 0
 			}
-			var warm time.Duration
-			ip.Init(func() {
-				ip.Invoke(func(tflite.Report) {
-					start := rt.Eng.Now()
-					ip.Invoke(func(tflite.Report) { warm = rt.Eng.Now().Sub(start) })
-				})
-			})
+			ip.Init(nil)
 			rt.Eng.Run()
-			return warm, ip.Segments()
+			_, warm := warmRun(rt, ip.Invoke)
+			return warm
 		}
-		plain, _ := measure(false)
-		fused, _ := measure(true)
+		plain := measure(false)
+		fused := measure(true)
 		if plain == 0 || fused == 0 {
 			continue
 		}

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"aitax/internal/models"
-	"aitax/internal/soc"
 	"aitax/internal/tensor"
+	"aitax/internal/tflite"
 )
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -42,13 +42,23 @@ func figureModels(nnapiPath bool) []variant {
 	return out
 }
 
-// clonePlatform re-derives a fresh platform value so experiments cannot
-// leak state through shared device structs.
-func clonePlatform(p *soc.SoC) *soc.SoC {
-	fresh, err := soc.PlatformByName(p.Name)
-	if err != nil {
-		cp := *p
-		return &cp
-	}
-	return fresh
+// stack is the fresh stack of an experiment that builds its own: the
+// one Run.stack builds for cfg's platform and seed. It injects no
+// faults, so it cannot fail.
+func (cfg Config) stack() *tflite.Runtime {
+	rt, _ := Run{Platform: cfg.Platform.Name, Seed: cfg.Seed}.stack(cfg.Platform)
+	return rt
+}
+
+// warmRun runs exec twice back to back on rt, drains the engine and
+// returns the second run's report and virtual duration: the warm run,
+// after the first has paid the cold costs (session setup, plan
+// compilation, cache fill).
+func warmRun[R any](rt *tflite.Runtime, exec func(done func(R))) (warm R, d time.Duration) {
+	exec(func(R) {
+		start := rt.Eng.Now()
+		exec(func(rep R) { warm, d = rep, rt.Eng.Now().Sub(start) })
+	})
+	rt.Eng.Run()
+	return warm, d
 }

@@ -91,19 +91,27 @@ func (r Run) frames(ctx context.Context, m *models.Model, configured *soc.SoC) (
 	return r.measureOn(ctx, rt, m)
 }
 
-// stack builds the fresh stack r runs on, over a fresh copy of the
-// catalog platform r names, so runs share no device state; a name
-// outside the catalog is the configured platform's, copied. Faults are
-// injected as aitax.MeasureAppFrames injects them.
+// stack builds the fresh stack r runs on, over r's platform. Faults are
+// injected as aitax.MeasureAppFrames injects them. Every stack the
+// package builds comes from here; only dvfs, which governs its
+// scheduler, wires its own over platform.
 func (r Run) stack(configured *soc.SoC) (*tflite.Runtime, error) {
+	rt := tflite.NewStack(r.platform(configured), r.Seed)
+	var err error
+	rt.Faults, err = faults.New(r.Faults.Resolved(r.Seed))
+	return rt, err
+}
+
+// platform is a fresh copy of the catalog platform r names, so runs
+// share no device state; a name outside the catalog is the configured
+// platform's, copied.
+func (r Run) platform(configured *soc.SoC) *soc.SoC {
 	p, err := soc.PlatformByName(r.Platform)
 	if err != nil {
 		cp := *configured
-		p = &cp
+		return &cp
 	}
-	rt := tflite.NewStack(p, r.Seed)
-	rt.Faults, err = faults.New(r.Faults.Resolved(r.Seed))
-	return rt, err
+	return p
 }
 
 // measureOn measures r, whose model m is, on the stack rt.

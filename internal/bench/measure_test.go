@@ -6,9 +6,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"aitax/internal/faults"
 	"aitax/internal/lab"
+	"aitax/internal/models"
 	"aitax/internal/soc"
 	"aitax/internal/tensor"
 	"aitax/internal/tflite"
@@ -167,5 +169,38 @@ func TestSweepMatchesStandaloneRuns(t *testing.T) {
 					cfg.Platform.Name, cfg.Seed, cfg.Faults, e.ID, a, b)
 			}
 		}
+	}
+}
+
+// TestWarmRunMeasuresTheSecondRun pins that warmRun reports the warm
+// run: on a fresh stack's Hexagon path the first invoke maps the DSP
+// into the process, so the cold run outlasts the warm one by at least
+// the FastRPC session setup.
+func TestWarmRunMeasuresTheSecondRun(t *testing.T) {
+	cfg := Config{}.Defaults()
+	m, err := models.ByName("MobileNet 1.0 v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	initialized := func() (*tflite.Runtime, *tflite.Interpreter) {
+		rt := cfg.stack()
+		ip, err := rt.NewInterpreter(m, tensor.UInt8, tflite.Options{Delegate: tflite.DelegateHexagon})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ip.Init(nil)
+		rt.Eng.Run()
+		return rt, ip
+	}
+
+	rt, ip := initialized()
+	var cold time.Duration
+	ip.InvokeWhile(func(i int) bool { return i < 1 }, func(_ tflite.Report, d time.Duration) { cold = d })
+	rt.Eng.Run()
+
+	rt, ip = initialized()
+	_, warm := warmRun(rt, ip.Invoke)
+	if setup := cfg.Platform.RPC.SessionSetup; warm <= 0 || cold-warm < setup {
+		t.Fatalf("cold run %v, warm run %v: want the cold one longer by at least the session setup %v", cold, warm, setup)
 	}
 }

@@ -35,10 +35,10 @@ func TestExecuteCostsContract(t *testing.T) {
 		return driver.NewReferenceCPUTarget("nnapi-reference", sched.New(eng, sched.DefaultConfig()), &p.Big)
 	}
 	gpu := func(eng *sim.Engine) driver.Target {
-		return driver.NewGPUTarget("gpu", eng, &p.GPU, sim.NewResource(eng, "gpu", 1), driver.GPUDelegateSupports)
+		return driver.NewGPUTarget("gpu", eng, &p.GPU, sim.NewResource(eng, 1), driver.GPUDelegateSupports)
 	}
 	dsp := func(eng *sim.Engine) driver.Target {
-		ch := fastrpc.NewChannel(eng, p.RPC, sim.NewResource(eng, "dsp", 1))
+		ch := fastrpc.NewChannel(eng, p.RPC, sim.NewResource(eng, 1))
 		return driver.NewDSPTarget("hexagon", &p.DSP, ch, 0.8, driver.HexagonDelegateSupports)
 	}
 	probed := func(mk func(*sim.Engine) driver.Target) func(*sim.Engine) driver.Target {
@@ -111,7 +111,7 @@ func TestHexagonMetamorphic(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := sim.NewEngine()
-		ch := fastrpc.NewChannel(eng, p.RPC, sim.NewResource(eng, "dsp", 1))
+		ch := fastrpc.NewChannel(eng, p.RPC, sim.NewResource(eng, 1))
 		dsp := driver.NewDSPTarget("hexagon", &p.DSP, ch, 0.8, driver.HexagonDelegateSupports)
 		ops := m.Graph.Ops()
 		var res driver.Result

@@ -86,7 +86,7 @@ func TestCPUSupportsEverything(t *testing.T) {
 
 func TestGPUTargetExecutes(t *testing.T) {
 	r := newRig()
-	q := sim.NewResource(r.eng, "gpu", 1)
+	q := sim.NewResource(r.eng, 1)
 	gpu := NewGPUTarget("gpu", r.eng, &r.p.GPU, q, GPUDelegateSupports)
 	var res Result
 	gpu.Execute(smallGraph().Ops(), nil, tensor.Float32, nil, func(x Result) { res = x })
@@ -98,7 +98,7 @@ func TestGPUTargetExecutes(t *testing.T) {
 
 func TestGPUQueueContention(t *testing.T) {
 	r := newRig()
-	q := sim.NewResource(r.eng, "gpu", 1)
+	q := sim.NewResource(r.eng, 1)
 	gpu := NewGPUTarget("gpu", r.eng, &r.p.GPU, q, GPUDelegateSupports)
 	var second Result
 	gpu.Execute(smallGraph().Ops(), nil, tensor.Float32, nil, nil)
@@ -111,7 +111,7 @@ func TestGPUQueueContention(t *testing.T) {
 
 func TestDSPTargetColdThenWarm(t *testing.T) {
 	r := newRig()
-	dspRes := sim.NewResource(r.eng, "dsp", 1)
+	dspRes := sim.NewResource(r.eng, 1)
 	ch := fastrpc.NewChannel(r.eng, r.p.RPC, dspRes)
 	dsp := NewDSPTarget("hexagon", &r.p.DSP, ch, 1.0, HexagonDelegateSupports)
 	var cold, warm Result
@@ -132,7 +132,7 @@ func TestDSPEfficiencyScalesCompute(t *testing.T) {
 	ops := smallGraph().Ops()
 	run := func(eff float64) time.Duration {
 		r := newRig()
-		dspRes := sim.NewResource(r.eng, "dsp", 1)
+		dspRes := sim.NewResource(r.eng, 1)
 		ch := fastrpc.NewChannel(r.eng, r.p.RPC, dspRes)
 		dsp := NewDSPTarget("d", &r.p.DSP, ch, eff, HexagonDelegateSupports)
 		var res Result
@@ -154,7 +154,7 @@ func TestDSPInt8BeatsCPUOnBigModel(t *testing.T) {
 	cpuTime := r1.eng.Run().Duration()
 
 	r2 := newRig()
-	dspRes := sim.NewResource(r2.eng, "dsp", 1)
+	dspRes := sim.NewResource(r2.eng, 1)
 	ch := fastrpc.NewChannel(r2.eng, r2.p.RPC, dspRes)
 	dsp := NewDSPTarget("d", &r2.p.DSP, ch, 1.0, SNPESupports)
 	dsp.Execute(m.Graph.Ops(), nil, tensor.UInt8, nil, nil)
@@ -257,7 +257,7 @@ func TestSegmentIOBytes(t *testing.T) {
 
 func TestDSPInitGraphHoldsDSP(t *testing.T) {
 	r := newRig()
-	dspRes := sim.NewResource(r.eng, "dsp", 1)
+	dspRes := sim.NewResource(r.eng, 1)
 	ch := fastrpc.NewChannel(r.eng, r.p.RPC, dspRes)
 	dsp := NewDSPTarget("d", &r.p.DSP, ch, 0.6, NNAPIVendorSupports)
 	m, _ := models.ByName("EfficientNet-Lite0")
@@ -298,7 +298,7 @@ func TestTargetAccessors(t *testing.T) {
 	if ref.Threads() != 1 || ref.Efficiency >= 1 {
 		t.Fatal("reference target must be one slow thread")
 	}
-	q := sim.NewResource(r.eng, "gpu", 1)
+	q := sim.NewResource(r.eng, 1)
 	gpu := NewGPUTarget("gpu", r.eng, &r.p.GPU, q, GPUDelegateSupports)
 	if gpu.Name() != "gpu" || gpu.Kind() != soc.GPU {
 		t.Fatal("gpu accessors wrong")
@@ -307,7 +307,7 @@ func TestTargetAccessors(t *testing.T) {
 	if !gpu.Supports(conv, tensor.Float32) {
 		t.Fatal("gpu supports passthrough wrong")
 	}
-	ch := fastrpc.NewChannel(r.eng, r.p.RPC, sim.NewResource(r.eng, "dsp", 1))
+	ch := fastrpc.NewChannel(r.eng, r.p.RPC, sim.NewResource(r.eng, 1))
 	dsp := NewDSPTarget("dsp", &r.p.DSP, ch, 0.9, HexagonDelegateSupports)
 	if dsp.Name() != "dsp" || dsp.Kind() != soc.DSP || dsp.Channel() != ch {
 		t.Fatal("dsp accessors wrong")
@@ -319,7 +319,7 @@ func TestTargetAccessors(t *testing.T) {
 
 func TestNewDSPTargetRejectsZeroEfficiency(t *testing.T) {
 	r := newRig()
-	ch := fastrpc.NewChannel(r.eng, r.p.RPC, sim.NewResource(r.eng, "dsp", 1))
+	ch := fastrpc.NewChannel(r.eng, r.p.RPC, sim.NewResource(r.eng, 1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero efficiency must panic")

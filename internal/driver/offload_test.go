@@ -28,8 +28,8 @@ func compile(t *testing.T, model string, dt tensor.DType, supports func(*nn.Op, 
 	p := soc.Pixel3()
 	fw := nnapi.New(nnapi.Config{
 		Engine:       eng,
-		AccelFP32:    driver.NewGPUTarget("gpu", eng, &p.GPU, sim.NewResource(eng, "gpu", 1), supports),
-		AccelInt8:    driver.NewDSPTarget("dsp", &p.DSP, fastrpc.NewChannel(eng, p.RPC, sim.NewResource(eng, "dsp", 1)), 0.6, supports),
+		AccelFP32:    driver.NewGPUTarget("gpu", eng, &p.GPU, sim.NewResource(eng, 1), supports),
+		AccelInt8:    driver.NewDSPTarget("dsp", &p.DSP, fastrpc.NewChannel(eng, p.RPC, sim.NewResource(eng, 1)), 0.6, supports),
 		FallbackCPU:  driver.NewCPUTarget("cpu", sch, &p.Big, 4),
 		ReferenceCPU: driver.NewReferenceCPUTarget("ref", sch, &p.Big),
 		Supports:     supports,

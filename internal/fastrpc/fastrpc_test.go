@@ -11,7 +11,7 @@ import (
 
 func newChannel() (*sim.Engine, *Channel) {
 	eng := sim.NewEngine()
-	dsp := sim.NewResource(eng, "dsp", 1)
+	dsp := sim.NewResource(eng, 1)
 	return eng, NewChannel(eng, soc.Pixel3().RPC, dsp)
 }
 
@@ -107,7 +107,7 @@ func TestConcurrentColdCallsSetupOnce(t *testing.T) {
 func TestQueueingUnderContention(t *testing.T) {
 	// Two channels sharing one DSP: the second's calls see queue time.
 	eng := sim.NewEngine()
-	dsp := sim.NewResource(eng, "dsp", 1)
+	dsp := sim.NewResource(eng, 1)
 	p := soc.Pixel3().RPC
 	a := NewChannel(eng, p, dsp)
 	b := NewChannel(eng, p, dsp)
@@ -160,7 +160,7 @@ func TestBreakdownTotal(t *testing.T) {
 
 func TestInvokeSpanRecordsFlowLinkedSpans(t *testing.T) {
 	eng := sim.NewEngine()
-	dsp := sim.NewResource(eng, "dsp", 1)
+	dsp := sim.NewResource(eng, 1)
 	ch := NewChannel(eng, soc.Pixel3().RPC, dsp)
 	ch.Tracer = telemetry.NewTracer(eng.Now)
 	ch.Metrics = telemetry.NewRegistry()
@@ -214,7 +214,7 @@ func TestInvokeSpanRecordsFlowLinkedSpans(t *testing.T) {
 func TestInvokeWithoutTelemetryUnchanged(t *testing.T) {
 	run := func(traced bool) (sim.Time, Breakdown) {
 		eng := sim.NewEngine()
-		dsp := sim.NewResource(eng, "dsp", 1)
+		dsp := sim.NewResource(eng, 1)
 		ch := NewChannel(eng, soc.Pixel3().RPC, dsp)
 		if traced {
 			ch.Tracer = telemetry.NewTracer(eng.Now)

@@ -346,7 +346,7 @@ func TestNoInjectorBreakdownUnchanged(t *testing.T) {
 func TestFaultRunsDeterministic(t *testing.T) {
 	run := func() (sim.Time, []Breakdown) {
 		eng := sim.NewEngine()
-		dsp := sim.NewResource(eng, "dsp", 1)
+		dsp := sim.NewResource(eng, 1)
 		c := NewChannel(eng, soc.Pixel3().RPC, dsp)
 		inj, _ := faults.New(faults.Plan{Seed: 5, RPCErrorRate: 0.4, StallRate: 0.3, MaxAttempts: 3}.Resolved(1))
 		c.Faults = inj

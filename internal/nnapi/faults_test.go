@@ -25,8 +25,8 @@ func faultyRig(t *testing.T, plan faults.Plan) *rig {
 	eng := sim.NewEngine()
 	sch := sched.New(eng, sched.DefaultConfig())
 	p := soc.Pixel3()
-	dspRes := sim.NewResource(eng, "dsp", 1)
-	gpuQ := sim.NewResource(eng, "gpu", 1)
+	dspRes := sim.NewResource(eng, 1)
+	gpuQ := sim.NewResource(eng, 1)
 	ch := fastrpc.NewChannel(eng, p.RPC, dspRes)
 	ch.Faults = inj
 	fw := New(Config{

@@ -7,7 +7,6 @@
 package sched
 
 import (
-	"fmt"
 	"math/bits"
 	"time"
 
@@ -401,19 +400,4 @@ func (s *Scheduler) finishSlice(core *Core) {
 	}
 	s.activate(t)
 	s.dispatch()
-}
-
-// Utilization returns a core's busy fraction of total simulated time.
-func (s *Scheduler) Utilization(core *Core) float64 {
-	total := float64(s.eng.Now())
-	if total == 0 {
-		return 0
-	}
-	return float64(core.busyTime) / total
-}
-
-// String summarizes the scheduler state.
-func (s *Scheduler) String() string {
-	return fmt.Sprintf("sched{cores=%d ready=%d switches=%d migrations=%d}",
-		len(s.cores), len(s.ready), s.switches, s.migrations)
 }

@@ -144,7 +144,7 @@ func TestUtilizationAccounting(t *testing.T) {
 	s := New(eng, cfg)
 	s.Spawn("t", nil).Exec(10*time.Millisecond, nil)
 	eng.Run()
-	if u := s.Utilization(s.Cores()[0]); u < 0.99 {
+	if u := float64(s.Cores()[0].BusyTime()) / float64(eng.Now()); u < 0.99 {
 		t.Fatalf("single busy core utilization = %v, want ~1", u)
 	}
 }

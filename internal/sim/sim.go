@@ -304,7 +304,6 @@ func (e *Engine) Scheduled() uint64 { return e.seq }
 // its stated service duration.
 type Resource struct {
 	eng      *Engine
-	name     string
 	capacity int
 	inUse    int
 	// waiters[whead:] are the queued requests. Serving advances whead;
@@ -320,7 +319,6 @@ type Resource struct {
 	// Accounting.
 	busyTime    Duration // total slot-seconds of service completed
 	lastChange  Time
-	utilAccum   float64 // integral of (inUse/capacity) dt
 	served      int
 	queuedPeak  int
 	totalQueued Duration // integral of queue length dt
@@ -339,15 +337,12 @@ type resSlot struct {
 }
 
 // NewResource creates a resource with the given parallel capacity.
-func NewResource(eng *Engine, name string, capacity int) *Resource {
+func NewResource(eng *Engine, capacity int) *Resource {
 	if capacity <= 0 {
 		panic("sim: resource capacity must be positive")
 	}
-	return &Resource{eng: eng, name: name, capacity: capacity, lastChange: eng.Now()}
+	return &Resource{eng: eng, capacity: capacity, lastChange: eng.Now()}
 }
-
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
 
 // Capacity returns the resource's parallel capacity.
 func (r *Resource) Capacity() int { return r.capacity }
@@ -361,7 +356,6 @@ func (r *Resource) QueueLen() int { return len(r.waiters) - r.whead }
 func (r *Resource) account() {
 	now := r.eng.Now()
 	dt := float64(now.Sub(r.lastChange))
-	r.utilAccum += dt * float64(r.inUse) / float64(r.capacity)
 	r.totalQueued += Duration(dt * float64(r.QueueLen()))
 	r.lastChange = now
 }
@@ -420,17 +414,6 @@ func (r *Resource) finish(s *resSlot) {
 		ready(start, end)
 	}
 	r.pump()
-}
-
-// Utilization returns the time-averaged fraction of capacity in use from
-// simulation start to now.
-func (r *Resource) Utilization() float64 {
-	r.account()
-	total := float64(r.eng.Now())
-	if total == 0 {
-		return 0
-	}
-	return r.utilAccum / total
 }
 
 // Served returns the number of completed requests.

@@ -131,7 +131,7 @@ func TestRunUntil(t *testing.T) {
 
 func TestResourceSerializesBeyondCapacity(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "dsp", 1)
+	r := NewResource(e, 1)
 	var ends []Time
 	for i := 0; i < 3; i++ {
 		r.Acquire(100*time.Nanosecond, func(start, end Time) { ends = append(ends, end) })
@@ -150,7 +150,7 @@ func TestResourceSerializesBeyondCapacity(t *testing.T) {
 
 func TestResourceParallelCapacity(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu", 4)
+	r := NewResource(e, 4)
 	done := 0
 	for i := 0; i < 4; i++ {
 		r.Acquire(50*time.Nanosecond, func(start, end Time) {
@@ -168,11 +168,11 @@ func TestResourceParallelCapacity(t *testing.T) {
 
 func TestResourceUtilization(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "u", 1)
+	r := NewResource(e, 1)
 	r.Acquire(100*time.Nanosecond, nil)
 	e.Run()
 	// Busy 100ns of a 100ns sim: utilization 1.0.
-	if u := r.Utilization(); u < 0.99 || u > 1.01 {
+	if u := float64(r.BusyTime()) / float64(e.Now()); u < 0.99 || u > 1.01 {
 		t.Fatalf("utilization = %v, want ~1", u)
 	}
 	if r.BusyTime() != 100*time.Nanosecond {
@@ -182,7 +182,7 @@ func TestResourceUtilization(t *testing.T) {
 
 func TestResourceQueueStats(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "q", 1)
+	r := NewResource(e, 1)
 	for i := 0; i < 5; i++ {
 		r.Acquire(10*time.Nanosecond, nil)
 	}
@@ -279,7 +279,7 @@ func TestPropertyResourceConservation(t *testing.T) {
 	// time equals the sum of holds and the finish time equals that sum.
 	f := func(holds []uint16) bool {
 		e := NewEngine()
-		r := NewResource(e, "p", 1)
+		r := NewResource(e, 1)
 		var total Duration
 		for _, h := range holds {
 			d := Duration(h) * time.Nanosecond
@@ -367,7 +367,7 @@ func TestNegativeAfterPanics(t *testing.T) {
 
 func TestResourceMeanQueueLen(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "q", 1)
+	r := NewResource(e, 1)
 	for i := 0; i < 3; i++ {
 		r.Acquire(10*time.Nanosecond, nil)
 	}
@@ -375,8 +375,8 @@ func TestResourceMeanQueueLen(t *testing.T) {
 	if r.MeanQueueLen() <= 0 {
 		t.Fatal("queued work must register a mean queue length")
 	}
-	if r.Name() != "q" || r.Capacity() != 1 {
-		t.Fatal("accessors broken")
+	if r.Capacity() != 1 {
+		t.Fatal("capacity accessor broken")
 	}
 }
 
@@ -439,7 +439,7 @@ func TestTimeAccessors(t *testing.T) {
 
 func TestResourceInUse(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "x", 2)
+	r := NewResource(e, 2)
 	r.Acquire(10, nil)
 	if r.InUse() != 1 {
 		t.Fatalf("in use = %d", r.InUse())
@@ -457,7 +457,7 @@ func TestNewResourceRejectsZeroCapacity(t *testing.T) {
 			t.Fatal("zero capacity must panic")
 		}
 	}()
-	NewResource(e, "bad", 0)
+	NewResource(e, 0)
 }
 
 func TestIntnPanicsOnNonPositive(t *testing.T) {
@@ -483,7 +483,7 @@ func TestZeroSeedRemapped(t *testing.T) {
 // a late arrival after an idle gap.
 func TestResourceScriptedScenario(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "dsp", 2)
+	r := NewResource(e, 2)
 	type span struct{ start, end Time }
 	got := map[string]span{}
 	var order []string
@@ -538,8 +538,9 @@ func TestResourceScriptedScenario(t *testing.T) {
 	if r.QueueLen() != 0 || r.InUse() != 0 {
 		t.Errorf("after run: queue %d in use %d, want 0 and 0", r.QueueLen(), r.InUse())
 	}
-	// Two slots busy over [0,100), one over [150,160): 105/160.
-	if u := r.Utilization(); u != 105.0/160 {
+	// Two slots busy over [0,100), one over [150,160): 105/160 of the
+	// capacity over the elapsed time.
+	if u := float64(r.BusyTime()) / float64(int64(e.Now())*int64(r.Capacity())); u != 105.0/160 {
 		t.Errorf("utilization = %v, want %v", u, 105.0/160)
 	}
 	// D waited over [0,50): 50/160.
@@ -674,7 +675,7 @@ func TestEngineStepDoesNotAllocate(t *testing.T) {
 
 func TestResourceAcquireDoesNotAllocate(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "dsp", 2)
+	r := NewResource(e, 2)
 	ready := func(start, end Time) {}
 	burst := func() {
 		for i := 0; i < 5; i++ {
@@ -708,7 +709,7 @@ func BenchmarkEngineStep(b *testing.B) {
 // capacity-1 resource: enqueue, service, completion callback.
 func BenchmarkResourceAcquire(b *testing.B) {
 	e := NewEngine()
-	r := NewResource(e, "dsp", 1)
+	r := NewResource(e, 1)
 	ready := func(start, end Time) {}
 	for i := 0; i < 4; i++ {
 		r.Acquire(10, ready)
@@ -725,7 +726,7 @@ func BenchmarkResourceAcquire(b *testing.B) {
 // with the number of requests served.
 func TestResourceBacklogArrayBounded(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "dsp", 1)
+	r := NewResource(e, 1)
 	for i := 0; i < 4; i++ {
 		r.Acquire(10, nil)
 	}

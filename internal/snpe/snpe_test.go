@@ -16,8 +16,8 @@ func newSDK() (*sim.Engine, *SDK, *sched.Scheduler) {
 	eng := sim.NewEngine()
 	sch := sched.New(eng, sched.DefaultConfig())
 	p := soc.Pixel3()
-	dspRes := sim.NewResource(eng, "dsp", 1)
-	gpuQ := sim.NewResource(eng, "gpu", 1)
+	dspRes := sim.NewResource(eng, 1)
+	gpuQ := sim.NewResource(eng, 1)
 	ch := fastrpc.NewChannel(eng, p.RPC, dspRes)
 	sdk := &SDK{
 		CPU: driver.NewCPUTarget("snpe-cpu", sch, &p.Big, 4),

@@ -94,8 +94,8 @@ func NewRuntime(eng *sim.Engine, sch *sched.Scheduler, platform *soc.SoC, seed u
 		Eng:      eng,
 		Sch:      sch,
 		Platform: platform,
-		DSP:      sim.NewResource(eng, "dsp", 1),
-		GPUQueue: sim.NewResource(eng, "gpu", 1),
+		DSP:      sim.NewResource(eng, 1),
+		GPUQueue: sim.NewResource(eng, 1),
 		RNG:      sim.NewRNG(seed),
 		Plans:    plan.Shared,
 	}
@@ -217,6 +217,24 @@ type Interpreter struct {
 	// TransitionOverhead is the per-boundary handoff cost for GPU and
 	// Hexagon delegate partitions.
 	TransitionOverhead time.Duration
+}
+
+// Supported mirrors NewInterpreter's Table-I validation without
+// building anything: it reports whether the (model, dtype, delegate)
+// combination can compile. Serving's prewarm pass uses it to enumerate
+// only combinations that would build.
+func Supported(m *models.Model, dt tensor.DType, d Delegate) bool {
+	quant := dt == tensor.Int8 || dt == tensor.UInt8
+	if quant && !m.Quantizable() {
+		return false
+	}
+	if !m.Support.Supports(d == DelegateNNAPI, dt) {
+		return false
+	}
+	if d == DelegateHexagon && !quant {
+		return false
+	}
+	return true
 }
 
 // NewInterpreter validates the (model, precision, delegate) combination
@@ -440,6 +458,26 @@ func (ip *Interpreter) fallBackToCPU(parent *telemetry.ActiveSpan) time.Duration
 // Invoke runs one inference; done receives the invocation report.
 func (ip *Interpreter) Invoke(done func(Report)) {
 	ip.InvokeTraced(nil, done)
+}
+
+// InvokeWhile invokes back to back while more(i) holds, i counting the
+// completed runs, and hands each run's report and virtual duration to
+// each (may be nil). It only schedules: the caller drains the engine.
+func (ip *Interpreter) InvokeWhile(more func(i int) bool, each func(Report, time.Duration)) {
+	var loop func(i int)
+	loop = func(i int) {
+		if !more(i) {
+			return
+		}
+		start := ip.rt.Eng.Now()
+		ip.Invoke(func(rep Report) {
+			if each != nil {
+				each(rep, ip.rt.Eng.Now().Sub(start))
+			}
+			loop(i + 1)
+		})
+	}
+	loop(0)
 }
 
 // InvokeTraced is Invoke with telemetry context: the invocation becomes

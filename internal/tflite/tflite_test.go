@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"aitax/internal/models"
+	"aitax/internal/plan"
 	"aitax/internal/postproc"
 	"aitax/internal/soc"
 	"aitax/internal/tensor"
@@ -296,5 +297,42 @@ func TestDeterministicInvocation(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("invocation latency is nondeterministic")
+	}
+}
+
+// TestSupportedMirrorsTableI pins the grid filter against the
+// validation NewInterpreter performs, so serving's prewarm pass never
+// enumerates a combination that would fail to build.
+func TestSupportedMirrorsTableI(t *testing.T) {
+	mobilenet, err := models.ByName("MobileNet 1.0 v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deeplab, err := models.ByName("Deeplab-v3 MobileNet-v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Supported(mobilenet, tensor.Int8, DelegateHexagon) {
+		t.Fatal("quantized MobileNet on Hexagon is a Table-I configuration")
+	}
+	if Supported(mobilenet, tensor.Float32, DelegateHexagon) {
+		t.Fatal("the Hexagon delegate requires a quantized model")
+	}
+	if Supported(deeplab, tensor.Int8, DelegateCPU) {
+		t.Fatal("Deeplab has no quantized variant (Table I)")
+	}
+	// The filter must agree with NewInterpreter over the whole grid.
+	p := soc.Pixel3()
+	rt := NewStack(p, 0)
+	rt.Plans = plan.New()
+	for _, m := range []*models.Model{mobilenet, deeplab} {
+		for _, dt := range []tensor.DType{tensor.Float32, tensor.Int8} {
+			for _, d := range []Delegate{DelegateCPU, DelegateGPU, DelegateHexagon, DelegateNNAPI} {
+				_, err := rt.NewInterpreter(m, dt, Options{Delegate: d})
+				if got, want := Supported(m, dt, d), err == nil; got != want {
+					t.Errorf("%s/%v/%v: Supported=%v, NewInterpreter err=%v", m.Name, dt, d, got, err)
+				}
+			}
+		}
 	}
 }

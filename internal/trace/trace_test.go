@@ -58,7 +58,7 @@ func TestResourceSampling(t *testing.T) {
 	sch := sched.New(eng, sched.DefaultConfig())
 	p := NewProfiler(eng, time.Millisecond)
 	p.Attach(sch)
-	dsp := sim.NewResource(eng, "dsp", 1)
+	dsp := sim.NewResource(eng, 1)
 	p.TrackResource("cdsp", dsp)
 	p.StartSampling(20 * time.Millisecond)
 	eng.After(2*time.Millisecond, func() {
@@ -113,7 +113,7 @@ func TestInstrumentAddsProbeOverheadOnDSP(t *testing.T) {
 	run := func(instr bool) time.Duration {
 		eng := sim.NewEngine()
 		p := soc.Pixel3()
-		dspRes := sim.NewResource(eng, "dsp", 1)
+		dspRes := sim.NewResource(eng, 1)
 		ch := fastrpc.NewChannel(eng, p.RPC, dspRes)
 		var target driver.Target = driver.NewDSPTarget("dsp", &p.DSP, ch, 0.95, driver.SNPESupports)
 		if instr {
@@ -149,7 +149,7 @@ func TestInstrumentLeavesCPUUntouched(t *testing.T) {
 func TestInstrumentedTargetDelegatesSupport(t *testing.T) {
 	eng := sim.NewEngine()
 	p := soc.Pixel3()
-	dspRes := sim.NewResource(eng, "dsp", 1)
+	dspRes := sim.NewResource(eng, 1)
 	ch := fastrpc.NewChannel(eng, p.RPC, dspRes)
 	inner := driver.NewDSPTarget("dsp", &p.DSP, ch, 0.95, driver.SNPESupports)
 	w := Instrument(inner, eng, DefaultProbeOverhead, nil, nil)
@@ -214,7 +214,7 @@ func TestInstrumentOverheadConfigurable(t *testing.T) {
 	run := func(overhead float64) time.Duration {
 		eng := sim.NewEngine()
 		p := soc.Pixel3()
-		dspRes := sim.NewResource(eng, "dsp", 1)
+		dspRes := sim.NewResource(eng, 1)
 		ch := fastrpc.NewChannel(eng, p.RPC, dspRes)
 		var target driver.Target = driver.NewDSPTarget("dsp", &p.DSP, ch, 0.95, driver.SNPESupports)
 		target = Instrument(target, eng, overhead, nil, nil)
@@ -250,7 +250,7 @@ func TestInstrumentOverheadCPUAlwaysUnwrapped(t *testing.T) {
 		}
 	}
 	// Non-positive overhead disables the probe even on accelerators.
-	dspRes := sim.NewResource(eng, "dsp", 1)
+	dspRes := sim.NewResource(eng, 1)
 	ch := fastrpc.NewChannel(eng, p.RPC, dspRes)
 	dsp := driver.NewDSPTarget("dsp", &p.DSP, ch, 0.95, driver.SNPESupports)
 	if Instrument(dsp, eng, 0, nil, nil) != driver.Target(dsp) {
@@ -262,7 +262,7 @@ func TestInstrumentedTargetRecordsTelemetry(t *testing.T) {
 	m, _ := models.ByName("MobileNet 1.0 v1")
 	eng := sim.NewEngine()
 	p := soc.Pixel3()
-	dspRes := sim.NewResource(eng, "dsp", 1)
+	dspRes := sim.NewResource(eng, 1)
 	ch := fastrpc.NewChannel(eng, p.RPC, dspRes)
 	inner := driver.NewDSPTarget("dsp", &p.DSP, ch, 0.95, driver.SNPESupports)
 	w := Instrument(inner, eng, 0.055, telemetry.NewTracer(eng.Now), telemetry.NewRegistry()).(*InstrumentedTarget)

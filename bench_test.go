@@ -251,141 +251,6 @@ func BenchmarkARGBToYUV480p(b *testing.B) {
 	}
 }
 
-// --- In-place kernel variants (steady state must be 0 allocs/op;
-// TestInPlaceKernelsDoNotAllocate pins that, these quantify the time) ---
-
-func BenchmarkYUVToARGB480pInto(b *testing.B) {
-	frame := imaging.SyntheticFrame(480, 360, 1)
-	dst := imaging.NewARGB(480, 360)
-	imaging.YUVToARGBInto(dst, frame) // warm: reach steady state before the timer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		imaging.YUVToARGBInto(dst, frame)
-	}
-}
-
-func BenchmarkARGBToYUV480pInto(b *testing.B) {
-	scene := imaging.SyntheticScene(480, 360, 1)
-	dst := imaging.NewYUV(480, 360)
-	imaging.ARGBToYUVInto(dst, scene) // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		imaging.ARGBToYUVInto(dst, scene)
-	}
-}
-
-func BenchmarkResizeBilinearTo224Into(b *testing.B) {
-	src := imaging.SyntheticScene(480, 360, 1)
-	dst := imaging.NewARGB(224, 224)
-	preproc.ResizeBilinearInto(dst, src, 224, 224) // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		preproc.ResizeBilinearInto(dst, src, 224, 224)
-	}
-}
-
-func BenchmarkNormalize224Into(b *testing.B) {
-	src := imaging.SyntheticScene(224, 224, 1)
-	dst := &tensor.Tensor{}
-	preproc.NormalizeInto(dst, src, 127.5, 127.5) // warm: the first call grows the tensor
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		preproc.NormalizeInto(dst, src, 127.5, 127.5)
-	}
-}
-
-func BenchmarkTopK1001Into(b *testing.B) {
-	m, _ := aitax.ModelByName("MobileNet 1.0 v1")
-	outs := aitax.FabricateOutputs(m, aitax.Float32, 1)
-	var classes []postproc.Class
-	classes = postproc.TopKInto(classes[:0], outs[0], 5) // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		classes = postproc.TopKInto(classes[:0], outs[0], 5)
-	}
-}
-
-func BenchmarkSSDDecodeNMSInto(b *testing.B) {
-	m, _ := aitax.ModelByName("SSD MobileNet v2")
-	outs := aitax.FabricateOutputs(m, aitax.Float32, 1)
-	anchors := postproc.DefaultAnchors(26)[:1917]
-	var boxes, kept, scratch []postproc.Box
-	boxes = postproc.DecodeBoxesInto(boxes[:0], outs[0], outs[1], anchors, 0.5) // warm
-	kept = postproc.NMSInto(kept[:0], &scratch, boxes, 0.5, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		boxes = postproc.DecodeBoxesInto(boxes[:0], outs[0], outs[1], anchors, 0.5)
-		kept = postproc.NMSInto(kept[:0], &scratch, boxes, 0.5, 10)
-	}
-}
-
-func BenchmarkQuantizeInput224Into(b *testing.B) {
-	src := imaging.SyntheticScene(224, 224, 1)
-	q := tensor.QuantParams{Scale: 1}
-	dst := &tensor.Tensor{}
-	preproc.QuantizeInputInto(dst, src, tensor.UInt8, q) // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		preproc.QuantizeInputInto(dst, src, tensor.UInt8, q)
-	}
-}
-
-// --- Fused kernels: one pass instead of resize + convert ---
-
-func BenchmarkResizeNormalize224Into(b *testing.B) {
-	src := imaging.SyntheticScene(480, 360, 1)
-	dst := &tensor.Tensor{}
-	preproc.ResizeNormalizeInto(dst, src, 224, 224, 127.5, 127.5) // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		preproc.ResizeNormalizeInto(dst, src, 224, 224, 127.5, 127.5)
-	}
-}
-
-func BenchmarkResizeQuantize224Into(b *testing.B) {
-	src := imaging.SyntheticScene(480, 360, 1)
-	q := tensor.QuantParams{Scale: 1}
-	dst := &tensor.Tensor{}
-	preproc.ResizeQuantizeInto(dst, src, 224, 224, tensor.UInt8, q) // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		preproc.ResizeQuantizeInto(dst, src, 224, 224, tensor.UInt8, q)
-	}
-}
-
-func BenchmarkMaskFlatten513Into(b *testing.B) {
-	m, _ := aitax.ModelByName("Deeplab-v3 MobileNet-v2")
-	outs := aitax.FabricateOutputs(m, aitax.Float32, 1)
-	var mask []int
-	mask = postproc.FlattenMaskInto(mask[:0], outs[0]) // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mask = postproc.FlattenMaskInto(mask[:0], outs[0])
-	}
-}
-
-func BenchmarkKeypointDecodeInto(b *testing.B) {
-	m, _ := aitax.ModelByName("PoseNet")
-	outs := aitax.FabricateOutputs(m, aitax.Float32, 1)
-	var kps []postproc.Keypoint
-	kps = postproc.DecodeKeypointsInto(kps[:0], outs[0], outs[1], 16) // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kps = postproc.DecodeKeypointsInto(kps[:0], outs[0], outs[1], 16)
-	}
-}
-
 // BenchmarkSimulatedInvoke measures the simulator's host-side throughput
 // for one full NNAPI invocation (events processed, not virtual time).
 func BenchmarkSimulatedInvoke(b *testing.B) {

@@ -62,27 +62,19 @@ func measure(ts []task, only int) map[string]time.Duration {
 			log.Fatal(err)
 		}
 		ip.Init(func() {
-			var total time.Duration
-			n := 0
-			var loop func()
-			loop = func() {
-				start := rt.Eng.Now()
-				ip.Invoke(func(aitax.InvokeReport) {
-					if n > 0 { // skip the cold first round
-						total += rt.Eng.Now().Sub(start)
-					}
-					n++
-					if n <= rounds {
-						loop()
-						return
-					}
-					out[tk.label] = total / time.Duration(rounds)
-				})
-			}
-			loop()
+			cold := true // skip the cold first round
+			ip.InvokeWhile(func(i int) bool { return i <= rounds }, func(_ aitax.InvokeReport, d time.Duration) {
+				if !cold {
+					out[tk.label] += d
+				}
+				cold = false
+			})
 		})
 	}
 	rt.Eng.Run()
+	for label := range out {
+		out[label] /= rounds
+	}
 	return out
 }
 

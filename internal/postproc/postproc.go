@@ -8,10 +8,8 @@ package postproc
 
 import (
 	"math"
-	"slices"
 	"sort"
 
-	"aitax/internal/par"
 	"aitax/internal/tensor"
 	"aitax/internal/work"
 )
@@ -46,44 +44,6 @@ func TopK(t *tensor.Tensor, k int) []Class {
 	return all[:k]
 }
 
-// TopKInto is the allocation-free variant of TopK: it selects the k best
-// classes into dst's storage (grown only if cap(dst) < k) with a single
-// pass over the tensor. The ordering criterion is the same strict total
-// order TopK sorts by — score descending, index ascending on ties — so
-// for any input TopKInto(dst, t, k) equals TopK(t, k).
-func TopKInto(dst []Class, t *tensor.Tensor, k int) []Class {
-	n := t.Elems()
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
-		return nil
-	}
-	if cap(dst) < k {
-		dst = make([]Class, k)
-	}
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		s := t.At(i)
-		if len(dst) == k && s <= dst[k-1].Score {
-			// Not better than the current k-th: with ties broken by the
-			// lower index, a later equal score never displaces.
-			continue
-		}
-		// Find the insertion point (score desc, index asc) and shift.
-		pos := len(dst)
-		for pos > 0 && dst[pos-1].Score < s {
-			pos--
-		}
-		if len(dst) < k {
-			dst = dst[:len(dst)+1]
-		}
-		copy(dst[pos+1:], dst[pos:])
-		dst[pos] = Class{Index: i, Score: s}
-	}
-	return dst
-}
-
 // TopKWork reports the demand of topK over n classes.
 func TopKWork(n, k int) work.Work {
 	if n <= 1 {
@@ -96,10 +56,6 @@ func TopKWork(n, k int) work.Work {
 // Dequantize converts a quantized output tensor to FP32; Table I marks
 // this step for all quantized models.
 func Dequantize(t *tensor.Tensor) *tensor.Tensor { return tensor.DequantizeTensor(t) }
-
-// DequantizeInto is the scratch-reusing variant of Dequantize (dst may
-// be nil; see tensor.DequantizeTensorInto).
-func DequantizeInto(dst, t *tensor.Tensor) *tensor.Tensor { return tensor.DequantizeTensorInto(dst, t) }
 
 // DequantizeWork reports the demand of dequantizing n elements.
 func DequantizeWork(n int) work.Work {
@@ -139,38 +95,26 @@ func SoftmaxWork(n int) work.Work {
 
 // FlattenMask converts a DeepLab-style per-pixel class-score tensor of
 // shape [1, H, W, C] into an H*W argmax label mask — the "mask
-// flattening" step of Table I.
+// flattening" step of Table I. Ties go to the lower class.
 func FlattenMask(t *tensor.Tensor) []int {
 	if len(t.Shape) != 4 {
 		panic("postproc: FlattenMask expects NHWC scores")
 	}
-	h, w := t.Shape[1], t.Shape[2]
-	return FlattenMaskInto(make([]int, h*w), t)
-}
-
-// FlattenMaskInto is the allocation-free variant of FlattenMask: the
-// mask is written into dst's storage (grown only if too small). The
-// argmax runs tiled over the pixel range with dtype-specialized inner
-// loops (see fastpath.go); the result is identical to the sequential
-// At-based scan for every dtype.
-func FlattenMaskInto(dst []int, t *tensor.Tensor) []int {
-	if len(t.Shape) != 4 {
-		panic("postproc: FlattenMask expects NHWC scores")
-	}
 	h, w, c := t.Shape[1], t.Shape[2], t.Shape[3]
-	mask := dst
-	if cap(mask) < h*w {
-		mask = make([]int, h*w)
-	}
-	mask = mask[:h*w]
+	mask := make([]int, h*w)
 	if c == 0 {
 		return mask
 	}
-	task := maskTaskPool.Get()
-	*task = maskTask{t: t, c: c, mask: mask}
-	par.For(h*w, task)
-	*task = maskTask{}
-	maskTaskPool.Put(task)
+	for p := range mask {
+		base := p * c
+		best, bestScore := 0, t.At(base)
+		for ch := 1; ch < c; ch++ {
+			if s := t.At(base + ch); s > bestScore {
+				best, bestScore = ch, s
+			}
+		}
+		mask[p] = best
+	}
 	return mask
 }
 
@@ -193,28 +137,27 @@ type Keypoint struct {
 // spatial stride (PoseNet uses 32 at 224×224 with 7×7 maps... stride =
 // inputSize / (H-1) conventionally; callers pass it explicitly).
 func DecodeKeypoints(heatmaps, offsets *tensor.Tensor, outputStride int) []Keypoint {
-	return DecodeKeypointsInto(nil, heatmaps, offsets, outputStride)
-}
-
-// DecodeKeypointsInto is the allocation-free variant of DecodeKeypoints:
-// keypoints are written into dst's storage (grown only if too small).
-// Each keypoint's heatmap scan is an independent tile (grain 1 — a scan
-// covers the whole H×W map, so even 17 keypoints are worth spreading).
-func DecodeKeypointsInto(dst []Keypoint, heatmaps, offsets *tensor.Tensor, outputStride int) []Keypoint {
 	if len(heatmaps.Shape) != 4 || len(offsets.Shape) != 4 {
 		panic("postproc: DecodeKeypoints expects NHWC tensors")
 	}
 	h, w, k := heatmaps.Shape[1], heatmaps.Shape[2], heatmaps.Shape[3]
-	out := dst
-	if cap(out) < k {
-		out = make([]Keypoint, k)
+	out := make([]Keypoint, k)
+	for kp := range out {
+		bestY, bestX, bestScore := 0, 0, math.Inf(-1)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				if s := heatmaps.At(((y*w)+x)*k + kp); s > bestScore {
+					bestY, bestX, bestScore = y, x, s
+				}
+			}
+		}
+		offBase := ((bestY * w) + bestX) * 2 * k
+		out[kp] = Keypoint{
+			Y:     float64(bestY*outputStride) + offsets.At(offBase+kp),
+			X:     float64(bestX*outputStride) + offsets.At(offBase+k+kp),
+			Score: sigmoid(bestScore),
+		}
 	}
-	out = out[:k]
-	task := kpTaskPool.Get()
-	*task = kpTask{heatmaps: heatmaps, offsets: offsets, h: h, w: w, k: k, stride: outputStride, out: out}
-	par.ForGrain(k, 1, task)
-	*task = kpTask{}
-	kpTaskPool.Put(task)
 	return out
 }
 
@@ -285,14 +228,6 @@ func DefaultAnchors(gridSize int) []Anchor {
 // class per anchor when its score passes threshold. locs has shape
 // [1, N, 4] and scores [1, N, C] with C including a background class 0.
 func DecodeBoxes(locs, scores *tensor.Tensor, anchors []Anchor, threshold float64) []Box {
-	return DecodeBoxesInto(nil, locs, scores, anchors, threshold)
-}
-
-// DecodeBoxesInto is the scratch-reusing variant of DecodeBoxes:
-// detections are appended into dst[:0], so a caller that passes back the
-// returned slice each frame stops allocating once its capacity covers
-// the detection count.
-func DecodeBoxesInto(dst []Box, locs, scores *tensor.Tensor, anchors []Anchor, threshold float64) []Box {
 	if len(locs.Shape) != 3 || len(scores.Shape) != 3 {
 		panic("postproc: DecodeBoxes expects [1,N,4] and [1,N,C]")
 	}
@@ -301,21 +236,14 @@ func DecodeBoxesInto(dst []Box, locs, scores *tensor.Tensor, anchors []Anchor, t
 		panic("postproc: box/score/anchor shape mismatch")
 	}
 	const scaleXY, scaleHW = 10.0, 5.0
-	out := dst[:0]
-	// Phase 1 — the O(N·C) score filter runs tiled over the anchors,
-	// writing each anchor's best class/score into pooled scratch.
-	sc := ssdScratchPool.Get().(*ssdScratch)
-	sc.bestC = growInt32(sc.bestC, n)
-	sc.bestS = growFloat64(sc.bestS, n)
-	task := boxScanTaskPool.Get()
-	*task = boxScanTask{scores: scores, c: c, bestC: sc.bestC, bestS: sc.bestS}
-	par.For(n, task)
-	*task = boxScanTask{}
-	boxScanTaskPool.Put(task)
-	// Phase 2 — the cheap decode of the few surviving anchors stays
-	// sequential so detections append in anchor order, as before.
+	var out []Box
 	for i := 0; i < n; i++ {
-		bestC, bestS := int(sc.bestC[i]), sc.bestS[i]
+		bestC, bestS := 0, 0.0
+		for ch := 1; ch < c; ch++ {
+			if s := scores.At(i*c + ch); s > bestS {
+				bestC, bestS = ch, s
+			}
+		}
 		if bestC == 0 || bestS < threshold {
 			continue
 		}
@@ -332,7 +260,6 @@ func DecodeBoxesInto(dst []Box, locs, scores *tensor.Tensor, anchors []Anchor, t
 			Class: bestC, Score: bestS,
 		})
 	}
-	ssdScratchPool.Put(sc)
 	return out
 }
 
@@ -342,33 +269,6 @@ func NMS(boxes []Box, iouThresh float64, maxOut int) []Box {
 	sorted := append([]Box(nil), boxes...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Score > sorted[b].Score })
 	var kept []Box
-	return nmsSorted(kept, sorted, iouThresh, maxOut)
-}
-
-// NMSInto is the allocation-free variant of NMS: the candidate copy goes
-// into scratch's storage (grown in place so the caller keeps it) and the
-// survivors into dst's. Score ties are ordered deterministically by
-// descending score with the original slice order preserved (stable),
-// which may differ from NMS's unstable sort on exact ties.
-func NMSInto(dst []Box, scratch *[]Box, boxes []Box, iouThresh float64, maxOut int) []Box {
-	*scratch = append((*scratch)[:0], boxes...)
-	sorted := *scratch
-	slices.SortStableFunc(sorted, func(a, b Box) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		default:
-			return 0
-		}
-	})
-	return nmsSorted(dst[:0], sorted, iouThresh, maxOut)
-}
-
-// nmsSorted runs the greedy suppression loop over score-sorted
-// candidates, appending survivors to kept.
-func nmsSorted(kept, sorted []Box, iouThresh float64, maxOut int) []Box {
 	for _, b := range sorted {
 		if maxOut > 0 && len(kept) >= maxOut {
 			break

@@ -62,44 +62,15 @@ func (s Spec) Tasks() string {
 
 // Run executes the pipeline for real on frame and returns the model input
 // tensor together with the compute demand of the steps performed. For a
-// tokenizing spec, frame may be nil. Every call returns a fresh tensor;
-// steady-state callers should use RunInto with a RunScratch instead.
+// tokenizing spec, frame may be nil.
 func (s Spec) Run(frame *imaging.ARGBImage) (*tensor.Tensor, work.Work) {
-	return s.RunInto(nil, frame)
-}
-
-// RunScratch holds the intermediate buffers RunInto reuses between
-// frames: rotation/crop bitmaps and the output tensor. The zero value
-// is ready to use; after the first frame of a fixed-geometry stream,
-// RunInto allocates nothing.
-type RunScratch struct {
-	rot  *imaging.ARGBImage
-	crop *imaging.ARGBImage
-	t    *tensor.Tensor
-}
-
-// RunInto is the scratch-reusing variant of Run. sc may be nil, in
-// which case every buffer is allocated fresh (exactly Run's behavior).
-// The returned tensor aliases sc's storage and is valid until the next
-// RunInto call with the same scratch. The step sequence, Work sums and
-// output bytes are identical to Run's original unfused path — the
-// resize+convert tail just runs as one fused pass when both steps are
-// present.
-func (s Spec) RunInto(sc *RunScratch, frame *imaging.ARGBImage) (*tensor.Tensor, work.Work) {
 	if s.Tokenize {
 		maxLen := s.MaxTokens
 		if maxLen == 0 {
 			maxLen = 128
 		}
-		ids := Tokenize(s.SampleText, BasicVocab(), maxLen)
-		var t *tensor.Tensor
-		if sc != nil {
-			sc.t = tensor.Ensure(sc.t, tensor.Int32, tensor.Shape{1, maxLen})
-			t = sc.t
-		} else {
-			t = tensor.New(tensor.Int32, tensor.Shape{1, maxLen})
-		}
-		for i, id := range ids {
+		t := tensor.New(tensor.Int32, tensor.Shape{1, maxLen})
+		for i, id := range Tokenize(s.SampleText, BasicVocab(), maxLen) {
 			t.I32[i] = int32(id)
 		}
 		return t, TokenizeWork(len(s.SampleText))
@@ -111,64 +82,27 @@ func (s Spec) RunInto(sc *RunScratch, frame *imaging.ARGBImage) (*tensor.Tensor,
 	var w work.Work
 	img := frame
 	if s.RotateTurns != 0 {
-		dst := &imaging.ARGBImage{}
-		if sc != nil {
-			if sc.rot == nil {
-				sc.rot = &imaging.ARGBImage{}
-			}
-			dst = sc.rot
-		}
-		img = Rotate90Into(dst, img, s.RotateTurns)
+		img = Rotate90(img, s.RotateTurns)
 		w = w.Add(RotateWork(img.Width, img.Height))
 	}
 	if s.CropFraction > 0 {
-		if s.CropFraction > 1 {
-			panic(fmt.Sprintf("preproc: invalid crop fraction %v", s.CropFraction))
-		}
-		dst := &imaging.ARGBImage{}
-		if sc != nil {
-			if sc.crop == nil {
-				sc.crop = &imaging.ARGBImage{}
-			}
-			dst = sc.crop
-		}
-		cw := int(float64(img.Width) * s.CropFraction)
-		ch := int(float64(img.Height) * s.CropFraction)
-		img = CenterCropInto(dst, img, cw, ch)
+		img = CropFraction(img, s.CropFraction)
 		w = w.Add(CropWork(img.Width, img.Height))
 	}
-	var dstT *tensor.Tensor
-	if sc != nil {
-		dstT = sc.t
+	if s.TargetW > 0 && (img.Width != s.TargetW || img.Height != s.TargetH) {
+		img = ResizeBilinear(img, s.TargetW, s.TargetH)
+		w = w.Add(ResizeWork(img.Width, img.Height))
 	}
-	needResize := s.TargetW > 0 && (img.Width != s.TargetW || img.Height != s.TargetH)
-	var t *tensor.Tensor
-	switch {
-	case s.Quantized && needResize:
-		t = ResizeQuantizeInto(dstT, img, s.TargetW, s.TargetH, s.DType, s.Quant)
-		w = w.Add(ResizeWork(s.TargetW, s.TargetH))
-		w = w.Add(TypeConvertWork(s.TargetW, s.TargetH, s.DType.Size()))
-	case s.Quantized:
-		t = QuantizeInputInto(dstT, img, s.DType, s.Quant)
+	if s.Quantized {
 		w = w.Add(TypeConvertWork(img.Width, img.Height, s.DType.Size()))
-	default:
-		std := s.Std
-		if std == 0 {
-			std = 1
-		}
-		if needResize {
-			t = ResizeNormalizeInto(dstT, img, s.TargetW, s.TargetH, s.Mean, std)
-			w = w.Add(ResizeWork(s.TargetW, s.TargetH))
-			w = w.Add(NormalizeWork(s.TargetW, s.TargetH))
-		} else {
-			t = NormalizeInto(dstT, img, s.Mean, std)
-			w = w.Add(NormalizeWork(img.Width, img.Height))
-		}
+		return QuantizeInput(img, s.DType, s.Quant), w
 	}
-	if sc != nil {
-		sc.t = t
+	std := s.Std
+	if std == 0 {
+		std = 1
 	}
-	return t, w
+	w = w.Add(NormalizeWork(img.Width, img.Height))
+	return Normalize(img, s.Mean, std), w
 }
 
 // Work reports the compute demand of running the pipeline on a frame of

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"aitax/internal/imaging"
-	"aitax/internal/par"
 	"aitax/internal/tensor"
 	"aitax/internal/work"
 )
@@ -21,27 +20,42 @@ import (
 // pixel count (quadratically in the output edge length, as the paper
 // notes).
 func ResizeBilinear(src *imaging.ARGBImage, dstW, dstH int) *imaging.ARGBImage {
-	return ResizeBilinearInto(imaging.NewARGB(dstW, dstH), src, dstW, dstH)
-}
-
-// ResizeBilinearInto is the in-place variant of ResizeBilinear: it scales
-// into dst (resized to dstW×dstH) and allocates nothing when dst's
-// backing array is already large enough. Sample positions and lerp
-// weights come from the per-geometry coefficient cache (kernels.go) and
-// the rows are tiled across the par worker pool; the arithmetic per
-// pixel is unchanged, so the output is bit-identical to the original
-// scalar loop at any worker count. Returns dst.
-func ResizeBilinearInto(dst *imaging.ARGBImage, src *imaging.ARGBImage, dstW, dstH int) *imaging.ARGBImage {
 	if dstW <= 0 || dstH <= 0 {
 		panic(fmt.Sprintf("preproc: invalid resize target %dx%d", dstW, dstH))
 	}
-	dst.Resize(dstW, dstH)
-	task := resizeTaskPool.Get()
-	*task = resizeTask{plan: planFor(src.Width, src.Height, dstW, dstH), src: src, dst: dst}
-	par.For(dstH, task)
-	*task = resizeTask{}
-	resizeTaskPool.Put(task)
+	dst := imaging.NewARGB(dstW, dstH)
+	xRatio := float64(src.Width-1) / float64(max(dstW-1, 1))
+	yRatio := float64(src.Height-1) / float64(max(dstH-1, 1))
+	for j := 0; j < dstH; j++ {
+		sy := yRatio * float64(j)
+		y0 := int(sy)
+		y1 := min(y0+1, src.Height-1)
+		fy := sy - float64(y0)
+		for i := 0; i < dstW; i++ {
+			sx := xRatio * float64(i)
+			x0 := int(sx)
+			x1 := min(x0+1, src.Width-1)
+			fx := sx - float64(x0)
+			r00, g00, b00 := imaging.RGB(src.At(x0, y0))
+			r10, g10, b10 := imaging.RGB(src.At(x1, y0))
+			r01, g01, b01 := imaging.RGB(src.At(x0, y1))
+			r11, g11, b11 := imaging.RGB(src.At(x1, y1))
+			dst.Set(i, j, imaging.PackRGB(
+				lerp(r00, r10, r01, r11, fx, fy),
+				lerp(g00, g10, g01, g11, fx, fy),
+				lerp(b00, b10, b01, b11, fx, fy),
+			))
+		}
+	}
 	return dst
+}
+
+// lerp blends one channel of the four neighbours a (x0,y0), b (x1,y0),
+// c (x0,y1) and d (x1,y1), rounding half up.
+func lerp(a, b, c, d uint8, fx, fy float64) uint8 {
+	top := float64(a)*(1-fx) + float64(b)*fx
+	bot := float64(c)*(1-fx) + float64(d)*fx
+	return uint8(top*(1-fy) + bot*fy + 0.5)
 }
 
 // ResizeWork reports the compute demand of a bilinear resize to w×h.
@@ -58,11 +72,6 @@ func ResizeWork(w, h int) work.Work {
 // along a dimension, the whole extent is used. Inception-style models
 // center-crop before scaling (§II-B).
 func CenterCrop(src *imaging.ARGBImage, w, h int) *imaging.ARGBImage {
-	return CenterCropInto(imaging.NewARGB(min(w, src.Width), min(h, src.Height)), src, w, h)
-}
-
-// CenterCropInto is the in-place variant of CenterCrop. Returns dst.
-func CenterCropInto(dst *imaging.ARGBImage, src *imaging.ARGBImage, w, h int) *imaging.ARGBImage {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("preproc: invalid crop %dx%d", w, h))
 	}
@@ -70,7 +79,7 @@ func CenterCropInto(dst *imaging.ARGBImage, src *imaging.ARGBImage, w, h int) *i
 	h = min(h, src.Height)
 	x0 := (src.Width - w) / 2
 	y0 := (src.Height - h) / 2
-	dst.Resize(w, h)
+	dst := imaging.NewARGB(w, h)
 	for j := 0; j < h; j++ {
 		srcOff := (y0+j)*src.Width + x0
 		copy(dst.Pix[j*w:j*w+w], src.Pix[srcOff:srcOff+w])
@@ -103,41 +112,19 @@ func Rotate90(src *imaging.ARGBImage, quarterTurns int) *imaging.ARGBImage {
 	if quarterTurns%2 == 1 {
 		w, h = h, w
 	}
-	return Rotate90Into(imaging.NewARGB(w, h), src, quarterTurns)
-}
-
-// Rotate90Into is the in-place variant of Rotate90 (dst must not alias
-// src). Returns dst.
-func Rotate90Into(dst *imaging.ARGBImage, src *imaging.ARGBImage, quarterTurns int) *imaging.ARGBImage {
-	quarterTurns = ((quarterTurns % 4) + 4) % 4
-	switch quarterTurns {
-	case 0:
-		dst.Resize(src.Width, src.Height)
-		copy(dst.Pix, src.Pix)
-	case 1: // 90° cw: (x,y) -> (H-1-y, x)
-		dst.Resize(src.Height, src.Width)
-		for j := 0; j < src.Height; j++ {
-			row := src.Pix[j*src.Width : j*src.Width+src.Width]
-			x := src.Height - 1 - j
-			for i, p := range row {
-				dst.Pix[i*dst.Width+x] = p
-			}
-		}
-	case 2:
-		dst.Resize(src.Width, src.Height)
-		for j := 0; j < src.Height; j++ {
-			row := src.Pix[j*src.Width : j*src.Width+src.Width]
-			out := dst.Pix[(src.Height-1-j)*dst.Width : (src.Height-j)*dst.Width]
-			for i, p := range row {
-				out[src.Width-1-i] = p
-			}
-		}
-	case 3: // 270° cw: (x,y) -> (y, W-1-x)
-		dst.Resize(src.Height, src.Width)
-		for j := 0; j < src.Height; j++ {
-			row := src.Pix[j*src.Width : j*src.Width+src.Width]
-			for i, p := range row {
-				dst.Pix[(src.Width-1-i)*dst.Width+j] = p
+	dst := imaging.NewARGB(w, h)
+	for y := 0; y < src.Height; y++ {
+		for x := 0; x < src.Width; x++ {
+			p := src.At(x, y)
+			switch quarterTurns {
+			case 0:
+				dst.Set(x, y, p)
+			case 1: // 90° cw: (x,y) -> (H-1-y, x)
+				dst.Set(src.Height-1-y, x, p)
+			case 2:
+				dst.Set(src.Width-1-x, src.Height-1-y, p)
+			case 3: // 270° cw: (x,y) -> (y, W-1-x)
+				dst.Set(y, src.Width-1-x, p)
 			}
 		}
 	}
@@ -155,22 +142,16 @@ func RotateWork(w, h int) work.Work {
 // Nearly all networks require normalized inputs (§II-B); runtime is linear
 // in the pixel count.
 func Normalize(src *imaging.ARGBImage, mean, std float64) *tensor.Tensor {
-	return NormalizeInto(nil, src, mean, std)
-}
-
-// NormalizeInto is the scratch-reusing variant of Normalize: dst (which
-// may be nil) is recycled through tensor.Ensure, so a steady-state
-// caller allocates nothing. Returns the tensor.
-func NormalizeInto(dst *tensor.Tensor, src *imaging.ARGBImage, mean, std float64) *tensor.Tensor {
 	if std == 0 {
 		panic("preproc: zero normalization std")
 	}
-	t := tensor.Ensure(dst, tensor.Float32, tensor.Shape{1, src.Height, src.Width, 3})
-	task := normalizeTaskPool.Get()
-	*task = normalizeTask{src: src, tab: normTabFor(mean, std), out: t.F32}
-	par.For(src.Height, task)
-	*task = normalizeTask{}
-	normalizeTaskPool.Put(task)
+	t := tensor.New(tensor.Float32, tensor.Shape{1, src.Height, src.Width, 3})
+	for i, p := range src.Pix {
+		r, g, b := imaging.RGB(p)
+		t.F32[3*i] = float32((float64(r) - mean) / std)
+		t.F32[3*i+1] = float32((float64(g) - mean) / std)
+		t.F32[3*i+2] = float32((float64(b) - mean) / std)
+	}
 	return t
 }
 
@@ -184,40 +165,12 @@ func NormalizeWork(w, h int) work.Work {
 // tensor, the type-conversion step quantized models require (§II-B).
 // Camera bytes map to the quantized domain through params q.
 func QuantizeInput(src *imaging.ARGBImage, dt tensor.DType, q tensor.QuantParams) *tensor.Tensor {
-	return QuantizeInputInto(nil, src, dt, q)
-}
-
-// QuantizeInputInto is the scratch-reusing variant of QuantizeInput: dst
-// (which may be nil) is recycled through tensor.Ensure. Returns the
-// tensor.
-func QuantizeInputInto(dst *tensor.Tensor, src *imaging.ARGBImage, dt tensor.DType, q tensor.QuantParams) *tensor.Tensor {
-	t := tensor.Ensure(dst, dt, tensor.Shape{1, src.Height, src.Width, 3})
-	t.Quant = q
-	if dt == tensor.UInt8 || dt == tensor.Int8 {
-		// Byte targets collapse to a cached 256-entry table built with
-		// the same Quantize call the scalar loop made per channel.
-		task := quantizeTaskPool.Get()
-		*task = quantizeTask{src: src, tab: quantTabFor(dt, q)}
-		if dt == tensor.UInt8 {
-			task.u8 = t.U8
-		} else {
-			task.i8 = t.I8
-		}
-		par.For(src.Height, task)
-		*task = quantizeTask{}
-		quantizeTaskPool.Put(task)
-		return t
-	}
-	idx := 0
-	for j := 0; j < src.Height; j++ {
-		row := src.Pix[j*src.Width : j*src.Width+src.Width]
-		for _, p := range row {
-			r, g, b := imaging.RGB(p)
-			t.Set(idx, float64(r))
-			t.Set(idx+1, float64(g))
-			t.Set(idx+2, float64(b))
-			idx += 3
-		}
+	t := tensor.NewQuant(dt, tensor.Shape{1, src.Height, src.Width, 3}, q)
+	for i, p := range src.Pix {
+		r, g, b := imaging.RGB(p)
+		t.Set(3*i, float64(r))
+		t.Set(3*i+1, float64(g))
+		t.Set(3*i+2, float64(b))
 	}
 	return t
 }

@@ -326,3 +326,45 @@ func TestResizePixelsBoundedBySourceRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNormalizeTableMatchesFormula and TestQuantizeTableMatchesSet check
+// every output element against the per-channel definition.
+func TestNormalizeTableMatchesFormula(t *testing.T) {
+	src := imaging.SyntheticScene(118, 74, 3)
+	for _, p := range [][2]float64{{127.5, 127.5}, {0, 255}, {100, 0.017}} {
+		mean, std := p[0], p[1]
+		got := Normalize(src, mean, std)
+		for j := 0; j < src.Height; j++ {
+			for i := 0; i < src.Width; i++ {
+				r, g, b := imaging.RGB(src.Pix[j*src.Width+i])
+				idx := (j*src.Width + i) * 3
+				for ch, v := range [3]uint8{r, g, b} {
+					want := float32((float64(v) - mean) / std)
+					if got.F32[idx+ch] != want {
+						t.Fatalf("mean=%v std=%v px(%d,%d) ch%d = %v, want %v", mean, std, i, j, ch, got.F32[idx+ch], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestQuantizeTableMatchesSet(t *testing.T) {
+	src := imaging.SyntheticScene(118, 74, 5)
+	for _, dt := range []tensor.DType{tensor.UInt8, tensor.Int8} {
+		q := tensor.QuantParams{Scale: 0.0078125, ZeroPoint: 128}
+		if dt == tensor.Int8 {
+			q = tensor.QuantParams{Scale: 1.7, ZeroPoint: -3}
+		}
+		got := QuantizeInput(src, dt, q)
+		for i := 0; i < src.Width*src.Height; i++ {
+			r, g, b := imaging.RGB(src.Pix[i])
+			for ch, v := range [3]uint8{r, g, b} {
+				want := q.Quantize(float64(v), dt)
+				if raw := int(got.RawAt(i*3 + ch)); raw != want {
+					t.Fatalf("%v px %d ch%d = %d, want %d", dt, i, ch, raw, want)
+				}
+			}
+		}
+	}
+}

@@ -55,9 +55,6 @@ func (s Shape) Elems() int {
 	n := 1
 	for _, d := range s {
 		if d < 0 {
-			// Referencing s itself here would leak every caller's shape
-			// argument to the heap (fmt boxes it), defeating the
-			// stack-allocated shape literals on the Ensure hot path.
 			panic(fmt.Sprintf("tensor: negative dimension %d in shape", d))
 		}
 		n *= d
@@ -166,41 +163,6 @@ func NewQuant(d DType, shape Shape, q QuantParams) *Tensor {
 	t := New(d, shape)
 	t.Quant = q
 	return t
-}
-
-// Ensure returns a tensor of the given dtype and shape, reusing t (and
-// its backing storage, when large enough) instead of allocating. A nil t
-// allocates fresh. Contents are undefined afterwards — the caller must
-// overwrite every element. This is the scratch-tensor primitive the
-// pooled pre-/post-processing paths build on: in steady state (same
-// dtype and shape every frame) it allocates nothing.
-func Ensure(t *Tensor, d DType, shape Shape) *Tensor {
-	if t == nil {
-		return New(d, shape)
-	}
-	if !t.Shape.Equal(shape) {
-		t.Shape = shape.Clone()
-	}
-	n := t.Shape.Elems()
-	t.DType = d
-	switch d {
-	case Float32:
-		t.F32 = growSlice(t.F32, n)
-	case Int8:
-		t.I8 = growSlice(t.I8, n)
-	case UInt8:
-		t.U8 = growSlice(t.U8, n)
-	case Int32:
-		t.I32 = growSlice(t.I32, n)
-	}
-	return t
-}
-
-func growSlice[E any](s []E, n int) []E {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]E, n)
 }
 
 // Elems returns the element count.
@@ -314,13 +276,6 @@ func ChooseQuantParams(lo, hi float64, d DType) QuantParams {
 // QuantizeTensor converts an FP32 tensor to the quantized dtype d using
 // parameters chosen from the tensor's observed range.
 func QuantizeTensor(t *Tensor, d DType) *Tensor {
-	return QuantizeTensorInto(nil, t, d)
-}
-
-// QuantizeTensorInto is the scratch-reusing variant of QuantizeTensor:
-// dst (which may be nil) is recycled through Ensure. Returns the
-// quantized tensor, which aliases dst's storage when reused.
-func QuantizeTensorInto(dst, t *Tensor, d DType) *Tensor {
 	if t.DType != Float32 {
 		panic("tensor: QuantizeTensor requires an fp32 input")
 	}
@@ -337,9 +292,7 @@ func QuantizeTensorInto(dst, t *Tensor, d DType) *Tensor {
 	if len(t.F32) == 0 {
 		lo, hi = 0, 1
 	}
-	q := ChooseQuantParams(lo, hi, d)
-	out := Ensure(dst, d, t.Shape)
-	out.Quant = q
+	out := NewQuant(d, t.Shape, ChooseQuantParams(lo, hi, d))
 	out.Name = t.Name
 	for i, v := range t.F32 {
 		out.Set(i, float64(v))
@@ -349,16 +302,9 @@ func QuantizeTensorInto(dst, t *Tensor, d DType) *Tensor {
 
 // DequantizeTensor converts a quantized tensor to FP32.
 func DequantizeTensor(t *Tensor) *Tensor {
-	return DequantizeTensorInto(nil, t)
-}
-
-// DequantizeTensorInto is the scratch-reusing variant of
-// DequantizeTensor: dst (which may be nil) is recycled through Ensure.
-func DequantizeTensorInto(dst, t *Tensor) *Tensor {
-	out := Ensure(dst, Float32, t.Shape)
-	out.Quant = QuantParams{}
+	out := New(Float32, t.Shape)
 	out.Name = t.Name
-	for i, n := 0, t.Elems(); i < n; i++ {
+	for i := range out.F32 {
 		out.F32[i] = float32(t.At(i))
 	}
 	return out

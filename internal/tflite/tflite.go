@@ -219,39 +219,37 @@ type Interpreter struct {
 	TransitionOverhead time.Duration
 }
 
-// Supported mirrors NewInterpreter's Table-I validation without
-// building anything: it reports whether the (model, dtype, delegate)
-// combination can compile. Serving's prewarm pass uses it to enumerate
-// only combinations that would build.
+// Supported reports whether the (model, dtype, delegate) combination
+// passes NewInterpreter's Table-I validation, without building
+// anything. Serving's prewarm pass uses it to enumerate only
+// combinations that would build.
 func Supported(m *models.Model, dt tensor.DType, d Delegate) bool {
+	return checkTableI(m, dt, d) == nil
+}
+
+// checkTableI returns why the combination cannot compile under Table I
+// (no quantized variant, outside the support matrix, or Hexagon without
+// a quantized model), or nil when it can.
+func checkTableI(m *models.Model, dt tensor.DType, d Delegate) error {
 	quant := dt == tensor.Int8 || dt == tensor.UInt8
 	if quant && !m.Quantizable() {
-		return false
+		return fmt.Errorf("tflite: %s has no quantized variant (Table I)", m.Name)
 	}
 	if !m.Support.Supports(d == DelegateNNAPI, dt) {
-		return false
+		return fmt.Errorf("tflite: %s is not supported with %v at %v (Table I)", m.Name, d, dt)
 	}
 	if d == DelegateHexagon && !quant {
-		return false
+		return fmt.Errorf("tflite: the Hexagon delegate requires a quantized model")
 	}
-	return true
+	return nil
 }
 
 // NewInterpreter validates the (model, precision, delegate) combination
 // against the Table-I support matrix and builds the execution plan
 // skeleton. Init must run before Invoke.
 func (rt *Runtime) NewInterpreter(m *models.Model, dt tensor.DType, opts Options) (*Interpreter, error) {
-	quant := dt == tensor.Int8 || dt == tensor.UInt8
-	if quant && !m.Quantizable() {
-		return nil, fmt.Errorf("tflite: %s has no quantized variant (Table I)", m.Name)
-	}
-	useNNAPI := opts.Delegate == DelegateNNAPI
-	if !m.Support.Supports(useNNAPI, dt) {
-		return nil, fmt.Errorf("tflite: %s is not supported with %v at %v (Table I)",
-			m.Name, opts.Delegate, dt)
-	}
-	if opts.Delegate == DelegateHexagon && !quant {
-		return nil, fmt.Errorf("tflite: the Hexagon delegate requires a quantized model")
+	if err := checkTableI(m, dt, opts.Delegate); err != nil {
+		return nil, err
 	}
 	if opts.ProbeOverhead < 0 || opts.ProbeOverhead > 0.25 {
 		return nil, fmt.Errorf("tflite: ProbeOverhead %v outside [0, 0.25]", opts.ProbeOverhead)

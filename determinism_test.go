@@ -1,17 +1,18 @@
-// Cross-worker-count bit-exactness: every kernel tiled on internal/par
-// must produce byte-identical output no matter how many workers run it
-// (the scheduler's static-partition contract). Each kernel runs once at
-// 1 worker as the reference, then at 2, 4 and 8 workers — also under
-// -race, which exercises the pool's synchronization.
+// Cross-worker-count bit-exactness: every real pre- and post-processing
+// kernel must produce byte-identical output however many workers call
+// it at once. The kernels were once tiled over a worker pool; they now
+// run on the caller's goroutine, so the property kept here is that they
+// share no mutable state: each kernel runs once alone as the reference,
+// then from 2, 4 and 8 concurrent goroutines, also under -race.
 package aitax_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"aitax"
 	"aitax/internal/imaging"
-	"aitax/internal/par"
 	"aitax/internal/postproc"
 	"aitax/internal/preproc"
 	"aitax/internal/tensor"
@@ -43,71 +44,46 @@ func TestTiledKernelsBitExactAtEveryWorkerCount(t *testing.T) {
 		DType: tensor.UInt8, Quant: quant}
 
 	// Each kernel returns a comparable snapshot of its output; the
-	// harness runs it per worker count and diffs against w=1.
+	// harness runs it per worker count and diffs against one worker.
 	kernels := []struct {
 		name string
 		run  func() any
 	}{
-		{"YUVToARGBInto", func() any {
-			dst := imaging.NewARGB(frame.Width, frame.Height)
-			imaging.YUVToARGBInto(dst, frame)
-			return append([]uint32(nil), dst.Pix...)
+		{"YUVToARGB", func() any { return imaging.YUVToARGB(frame).Pix }},
+		{"ARGBToYUV", func() any {
+			dst := imaging.ARGBToYUV(scene)
+			return [][]byte{dst.Y, dst.VU}
 		}},
-		{"ARGBToYUVInto", func() any {
-			dst := imaging.NewYUV(scene.Width, scene.Height)
-			imaging.ARGBToYUVInto(dst, scene)
-			return [][]byte{append([]byte(nil), dst.Y...), append([]byte(nil), dst.VU...)}
+		{"SyntheticScene", func() any { return imaging.SyntheticScene(480, 360, 99).Pix }},
+		{"ResizeBilinear", func() any { return preproc.ResizeBilinear(scene, 224, 224).Pix }},
+		{"Normalize", func() any { return preproc.Normalize(scene, 127.5, 127.5).F32 }},
+		{"QuantizeInput", func() any { return preproc.QuantizeInput(scene, tensor.UInt8, quant).U8 }},
+		{"SpecRun", func() any {
+			out, _ := spec.Run(scene)
+			return out.U8
 		}},
-		{"SyntheticSceneInto", func() any {
-			dst := imaging.NewARGB(480, 360)
-			imaging.SyntheticSceneInto(dst, 99)
-			return append([]uint32(nil), dst.Pix...)
-		}},
-		{"ResizeBilinearInto", func() any {
-			dst := imaging.NewARGB(224, 224)
-			preproc.ResizeBilinearInto(dst, scene, 224, 224)
-			return append([]uint32(nil), dst.Pix...)
-		}},
-		{"NormalizeInto", func() any {
-			out := preproc.Normalize(scene, 127.5, 127.5)
-			return append([]float32(nil), out.F32...)
-		}},
-		{"QuantizeInputInto", func() any {
-			out := preproc.QuantizeInput(scene, tensor.UInt8, quant)
-			return append([]uint8(nil), out.U8...)
-		}},
-		{"ResizeNormalizeInto", func() any {
-			out := preproc.ResizeNormalizeInto(nil, scene, 224, 224, 127.5, 127.5)
-			return append([]float32(nil), out.F32...)
-		}},
-		{"ResizeQuantizeInto", func() any {
-			out := preproc.ResizeQuantizeInto(nil, scene, 224, 224, tensor.UInt8, quant)
-			return append([]uint8(nil), out.U8...)
-		}},
-		{"SpecRunInto", func() any {
-			var sc preproc.RunScratch
-			out, _ := spec.RunInto(&sc, scene)
-			return append([]uint8(nil), out.U8...)
-		}},
-		{"FlattenMaskInto", func() any {
-			return postproc.FlattenMask(segScores)
-		}},
-		{"DecodeBoxesInto", func() any {
-			return postproc.DecodeBoxes(dets[0], dets[1], anchors, 0.5)
-		}},
-		{"DecodeKeypointsInto", func() any {
-			return postproc.DecodeKeypoints(poseOuts[0], poseOuts[1], 32)
-		}},
+		{"FlattenMask", func() any { return postproc.FlattenMask(segScores) }},
+		{"DecodeBoxes", func() any { return postproc.DecodeBoxes(dets[0], dets[1], anchors, 0.5) }},
+		{"DecodeKeypoints", func() any { return postproc.DecodeKeypoints(poseOuts[0], poseOuts[1], 32) }},
 	}
 
-	defer par.SetWorkers(par.SetWorkers(1))
 	for _, k := range kernels {
-		par.SetWorkers(1)
 		want := k.run()
 		for _, w := range []int{2, 4, 8} {
-			par.SetWorkers(w)
-			if got := k.run(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: output at %d workers differs from sequential reference", k.name, w)
+			got := make([]any, w)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i] = k.run()
+				}()
+			}
+			wg.Wait()
+			for i, g := range got {
+				if !reflect.DeepEqual(g, want) {
+					t.Errorf("%s: output of worker %d of %d differs from the one-worker reference", k.name, i, w)
+				}
 			}
 		}
 	}

@@ -218,3 +218,87 @@ func TestMaskPaletteDistinct(t *testing.T) {
 		seen[c] = i
 	}
 }
+
+// scalarYUVToARGB is the BT.601 NV21 decode as first written, kept as a
+// frozen reference so any rewrite of YUVToARGB is pinned bit-exact
+// against it.
+func scalarYUVToARGB(src *YUVImage) *ARGBImage {
+	w, h := src.Width, src.Height
+	dst := NewARGB(w, h)
+	for j := 0; j < h; j++ {
+		for i := 0; i < w; i++ {
+			y := int(src.Y[j*w+i]) - 16
+			if y < 0 {
+				y = 0
+			}
+			vuIdx := (j/2)*w + i&^1
+			v := int(src.VU[vuIdx]) - 128
+			u := int(src.VU[vuIdx+1]) - 128
+			y1192 := 1192 * y
+			r := clampU8((y1192 + 1634*v) >> 10)
+			g := clampU8((y1192 - 833*v - 400*u) >> 10)
+			b := clampU8((y1192 + 2066*u) >> 10)
+			dst.Pix[j*w+i] = PackRGB(r, g, b)
+		}
+	}
+	return dst
+}
+
+// scalarARGBToYUV is the frozen reference for the NV21 encode; unlike
+// ARGBToYUV it clamps every byte, so it also checks that the kernel's
+// clamp-free luma and chroma agree with the clamped definition.
+func scalarARGBToYUV(src *ARGBImage) *YUVImage {
+	dst := NewYUV(src.Width&^1, src.Height&^1)
+	w, h := dst.Width, dst.Height
+	for j := 0; j < h; j++ {
+		for i := 0; i < w; i++ {
+			r, g, b := RGB(src.Pix[j*src.Width+i])
+			y := (66*int(r) + 129*int(g) + 25*int(b) + 128) >> 8
+			dst.Y[j*w+i] = clampU8(y + 16)
+			if j%2 == 0 && i%2 == 0 {
+				u := (-38*int(r) - 74*int(g) + 112*int(b) + 128) >> 8
+				v := (112*int(r) - 94*int(g) - 18*int(b) + 128) >> 8
+				dst.VU[(j/2)*w+i] = clampU8(v + 128)
+				dst.VU[(j/2)*w+i+1] = clampU8(u + 128)
+			}
+		}
+	}
+	return dst
+}
+
+func TestYUVToARGBMatchesScalarReference(t *testing.T) {
+	for seed := uint64(0); seed < 4; seed++ {
+		src := SyntheticFrame(118, 74, seed)
+		// Exercise the full byte range, including out-of-gamut chroma.
+		for i := range src.Y {
+			src.Y[i] = byte((int(src.Y[i]) * 7) % 256)
+		}
+		for i := range src.VU {
+			src.VU[i] = byte((int(src.VU[i])*11 + 3) % 256)
+		}
+		want := scalarYUVToARGB(src)
+		got := YUVToARGB(src)
+		if !bytes.Equal(pixBytes(got), pixBytes(want)) {
+			t.Fatalf("seed %d: YUVToARGB differs from scalar reference", seed)
+		}
+	}
+}
+
+func TestARGBToYUVMatchesScalarReference(t *testing.T) {
+	for seed := uint64(0); seed < 4; seed++ {
+		src := SyntheticScene(118, 74, seed)
+		want := scalarARGBToYUV(src)
+		got := ARGBToYUV(src)
+		if !bytes.Equal(got.Y, want.Y) || !bytes.Equal(got.VU, want.VU) {
+			t.Fatalf("seed %d: ARGBToYUV differs from scalar reference", seed)
+		}
+	}
+}
+
+func pixBytes(img *ARGBImage) []byte {
+	out := make([]byte, 0, len(img.Pix)*4)
+	for _, p := range img.Pix {
+		out = append(out, byte(p>>24), byte(p>>16), byte(p>>8), byte(p))
+	}
+	return out
+}

@@ -368,3 +368,55 @@ func TestQuantizeTableMatchesSet(t *testing.T) {
 		}
 	}
 }
+
+// scalarResize is the bilinear loop as first written (row slices and an
+// inline lerp), kept as a frozen reference ResizeBilinear must match
+// bit-exactly.
+func scalarResize(src *imaging.ARGBImage, dstW, dstH int) *imaging.ARGBImage {
+	dst := imaging.NewARGB(dstW, dstH)
+	xRatio := float64(src.Width-1) / float64(max(dstW-1, 1))
+	yRatio := float64(src.Height-1) / float64(max(dstH-1, 1))
+	for j := 0; j < dstH; j++ {
+		sy := yRatio * float64(j)
+		y0 := int(sy)
+		y1 := min(y0+1, src.Height-1)
+		fy := sy - float64(y0)
+		row0 := src.Pix[y0*src.Width : y0*src.Width+src.Width]
+		row1 := src.Pix[y1*src.Width : y1*src.Width+src.Width]
+		out := dst.Pix[j*dstW : j*dstW+dstW]
+		for i := 0; i < dstW; i++ {
+			sx := xRatio * float64(i)
+			x0 := int(sx)
+			x1 := min(x0+1, src.Width-1)
+			fx := sx - float64(x0)
+			r00, g00, b00 := imaging.RGB(row0[x0])
+			r10, g10, b10 := imaging.RGB(row0[x1])
+			r01, g01, b01 := imaging.RGB(row1[x0])
+			r11, g11, b11 := imaging.RGB(row1[x1])
+			lerp := func(a, b, c, d uint8) uint8 {
+				top := float64(a)*(1-fx) + float64(b)*fx
+				bot := float64(c)*(1-fx) + float64(d)*fx
+				return uint8(top*(1-fy) + bot*fy + 0.5)
+			}
+			out[i] = imaging.PackRGB(
+				lerp(r00, r10, r01, r11),
+				lerp(g00, g10, g01, g11),
+				lerp(b00, b10, b01, b11),
+			)
+		}
+	}
+	return dst
+}
+
+func TestResizeBilinearMatchesScalarReference(t *testing.T) {
+	for _, dims := range [][4]int{{640, 480, 224, 224}, {97, 61, 224, 224}, {224, 224, 97, 33}, {5, 5, 1, 1}} {
+		src := imaging.SyntheticScene(dims[0], dims[1], 11)
+		want := scalarResize(src, dims[2], dims[3])
+		got := ResizeBilinear(src, dims[2], dims[3])
+		for i := range want.Pix {
+			if got.Pix[i] != want.Pix[i] {
+				t.Fatalf("%v: pixel %d = %08x, want %08x", dims, i, got.Pix[i], want.Pix[i])
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"aitax/internal/app"
 	"aitax/internal/core"
@@ -35,11 +36,46 @@ type Anatomy struct {
 	Accel bool
 }
 
-// anatomyResult is the cached value: measurement errors are cached too,
-// so every shard that needs a bad combination sees the same failure.
+// frameMS is one anatomy frame in float milliseconds, the form the
+// device fold reads: the CPU stages, the frame's FastRPC time, and the
+// kernel row (inference less that RPC).
+type frameMS struct {
+	capture, pre, post, ui, rpc, kernel float64
+}
+
+// foldAnatomy is an anatomy converted for the device fold.
+type foldAnatomy struct {
+	frames [anatomySteady]frameMS
+	accel  bool
+}
+
+func msf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+func newFoldAnatomy(an *Anatomy) foldAnatomy {
+	fa := foldAnatomy{accel: an.Accel}
+	for i := range an.Frames {
+		f := &an.Frames[i]
+		rpc := msf(f.RPC)
+		fa.frames[i] = frameMS{
+			capture: msf(f.Stage[core.StageCapture]),
+			pre:     msf(f.Stage[core.StagePre]),
+			post:    msf(f.Stage[core.StagePost]),
+			ui:      msf(f.Stage[core.StageUI]),
+			rpc:     rpc,
+			kernel:  msf(f.Stage[core.StageInference]) - rpc,
+		}
+	}
+	return fa
+}
+
+// anatomyResult is the cached value: the anatomy together with its fold
+// form, converted once per (catalog entry, model) rather than per device
+// or per shard. Measurement errors are cached too, so every shard that
+// needs a bad combination sees the same failure.
 type anatomyResult struct {
-	an  *Anatomy
-	err error
+	an   *Anatomy
+	fold foldAnatomy
+	err  error
 }
 
 // measureAnatomy runs the instrumented app once for the pair and
@@ -83,13 +119,15 @@ func anatomyKey(sp *soc.Spec, m *models.Model, dt tensor.DType,
 // anatomyFor resolves the cached base anatomy for a pair, measuring it
 // exactly once per process (per cache) however many shards ask — the
 // plan.Cache fan-in the sharded map exists for.
-func anatomyFor(c *plan.Cache, sp soc.Spec, m *models.Model, dt tensor.DType,
-	delegate tflite.Delegate, seed uint64) (*Anatomy, error) {
+func anatomyFor(c *plan.Cache, sp *soc.Spec, m *models.Model, dt tensor.DType,
+	delegate tflite.Delegate, seed uint64) *anatomyResult {
 
-	v := c.Get(anatomyKey(&sp, m, dt, delegate, seed), func() any {
-		an, err := measureAnatomy(sp, m, dt, delegate, seed)
-		return anatomyResult{an: an, err: err}
-	})
-	res := v.(anatomyResult)
-	return res.an, res.err
+	return c.Get(anatomyKey(sp, m, dt, delegate, seed), func() any {
+		an, err := measureAnatomy(*sp, m, dt, delegate, seed)
+		res := &anatomyResult{an: an, err: err}
+		if err == nil {
+			res.fold = newFoldAnatomy(an)
+		}
+		return res
+	}).(*anatomyResult)
 }

@@ -113,6 +113,9 @@ type Sampler struct {
 	// no float accumulation order to worry about.
 	cum   []uint64
 	total uint64
+	// tiers caches each entry's tier: Spec.Tier has a value receiver,
+	// so calling it per device would copy the whole Spec.
+	tiers []soc.Tier
 }
 
 // weightQuantum scales float catalog weights to integers (1e6 keeps six
@@ -129,7 +132,8 @@ func NewSampler(cat soc.Catalog, seed uint64, models int) (*Sampler, error) {
 	if models < 1 {
 		return nil, fmt.Errorf("fleet: sampler needs at least one model, got %d", models)
 	}
-	s := &Sampler{cat: cat, seed: seed, models: models, cum: make([]uint64, len(cat))}
+	s := &Sampler{cat: cat, seed: seed, models: models,
+		cum: make([]uint64, len(cat)), tiers: make([]soc.Tier, len(cat))}
 	var total uint64
 	for i, e := range cat {
 		q := uint64(math.Round(e.Weight * weightQuantum))
@@ -138,6 +142,7 @@ func NewSampler(cat soc.Catalog, seed uint64, models int) (*Sampler, error) {
 		}
 		total += q
 		s.cum[i] = total
+		s.tiers[i] = e.Spec.Tier()
 	}
 	s.total = total
 	return s, nil
@@ -164,7 +169,7 @@ func (s *Sampler) Device(i int) Device {
 	d := Device{
 		Index:    i,
 		Entry:    entry,
-		Tier:     sp.Tier(),
+		Tier:     s.tiers[entry],
 		CPUBin:   r.in(cpuBinLo, cpuBinHi),
 		AccelBin: r.in(accelBinLo, accelBinHi),
 		RPCMult:  r.in(rpcJitterLo, rpcJitterHi),

@@ -2,12 +2,15 @@ package fleet
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"aitax/internal/models"
 	"aitax/internal/plan"
 	"aitax/internal/soc"
+	"aitax/internal/stats"
 	"aitax/internal/tensor"
 	"aitax/internal/tflite"
 )
@@ -258,5 +261,75 @@ func TestShardAggMergeMatchesSingleShard(t *testing.T) {
 		if *a.Reg != *b.Reg {
 			t.Fatalf("tier %d regression accumulators diverged", tier)
 		}
+	}
+}
+
+// TestFoldMatchesRun: the exported Fold on a literal Anatomy (as the
+// host benchmark's probe builds one) and a one-shard Run, which folds
+// the cached float frames, agree to the bit on every tier — on
+// accelerated and CPU-only anatomies alike.
+func TestFoldMatchesRun(t *testing.T) {
+	seen := map[bool]bool{}
+	for _, c := range []struct {
+		dt       tensor.DType
+		delegate tflite.Delegate
+	}{{tensor.UInt8, tflite.DelegateNNAPI}, {tensor.Float32, tflite.DelegateCPU}} {
+		cfg := Config{
+			Devices:  2000,
+			Shards:   1,
+			Parallel: 1,
+			Models:   testModels(t, "MobileNet 1.0 v1", "SSD MobileNet v2"),
+			DType:    c.dt,
+			Delegate: c.delegate,
+			Seed:     5,
+			Plans:    plan.New(),
+		}
+		res, err := Run(nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampler, err := NewSampler(soc.DefaultCatalog(), cfg.Seed, len(cfg.Models))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := NewShardAgg()
+		for i := 0; i < cfg.Devices; i++ {
+			d := sampler.Device(i)
+			cached := anatomyFor(cfg.Plans, &sampler.Catalog()[d.Entry].Spec,
+				cfg.Models[d.Model], cfg.DType, cfg.Delegate, cfg.Seed)
+			if cached.err != nil {
+				t.Fatal(cached.err)
+			}
+			seen[cached.an.Accel] = true
+			want.Tiers[d.Tier].Fold(d, &Anatomy{Frames: cached.an.Frames, Accel: cached.an.Accel})
+		}
+		for tier, got := range res.PerShard[0].Tiers {
+			w := want.Tiers[tier]
+			if got.Devices != w.Devices || got.Frames != w.Frames {
+				t.Fatalf("%s tier %d: run folded %d/%d devices/frames, Fold %d/%d",
+					c.delegate, tier, got.Devices, got.Frames, w.Devices, w.Frames)
+			}
+			hists := map[string][2]*stats.Histogram{"total": {got.Total, w.Total}, "tax": {got.Tax, w.Tax}}
+			for s := range got.Stage {
+				hists[reportStages[s].String()] = [2]*stats.Histogram{got.Stage[s], w.Stage[s]}
+			}
+			for name, h := range hists {
+				a, b := h[0], h[1]
+				if !slices.Equal(a.Counts(), b.Counts()) || a.Count() != b.Count() ||
+					math.Float64bits(a.Sum()) != math.Float64bits(b.Sum()) ||
+					math.Float64bits(a.Min()) != math.Float64bits(b.Min()) ||
+					math.Float64bits(a.Max()) != math.Float64bits(b.Max()) {
+					t.Fatalf("%s tier %d %s histogram: run %v sum %v [%v, %v], Fold %v sum %v [%v, %v]",
+						c.delegate, tier, name, a.Counts(), a.Sum(), a.Min(), a.Max(),
+						b.Counts(), b.Sum(), b.Min(), b.Max())
+				}
+			}
+			if *got.Reg != *w.Reg {
+				t.Fatalf("%s tier %d: regression accumulators diverged", c.delegate, tier)
+			}
+		}
+	}
+	if !seen[true] || !seen[false] {
+		t.Fatalf("anatomies covered accel=%v only", seen)
 	}
 }

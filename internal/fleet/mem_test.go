@@ -89,15 +89,15 @@ func BenchmarkFleetShard(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Warm every (entry, model) anatomy outside the timed loop.
-	anats := make([]*Anatomy, len(sampler.Catalog())*len(mix))
+	anats := make([]*anatomyResult, len(sampler.Catalog())*len(mix))
 	for e := range sampler.Catalog() {
 		for mi, m := range mix {
-			an, err := anatomyFor(cache, sampler.Catalog()[e].Spec, m,
+			res := anatomyFor(cache, &sampler.Catalog()[e].Spec, m,
 				tensor.UInt8, tflite.DelegateNNAPI, 42)
-			if err != nil {
-				b.Fatal(err)
+			if res.err != nil {
+				b.Fatal(res.err)
 			}
-			anats[e*len(mix)+mi] = an
+			anats[e*len(mix)+mi] = res
 		}
 	}
 	agg := NewShardAgg()
@@ -105,6 +105,6 @@ func BenchmarkFleetShard(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := sampler.Device(i)
-		agg.Tiers[d.Tier].Fold(d, anats[d.Entry*len(mix)+d.Model])
+		agg.Tiers[d.Tier].fold(&d, &anats[d.Entry*len(mix)+d.Model].fold)
 	}
 }

@@ -18,7 +18,7 @@ import "aitax/internal/stats"
 // decade from 10 µs to 100 s. Finer than the telemetry registry's
 // exposition buckets, because rolling percentiles are interpolated from
 // these rather than computed from retained samples.
-var DefaultBounds = func() []float64 {
+var DefaultBounds = stats.NewBounds(func() []float64 {
 	ladder := []float64{1, 1.5, 2.5, 4, 6}
 	var out []float64
 	for _, scale := range []float64{0.01, 0.1, 1, 10, 100, 1000, 10000} {
@@ -27,7 +27,7 @@ var DefaultBounds = func() []float64 {
 		}
 	}
 	return append(out, 100000)
-}()
+}())
 
 // Histogram and NewHistogram name stats.Histogram for the host-time
 // benchmark (hostbench/, a separate module built against this API);
@@ -35,4 +35,4 @@ var DefaultBounds = func() []float64 {
 type Histogram = stats.Histogram
 
 // NewHistogram returns an empty stats.Histogram over bounds.
-func NewHistogram(bounds []float64) *Histogram { return stats.NewHistogram(bounds) }
+func NewHistogram(bounds *stats.Bounds) *Histogram { return stats.NewHistogram(bounds) }

@@ -3,6 +3,8 @@ package obs
 import (
 	"math"
 	"testing"
+
+	"aitax/internal/stats"
 )
 
 func TestHistogramQuantileNearExact(t *testing.T) {
@@ -80,8 +82,8 @@ func TestHistogramMismatchedBoundsPanics(t *testing.T) {
 			t.Fatal("merge with mismatched bounds did not panic")
 		}
 	}()
-	a := NewHistogram([]float64{1, 2, 3})
-	b := NewHistogram([]float64{1, 2})
+	a := NewHistogram(stats.NewBounds([]float64{1, 2, 3}))
+	b := NewHistogram(stats.NewBounds([]float64{1, 2}))
 	b.Observe(1)
 	a.Merge(b)
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"sync"
 	"testing"
+
+	"aitax/internal/stats"
 )
 
 // TestMergeEmptyIntoPopulated and its inverse: merging across the empty
@@ -51,8 +53,8 @@ func TestMergeEmptyIntoPopulated(t *testing.T) {
 // (mismatched) windows of the same series — disjoint value ranges,
 // separately allocated but value-equal bounds slices — merge exactly.
 func TestMergeCompatibleWindows(t *testing.T) {
-	boundsA := []float64{1, 2, 4, 8, 16}
-	boundsB := []float64{1, 2, 4, 8, 16} // equal values, different array
+	boundsA := stats.NewBounds([]float64{1, 2, 4, 8, 16})
+	boundsB := stats.NewBounds([]float64{1, 2, 4, 8, 16}) // equal values, different array
 	a, b := NewHistogram(boundsA), NewHistogram(boundsB)
 	for i := 0; i < 100; i++ {
 		a.Observe(float64(i%4) + 1) // window 1: 1..4
@@ -93,12 +95,12 @@ func TestMergeIncompatibleBoundsPanics(t *testing.T) {
 		f()
 	}
 	mustPanic("length mismatch", func() {
-		a, b := NewHistogram([]float64{1, 2}), NewHistogram([]float64{1, 2, 3})
+		a, b := NewHistogram(stats.NewBounds([]float64{1, 2})), NewHistogram(stats.NewBounds([]float64{1, 2, 3}))
 		b.Observe(1)
 		a.Merge(b)
 	})
 	mustPanic("value mismatch", func() {
-		a, b := NewHistogram([]float64{1, 2, 4}), NewHistogram([]float64{1, 2, 5})
+		a, b := NewHistogram(stats.NewBounds([]float64{1, 2, 4})), NewHistogram(stats.NewBounds([]float64{1, 2, 5}))
 		b.Observe(1)
 		a.Merge(b)
 	})

@@ -37,7 +37,7 @@ type RecorderConfig struct {
 	// older than that are closed and handed to OnClose. Zero means 64.
 	Keep int
 	// Bounds are the histogram bucket bounds (nil = DefaultBounds).
-	Bounds []float64
+	Bounds *stats.Bounds
 	// OnClose, when set, receives every closed window in index order:
 	// the streaming export hook (JSONL writer, SLO monitor, Chrome
 	// counter tracks). Windows a run never observed into are skipped.

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -36,7 +37,7 @@ func NearestRank[T cmp.Ordered](sorted []T, q float64) T {
 // requested rank — the streaming, mergeable counterpart of Sample, as
 // RegAccum is of LinReg.
 type Histogram struct {
-	bounds []float64
+	bounds *Bounds
 	counts []int64 // len(bounds)+1; last is the +Inf overflow bucket
 	count  int64
 	sum    float64
@@ -44,17 +45,126 @@ type Histogram struct {
 	max    float64
 }
 
-// NewHistogram returns an empty histogram over the given bucket upper
-// bounds, which must be strictly increasing. The slice is retained, not
-// copied: histograms built from one bounds slice merge without a value
-// scan.
-func NewHistogram(bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("stats: bounds not increasing at %d: %g <= %g", i, bounds[i], bounds[i-1]))
+// cellShift cuts a float64's bits down to its sign, exponent and top 4
+// mantissa bits: cell c = Float64bits(v)>>cellShift spans a 1/16 octave.
+const cellShift = 52 - 4
+
+// Bounds is a strictly increasing set of histogram bucket upper bounds
+// plus the table that buckets a value in O(1). Build it once per bound
+// set with NewBounds and share it: every histogram over one *Bounds
+// reuses the table, and merges between them skip the value scan.
+//
+// The table covers the 1/16-octave cells from bounds[0]'s to the last
+// bound's, and holds for each cell the bucket of its lower edge. For
+// v >= 0, Float64bits is monotone in v, so v's bucket is at or after its
+// cell's entry: bucket advances while v > bounds[i], which takes at most
+// one step unless two bounds share a cell. A value outside the covered
+// cells is below bounds[0] (bucket 0), above the last bound (overflow),
+// negative (bucket 0) or NaN (overflow). Every float64 lands where a
+// binary search for the first bound >= v puts it.
+type Bounds struct {
+	vals  []float64
+	first uint64
+	cells []cell
+	// crowded records whether some cell holds two or more bounds, so
+	// that one step past the cell's bound may not be enough.
+	crowded bool
+}
+
+// cell is one table entry: the bucket of the cell's lower edge and the
+// bits of that bucket's bound.
+type cell struct {
+	bound  uint64
+	bucket int
+}
+
+// NewBounds validates and copies vals, which must be strictly
+// increasing, and builds their bucket table.
+func NewBounds(vals []float64) *Bounds {
+	for i, v := range vals {
+		if math.IsNaN(v) {
+			panic(fmt.Sprintf("stats: bound %d is NaN", i))
+		}
+		if i > 0 && v <= vals[i-1] {
+			panic(fmt.Sprintf("stats: bounds not increasing at %d: %g <= %g", i, v, vals[i-1]))
 		}
 	}
-	return &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
+	b := &Bounds{vals: slices.Clone(vals)}
+	// Bounds at or below zero leave the table nothing monotone to index
+	// (negative floats' bits run backwards, and zero and below straddle
+	// the sign bit), so they keep the binary search. HistogramOf builds
+	// such bounds for samples reaching zero or below.
+	if len(vals) == 0 || vals[0] <= 0 {
+		return b
+	}
+	b.first = math.Float64bits(vals[0]) >> cellShift
+	last := math.Float64bits(vals[len(vals)-1]) >> cellShift
+	b.cells = make([]cell, last-b.first+1)
+	i := 0
+	for c := range b.cells {
+		edge := math.Float64frombits((b.first + uint64(c)) << cellShift)
+		for vals[i] < edge {
+			i++
+		}
+		b.cells[c] = cell{bound: math.Float64bits(vals[i]), bucket: i}
+	}
+	for i := 1; i < len(vals); i++ {
+		if math.Float64bits(vals[i])>>cellShift == math.Float64bits(vals[i-1])>>cellShift {
+			b.crowded = true
+		}
+	}
+	return b
+}
+
+// Values returns the bucket upper bounds (shared; do not modify).
+func (b *Bounds) Values() []float64 { return b.vals }
+
+// bucket returns the index of the bucket v lands in: the first bound
+// >= v, or len(vals) (the overflow bucket) when none is.
+func (b *Bounds) bucket(v float64) int {
+	bits := math.Float64bits(v)
+	if c := bits>>cellShift - b.first; c < uint64(len(b.cells)) {
+		// v and the cell's bound are non-negative here, so their bits
+		// order as their values do and the first step is the sign bit of
+		// the difference: whether v passes the bound is data, and a
+		// branch on it would mispredict. (A NaN reaches the table only in
+		// +Inf's cell, whose bits it exceeds, so it steps to overflow.)
+		e := b.cells[c]
+		i := e.bucket + int((e.bound-bits)>>63)
+		if b.crowded {
+			for i < len(b.vals) && v > b.vals[i] {
+				i++
+			}
+		}
+		return i
+	}
+	switch {
+	case b.cells == nil:
+		return b.search(v)
+	case v <= b.vals[0]:
+		return 0
+	default:
+		return len(b.vals)
+	}
+}
+
+// search is bucket by binary search, for bounds the table cannot index.
+func (b *Bounds) search(v float64) int {
+	lo, hi := 0, len(b.vals)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if v <= b.vals[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// NewHistogram returns an empty histogram over b.
+func NewHistogram(b *Bounds) *Histogram {
+	return &Histogram{bounds: b, counts: make([]int64, len(b.vals)+1)}
 }
 
 // Observe records one value.
@@ -67,22 +177,7 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-	h.counts[h.bucket(v)]++
-}
-
-// bucket returns the index of the bucket v lands in (binary search:
-// first bound >= v).
-func (h *Histogram) bucket(v float64) int {
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v <= h.bounds[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
+	h.counts[h.bounds.bucket(v)]++
 }
 
 // Counts returns the per-bucket counts, one per bound plus the +Inf
@@ -150,12 +245,12 @@ func (h *Histogram) quantiles(qs, vs []float64) {
 			continue
 		}
 		lo := h.min
-		if i > 0 && h.bounds[i-1] > lo {
-			lo = h.bounds[i-1]
+		if i > 0 && h.bounds.vals[i-1] > lo {
+			lo = h.bounds.vals[i-1]
 		}
 		hi := h.max
-		if i < len(h.bounds) && h.bounds[i] < hi {
-			hi = h.bounds[i]
+		if i < len(h.bounds.vals) && h.bounds.vals[i] < hi {
+			hi = h.bounds.vals[i]
 		}
 		if hi < lo {
 			hi = lo
@@ -179,17 +274,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.count == 0 {
 		return
 	}
-	if len(h.bounds) != len(other.bounds) {
+	// Histograms over one *Bounds (the common case) need no value scan.
+	if h.bounds != other.bounds && !slices.Equal(h.bounds.vals, other.bounds.vals) {
 		panic("stats: merging histograms with different bounds")
-	}
-	// Same backing array (the common case: both built from one bounds
-	// slice) needs no value scan.
-	if len(h.bounds) > 0 && &h.bounds[0] != &other.bounds[0] {
-		for i := range h.bounds {
-			if h.bounds[i] != other.bounds[i] {
-				panic("stats: merging histograms with different bounds")
-			}
-		}
 	}
 	if h.count == 0 || other.min < h.min {
 		h.min = other.min
@@ -257,7 +344,7 @@ func HistogramOf(s *Sample, bins int) *Histogram {
 	for i := range bounds {
 		bounds[i] = lo + float64(i+1)*width
 	}
-	h := NewHistogram(bounds)
+	h := NewHistogram(NewBounds(bounds))
 	for _, x := range s.xs {
 		h.Observe(x)
 	}
@@ -270,8 +357,8 @@ func HistogramOf(s *Sample, bins int) *Histogram {
 // it holds observations.
 func (h *Histogram) Render(width int) string {
 	rows := h.counts
-	if rows[len(h.bounds)] == 0 {
-		rows = rows[:len(h.bounds)]
+	if rows[len(h.bounds.vals)] == 0 {
+		rows = rows[:len(h.bounds.vals)]
 	}
 	peak := int64(1)
 	for _, c := range rows {
@@ -281,7 +368,7 @@ func (h *Histogram) Render(width int) string {
 	for i, c := range rows {
 		lo := h.Min()
 		if i > 0 {
-			lo = h.bounds[i-1]
+			lo = h.bounds.vals[i-1]
 		}
 		bar := strings.Repeat("#", int(c*int64(width)/peak))
 		fmt.Fprintf(&b, "%10.2f | %-*s %d\n", lo, width, bar, c)

@@ -112,7 +112,7 @@ func TestFromDurations(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{2, 4, 6, 8, 10})
+	h := NewHistogram(NewBounds([]float64{2, 4, 6, 8, 10}))
 	for _, x := range []float64{0, 1, 2, 2.5, 5, 9.9, -1, 10, 11} {
 		h.Observe(x)
 	}
@@ -139,7 +139,7 @@ func TestHistogram(t *testing.T) {
 // Quantile calls' percentiles bit for bit, on random histograms (several
 // ranks often share a bucket), an empty one and single-bucket ones.
 func TestSummaryMatchesQuantile(t *testing.T) {
-	bounds := []float64{0.5, 1, 2, 4, 8, 16, 32, 64}
+	bounds := NewBounds([]float64{0.5, 1, 2, 4, 8, 16, 32, 64})
 	var hs []*Histogram
 	rng := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 200; i++ {
@@ -155,7 +155,7 @@ func TestSummaryMatchesQuantile(t *testing.T) {
 	for _, v := range []float64{2.5, 3, 3.5, 4} {
 		one.Observe(v)
 	}
-	overflow := NewHistogram(nil)
+	overflow := NewHistogram(NewBounds(nil))
 	overflow.Observe(7)
 	overflow.Observe(-3)
 	hs = append(hs, one, overflow)
@@ -199,7 +199,7 @@ func TestHistogramOfCoversAll(t *testing.T) {
 }
 
 func TestRenderShowsNonEmptyOverflow(t *testing.T) {
-	h := NewHistogram([]float64{1})
+	h := NewHistogram(NewBounds([]float64{1}))
 	h.Observe(0.5)
 	h.Observe(3)
 	if got, want := h.Render(2), "      0.50 | ## 1\n      1.00 | ## 1\n"; got != want {

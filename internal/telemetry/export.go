@@ -41,11 +41,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		emitType(baseName(k), "histogram")
 		counts := h.hist.Counts()
 		cum := int64(0)
-		for i, ub := range DefaultBuckets {
+		for i, ub := range DefaultBuckets.Values() {
 			cum += counts[i]
 			fmt.Fprintf(bw, "%s %d\n", spliceLabel(k, "_bucket", "le", formatFloat(ub)), cum)
 		}
-		cum += counts[len(DefaultBuckets)]
+		cum += counts[len(counts)-1]
 		fmt.Fprintf(bw, "%s %d\n", spliceLabel(k, "_bucket", "le", "+Inf"), cum)
 		fmt.Fprintf(bw, "%s %s\n", suffixed(k, "_sum"), formatFloat(h.hist.Sum()))
 		fmt.Fprintf(bw, "%s %d\n", suffixed(k, "_count"), h.hist.Count())
@@ -115,10 +115,10 @@ func (r *Registry) Snapshot() RegistryJSON {
 			Buckets: map[string]int64{},
 		}
 		counts := h.hist.Counts()
-		for i, ub := range DefaultBuckets {
+		for i, ub := range DefaultBuckets.Values() {
 			hj.Buckets["le:"+formatFloat(ub)] = counts[i]
 		}
-		hj.Buckets["le:+Inf"] = counts[len(DefaultBuckets)]
+		hj.Buckets["le:+Inf"] = counts[len(counts)-1]
 		out.Histograms[k] = hj
 	}
 	return out

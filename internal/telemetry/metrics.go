@@ -14,9 +14,9 @@ import (
 // in this repository). Fixed buckets keep exported bucket rows stable
 // across runs; in exact mode percentiles come from the retained
 // observations, not from bucket interpolation.
-var DefaultBuckets = []float64{
+var DefaultBuckets = stats.NewBounds([]float64{
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000,
-}
+})
 
 // series is one registry histogram: a stats.Histogram over
 // DefaultBuckets and, in exact mode, every observation in insertion

@@ -72,14 +72,20 @@ func TestDispatchRoutesToSubcommand(t *testing.T) {
 	}
 }
 
-// The app and bench reports are pinned to goldens recorded from the
-// standalone binaries they replaced.
+// The app and bench reports are pinned to goldens: the default runs
+// were recorded from the standalone binaries they replaced; the
+// background-tenant, fault-plan and standard-library runs pin the
+// flags those defaults leave unset.
 func TestGoldenApp(t *testing.T) {
 	checkGolden(t, runCmd(t, runApp, "-frames", "10"), "app_frames10.golden")
+	checkGolden(t, runCmd(t, runApp, "-frames", "10", "-bg", "2", "-faults", "rpc=0.2,seed=7"),
+		"app_bg2_faults_frames10.golden")
 }
 
 func TestGoldenBench(t *testing.T) {
 	checkGolden(t, runCmd(t, runBench, "-runs", "10"), "bench_runs10.golden")
+	checkGolden(t, runCmd(t, runBench, "-runs", "10", "-stdlib", "libstdc++", "-dtype", "int8", "-delegate", "hexagon"),
+		"bench_libstdcxx_hexagon_runs10.golden")
 }
 
 // -stdlib accepts only the two libraries it names; anything else is an

@@ -22,6 +22,14 @@ func TestTraceRunDeterministicSummary(t *testing.T) {
 	}
 }
 
+// The trace summary is pinned at the defaults and with the probe effect
+// on the GPU delegate.
+func TestGoldenTrace(t *testing.T) {
+	checkGolden(t, runCmd(t, runTrace, "-frames", "5"), "trace_frames5.golden")
+	checkGolden(t, runCmd(t, runTrace, "-frames", "5", "-probe", "0.05", "-delegate", "gpu", "-dtype", "fp32"),
+		"trace_gpu_probe_frames5.golden")
+}
+
 func TestTraceExportsFiles(t *testing.T) {
 	dir := t.TempDir()
 	chrome := filepath.Join(dir, "out.json")

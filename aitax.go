@@ -31,7 +31,6 @@ import (
 	"context"
 	"fmt"
 
-	"aitax/internal/app"
 	"aitax/internal/bench"
 	"aitax/internal/core"
 	"aitax/internal/driver"
@@ -143,8 +142,12 @@ const (
 )
 
 // NewStack builds a fresh simulated process (engine, scheduler, runtime)
-// on the platform.
-func NewStack(platform *SoC, seed uint64) *Runtime { return tflite.NewStack(platform, seed) }
+// on the platform: the stack every Measure call runs on, without
+// faults.
+func NewStack(platform *SoC, seed uint64) *Runtime {
+	rt, _ := bench.Run{Seed: seed}.Stack(platform)
+	return rt
+}
 
 // FrameStats is one frame of the instrumented Android-application
 // pipeline: its per-stage latency breakdown, indexed by PipelineStage.
@@ -374,27 +377,8 @@ func MeasureBenchmarkCtx(ctx context.Context, opts AppOptions) ([]RunSample, err
 	if opts.BackgroundJobs != 0 {
 		return nil, fmt.Errorf("aitax: MeasureBenchmark does not honour BackgroundJobs (the benchmark utility models a single isolated process); use MeasureApp, or leave it unset")
 	}
-	if err := checkFrames(opts); err != nil {
-		return nil, err
-	}
-	opts = opts.Defaults()
-	m, err := models.ByName(opts.Model)
-	if err != nil {
-		return nil, err
-	}
-	rt := tflite.NewStack(opts.Platform, opts.Seed)
-	inj, err := faults.New(opts.Faults.Resolved(opts.Seed))
-	if err != nil {
-		return nil, err
-	}
-	rt.Faults = inj
-	ip, err := rt.NewInterpreter(m, opts.DType, tflite.Options{Delegate: opts.Delegate, ProbeOverhead: opts.ProbeOverhead})
-	if err != nil {
-		return nil, err
-	}
-	bt := tflite.NewBenchTool(rt, ip)
-	bt.StdLib = opts.StdLib
-	return bt.Measure(ctx, opts.Frames)
+	_, samples, err := measure(ctx, opts, bench.HarnessTool, nil)
+	return samples, err
 }
 
 // MeasureAppFrames is MeasureAppFramesCtx with context.Background().
@@ -411,8 +395,7 @@ func MeasureAppFramesCtx(ctx context.Context, opts AppOptions) ([]FrameStats, er
 	if opts.StdLib != LibCXX {
 		return nil, errAppStdLib()
 	}
-	opts = opts.Defaults()
-	_, frames, err := measureFrames(ctx, opts, nil)
+	_, frames, err := measure(ctx, opts, bench.HarnessApp, nil)
 	return frames, err
 }
 
@@ -429,36 +412,34 @@ func errAppStdLib() error {
 	return fmt.Errorf("aitax: the application pipeline does not honour StdLib (it processes real frames, not generated random input); use MeasureBenchmark, or leave it unset")
 }
 
-// measureFrames is the shared engine behind MeasureAppFrames and
-// MeasureAppTraced: it builds the stack, lets setup (when non-nil)
-// enable telemetry on the fresh runtime before any pipeline component
-// exists, runs the app for opts.Frames measured frames, and returns
-// the runtime alongside the frames. opts must already be defaulted.
-func measureFrames(ctx context.Context, opts AppOptions, setup func(*tflite.Runtime)) (*tflite.Runtime, []FrameStats, error) {
+// measure is the one path behind every Measure call: it converts the
+// checked opts to the bench.Run of harness h, builds the Run's stack
+// on opts.Platform as given, lets setup (when non-nil) switch
+// telemetry on before anything runs, and measures the Run on it. It
+// returns the stack alongside the frames.
+func measure(ctx context.Context, opts AppOptions, h bench.Harness, setup func(*tflite.Runtime)) (*tflite.Runtime, []FrameStats, error) {
 	if err := checkFrames(opts); err != nil {
 		return nil, nil, err
 	}
+	opts = opts.Defaults()
 	m, err := models.ByName(opts.Model)
 	if err != nil {
 		return nil, nil, err
 	}
-	rt := tflite.NewStack(opts.Platform, opts.Seed)
-	inj, err := faults.New(opts.Faults.Resolved(opts.Seed))
+	r := bench.Run{Platform: opts.Platform.Name, Seed: opts.Seed, Model: m.Name, DType: opts.DType,
+		Delegate: opts.Delegate, N: opts.Frames, Harness: h, BGJobs: opts.BackgroundJobs,
+		BGDelegate: opts.BackgroundDelegate, Probe: opts.ProbeOverhead, StdLib: opts.StdLib, Faults: opts.Faults}
+	if h == bench.HarnessApp {
+		r.Warmup = opts.WarmupFrames
+	}
+	rt, err := r.Stack(opts.Platform)
 	if err != nil {
 		return nil, nil, err
 	}
-	rt.Faults = inj
 	if setup != nil {
 		setup(rt)
 	}
-	a, err := app.New(rt, app.Config{
-		Model: m, DType: opts.DType, Delegate: opts.Delegate, Streaming: true,
-		ProbeOverhead: opts.ProbeOverhead,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	frames, err := a.Measure(ctx, opts.WarmupFrames, opts.Frames, opts.BackgroundJobs, opts.BackgroundDelegate)
+	frames, _, err := r.MeasureOn(ctx, rt, m)
 	return rt, frames, err
 }
 
@@ -499,9 +480,8 @@ func MeasureAppTracedCtx(ctx context.Context, opts AppOptions) (*TraceRun, error
 	if opts.StdLib != LibCXX {
 		return nil, errAppStdLib()
 	}
-	opts = opts.Defaults()
 	chrome := trace.NewChromeRecorder()
-	rt, frames, err := measureFrames(ctx, opts, func(rt *tflite.Runtime) {
+	rt, frames, err := measure(ctx, opts, bench.HarnessApp, func(rt *tflite.Runtime) {
 		rt.Tracer = telemetry.NewTracer(rt.Eng.Now)
 		rt.Metrics = telemetry.NewRegistry()
 		chrome.Attach(rt.Sch)

@@ -15,14 +15,8 @@ import (
 //	aitax app -model "MobileNet 1.0 v1" -dtype int8 -bg 3 -bgdelegate hexagon
 func runApp(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("app", stderr)
-	model := fs.String("model", "MobileNet 1.0 v1", "Table-I model name")
-	dtype := fs.String("dtype", "int8", "precision: fp32 | int8")
-	delegate := fs.String("delegate", "nnapi", "delegate: cpu | gpu | hexagon | nnapi")
+	run := bindRun(fs, "MobileNet 1.0 v1", "int8", "nnapi", true)
 	frames := fs.Int("frames", 100, "measured frames")
-	platform := fs.String("platform", "Google Pixel 3", "platform (Table II)")
-	seed := fs.Uint64("seed", 42, "random seed (0 is a valid seed)")
-	bg := fs.Int("bg", 0, "background inference jobs (multi-tenancy)")
-	bgDelegate := fs.String("bgdelegate", "hexagon", "background delegate")
 	taxonomy := fs.Bool("taxonomy", false, "print the Fig. 1 AI-tax taxonomy and exit")
 	csvPath := fs.String("csv", "", "write per-frame stage breakdowns to this CSV file")
 	common := register(fs, sharedFlags{Trace: true, Metrics: true, Faults: true})
@@ -35,33 +29,14 @@ func runApp(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	dt, err := parseDType(*dtype)
+	opts, err := run.options()
 	if err != nil {
 		return fail(stderr, err)
 	}
-	d, err := parseDelegate(*delegate)
-	if err != nil {
+	if opts.Faults, err = common.FaultPlan(); err != nil {
 		return fail(stderr, err)
 	}
-	bgd, err := parseDelegate(*bgDelegate)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	p, err := aitax.PlatformByName(*platform)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	plan, err := common.FaultPlan()
-	if err != nil {
-		return fail(stderr, err)
-	}
-
-	opts := aitax.AppOptions{
-		Model: *model, DType: dt, Delegate: d,
-		Frames: *frames, Platform: p, Seed: *seed, SeedSet: true,
-		BackgroundJobs: *bg, BackgroundDelegate: bgd,
-		Faults: plan,
-	}
+	opts.Frames = *frames
 	// Tracing never perturbs the run: with -trace/-metrics set, the
 	// frames (and thus all stdout) are identical to an untraced run —
 	// only the side files and stderr notes are added.
@@ -90,7 +65,7 @@ func runApp(args []string, stdout, stderr io.Writer) int {
 	breakdown := aitax.TaxBreakdown(perFrame)
 
 	fmt.Fprintf(stdout, "application: model=%q dtype=%s delegate=%s platform=%q background=%d\n",
-		*model, dt, d, p.Name, *bg)
+		opts.Model, opts.DType, opts.Delegate, opts.Platform.Name, opts.BackgroundJobs)
 	fmt.Fprint(stdout, breakdown.Render())
 	fmt.Fprintf(stdout, "e2e distribution: %s\n", breakdown.E2E)
 

@@ -24,12 +24,8 @@ import (
 //	aitax bench -compare -wall old.json new.json    # wall gate (multi-iteration runs)
 func runBench(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("bench", stderr)
-	model := fs.String("model", "MobileNet 1.0 v1", "Table-I model name")
-	dtype := fs.String("dtype", "fp32", "precision: fp32 | int8")
-	delegate := fs.String("delegate", "cpu", "delegate: cpu | gpu | hexagon | nnapi")
+	run := bindRun(fs, "MobileNet 1.0 v1", "fp32", "cpu", false)
 	runs := fs.Int("runs", 100, "measured iterations (paper: 500)")
-	platform := fs.String("platform", "Google Pixel 3", "platform (Table II)")
-	seed := fs.Uint64("seed", 42, "random seed (0 is a valid seed)")
 	list := fs.Bool("list", false, "list model names and exit")
 	stdlib := fs.String("stdlib", "libc++", "C++ standard library: libc++ | libstdc++ (flips random-gen cost, §IV-A)")
 	parse := fs.String("parse", "", "parse `go test -bench` output from this file (\"-\" for stdin) into a JSON report")
@@ -73,34 +69,22 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	dt, err := parseDType(*dtype)
+	opts, err := run.options()
 	if err != nil {
 		return fail(stderr, err)
 	}
-	d, err := parseDelegate(*delegate)
-	if err != nil {
+	if opts.StdLib, err = parseStdLib(*stdlib); err != nil {
 		return fail(stderr, err)
 	}
-	p, err := aitax.PlatformByName(*platform)
-	if err != nil {
-		return fail(stderr, err)
-	}
-
-	lib, err := parseStdLib(*stdlib)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	samples, err := aitax.MeasureBenchmark(aitax.AppOptions{
-		Model: *model, DType: dt, Delegate: d,
-		Frames: *runs, Platform: p, Seed: *seed, SeedSet: true, StdLib: lib,
-	})
+	opts.Frames = *runs
+	samples, err := aitax.MeasureBenchmark(opts)
 	if err != nil {
 		return fail(stderr, err)
 	}
 
 	b := aitax.TaxBreakdown(samples)
 	fmt.Fprintf(stdout, "model=%q dtype=%s delegate=%s platform=%q runs=%d\n",
-		*model, dt, d, p.Name, len(samples))
+		opts.Model, opts.DType, opts.Delegate, opts.Platform.Name, len(samples))
 	fmt.Fprintf(stdout, "  input generation : %8.3f ms\n", ms(b.Mean.Stage[aitax.StageCapture]))
 	fmt.Fprintf(stdout, "  pre-processing   : %8.3f ms\n", ms(b.Mean.Stage[aitax.StagePre]))
 	fmt.Fprintf(stdout, "  inference        : %8.3f ms\n", ms(b.Mean.Stage[aitax.StageInference]))

@@ -6,7 +6,9 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 
+	"aitax"
 	"aitax/internal/faults"
 	"aitax/internal/tensor"
 	"aitax/internal/tflite"
@@ -66,6 +68,74 @@ func register(fs *flag.FlagSet, o sharedFlags) *commonFlags {
 
 // FaultPlan parses the -faults spec. The empty string is the zero plan.
 func (c *commonFlags) FaultPlan() (faults.Plan, error) { return faults.ParsePlan(c.FaultSpec) }
+
+// runFlags are the flags that name one measured run, bound once for
+// every subcommand: -platform and -seed everywhere, -model, -dtype and
+// -delegate where a command measures a model, and -bg/-bgdelegate
+// where it runs background tenants. Flags a subcommand did not bind
+// stay nil.
+type runFlags struct {
+	model, dtype, delegate, platform, bgDelegate *string
+	seed                                         *uint64
+	bg                                           *int
+}
+
+// bindPlatform registers -platform and -seed on fs.
+func bindPlatform(fs *flag.FlagSet) *runFlags {
+	return &runFlags{
+		platform: fs.String("platform", "Google Pixel 3", "platform name or chipset (Table II)"),
+		seed:     fs.Uint64("seed", 42, "random seed (0 is a valid seed)"),
+	}
+}
+
+// bindRun registers -platform, -seed, and -model, -dtype and -delegate
+// with the subcommand's defaults on fs, plus -bg and -bgdelegate when
+// bg is set.
+func bindRun(fs *flag.FlagSet, model, dtype, delegate string, bg bool) *runFlags {
+	f := bindPlatform(fs)
+	f.model = fs.String("model", model, "Table-I model name (aliases like MobileNetV1 work)")
+	f.dtype = fs.String("dtype", dtype, "precision: fp32 | int8")
+	f.delegate = fs.String("delegate", delegate, "delegate: cpu | gpu | hexagon | nnapi")
+	if bg {
+		f.bg = fs.Int("bg", 0, "background inference jobs (multi-tenancy)")
+		f.bgDelegate = fs.String("bgdelegate", "hexagon", "background delegate")
+	}
+	return f
+}
+
+// options parses the flags bindRun registered into the run's
+// AppOptions; the seed is always explicit.
+func (f *runFlags) options() (aitax.AppOptions, error) {
+	o := aitax.AppOptions{Model: *f.model, Seed: *f.seed, SeedSet: true}
+	var err error
+	if o.DType, err = parseDType(*f.dtype); err != nil {
+		return o, err
+	}
+	if o.Delegate, err = parseDelegate(*f.delegate); err != nil {
+		return o, err
+	}
+	if f.bg != nil {
+		o.BackgroundJobs = *f.bg
+		if o.BackgroundDelegate, err = parseDelegate(*f.bgDelegate); err != nil {
+			return o, err
+		}
+	}
+	o.Platform, err = f.soc()
+	return o, err
+}
+
+// soc resolves -platform. An unknown name's error lists the catalog.
+func (f *runFlags) soc() (*aitax.SoC, error) {
+	p, err := aitax.PlatformByName(*f.platform)
+	if err != nil {
+		var have []string
+		for _, p := range aitax.Platforms() {
+			have = append(have, fmt.Sprintf("%s (%s)", p.Name, p.Chipset))
+		}
+		return nil, fmt.Errorf("%w (have %s)", err, strings.Join(have, ", "))
+	}
+	return p, nil
+}
 
 // newFlagSet returns the flag set of one subcommand, reporting parse
 // errors and -h usage to stderr.

@@ -1,14 +1,17 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
+	"aitax"
 	"aitax/internal/tensor"
 	"aitax/internal/tflite"
 )
@@ -52,6 +55,38 @@ func TestRegisterDefaults(t *testing.T) {
 	register(fs2, sharedFlags{})
 	if err := fs2.Parse([]string{"-trace", "x"}); err == nil {
 		t.Fatal("unregistered -trace parsed")
+	}
+}
+
+// An unknown -platform exits 1 on every subcommand that takes it, and
+// the error names every catalog platform while still wrapping
+// ErrUnknownPlatform.
+func TestUnknownPlatformListsCatalog(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		fn   func([]string, io.Writer, io.Writer) int
+	}{
+		{"experiments", runExperiments}, {"validate", runValidate}, {"app", runApp}, {"bench", runBench},
+		{"trace", runTrace}, {"profile", runProfile}, {"serve", runServe},
+	} {
+		code, stderr := runCode(c.fn, "-platform", "Open-Q 835")
+		if code != 1 || !strings.Contains(stderr, "Open-Q 835 uSOM") {
+			t.Errorf("%s -platform \"Open-Q 835\": exit %d, stderr %q; want exit 1 naming Open-Q 835 uSOM", c.name, code, stderr)
+		}
+	}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	run := bindPlatform(fs)
+	if err := fs.Parse([]string{"-platform", "Open-Q 835"}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := run.soc()
+	if !errors.Is(err, aitax.ErrUnknownPlatform) {
+		t.Fatalf("soc() = %v, want an error wrapping ErrUnknownPlatform", err)
+	}
+	for _, p := range aitax.Platforms() {
+		if !strings.Contains(err.Error(), p.Name+" ("+p.Chipset+")") {
+			t.Errorf("error %q does not list %s", err, p.Name)
+		}
 	}
 }
 

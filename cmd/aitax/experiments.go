@@ -32,8 +32,7 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	runs := fs.Int("runs", 50, "iterations per configuration (paper: 500)")
 	format := fs.String("format", "text", "output format: text | markdown | csv")
-	platform := fs.String("platform", "Google Pixel 3", "platform name or chipset (Table II)")
-	seed := fs.Uint64("seed", 42, "random seed (0 is a valid seed)")
+	run := bindPlatform(fs)
 	common := register(fs, sharedFlags{Faults: true, Parallel: true, Progress: true})
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -46,7 +45,7 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	p, err := aitax.PlatformByName(*platform)
+	p, err := run.soc()
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -56,7 +55,7 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 	}
 	// SeedSet: the flag always carries an explicit value, so -seed 0
 	// really means seed 0.
-	cfg := aitax.ExperimentConfig{Platform: p, Seed: *seed, SeedSet: true, Runs: *runs, Faults: plan}
+	cfg := aitax.ExperimentConfig{Platform: p, Seed: *run.seed, SeedSet: true, Runs: *runs, Faults: plan}
 
 	var selected []aitax.Experiment
 	if *runIDs == "all" {
@@ -73,7 +72,7 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 
 	if *format == "text" {
 		fmt.Fprintf(stdout, "platform: %s (%s) | seed %d | %d runs/config\n\n",
-			p.Name, p.Chipset, *seed, *runs)
+			p.Name, p.Chipset, *run.seed, *runs)
 	}
 
 	var onProgress func(lab.JobResult)

@@ -6,7 +6,7 @@ import (
 	"math"
 	"time"
 
-	"aitax"
+	"aitax/internal/bench"
 	"aitax/internal/models"
 	"aitax/internal/sim"
 	"aitax/internal/telemetry"
@@ -22,13 +22,9 @@ import (
 //	aitax profile -delegate hexagon -trace out.json -metrics out.prom
 func runProfile(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("profile", stderr)
-	model := fs.String("model", "EfficientNet-Lite0", "Table-I model name")
-	dtype := fs.String("dtype", "int8", "precision: fp32 | int8")
-	delegate := fs.String("delegate", "nnapi", "delegate: cpu | gpu | hexagon | nnapi")
+	run := bindRun(fs, "EfficientNet-Lite0", "int8", "nnapi", false)
 	horizonMS := fs.Int("horizon", 600, "profile window in virtual milliseconds")
 	bucketMS := fs.Float64("bucket", 2, "timeline bucket in milliseconds")
-	platform := fs.String("platform", "Google Pixel 3", "platform (Table II)")
-	seed := fs.Uint64("seed", 42, "random seed")
 	common := register(fs, sharedFlags{Trace: true, Metrics: true})
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -42,25 +38,18 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 	if maxMS := int64(math.MaxInt64 / time.Millisecond); *horizonMS <= 0 || int64(*horizonMS) > maxMS {
 		return fail(stderr, fmt.Errorf("-horizon %d: want a positive window of at most %d ms", *horizonMS, maxMS))
 	}
-	dt, err := parseDType(*dtype)
+	opts, err := run.options()
 	if err != nil {
 		return fail(stderr, err)
 	}
-	d, err := parseDelegate(*delegate)
-	if err != nil {
-		return fail(stderr, err)
-	}
-
-	p, err := aitax.PlatformByName(*platform)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	m, err := models.ByName(*model)
+	m, err := models.ByName(opts.Model)
 	if err != nil {
 		return fail(stderr, err)
 	}
 
-	rt := tflite.NewStack(p, *seed)
+	// The run injects no faults, so its stack cannot fail.
+	r := bench.Run{Platform: opts.Platform.Name, Seed: opts.Seed, Model: m.Name, DType: opts.DType, Delegate: opts.Delegate}
+	rt, _ := r.Stack(opts.Platform)
 	// Telemetry is nil-safe and perturbation-free, so it is switched on
 	// only when an export asks for it; the timeline itself is identical
 	// either way.
@@ -78,7 +67,7 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 	prof.TrackResource("cdsp", rt.DSP)
 	prof.TrackResource("gpu", rt.GPUQueue)
 
-	ip, err := rt.NewInterpreter(m, dt, tflite.Options{Delegate: d})
+	ip, err := rt.NewInterpreter(m, r.DType, tflite.Options{Delegate: r.Delegate})
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -93,7 +82,7 @@ func runProfile(args []string, stdout, stderr io.Writer) int {
 	rt.Eng.RunUntil(sim.Time(0).Add(horizon))
 
 	fmt.Fprintf(stdout, "profile: model=%q dtype=%s delegate=%s platform=%q window=%v\n",
-		*model, dt, d, p.Name, horizon)
+		opts.Model, opts.DType, opts.Delegate, opts.Platform.Name, horizon)
 	fmt.Fprintf(stdout, "completed invocations in window: %d\n\n", invocations)
 	fmt.Fprint(stdout, prof.Render())
 

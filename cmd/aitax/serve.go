@@ -12,7 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"aitax"
 	"aitax/internal/core"
 	"aitax/internal/lab"
 	"aitax/internal/loadgen"
@@ -70,7 +69,7 @@ func parseServe(args []string, stderr io.Writer) (*serveOpts, int) {
 	ramp := fs.String("ramp", "10x1s,150x1s", "open-loop QPS ramp, QPSxDURATION per phase")
 	mix := fs.String("mix", "", `request mix, "MODEL[=WEIGHT][:CLASS],..." (class: interactive | standard | best-effort; default: all loaded models, equal weight, standard)`)
 	modelList := fs.String("models", "", "comma-separated loaded models (default: one per endpoint task)")
-	platform := fs.String("platform", "Google Pixel 3", "platform name or chipset (Table II)")
+	run := bindPlatform(fs)
 	dtype := fs.String("dtype", "fp32", "precision: fp32 | int8 (int8 needs every loaded model quantized)")
 	delegate := fs.String("delegate", "nnapi", "delegate: cpu | gpu | hexagon | nnapi")
 	entry := fs.String("entry", "pre", "stage served requests enter at: pre | inference")
@@ -79,7 +78,6 @@ func parseServe(args []string, stderr io.Writer) (*serveOpts, int) {
 	maxBatch := fs.Int("max-batch", 4, "flush a batch early at this size")
 	queueDepth := fs.Int("queue-depth", 16, "per-model admission limit; beyond it requests are rejected (HTTP 429)")
 	dispatch := fs.Duration("dispatch-cost", 200*time.Microsecond, "per-batch dispatch overhead, amortized across the batch")
-	seed := fs.Uint64("seed", 42, "random seed (0 is a valid seed)")
 	sloSpec := fs.String("slo", "", `latency SLOs, "MODEL=LATENCY@TARGET,..." (e.g. "all=5ms@95"); enables burn-rate monitoring`)
 	qosSpec := fs.String("qos", "", `brownout ladder, "key=value,..." or "on" for defaults (tick=50ms hold=8 enter=0.5/0.7/0.9 exit=0.25/0.4/0.6 ...); requires -slo`)
 	qosObserve := fs.Bool("qos-observe", false, "freeze the brownout controller at level 0: report the would-be timeline, take no action")
@@ -98,7 +96,7 @@ func parseServe(args []string, stderr io.Writer) (*serveOpts, int) {
 		return nil, 2
 	}
 
-	p, err := aitax.PlatformByName(*platform)
+	p, err := run.soc()
 	if err != nil {
 		return nil, fail(stderr, err)
 	}
@@ -132,7 +130,7 @@ func parseServe(args []string, stderr io.Writer) (*serveOpts, int) {
 		Platform: p, DType: dt, Delegate: d, Models: loaded, Entry: st,
 		Workers: *workers, BatchWindow: *window, MaxBatch: *maxBatch,
 		QueueDepth: *queueDepth, DispatchCost: *dispatch,
-		Seed: *seed, Faults: plan, ObsWindow: *obsWindow,
+		Seed: *run.seed, Faults: plan, ObsWindow: *obsWindow,
 	}.Defaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, fail(stderr, err)
@@ -174,7 +172,7 @@ func parseServe(args []string, stderr io.Writer) (*serveOpts, int) {
 	}
 	return &serveOpts{
 		cfg: cfg, addr: *addr, ramp: *ramp, mix: *mix, qos: *qosSpec, obsOut: *obsOut,
-		seed: *seed, loadgen: *loadMode, watch: *watch, prewarm: *prewarm,
+		seed: *run.seed, loadgen: *loadMode, watch: *watch, prewarm: *prewarm,
 		drainTimeout: *drainTimeout, common: common,
 	}, 0
 }

@@ -22,14 +22,8 @@ import (
 //	aitax trace -delegate hexagon -probe 0.05   # with the §III-C probe effect
 func runTrace(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("trace", stderr)
-	model := fs.String("model", "MobileNet 1.0 v1", "Table-I model name (aliases like MobileNetV1 work)")
-	dtype := fs.String("dtype", "int8", "precision: fp32 | int8")
-	delegate := fs.String("delegate", "hexagon", "delegate: cpu | gpu | hexagon | nnapi")
+	run := bindRun(fs, "MobileNet 1.0 v1", "int8", "hexagon", true)
 	frames := fs.Int("frames", 20, "measured frames")
-	platform := fs.String("platform", "Google Pixel 3", "platform (Table II)")
-	seed := fs.Uint64("seed", 42, "random seed (0 is a valid seed)")
-	bg := fs.Int("bg", 0, "background inference jobs (multi-tenancy)")
-	bgDelegate := fs.String("bgdelegate", "hexagon", "background delegate")
 	probe := fs.Float64("probe", 0, "probe-effect overhead fraction on accelerators (paper §III-C: 0.04–0.07)")
 	jsonlPath := fs.String("jsonl", "", "write one JSON span per line to this path")
 	common := register(fs, sharedFlags{Trace: true, Metrics: true})
@@ -37,36 +31,19 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	dt, err := parseDType(*dtype)
+	opts, err := run.options()
 	if err != nil {
 		return fail(stderr, err)
 	}
-	d, err := parseDelegate(*delegate)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	bgd, err := parseDelegate(*bgDelegate)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	p, err := aitax.PlatformByName(*platform)
-	if err != nil {
-		return fail(stderr, err)
-	}
-
 	// WarmupFrames -1: a trace wants every frame it records measured —
 	// cold start included — so counts line up with -frames exactly.
-	tr, err := aitax.MeasureAppTraced(aitax.AppOptions{
-		Model: *model, DType: dt, Delegate: d,
-		Frames: *frames, WarmupFrames: -1, Platform: p, Seed: *seed, SeedSet: true,
-		BackgroundJobs: *bg, BackgroundDelegate: bgd,
-		ProbeOverhead: *probe,
-	})
+	opts.Frames, opts.WarmupFrames, opts.ProbeOverhead = *frames, -1, *probe
+	tr, err := aitax.MeasureAppTraced(opts)
 	if err != nil {
 		return fail(stderr, err)
 	}
 
-	writeSummary(stdout, tr, *model, dt, d, p.Name, *frames)
+	writeSummary(stdout, tr, opts)
 
 	for _, out := range []struct {
 		path  string
@@ -90,9 +67,9 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 
 // writeSummary prints the deterministic per-stage quantile table and the
 // run's scheduler/RPC totals.
-func writeSummary(w io.Writer, tr *aitax.TraceRun, model string, dt aitax.DType, d aitax.Delegate, platform string, frames int) {
+func writeSummary(w io.Writer, tr *aitax.TraceRun, o aitax.AppOptions) {
 	fmt.Fprintf(w, "trace: model=%q dtype=%s delegate=%s platform=%q frames=%d\n\n",
-		model, dt, d, platform, frames)
+		o.Model, o.DType, o.Delegate, o.Platform.Name, o.Frames)
 	fmt.Fprintf(w, "%-10s %7s %10s %10s %10s\n", "stage", "count", "p50 ms", "p90 ms", "p99 ms")
 	m := tr.Metrics
 	row := func(stage string) {

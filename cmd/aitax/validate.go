@@ -39,8 +39,7 @@ import (
 func runValidate(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("validate", stderr)
 	runs := fs.Int("runs", 24, "iterations per configuration")
-	seed := fs.Uint64("seed", 42, "random seed (0 is a valid seed)")
-	platform := fs.String("platform", "Google Pixel 3", "platform (Table II)")
+	run := bindPlatform(fs)
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker-pool size; the report is identical at any value")
 	chaos := fs.Bool("chaos", false,
@@ -51,7 +50,7 @@ func runValidate(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	p, err := aitax.PlatformByName(*platform)
+	p, err := run.soc()
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -60,12 +59,12 @@ func runValidate(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *chaos {
-		return chaosRun(p, *seed, *parallel, stdout, stderr)
+		return chaosRun(p, *run.seed, *parallel, stdout, stderr)
 	}
 	if *brownout {
-		return brownoutRun(*platform, *parallel, stdout, stderr)
+		return brownoutRun(*run.platform, *parallel, stdout, stderr)
 	}
-	cfg := aitax.ExperimentConfig{Platform: p, Seed: *seed, SeedSet: true, Runs: *runs}
+	cfg := aitax.ExperimentConfig{Platform: p, Seed: *run.seed, SeedSet: true, Runs: *runs}
 
 	// A panicking experiment comes back as an error Result whose note
 	// carries "setup failed", so it is counted as a FAIL below rather

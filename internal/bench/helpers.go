@@ -43,10 +43,11 @@ func figureModels(nnapiPath bool) []variant {
 }
 
 // stack is the fresh stack of an experiment that builds its own: the
-// one Run.stack builds for cfg's platform and seed. It injects no
+// one Run.Stack builds for cfg's platform and seed. It injects no
 // faults, so it cannot fail.
 func (cfg Config) stack() *tflite.Runtime {
-	rt, _ := Run{Platform: cfg.Platform.Name, Seed: cfg.Seed}.stack(cfg.Platform)
+	r := Run{Platform: cfg.Platform.Name, Seed: cfg.Seed}
+	rt, _ := r.Stack(r.platform(cfg.Platform))
 	return rt
 }
 

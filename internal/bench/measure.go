@@ -32,11 +32,14 @@ const (
 
 // Run is the key of one measurement: a (model, dtype, delegate,
 // threads) configuration on a platform and seed, measured N times
-// through one harness, for the application with BGJobs background
-// tenants on BGDelegate, its camera preview size, its pre-processing
-// placement and a fault plan. Experiments declare the Runs they read; a
-// sweep measures each distinct Run once and every experiment renders
-// from the same Sample.
+// through one harness after Warmup discarded frames, for the
+// application with BGJobs background tenants on BGDelegate, its camera
+// preview size, its pre-processing placement, a probe overhead, the
+// benchmark utility's C++ standard library and a fault plan.
+// Experiments declare the Runs they read; a sweep measures each
+// distinct Run once and every experiment renders from the same Sample.
+// The aitax facade and command line measure through the same Run:
+// Stack builds its stack and MeasureOn measures it.
 type Run struct {
 	Platform string // soc.SoC name
 	Seed     uint64
@@ -46,6 +49,7 @@ type Run struct {
 	Threads  int // interpreter threads of the benchmark utility; 0 for the app
 	N        int // measured runs, or frames for the app
 	Harness  Harness
+	Warmup   int // the app's discarded cold-start frames; the benchmark utility has none
 	BGJobs   int
 	// BGDelegate is zero when BGJobs is, so a run without tenants has
 	// one key.
@@ -55,6 +59,11 @@ type Run struct {
 	PreviewW, PreviewH int
 	// PreOnDSP offloads the app's pre-processing to the DSP.
 	PreOnDSP bool
+	// Probe is the instrumentation probe's fractional compute
+	// inflation on accelerator targets; zero disables it.
+	Probe float64
+	// StdLib is the benchmark utility's C++ standard library.
+	StdLib tflite.StdLib
 	// Faults is the plan injected into the stack; the zero plan when it
 	// injects nothing.
 	Faults faults.Plan
@@ -75,8 +84,8 @@ func (r Run) String() string {
 	return s
 }
 
-// warmupFrames are the cold-start app frames every measurement discards
-// (plan compilation, cache fill).
+// warmupFrames are the cold-start app frames every sweep measurement
+// discards (plan compilation, cache fill).
 const warmupFrames = 2
 
 // frames measures r, whose model m is, on a fresh stack and returns its
@@ -84,19 +93,20 @@ const warmupFrames = 2
 // interpreter's init time and CPU fallback, and the injected fault
 // count.
 func (r Run) frames(ctx context.Context, m *models.Model, configured *soc.SoC) ([]core.StageTimes, Sample, error) {
-	rt, err := r.stack(configured)
+	rt, err := r.Stack(r.platform(configured))
 	if err != nil {
 		return nil, Sample{}, err
 	}
-	return r.measureOn(ctx, rt, m)
+	return r.MeasureOn(ctx, rt, m)
 }
 
-// stack builds the fresh stack r runs on, over r's platform. Faults are
-// injected as aitax.MeasureAppFrames injects them. Every stack the
-// package builds comes from here; only dvfs, which governs its
-// scheduler, wires its own over platform.
-func (r Run) stack(configured *soc.SoC) (*tflite.Runtime, error) {
-	rt := tflite.NewStack(r.platform(configured), r.Seed)
+// Stack builds the fresh stack r runs on, over the platform p, which
+// it uses as given, with r's fault plan injected. Every stack the
+// package, the aitax facade and the command line build comes from
+// here; only dvfs, which governs its scheduler, wires its own over
+// platform.
+func (r Run) Stack(p *soc.SoC) (*tflite.Runtime, error) {
+	rt := tflite.NewStack(p, r.Seed)
 	var err error
 	rt.Faults, err = faults.New(r.Faults.Resolved(r.Seed))
 	return rt, err
@@ -114,23 +124,24 @@ func (r Run) platform(configured *soc.SoC) *soc.SoC {
 	return p
 }
 
-// measureOn measures r, whose model m is, on the stack rt.
-func (r Run) measureOn(ctx context.Context, rt *tflite.Runtime, m *models.Model) ([]core.StageTimes, Sample, error) {
+// MeasureOn measures r, whose model m is, on the stack rt that Stack
+// built.
+func (r Run) MeasureOn(ctx context.Context, rt *tflite.Runtime, m *models.Model) ([]core.StageTimes, Sample, error) {
 	if r.Harness == HarnessApp {
 		a, err := app.New(rt, app.Config{Model: m, DType: r.DType, Delegate: r.Delegate, Streaming: true,
-			PreOnDSP: r.PreOnDSP, PreviewW: r.PreviewW, PreviewH: r.PreviewH})
+			PreOnDSP: r.PreOnDSP, ProbeOverhead: r.Probe, PreviewW: r.PreviewW, PreviewH: r.PreviewH})
 		if err != nil {
 			return nil, Sample{}, err
 		}
-		sts, err := a.Measure(ctx, warmupFrames, r.N, r.BGJobs, r.BGDelegate)
+		sts, err := a.Measure(ctx, r.Warmup, r.N, r.BGJobs, r.BGDelegate)
 		return sts, facts(a.Interpreter(), rt.Faults), err
 	}
-	ip, err := rt.NewInterpreter(m, r.DType, tflite.Options{Delegate: r.Delegate, Threads: r.Threads})
+	ip, err := rt.NewInterpreter(m, r.DType, tflite.Options{Delegate: r.Delegate, Threads: r.Threads, ProbeOverhead: r.Probe})
 	if err != nil {
 		return nil, Sample{}, err
 	}
 	bt := tflite.NewBenchTool(rt, ip)
-	bt.AppWrapper = r.Harness == HarnessWrapper
+	bt.AppWrapper, bt.StdLib = r.Harness == HarnessWrapper, r.StdLib
 	sts, err := bt.Measure(ctx, r.N)
 	return sts, facts(ip, rt.Faults), err
 }
@@ -190,13 +201,13 @@ func (p *Planner) tool(h Harness, pl string, seed uint64, m *models.Model, dt te
 	return p.want(Run{Platform: pl, Seed: seed, Model: m.Name, DType: dt, Delegate: d, Threads: threads, N: n, Harness: h}, m)
 }
 
-// app declares the application Run r of model m (r's Model and Harness
-// are set here) and returns the Sample it will be measured into. Runs
+// app declares the application Run r of model m (r's Model, Harness
+// and Warmup are set here) and returns the Sample it will be measured into. Runs
 // that measure the same frames share one key: a run without tenants
 // keys no tenant delegate, the default preview size keys as zero, and a
 // plan that injects nothing keys as the zero plan.
 func (p *Planner) app(r Run, m *models.Model) *Sample {
-	r.Model, r.Harness = m.Name, HarnessApp
+	r.Model, r.Harness, r.Warmup = m.Name, HarnessApp, warmupFrames
 	if r.BGJobs == 0 {
 		r.BGDelegate = 0
 	}

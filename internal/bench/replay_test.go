@@ -40,7 +40,7 @@ type outcome struct {
 // run scheduled.
 func inspect(t *testing.T, r Run, m *models.Model, configured *soc.SoC, shortcutsOff bool) (outcome, uint64) {
 	t.Helper()
-	rt, err := r.stack(configured)
+	rt, err := r.Stack(r.platform(configured))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func inspect(t *testing.T, r Run, m *models.Model, configured *soc.SoC, shortcut
 		rt.Sch.Subscribe(nopListener{})
 	}
 	var out outcome
-	out.samples, out.facts, out.err = r.measureOn(context.Background(), rt, m)
+	out.samples, out.facts, out.err = r.MeasureOn(context.Background(), rt, m)
 	out.now = rt.Eng.Now()
 	out.switches, out.migrations = rt.Sch.Switches(), rt.Sch.Migrations()
 	for _, c := range rt.Sch.Cores() {
@@ -119,7 +119,7 @@ func TestReplayMatchesSimulationAndConserves(t *testing.T) {
 	}{{tflite.DelegateCPU, false}, {tflite.DelegateNNAPI, true}} {
 		for _, v := range figureModels(path.nnapi) {
 			name := variantName(v.M, v.DT) + "/" + path.d.String()
-			key := Run{Platform: cfg.Platform.Name, Seed: cfg.Seed, Model: v.M.Name, DType: v.DT, Delegate: path.d, N: runs, Harness: HarnessApp}
+			key := Run{Platform: cfg.Platform.Name, Seed: cfg.Seed, Model: v.M.Name, DType: v.DT, Delegate: path.d, N: runs, Harness: HarnessApp, Warmup: warmupFrames}
 			sts, _, err := key.frames(context.Background(), v.M, cfg.Platform)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
